@@ -12,7 +12,7 @@ import sys
 from . import fixtures_gen, oracle
 from .acyclic_reduce import acyclic_reduce
 from .degree4_lift import transform_delta4
-from .errors import KempeEdgeError, UnsupportedFamily
+from .errors import InternalInvariantError, KempeEdgeError, UnsupportedFamily
 from .graph_core import (
     EdgeColoring,
     format_coloring,
@@ -69,13 +69,13 @@ def _cmd_transform(args) -> int:
         else:
             tr = equalize(g, f, target)
         result = apply_transcript(g, f, tr)
-    write_transcript(args.out, g, tr)
     if target is not None:
         if result.colors != target.colors:
-            raise UnsupportedFamily("transform terminated off target")
+            raise InternalInvariantError("transform terminated off target")
         # palette-shrinking modes end within the target's palette; write the
         # result against the target header so the files compare byte-equal
         result = result.with_palette(target.t)
+    write_transcript(args.out, g, tr)
     if args.result:
         write_coloring(args.result, g, result)
     return 0

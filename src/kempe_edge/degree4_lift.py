@@ -8,9 +8,13 @@ decomposes into whole components of the lower level, so each big move becomes
 a batch of lower-level moves whose restriction tracks the big run exactly.
 
 The degree-at-most-3 equalizer is a certified search: iterated
-nearest-improvement BFS over the Kempe reconfiguration graph with an exact
-bidirectional search as fallback.  Its transcripts are verified like any
-other; only termination relies on the reachability guarantee.
+nearest-improvement steps over the Kempe reconfiguration graph with an exact
+bidirectional search as fallback.  A step walks the current coloring's
+two-colored components in neighbor order, scores each by the agreement its
+interchange gains on its own edges, and takes the first that gains; only
+when none does it run a labeled BFS to the nearest better state.  Its
+transcripts are verified like any other; only termination relies on the
+reachability guarantee.
 """
 from __future__ import annotations
 
@@ -167,8 +171,55 @@ def _reconstruct(parent, state):
     return moves
 
 
+def _kempe_components(ga, state, colors):
+    """Yield (a, b, rep, edge ids) for every (a, b)-component of `state`.
+
+    The order is that of `backend.kempe_neighbor_moves(ga, state, t,
+    colors)`: color pairs a < b ascending over `colors`, then components by
+    their least edge id `rep`.  Each component is traced only when reached.
+    """
+    cs = sorted(colors)
+    for i, a in enumerate(cs):
+        for b in cs[i + 1:]:
+            seen = bytearray(len(state))
+            for eid, c in enumerate(state):
+                if (c == a or c == b) and not seen[eid]:
+                    # the scan is ascending, so eid is the component's least edge
+                    comp, _, _ = backend.trace_component(ga, state, a, b, eid)
+                    for e in comp:
+                        seen[e] = 1
+                    yield a, b, eid, comp
+
+
+def _gain(state, goal, a, b, comp):
+    """Change in agreement with `goal` when a and b swap on `comp`."""
+    gain = 0
+    for e in comp:
+        c = state[e]
+        want = goal[e]
+        gain += ((b if c == a else a) == want) - (c == want)
+    return gain
+
+
 def _bfs_to_better(ga, start, goal, colors, t, cap):
-    """Moves to a nearest state with strictly larger agreement with goal."""
+    """Moves to a nearest state with strictly larger agreement with goal.
+
+    An interchange changes agreement only on its own component, so the
+    one-move neighbors are scored by `_gain` in generation order and the
+    first that gains is built and returned.  This is the state the labeled
+    BFS below would return: distinct one-move swaps give distinct states,
+    none equal to `start`, so its dedup never fires at depth 1, and the cap
+    is applied at the same neighbor count.  Only when no neighbor gains does
+    the BFS run.
+    """
+    # k: states the BFS's `parent` map would hold once this neighbor is added
+    for k, (a, b, rep, comp) in enumerate(_kempe_components(ga, start, colors), 2):
+        if _gain(start, goal, a, b, comp) > 0:
+            nxt = bytearray(start)
+            backend.swap_component(nxt, comp, a, b)
+            return [(a, b, rep)], bytes(nxt)
+        if k > cap:
+            return None
     base = _agreement(start, goal)
     parent = {start: None}
     queue = deque([start])

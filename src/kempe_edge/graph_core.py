@@ -285,6 +285,16 @@ def is_acyclic(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def parse_int_fields(fields, ln: int) -> list:
+    """The integer values of a record's fields, or FormatError naming the line."""
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise FormatError(
+            f"line {ln}: expected integer fields, got {' '.join(fields)!r}"
+        ) from None
+
+
 def parse_graph(text: str) -> Graph:
     n = m = None
     edges = []
@@ -298,13 +308,13 @@ def parse_graph(text: str) -> Graph:
                 raise FormatError(f"line {ln}: duplicate header")
             if len(parts) != 4 or parts[1] != "edge":
                 raise FormatError(f"line {ln}: expected 'p edge <n> <m>'")
-            n, m = int(parts[2]), int(parts[3])
+            n, m = parse_int_fields(parts[2:], ln)
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {ln}: edge before header")
             if len(parts) != 3:
                 raise FormatError(f"line {ln}: expected 'e <u> <v>'")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = parse_int_fields(parts[1:], ln)
             if not u < v:
                 raise FormatError(f"line {ln}: edges must satisfy u < v")
             edges.append((u, v))
@@ -340,13 +350,13 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
                 raise FormatError(f"line {ln}: duplicate palette header")
             if len(parts) != 2:
                 raise FormatError(f"line {ln}: expected 't <k>'")
-            t = int(parts[1])
+            (t,) = parse_int_fields(parts[1:], ln)
         elif parts[0] == "e":
             if t is None:
                 raise FormatError(f"line {ln}: edge record before palette header")
             if len(parts) != 4:
                 raise FormatError(f"line {ln}: expected 'e <u> <v> <c>'")
-            u, v, c = int(parts[1]), int(parts[2]), int(parts[3])
+            u, v, c = parse_int_fields(parts[1:], ln)
             eid = g.edge_id(u, v)
             if eid is None:
                 raise FormatError(f"line {ln}: ({u},{v}) is not an edge of the graph")

@@ -19,7 +19,13 @@ from .errors import (
     NotSaturated,
     RepEdgeNotBicolored,
 )
-from .graph_core import EdgeColoring, Graph, palette_at, require_proper
+from .graph_core import (
+    EdgeColoring,
+    Graph,
+    palette_at,
+    parse_int_fields,
+    require_proper,
+)
 from .kernels import backend
 
 
@@ -236,7 +242,7 @@ def parse_transcript(text: str, g: Graph) -> Transcript:
         parts = body.split()
         if len(parts) != 5 or parts[0] != "K":
             raise FormatError(f"line {ln}: expected 'K <a> <b> <u> <v>'")
-        a, b, u, v = (int(x) for x in parts[1:])
+        a, b, u, v = parse_int_fields(parts[1:], ln)
         eid = g.edge_id(u, v)
         if eid is None:
             raise FormatError(f"line {ln}: ({u},{v}) is not an edge of the graph")

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Runs at the stated tolerances; shared runs are registered so the oracle
-consistency criterion can revisit every transform executed on a small graph.
+Runs at the stated tolerances.  The transform runs of criteria 1 and 4-6
+are module fixtures, so the oracle consistency criterion can revisit every
+one executed on a small graph when it runs alone or in any order.
 """
 import random
 import time
@@ -40,15 +41,6 @@ from kempe_edge.reductions import equalize
 from kempe_edge.regular4_core import theorem_4_1_transform
 from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
 
-# (graph, palette, start colors, end colors) for criterion 8
-_SMALL_RUNS = []
-
-
-def _register(g, t, start, end):
-    if g.m <= 14:
-        _SMALL_RUNS.append((g, t, tuple(start), tuple(end)))
-
-
 def _report(num, detail):
     print(f"criterion {num}: PASS - {detail}")
 
@@ -76,7 +68,6 @@ def test_acceptance_1_theorem_4_1_end_to_end(regular4_runs):
     for g, f, h, tr, stats, final in runs:
         if final.colors != h.colors:
             failures += 1
-        _register(g, 5, f.colors, h.colors)
     assert failures == 0
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds the 60s budget"
     _report(1, f"100/100 seeded instances reach the target exactly ({elapsed:.1f}s)")
@@ -122,7 +113,33 @@ def _k5_minus_edge():
     )
 
 
-def test_acceptance_4_theorem_1_3():
+def _tower_graphs():
+    """Criterion 4's graphs: Delta = 4, non-regular, Class 1."""
+    return [
+        Graph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)
+                  if (u, v) not in {(3, 5), (4, 5)}]),       # two levels
+        Graph(6, [e for e in octahedron().edges if e != (5, 6)]),  # one level
+        Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)]),          # three levels
+    ]
+
+
+@pytest.fixture(scope="module")
+def tower_runs():
+    """Criterion 4 workload: (g, t, f, h, final) per tower transform."""
+    runs = []
+    for gi, g in enumerate(_tower_graphs()):
+        assert g.max_degree() == 4 and g.min_degree() < 4
+        chi, h = chromatic_index(g)
+        assert chi == 4
+        for t in (5, 6, 7):
+            f = random_proper_coloring(g, t, 31 * gi + t)
+            tr = transform_delta4(g, f, h)
+            final = apply_transcript(g, f, tr, check=True)
+            runs.append((g, t, f, h, final))
+    return runs
+
+
+def test_acceptance_4_theorem_1_3(tower_runs):
     # The criterion names K5-minus-an-edge as a Class 1 fixture.  It is not:
     # 9 edges exceed Delta * floor(n/2) = 8, so it is overfull, hence Class 2,
     # and no witness 4-coloring exists to transform onto.  The suite proves
@@ -137,29 +154,15 @@ def test_acceptance_4_theorem_1_3():
     assert tower.levels[-1].n == 10
     assert all(tower.levels[-1].degree(v) == 4 for v in range(1, 11))
 
-    fixtures = [
-        Graph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)
-                  if (u, v) not in {(3, 5), (4, 5)}]),       # two levels
-        Graph(6, [e for e in octahedron().edges if e != (5, 6)]),  # one level
-        Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)]),          # three levels
-    ]
     failures = 0
     runs = 0
-    for gi, g in enumerate(fixtures):
-        assert g.max_degree() == 4 and g.min_degree() < 4
-        chi, h = chromatic_index(g)
-        assert chi == 4
-        for t in (5, 6, 7):
-            f = random_proper_coloring(g, t, 31 * gi + t)
-            tr = transform_delta4(g, f, h)
-            final = apply_transcript(g, f, tr, check=True)
-            runs += 1
-            if final.colors != h.colors:
-                failures += 1
-            _register(g, t, f.colors, h.colors)
+    for g, t, f, h, final in tower_runs:
+        runs += 1
+        if final.colors != h.colors:
+            failures += 1
     # tower restriction invariant, checked explicitly at every level of one
     # full pipeline (project_transcript also lockstep-asserts internally)
-    g = fixtures[0]
+    g = _tower_graphs()[0]
     chi, h = chromatic_index(g)
     tower = build_tower(g)
     f = random_proper_coloring(g, 5, 5)
@@ -182,17 +185,19 @@ def test_acceptance_4_theorem_1_3():
     _report(
         4,
         f"{runs}/9 tower runs exact; restriction invariant verified; spec's "
-        "K5-minus-edge fixture proven Class 2 (defect, see notes/decisions.md)",
+        "K5-minus-edge fixture proven Class 2 (defect)",
     )
 
 
-def test_acceptance_5_proposition_3_1():
+@pytest.fixture(scope="module")
+def acyclic_runs():
+    """Criterion 5 workload: (g, delta, f, out, stats, final) per reduction,
+    and the seconds the 50 reductions took."""
+    runs = []
     t0 = time.time()
-    failures = 0
-    count = 0
     seed = 0
-    while count < 50:
-        delta = 3 + count % 4
+    while len(runs) < 50:
+        delta = 3 + len(runs) % 4
         g = acyclic_max_degree_graph(delta, seed)
         seed += 1
         if g.n > 20:
@@ -201,23 +206,29 @@ def test_acceptance_5_proposition_3_1():
         stats = []
         out, tr = acyclic_reduce(g, f, stats)
         final = apply_transcript(g, f, tr, check=True)
+        runs.append((g, delta, f, out, stats, final))
+    return runs, time.time() - t0
+
+
+def test_acceptance_5_proposition_3_1(acyclic_runs):
+    runs, elapsed = acyclic_runs
+    failures = 0
+    for g, delta, f, out, stats, final in runs:
         if final.colors != out.colors or out.t != delta:
             failures += 1
         if not all(before > after for before, after in stats):
             failures += 1
-        _register(g, delta + 1, f.colors, out.colors)
-        count += 1
-    elapsed = time.time() - t0
     assert failures == 0
     assert elapsed < 30, f"runtime {elapsed:.1f}s exceeds the 30s budget"
     _report(5, f"50/50 reductions with strictly decreasing top class ({elapsed:.1f}s)")
 
 
-def test_acceptance_6_theorem_A():
-    failures = 0
-    count = 0
+@pytest.fixture(scope="module")
+def vizing_runs():
+    """Criterion 6 workload: (g, f, out, final) per palette reduction."""
+    runs = []
     seed = 0
-    while count < 100:
+    while len(runs) < 100:
         rng = random.Random(seed)
         g = random_graph(rng.randint(4, 16), 0.45, seed)
         seed += 1
@@ -227,10 +238,16 @@ def test_acceptance_6_theorem_A():
         f = random_proper_coloring(g, d + 2, seed)
         out, tr = reduce_to_delta_plus_one(g, f)
         final = apply_transcript(g, f, tr, check=True)  # validates every move
+        runs.append((g, f, out, final))
+    return runs
+
+
+def test_acceptance_6_theorem_A(vizing_runs):
+    failures = 0
+    for g, f, out, final in vizing_runs:
+        d = g.max_degree()
         if final.colors != out.colors or any(c > d + 1 for c in out.colors):
             failures += 1
-        _register(g, d + 2, f.colors, final.colors)
-        count += 1
     assert failures == 0
     _report(6, "100/100 palette reductions to Delta+1 with all moves valid")
 
@@ -259,11 +276,28 @@ def test_acceptance_7_corollary_1_5():
     _report(7, "10/10 overfull pairs connected; K5 endpoints oracle-confirmed")
 
 
-def test_acceptance_8_oracle_consistency():
-    assert _SMALL_RUNS, "earlier criteria must register their small runs"
+@pytest.fixture(scope="module")
+def small_runs(regular4_runs, tower_runs, acyclic_runs, vizing_runs):
+    """(graph, palette, start colors, end colors) of every run of criteria 1
+    and 4-6 on a graph with m <= 14, for criterion 8."""
+    runs = [(g, 5, f.colors, h.colors) for g, f, h, _, _, _ in regular4_runs[0]]
+    runs += [(g, t, f.colors, h.colors) for g, t, f, h, _ in tower_runs]
+    runs += [
+        (g, delta + 1, f.colors, out.colors)
+        for g, delta, f, out, _, _ in acyclic_runs[0]
+    ]
+    runs += [
+        (g, g.max_degree() + 2, f.colors, final.colors)
+        for g, f, _, final in vizing_runs
+    ]
+    return [(g, t, tuple(start), tuple(end)) for g, t, start, end in runs if g.m <= 14]
+
+
+def test_acceptance_8_oracle_consistency(small_runs):
+    assert small_runs, "criteria 1 and 4-6 must supply small runs"
     disagreements = 0
     checked = 0
-    for g, t, start, end in _SMALL_RUNS:
+    for g, t, start, end in small_runs:
         ok, _ = same_class(g, t, EdgeColoring(t, start), EdgeColoring(t, end))
         if not ok:
             disagreements += 1

@@ -147,3 +147,48 @@ def test_transform_regular4_result_matches_target_bytes(work):
         "--mode", "regular4",
     ]) == 0
     assert (work / "res.col").read_bytes() == (work / "h4.col").read_bytes()
+
+
+def test_non_integer_fields_report_bad_format(work, capsys):
+    g = Graph(3, [(1, 2), (2, 3)])
+    write_graph(work / "p.graph", g)
+    write_coloring(work / "p.col", g, EdgeColoring(2, [1, 2]))
+    cases = [
+        ("oracle", "chi", "--graph", "p edge 3 x\n"),
+        ("oracle", "chi", "--graph", "p edge 3 1\ne 1 y\n"),
+        ("verify", "--graph", str(work / "p.graph"), "--coloring",
+         "t 2\ne 1 2 z\ne 2 3 2\n"),
+        ("apply", "--graph", str(work / "p.graph"), "--coloring", str(work / "p.col"),
+         "--transcript", "K 1 2 x 2\n"),
+    ]
+    for *argv, text in cases:
+        (work / "bad.txt").write_text(text)
+        assert main([*argv, str(work / "bad.txt")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "bad_format"
+        assert "line" in payload["detail"]
+
+
+def test_off_target_transform_is_internal_invariant(work, capsys, monkeypatch):
+    import kempe_edge.cli as cli
+    from kempe_edge.fixtures_gen import random_regular4_class1
+    from kempe_edge.kempe_engine import Transcript
+
+    real = cli.theorem_4_1_transform
+    monkeypatch.setattr(
+        cli, "theorem_4_1_transform",
+        lambda g, f, h: Transcript(real(g, f, h).moves[:-1]),
+    )
+    g, h = random_regular4_class1(8, 4)
+    write_graph(work / "g.graph", g)
+    write_coloring(work / "h4.col", g, h)
+    write_coloring(work / "f5.col", g, random_proper_coloring(g, 5, 6))
+    code = main([
+        "transform", "--graph", str(work / "g.graph"),
+        "--from", str(work / "f5.col"), "--to", str(work / "h4.col"),
+        "--out", str(work / "tr.txt"), "--mode", "regular4",
+    ])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "internal_invariant"
+    assert not (work / "tr.txt").exists()  # no off-target transcript emitted

@@ -1,9 +1,14 @@
 """Doubling tower, transcript projection, and the search equalizer."""
 import random
+from collections import deque
 
 import pytest
 
 from kempe_edge.degree4_lift import (
+    _agreement,
+    _bfs_to_better,
+    _kempe_components,
+    _reconstruct,
     build_tower,
     lift_coloring,
     low_degree_equalize,
@@ -200,3 +205,70 @@ def test_low_degree_equalize_cubic_sweep():
             h = random_proper_coloring(g, 4, seed + 100)
             tr = low_degree_equalize(g, f, h)
             assert apply_transcript(g, f, tr, check=True).colors == h.colors
+
+
+def _reference_bfs_to_better(ga, start, goal, colors, t, cap):
+    """The labeled BFS that scored every neighbor state in full, kept as the
+    reference for the component-gain search."""
+    base = _agreement(start, goal)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, t, colors):
+            if nxt in parent:
+                continue
+            parent[nxt] = (cur, (a, b, rep))
+            if _agreement(nxt, goal) > base:
+                return _reconstruct(parent, nxt), nxt
+            queue.append(nxt)
+            if len(parent) > cap:
+                return None
+    return None
+
+
+def test_kempe_components_follow_neighbor_move_order():
+    for n in (6, 8, 10, 12):
+        for seed in range(5):
+            g = _random_cubic(n, seed)
+            ga = g.arrays()
+            for t, colors in (
+                (4, (1, 2, 3, 4)), (5, (1, 2, 3, 4, 5)), (5, (2, 3, 4, 5))
+            ):
+                state = bytes(random_proper_coloring(g, t, seed + 10 * n).colors)
+                walk = list(_kempe_components(ga, state, colors))
+                moves = backend.kempe_neighbor_moves(ga, state, t, colors)
+                assert [(a, b, rep) for a, b, rep, _ in walk] == [
+                    (a, b, rep) for a, b, rep, _ in moves
+                ]
+                for (a, b, rep, comp), (_, _, _, nxt) in zip(walk, moves):
+                    swapped = bytearray(state)
+                    backend.swap_component(swapped, comp, a, b)
+                    assert bytes(swapped) == nxt
+
+
+def test_bfs_to_better_matches_labeled_bfs():
+    """Every step of the equalizer loop, including steps where no single
+    interchange gains and the fallback BFS runs, and a cap small enough to
+    stop the one-move scan."""
+    deep = 0
+    for n in (8, 10, 12):
+        for seed in range(22):
+            g = _random_cubic(n, seed)
+            ga = g.arrays()
+            cur = bytes(random_proper_coloring(g, 4, seed).colors)
+            goal = bytes(random_proper_coloring(g, 4, seed + 100).colors)
+            colors = (1, 2, 3, 4)
+            assert _bfs_to_better(ga, cur, goal, colors, 4, 3) == (
+                _reference_bfs_to_better(ga, cur, goal, colors, 4, 3)
+            )
+            while cur != goal:
+                found = _bfs_to_better(ga, cur, goal, colors, 4, 250_000)
+                assert found == _reference_bfs_to_better(
+                    ga, cur, goal, colors, 4, 250_000
+                )
+                if found is None:
+                    break
+                deep += len(found[0]) > 1
+                cur = found[1]
+    assert deep > 0
