@@ -31,7 +31,7 @@ from .errors import (
     WrongMaxDegree,
 )
 from .graph_core import EdgeColoring, Graph, is_proper, require_proper
-from .kempe_engine import KempeMove, Transcript
+from .kempe_engine import KempeMove, Transcript, apply_transcript
 from .kernels import backend
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -277,7 +277,7 @@ def _bidirectional(ga, start, goal, colors, t, cap):
     return forward + backward
 
 
-def _apply_raw(ga, state, move, colors_dummy=None):
+def _apply_raw(ga, state, move):
     a, b, rep = move
     comp, _, _ = backend.trace_component(ga, list(state), a, b, rep)
     nxt = bytearray(state)
@@ -386,13 +386,6 @@ def transform_delta4(
         for i in reversed(range(len(tower.levels) - 1)):
             top_tr = project_transcript(tower, i, f_levels[i], top_tr)
         tr.extend(top_tr)
-    # certify the endpoint
-    colors = list(f.colors)
-    ga = g.arrays()
-    for mv in tr.moves:
-        comp, _, _ = backend.trace_component(ga, colors, mv.a, mv.b, mv.rep_edge)
-        for e in comp:
-            colors[e] = mv.b if colors[e] == mv.a else mv.a
-    if colors != list(h.colors):
+    if apply_transcript(g, f, tr, check=False).colors != h.colors:
         raise InternalInvariantError("delta-4 transform terminated off target")
     return tr

@@ -102,14 +102,30 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# Colors are stored one byte per edge in the kernels' state vectors and in
+# the compiled backend's `unsigned char` buffers.
+MAX_PALETTE = 255
+
+
+def check_palette(t: int) -> None:
+    """Raise ColorOutOfRange unless 1 <= t <= MAX_PALETTE."""
+    if t < 1:
+        raise ColorOutOfRange(f"palette size {t} < 1")
+    if t > MAX_PALETTE:
+        raise ColorOutOfRange(f"palette size {t} above {MAX_PALETTE}")
+
+
 class EdgeColoring:
-    """Total assignment of palette colors 1..t to edge ids 0..m-1."""
+    """Total assignment of palette colors 1..t to edge ids 0..m-1.
+
+    The palette size t must lie in 1..MAX_PALETTE (255), since the kernels
+    hold one color per byte; a larger t raises ColorOutOfRange.
+    """
 
     __slots__ = ("t", "colors")
 
     def __init__(self, t: int, colors: Sequence[int]):
-        if t < 1:
-            raise ColorOutOfRange(f"palette size {t} < 1")
+        check_palette(t)
         self.t = t
         self.colors = tuple(colors)
 

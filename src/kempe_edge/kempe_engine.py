@@ -201,8 +201,13 @@ def apply_transcript(
 ) -> EdgeColoring:
     """Replay a transcript.  Fails atomically on the first invalid move.
 
-    With check=True (verification mode) every intermediate coloring is
-    re-validated for properness.
+    The starting coloring is always checked in full.  With check=True
+    (verification mode) each move is then checked at the endpoints of the
+    edges it recolored: no two edges at such a vertex may share a color.
+    That is as strong as a full properness check after every move, because
+    the coloring before the move was proper and any new clash involves a
+    recolored edge.  The endpoints come from the graph, not from the
+    kernel's vertex list, so a faulty kernel cannot hide a clash.
     """
     require_proper(g, f, "starting coloring")
     colors = list(f.colors)
@@ -220,9 +225,35 @@ def apply_transcript(
         edge_ids, _, _ = backend.trace_component(ga, colors, mv.a, mv.b, mv.rep_edge)
         for e in edge_ids:
             colors[e] = mv.b if colors[e] == mv.a else mv.a
-        if check and not backend.is_proper(ga, colors):
-            raise InvalidMoveAtIndex(i, "intermediate coloring not proper")
+        if check:
+            clash = _clash_at_endpoints(ga, colors, edge_ids)
+            if clash is not None:
+                v, c, e1, e2 = clash
+                raise InvalidMoveAtIndex(
+                    i,
+                    f"intermediate coloring not proper at vertex {v}: "
+                    f"color {c} on edges {e1} and {e2}",
+                )
     return EdgeColoring(f.t, colors)
+
+
+def _clash_at_endpoints(ga, colors, edge_ids):
+    """First (vertex, color, edge, edge) where two edges at an endpoint of
+    an edge in `edge_ids` share a color, or None."""
+    done = set()
+    for e in edge_ids:
+        for v in (ga.edge_u[e], ga.edge_v[e]):
+            if v in done:
+                continue
+            done.add(v)
+            seen = {}
+            for k in range(ga.adj_start[v], ga.adj_start[v + 1]):
+                e2 = ga.adj_eid[k]
+                c = colors[e2]
+                if c in seen:
+                    return v, c, seen[c], e2
+                seen[c] = e2
+    return None
 
 
 # ---------------------------------------------------------------------------

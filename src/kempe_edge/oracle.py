@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ColorOutOfRange
-from .graph_core import EdgeColoring, Graph, require_proper
+from .graph_core import EdgeColoring, Graph, check_palette, require_proper
 from .kempe_engine import KempeMove, Transcript
 from .kernels import backend
 
@@ -152,8 +152,7 @@ def kempe_classes(
     partition is independent of scheduling (the union-find merge and the
     representative pass stay sequential).
     """
-    if t < 1:
-        raise ColorOutOfRange("palette must be positive")
+    check_palette(t)
     states, truncated = _enumerate_states(g, t, cap)
     index = {s: i for i, s in enumerate(states)}
     uf = _UnionFind(len(states))
@@ -211,6 +210,7 @@ def same_class(
 
     Returns (reachable, shortest transcript or None).
     """
+    check_palette(t)
     require_proper(g, f)
     require_proper(g, h)
     for col in (f, h):

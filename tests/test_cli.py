@@ -192,3 +192,16 @@ def test_off_target_transform_is_internal_invariant(work, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "internal_invariant"
     assert not (work / "tr.txt").exists()  # no off-target transcript emitted
+
+
+def test_palette_above_byte_range_reports_error_line(work, capsys):
+    g = Graph(3, [(1, 2), (2, 3)])
+    write_graph(work / "p.graph", g)
+    (work / "wide.col").write_text("t 300\ne 1 2 256\ne 2 3 1\n")
+    code = main(["verify", "--graph", str(work / "p.graph"),
+                 "--coloring", str(work / "wide.col")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "color_out_of_range"

@@ -82,6 +82,24 @@ def test_color_class_trivial():
         color_class(f3, 4)
 
 
+def test_palette_above_byte_range_is_typed_error():
+    from kempe_edge import oracle
+
+    assert EdgeColoring(255, [255]).t == 255
+    with pytest.raises(ColorOutOfRange):
+        EdgeColoring(256, [1])
+    path = Graph(3, [(1, 2), (2, 3)])
+    with pytest.raises(ColorOutOfRange):
+        oracle.same_class(
+            path, 300, EdgeColoring(300, [256, 1]), EdgeColoring(300, [1, 256])
+        )
+    # a palette argument above the bound fails before any state is built
+    with pytest.raises(ColorOutOfRange):
+        oracle.same_class(path, 300, EdgeColoring(3, [2, 1]), EdgeColoring(3, [1, 2]))
+    with pytest.raises(ColorOutOfRange):
+        oracle.kempe_classes(path, 256)
+
+
 def test_vertex_palette_size_matches_degree_when_proper():
     g = triangle()
     f = EdgeColoring(3, [1, 2, 3])

@@ -1,7 +1,10 @@
 """Interchange, fan, downshift, transcript machinery."""
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kempe_edge.errors import (
     EdgeNotIncident,
@@ -16,6 +19,7 @@ from kempe_edge.fixtures_gen import (
     random_proper_coloring,
 )
 from kempe_edge.graph_core import EdgeColoring, Graph, color_class, is_proper
+from kempe_edge.kernels import backend
 from kempe_edge.kempe_engine import (
     Fan,
     KempeMove,
@@ -193,3 +197,98 @@ def test_transcript_file_round_trip():
     back = parse_transcript("# header comment\n" + text, g)
     assert back == tr
     assert back.annotations == ["Lemma2.1a", None]
+
+
+def _drop_last_edge(real):
+    """A faulty trace_component: swaps only part of a multi-edge component."""
+
+    def trace(ga, colors, a, b, e0):
+        edge_ids, verts, is_cycle = real(ga, colors, a, b, e0)
+        return (edge_ids[:-1] if len(edge_ids) >= 2 else edge_ids), verts, is_cycle
+
+    return trace
+
+
+def _replay_full_check(g, f, tr):
+    """Reference replay: a full-graph properness scan after every move."""
+    ga = g.arrays()
+    colors = list(f.colors)
+    for i, mv in enumerate(tr.moves):
+        if not (1 <= mv.a <= f.t and 1 <= mv.b <= f.t):
+            raise InvalidMoveAtIndex(i, "palette")
+        if not (0 <= mv.rep_edge < g.m) or colors[mv.rep_edge] not in (mv.a, mv.b):
+            raise InvalidMoveAtIndex(i, "rep edge")
+        edge_ids, _, _ = backend.trace_component(ga, colors, mv.a, mv.b, mv.rep_edge)
+        for e in edge_ids:
+            colors[e] = mv.b if colors[e] == mv.a else mv.a
+        if not backend.is_proper(ga, colors):
+            raise InvalidMoveAtIndex(i, "not proper")
+    return EdgeColoring(f.t, colors)
+
+
+def _outcome(replay, g, f, tr):
+    try:
+        return "ok", replay(g, f, tr)
+    except InvalidMoveAtIndex as exc:
+        return "rejected", exc.index
+
+
+def test_apply_transcript_catches_partial_swap_at_same_index():
+    # path 1-2-3-4 (edges 0-2) and 4-cycle 5-6-7-8 (edges 3-6)
+    g = Graph(8, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (5, 8)])
+    f = EdgeColoring(3, [1, 2, 1, 1, 2, 1, 2])
+    tr = Transcript([
+        KempeMove(1, 3, 2),  # single-edge component: a faulty kernel swaps it whole
+        KempeMove(1, 2, 0),  # the (1,2)-path 1-2-3
+        KempeMove(1, 2, 3),  # the whole cycle
+    ])
+    expected = EdgeColoring(3, [2, 1, 3, 2, 1, 2, 1])
+    assert apply_transcript(g, f, tr) == expected
+    assert _replay_full_check(g, f, tr) == expected
+    with mock.patch.object(backend, "trace_component", _drop_last_edge(backend.trace_component)):
+        assert _outcome(_replay_full_check, g, f, tr) == ("rejected", 1)
+        with pytest.raises(InvalidMoveAtIndex) as exc:
+            apply_transcript(g, f, tr)
+    assert exc.value.index == 1
+    assert exc.value.reason == (
+        "intermediate coloring not proper at vertex 2: color 2 on edges 0 and 1"
+    )
+
+
+@st.composite
+def _graph_coloring_moves(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12, unique=True))
+    g = Graph(n, edges)
+    t = g.max_degree() + draw(st.integers(1, 2))
+    f = random_proper_coloring(g, t, draw(st.integers(0, 10_000)))
+    # moves drawn against a shadow coloring (real kernel, no checks) so most
+    # of them pass the precondition checks; some use arbitrary colors
+    shadow = list(f.colors)
+    moves = []
+    for _ in range(draw(st.integers(0, 8))):
+        eid = draw(st.integers(0, g.m - 1))
+        if draw(st.booleans()):
+            a = shadow[eid]
+        else:
+            a = draw(st.integers(1, t))
+        b = draw(st.integers(1, t).filter(lambda c: c != a))
+        moves.append(KempeMove(a, b, eid))
+        if shadow[eid] in (a, b):
+            edge_ids, _, _ = backend.trace_component(g.arrays(), shadow, a, b, eid)
+            for e in edge_ids:
+                shadow[e] = b if shadow[e] == a else a
+    return g, f, Transcript(moves)
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_graph_coloring_moves())
+def test_local_check_agrees_with_full_check(faulty, case):
+    g, f, tr = case
+    trace = backend.trace_component
+    if faulty:
+        trace = _drop_last_edge(trace)
+    with mock.patch.object(backend, "trace_component", trace):
+        assert _outcome(apply_transcript, g, f, tr) == _outcome(_replay_full_check, g, f, tr)
