@@ -1,20 +1,15 @@
-"""Pure-Python kernels: bicolored-path tracing, properness, state enumeration.
+"""Kernels: bicolored-path tracing and swapping, properness, state enumeration.
 
-These mirror the compiled routines in ``_speedups`` and are selected at
-import time when the extension is unavailable (see :mod:`kempe_edge.kernels`).
+Every module reaches them through :data:`kempe_edge.kernels.backend`.
 State vectors are ``bytes`` of length m, one color per edge id.
 """
 from __future__ import annotations
 
 
 class GraphArrays:
-    """Flat adjacency view shared by both kernel backends.
+    """Flat adjacency view of a graph, built once per graph for the kernels."""
 
-    `cache` holds the compiled backend's per-graph C structures when the
-    extension is active.
-    """
-
-    __slots__ = ("n", "m", "edge_u", "edge_v", "adj_start", "adj_nbr", "adj_eid", "cache")
+    __slots__ = ("n", "m", "edge_u", "edge_v", "adj_start", "adj_nbr", "adj_eid")
 
     def __init__(self, n, m, edge_u, edge_v, adj_start, adj_nbr, adj_eid):
         self.n = n
@@ -24,7 +19,6 @@ class GraphArrays:
         self.adj_start = adj_start
         self.adj_nbr = adj_nbr
         self.adj_eid = adj_eid
-        self.cache = None
 
 
 def build_arrays(g) -> GraphArrays:
@@ -132,6 +126,7 @@ def trace_component(ga, colors, a, b, e0):
 
 
 def swap_component(colors, edge_ids, a, b):
+    """Interchange colors a and b on the given edges, in place."""
     for e in edge_ids:
         colors[e] = b if colors[e] == a else a
 

@@ -125,8 +125,7 @@ def project_transcript(
         if big_colors[mv.rep_edge] not in (mv.a, mv.b):
             raise ProjectionMismatch("big transcript does not replay")
         comp, _, _ = backend.trace_component(ga_big, big_colors, mv.a, mv.b, mv.rep_edge)
-        for e in comp:
-            big_colors[e] = mv.b if big_colors[e] == mv.a else mv.a
+        backend.swap_component(big_colors, comp, mv.a, mv.b)
         hits = {inv1[e] for e in comp if e in inv1}
         reps = []
         seen = set()
@@ -143,8 +142,7 @@ def project_transcript(
             seen |= set(comp_small)
             reps.append((min(comp_small), comp_small))
         for rep, comp_small in sorted(reps):
-            for e in comp_small:
-                small_colors[e] = mv.b if small_colors[e] == mv.a else mv.a
+            backend.swap_component(small_colors, comp_small, mv.a, mv.b)
             out.append(KempeMove(mv.a, mv.b, rep), "projected")
         for small_eid, big_eid in enumerate(emap1):
             if small_colors[small_eid] != big_colors[big_eid]:
@@ -277,15 +275,6 @@ def _bidirectional(ga, start, goal, colors, t, cap):
     return forward + backward
 
 
-def _apply_raw(ga, state, move):
-    a, b, rep = move
-    comp, _, _ = backend.trace_component(ga, list(state), a, b, rep)
-    nxt = bytearray(state)
-    for e in comp:
-        nxt[e] = b if nxt[e] == a else a
-    return bytes(nxt)
-
-
 def _equalize_search(
     g: Graph, start: bytes, goal: bytes, colors, t: int, budget: int = DEFAULT_SEARCH_BUDGET
 ):
@@ -305,12 +294,13 @@ def _equalize_search(
                 raise SearchBudgetExceeded(
                     f"equalizer exceeded {budget} states (graph m={g.m})"
                 )
-            for mv in tail:
-                out.append(mv)
-                cur = _apply_raw(ga, cur, mv)
-            if cur != goal:
+            state = bytearray(cur)
+            for a, b, rep in tail:
+                comp, _, _ = backend.trace_component(ga, state, a, b, rep)
+                backend.swap_component(state, comp, a, b)
+            if state != goal:
                 raise InternalInvariantError("bidirectional splice missed the goal")
-            return out
+            return out + tail
         moves, cur = found
         out.extend(moves)
     raise InternalInvariantError("agreement failed to converge")

@@ -81,7 +81,7 @@ class Graph:
         raise GraphInvariantError(f"vertex {v} not an endpoint of edge {eid}")
 
     def arrays(self):
-        """Flat adjacency arrays shared with the kernel backends (cached)."""
+        """Flat adjacency arrays for the kernels (cached)."""
         if self._arrays is None:
             from .kernels import build_arrays
 
@@ -102,8 +102,8 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-# Colors are stored one byte per edge in the kernels' state vectors and in
-# the compiled backend's `unsigned char` buffers.
+# Colors are stored one byte per edge in the kernels' `bytes` state vectors
+# (search, oracle, enumeration), so a palette cannot exceed 255.
 MAX_PALETTE = 255
 
 
@@ -156,14 +156,6 @@ class EdgeColoring:
         return f"EdgeColoring(t={self.t}, colors={list(self.colors)})"
 
 
-@dataclass(frozen=True)
-class VertexPalette:
-    """Set of colors appearing at one vertex (|colors| = degree iff proper there)."""
-
-    vertex: int
-    colors: frozenset
-
-
 def _check_total(g: Graph, f: EdgeColoring) -> None:
     if f.m != g.m:
         raise MissingEdgeColor(
@@ -176,10 +168,6 @@ def _check_total(g: Graph, f: EdgeColoring) -> None:
 
 def palette_at(g: Graph, f: EdgeColoring, v: int) -> frozenset:
     return frozenset(f.colors[eid] for _, eid in g.adj[v])
-
-
-def vertex_palette(g: Graph, f: EdgeColoring, v: int) -> VertexPalette:
-    return VertexPalette(v, palette_at(g, f, v))
 
 
 def is_proper(g: Graph, f: EdgeColoring) -> bool:

@@ -3,6 +3,12 @@
 A transcript certifies a transformation: it can be replayed move by move with
 :func:`apply_transcript`, which re-checks every precondition instead of
 trusting the producer.
+
+:class:`Recorder` is the one mutable coloring state of the transforms: it
+traces a two-colored component, swaps it and records the move.  Every swap
+goes through ``backend.swap_component`` and every trace through
+``backend.trace_component``.  :func:`extend_fan` is the one fan engine,
+shared by :func:`grow_fan` and the palette reductions.
 """
 from __future__ import annotations
 
@@ -90,10 +96,6 @@ class Fan:
         return tuple(g.other_end(e, self.pivot) for e in self.edges)
 
 
-def _component(g: Graph, colors, a: int, b: int, rep_edge: int):
-    return backend.trace_component(g.arrays(), colors, a, b, rep_edge)
-
-
 def interchange(g: Graph, f: EdgeColoring, mv: KempeMove) -> EdgeColoring:
     """Swap colors a, b on the component of G_f(a,b) containing rep_edge."""
     require_proper(g, f)
@@ -105,9 +107,8 @@ def interchange(g: Graph, f: EdgeColoring, mv: KempeMove) -> EdgeColoring:
             f"edge {mv.rep_edge} colored {f.colors[mv.rep_edge]}, move is ({mv.a},{mv.b})"
         )
     colors = list(f.colors)
-    edge_ids, _, _ = _component(g, colors, mv.a, mv.b, mv.rep_edge)
-    for e in edge_ids:
-        colors[e] = mv.b if colors[e] == mv.a else mv.a
+    edge_ids, _, _ = backend.trace_component(g.arrays(), colors, mv.a, mv.b, mv.rep_edge)
+    backend.swap_component(colors, edge_ids, mv.a, mv.b)
     return EdgeColoring(f.t, colors)
 
 
@@ -116,35 +117,46 @@ def involution_check(g: Graph, f: EdgeColoring, mv: KempeMove) -> bool:
     return interchange(g, interchange(g, f, mv), mv) == f
 
 
-def grow_fan(g: Graph, f: EdgeColoring, pivot: int, first_edge: int) -> Fan:
-    """Maximal fan at `pivot` starting with `first_edge`.
+def extend_fan(g: Graph, colors, pivot: int, first_edge: int, allowed, stop_colors=()):
+    """The fan engine: grow a fan at `pivot` starting with `first_edge`.
 
-    Extension rule: among unused edges at the pivot whose color is missing at
-    the current last leaf, take the lowest edge id (determinism of emitted
-    transcripts depends on this tie-break).
+    Extension rule: among unused edges at the pivot whose color lies in
+    `allowed` and is missing at the current last leaf, take the lowest edge
+    id (determinism of emitted transcripts depends on this tie-break).
+    Growth stops at a maximal fan, or as soon as a color of `stop_colors` is
+    missing at the current leaf.  Returns (fan, the least such color or None).
     """
-    require_proper(g, f)
-    if pivot not in g.edges[first_edge]:
-        raise EdgeNotIncident(f"edge {first_edge} not incident to vertex {pivot}")
     edges = [first_edge]
     used = {first_edge}
     leaf = g.other_end(first_edge, pivot)
     associated = []
     while True:
-        leaf_pal = palette_at(g, f, leaf)
+        leaf_pal = frozenset(colors[eid] for _, eid in g.adj[leaf])
+        free = [c for c in stop_colors if c not in leaf_pal]
+        if free:
+            return Fan(pivot, tuple(edges), tuple(associated)), min(free)
         cand = [
             eid
             for _, eid in g.adj[pivot]
-            if eid not in used and f.colors[eid] not in leaf_pal
+            if eid not in used
+            and colors[eid] in allowed
+            and colors[eid] not in leaf_pal
         ]
         if not cand:
-            break
+            return Fan(pivot, tuple(edges), tuple(associated)), None
         nxt = min(cand)
         edges.append(nxt)
         used.add(nxt)
-        associated.append(f.colors[nxt])
+        associated.append(colors[nxt])
         leaf = g.other_end(nxt, pivot)
-    return Fan(pivot, tuple(edges), tuple(associated))
+
+
+def grow_fan(g: Graph, f: EdgeColoring, pivot: int, first_edge: int) -> Fan:
+    """Maximal fan at `pivot` starting with `first_edge` (see :func:`extend_fan`)."""
+    require_proper(g, f)
+    if pivot not in g.edges[first_edge]:
+        raise EdgeNotIncident(f"edge {first_edge} not incident to vertex {pivot}")
+    return extend_fan(g, f.colors, pivot, first_edge, range(1, f.t + 1))[0]
 
 
 def check_fan(g: Graph, f: EdgeColoring, fan: Fan) -> None:
@@ -180,20 +192,9 @@ def downshift(g: Graph, f: EdgeColoring, fan: Fan, free_color: int):
         raise NotSaturated(
             f"color {free_color} appears at pivot {fan.pivot} or leaf {last_leaf}"
         )
-    colors = list(f.colors)
-    tr = Transcript()
-    target = free_color
-    for eid in reversed(fan.edges):
-        old = f.colors[eid]
-        edge_ids, _, _ = _component(g, colors, old, target, eid)
-        if edge_ids != [eid]:
-            raise InternalInvariantError(
-                f"downshift move on edge {eid} has component {edge_ids}"
-            )
-        colors[eid] = target
-        tr.append(KempeMove(old, target, eid), "downshift")
-        target = old
-    return EdgeColoring(f.t, colors), tr
+    rec = Recorder(g, f)
+    rec.downshift(fan.edges, free_color, "downshift")
+    return rec.coloring(), rec.tr
 
 
 def apply_transcript(
@@ -223,8 +224,7 @@ def apply_transcript(
                 f"edge {mv.rep_edge} colored {colors[mv.rep_edge]}, move is ({mv.a},{mv.b})",
             )
         edge_ids, _, _ = backend.trace_component(ga, colors, mv.a, mv.b, mv.rep_edge)
-        for e in edge_ids:
-            colors[e] = mv.b if colors[e] == mv.a else mv.a
+        backend.swap_component(colors, edge_ids, mv.a, mv.b)
         if check:
             clash = _clash_at_endpoints(ga, colors, edge_ids)
             if clash is not None:
@@ -303,11 +303,12 @@ def write_transcript(path, g: Graph, tr: Transcript) -> None:
 
 
 class Recorder:
-    """Mutable working coloring + transcript builder for the transform modules.
+    """The mutable working coloring of a transform and its transcript.
 
-    Moves applied here skip the full properness re-validation (the structural
-    argument keeps intermediates proper); the emitted transcript is meant to
-    be re-verified through apply_transcript.
+    Its three jobs: trace a two-colored component, swap it, and record the
+    move.  Moves applied here skip the full properness re-validation (the
+    structural argument keeps intermediates proper); the emitted transcript
+    is meant to be re-verified through apply_transcript.
     """
 
     __slots__ = ("g", "ga", "colors", "t", "tr")
@@ -321,9 +322,6 @@ class Recorder:
 
     def coloring(self) -> EdgeColoring:
         return EdgeColoring(self.t, self.colors)
-
-    def color_of(self, eid: int) -> int:
-        return self.colors[eid]
 
     def palette(self, v: int) -> frozenset:
         return frozenset(
@@ -340,14 +338,14 @@ class Recorder:
         return backend.trace_component(self.ga, self.colors, a, b, rep_edge)
 
     def apply(self, a: int, b: int, rep_edge: int, note: Optional[str] = None):
-        """Interchange on the (a,b)-component of rep_edge; returns its vertices."""
+        """Interchange on the (a,b)-component of rep_edge; returns its
+        (edge ids, vertices, is_cycle)."""
         if self.colors[rep_edge] not in (a, b):
             raise InternalInvariantError(
                 f"rep edge {rep_edge} colored {self.colors[rep_edge]}, move ({a},{b})"
             )
         edge_ids, verts, is_cycle = self.component(a, b, rep_edge)
-        for e in edge_ids:
-            self.colors[e] = b if self.colors[e] == a else a
+        backend.swap_component(self.colors, edge_ids, a, b)
         self.tr.append(KempeMove(a, b, rep_edge), note)
         return edge_ids, verts, is_cycle
 
@@ -359,10 +357,19 @@ class Recorder:
         edge_ids, _, _ = self.component(old, new_color, eid)
         if edge_ids != [eid]:
             raise InternalInvariantError(
-                f"single-edge recolor of {eid} hit component {edge_ids}"
+                f"{note}: single-edge recolor of {eid} hit component {edge_ids}"
             )
         self.colors[eid] = new_color
         self.tr.append(KempeMove(old, new_color, eid), note)
+
+    def downshift(self, fan_edges, free_color: int, note: Optional[str] = None):
+        """Fan rotation as single-edge interchanges: the last edge takes
+        `free_color`, each earlier edge its successor's color."""
+        target = free_color
+        for eid in reversed(fan_edges):
+            old = self.colors[eid]
+            self.recolor_edge(eid, target, note)
+            target = old
 
     def check_proper(self, where: str = "") -> None:
         if not backend.is_proper(self.ga, self.colors):

@@ -1,24 +1,13 @@
-"""Kernel backend selection.
+"""The kernel binding every module calls through.
 
-The compiled extension (``kempe_edge._speedups``) is preferred; the
-pure-Python module is a drop-in replacement.  Set ``KEMPE_EDGE_PURE_PYTHON=1``
-to force the fallback (used by the benchmark and by CI to test both paths).
+``backend`` is the pure-Python kernel module :mod:`kempe_edge._kernels_py`
+(bicolored-component tracing, swapping, properness, state enumeration).
+Modules call the kernels as ``backend.<name>``, so a test can patch one
+kernel, or a tracer can rebind a module's ``backend``, in one place.
 """
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
+from . import _kernels_py as backend
 from ._kernels_py import GraphArrays, build_arrays  # noqa: F401  (re-export)
 
-if os.environ.get("KEMPE_EDGE_PURE_PYTHON"):
-    backend = _kernels_py
-    BACKEND_NAME = "python"
-else:
-    try:
-        from . import _speedups as backend  # type: ignore
-
-        BACKEND_NAME = "cython"
-    except ImportError:
-        backend = _kernels_py
-        BACKEND_NAME = "python"
+BACKEND_NAME = "python"

@@ -115,11 +115,7 @@ def peel_and_recurse(
     h_sub = EdgeColoring(chi, [h.colors[eid] for eid in kept])
     sub_tr = equalize(sub, f_sub, h_sub, chi=chi - 1, budget=budget)
     for mv, note in zip(sub_tr.moves, sub_tr.annotations):
-        eid = kept[mv.rep_edge]
-        edge_ids, _, _ = rec.component(mv.a, mv.b, eid)
-        for e in edge_ids:
-            rec.colors[e] = mv.b if rec.colors[e] == mv.a else mv.a
-        rec.tr.append(KempeMove(mv.a, mv.b, eid), note or "peel-sub")
+        rec.apply(mv.a, mv.b, kept[mv.rep_edge], note or "peel-sub")
     # 4. hand the matching its target color back
     for eid in top_edges:
         rec.recolor_edge(eid, chi, "peel-close")

@@ -25,25 +25,12 @@ from .errors import (
     TargetNotProper4,
 )
 from .graph_core import EdgeColoring, Graph, delete_edges, is_proper, require_proper
-from .kempe_engine import KempeMove, Transcript
-from .kernels import backend
+from .kempe_engine import Recorder, Transcript
 
 _A = frozenset({1, 2, 3, 4})
 _B = frozenset({1, 2, 3, 5})
 _C = frozenset({1, 2, 4, 5})
 _JUMP_CAP = 64
-
-
-@dataclass(frozen=True)
-class TargetContext:
-    """Target coloring plus the phase-1 progress measure."""
-
-    h: EdgeColoring
-
-    def matched_count(self, f: EdgeColoring) -> int:
-        return sum(
-            1 for eid, c in enumerate(f.colors) if c == 1 and self.h.colors[eid] == 1
-        )
 
 
 @dataclass(frozen=True)
@@ -86,15 +73,15 @@ class ColorFrame:
             self.to_real[self.to_frame[real]] = real
 
 
-class _Work:
-    """Mutable transform state: real colors, transcript, target, frame."""
+class _Work(Recorder):
+    """The case machine's recorder: moves are given in frame colors and
+    recorded in real colors, and the target's color-1 class is kept for the
+    phase-1 measures."""
+
+    __slots__ = ("h1", "frame")
 
     def __init__(self, g: Graph, f: EdgeColoring, h: EdgeColoring | None):
-        self.g = g
-        self.ga = g.arrays()
-        self.colors = list(f.colors)
-        self.t = f.t
-        self.tr = Transcript()
+        super().__init__(g, f)
         self.h1 = (
             frozenset(e for e, c in enumerate(h.colors) if c == 1)
             if h is not None
@@ -125,26 +112,16 @@ class _Work:
         return frozenset(to_frame[self.colors[eid]] for _, eid in self.g.adj[v])
 
     def edge_at(self, v: int, frame_color: int) -> int:
-        real = self.frame.to_real[frame_color]
-        for _, eid in self.g.adj[v]:
-            if self.colors[eid] == real:
-                return eid
-        return -1
+        return self.edge_with_color(v, self.frame.to_real[frame_color])
 
     # -- moves (frame colors in, real colors recorded) ----------------------
     def comp_of(self, eid: int, a: int, b: int):
-        ra, rb = self.frame.to_real[a], self.frame.to_real[b]
-        return backend.trace_component(self.ga, self.colors, ra, rb, eid)
+        to_real = self.frame.to_real
+        return self.component(to_real[a], to_real[b], eid)
 
     def apply(self, a: int, b: int, rep: int, note: str):
-        ra, rb = self.frame.to_real[a], self.frame.to_real[b]
-        if self.colors[rep] not in (ra, rb):
-            raise InternalInvariantError(f"rep edge {rep} not on a ({a},{b}) component")
-        edge_ids, verts, cyc = backend.trace_component(self.ga, self.colors, ra, rb, rep)
-        for e in edge_ids:
-            self.colors[e] = rb if self.colors[e] == ra else ra
-        self.tr.append(KempeMove(ra, rb, rep), note)
-        return edge_ids, verts, cyc
+        to_real = self.frame.to_real
+        return super().apply(to_real[a], to_real[b], rep, note)
 
     def apply_expect(self, a: int, b: int, rep: int, expect_verts: set, note: str):
         edge_ids, verts, cyc = self.apply(a, b, rep, note)
@@ -156,17 +133,7 @@ class _Work:
 
     def recolor(self, eid: int, frame_color: int, note: str):
         """Single-edge interchange (component asserted to be the edge alone)."""
-        old = self.colors[eid]
-        new = self.frame.to_real[frame_color]
-        if old == new:
-            raise InternalInvariantError("recolor to the current color")
-        edge_ids, _, _ = backend.trace_component(self.ga, self.colors, old, new, eid)
-        if edge_ids != [eid]:
-            raise InternalInvariantError(
-                f"{note}: recolor component is {edge_ids}, not a single edge"
-            )
-        self.colors[eid] = new
-        self.tr.append(KempeMove(old, new, eid), note)
+        self.recolor_edge(eid, self.frame.to_real[frame_color], note)
 
     # -- measures ------------------------------------------------------------
     def matched(self) -> int:
@@ -176,13 +143,7 @@ class _Work:
         return self.colors[eid] == 1 and eid in self.h1
 
     def has_color1(self, v: int) -> bool:
-        for _, eid in self.g.adj[v]:
-            if self.colors[eid] == 1:
-                return True
-        return False
-
-    def coloring(self) -> EdgeColoring:
-        return EdgeColoring(self.t, self.colors)
+        return self.edge_with_color(v, 1) >= 0
 
 
 def _far(verts, origin):
@@ -1014,16 +975,15 @@ def theorem_4_1_transform(
     if f.colors == h.colors:
         return Transcript()
     work = _Work(g, f, h)
-    ctx = TargetContext(h)
     budget = 50 * g.m * g.m
     while True:
         todo = [e for e in work.h1 if work.colors[e] != 1]
         if not todo:
             break
         e = min(todo)
-        before = ctx.matched_count(work.coloring())
+        before = work.matched()
         _improve_round(work, e)
-        after = ctx.matched_count(work.coloring())
+        after = work.matched()
         if after <= before:
             raise InternalInvariantError("phase-1 round made no progress")
         if stats is not None:
@@ -1165,13 +1125,11 @@ def lemma_2_3(g: Graph, f: EdgeColoring, h: EdgeColoring, xy: int):
     work = _public_work(g, f, h)
     if f.colors[xy] != 2 or h.colors[xy] != 1:
         raise PreconditionViolated("edge must be colored 2 and targeted 1")
-    ctx = TargetContext(h)
-    before = ctx.matched_count(f)
+    before = work.matched()
     _lemma_2_3_inner(work, xy, require_precondition=True)
-    coloring = work.coloring()
-    if ctx.matched_count(coloring) <= before:
+    if work.matched() <= before:
         raise InternalInvariantError("matched count did not increase")
-    return coloring, work.tr
+    return work.coloring(), work.tr
 
 
 def case_b23_escape(g: Graph, f1: EdgeColoring, h: EdgeColoring, e: int):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PaletteTooSmall
 from .graph_core import EdgeColoring, Graph, require_proper
-from .kempe_engine import Fan, Recorder
+from .kempe_engine import Fan, Recorder, extend_fan
 
 
 @dataclass
@@ -21,49 +21,6 @@ class FanOutcome:
 
     eliminated: bool
     fan: Fan  # the grown fan (meaningful mainly when not eliminated)
-
-
-def _grow_until_saturated(rec: Recorder, pivot: int, first_edge: int, allowed):
-    """Fan growth with associated colors inside `allowed`.
-
-    Stops as soon as an allowed color is missing at both the pivot and the
-    current leaf (returning it), or when no extension exists (maximal fan).
-    Tie-break: lowest edge id among candidate extensions.
-    """
-    g = rec.g
-    pivot_missing = frozenset(allowed) - rec.palette(pivot)
-    edges = [first_edge]
-    used = {first_edge}
-    leaf = g.other_end(first_edge, pivot)
-    associated = []
-    while True:
-        leaf_pal = rec.palette(leaf)
-        sat = sorted(pivot_missing - leaf_pal)
-        if sat:
-            return Fan(pivot, tuple(edges), tuple(associated)), sat[0]
-        cand = [
-            eid
-            for _, eid in g.adj[pivot]
-            if eid not in used
-            and rec.colors[eid] in allowed
-            and rec.colors[eid] not in leaf_pal
-        ]
-        if not cand:
-            return Fan(pivot, tuple(edges), tuple(associated)), None
-        nxt = min(cand)
-        edges.append(nxt)
-        used.add(nxt)
-        associated.append(rec.colors[nxt])
-        leaf = g.other_end(nxt, pivot)
-
-
-def _downshift_rec(rec: Recorder, fan_edges, free_color: int, note: str) -> None:
-    """Fan rotation as single-edge interchanges (each component asserted {e})."""
-    target = free_color
-    for eid in reversed(fan_edges):
-        old = rec.colors[eid]
-        rec.recolor_edge(eid, target, note)
-        target = old
 
 
 def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) -> FanOutcome:
@@ -77,14 +34,16 @@ def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) ->
     allowed = frozenset(allowed)
     if rec.colors[e1] in allowed:
         raise InternalInvariantError("edge to eliminate already inside palette")
-    fan, sat_color = _grow_until_saturated(rec, pivot, e1, allowed)
+    # grow until an allowed color is missing at the pivot and the last leaf
+    pivot_missing = sorted(allowed - rec.palette(pivot))
+    fan, sat_color = extend_fan(g, rec.colors, pivot, e1, allowed, pivot_missing)
     edges = list(fan.edges)
     leaves = list(fan.leaves(g))
     k = len(edges)
     u_k = leaves[-1]
     if sat_color is not None:
         # saturated prefix: straight downshift
-        _downshift_rec(rec, edges, sat_color, note)
+        rec.downshift(edges, sat_color, note)
         return FanOutcome(True, fan)
     missing_allowed = sorted(allowed - rec.palette(u_k))
     if not missing_allowed:
@@ -103,12 +62,11 @@ def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) ->
         ) from None
     if not (1 <= idx <= k - 2):
         raise InternalInvariantError(f"fan repeat at invalid position {idx}")
-    c0_options = sorted(allowed - rec.palette(pivot))
-    if not c0_options:
+    if not pivot_missing:
         raise InternalInvariantError("pivot sees every allowed color")
-    c0 = c0_options[0]
+    c0 = pivot_missing[0]
     if c0 not in rec.palette(u_k):
-        _downshift_rec(rec, edges, c0, note)
+        rec.downshift(edges, c0, note)
         return FanOutcome(True, fan)
     # walk the (c0, c_next) path from u_k and split on where it lands
     rep = rec.edge_with_color(u_k, c0)
@@ -122,11 +80,11 @@ def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) ->
     if u_j1 in vset:
         if pivot not in (verts[0], verts[-1]):
             raise InternalInvariantError("pivot expected as path endpoint")
-        _downshift_rec(rec, edges[:idx], c_next, note)
+        rec.downshift(edges[:idx], c_next, note)
     elif u_j in vset:
-        _downshift_rec(rec, edges[:idx], c0, note)
+        rec.downshift(edges[:idx], c0, note)
     else:
-        _downshift_rec(rec, edges, c0, note)
+        rec.downshift(edges, c0, note)
     return FanOutcome(True, fan)
 
 

@@ -20,9 +20,9 @@ from kempe_edge.graph_core import (
     induced_high_degree_subgraph,
     is_acyclic,
     is_proper,
+    palette_at,
     parse_coloring,
     parse_graph,
-    vertex_palette,
 )
 
 
@@ -48,6 +48,10 @@ def test_is_proper_basic():
     assert is_proper(g, EdgeColoring(1, [1]))
     path = Graph(3, [(1, 2), (2, 3)])
     assert not is_proper(path, EdgeColoring(2, [2, 2]))
+    # colors c and c+32 at one vertex are distinct colors (a 32-bit color
+    # mask would alias them)
+    assert is_proper(path, EdgeColoring(33, [1, 33]))
+    assert is_proper(path, EdgeColoring(64, [32, 64]))
     with pytest.raises(MissingEdgeColor):
         is_proper(path, EdgeColoring(2, [1]))
     with pytest.raises(ColorOutOfRange):
@@ -104,7 +108,7 @@ def test_vertex_palette_size_matches_degree_when_proper():
     g = triangle()
     f = EdgeColoring(3, [1, 2, 3])
     for v in (1, 2, 3):
-        assert len(vertex_palette(g, f, v).colors) == g.degree(v)
+        assert len(palette_at(g, f, v)) == g.degree(v)
 
 
 def test_bicolored_subgraph_path_and_cycle():

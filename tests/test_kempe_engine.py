@@ -173,6 +173,12 @@ def test_apply_transcript_empty_and_involution():
     assert apply_transcript(g, f, Transcript()) == f
     mv = KempeMove(1, 2, 0)
     assert apply_transcript(g, f, Transcript([mv, mv])) == f
+    # colors c, c+32 and c+64 meeting at a vertex are distinct: every
+    # intermediate coloring is proper
+    path = Graph(3, [(1, 2), (2, 3)])
+    tr = Transcript([KempeMove(33, 65, 1), KempeMove(1, 33, 0)])
+    out = apply_transcript(path, EdgeColoring(65, [1, 33]), tr, check=True)
+    assert out == EdgeColoring(65, [33, 65])
 
 
 def test_apply_transcript_fails_atomically():

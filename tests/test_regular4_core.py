@@ -19,7 +19,6 @@ from kempe_edge.kempe_engine import apply_transcript
 from kempe_edge.kernels import backend
 from kempe_edge.oracle import same_class
 from kempe_edge.regular4_core import (
-    TargetContext,
     case_b23_escape,
     lemma_2_1_a,
     lemma_2_1_b,
@@ -27,6 +26,11 @@ from kempe_edge.regular4_core import (
     lemma_2_3,
     theorem_4_1_transform,
 )
+
+
+def _matched(f, h):
+    """Edges colored 1 under both f and the target h."""
+    return sum(1 for a, b in zip(f.colors, h.colors) if a == b == 1)
 
 
 def _bicolored_paths(g, f, a, b):
@@ -210,7 +214,6 @@ def test_lemma_2_2_outcomes():
     for seed in range(200):
         g, h = random_regular4_class1(10, seed % 60)
         f = random_proper_coloring(g, 5, seed)
-        ctx = TargetContext(h)
         for pv in _windows(g, f, 5):
             e = g.edge_id(pv[0], pv[1])
             if f.colors[e] != 2 or h.colors[e] != 1:
@@ -225,7 +228,7 @@ def test_lemma_2_2_outcomes():
                 assert out[1].verify(g, f)
             elif out[0] == "II":
                 coloring, tr = out[1], out[2]
-                assert ctx.matched_count(coloring) == ctx.matched_count(f)
+                assert _matched(coloring, h) == _matched(f, h)
                 assert 1 not in palette_at(g, coloring, pv[1])
                 assert apply_transcript(g, f, tr, check=True) == coloring
             elif out[0] == "III":
@@ -237,7 +240,7 @@ def test_lemma_2_2_outcomes():
                     assert {mv.a, mv.b} <= {3, 4, 5}
             else:
                 coloring, tr = out[1], out[2]
-                assert ctx.matched_count(coloring) > ctx.matched_count(f)
+                assert _matched(coloring, h) > _matched(f, h)
             ctx_checks += 1
         if seen >= {"II", "III"} and ctx_checks > 80:
             break
@@ -249,7 +252,6 @@ def test_lemma_2_3_increases_matched_count():
     for seed in range(120):
         g, h = random_regular4_class1(10, seed % 50)
         f = random_proper_coloring(g, 5, seed + 999)
-        ctx = TargetContext(h)
         for eid in range(g.m):
             if f.colors[eid] != 2 or h.colors[eid] != 1:
                 continue
@@ -267,7 +269,7 @@ def test_lemma_2_3_increases_matched_count():
             if any(f.colors[x] == 1 and h.colors[x] == 1 for x in near):
                 continue
             coloring, tr = lemma_2_3(g, f, h, eid)
-            assert ctx.matched_count(coloring) > ctx.matched_count(f)
+            assert _matched(coloring, h) > _matched(f, h)
             assert apply_transcript(g, f, tr, check=True) == coloring
             done += 1
             break
@@ -281,7 +283,6 @@ def test_case_b23_escape_surface():
     for seed in range(300):
         g, h = random_regular4_class1(12, seed % 80)
         f = random_proper_coloring(g, 5, seed)
-        ctx = TargetContext(h)
         for eid in range(g.m):
             if h.colors[eid] != 1 or f.colors[eid] == 1:
                 continue
@@ -293,10 +294,10 @@ def test_case_b23_escape_surface():
             assert is_proper(g, coloring)
             assert apply_transcript(g, f, tr, check=True) == coloring
             if tag == "done":
-                assert ctx.matched_count(coloring) > ctx.matched_count(f)
+                assert _matched(coloring, h) > _matched(f, h)
             else:
                 assert tag in ("case_A", "case_B1")
-                assert ctx.matched_count(coloring) >= ctx.matched_count(f)
+                assert _matched(coloring, h) >= _matched(f, h)
             done += 1
             break
         if done >= 20:
