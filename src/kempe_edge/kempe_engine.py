@@ -117,7 +117,7 @@ def involution_check(g: Graph, f: EdgeColoring, mv: KempeMove) -> bool:
     return interchange(g, interchange(g, f, mv), mv) == f
 
 
-def extend_fan(g: Graph, colors, pivot: int, first_edge: int, allowed, stop_colors=()):
+def extend_fan(g: Graph, colors, pivot: int, first_edge: int, allowed, stop_colors):
     """The fan engine: grow a fan at `pivot` starting with `first_edge`.
 
     Extension rule: among unused edges at the pivot whose color lies in
@@ -156,7 +156,7 @@ def grow_fan(g: Graph, f: EdgeColoring, pivot: int, first_edge: int) -> Fan:
     require_proper(g, f)
     if pivot not in g.edges[first_edge]:
         raise EdgeNotIncident(f"edge {first_edge} not incident to vertex {pivot}")
-    return extend_fan(g, f.colors, pivot, first_edge, range(1, f.t + 1))[0]
+    return extend_fan(g, f.colors, pivot, first_edge, range(1, f.t + 1), ())[0]
 
 
 def check_fan(g: Graph, f: EdgeColoring, fan: Fan) -> None:
