@@ -9,12 +9,14 @@ a batch of lower-level moves whose restriction tracks the big run exactly.
 
 The degree-at-most-3 equalizer is a certified search: iterated
 nearest-improvement steps over the Kempe reconfiguration graph with an exact
-bidirectional search as fallback.  A step walks the current coloring's
-two-colored components in neighbor order, scores each by the agreement its
-interchange gains on its own edges, and takes the first that gains; only
-when none does it run a labeled BFS to the nearest better state.  Its
-transcripts are verified like any other; only termination relies on the
-reachability guarantee.
+bidirectional search as fallback.  The search keeps an index of the working
+coloring's two-colored components, each scored by the agreement its
+interchange gains on its own edges.  A step reads the first gaining
+component in neighbor order from the index; after the swap the index
+re-traces only the components that meet the swapped component's vertices.
+Only when no component gains does a labeled BFS run to the nearest better
+state.  Its transcripts are verified like any other; only termination
+relies on the reachability guarantee.
 """
 from __future__ import annotations
 
@@ -199,6 +201,85 @@ def _gain(state, goal, a, b, comp):
     return gain
 
 
+class _ComponentIndex:
+    """The (a, b)-components of a working coloring for every color pair of
+    the search, kept current through interchanges.
+
+    Per pair: `owner` maps an edge id to its component's representative
+    (least edge id, -1 outside the pair), `comps` maps a representative to
+    the component's edge ids, and `gaining` holds the representatives whose
+    interchange raises the agreement with `goal`.  An (a, b) interchange on
+    C keeps every (a, b)-component and every pair that avoids a and b; on
+    the pairs (a, x) and (b, x) it changes only components that meet V(C).
+    """
+
+    def __init__(self, ga, state, goal, colors):
+        self.ga = ga
+        self.state = bytearray(state)
+        self.goal = goal
+        cs = sorted(colors)
+        self.pairs = [(a, b) for i, a in enumerate(cs) for b in cs[i + 1:]]
+        self.owner = {p: [-1] * ga.m for p in self.pairs}
+        self.comps = {p: {} for p in self.pairs}
+        self.gaining = {p: set() for p in self.pairs}
+        self.total = 0
+        for a, b, rep, comp in _kempe_components(ga, self.state, colors):
+            self._add(a, b, rep, comp)
+
+    def _add(self, a, b, rep, comp):
+        owner = self.owner[a, b]
+        for e in comp:
+            owner[e] = rep
+        self.comps[a, b][rep] = comp
+        if _gain(self.state, self.goal, a, b, comp) > 0:
+            self.gaining[a, b].add(rep)
+        self.total += 1
+
+    def first_gaining(self):
+        """(a, b, rep) of the first gaining component in walk order, or None."""
+        for a, b in self.pairs:
+            gaining = self.gaining[a, b]
+            if gaining:
+                return a, b, min(gaining)
+        return None
+
+    def swap(self, a, b, rep):
+        """Interchange a and b on the (a, b)-component `rep` and update."""
+        ga = self.ga
+        comp = self.comps[a, b][rep]
+        verts = {ga.edge_u[e] for e in comp} | {ga.edge_v[e] for e in comp}
+        touched = sorted({
+            ga.adj_eid[k]
+            for v in verts
+            for k in range(ga.adj_start[v], ga.adj_start[v + 1])
+        })
+        affected = [p for p in self.pairs if p != (a, b) and (a in p or b in p)]
+        for p in affected:
+            owner, comps, gaining = self.owner[p], self.comps[p], self.gaining[p]
+            for e in touched:
+                r = owner[e]
+                if r >= 0:
+                    for e2 in comps.pop(r):
+                        owner[e2] = -1
+                    gaining.discard(r)
+                    self.total -= 1
+        backend.swap_component(self.state, comp, a, b)
+        gaining = self.gaining[a, b]
+        gaining.discard(rep)
+        if _gain(self.state, self.goal, a, b, comp) > 0:
+            gaining.add(rep)
+        # A new component avoiding every edge at V(C) would be an old one
+        # that met no vertex of C, and those were kept; so the edges at
+        # V(C) reach every new component.
+        state = self.state
+        for x, y in affected:
+            owner = self.owner[x, y]
+            for e in touched:
+                if owner[e] < 0 and state[e] in (x, y):
+                    new, _, _ = backend.trace_component(ga, state, x, y, e)
+                    self._add(x, y, min(new), new)
+
+
 def _bfs_to_better(ga, start, goal, colors, t, cap):
     """Moves to a nearest state with strictly larger agreement with goal.
 
@@ -283,10 +364,18 @@ def _equalize_search(
         return []
     ga = g.arrays()
     out = []
-    cur = start
+    index = _ComponentIndex(ga, start, goal, colors)
     for _ in range(len(start) * 4 + 8):
-        if cur == goal:
+        if index.state == goal:
             return out
+        # `_bfs_to_better` gives up at its cap-th component; below that
+        # many components its first gaining one is the index's
+        step = index.first_gaining() if index.total < _IMPROVE_BUDGET else None
+        if step is not None:
+            index.swap(*step)
+            out.append(step)
+            continue
+        cur = bytes(index.state)
         found = _bfs_to_better(ga, cur, goal, colors, t, _IMPROVE_BUDGET)
         if found is None:
             tail = _bidirectional(ga, cur, goal, colors, t, budget)
@@ -301,8 +390,9 @@ def _equalize_search(
             if state != goal:
                 raise InternalInvariantError("bidirectional splice missed the goal")
             return out + tail
-        moves, cur = found
-        out.extend(moves)
+        for step in found[0]:
+            index.swap(*step)
+        out.extend(found[0])
     raise InternalInvariantError("agreement failed to converge")
 
 

@@ -102,18 +102,36 @@ def reduce_to_delta_plus_one(g: Graph, f: EdgeColoring):
     rec = Recorder(g, f)
     allowed = range(1, delta + 2)
     for c_top in range(f.t, delta + 1, -1):
-        while True:
-            offenders = [eid for eid in range(g.m) if rec.colors[eid] == c_top]
-            if not offenders:
-                break
-            eid = offenders[0]
+        # each elimination removes exactly its own edge from the c_top class
+        # (checked below), so the rest stay offenders in ascending id order
+        offenders = [eid for eid in range(g.m) if rec.colors[eid] == c_top]
+        for eid in offenders:
             pivot = g.edges[eid][0]  # canonical u < v: lower endpoint
-            before = len(offenders)
+            first = len(rec.tr)
             out = eliminate_via_fan(rec, pivot, eid, allowed, f"vizing-fan:{c_top}")
             if not out.eliminated:
                 raise InternalInvariantError("fan elimination stuck below Delta+1")
-            after = sum(1 for c in rec.colors if c == c_top)
-            if after >= before:
-                raise InternalInvariantError("top-color count did not decrease")
+            _check_left_top_color(rec, eid, c_top, first)
     rec.check_proper("after palette reduction")
     return EdgeColoring(delta + 1, rec.colors), rec.tr
+
+
+def _check_left_top_color(rec: Recorder, e1: int, c_top: int, first: int) -> None:
+    """Raise unless the moves from index `first` on removed exactly e1 from
+    color c_top.
+
+    The one move touching c_top must be on e1, and afterwards e1 and every
+    edge at its endpoints must avoid c_top.  Had that move's component been
+    more than e1, an edge adjacent to e1 would have taken c_top, and the
+    moves that avoid c_top leave the class as it was.
+    """
+    top_moves = [mv for mv in rec.tr.moves[first:] if c_top in (mv.a, mv.b)]
+    if len(top_moves) != 1 or top_moves[0].rep_edge != e1:
+        raise InternalInvariantError(
+            f"elimination of edge {e1} moved color {c_top} on other edges"
+        )
+    for v in rec.g.edges[e1]:
+        if c_top in rec.palette(v):
+            raise InternalInvariantError(
+                f"color {c_top} still at vertex {v} after eliminating edge {e1}"
+            )

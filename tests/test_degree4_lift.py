@@ -4,9 +4,14 @@ from collections import deque
 
 import pytest
 
+from kempe_edge import degree4_lift
 from kempe_edge.degree4_lift import (
     _agreement,
     _bfs_to_better,
+    _bidirectional,
+    _ComponentIndex,
+    _equalize_search,
+    _gain,
     _kempe_components,
     _reconstruct,
     build_tower,
@@ -15,7 +20,11 @@ from kempe_edge.degree4_lift import (
     project_transcript,
     transform_delta4,
 )
-from kempe_edge.errors import WrongMaxDegree
+from kempe_edge.errors import (
+    InternalInvariantError,
+    SearchBudgetExceeded,
+    WrongMaxDegree,
+)
 from kempe_edge.fixtures_gen import (
     octahedron,
     random_proper_coloring,
@@ -25,6 +34,7 @@ from kempe_edge.graph_core import EdgeColoring, Graph, is_proper
 from kempe_edge.kempe_engine import KempeMove, Transcript, apply_transcript
 from kempe_edge.kernels import backend
 from kempe_edge.oracle import chromatic_index, kempe_classes
+from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
 
 
 def k5_minus_edge():
@@ -272,3 +282,177 @@ def test_bfs_to_better_matches_labeled_bfs():
                 deep += len(found[0]) > 1
                 cur = found[1]
     assert deep > 0
+
+
+def _delta_plus_one_coloring(g, seed):
+    """Proper (Delta+1)-coloring: random greedy over 2*Delta colors, then
+    the Vizing reduction (fast where backtracking is not)."""
+    rng = random.Random(seed)
+    delta = g.max_degree()
+    colors = [0] * g.m
+    for eid in rng.sample(range(g.m), g.m):
+        u, v = g.edges[eid]
+        used = {colors[e] for _, e in g.adj[u] + g.adj[v]}
+        colors[eid] = min(c for c in range(1, 2 * delta + 1) if c not in used)
+    return reduce_to_delta_plus_one(g, EdgeColoring(2 * delta, colors))[0]
+
+
+def _search_instances(sizes, seeds):
+    """(graph, start, goal, colors, t): cubic and subcubic graphs, some
+    disconnected, some with vertices of degree 1 and 2, at palettes
+    (1..4) with t = 4 and (2, 3, 4, 5) with t = 5."""
+    k4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    for n in sizes:
+        for seed in seeds:
+            cubic = _random_cubic(n, seed)
+            rng = random.Random(seed)
+            thinned = Graph(n, [e for e in cubic.edges if rng.random() > 0.3])
+            pair = Graph(n + 4, list(cubic.edges) + [(u + n, v + n) for u, v in k4])
+            for g in (cubic, thinned, pair):
+                if g.max_degree() < 3:
+                    continue
+                start = _delta_plus_one_coloring(g, seed).colors
+                goal = _delta_plus_one_coloring(g, seed + 100).colors
+                yield g, bytes(start), bytes(goal), (1, 2, 3, 4), 4
+                yield (
+                    g,
+                    bytes(c + 1 for c in start),
+                    bytes(c + 1 for c in goal),
+                    (2, 3, 4, 5),
+                    5,
+                )
+
+
+def _assert_index_matches_walk(index, ga, goal, colors):
+    walk = list(_kempe_components(ga, index.state, colors))
+    assert index.total == len(walk)
+    expect = {p: {} for p in index.pairs}
+    for a, b, rep, comp in walk:
+        expect[a, b][rep] = comp
+    for p in index.pairs:
+        assert {r: sorted(c) for r, c in index.comps[p].items()} == {
+            r: sorted(c) for r, c in expect[p].items()
+        }
+        owner = [-1] * ga.m
+        for r, comp in expect[p].items():
+            for e in comp:
+                owner[e] = r
+        assert index.owner[p] == owner
+        assert index.gaining[p] == {
+            r for r, comp in expect[p].items()
+            if _gain(index.state, goal, *p, comp) > 0
+        }
+    first = next(
+        (
+            (a, b, rep)
+            for a, b, rep, comp in walk
+            if _gain(index.state, goal, a, b, comp) > 0
+        ),
+        None,
+    )
+    assert index.first_gaining() == first
+
+
+def test_component_index_matches_fresh_walk_after_every_swap():
+    """Swaps on the first gaining component and on random (also losing)
+    components keep the index equal to a fresh walk of the coloring."""
+    rng = random.Random(5)
+    swaps = 0
+    for g, start, goal, colors, t in _search_instances((8, 10, 12), range(3)):
+        ga = g.arrays()
+        index = _ComponentIndex(ga, start, goal, colors)
+        _assert_index_matches_walk(index, ga, goal, colors)
+        for _ in range(25):
+            step = index.first_gaining()
+            if step is None or rng.random() < 0.5:
+                p = rng.choice([p for p in index.pairs if index.comps[p]])
+                step = (*p, rng.choice(sorted(index.comps[p])))
+            expect = bytearray(index.state)
+            comp, _, _ = backend.trace_component(ga, expect, *step)
+            backend.swap_component(expect, comp, step[0], step[1])
+            index.swap(*step)
+            swaps += 1
+            assert index.state == expect
+            _assert_index_matches_walk(index, ga, goal, colors)
+    assert swaps > 1000
+
+
+def _reference_equalize_search(g, start, goal, colors, t, budget=2_000_000):
+    """The search loop before the component index: a fresh walk per step."""
+    if start == goal:
+        return []
+    ga = g.arrays()
+    out = []
+    cur = start
+    for _ in range(len(start) * 4 + 8):
+        if cur == goal:
+            return out
+        found = _bfs_to_better(ga, cur, goal, colors, t, degree4_lift._IMPROVE_BUDGET)
+        if found is None:
+            tail = _bidirectional(ga, cur, goal, colors, t, budget)
+            if tail is None:
+                raise SearchBudgetExceeded(
+                    f"equalizer exceeded {budget} states (graph m={g.m})"
+                )
+            state = bytearray(cur)
+            for a, b, rep in tail:
+                comp, _, _ = backend.trace_component(ga, state, a, b, rep)
+                backend.swap_component(state, comp, a, b)
+            if state != goal:
+                raise InternalInvariantError("bidirectional splice missed the goal")
+            return out + tail
+        moves, cur = found
+        out.extend(moves)
+    raise InternalInvariantError("agreement failed to converge")
+
+
+def test_equalize_search_matches_walk_loop_under_small_caps(monkeypatch):
+    """Same moves as the per-step walk, with caps around the component
+    count, so both the capped walk and the labeled BFS run."""
+    fallbacks = {"cap": 0, "bfs": 0}
+
+    def counting_bfs(ga, start, goal, colors, t, cap):
+        total = len(list(_kempe_components(ga, start, colors)))
+        fallbacks["cap" if total + 1 > cap else "bfs"] += 1
+        return _bfs_to_better(ga, start, goal, colors, t, cap)
+
+    monkeypatch.setattr(degree4_lift, "_bfs_to_better", counting_bfs)
+    for g, start, goal, colors, t in _search_instances((6, 8), range(6)):
+        total = len(list(_kempe_components(g.arrays(), start, colors)))
+        for cap in range(total - 2, total + 3):
+            monkeypatch.setattr(degree4_lift, "_IMPROVE_BUDGET", cap)
+            assert _equalize_search(g, start, goal, colors, t) == (
+                _reference_equalize_search(g, start, goal, colors, t)
+            )
+    assert fallbacks["cap"] > 0 and fallbacks["bfs"] > 0
+
+
+def test_component_index_swap_retraces_locally(monkeypatch):
+    """A swap on C re-traces at most 2 (k - 2) Delta |V(C)| components: the
+    pairs (a, x) and (b, x), each at most the edges at V(C).  A rescan of
+    the whole coloring exceeds this on the larger graphs."""
+    traces = [0]
+    trace = backend.trace_component
+
+    def counting(*args):
+        traces[0] += 1
+        return trace(*args)
+
+    monkeypatch.setattr(backend, "trace_component", counting)
+    worst = 0.0
+    for n, seed in ((12, 0), (60, 1), (120, 2)):
+        g = _random_cubic(n, seed)
+        ga = g.arrays()
+        for colors, shift in (((1, 2, 3, 4), 0), ((2, 3, 4, 5), 1)):
+            start = bytes(c + shift for c in _delta_plus_one_coloring(g, seed).colors)
+            goal = bytes(c + shift for c in _delta_plus_one_coloring(g, seed + 1).colors)
+            index = _ComponentIndex(ga, start, goal, colors)
+            while (step := index.first_gaining()) is not None:
+                comp = index.comps[step[0], step[1]][step[2]]
+                verts = {v for e in comp for v in g.edges[e]}
+                bound = 2 * (len(colors) - 2) * g.max_degree() * len(verts)
+                traces[0] = 0
+                index.swap(*step)
+                assert traces[0] <= bound
+                worst = max(worst, traces[0] / bound)
+    assert worst > 0

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from kempe_edge.errors import PaletteTooSmall
+from kempe_edge.errors import InternalInvariantError, PaletteTooSmall
 from kempe_edge.fixtures_gen import random_graph, random_proper_coloring
 from kempe_edge.graph_core import EdgeColoring, Graph, color_class, is_proper
-from kempe_edge.kempe_engine import apply_transcript
-from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
+from kempe_edge.kempe_engine import Recorder, apply_transcript
+from kempe_edge.vizing_reduce import _check_left_top_color, reduce_to_delta_plus_one
 
 
 def test_already_within_palette_gives_empty_transcript():
@@ -67,3 +67,23 @@ def test_multiple_top_colors():
         assert out.t == d + 1
         assert is_proper(g, out)
         assert apply_transcript(g, f, tr, check=True).colors == out.colors
+
+
+def test_top_color_check_rejects_a_move_that_spreads_it():
+    """The per-elimination check accepts e1's single-edge recolor and
+    rejects an interchange whose component carries c_top past e1, or a move
+    on c_top at another edge."""
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    f = EdgeColoring(5, [2, 5, 2])  # path colored x, c_top, x with x = 2
+    rec = Recorder(g, f)
+    rec.recolor_edge(1, 1)
+    _check_left_top_color(rec, 1, 5, 0)
+    rec = Recorder(g, f)
+    rec.apply(5, 2, 1)  # component is the whole path: 5 moves to edges 0, 2
+    with pytest.raises(InternalInvariantError):
+        _check_left_top_color(rec, 1, 5, 0)
+    rec = Recorder(g, EdgeColoring(5, [5, 1, 5]))
+    rec.recolor_edge(0, 2)
+    rec.recolor_edge(2, 2)
+    with pytest.raises(InternalInvariantError):
+        _check_left_top_color(rec, 0, 5, 0)
