@@ -159,7 +159,15 @@ def _enum_order(ga):
 
 
 def enumerate_proper(ga, t, cap):
-    """All proper t-colorings as bytes, or (partial, True) when cap is hit."""
+    """Every proper t-coloring up to a renaming of its colors, as bytes, or
+    (partial, True) when `cap` is hit.
+
+    Each coloring is emitted once, in canonical form: colors are numbered in
+    order of first appearance along :func:`_enum_order`, so an edge takes a
+    color already used or the next fresh one.  A canonical coloring that
+    uses k colors stands for perm(t, k) labeled ones, and the canonical form
+    is the lexicographic minimum (along the order) of its orbit.
+    """
     m = ga.m
     order = _enum_order(ga)
     colors = bytearray(m)
@@ -167,7 +175,7 @@ def enumerate_proper(ga, t, cap):
     out = []
     truncated = False
 
-    def rec(i):
+    def rec(i, k):
         nonlocal truncated
         if truncated:
             return
@@ -180,63 +188,87 @@ def enumerate_proper(ga, t, cap):
         e = order[i]
         u, v = ga.edge_u[e], ga.edge_v[e]
         avail = ~(used[u] | used[v])
-        for c in range(1, t + 1):
+        for c in range(1, min(t, k + 1) + 1):
             bit = 1 << c
             if avail & bit:
                 colors[e] = c
                 used[u] |= bit
                 used[v] |= bit
-                rec(i + 1)
+                rec(i + 1, max(k, c))
                 used[u] &= ~bit
                 used[v] &= ~bit
                 if truncated:
                     return
         colors[e] = 0
 
-    rec(0)
+    rec(0, 0)
     return out, truncated
 
 
-def _components_of_pair(ga, colors, a, b):
-    comps = []
-    seen = [False] * ga.m
-    for eid in range(ga.m):
-        if seen[eid] or colors[eid] not in (a, b):
-            continue
-        es, _, _ = trace_component(ga, colors, a, b, eid)
-        for e in es:
-            seen[e] = True
-        comps.append(es)
-    return comps
-
-
-def kempe_neighbors(ga, state, t):
-    """All states one Kempe interchange away from `state` (bytes)."""
-    colors = list(state)
-    out = []
-    for a in range(1, t + 1):
-        for b in range(a + 1, t + 1):
-            for es in _components_of_pair(ga, colors, a, b):
-                nxt = bytearray(state)
-                for e in es:
-                    nxt[e] = b if nxt[e] == a else a
-                out.append(bytes(nxt))
-    return out
-
 def kempe_neighbor_moves(ga, state, t, color_set=None):
-    """Like kempe_neighbors but yields (a, b, rep_edge, next_state).
+    """Every Kempe interchange of `state` (bytes) as (a, b, rep, next_state).
 
-    `color_set` restricts the move colors when given (used by the bounded
-    searches that must not leave a sub-palette).
+    Color pairs a < b run in ascending order over `color_set` (all of
+    1..t when None; a given set restricts the move colors, as the bounded
+    searches that must not leave a sub-palette need).  Within a pair the
+    components come in order of their least edge id `rep`.  One pass over
+    the edges builds, per color present, its edge list and a vertex -> edge
+    table; a pair then walks each component from its least unseen edge, and
+    a pair of two absent colors is skipped.
     """
-    colors = list(state)
-    cs = sorted(color_set) if color_set is not None else list(range(1, t + 1))
+    cs = sorted(color_set) if color_set is not None else range(1, t + 1)
+    eu, ev = ga.edge_u, ga.edge_v
+    nv = ga.n + 1
+    edges_of = {}  # color -> its edge ids, ascending
+    at = {}  # color -> vertex -> edge of that color there, or -1
+    for e, c in enumerate(state):
+        if c in edges_of:
+            edges_of[c].append(e)
+            tbl = at[c]
+        else:
+            edges_of[c] = [e]
+            tbl = at[c] = [-1] * nv
+        tbl[eu[e]] = e
+        tbl[ev[e]] = e
     out = []
     for i, a in enumerate(cs):
+        edges_a = edges_of.get(a)
         for b in cs[i + 1:]:
-            for es in _components_of_pair(ga, colors, a, b):
+            edges_b = edges_of.get(b)
+            if edges_a is None or edges_b is None:
+                # one color absent: every edge of the other is a component
+                lone = edges_a or edges_b
+                if lone is None:
+                    continue
+                other = a if edges_a is None else b
+                for e in lone:
+                    nxt = bytearray(state)
+                    nxt[e] = other
+                    out.append((a, b, e, bytes(nxt)))
+                continue
+            ta, tb = at[a], at[b]
+            seen = bytearray(len(state))
+            for e in sorted(edges_a + edges_b):
+                if seen[e]:
+                    continue
+                # ascending scan: e is its component's least edge
+                seen[e] = 1
                 nxt = bytearray(state)
-                for e in es:
-                    nxt[e] = b if nxt[e] == a else a
-                out.append((a, b, min(es), bytes(nxt)))
+                nxt[e] = a if state[e] == b else b
+                for y in (eu[e], ev[e]):
+                    tbl = ta if state[e] == b else tb  # the color wanted at y
+                    while True:
+                        nx = tbl[y]
+                        if nx < 0 or seen[nx]:
+                            break
+                        seen[nx] = 1
+                        nxt[nx] = a if tbl is tb else b
+                        y = ev[nx] if eu[nx] == y else eu[nx]
+                        tbl = ta if tbl is tb else tb
+                out.append((a, b, e, bytes(nxt)))
     return out
+
+
+def kempe_neighbors(ga, state, t, color_set=None):
+    """The next states of :func:`kempe_neighbor_moves`, in the same order."""
+    return [nxt for _, _, _, nxt in kempe_neighbor_moves(ga, state, t, color_set)]

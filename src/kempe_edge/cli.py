@@ -184,7 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     oc = osub.add_parser("classes")
     oc.add_argument("--graph", required=True)
     oc.add_argument("--colors", type=int, required=True)
-    oc.add_argument("--cap", type=int, default=oracle.DEFAULT_STATE_CAP)
+    oc.add_argument(
+        "--cap", type=int, default=oracle.DEFAULT_STATE_CAP,
+        help="most colorings up to palette renaming (orbits) to enumerate",
+    )
     oc.add_argument("--jobs", type=int, default=1)
     oc = osub.add_parser("same-class")
     oc.add_argument("--graph", required=True)
@@ -192,7 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--first", required=True)
     oc.add_argument("--second", required=True)
     oc.add_argument("--out")
-    oc.add_argument("--cap", type=int, default=oracle.DEFAULT_STATE_CAP)
+    oc.add_argument(
+        "--cap", type=int, default=oracle.DEFAULT_STATE_CAP,
+        help="most colorings the two search sides may store together",
+    )
 
     sp = sub.add_parser("gen", help="write fixture instances")
     sp.add_argument("family", choices=["octahedron", "figure1", "regular4", "overfull5"])

@@ -2,14 +2,21 @@
 
 Exact chromatic index via pruned backtracking, exhaustive enumeration of
 proper colorings, and the partition of the coloring space into Kempe classes.
-States are labeled colorings (no quotient by color permutation): equivalence
-is between colorings as functions, exactly as the transforms produce them.
+
+:func:`kempe_classes` works modulo renamings of the palette.  Swapping two
+colors everywhere is one interchange per component of their subgraph, so
+every Kempe class is closed under renaming; the partition is computed on
+canonical colorings (colors numbered in order of first appearance) and
+reported for labeled colorings, exactly as the transforms produce them.
+:func:`same_class` searches labeled colorings, so its transcript is a
+shortest one.
 """
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
+from ._kernels_py import _enum_order
 from .errors import BudgetExceeded, ColorOutOfRange
 from .graph_core import EdgeColoring, Graph, check_palette, require_proper
 from .kempe_engine import KempeMove, Transcript
@@ -35,8 +42,6 @@ def _search_coloring(g: Graph, t: int, node_cap: int):
     m = g.m
     if m == 0:
         return []
-    from ._kernels_py import _enum_order
-
     order = _enum_order(g.arrays())
     colors = [0] * m
     used = [0] * (g.n + 1)
@@ -93,9 +98,32 @@ def chromatic_index(g: Graph, node_cap: int = DEFAULT_NODE_CAP):
     return delta + 1, EdgeColoring(delta + 1, witness)
 
 
-def _enumerate_states(g: Graph, t: int, cap: int):
-    states, truncated = backend.enumerate_proper(g.arrays(), t, cap)
-    return states, truncated
+def _canonical(state: bytes, order) -> bytes:
+    """`state` with its colors renamed 1, 2, ... in order of first
+    appearance along `order` (the enumeration's edge order)."""
+    table = bytearray(range(256))
+    fresh = 1
+    named = set()
+    for e in order:
+        c = state[e]
+        if c not in named:
+            named.add(c)
+            table[c] = fresh
+            fresh += 1
+    return state.translate(table)
+
+
+def _quotient_neighbors(ga, order, t, state):
+    """Canonical forms of the Kempe neighbors of a canonical `state`.
+
+    Colors above k = max(state) are absent and interchangeable, so only the
+    pairs inside 1..min(t, k + 1) are swapped: a pair of two absent colors
+    moves nothing, and every (a, x) with x absent gives the canonical state
+    of (a, k + 1).
+    """
+    top = min(t, max(state, default=0) + 1)
+    for nxt in backend.kempe_neighbors(ga, state, t, range(1, top + 1)):
+        yield _canonical(nxt, order)
 
 
 class _UnionFind:
@@ -124,18 +152,19 @@ _WORKER = {}
 
 
 def _classes_init(n, edges, t, index):
-    worker_graph = Graph(n, list(edges))
-    _WORKER["ga"] = worker_graph.arrays()
+    ga = Graph(n, list(edges)).arrays()
+    _WORKER["ga"] = ga
+    _WORKER["order"] = _enum_order(ga)
     _WORKER["t"] = t
     _WORKER["index"] = index
 
 
 def _classes_chunk(chunk):
     base, states = chunk
-    ga, t, index = _WORKER["ga"], _WORKER["t"], _WORKER["index"]
+    ga, order, t, index = _WORKER["ga"], _WORKER["order"], _WORKER["t"], _WORKER["index"]
     pairs = []
     for i, s in enumerate(states):
-        for nxt in backend.kempe_neighbors(ga, s, t):
+        for nxt in _quotient_neighbors(ga, order, t, s):
             j = index.get(nxt)
             if j is None:
                 return None
@@ -148,15 +177,24 @@ def kempe_classes(
 ) -> KempeClassReport:
     """Partition all proper t-colorings into Kempe equivalence classes.
 
+    The sweep runs over canonical colorings, one per orbit of the palette
+    renamings (``enumerate_proper``), with each neighbor canonicalized
+    before lookup; `cap` bounds the number of orbits.  A canonical coloring
+    with k colors stands for perm(t, k) labeled ones, and class sizes and
+    the total are sums of these.  The first canonical coloring of a class
+    is its lexicographic minimum, so the representatives (one labeled
+    coloring per class, in order of discovery) and the class order are
+    those of a sweep over all labeled colorings.
+
     With jobs > 1 the neighbor sweep runs on a process pool; the resulting
     partition is independent of scheduling (the union-find merge and the
     representative pass stay sequential).
     """
     check_palette(t)
-    states, truncated = _enumerate_states(g, t, cap)
+    ga = g.arrays()
+    states, truncated = backend.enumerate_proper(ga, t, cap)
     index = {s: i for i, s in enumerate(states)}
     uf = _UnionFind(len(states))
-    ga = g.arrays()
     if jobs > 1 and len(states) > 1:
         import multiprocessing as mp
 
@@ -173,8 +211,9 @@ def kempe_classes(
                 for i, j in pairs:
                     uf.union(i, j)
     else:
+        order = _enum_order(ga)
         for i, s in enumerate(states):
-            for nxt in backend.kempe_neighbors(ga, s, t):
+            for nxt in _quotient_neighbors(ga, order, t, s):
                 j = index.get(nxt)
                 if j is None:
                     raise BudgetExceeded("state space truncated mid-sweep")
@@ -188,15 +227,24 @@ def kempe_classes(
             roots[r] = len(sizes)
             sizes.append(0)
             reps.append(EdgeColoring(t, list(s)))
-        sizes[roots[r]] += 1
+        sizes[roots[r]] += math.perm(t, max(s, default=0))
     return KempeClassReport(
         palette=t,
-        total_colorings=len(states),
+        total_colorings=sum(sizes),
         class_count=len(sizes),
         class_sizes=tuple(sizes),
         representatives=tuple(reps),
         truncated=truncated,
     )
+
+
+def _path_to(parent, state):
+    """Moves along `parent` links from `state` to the root, in link order."""
+    moves = []
+    while parent[state] is not None:
+        state, (a, b, rep) = parent[state]
+        moves.append(KempeMove(a, b, rep))
+    return moves
 
 
 def same_class(
@@ -206,9 +254,16 @@ def same_class(
     h: EdgeColoring,
     cap: int = DEFAULT_STATE_CAP,
 ):
-    """BFS reachability from f to h under Kempe moves at palette t.
+    """Reachability from f to h under Kempe moves at palette t.
 
-    Returns (reachable, shortest transcript or None).
+    Returns (reachable, shortest transcript or None).  A bidirectional
+    breadth-first search over labeled colorings: each step expands a whole
+    layer of the smaller frontier and stops at the first generated state
+    the other side has stored.  The two balls were disjoint before that
+    layer, so the spliced path has the true distance.  A backward link
+    reverses itself: swapping a component keeps its edge set, so the same
+    move leads back.  `cap` bounds the states stored by both sides
+    together.
     """
     check_palette(t)
     require_proper(g, f)
@@ -221,24 +276,29 @@ def same_class(
     if start == goal:
         return True, Transcript()
     ga = g.arrays()
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, t):
-            if nxt in parent:
-                continue
-            parent[nxt] = (cur, KempeMove(a, b, rep))
-            if nxt == goal:
-                moves = []
-                node = nxt
-                while parent[node] is not None:
-                    prev, mv = parent[node]
-                    moves.append(mv)
-                    node = prev
-                moves.reverse()
-                return True, Transcript(moves)
-            queue.append(nxt)
-            if len(parent) > cap:
-                raise BudgetExceeded(f"BFS exceeded {cap} states")
+    # state -> (neighbor one step nearer the root, (a, b, rep)) or None
+    fwd = {start: None}
+    bwd = {goal: None}
+    front_f, front_b = [start], [goal]
+    while front_f and front_b:
+        forward = len(front_f) <= len(front_b)
+        mine, other = (fwd, bwd) if forward else (bwd, fwd)
+        layer = []
+        for cur in front_f if forward else front_b:
+            for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, t):
+                if nxt in mine:
+                    continue
+                mine[nxt] = (cur, (a, b, rep))
+                if nxt in other:
+                    moves = _path_to(fwd, nxt)
+                    moves.reverse()
+                    moves += _path_to(bwd, nxt)
+                    return True, Transcript(moves)
+                layer.append(nxt)
+                if len(fwd) + len(bwd) > cap:
+                    raise BudgetExceeded(f"BFS exceeded {cap} states")
+        if forward:
+            front_f = layer
+        else:
+            front_b = layer
     return False, None
