@@ -361,10 +361,15 @@ def test_kempe_classes_cap_counts_orbits():
 # equalize against the oracle
 # ---------------------------------------------------------------------------
 
+_CUBE = Graph(8, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7), (7, 8), (5, 8),
+                  (1, 5), (2, 6), (3, 7), (4, 8)])
+
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(g=_graphs(8, 12), seeds=st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)))
 @example(g=octahedron(), seeds=(1, 2))
+@example(g=Graph(6, octahedron().edges[1:]), seeds=(3, 4))  # Delta 4, irregular
+@example(g=_CUBE, seeds=(5, 6))
 def test_equalize_agrees_with_same_class(g, seeds):
     chi, _ = chromatic_index(g)
     t = chi + 1
