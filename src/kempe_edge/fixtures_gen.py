@@ -86,6 +86,15 @@ def overfull_delta5() -> Graph:
     return Graph(7, edges)
 
 
+def petersen() -> Graph:
+    """The Petersen graph: outer 5-cycle 1..5, spokes i -- i+5, inner
+    pentagram on 6..10.  Cubic, not overfull, yet Class 2."""
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    return Graph(10, [tuple(sorted(e)) for e in outer + spokes + inner])
+
+
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Erdos-Renyi style test graph (deterministic per seed)."""
     rng = random.Random(seed)

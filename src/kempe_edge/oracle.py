@@ -1,7 +1,14 @@
 """Independent ground truth at desk scale.
 
-Exact chromatic index via pruned backtracking, exhaustive enumeration of
-proper colorings, and the partition of the coloring space into Kempe classes.
+Exact chromatic index by backtracking, exhaustive enumeration of proper
+colorings, and the partition of the coloring space into Kempe classes.
+
+The chromatic-index search colors edges along ``_enum_order`` with at most
+one fresh color per step, as the enumeration does, and drops a color as
+soon as Hall's condition fails at a vertex it touched: the edges still
+uncolored there cannot take distinct colors free at both of their ends.
+Such a subtree holds no proper completion, so the search returns the
+coloring the plain backtracker would, on a subtree of its nodes.
 
 :func:`kempe_classes` works modulo renamings of the palette.  Swapping two
 colors everywhere is one interchange per component of their subgraph, so
@@ -36,16 +43,127 @@ class KempeClassReport:
     truncated: bool
 
 
+def _hall_holds(free: int, ends, used) -> bool:
+    """Hall's condition at a vertex x with free colors `free` (bitmask):
+    its uncolored edges, to the vertices `ends`, can take pairwise distinct
+    colors, each free at x and at the far end (``used`` holds the colors
+    present at each vertex).
+
+    A bipartite matching of edges to colors, grown one edge at a time: an
+    edge takes its least free unclaimed color, or else a breadth-first
+    search looks for an augmenting path (Kuhn).  Polynomial in the degree
+    and the palette, for any maximum degree.
+    """
+    rep = []  # rep[j]: the color bit edge j holds
+    owned = 0
+    for j, y in enumerate(ends):
+        spare = free & ~used[y] & ~owned
+        if spare:
+            bit = spare & -spare
+            rep.append(bit)
+            owned |= bit
+            continue
+        via = {j: None}  # edge -> (color bit it holds, edge that wants it)
+        queue = [j]
+        seen = 0
+        for s in queue:
+            cand = free & ~used[ends[s]] & ~seen
+            spare = cand & ~owned
+            if spare:
+                break
+            seen |= cand
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                holder = rep.index(bit)
+                via[holder] = (bit, s)
+                queue.append(holder)
+        else:
+            return False
+        # s takes a spare color; each edge back along the path takes the
+        # color of the one after it
+        bit = spare & -spare
+        owned |= bit
+        rep.append(0)
+        while True:
+            rep[s] = bit
+            back = via[s]
+            if back is None:
+                break
+            bit, s = back
+    return True
+
+
+def _hall_plan(g: Graph, order):
+    """Per step i of `order`: the vertices whose Hall system the coloring of
+    edge order[i] can change, each as (x, far ends of the edges at x that
+    are still uncolored after step i).  The two ends of the edge come first,
+    then the far ends of their uncolored edges; vertices with no uncolored
+    edge left are dropped.  The (x, ends) pairs are shared between steps,
+    so the plan holds O(m * Delta) references."""
+    pos = [0] * g.m
+    for i, eid in enumerate(order):
+        pos[eid] = i
+    stages = []  # stages[x][k]: (x, far ends of its edges after the k-th)
+    for x in range(g.n + 1):
+        ends = tuple(y for _, y in sorted((pos[e], y) for y, e in g.adj[x]))
+        stages.append([(x, ends[k:]) for k in range(len(ends) + 1)])
+    done = [0] * (g.n + 1)  # edges at each vertex colored so far
+    plan = []
+    for eid in order:
+        for x in g.edges[eid]:
+            done[x] += 1
+        near = tuple(
+            stage for x in g.edges[eid] if (stage := stages[x][done[x]])[1]
+        )
+        far = tuple(
+            stage
+            for y in dict.fromkeys(y for _, ends in near for y in ends)
+            if (stage := stages[y][done[y]])[1]
+        )
+        plan.append((near, far))
+    return plan
+
+
 def _search_coloring(g: Graph, t: int, node_cap: int):
-    """One proper t-coloring via backtracking, or None.  Breaks color-class
-    symmetry by allowing at most one fresh color per step."""
+    """One proper t-coloring via backtracking, or None.
+
+    Edges are colored along ``_enum_order``, colors tried in ascending
+    order, and color-class symmetry is broken by allowing at most one fresh
+    color per step.  A color is skipped when, after it is placed on (u, v),
+    Hall's condition fails at some vertex x: the edges still uncolored at x
+    cannot take pairwise distinct colors of 1..t, each free at both of its
+    ends (:func:`_hall_holds`).  Only the systems of u, v and the far ends
+    y of uncolored edges at u or v change, and y's only when the color was
+    free at y, so only those are checked (:func:`_hall_plan`).
+
+    A failed check means that no proper completion exists, under any names
+    of the colors; a completion, if there were one, could be renamed into
+    the canonical form the loop enumerates.  So every cut subtree holds no
+    solution, the first witness is the one the unpruned loop finds, and
+    the pruned tree is a subtree of the unpruned one: `node_cap` (counted
+    in calls, one per colored prefix) binds no sooner than before.
+    """
     m = g.m
     if m == 0:
         return []
     order = _enum_order(g.arrays())
+    plan = _hall_plan(g, order)
+    palette = (1 << (t + 1)) - 2  # bits 1..t
     colors = [0] * m
     used = [0] * (g.n + 1)
     nodes = 0
+
+    def pruned(i, bit):
+        near, far = plan[i]
+        for x, ys in near:
+            if not _hall_holds(palette & ~used[x], ys, used):
+                return True
+        for x, ys in far:
+            ux = used[x]
+            if not ux & bit and not _hall_holds(palette & ~ux, ys, used):
+                return True
+        return False
 
     def rec(i, maxc):
         nonlocal nodes
@@ -64,7 +182,7 @@ def _search_coloring(g: Graph, t: int, node_cap: int):
                 colors[eid] = c
                 used[u] |= bit
                 used[v] |= bit
-                if rec(i + 1, max(maxc, c)):
+                if not pruned(i, bit) and rec(i + 1, max(maxc, c)):
                     return True
                 used[u] &= ~bit
                 used[v] &= ~bit
@@ -80,6 +198,14 @@ def chromatic_index(g: Graph, node_cap: int = DEFAULT_NODE_CAP):
     The overfull bound m > Delta * floor(n/2) certifies Class 2 without
     search; otherwise a Delta-coloring is searched exhaustively.  The answer
     always lands in {Delta, Delta+1}.
+
+    Each search is the Hall-pruned backtracker of :func:`_search_coloring`;
+    `node_cap` bounds its nodes (colored prefixes of the edge order) and
+    raises ``BudgetExceeded`` past them.  Pruning leaves the witness as
+    the plain backtracker found it and only removes nodes, but a node costs
+    more: about 11 us against about 2 us (pure Python 3.11, 2-core VM).  So
+    the default 20M nodes run out after about 3.5 minutes, not 36 s: 212 s
+    on a cubic graph with a bridge (Class 2, n = 102) at t = 3.
     """
     delta = g.max_degree()
     if g.m == 0:

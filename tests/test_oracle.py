@@ -9,11 +9,14 @@ from kempe_edge.fixtures_gen import (
     figure1_pair,
     octahedron,
     overfull_delta5,
+    petersen,
     random_proper_coloring,
+    random_regular4_class1,
 )
-from kempe_edge.graph_core import EdgeColoring, Graph, is_proper
-from kempe_edge.kempe_engine import apply_transcript
+from kempe_edge.graph_core import EdgeColoring, Graph, delete_edges, is_proper
+from kempe_edge.kempe_engine import Recorder, apply_transcript
 from kempe_edge.oracle import chromatic_index, kempe_classes, same_class
+from kempe_edge.reductions import equalize
 
 
 def test_chromatic_index_triangle():
@@ -51,6 +54,39 @@ def test_chromatic_index_within_vizing_bounds():
         chi, w = chromatic_index(g)
         assert g.max_degree() <= chi <= g.max_degree() + 1
         assert is_proper(g, w)
+
+
+def test_chromatic_index_node_cap_binds():
+    g = petersen()
+    with pytest.raises(BudgetExceeded):
+        chromatic_index(g, node_cap=5)
+    chi, w = chromatic_index(g)
+    assert chi == 4 and w.t == 4 and is_proper(g, w)
+
+
+def _kempe_walk(g, f, steps, rng):
+    rec = Recorder(g, f)
+    for _ in range(steps):
+        eid = rng.randrange(g.m)
+        a = rec.colors[eid]
+        rec.apply(a, rng.choice([c for c in range(1, f.t + 1) if c != a]), eid)
+    return rec.coloring()
+
+
+@pytest.mark.parametrize("n, seed, removed", [(28, 970, (17, 22)), (32, 428, (14, 18))])
+def test_witness_free_equalize_past_the_old_budget_cliff(n, seed, removed):
+    # Delta = 4 Class 1 graphs on which the unpruned chromatic-index search
+    # ran out of its 20M nodes
+    g4, witness = random_regular4_class1(n, seed)
+    g, kept = delete_edges(g4, [g4.edge_id(*removed)])
+    chi, w = chromatic_index(g)
+    assert chi == 4 and is_proper(g, w)
+    base = EdgeColoring(5, [witness.colors[eid] for eid in kept])
+    rng = random.Random(seed)
+    f = _kempe_walk(g, base, 20, rng)
+    h = _kempe_walk(g, base, 20, rng)
+    tr = equalize(g, f, h)
+    assert apply_transcript(g, f, tr, check=True).colors == h.colors
 
 
 def test_kempe_classes_single_edge():

@@ -1,10 +1,11 @@
 """The oracle against verbatim copies of its labeled predecessors.
 
 The ``_ref_*`` functions below are the neighbor kernels, the labeled
-enumeration, the labeled class sweep and the one-sided BFS as they were
-before the table-driven kernel, the palette quotient of ``kempe_classes``
-and the bidirectional ``same_class``.  Only their names, and the names of
-the reference functions they call, are changed.
+enumeration, the labeled class sweep, the one-sided BFS and the coloring
+search as they were before the table-driven kernel, the palette quotient of
+``kempe_classes``, the bidirectional ``same_class`` and the Hall pruning of
+``_search_coloring``.  Only their names, and the names of the reference
+functions they call, are changed.
 """
 import itertools
 import random
@@ -14,13 +15,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from kempe_edge._kernels_py import _enum_order
 from kempe_edge.errors import BudgetExceeded, UnsupportedFamily
-from kempe_edge.fixtures_gen import figure1_pair, octahedron, random_proper_coloring
-from kempe_edge.graph_core import EdgeColoring, Graph
+from kempe_edge.fixtures_gen import (
+    figure1_pair,
+    octahedron,
+    overfull_delta5,
+    petersen,
+    random_proper_coloring,
+    random_regular4_class1,
+)
+from kempe_edge.graph_core import EdgeColoring, Graph, delete_edges
 from kempe_edge.kempe_engine import KempeMove, Transcript, apply_transcript
 from kempe_edge.kernels import backend
 from kempe_edge.oracle import (
     KempeClassReport,
+    _search_coloring,
     _UnionFind,
     chromatic_index,
     kempe_classes,
@@ -181,6 +191,44 @@ def _ref_same_class(g, t, f, h, cap=5_000_000):
             if len(parent) > cap:
                 raise BudgetExceeded(f"BFS exceeded {cap} states")
     return False, None
+
+
+def _ref_search_coloring(g: Graph, t: int, node_cap: int):
+    """One proper t-coloring via backtracking, or None.  Breaks color-class
+    symmetry by allowing at most one fresh color per step."""
+    m = g.m
+    if m == 0:
+        return []
+    order = _enum_order(g.arrays())
+    colors = [0] * m
+    used = [0] * (g.n + 1)
+    nodes = 0
+
+    def rec(i, maxc):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise BudgetExceeded(f"backtracking exceeded {node_cap} nodes")
+        if i == m:
+            return True
+        eid = order[i]
+        u, v = g.edges[eid]
+        avail = ~(used[u] | used[v])
+        top = min(t, maxc + 1)
+        for c in range(1, top + 1):
+            bit = 1 << c
+            if avail & bit:
+                colors[eid] = c
+                used[u] |= bit
+                used[v] |= bit
+                if rec(i + 1, max(maxc, c)):
+                    return True
+                used[u] &= ~bit
+                used[v] &= ~bit
+        colors[eid] = 0
+        return False
+
+    return colors[:] if rec(0, 0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +403,65 @@ def test_kempe_classes_cap_counts_orbits():
     assert (report.total_colorings, report.class_count, report.truncated) == (11760, 1, False)
     with pytest.raises(BudgetExceeded):
         kempe_classes(g, 5, cap=orbits - 1)
+
+
+# ---------------------------------------------------------------------------
+# chromatic-index search
+# ---------------------------------------------------------------------------
+
+
+class _NodeCount(int):
+    """A `node_cap` that counts the search's comparisons against it: one
+    per node, since ``nodes > node_cap`` hands the comparison to this
+    subclass's reflected ``__lt__``."""
+
+    def __new__(cls, cap):
+        obj = super().__new__(cls, cap)
+        obj.nodes = 0
+        return obj
+
+    def __lt__(self, other):
+        self.nodes += 1
+        return int.__lt__(self, other)
+
+
+def _assert_search_matches(g, t):
+    cap = _NodeCount(10**7)
+    want = _ref_search_coloring(g, t, cap)
+    # the pruned tree is a subtree, so the reference's node count is enough
+    assert _search_coloring(g, t, cap.nodes) == want
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(g=_graphs(9, 14), extra=st.sampled_from((0, 1)))
+def test_search_coloring_matches_reference(g, extra):
+    _assert_search_matches(g, g.max_degree() + extra)
+
+
+def _regular4_minus(n, seed, removed):
+    g, _ = random_regular4_class1(n, seed)
+    return delete_edges(g, [g.edge_id(u, v) for u, v in removed])[0]
+
+
+@pytest.mark.parametrize("g", [
+    petersen(),
+    overfull_delta5(),
+    _regular4_minus(16, 1, [(4, 14), (10, 14), (8, 15)]),
+    _regular4_minus(16, 3, [(2, 8), (10, 15), (10, 16)]),
+    _regular4_minus(20, 1, [(7, 16), (2, 17), (2, 4)]),  # 279,925 nodes unpruned
+], ids=["petersen", "overfull-delta5", "regular4-n16-s1", "regular4-n16-s3",
+        "regular4-n20-s1"])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_search_coloring_matches_reference_on_fixed_graphs(g, extra):
+    _assert_search_matches(g, g.max_degree() + extra)
+
+
+def test_search_coloring_prunes_class2_petersen():
+    # Class 2 at t = 3: both searches answer None; the pruned one sooner
+    full, pruned = _NodeCount(10**7), _NodeCount(10**7)
+    assert _ref_search_coloring(petersen(), 3, full) is None
+    assert _search_coloring(petersen(), 3, pruned) is None
+    assert pruned.nodes < full.nodes
 
 
 # ---------------------------------------------------------------------------
