@@ -356,10 +356,9 @@ def _bidirectional(ga, start, goal, colors, t, cap):
     return forward + backward
 
 
-def _equalize_search(
-    g: Graph, start: bytes, goal: bytes, colors, t: int, budget: int = DEFAULT_SEARCH_BUDGET
-):
-    """Move list carrying `start` to `goal` with interchanges over `colors`."""
+def _equalize_search(g: Graph, start: bytes, goal: bytes, colors, t: int):
+    """Move list carrying `start` to `goal` with interchanges over `colors`;
+    the exact fallback stores at most DEFAULT_SEARCH_BUDGET states."""
     if start == goal:
         return []
     ga = g.arrays()
@@ -378,10 +377,10 @@ def _equalize_search(
         cur = bytes(index.state)
         found = _bfs_to_better(ga, cur, goal, colors, t, _IMPROVE_BUDGET)
         if found is None:
-            tail = _bidirectional(ga, cur, goal, colors, t, budget)
+            tail = _bidirectional(ga, cur, goal, colors, t, DEFAULT_SEARCH_BUDGET)
             if tail is None:
                 raise SearchBudgetExceeded(
-                    f"equalizer exceeded {budget} states (graph m={g.m})"
+                    f"equalizer exceeded {DEFAULT_SEARCH_BUDGET} states (graph m={g.m})"
                 )
             state = bytearray(cur)
             for a, b, rep in tail:
@@ -396,16 +395,14 @@ def _equalize_search(
     raise InternalInvariantError("agreement failed to converge")
 
 
-def low_degree_equalize(
-    g: Graph,
-    f: EdgeColoring,
-    h: EdgeColoring,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> Transcript:
+def low_degree_equalize(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
     """Transcript from f to h for maximum degree <= 3 at palette Delta+1.
 
-    Existence is guaranteed for these inputs; the result is found by search
-    and certified by replay like every other transcript."""
+    No chromatic index is needed, whether the graph is Class 1 or Class 2:
+    all 4-colorings of a subcubic graph are Kempe equivalent
+    (McDonald-Mohar-Scheide 2012), so existence is guaranteed.  The result
+    is found by search and certified by replay like every other
+    transcript."""
     delta = g.max_degree()
     if delta > 3:
         raise WrongMaxDegree(f"equalizer handles maximum degree <= 3, got {delta}")
@@ -415,7 +412,7 @@ def low_degree_equalize(
     require_proper(g, f)
     require_proper(g, h)
     moves = _equalize_search(
-        g, bytes(f.colors), bytes(h.colors), tuple(range(1, t + 1)), t, budget
+        g, bytes(f.colors), bytes(h.colors), tuple(range(1, t + 1)), t
     )
     tr = Transcript()
     for a, b, rep in moves:
@@ -423,18 +420,14 @@ def low_degree_equalize(
     return tr
 
 
-def transform_delta4(
-    g: Graph,
-    f: EdgeColoring,
-    h: EdgeColoring,
-    stats: list | None = None,
-) -> Transcript:
+def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
     """Transcript from a proper t-coloring (t >= 5) to a given proper
     4-coloring of a graph with maximum degree 4.
 
     Above palette 5 the coloring is first reduced; irregular graphs are
     lifted through the doubling tower, solved 4-regularly on top, and the
-    transcript projected back level by level."""
+    transcript projected back level by level.  The 4-coloring h certifies
+    chi' = 4, so no chromatic index is computed."""
     if g.max_degree() != 4:
         raise WrongMaxDegree(f"expected maximum degree 4, got {g.max_degree()}")
     if h.t != 4 or not is_proper(g, h):
@@ -452,7 +445,7 @@ def transform_delta4(
         tr.extend(tr0)
         cur = reduced
     if g.min_degree() == 4:
-        tr.extend(theorem_4_1_transform(g, cur, h, stats))
+        tr.extend(theorem_4_1_transform(g, cur, h))
     else:
         tower = build_tower(g)
         f_levels = [cur]
@@ -460,9 +453,7 @@ def transform_delta4(
         for i in range(len(tower.levels) - 1):
             f_levels.append(lift_coloring(tower, i, f_levels[-1]))
             h_levels.append(lift_coloring(tower, i, h_levels[-1]))
-        top_tr = theorem_4_1_transform(
-            tower.levels[-1], f_levels[-1], h_levels[-1], stats
-        )
+        top_tr = theorem_4_1_transform(tower.levels[-1], f_levels[-1], h_levels[-1])
         for i in reversed(range(len(tower.levels) - 1)):
             top_tr = project_transcript(tower, i, f_levels[i], top_tr)
         tr.extend(top_tr)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from ._kernels_py import _enum_order
-from .errors import BudgetExceeded, ColorOutOfRange
+from .errors import BudgetExceeded, ColorOutOfRange, InternalInvariantError
 from .graph_core import EdgeColoring, Graph, check_palette, require_proper
 from .kempe_engine import KempeMove, Transcript
 from .kernels import backend
@@ -40,7 +40,7 @@ class KempeClassReport:
     class_count: int
     class_sizes: tuple
     representatives: tuple  # one EdgeColoring per class, discovery order
-    truncated: bool
+    truncated: bool  # always False: kempe_classes raises past its cap
 
 
 def _hall_holds(free: int, ends, used) -> bool:
@@ -288,14 +288,20 @@ def _classes_init(n, edges, t, index):
 def _classes_chunk(chunk):
     base, states = chunk
     ga, order, t, index = _WORKER["ga"], _WORKER["order"], _WORKER["t"], _WORKER["index"]
-    pairs = []
-    for i, s in enumerate(states):
-        for nxt in _quotient_neighbors(ga, order, t, s):
-            j = index.get(nxt)
-            if j is None:
-                return None
-            pairs.append((base + i, j))
-    return pairs
+    return [
+        (base + i, _lookup(index, nxt))
+        for i, s in enumerate(states)
+        for nxt in _quotient_neighbors(ga, order, t, s)
+    ]
+
+
+def _lookup(index, state):
+    """Position of a neighbor's canonical form among the enumerated ones;
+    the enumeration was complete, so a miss is a bug."""
+    j = index.get(state)
+    if j is None:
+        raise InternalInvariantError("Kempe neighbor missing from a complete enumeration")
+    return j
 
 
 def kempe_classes(
@@ -312,6 +318,9 @@ def kempe_classes(
     coloring per class, in order of discovery) and the class order are
     those of a sweep over all labeled colorings.
 
+    When more than `cap` orbits exist, ``BudgetExceeded`` is raised before
+    any neighbor is generated, so the report's `truncated` is always False.
+
     With jobs > 1 the neighbor sweep runs on a process pool; the resulting
     partition is independent of scheduling (the union-find merge and the
     representative pass stay sequential).
@@ -319,6 +328,8 @@ def kempe_classes(
     check_palette(t)
     ga = g.arrays()
     states, truncated = backend.enumerate_proper(ga, t, cap)
+    if truncated:
+        raise BudgetExceeded(f"more than cap = {cap} colorings up to palette renaming")
     index = {s: i for i, s in enumerate(states)}
     uf = _UnionFind(len(states))
     if jobs > 1 and len(states) > 1:
@@ -332,18 +343,13 @@ def kempe_classes(
         ctx = mp.get_context("fork")
         with ctx.Pool(jobs, _classes_init, (g.n, g.edges, t, index)) as pool:
             for pairs in pool.imap(_classes_chunk, chunks):
-                if pairs is None:
-                    raise BudgetExceeded("state space truncated mid-sweep")
                 for i, j in pairs:
                     uf.union(i, j)
     else:
         order = _enum_order(ga)
         for i, s in enumerate(states):
             for nxt in _quotient_neighbors(ga, order, t, s):
-                j = index.get(nxt)
-                if j is None:
-                    raise BudgetExceeded("state space truncated mid-sweep")
-                uf.union(i, j)
+                uf.union(i, _lookup(index, nxt))
     roots = {}
     sizes = []
     reps = []
@@ -360,7 +366,7 @@ def kempe_classes(
         class_count=len(sizes),
         class_sizes=tuple(sizes),
         representatives=tuple(reps),
-        truncated=truncated,
+        truncated=False,
     )
 
 

@@ -10,11 +10,7 @@ equalizer and the maximum-degree-4 machine.
 from __future__ import annotations
 
 from .acyclic_reduce import acyclic_reduce
-from .degree4_lift import (
-    DEFAULT_SEARCH_BUDGET,
-    _equalize_search,
-    transform_delta4,
-)
+from .degree4_lift import low_degree_equalize, transform_delta4
 from .errors import (
     InternalInvariantError,
     PaletteMismatch,
@@ -27,67 +23,62 @@ from .graph_core import (
     delete_edges,
     induced_high_degree_subgraph,
     is_acyclic,
-    is_proper,
     require_proper,
 )
-from .kempe_engine import KempeMove, Recorder, Transcript
+from .kempe_engine import Recorder, Transcript
 from .vizing_reduce import reduce_to_delta_plus_one
+
+
+def _covered(g: Graph, colors, top: int) -> list:
+    """Per vertex: whether an edge colored `top` ends there."""
+    covered = [False] * (g.n + 1)
+    for (u, v), c in zip(g.edges, colors):
+        if c == top:
+            covered[u] = covered[v] = True
+    return covered
 
 
 def maximalize_top_class(g: Graph, h: EdgeColoring, top: int):
     """Grow M(h, top) into a maximal matching by single-edge recolorings
     (the component of each recoloring is exactly the edge, since the top
-    color is missing at both ends)."""
+    color is missing at both ends).
+
+    One ascending pass recolors each edge whose ends are both still
+    uncovered: coverage only grows, so this is the order in which always
+    taking the least such edge would pick them."""
     require_proper(g, h)
     rec = Recorder(g, h)
-    while True:
-        top_at = [False] * (g.n + 1)
-        for eid in range(g.m):
-            if rec.colors[eid] == top:
-                u, v = g.edges[eid]
-                top_at[u] = top_at[v] = True
-        cand = [
-            eid
-            for eid, (u, v) in enumerate(g.edges)
-            if rec.colors[eid] != top and not top_at[u] and not top_at[v]
-        ]
-        if not cand:
-            break
-        rec.recolor_edge(cand[0], top, "maximalize")
+    covered = _covered(g, h.colors, top)
+    for eid, (u, v) in enumerate(g.edges):
+        if not covered[u] and not covered[v]:
+            rec.recolor_edge(eid, top, "maximalize")
+            covered[u] = covered[v] = True
     return rec.coloring(), rec.tr
 
 
 def _matching_is_maximal(g: Graph, colors, top: int) -> bool:
-    covered = [False] * (g.n + 1)
-    for eid, c in enumerate(colors):
-        if c == top:
-            u, v = g.edges[eid]
-            covered[u] = covered[v] = True
-    return all(
-        covered[u] or covered[v] for u, v in g.edges
-    )
+    covered = _covered(g, colors, top)
+    return all(covered[u] or covered[v] for u, v in g.edges)
 
 
 def _certify_chi(g: Graph, witness: EdgeColoring | None):
+    """(chi'(g), a chi'(g)-coloring): the caller's witness when its palette
+    is Delta, which certifies chi' = Delta, else the exact oracle's answer."""
+    if witness is not None and witness.t == g.max_degree():
+        return witness.t, witness
     from .oracle import chromatic_index
 
-    delta = g.max_degree()
-    if witness is not None:
-        require_proper(g, witness, "witness coloring")
-        if witness.t == delta:
-            return delta, witness
     return chromatic_index(g)
 
 
 def peel_and_recurse(
-    g: Graph,
-    f: EdgeColoring,
-    h: EdgeColoring,
-    chi: int,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    g: Graph, f: EdgeColoring, h: EdgeColoring, chi: int
 ) -> Transcript:
     """Drive a proper (chi+1)-coloring f onto the chi-coloring h (read at the
-    same palette) whose top class M(h, chi) is a maximal matching."""
+    same palette) whose top class M(h, chi) is a maximal matching.
+
+    The remainder g - M(h, chi) is equalized at palette chi with chi - 1
+    passed down as its chromatic index."""
     if f.t != chi + 1 or h.t > chi + 1:
         raise PaletteMismatch("peel expects palette chi+1 input")
     if any(c > chi for c in h.colors):
@@ -113,7 +104,7 @@ def peel_and_recurse(
     sub, kept = delete_edges(g, top_edges)
     f_sub = EdgeColoring(chi, [rec.colors[eid] for eid in kept])
     h_sub = EdgeColoring(chi, [h.colors[eid] for eid in kept])
-    sub_tr = equalize(sub, f_sub, h_sub, chi=chi - 1, budget=budget)
+    sub_tr = equalize(sub, f_sub, h_sub, chi=chi - 1)
     for mv, note in zip(sub_tr.moves, sub_tr.annotations):
         rec.apply(mv.a, mv.b, kept[mv.rep_edge], note or "peel-sub")
     # 4. hand the matching its target color back
@@ -131,62 +122,57 @@ def equalize(
     h: EdgeColoring,
     witness: EdgeColoring | None = None,
     chi: int | None = None,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> Transcript:
-    """Transcript from f to h, both proper (chi'(g)+1)-edge colorings.
+    """Transcript from f to h, two proper colorings at one palette.
 
-    Dispatch: maximum degree <= 3 goes to the search equalizer (after a
-    palette reduction when the graph is Class 2); maximum degree 4 Class 1
-    routes both sides through a common 4-coloring; Class 2 with maximum
-    degree 4 or 5 peels the top class and recurses, as does any graph whose
-    degree->=5 vertices induce a forest.  Everything else is out of reach and
-    raises UnsupportedFamily.
+    Maximum degree <= 3 takes any palette >= Delta+1 and never asks for the
+    chromatic index: above Delta+1 both sides are first reduced to Delta+1,
+    where the search equalizer connects them (all 4-colorings of a subcubic
+    graph are Kempe equivalent, McDonald-Mohar-Scheide 2012).
+
+    Every other graph needs palette chi'+1.  chi' is certified at most once
+    per call: by `witness` when it is a Delta-coloring (then no oracle
+    runs), otherwise by the exact `oracle.chromatic_index`, whose witness
+    replaces the caller's.  A given `chi` is trusted when `witness` has
+    palette `chi`.  Maximum degree 4 Class 1 routes both sides through the
+    common 4-coloring `witness`; Class 2 with maximum degree 4 or 5 peels
+    the top class and recurses, as does any graph whose degree->=5 vertices
+    induce a forest.  Everything else is out of reach and raises
+    UnsupportedFamily.
     """
     require_proper(g, f, "start coloring")
     require_proper(g, h, "target coloring")
+    if witness is not None:
+        require_proper(g, witness, "witness coloring")
     if f.t != h.t:
         raise PaletteMismatch(f"palettes differ: {f.t} vs {h.t}")
     if f.colors == h.colors:
         return Transcript()
     delta = g.max_degree()
-    if chi is None:
-        chi, witness_found = _certify_chi(g, witness)
-        if witness is None and witness_found.t == chi:
-            witness = witness_found
+    if delta <= 3:
+        if f.t <= delta:
+            raise PaletteMismatch(
+                f"equalize needs palette >= Delta+1 = {delta + 1}, got {f.t}"
+            )
+        if f.t == delta + 1:
+            return low_degree_equalize(g, f, h)
+        f1, tr = reduce_to_delta_plus_one(g, f)
+        h1, tr_h = reduce_to_delta_plus_one(g, h)
+        tr.extend(low_degree_equalize(g, f1, h1))
+        tr.extend(tr_h.reversed())
+        return tr
+    if chi is None or witness is None or witness.t != chi:
+        found, witness = _certify_chi(g, witness)
+        if chi is not None and found != chi:
+            raise InternalInvariantError("oracle contradicts the given chromatic index")
+        chi = found
     if f.t != chi + 1:
         raise PaletteMismatch(
             f"equalize needs palette chi'+1 = {chi + 1}, got {f.t}"
         )
-    if delta <= 3:
-        if chi == delta:
-            moves = _equalize_search(
-                g, bytes(f.colors), bytes(h.colors),
-                tuple(range(1, delta + 2)), f.t, budget,
-            )
-            tr = Transcript()
-            for a, b, rep in moves:
-                tr.append(KempeMove(a, b, rep), "search")
-            return tr
-        # Class 2: reduce both sides to Delta+1 colors, search there
-        f1, tr_f = reduce_to_delta_plus_one(g, f)
-        h1, tr_h = reduce_to_delta_plus_one(g, h)
-        moves = _equalize_search(
-            g, bytes(f1.colors), bytes(h1.colors),
-            tuple(range(1, delta + 2)), f.t, budget,
-        )
-        tr = tr_f
-        for a, b, rep in moves:
-            tr.append(KempeMove(a, b, rep), "search")
-        tr.extend(tr_h.reversed())
-        return tr
     if delta == 4 and chi == 4:
-        if witness is None or witness.t != 4:
-            witness = _certify_chi(g, None)[1]
-            if witness.t != 4:
-                raise InternalInvariantError("oracle contradicts the class certificate")
-        tr = transform_delta4(g, f, witness, None)
-        tr_h = transform_delta4(g, h, witness, None)
-        tr.extend(tr_h.reversed())
+        tr = transform_delta4(g, f, witness)
+        tr.extend(transform_delta4(g, h, witness).reversed())
         return tr
     high, _ = induced_high_degree_subgraph(g, 5)
     acyclic_high = is_acyclic(high)
@@ -200,13 +186,8 @@ def equalize(
             f"no reduction covers Delta={delta}, chi'={chi}, "
             f"acyclic high-degree subgraph={acyclic_high}"
         )
-    if witness is None or witness.t != chi:
-        witness = _certify_chi(g, None)[1]
-        if witness.t != chi:
-            raise InternalInvariantError("oracle witness palette mismatch")
     w_max, _ = maximalize_top_class(g, witness, chi)
     target = EdgeColoring(chi + 1, w_max.colors)
-    tr = peel_and_recurse(g, f, target, chi, budget)
-    tr_h = peel_and_recurse(g, h, target, chi, budget)
-    tr.extend(tr_h.reversed())
+    tr = peel_and_recurse(g, f, target, chi)
+    tr.extend(peel_and_recurse(g, h, target, chi).reversed())
     return tr

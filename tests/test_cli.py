@@ -205,3 +205,21 @@ def test_palette_above_byte_range_reports_error_line(work, capsys):
     assert len(err.strip().splitlines()) == 1
     payload = json.loads(err)
     assert payload["error"] == "color_out_of_range"
+
+
+def test_transform_auto_petersen_at_palette_four(work):
+    # Class 2 cubic graph at palette Delta+1 = chi': the low-degree path
+    # needs no chromatic index and no palette chi'+1
+    from kempe_edge.fixtures_gen import petersen
+
+    g = petersen()
+    write_graph(work / "p.graph", g)
+    write_coloring(work / "f.col", g, random_proper_coloring(g, 4, 1))
+    write_coloring(work / "h.col", g, random_proper_coloring(g, 4, 2))
+    assert main([
+        "transform", "--graph", str(work / "p.graph"),
+        "--from", str(work / "f.col"), "--to", str(work / "h.col"),
+        "--out", str(work / "tr.txt"), "--result", str(work / "out.col"),
+        "--mode", "auto",
+    ]) == 0
+    assert (work / "out.col").read_bytes() == (work / "h.col").read_bytes()

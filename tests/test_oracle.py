@@ -15,6 +15,7 @@ from kempe_edge.fixtures_gen import (
 )
 from kempe_edge.graph_core import EdgeColoring, Graph, delete_edges, is_proper
 from kempe_edge.kempe_engine import Recorder, apply_transcript
+from kempe_edge.kernels import backend
 from kempe_edge.oracle import chromatic_index, kempe_classes, same_class
 from kempe_edge.reductions import equalize
 
@@ -102,6 +103,15 @@ def test_kempe_classes_octahedron_palette4():
     assert report.class_count == 2
     assert sum(report.class_sizes) == report.total_colorings
     assert not report.truncated
+
+
+def test_kempe_classes_fails_fast_past_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("neighbor sweep ran")
+
+    monkeypatch.setattr(backend, "kempe_neighbors", refuse)
+    with pytest.raises(BudgetExceeded, match="cap = 10"):
+        kempe_classes(octahedron(), 5, cap=10)
 
 
 def test_kempe_classes_relabel_invariance():

@@ -1,11 +1,15 @@
 """Top-class maximalization, peeling, and the equalize dispatch."""
+import random
+
 import pytest
 
+from kempe_edge import oracle
 from kempe_edge.errors import PaletteMismatch, UnsupportedFamily
 from kempe_edge.fixtures_gen import (
     acyclic_max_degree_graph,
     octahedron,
     overfull_delta5,
+    petersen,
     random_graph,
     random_proper_coloring,
 )
@@ -13,6 +17,7 @@ from kempe_edge.graph_core import EdgeColoring, Graph, is_proper
 from kempe_edge.kempe_engine import apply_transcript
 from kempe_edge.oracle import chromatic_index, same_class
 from kempe_edge.reductions import equalize, maximalize_top_class, peel_and_recurse
+from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
 
 
 def k5():
@@ -176,3 +181,47 @@ def test_equalize_dispatch_totality_spot_checks():
         h = random_proper_coloring(g, t, 2)
         tr = equalize(g, f, h)
         assert apply_transcript(g, f, tr, check=True).colors == h.colors
+
+
+def _cubic(n, seed):
+    """The cycle 1..n (n even) plus a seeded perfect matching of chords: a
+    cubic graph with the 3-coloring cycle 1, 2 alternating, chords 3."""
+    rng = random.Random(seed)
+    cycle = {tuple(sorted((v, v % n + 1))) for v in range(1, n + 1)}
+    while True:
+        vs = list(range(1, n + 1))
+        rng.shuffle(vs)
+        chords = {tuple(sorted(vs[i:i + 2])) for i in range(0, n, 2)}
+        if not chords & cycle:
+            return Graph(n, sorted(cycle | chords))
+
+
+def _refuse_chromatic_index(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("chromatic_index called")
+
+    monkeypatch.setattr(oracle, "chromatic_index", refuse)
+
+
+@pytest.mark.parametrize("t", [4, 5])
+@pytest.mark.parametrize("make", [petersen, lambda: _cubic(100, 0)], ids=["petersen", "cubic100"])
+def test_low_degree_equalize_never_calls_the_oracle(monkeypatch, make, t):
+    # Petersen is Class 2, so palette 4 = Delta+1 = chi' used to be refused
+    g = make()
+    f, h = (random_proper_coloring(g, 5, s) for s in (1, 2))
+    if t == 4:
+        f, h = (reduce_to_delta_plus_one(g, c)[0] for c in (f, h))
+    _refuse_chromatic_index(monkeypatch)
+    tr = equalize(g, f, h)
+    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+
+
+def test_low_degree_palette_delta_is_refused(monkeypatch):
+    g = _cubic(100, 0)
+    cycle = {tuple(sorted((v, v % g.n + 1))): 1 + v % 2 for v in range(1, g.n + 1)}
+    f = EdgeColoring(3, [cycle.get(e, 3) for e in g.edges])
+    h = EdgeColoring(3, [{1: 2, 2: 1}.get(c, c) for c in f.colors])
+    assert is_proper(g, f) and is_proper(g, h)
+    _refuse_chromatic_index(monkeypatch)
+    with pytest.raises(PaletteMismatch):
+        equalize(g, f, h)
