@@ -77,8 +77,9 @@ def peel_and_recurse(
     """Drive a proper (chi+1)-coloring f onto the chi-coloring h (read at the
     same palette) whose top class M(h, chi) is a maximal matching.
 
-    The remainder g - M(h, chi) is equalized at palette chi with chi - 1
-    passed down as its chromatic index."""
+    The remainder g - M(h, chi) is equalized at palette chi, with h's
+    restriction there, a (chi-1)-coloring, as the witness of chi - 1: no
+    recursive call runs the chromatic-index oracle."""
     if f.t != chi + 1 or h.t > chi + 1:
         raise PaletteMismatch("peel expects palette chi+1 input")
     if any(c > chi for c in h.colors):
@@ -104,7 +105,9 @@ def peel_and_recurse(
     sub, kept = delete_edges(g, top_edges)
     f_sub = EdgeColoring(chi, [rec.colors[eid] for eid in kept])
     h_sub = EdgeColoring(chi, [h.colors[eid] for eid in kept])
-    sub_tr = equalize(sub, f_sub, h_sub, chi=chi - 1)
+    sub_tr = equalize(
+        sub, f_sub, h_sub, witness=EdgeColoring(chi - 1, h_sub.colors), chi=chi - 1
+    )
     for mv, note in zip(sub_tr.moves, sub_tr.annotations):
         rec.apply(mv.a, mv.b, kept[mv.rep_edge], note or "peel-sub")
     # 4. hand the matching its target color back
@@ -131,14 +134,15 @@ def equalize(
     graph are Kempe equivalent, McDonald-Mohar-Scheide 2012).
 
     Every other graph needs palette chi'+1.  chi' is certified at most once
-    per call: by `witness` when it is a Delta-coloring (then no oracle
-    runs), otherwise by the exact `oracle.chromatic_index`, whose witness
-    replaces the caller's.  A given `chi` is trusted when `witness` has
-    palette `chi`.  Maximum degree 4 Class 1 routes both sides through the
-    common 4-coloring `witness`; Class 2 with maximum degree 4 or 5 peels
-    the top class and recurses, as does any graph whose degree->=5 vertices
-    induce a forest.  Everything else is out of reach and raises
-    UnsupportedFamily.
+    per top-level call: by `witness` when it is a Delta-coloring (then no
+    oracle runs), otherwise by the exact `oracle.chromatic_index`, whose
+    witness replaces the caller's.  A given `chi` is trusted when `witness`
+    has palette `chi`, which is how the peel recursion passes each level
+    its target's restriction.  Maximum degree 4 Class 1 routes both sides
+    through the common 4-coloring `witness`; Class 2 with maximum degree 4
+    or 5 peels the top class and recurses, as does any graph whose
+    degree->=5 vertices induce a forest.  Everything else is out of reach
+    and raises UnsupportedFamily.
     """
     require_proper(g, f, "start coloring")
     require_proper(g, h, "target coloring")

@@ -7,6 +7,7 @@ from kempe_edge import oracle
 from kempe_edge.errors import PaletteMismatch, UnsupportedFamily
 from kempe_edge.fixtures_gen import (
     acyclic_max_degree_graph,
+    figure1_pair,
     octahedron,
     overfull_delta5,
     petersen,
@@ -225,3 +226,38 @@ def test_low_degree_palette_delta_is_refused(monkeypatch):
     _refuse_chromatic_index(monkeypatch)
     with pytest.raises(PaletteMismatch):
         equalize(g, f, h)
+
+
+@pytest.fixture()
+def oracle_calls(monkeypatch):
+    """The graphs `oracle.chromatic_index` is called on, in call order."""
+    calls = []
+    real = oracle.chromatic_index
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "chromatic_index", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g, t, witness", [
+    (overfull_delta5(), 7, None),
+    (acyclic_max_degree_graph(5, 3), 6, None),
+    (octahedron(), 5, random_proper_coloring(octahedron(), 5, 3)),
+], ids=["overfull5", "acyclic5", "octahedron-witness5"])
+def test_equalize_certifies_chi_once(oracle_calls, g, t, witness):
+    # the peel recursion hands the target's restriction down as its witness
+    f, h = (random_proper_coloring(g, t, s) for s in (1, 2))
+    tr = equalize(g, f, h, witness=witness)
+    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert oracle_calls == [g]
+
+
+def test_equalize_delta_coloring_witness_needs_no_oracle(oracle_calls):
+    g = octahedron()
+    f, h = (random_proper_coloring(g, 5, s) for s in (1, 2))
+    tr = equalize(g, f, h, witness=figure1_pair()[0])
+    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert oracle_calls == []
