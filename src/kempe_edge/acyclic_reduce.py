@@ -25,6 +25,7 @@ from .errors import (
 from .graph_core import (
     EdgeColoring,
     Graph,
+    check_edge_id,
     induced_high_degree_subgraph,
     is_acyclic,
     require_proper,
@@ -216,6 +217,7 @@ def acyclic_reduce(g: Graph, f: EdgeColoring, stats: list | None = None):
 def case_a_step(g: Graph, f: EdgeColoring, eid: int):
     """One Case A elimination.  The edge must carry the top color, lie inside
     the max-degree subgraph, and have an endpoint that is a leaf there."""
+    check_edge_id(g, eid)
     require_proper(g, f)
     delta = g.max_degree()
     big = delta + 1
@@ -239,6 +241,7 @@ def case_a_step(g: Graph, f: EdgeColoring, eid: int):
 
 
 def walk_init(g: Graph, f: EdgeColoring, eid: int) -> WalkState:
+    check_edge_id(g, eid)
     delta = g.max_degree()
     if f.colors[eid] != delta + 1:
         raise PreconditionViolated(f"edge {eid} is not colored {delta + 1}")

@@ -7,16 +7,18 @@ the top level projects back down: restricted to one copy, every big component
 decomposes into whole components of the lower level, so each big move becomes
 a batch of lower-level moves whose restriction tracks the big run exactly.
 
-The degree-at-most-3 equalizer is a certified search: iterated
-nearest-improvement steps over the Kempe reconfiguration graph with an exact
-bidirectional search as fallback.  The search keeps an index of the working
-coloring's two-colored components, each scored by the agreement its
-interchange gains on its own edges.  A step reads the first gaining
-component in neighbor order from the index; after the swap the index
-re-traces only the components that meet the swapped component's vertices.
-Only when no component gains does a labeled BFS run to the nearest better
-state.  Its transcripts are verified like any other; only termination
-relies on the reachability guarantee.
+The degree-at-most-3 equalizer is a certified search over the Kempe
+reconfiguration graph.  It keeps an index of the working coloring's
+two-colored components, each scored by the agreement with the goal that its
+interchange gains on its own edges.  Every greedy step takes the first
+gaining component in neighbor order from the index; after the swap the
+index re-traces only the components that meet the swapped component's
+vertices.  Only when no component gains does a labeled BFS run to the
+nearest better state, and only when that BFS runs out of states does the
+oracle's exact bidirectional search carry the coloring to the goal.  Every
+move, from any of the three, goes through the index.  The transcripts are
+verified like any other; only termination relies on the reachability
+guarantee.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExceeded,
     InternalInvariantError,
     NoFreeLowColor,
     PaletteMismatch,
@@ -35,9 +38,10 @@ from .errors import (
 from .graph_core import EdgeColoring, Graph, is_proper, require_proper
 from .kempe_engine import KempeMove, Transcript, apply_transcript
 from .kernels import backend
+from .oracle import _meet_in_middle, _path_to
 
-DEFAULT_SEARCH_BUDGET = 2_000_000
-_IMPROVE_BUDGET = 250_000
+DEFAULT_SEARCH_BUDGET = 2_000_000  # states the exact fallback may store
+_IMPROVE_BUDGET = 250_000  # states one `_bfs_to_better` may store
 
 
 @dataclass
@@ -158,17 +162,10 @@ def project_transcript(
 
 
 def _agreement(state: bytes, goal: bytes) -> int:
-    return sum(1 for a, b in zip(state, goal) if a == b)
-
-
-def _reconstruct(parent, state):
-    moves = []
-    while parent[state] is not None:
-        prev, mv = parent[state]
-        moves.append(mv)
-        state = prev
-    moves.reverse()
-    return moves
+    """Edges on which `state` and `goal` (of equal length) agree: the zero
+    bytes of their XOR, counted in C."""
+    x = int.from_bytes(state, "little") ^ int.from_bytes(goal, "little")
+    return x.to_bytes(len(goal), "little").count(0)
 
 
 def _kempe_components(ga, state, colors):
@@ -222,7 +219,6 @@ class _ComponentIndex:
         self.owner = {p: [-1] * ga.m for p in self.pairs}
         self.comps = {p: {} for p in self.pairs}
         self.gaining = {p: set() for p in self.pairs}
-        self.total = 0
         for a, b, rep, comp in _kempe_components(ga, self.state, colors):
             self._add(a, b, rep, comp)
 
@@ -233,7 +229,6 @@ class _ComponentIndex:
         self.comps[a, b][rep] = comp
         if _gain(self.state, self.goal, a, b, comp) > 0:
             self.gaining[a, b].add(rep)
-        self.total += 1
 
     def first_gaining(self):
         """(a, b, rep) of the first gaining component in walk order, or None."""
@@ -262,7 +257,6 @@ class _ComponentIndex:
                     for e2 in comps.pop(r):
                         owner[e2] = -1
                     gaining.discard(r)
-                    self.total -= 1
         backend.swap_component(self.state, comp, a, b)
         gaining = self.gaining[a, b]
         gaining.discard(rep)
@@ -280,85 +274,45 @@ class _ComponentIndex:
                     self._add(x, y, min(new), new)
 
 
-def _bfs_to_better(ga, start, goal, colors, t, cap):
-    """Moves to a nearest state with strictly larger agreement with goal.
+def _bfs_to_better(ga, start, goal, colors, cap):
+    """Moves (a, b, rep) to a nearest state with strictly larger agreement
+    with `goal`, or None once more than `cap` states are stored.
 
-    An interchange changes agreement only on its own component, so the
-    one-move neighbors are scored by `_gain` in generation order and the
-    first that gains is built and returned.  This is the state the labeled
-    BFS below would return: distinct one-move swaps give distinct states,
-    none equal to `start`, so its dedup never fires at depth 1, and the cap
-    is applied at the same neighbor count.  Only when no neighbor gains does
-    the BFS run.
+    A labeled BFS from `start` over interchanges on `colors`, read back
+    along its parent links.  The equalizer calls it only when the index
+    shows that no single interchange gains, so the nearest better state is
+    at least two moves away.
     """
-    # k: states the BFS's `parent` map would hold once this neighbor is added
-    for k, (a, b, rep, comp) in enumerate(_kempe_components(ga, start, colors), 2):
-        if _gain(start, goal, a, b, comp) > 0:
-            nxt = bytearray(start)
-            backend.swap_component(nxt, comp, a, b)
-            return [(a, b, rep)], bytes(nxt)
-        if k > cap:
-            return None
     base = _agreement(start, goal)
     parent = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, t, colors):
+        # the palette argument is read only when no color set is given
+        for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, None, colors):
             if nxt in parent:
                 continue
             parent[nxt] = (cur, (a, b, rep))
             if _agreement(nxt, goal) > base:
-                return _reconstruct(parent, nxt), nxt
+                moves = _path_to(parent, nxt)
+                moves.reverse()
+                return moves
             queue.append(nxt)
             if len(parent) > cap:
                 return None
     return None
 
 
-def _bidirectional(ga, start, goal, colors, t, cap):
-    """Exact meet-in-the-middle search start -> goal."""
-    pf = {start: None}
-    pb = {goal: None}
-    qf = deque([start])
-    qb = deque([goal])
-    meet = None
-    while qf and qb and meet is None:
-        if len(qf) <= len(qb):
-            side, parent, other = qf, pf, pb
-        else:
-            side, parent, other = qb, pb, pf
-        for _ in range(len(side)):
-            cur = side.popleft()
-            for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, t, colors):
-                if nxt in parent:
-                    continue
-                parent[nxt] = (cur, (a, b, rep))
-                if nxt in other:
-                    meet = nxt
-                    break
-                side.append(nxt)
-                if len(pf) + len(pb) > cap:
-                    return None
-            if meet is not None:
-                break
-    if meet is None:
-        return None
-    forward = _reconstruct(pf, meet)
-    # walk from the meet point to the goal: each backward parent move applied
-    # to the meet-side state is its own inverse
-    backward = []
-    state = meet
-    while pb[state] is not None:
-        prev, mv = pb[state]
-        backward.append(mv)
-        state = prev
-    return forward + backward
+def _equalize_search(g: Graph, start: bytes, goal: bytes, colors):
+    """Move list carrying `start` to `goal` with interchanges over `colors`.
 
-
-def _equalize_search(g: Graph, start: bytes, goal: bytes, colors, t: int):
-    """Move list carrying `start` to `goal` with interchanges over `colors`;
-    the exact fallback stores at most DEFAULT_SEARCH_BUDGET states."""
+    Each step takes the index's first gaining component.  When none gains,
+    `_bfs_to_better` looks for the nearest better state among at most
+    `_IMPROVE_BUDGET` states; when it finds none, the exact search
+    `oracle._meet_in_middle` runs to the goal, storing at most
+    `DEFAULT_SEARCH_BUDGET` states.  Every move's rep is its component's
+    least edge id, so all of them are applied through the index.
+    """
     if start == goal:
         return []
     ga = g.arrays()
@@ -367,31 +321,30 @@ def _equalize_search(g: Graph, start: bytes, goal: bytes, colors, t: int):
     for _ in range(len(start) * 4 + 8):
         if index.state == goal:
             return out
-        # `_bfs_to_better` gives up at its cap-th component; below that
-        # many components its first gaining one is the index's
-        step = index.first_gaining() if index.total < _IMPROVE_BUDGET else None
+        step = index.first_gaining()
         if step is not None:
             index.swap(*step)
             out.append(step)
             continue
         cur = bytes(index.state)
-        found = _bfs_to_better(ga, cur, goal, colors, t, _IMPROVE_BUDGET)
-        if found is None:
-            tail = _bidirectional(ga, cur, goal, colors, t, DEFAULT_SEARCH_BUDGET)
-            if tail is None:
+        moves = _bfs_to_better(ga, cur, goal, colors, _IMPROVE_BUDGET)
+        exact = moves is None
+        if exact:
+            try:
+                moves = _meet_in_middle(ga, cur, goal, colors, DEFAULT_SEARCH_BUDGET)
+            except BudgetExceeded:
                 raise SearchBudgetExceeded(
                     f"equalizer exceeded {DEFAULT_SEARCH_BUDGET} states (graph m={g.m})"
-                )
-            state = bytearray(cur)
-            for a, b, rep in tail:
-                comp, _, _ = backend.trace_component(ga, state, a, b, rep)
-                backend.swap_component(state, comp, a, b)
-            if state != goal:
-                raise InternalInvariantError("bidirectional splice missed the goal")
-            return out + tail
-        for step in found[0]:
+                ) from None
+            if moves is None:
+                raise InternalInvariantError("goal outside the start's Kempe class")
+        for step in moves:
             index.swap(*step)
-        out.extend(found[0])
+        out.extend(moves)
+        if exact:
+            if index.state != goal:
+                raise InternalInvariantError("bidirectional splice missed the goal")
+            return out
     raise InternalInvariantError("agreement failed to converge")
 
 
@@ -411,9 +364,7 @@ def low_degree_equalize(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcrip
         raise PaletteMismatch(f"expected palette {t}")
     require_proper(g, f)
     require_proper(g, h)
-    moves = _equalize_search(
-        g, bytes(f.colors), bytes(h.colors), tuple(range(1, t + 1)), t
-    )
+    moves = _equalize_search(g, bytes(f.colors), bytes(h.colors), range(1, t + 1))
     tr = Transcript()
     for a, b, rep in moves:
         tr.append(KempeMove(a, b, rep), "search")

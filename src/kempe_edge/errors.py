@@ -31,6 +31,10 @@ class ColorOutOfRange(KempeEdgeError):
     code = "color_out_of_range"
 
 
+class EdgeOutOfRange(KempeEdgeError):
+    code = "edge_out_of_range"
+
+
 class NotProper(KempeEdgeError):
     code = "not_proper"
 

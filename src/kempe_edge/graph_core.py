@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     ColorOutOfRange,
+    EdgeOutOfRange,
     EqualColors,
     FormatError,
     GraphInvariantError,
@@ -105,6 +106,13 @@ class Graph:
 # Colors are stored one byte per edge in the kernels' `bytes` state vectors
 # (search, oracle, enumeration), so a palette cannot exceed 255.
 MAX_PALETTE = 255
+
+
+def check_edge_id(g: Graph, eid: int) -> None:
+    """Raise EdgeOutOfRange unless eid is an edge id of g (0..m-1); a
+    negative id would otherwise index from the end."""
+    if not 0 <= eid < g.m:
+        raise EdgeOutOfRange(f"edge id {eid} not in 0..{g.m - 1}")
 
 
 def check_palette(t: int) -> None:

@@ -28,6 +28,7 @@ from .errors import (
 from .graph_core import (
     EdgeColoring,
     Graph,
+    check_edge_id,
     palette_at,
     parse_int_fields,
     require_proper,
@@ -98,6 +99,7 @@ class Fan:
 
 def interchange(g: Graph, f: EdgeColoring, mv: KempeMove) -> EdgeColoring:
     """Swap colors a, b on the component of G_f(a,b) containing rep_edge."""
+    check_edge_id(g, mv.rep_edge)
     require_proper(g, f)
     for c in (mv.a, mv.b):
         if not (1 <= c <= f.t):
@@ -153,6 +155,7 @@ def extend_fan(g: Graph, colors, pivot: int, first_edge: int, allowed, stop_colo
 
 def grow_fan(g: Graph, f: EdgeColoring, pivot: int, first_edge: int) -> Fan:
     """Maximal fan at `pivot` starting with `first_edge` (see :func:`extend_fan`)."""
+    check_edge_id(g, first_edge)
     require_proper(g, f)
     if pivot not in g.edges[first_edge]:
         raise EdgeNotIncident(f"edge {first_edge} not incident to vertex {pivot}")
@@ -165,6 +168,7 @@ def check_fan(g: Graph, f: EdgeColoring, fan: Fan) -> None:
         raise InternalInvariantError("fan edges not distinct")
     leaf = None
     for i, eid in enumerate(fan.edges):
+        check_edge_id(g, eid)
         if fan.pivot not in g.edges[eid]:
             raise EdgeNotIncident(f"fan edge {eid} not at pivot {fan.pivot}")
         if i > 0 and f.colors[eid] in palette_at(g, f, leaf):

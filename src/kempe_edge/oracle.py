@@ -371,12 +371,54 @@ def kempe_classes(
 
 
 def _path_to(parent, state):
-    """Moves along `parent` links from `state` to the root, in link order."""
+    """Moves (a, b, rep) along `parent` links from `state` to the root, in
+    link order."""
     moves = []
     while parent[state] is not None:
-        state, (a, b, rep) = parent[state]
-        moves.append(KempeMove(a, b, rep))
+        state, mv = parent[state]
+        moves.append(mv)
     return moves
+
+
+def _meet_in_middle(ga, start: bytes, goal: bytes, colors, cap: int):
+    """A shortest list of interchanges (a, b, rep) over `colors` carrying
+    `start` to `goal`, or None when `goal` lies outside its Kempe class.
+
+    A bidirectional breadth-first search over labeled colorings: each step
+    expands a whole layer of the smaller frontier and stops at the first
+    generated state the other side has stored.  The two balls were disjoint
+    before that layer, so the spliced path has the true distance.  A
+    backward link reverses itself: swapping a component keeps its edge
+    set, so the same move leads back, and its rep is still the component's
+    least edge id.  Raises ``BudgetExceeded`` once both sides together
+    store more than `cap` states.
+    """
+    # state -> (neighbor one step nearer the root, (a, b, rep)) or None
+    fwd = {start: None}
+    bwd = {goal: None}
+    front_f, front_b = [start], [goal]
+    while front_f and front_b:
+        forward = len(front_f) <= len(front_b)
+        mine, other = (fwd, bwd) if forward else (bwd, fwd)
+        layer = []
+        for cur in front_f if forward else front_b:
+            # the palette argument is read only when no color set is given
+            for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, None, colors):
+                if nxt in mine:
+                    continue
+                mine[nxt] = (cur, (a, b, rep))
+                if nxt in other:
+                    moves = _path_to(fwd, nxt)
+                    moves.reverse()
+                    return moves + _path_to(bwd, nxt)
+                layer.append(nxt)
+                if len(fwd) + len(bwd) > cap:
+                    raise BudgetExceeded(f"BFS exceeded {cap} states")
+        if forward:
+            front_f = layer
+        else:
+            front_b = layer
+    return None
 
 
 def same_class(
@@ -388,14 +430,9 @@ def same_class(
 ):
     """Reachability from f to h under Kempe moves at palette t.
 
-    Returns (reachable, shortest transcript or None).  A bidirectional
-    breadth-first search over labeled colorings: each step expands a whole
-    layer of the smaller frontier and stops at the first generated state
-    the other side has stored.  The two balls were disjoint before that
-    layer, so the spliced path has the true distance.  A backward link
-    reverses itself: swapping a component keeps its edge set, so the same
-    move leads back.  `cap` bounds the states stored by both sides
-    together.
+    Returns (reachable, shortest transcript or None), found by
+    :func:`_meet_in_middle` over all of 1..t; `cap` bounds the states
+    stored by both sides together.
     """
     check_palette(t)
     require_proper(g, f)
@@ -407,30 +444,7 @@ def same_class(
     goal = bytes(h.colors)
     if start == goal:
         return True, Transcript()
-    ga = g.arrays()
-    # state -> (neighbor one step nearer the root, (a, b, rep)) or None
-    fwd = {start: None}
-    bwd = {goal: None}
-    front_f, front_b = [start], [goal]
-    while front_f and front_b:
-        forward = len(front_f) <= len(front_b)
-        mine, other = (fwd, bwd) if forward else (bwd, fwd)
-        layer = []
-        for cur in front_f if forward else front_b:
-            for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, t):
-                if nxt in mine:
-                    continue
-                mine[nxt] = (cur, (a, b, rep))
-                if nxt in other:
-                    moves = _path_to(fwd, nxt)
-                    moves.reverse()
-                    moves += _path_to(bwd, nxt)
-                    return True, Transcript(moves)
-                layer.append(nxt)
-                if len(fwd) + len(bwd) > cap:
-                    raise BudgetExceeded(f"BFS exceeded {cap} states")
-        if forward:
-            front_f = layer
-        else:
-            front_b = layer
-    return False, None
+    moves = _meet_in_middle(g.arrays(), start, goal, range(1, t + 1), cap)
+    if moves is None:
+        return False, None
+    return True, Transcript([KempeMove(*mv) for mv in moves])

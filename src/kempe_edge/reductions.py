@@ -12,6 +12,7 @@ from __future__ import annotations
 from .acyclic_reduce import acyclic_reduce
 from .degree4_lift import low_degree_equalize, transform_delta4
 from .errors import (
+    ColorOutOfRange,
     InternalInvariantError,
     PaletteMismatch,
     UnsupportedFamily,
@@ -46,6 +47,8 @@ def maximalize_top_class(g: Graph, h: EdgeColoring, top: int):
     One ascending pass recolors each edge whose ends are both still
     uncovered: coverage only grows, so this is the order in which always
     taking the least such edge would pick them."""
+    if not 1 <= top <= h.t:
+        raise ColorOutOfRange(f"color {top} not in 1..{h.t}")
     require_proper(g, h)
     rec = Recorder(g, h)
     covered = _covered(g, h.colors, top)

@@ -24,7 +24,14 @@ from .errors import (
     PreconditionViolated,
     TargetNotProper4,
 )
-from .graph_core import EdgeColoring, Graph, delete_edges, is_proper, require_proper
+from .graph_core import (
+    EdgeColoring,
+    Graph,
+    check_edge_id,
+    delete_edges,
+    is_proper,
+    require_proper,
+)
 from .kempe_engine import Recorder, Transcript
 
 _A = frozenset({1, 2, 3, 4})
@@ -998,7 +1005,7 @@ def theorem_4_1_transform(
         sub, kept = delete_edges(g, sorted(work.h1))
         start = bytes(work.colors[eid] for eid in kept)
         goal = bytes(h.colors[eid] for eid in kept)
-        moves = _equalize_search(sub, start, goal, colors=(2, 3, 4, 5), t=5)
+        moves = _equalize_search(sub, start, goal, colors=(2, 3, 4, 5))
         work.reset_frame()
         for a, b, rep in moves:
             work.apply(a, b, kept[rep], "phase2")
@@ -1122,6 +1129,7 @@ def lemma_2_3(g: Graph, f: EdgeColoring, h: EdgeColoring, xy: int):
 
     Requires f(xy) = 2, h(xy) = 1 and no target-correct 1-edge within
     distance 2 of xy on its (1,2)-component."""
+    check_edge_id(g, xy)
     work = _public_work(g, f, h)
     if f.colors[xy] != 2 or h.colors[xy] != 1:
         raise PreconditionViolated("edge must be colored 2 and targeted 1")
@@ -1163,6 +1171,7 @@ def describe_window(g: Graph, f: EdgeColoring, e: int) -> PathWindow:
     Vertices are listed away from the edge on both sides; the off-path
     neighbors are read in the working frame (the edge's color mapped to 2),
     so x1/y1 carry the frame color 5 and x2/y2 the frame color 4."""
+    check_edge_id(g, e)
     work = _Work(g, f, None)
     work.reframe_edge2(e)
     eids, verts, cyc = work.comp_of(e, 1, 2)

@@ -1,6 +1,6 @@
 """Doubling tower, transcript projection, and the search equalizer."""
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -8,23 +8,17 @@ from kempe_edge import degree4_lift
 from kempe_edge.degree4_lift import (
     _agreement,
     _bfs_to_better,
-    _bidirectional,
     _ComponentIndex,
     _equalize_search,
     _gain,
     _kempe_components,
-    _reconstruct,
     build_tower,
     lift_coloring,
     low_degree_equalize,
     project_transcript,
     transform_delta4,
 )
-from kempe_edge.errors import (
-    InternalInvariantError,
-    SearchBudgetExceeded,
-    WrongMaxDegree,
-)
+from kempe_edge.errors import SearchBudgetExceeded, WrongMaxDegree
 from kempe_edge.fixtures_gen import (
     octahedron,
     random_proper_coloring,
@@ -217,10 +211,46 @@ def test_low_degree_equalize_cubic_sweep():
             assert apply_transcript(g, f, tr, check=True).colors == h.colors
 
 
-def _reference_bfs_to_better(ga, start, goal, colors, t, cap):
-    """The labeled BFS that scored every neighbor state in full, kept as the
-    reference for the component-gain search."""
-    base = _agreement(start, goal)
+# The search before the component index took every greedy step, kept
+# verbatim (names prefixed `_old`) as the reference for the current one: a
+# one-move scan ahead of the labeled BFS, and its own bidirectional search
+# with its own parent-link walk.
+
+
+def _old_agreement(state: bytes, goal: bytes) -> int:
+    return sum(1 for a, b in zip(state, goal) if a == b)
+
+
+def _old_reconstruct(parent, state):
+    moves = []
+    while parent[state] is not None:
+        prev, mv = parent[state]
+        moves.append(mv)
+        state = prev
+    moves.reverse()
+    return moves
+
+
+def _old_bfs_to_better(ga, start, goal, colors, t, cap):
+    """Moves to a nearest state with strictly larger agreement with goal.
+
+    An interchange changes agreement only on its own component, so the
+    one-move neighbors are scored by `_gain` in generation order and the
+    first that gains is built and returned.  This is the state the labeled
+    BFS below would return: distinct one-move swaps give distinct states,
+    none equal to `start`, so its dedup never fires at depth 1, and the cap
+    is applied at the same neighbor count.  Only when no neighbor gains does
+    the BFS run.
+    """
+    # k: states the BFS's `parent` map would hold once this neighbor is added
+    for k, (a, b, rep, comp) in enumerate(_kempe_components(ga, start, colors), 2):
+        if _gain(start, goal, a, b, comp) > 0:
+            nxt = bytearray(start)
+            backend.swap_component(nxt, comp, a, b)
+            return [(a, b, rep)], bytes(nxt)
+        if k > cap:
+            return None
+    base = _old_agreement(start, goal)
     parent = {start: None}
     queue = deque([start])
     while queue:
@@ -229,12 +259,74 @@ def _reference_bfs_to_better(ga, start, goal, colors, t, cap):
             if nxt in parent:
                 continue
             parent[nxt] = (cur, (a, b, rep))
-            if _agreement(nxt, goal) > base:
-                return _reconstruct(parent, nxt), nxt
+            if _old_agreement(nxt, goal) > base:
+                return _old_reconstruct(parent, nxt), nxt
             queue.append(nxt)
             if len(parent) > cap:
                 return None
     return None
+
+
+def _old_bidirectional(ga, start, goal, colors, t, cap):
+    """Exact meet-in-the-middle search start -> goal."""
+    pf = {start: None}
+    pb = {goal: None}
+    qf = deque([start])
+    qb = deque([goal])
+    meet = None
+    while qf and qb and meet is None:
+        if len(qf) <= len(qb):
+            side, parent, other = qf, pf, pb
+        else:
+            side, parent, other = qb, pb, pf
+        for _ in range(len(side)):
+            cur = side.popleft()
+            for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, t, colors):
+                if nxt in parent:
+                    continue
+                parent[nxt] = (cur, (a, b, rep))
+                if nxt in other:
+                    meet = nxt
+                    break
+                side.append(nxt)
+                if len(pf) + len(pb) > cap:
+                    return None
+            if meet is not None:
+                break
+    if meet is None:
+        return None
+    forward = _old_reconstruct(pf, meet)
+    # walk from the meet point to the goal: each backward parent move applied
+    # to the meet-side state is its own inverse
+    backward = []
+    state = meet
+    while pb[state] is not None:
+        prev, mv = pb[state]
+        backward.append(mv)
+        state = prev
+    return forward + backward
+
+
+def _replay(ga, state, moves):
+    state = bytearray(state)
+    for a, b, rep in moves:
+        comp, _, _ = backend.trace_component(ga, state, a, b, rep)
+        backend.swap_component(state, comp, a, b)
+    return bytes(state)
+
+
+def test_agreement_matches_generator_count():
+    rng = random.Random(3)
+    cases = [(b"", b""), (b"\xff", b"\xff"), (b"\xff", b"\x00"), (b"\x00\xff", b"\xff\x00")]
+    for _ in range(300):
+        m = rng.randrange(0, 70)
+        state = bytes(rng.choice((0, 1, 2, 3, 255)) for _ in range(m))
+        goal = bytes(
+            c if rng.random() < 0.5 else rng.choice((0, 1, 254, 255)) for c in state
+        )
+        cases.append((state, goal))
+    for state, goal in cases:
+        assert _agreement(state, goal) == _old_agreement(state, goal)
 
 
 def test_kempe_components_follow_neighbor_move_order():
@@ -258,9 +350,9 @@ def test_kempe_components_follow_neighbor_move_order():
 
 
 def test_bfs_to_better_matches_labeled_bfs():
-    """Every step of the equalizer loop, including steps where no single
-    interchange gains and the fallback BFS runs, and a cap small enough to
-    stop the one-move scan."""
+    """The plain labeled BFS returns the moves of the old one-move scan plus
+    BFS at every step of the search loop, including steps where no single
+    interchange gains, and under a cap small enough to stop the scan."""
     deep = 0
     for n in (8, 10, 12):
         for seed in range(22):
@@ -269,18 +361,18 @@ def test_bfs_to_better_matches_labeled_bfs():
             cur = bytes(random_proper_coloring(g, 4, seed).colors)
             goal = bytes(random_proper_coloring(g, 4, seed + 100).colors)
             colors = (1, 2, 3, 4)
-            assert _bfs_to_better(ga, cur, goal, colors, 4, 3) == (
-                _reference_bfs_to_better(ga, cur, goal, colors, 4, 3)
-            )
+            old = _old_bfs_to_better(ga, cur, goal, colors, 4, 3)
+            assert _bfs_to_better(ga, cur, goal, colors, 3) == (old and old[0])
             while cur != goal:
-                found = _bfs_to_better(ga, cur, goal, colors, 4, 250_000)
-                assert found == _reference_bfs_to_better(
-                    ga, cur, goal, colors, 4, 250_000
-                )
-                if found is None:
+                moves = _bfs_to_better(ga, cur, goal, colors, 250_000)
+                old = _old_bfs_to_better(ga, cur, goal, colors, 4, 250_000)
+                if old is None:
+                    assert moves is None
                     break
-                deep += len(found[0]) > 1
-                cur = found[1]
+                assert moves == old[0]
+                assert _replay(ga, cur, moves) == old[1]
+                deep += len(moves) > 1
+                cur = old[1]
     assert deep > 0
 
 
@@ -325,7 +417,6 @@ def _search_instances(sizes, seeds):
 
 def _assert_index_matches_walk(index, ga, goal, colors):
     walk = list(_kempe_components(ga, index.state, colors))
-    assert index.total == len(walk)
     expect = {p: {} for p in index.pairs}
     for a, b, rep, comp in walk:
         expect[a, b][rep] = comp
@@ -377,8 +468,10 @@ def test_component_index_matches_fresh_walk_after_every_swap():
     assert swaps > 1000
 
 
-def _reference_equalize_search(g, start, goal, colors, t, budget=2_000_000):
-    """The search loop before the component index: a fresh walk per step."""
+def _reference_equalize_search(g, start, goal, colors, t, cap):
+    """The search loop before the component index, a fresh walk per step,
+    on the old `_bfs_to_better` and `_bidirectional`.  As in the indexed
+    loop, `cap` binds only when no single interchange gains."""
     if start == goal:
         return []
     ga = g.arrays()
@@ -387,44 +480,96 @@ def _reference_equalize_search(g, start, goal, colors, t, budget=2_000_000):
     for _ in range(len(start) * 4 + 8):
         if cur == goal:
             return out
-        found = _bfs_to_better(ga, cur, goal, colors, t, degree4_lift._IMPROVE_BUDGET)
+        gains = any(
+            _gain(cur, goal, a, b, comp) > 0
+            for a, b, _, comp in _kempe_components(ga, cur, colors)
+        )
+        found = _old_bfs_to_better(ga, cur, goal, colors, t, 250_000 if gains else cap)
         if found is None:
-            tail = _bidirectional(ga, cur, goal, colors, t, budget)
-            if tail is None:
-                raise SearchBudgetExceeded(
-                    f"equalizer exceeded {budget} states (graph m={g.m})"
-                )
-            state = bytearray(cur)
-            for a, b, rep in tail:
-                comp, _, _ = backend.trace_component(ga, state, a, b, rep)
-                backend.swap_component(state, comp, a, b)
-            if state != goal:
-                raise InternalInvariantError("bidirectional splice missed the goal")
+            tail = _old_bidirectional(ga, cur, goal, colors, t, 2_000_000)
+            assert tail is not None and _replay(ga, cur, tail) == goal
             return out + tail
         moves, cur = found
         out.extend(moves)
-    raise InternalInvariantError("agreement failed to converge")
+    raise AssertionError("agreement failed to converge")
+
+
+def _counting(monkeypatch, name, counts):
+    """Wrap degree4_lift.<name>, counting its calls by whether it found moves."""
+    fn = getattr(degree4_lift, name)
+
+    def counted(*args):
+        result = fn(*args)
+        counts[name, result is not None] += 1
+        return result
+
+    monkeypatch.setattr(degree4_lift, name, counted)
 
 
 def test_equalize_search_matches_walk_loop_under_small_caps(monkeypatch):
-    """Same moves as the per-step walk, with caps around the component
-    count, so both the capped walk and the labeled BFS run."""
-    fallbacks = {"cap": 0, "bfs": 0}
-
-    def counting_bfs(ga, start, goal, colors, t, cap):
-        total = len(list(_kempe_components(ga, start, colors)))
-        fallbacks["cap" if total + 1 > cap else "bfs"] += 1
-        return _bfs_to_better(ga, start, goal, colors, t, cap)
-
-    monkeypatch.setattr(degree4_lift, "_bfs_to_better", counting_bfs)
+    """Same moves as the old per-step walk, with BFS caps around the
+    component count (the BFS gives up inside its first or second layer and
+    the exact search runs) and one far above it (the BFS finds a state two
+    moves away)."""
+    counts = Counter()
+    _counting(monkeypatch, "_bfs_to_better", counts)
+    _counting(monkeypatch, "_meet_in_middle", counts)
     for g, start, goal, colors, t in _search_instances((6, 8), range(6)):
         total = len(list(_kempe_components(g.arrays(), start, colors)))
-        for cap in range(total - 2, total + 3):
+        for cap in (*range(total - 2, total + 3), 16 * total):
             monkeypatch.setattr(degree4_lift, "_IMPROVE_BUDGET", cap)
-            assert _equalize_search(g, start, goal, colors, t) == (
-                _reference_equalize_search(g, start, goal, colors, t)
+            assert _equalize_search(g, start, goal, colors) == (
+                _reference_equalize_search(g, start, goal, colors, t, cap)
             )
-    assert fallbacks["cap"] > 0 and fallbacks["bfs"] > 0
+    assert counts["_bfs_to_better", True] > 0
+    assert counts["_bfs_to_better", False] > 0
+    assert counts["_meet_in_middle", True] > 0
+
+
+def test_equalize_search_takes_greedy_steps_under_any_cap(monkeypatch):
+    """The BFS cap never stops a greedy step: a run that needs no BFS at the
+    default cap returns the same moves at caps 1, 3 and 10, and every other
+    run still replays onto the goal, through the shared exact search when
+    the BFS gives up."""
+    counts = Counter()
+    _counting(monkeypatch, "_bfs_to_better", counts)
+    _counting(monkeypatch, "_meet_in_middle", counts)
+
+    def bfs_calls():
+        return counts["_bfs_to_better", True] + counts["_bfs_to_better", False]
+
+    runs = []
+    for g, start, goal, colors, _ in _search_instances((6, 8), range(6)):
+        before = bfs_calls()
+        moves = _equalize_search(g, start, goal, colors)
+        runs.append((g, start, goal, colors, moves, bfs_calls() == before))
+    exact = counts["_meet_in_middle", True]
+    for cap in (1, 3, 10):
+        monkeypatch.setattr(degree4_lift, "_IMPROVE_BUDGET", cap)
+        for g, start, goal, colors, moves, greedy in runs:
+            capped = _equalize_search(g, start, goal, colors)
+            if greedy:
+                assert capped == moves
+            else:
+                assert _replay(g.arrays(), start, capped) == goal
+    assert any(greedy for *_, greedy in runs)
+    assert counts["_meet_in_middle", True] > exact
+
+
+def test_exact_search_budget_is_search_budget_exceeded(monkeypatch):
+    """The shared exact search's BudgetExceeded reaches the equalizer's
+    callers as SearchBudgetExceeded."""
+    counts = Counter()
+    _counting(monkeypatch, "_bfs_to_better", counts)
+    for g, start, goal, colors, _ in _search_instances((6, 8), range(6)):
+        _equalize_search(g, start, goal, colors)
+        if counts:
+            break
+    assert counts
+    monkeypatch.setattr(degree4_lift, "_IMPROVE_BUDGET", 1)
+    monkeypatch.setattr(degree4_lift, "DEFAULT_SEARCH_BUDGET", 2)
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 2 states"):
+        _equalize_search(g, start, goal, colors)
 
 
 def test_component_index_swap_retraces_locally(monkeypatch):

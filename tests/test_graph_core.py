@@ -1,15 +1,17 @@
 """Graph/coloring value types, derived subgraphs, and the file formats."""
 import pytest
 
+from kempe_edge.acyclic_reduce import case_a_step, walk_init
 from kempe_edge.errors import (
     ColorOutOfRange,
+    EdgeOutOfRange,
     EqualColors,
     FormatError,
     GraphInvariantError,
     MissingEdgeColor,
     NotProper,
 )
-from kempe_edge.fixtures_gen import octahedron
+from kempe_edge.fixtures_gen import figure1_pair, octahedron, random_proper_coloring
 from kempe_edge.graph_core import (
     EdgeColoring,
     Graph,
@@ -24,6 +26,8 @@ from kempe_edge.graph_core import (
     parse_coloring,
     parse_graph,
 )
+from kempe_edge.kempe_engine import Fan, KempeMove, downshift, grow_fan, interchange
+from kempe_edge.regular4_core import describe_window, lemma_2_3
 
 
 def triangle():
@@ -190,3 +194,37 @@ def test_coloring_format_round_trip():
         parse_coloring(text + "e 1 2 1\n", g)  # duplicate
     with pytest.raises(FormatError):
         parse_coloring("t 2\ne 1 2 1\ne 2 3 2\ne 1 3 3\n", g)  # out of range
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, f, h, e: interchange(g, f, KempeMove(1, 2, e)),
+        lambda g, f, h, e: grow_fan(g, f, 1, e),
+        lambda g, f, h, e: downshift(g, f, Fan(5, (e,), ()), 3),
+        lambda g, f, h, e: describe_window(g, f, e),
+        lambda g, f, h, e: lemma_2_3(g, f, h, e),
+        lambda g, f, h, e: case_a_step(g, f, e),
+        lambda g, f, h, e: walk_init(g, f, e),
+    ],
+    ids=[
+        "interchange",
+        "grow_fan",
+        "downshift",
+        "describe_window",
+        "lemma_2_3",
+        "case_a_step",
+        "walk_init",
+    ],
+)
+@pytest.mark.parametrize("edge", ["minus_one", "m"])
+def test_edge_id_out_of_range_is_typed_error(call, edge):
+    """Id m is past the end, and id -1 must not be read as edge m - 1."""
+    g = octahedron()
+    # seed 1: color 3 is missing at both ends of edge m - 1 = (5, 6), so a
+    # downshift of the fan (5, (-1,)) would otherwise go through
+    f = random_proper_coloring(g, 5, 1)
+    _, h = figure1_pair()
+    e = -1 if edge == "minus_one" else g.m
+    with pytest.raises(EdgeOutOfRange, match=f"edge id {e} not in 0..{g.m - 1}"):
+        call(g, f, h, e)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kempe_edge import oracle
-from kempe_edge.errors import PaletteMismatch, UnsupportedFamily
+from kempe_edge.errors import ColorOutOfRange, PaletteMismatch, UnsupportedFamily
 from kempe_edge.fixtures_gen import (
     acyclic_max_degree_graph,
     figure1_pair,
@@ -48,6 +48,14 @@ def test_maximalize_two_edge_path():
     assert len(tr.moves) == 1
     assert 3 in out.colors
     assert _is_maximal_matching(g, out.colors, 3)
+
+
+@pytest.mark.parametrize("top", [0, 6, 9])
+def test_maximalize_top_outside_palette_is_refused(top):
+    g = octahedron()
+    h = random_proper_coloring(g, 5, 0)
+    with pytest.raises(ColorOutOfRange, match=f"color {top} not in 1..5"):
+        maximalize_top_class(g, h, top)
 
 
 def test_maximalize_random_graphs():
