@@ -40,14 +40,6 @@ def build_arrays(g) -> GraphArrays:
     return GraphArrays(n, m, edge_u, edge_v, adj_start, adj_nbr, adj_eid)
 
 
-def edge_with_color(ga, colors, v, c):
-    """Edge id at v colored c, or -1."""
-    for k in range(ga.adj_start[v], ga.adj_start[v + 1]):
-        if colors[ga.adj_eid[k]] == c:
-            return ga.adj_eid[k]
-    return -1
-
-
 def is_proper(ga, colors) -> bool:
     for v in range(1, ga.n + 1):
         seen = set()

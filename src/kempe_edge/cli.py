@@ -103,7 +103,7 @@ def _cmd_oracle(args) -> int:
         sys.stdout.write(format_coloring(g, witness))
         return 0
     if args.oracle_cmd == "classes":
-        report = oracle.kempe_classes(g, args.colors, cap=args.cap, jobs=args.jobs)
+        report = oracle.kempe_classes(g, args.colors, cap=args.cap)
         print(
             f"colorings {report.total_colorings} classes {report.class_count}"
             f" truncated {int(report.truncated)}"
@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap", type=int, default=oracle.DEFAULT_STATE_CAP,
         help="most colorings up to palette renaming (orbits) to enumerate",
     )
-    oc.add_argument("--jobs", type=int, default=1)
     oc = osub.add_parser("same-class")
     oc.add_argument("--graph", required=True)
     oc.add_argument("--colors", type=int, required=True)

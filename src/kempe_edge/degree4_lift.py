@@ -2,10 +2,14 @@
 
 A graph with maximum degree 4 is repeatedly doubled (two disjoint copies,
 deficient twins joined by an edge) until 4-regular; colorings lift by copying
-and coloring each joining edge with a free low color.  A transcript found on
-the top level projects back down: restricted to one copy, every big component
-decomposes into whole components of the lower level, so each big move becomes
-a batch of lower-level moves whose restriction tracks the big run exactly.
+and coloring each joining edge with a free low color.  Every doubling keeps
+the lower level's edges, with their ids, as copy one, so each level is a
+subgraph of the top one and a lifted coloring restricts to the coloring it
+was lifted from.  A transcript found on the top level therefore projects
+straight onto any level: the (a, b)-components of a subgraph refine those of
+the whole graph, so each top move becomes a batch of moves on the level's
+components inside the top component, and the level's coloring tracks the
+restriction of the top run exactly.
 
 The degree-at-most-3 equalizer is a certified search over the Kempe
 reconfiguration graph.  It keeps an index of the working coloring's
@@ -35,7 +39,7 @@ from .errors import (
     TargetNotProper4,
     WrongMaxDegree,
 )
-from .graph_core import EdgeColoring, Graph, is_proper, require_proper
+from .graph_core import EdgeColoring, Graph, check_edge_id, is_proper, require_proper
 from .kempe_engine import KempeMove, Transcript, apply_transcript
 from .kernels import backend
 from .oracle import _meet_in_middle, _path_to
@@ -46,14 +50,15 @@ _IMPROVE_BUDGET = 250_000  # states one `_bfs_to_better` may store
 
 @dataclass
 class DoublingTower:
-    """Levels G_0..G_L (L = 4 - min degree), copy embeddings and joining edges.
+    """Levels G_0..G_L (L = 4 - min degree) and the joining edges.
 
     In level i+1, copy one of vertex v is v and copy two is v + n_i; copy-one
-    edges keep their ids, copy-two edges follow, joining edges come last.
+    edges keep their ids 0..m_i-1, copy-two edge e + m_i is the image of e,
+    joining edges come last.  So G_i is the subgraph of every higher level
+    on the edge ids 0..m_i-1.
     """
 
     levels: list
-    copy_edge_maps: list  # level i -> (ids of copy-1 images, ids of copy-2 images)
     joining_edges: list   # level i -> list of (vertex of G_i, edge id in G_{i+1})
 
 
@@ -61,20 +66,11 @@ def build_tower(g: Graph) -> DoublingTower:
     if g.max_degree() != 4:
         raise WrongMaxDegree(f"expected maximum degree 4, got {g.max_degree()}")
     levels = [g]
-    copy_maps = []
     joining = []
     cur = g
     while cur.min_degree() < 4:
         n = cur.n
-        edges = []
-        emap1 = []
-        emap2 = []
-        for u, v in cur.edges:
-            emap1.append(len(edges))
-            edges.append((u, v))
-        for u, v in cur.edges:
-            emap2.append(len(edges))
-            edges.append((u + n, v + n))
+        edges = list(cur.edges) + [(u + n, v + n) for u, v in cur.edges]
         join = []
         for v in range(1, n + 1):
             if cur.degree(v) < 4:
@@ -82,12 +78,11 @@ def build_tower(g: Graph) -> DoublingTower:
                 edges.append((v, v + n))
         nxt = Graph(2 * n, edges)
         levels.append(nxt)
-        copy_maps.append((emap1, emap2))
         joining.append(join)
         cur = nxt
         if len(levels) > 5:
             raise InternalInvariantError("tower failed to reach 4-regularity")
-    return DoublingTower(levels, copy_maps, joining)
+    return DoublingTower(levels, joining)
 
 
 def lift_coloring(tower: DoublingTower, level: int, f: EdgeColoring) -> EdgeColoring:
@@ -97,17 +92,13 @@ def lift_coloring(tower: DoublingTower, level: int, f: EdgeColoring) -> EdgeColo
     big = tower.levels[level + 1]
     if f.m != g.m:
         raise PaletteMismatch("coloring does not fit the level")
-    colors = [0] * big.m
-    emap1, emap2 = tower.copy_edge_maps[level]
-    for eid in range(g.m):
-        colors[emap1[eid]] = f.colors[eid]
-        colors[emap2[eid]] = f.colors[eid]
-    for v, join_eid in tower.joining_edges[level]:
+    colors = list(f.colors) * 2
+    for v, _ in tower.joining_edges[level]:
         used = {f.colors[eid] for _, eid in g.adj[v]}
         free = [c for c in (1, 2, 3, 4) if c not in used]
         if not free:
             raise NoFreeLowColor(f"vertex {v} sees every low color")
-        colors[join_eid] = free[0]
+        colors.append(free[0])
     lifted = EdgeColoring(f.t, colors)
     require_proper(big, lifted, "lifted coloring")
     return lifted
@@ -116,23 +107,35 @@ def lift_coloring(tower: DoublingTower, level: int, f: EdgeColoring) -> EdgeColo
 def project_transcript(
     tower: DoublingTower, level: int, f_small: EdgeColoring, big_tr: Transcript
 ) -> Transcript:
-    """Project a transcript on level+1 down to level, tracking the copy-one
-    restriction in lockstep (any divergence raises ProjectionMismatch)."""
+    """Project a transcript on the top level down to `level`, tracking the
+    restriction to the level's edge ids in lockstep (any divergence raises
+    ProjectionMismatch).
+
+    The top run starts from `f_small` lifted to the top.  G_level is the
+    subgraph of the top level on the ids below m_level, and the colors
+    agree there, so every (a, b)-component of G_level lies inside one top
+    component.  A top move on C becomes one move per G_level-component
+    inside C, by ascending representative; only C's edges change on either
+    side, so only they are compared.
+    """
     g_small = tower.levels[level]
-    g_big = tower.levels[level + 1]
-    emap1 = tower.copy_edge_maps[level][0]
-    inv1 = {big_eid: small_eid for small_eid, big_eid in enumerate(emap1)}
-    big_colors = list(lift_coloring(tower, level, f_small).colors)
+    g_big = tower.levels[-1]
+    m = g_small.m
+    lifted = f_small
+    for i in range(level, len(tower.levels) - 1):
+        lifted = lift_coloring(tower, i, lifted)
+    big_colors = list(lifted.colors)
     small_colors = list(f_small.colors)
     ga_big = g_big.arrays()
     ga_small = g_small.arrays()
     out = Transcript()
     for mv in big_tr.moves:
+        check_edge_id(g_big, mv.rep_edge)
         if big_colors[mv.rep_edge] not in (mv.a, mv.b):
             raise ProjectionMismatch("big transcript does not replay")
         comp, _, _ = backend.trace_component(ga_big, big_colors, mv.a, mv.b, mv.rep_edge)
         backend.swap_component(big_colors, comp, mv.a, mv.b)
-        hits = {inv1[e] for e in comp if e in inv1}
+        hits = {e for e in comp if e < m}
         reps = []
         seen = set()
         for se in sorted(hits):
@@ -150,9 +153,8 @@ def project_transcript(
         for rep, comp_small in sorted(reps):
             backend.swap_component(small_colors, comp_small, mv.a, mv.b)
             out.append(KempeMove(mv.a, mv.b, rep), "projected")
-        for small_eid, big_eid in enumerate(emap1):
-            if small_colors[small_eid] != big_colors[big_eid]:
-                raise ProjectionMismatch("restriction diverged from the big run")
+        if any(small_colors[e] != big_colors[e] for e in hits):
+            raise ProjectionMismatch("restriction diverged from the big run")
     return out
 
 
@@ -377,7 +379,7 @@ def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
 
     Above palette 5 the coloring is first reduced; irregular graphs are
     lifted through the doubling tower, solved 4-regularly on top, and the
-    transcript projected back level by level.  The 4-coloring h certifies
+    transcript projected straight back onto the input graph.  The 4-coloring h certifies
     chi' = 4, so no chromatic index is computed."""
     if g.max_degree() != 4:
         raise WrongMaxDegree(f"expected maximum degree 4, got {g.max_degree()}")
@@ -399,15 +401,12 @@ def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
         tr.extend(theorem_4_1_transform(g, cur, h))
     else:
         tower = build_tower(g)
-        f_levels = [cur]
-        h_levels = [h]
+        top_f, top_h = cur, h
         for i in range(len(tower.levels) - 1):
-            f_levels.append(lift_coloring(tower, i, f_levels[-1]))
-            h_levels.append(lift_coloring(tower, i, h_levels[-1]))
-        top_tr = theorem_4_1_transform(tower.levels[-1], f_levels[-1], h_levels[-1])
-        for i in reversed(range(len(tower.levels) - 1)):
-            top_tr = project_transcript(tower, i, f_levels[i], top_tr)
-        tr.extend(top_tr)
+            top_f = lift_coloring(tower, i, top_f)
+            top_h = lift_coloring(tower, i, top_h)
+        top_tr = theorem_4_1_transform(tower.levels[-1], top_f, top_h)
+        tr.extend(project_transcript(tower, 0, cur, top_tr))
     if apply_transcript(g, f, tr, check=False).colors != h.colors:
         raise InternalInvariantError("delta-4 transform terminated off target")
     return tr

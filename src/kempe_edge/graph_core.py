@@ -110,8 +110,9 @@ MAX_PALETTE = 255
 
 def check_edge_id(g: Graph, eid: int) -> None:
     """Raise EdgeOutOfRange unless eid is an edge id of g (0..m-1); a
-    negative id would otherwise index from the end."""
-    if not 0 <= eid < g.m:
+    negative id would otherwise index from the end, and None is what
+    `Graph.edge_id` gives for a non-edge."""
+    if not isinstance(eid, int) or not 0 <= eid < g.m:
         raise EdgeOutOfRange(f"edge id {eid} not in 0..{g.m - 1}")
 
 
@@ -266,6 +267,8 @@ def induced_high_degree_subgraph(g: Graph, threshold: int):
 def delete_edges(g: Graph, edge_ids: Iterable[int]):
     """Same vertex set, given edges removed.  Returns (graph, edge_embedding)."""
     drop = set(edge_ids)
+    for eid in drop:
+        check_edge_id(g, eid)
     kept = [eid for eid in range(g.m) if eid not in drop]
     return Graph(g.n, [g.edges[eid] for eid in kept]), kept
 

@@ -24,7 +24,12 @@ import math
 from dataclasses import dataclass
 
 from ._kernels_py import _enum_order
-from .errors import BudgetExceeded, ColorOutOfRange, InternalInvariantError
+from .errors import (
+    BudgetExceeded,
+    ColorOutOfRange,
+    InternalInvariantError,
+    PreconditionViolated,
+)
 from .graph_core import EdgeColoring, Graph, check_palette, require_proper
 from .kempe_engine import KempeMove, Transcript
 from .kernels import backend
@@ -274,27 +279,6 @@ class _UnionFind:
         self.size[ra] += self.size[rb]
 
 
-_WORKER = {}
-
-
-def _classes_init(n, edges, t, index):
-    ga = Graph(n, list(edges)).arrays()
-    _WORKER["ga"] = ga
-    _WORKER["order"] = _enum_order(ga)
-    _WORKER["t"] = t
-    _WORKER["index"] = index
-
-
-def _classes_chunk(chunk):
-    base, states = chunk
-    ga, order, t, index = _WORKER["ga"], _WORKER["order"], _WORKER["t"], _WORKER["index"]
-    return [
-        (base + i, _lookup(index, nxt))
-        for i, s in enumerate(states)
-        for nxt in _quotient_neighbors(ga, order, t, s)
-    ]
-
-
 def _lookup(index, state):
     """Position of a neighbor's canonical form among the enumerated ones;
     the enumeration was complete, so a miss is a bug."""
@@ -321,35 +305,22 @@ def kempe_classes(
     When more than `cap` orbits exist, ``BudgetExceeded`` is raised before
     any neighbor is generated, so the report's `truncated` is always False.
 
-    With jobs > 1 the neighbor sweep runs on a process pool; the resulting
-    partition is independent of scheduling (the union-find merge and the
-    representative pass stay sequential).
+    The sweep is sequential: `jobs` must be 1, any other value raises
+    ``PreconditionViolated``.
     """
     check_palette(t)
+    if jobs != 1:
+        raise PreconditionViolated(f"kempe_classes: jobs must be 1, got {jobs}")
     ga = g.arrays()
     states, truncated = backend.enumerate_proper(ga, t, cap)
     if truncated:
         raise BudgetExceeded(f"more than cap = {cap} colorings up to palette renaming")
     index = {s: i for i, s in enumerate(states)}
     uf = _UnionFind(len(states))
-    if jobs > 1 and len(states) > 1:
-        import multiprocessing as mp
-
-        chunk_size = max(1, len(states) // (jobs * 8))
-        chunks = [
-            (base, states[base: base + chunk_size])
-            for base in range(0, len(states), chunk_size)
-        ]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(jobs, _classes_init, (g.n, g.edges, t, index)) as pool:
-            for pairs in pool.imap(_classes_chunk, chunks):
-                for i, j in pairs:
-                    uf.union(i, j)
-    else:
-        order = _enum_order(ga)
-        for i, s in enumerate(states):
-            for nxt in _quotient_neighbors(ga, order, t, s):
-                uf.union(i, _lookup(index, nxt))
+    order = _enum_order(ga)
+    for i, s in enumerate(states):
+        for nxt in _quotient_neighbors(ga, order, t, s):
+            uf.union(i, _lookup(index, nxt))
     roots = {}
     sizes = []
     reps = []

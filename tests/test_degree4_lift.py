@@ -18,7 +18,7 @@ from kempe_edge.degree4_lift import (
     project_transcript,
     transform_delta4,
 )
-from kempe_edge.errors import SearchBudgetExceeded, WrongMaxDegree
+from kempe_edge.errors import EdgeOutOfRange, SearchBudgetExceeded, WrongMaxDegree
 from kempe_edge.fixtures_gen import (
     octahedron,
     random_proper_coloring,
@@ -100,10 +100,11 @@ def test_project_transcript_lockstep_random_moves():
         base = k5_minus_two_edges() if gseed % 2 else k5_minus_edge()
         tower = build_tower(base)
         f = random_proper_coloring(base, 5, gseed)
-        lifted = lift_coloring(tower, 0, f)
-        big = tower.levels[1]
-        ga = big.arrays()
-        # random walk on the big level
+        lifted = f
+        for i in range(len(tower.levels) - 1):
+            lifted = lift_coloring(tower, i, lifted)
+        ga = tower.levels[-1].arrays()
+        # random walk on the top level
         state = bytes(lifted.colors)
         tr = Transcript()
         for _ in range(20):
@@ -114,9 +115,49 @@ def test_project_transcript_lockstep_random_moves():
         projected = project_transcript(tower, 0, f, tr)
         # the projection replays and tracks the restriction exactly
         small_final = apply_transcript(base, f, projected, check=True)
-        emap1 = tower.copy_edge_maps[0][0]
-        for small_eid, big_eid in enumerate(emap1):
-            assert small_final.colors[small_eid] == state[big_eid]
+        assert bytes(small_final.colors) == state[:base.m]
+
+
+def test_tower_levels_are_prefix_subgraphs():
+    """Level i is the subgraph of every higher level on the ids 0..m_i-1,
+    with the same endpoints, and a lift keeps those ids' colors."""
+    star = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    for base in (star, k5_minus_edge(), k5_minus_two_edges()):
+        tower = build_tower(base)
+        f = random_proper_coloring(base, 5, 1)
+        lifted = [f]
+        for i in range(len(tower.levels) - 1):
+            lifted.append(lift_coloring(tower, i, lifted[-1]))
+        for i, g_i in enumerate(tower.levels):
+            for k in range(i + 1, len(tower.levels)):
+                assert tower.levels[k].edges[:g_i.m] == g_i.edges
+                assert lifted[k].colors[:g_i.m] == lifted[i].colors
+
+
+def test_project_top_walk_straight_to_every_level():
+    """A random walk on the top of the three-doubling star tower projects
+    onto each lower level in one step and replays onto the walk's final
+    state restricted to that level's edge ids."""
+    star = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    tower = build_tower(star)
+    assert len(tower.levels) == 4
+    top = tower.levels[-1]
+    ga = top.arrays()
+    rng = random.Random(11)
+    for fseed in range(4):
+        f = random_proper_coloring(star, 5, fseed)
+        lifted = [f]
+        for i in range(len(tower.levels) - 1):
+            lifted.append(lift_coloring(tower, i, lifted[-1]))
+        state = bytes(lifted[-1].colors)
+        tr = Transcript()
+        for _ in range(30):
+            a, b, rep, state = rng.choice(backend.kempe_neighbor_moves(ga, state, 5))
+            tr.append(KempeMove(a, b, rep))
+        for i, g_i in enumerate(tower.levels):
+            projected = project_transcript(tower, i, lifted[i], tr)
+            final = apply_transcript(g_i, lifted[i], projected, check=True)
+            assert bytes(final.colors) == state[:g_i.m]
 
 
 def test_project_moves_on_joining_edges_vanish():
@@ -135,11 +176,20 @@ def test_project_moves_on_joining_edges_vanish():
     comp, _, _ = backend.trace_component(
         big.arrays(), list(lifted.colors), a, b, join_eid
     )
-    emap1 = set(tower.copy_edge_maps[0][0])
-    if not (set(comp) & emap1):
+    if not (set(comp) & set(range(base.m))):
         assert len(projected.moves) == 0
     else:
         assert len(projected.moves) >= 1
+
+
+def test_project_rejects_rep_outside_the_top_level():
+    """Id -1 must not be read as the top level's last edge."""
+    base = k5_minus_edge()
+    tower = build_tower(base)
+    f = random_proper_coloring(base, 5, 1)
+    for rep in (-1, tower.levels[-1].m):
+        with pytest.raises(EdgeOutOfRange, match=f"edge id {rep} not in"):
+            project_transcript(tower, 0, f, Transcript([KempeMove(1, 2, rep)]))
 
 
 def test_transform_delta4_regular_delegates():

@@ -17,6 +17,7 @@ from kempe_edge.graph_core import (
     Graph,
     bicolored_subgraph,
     color_class,
+    delete_edges,
     format_coloring,
     format_graph,
     induced_high_degree_subgraph,
@@ -228,3 +229,14 @@ def test_edge_id_out_of_range_is_typed_error(call, edge):
     e = -1 if edge == "minus_one" else g.m
     with pytest.raises(EdgeOutOfRange, match=f"edge id {e} not in 0..{g.m - 1}"):
         call(g, f, h, e)
+
+
+@pytest.mark.parametrize("edge", ["minus_one", "m", "none"])
+def test_delete_edges_rejects_bad_ids(edge):
+    """None is `Graph.edge_id` of a non-edge; no bad id may leave the whole
+    graph standing."""
+    g = octahedron()
+    e = {"minus_one": -1, "m": g.m, "none": g.edge_id(1, 3)}[edge]
+    assert (edge == "none") == (e is None)
+    with pytest.raises(EdgeOutOfRange, match=f"edge id {e} not in 0..{g.m - 1}"):
+        delete_edges(g, [0, e])

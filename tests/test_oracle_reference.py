@@ -8,7 +8,6 @@ search as they were before the table-driven kernel, the palette quotient of
 functions they call, are changed.
 """
 import itertools
-import random
 from collections import deque
 
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kempe_edge._kernels_py import _enum_order
-from kempe_edge.errors import BudgetExceeded, UnsupportedFamily
+from kempe_edge.errors import BudgetExceeded, PreconditionViolated, UnsupportedFamily
 from kempe_edge.fixtures_gen import (
     figure1_pair,
     octahedron,
@@ -376,14 +375,10 @@ def test_kempe_classes_matches_labeled_sweep(g, extra):
     assert _report_key(kempe_classes(g, t)) == _report_key(_ref_kempe_classes(g, t))
 
 
-def test_kempe_classes_pool_matches_sequential():
-    rng = random.Random(3)
-    cases = [(octahedron(), 4), (octahedron(), 5), (Graph(2, [(1, 2)]), 3)]
-    pairs = list(itertools.combinations(range(1, 7), 2))
-    g = Graph(6, rng.sample(pairs, 8))
-    cases.append((g, g.max_degree() + 1))
-    for g, t in cases:
-        assert _report_key(kempe_classes(g, t, jobs=2)) == _report_key(kempe_classes(g, t))
+def test_kempe_classes_runs_on_one_process():
+    with pytest.raises(PreconditionViolated, match="jobs must be 1, got 2"):
+        kempe_classes(octahedron(), 4, jobs=2)
+    assert kempe_classes(octahedron(), 4, jobs=1).class_count >= 1
 
 
 def test_kempe_classes_high_palette_path_is_instant():
