@@ -64,10 +64,6 @@ def _gd_degree(g: Graph, delta: int):
     return is_max, dgd
 
 
-def _big_count(rec: Recorder, big: int) -> int:
-    return sum(1 for c in rec.colors if c == big)
-
-
 def _step_series(rec: Recorder, pivot: int, fan, big: int) -> int:
     """The Step-i interchange chain: drag the top color from the first fan
     edge onto the last one.  Returns the far end of the last fan edge."""
@@ -78,7 +74,7 @@ def _step_series(rec: Recorder, pivot: int, fan, big: int) -> int:
     if k < 2:
         raise InternalInvariantError("walk handoff with a single-edge fan")
     cs = [rec.colors[e] for e in edges]
-    count = _big_count(rec, big)
+    count = rec.colors.count(big)
     for idx in range(k - 1):
         rep = edges[idx]
         if rec.colors[rep] != big:
@@ -86,7 +82,7 @@ def _step_series(rec: Recorder, pivot: int, fan, big: int) -> int:
         rec.apply(big, cs[idx + 1], rep, "acyclic-walk")
         if rec.colors[edges[idx + 1]] != big:
             raise InternalInvariantError("walk chain failed to advance top color")
-        now = _big_count(rec, big)
+        now = rec.colors.count(big)
         if now > count:
             raise InternalInvariantError("walk chain increased the top class")
         count = now
@@ -105,23 +101,38 @@ def _eliminate_or_walk_target(rec: Recorder, pivot: int, e1: int, delta: int, no
     return _step_series(rec, pivot, out.fan, big)
 
 
+def _case_a(rec: Recorder, leaf: int, eid: int, delta: int) -> None:
+    """Case A: clear the top color from eid by the fan elimination at `leaf`,
+    an endpoint of eid that is a leaf of the max-degree subgraph."""
+    out = eliminate_via_fan(rec, leaf, eid, range(1, delta + 1), "acyclic-A")
+    if not out.eliminated:
+        raise InternalInvariantError("case A elimination stuck")
+
+
+def _walk_step(rec: Recorder, a_prev: int, a_cur: int, delta: int, dgd):
+    """One step of the Case B.1 walk, with the top color on a_prev a_cur.
+
+    At a leaf of the max-degree subgraph Case A clears it ("terminal");
+    elsewhere one fan attempt clears it ("eliminated") or drags it onto an
+    edge a_cur nxt ("extended").  Returns (kind, nxt or None).
+    """
+    e1 = rec.g.edge_id(a_cur, a_prev)
+    if rec.colors[e1] != delta + 1:
+        raise InternalInvariantError("walk lost the top-colored edge")
+    if dgd[a_cur] == 1:
+        _case_a(rec, a_cur, e1, delta)
+        return "terminal", None
+    nxt = _eliminate_or_walk_target(rec, a_cur, e1, delta, "acyclic-walk-escape")
+    return ("eliminated", None) if nxt is None else ("extended", nxt)
+
+
 def _walk(rec: Recorder, eid: int, delta: int, dgd) -> None:
     """Case B.1: walk until a leaf of the max-degree subgraph, then eliminate."""
     g = rec.g
-    big = delta + 1
-    u, v = g.edges[eid]
-    a_prev, a_cur = (u, v) if u < v else (v, u)
+    a_prev, a_cur = g.edges[eid]  # stored with u < v
     visited = {a_prev, a_cur}
     for _ in range(g.n + 1):
-        e1 = g.edge_id(a_cur, a_prev)
-        if rec.colors[e1] != big:
-            raise InternalInvariantError("walk lost the top-colored edge")
-        if dgd[a_cur] == 1:
-            out = eliminate_via_fan(rec, a_cur, e1, range(1, delta + 1), "acyclic-A")
-            if not out.eliminated:
-                raise InternalInvariantError("case A elimination stuck")
-            return
-        nxt = _eliminate_or_walk_target(rec, a_cur, e1, delta, "acyclic-walk-escape")
+        _, nxt = _walk_step(rec, a_prev, a_cur, delta, dgd)
         if nxt is None:
             return
         if nxt in visited:
@@ -137,9 +148,9 @@ def _round(rec: Recorder, delta: int, is_max, dgd) -> None:
     """Clear at least one top-colored edge."""
     g = rec.g
     big = delta + 1
-    target = _big_count(rec, big) - 1
+    target = rec.colors.count(big) - 1
     for _ in range(g.n + 4):
-        if _big_count(rec, big) <= target:
+        if rec.colors.count(big) <= target:
             return
         big_edges = [eid for eid in range(g.m) if rec.colors[eid] == big]
         a_edges = []
@@ -156,13 +167,7 @@ def _round(rec: Recorder, delta: int, is_max, dgd) -> None:
                 b2_edges.append(eid)
         if a_edges:
             eid = a_edges[0]
-            u, v = g.edges[eid]
-            cand = [x for x in (u, v) if dgd[x] == 1]
-            out = eliminate_via_fan(
-                rec, min(cand), eid, range(1, delta + 1), "acyclic-A"
-            )
-            if not out.eliminated:
-                raise InternalInvariantError("case A elimination stuck")
+            _case_a(rec, min(x for x in g.edges[eid] if dgd[x] == 1), eid, delta)
             return
         if b1_edges:
             _walk(rec, b1_edges[0], delta, dgd)
@@ -200,10 +205,10 @@ def acyclic_reduce(g: Graph, f: EdgeColoring, stats: list | None = None):
     rec = Recorder(g, f)
     big = delta + 1
     budget = 10 * g.m * max(1, g.n)
-    while _big_count(rec, big) > 0:
-        before = _big_count(rec, big)
+    while rec.colors.count(big) > 0:
+        before = rec.colors.count(big)
         _round(rec, delta, is_max, dgd)
-        after = _big_count(rec, big)
+        after = rec.colors.count(big)
         if after >= before:
             raise InternalInvariantError("round did not shrink the top class")
         if stats is not None:
@@ -233,9 +238,9 @@ def case_a_step(g: Graph, f: EdgeColoring, eid: int):
     if not cand:
         raise PreconditionViolated("no endpoint is a leaf of the max-degree subgraph")
     rec = Recorder(g, f)
-    before = _big_count(rec, big)
-    out = eliminate_via_fan(rec, min(cand), eid, range(1, delta + 1), "acyclic-A")
-    if not out.eliminated or _big_count(rec, big) >= before:
+    before = rec.colors.count(big)
+    _case_a(rec, min(cand), eid, delta)
+    if rec.colors.count(big) >= before:
         raise InternalInvariantError("case A failed to reduce the top class")
     return rec.coloring(), rec.tr
 
@@ -246,12 +251,10 @@ def walk_init(g: Graph, f: EdgeColoring, eid: int) -> WalkState:
     if f.colors[eid] != delta + 1:
         raise PreconditionViolated(f"edge {eid} is not colored {delta + 1}")
     u, v = g.edges[eid]
-    is_max, dgd = _gd_degree(g, delta)
+    is_max, _ = _gd_degree(g, delta)
     if not (is_max[u] and is_max[v]):
         raise PreconditionViolated("walk must start inside the max-degree subgraph")
-    big = delta + 1
-    baseline = sum(1 for c in f.colors if c == big)
-    return WalkState(vertices=(min(u, v), max(u, v)), baseline=baseline)
+    return WalkState(vertices=(u, v), baseline=f.colors.count(delta + 1))
 
 
 def walk_step(g: Graph, f: EdgeColoring, state: WalkState) -> WalkStepResult:
@@ -259,23 +262,18 @@ def walk_step(g: Graph, f: EdgeColoring, state: WalkState) -> WalkStepResult:
     require_proper(g, f)
     delta = g.max_degree()
     big = delta + 1
-    is_max, dgd = _gd_degree(g, delta)
+    _, dgd = _gd_degree(g, delta)
     a_prev, a_cur = state.vertices[-2], state.vertices[-1]
     e1 = g.edge_id(a_cur, a_prev)
     if e1 is None or f.colors[e1] != big:
         raise PreconditionViolated("walk edge is not carrying the top color")
     rec = Recorder(g, f)
-    if dgd[a_cur] == 1:
-        out = eliminate_via_fan(rec, a_cur, e1, range(1, delta + 1), "acyclic-A")
-        if not out.eliminated:
-            raise InternalInvariantError("terminal leaf elimination stuck")
-        return WalkStepResult("terminal", rec.coloring(), rec.tr, None)
-    nxt = _eliminate_or_walk_target(rec, a_cur, e1, delta, "acyclic-walk-escape")
+    kind, nxt = _walk_step(rec, a_prev, a_cur, delta, dgd)
     if nxt is None:
-        return WalkStepResult("eliminated", rec.coloring(), rec.tr, None)
+        return WalkStepResult(kind, rec.coloring(), rec.tr, None)
     if nxt in state.vertices:
         raise InternalInvariantError("walk revisited a vertex")
-    if _big_count(rec, big) > state.baseline:
+    if rec.colors.count(big) > state.baseline:
         raise InternalInvariantError("walk exceeded the starting top-class size")
     return WalkStepResult(
         "extended",

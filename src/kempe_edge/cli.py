@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 domain error (one JSON line on stderr), 2 usage
-error.  All randomized commands require an explicit --seed.
+Exit codes: 0 success, 1 domain error or unreadable/unwritable file (one
+JSON line on stderr), 2 usage error.  All randomized commands require an
+explicit --seed.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from .regular4_core import theorem_4_1_transform
 from .vizing_reduce import reduce_to_delta_plus_one
 
 
-def _fail(exc: KempeEdgeError) -> int:
-    sys.stderr.write(json.dumps({"error": exc.code, "detail": exc.detail}) + "\n")
+def _fail(code: str, detail: str) -> int:
+    sys.stderr.write(json.dumps({"error": code, "detail": detail}) + "\n")
     return 1
 
 
@@ -223,7 +224,9 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except KempeEdgeError as exc:
-        return _fail(exc)
+        return _fail(exc.code, exc.detail)
+    except OSError as exc:
+        return _fail("io_error", str(exc))
 
 
 if __name__ == "__main__":

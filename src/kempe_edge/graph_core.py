@@ -9,6 +9,7 @@ construction; every transformation produces a new coloring value.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -297,17 +298,29 @@ def is_acyclic(g: Graph) -> bool:
 #            exactly m lines `e <u> <v>` with 1 <= u < v <= n.
 # Coloring:  header `t <k>`, then one `e <u> <v> <c>` line per edge of the
 #            graph, each edge exactly once, 1 <= c <= k.
+# Integer fields are ASCII `-?[0-9]+`, as the writers emit them: no sign
+# `+`, no `_` separators, no non-ASCII digits.
 # ---------------------------------------------------------------------------
+
+_INT_FIELD = re.compile(r"-?[0-9]+")
 
 
 def parse_int_fields(fields, ln: int) -> list:
     """The integer values of a record's fields, or FormatError naming the line."""
-    try:
-        return [int(x) for x in fields]
-    except ValueError:
+    if not all(_INT_FIELD.fullmatch(x) for x in fields):
         raise FormatError(
             f"line {ln}: expected integer fields, got {' '.join(fields)!r}"
-        ) from None
+        )
+    return [int(x) for x in fields]
+
+
+def read_text(path) -> str:
+    """A file's text; FormatError when its bytes are not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def parse_graph(text: str) -> Graph:
@@ -403,8 +416,7 @@ def format_coloring(g: Graph, f: EdgeColoring) -> str:
 
 
 def read_graph(path) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(read_text(path))
 
 
 def write_graph(path, g: Graph) -> None:
@@ -413,8 +425,7 @@ def write_graph(path, g: Graph) -> None:
 
 
 def read_coloring(path, g: Graph) -> EdgeColoring:
-    with open(path, encoding="utf-8") as fh:
-        return parse_coloring(fh.read(), g)
+    return parse_coloring(read_text(path), g)
 
 
 def write_coloring(path, g: Graph, f: EdgeColoring) -> None:

@@ -31,6 +31,7 @@ from .graph_core import (
     check_edge_id,
     palette_at,
     parse_int_fields,
+    read_text,
     require_proper,
 )
 from .kernels import backend
@@ -297,8 +298,7 @@ def format_transcript(g: Graph, tr: Transcript) -> str:
 
 
 def read_transcript(path, g: Graph) -> Transcript:
-    with open(path, encoding="utf-8") as fh:
-        return parse_transcript(fh.read(), g)
+    return parse_transcript(read_text(path), g)
 
 
 def write_transcript(path, g: Graph, tr: Transcript) -> None:

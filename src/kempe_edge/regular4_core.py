@@ -53,39 +53,17 @@ class PathWindow:
     is_cycle: bool = False
 
 
-class ColorFrame:
-    """Palette permutation between working (frame) colors and real colors.
-
-    Every frame used here fixes color 1, so 1-correctness reads identically
-    in both views; moves are emitted in real colors.
-    """
-
-    __slots__ = ("to_real", "to_frame")
-
-    def __init__(self, t: int = 5):
-        self.to_real = list(range(t + 1))
-        self.to_frame = list(range(t + 1))
-
-    def reset(self):
-        for i in range(len(self.to_real)):
-            self.to_real[i] = i
-            self.to_frame[i] = i
-
-    def compose(self, mapping: dict):
-        """Apply a frame-to-frame relabeling on top of the current frame."""
-        old_to_frame = self.to_frame[:]
-        for real in range(1, len(self.to_frame)):
-            self.to_frame[real] = mapping.get(old_to_frame[real], old_to_frame[real])
-        for real in range(1, len(self.to_frame)):
-            self.to_real[self.to_frame[real]] = real
-
-
 class _Work(Recorder):
     """The case machine's recorder: moves are given in frame colors and
     recorded in real colors, and the target's color-1 class is kept for the
-    phase-1 measures."""
+    phase-1 measures.
 
-    __slots__ = ("h1", "frame")
+    The frame is a palette permutation fixing color 1, held as two lists:
+    `to_real[c]` is the real color of frame color c and `to_frame` the
+    inverse.  Fixing color 1, it reads 1-correctness the same in both views.
+    """
+
+    __slots__ = ("h1", "to_real", "to_frame")
 
     def __init__(self, g: Graph, f: EdgeColoring, h: EdgeColoring | None):
         super().__init__(g, f)
@@ -94,11 +72,18 @@ class _Work(Recorder):
             if h is not None
             else frozenset()
         )
-        self.frame = ColorFrame(f.t)
+        self.reset_frame()
 
     # -- frame plumbing -----------------------------------------------------
     def reset_frame(self):
-        self.frame.reset()
+        self.to_real = list(range(self.t + 1))
+        self.to_frame = list(range(self.t + 1))
+
+    def compose(self, mapping: dict):
+        """Apply a frame-to-frame relabeling on top of the current frame."""
+        self.to_frame = [mapping.get(c, c) for c in self.to_frame]
+        for real, c in enumerate(self.to_frame):
+            self.to_real[c] = real
 
     def reframe_edge2(self, eid: int):
         """Compose a swap so the given edge reads as frame color 2."""
@@ -106,28 +91,25 @@ class _Work(Recorder):
         if c == 1:
             raise InternalInvariantError("working edge already colored 1")
         if c != 2:
-            self.frame.compose({c: 2, 2: c})
-
-    def compose(self, mapping: dict):
-        self.frame.compose(mapping)
+            self.compose({c: 2, 2: c})
 
     def view(self, eid: int) -> int:
-        return self.frame.to_frame[self.colors[eid]]
+        return self.to_frame[self.colors[eid]]
 
     def vpal(self, v: int) -> frozenset:
-        to_frame = self.frame.to_frame
+        to_frame = self.to_frame
         return frozenset(to_frame[self.colors[eid]] for _, eid in self.g.adj[v])
 
     def edge_at(self, v: int, frame_color: int) -> int:
-        return self.edge_with_color(v, self.frame.to_real[frame_color])
+        return self.edge_with_color(v, self.to_real[frame_color])
 
     # -- moves (frame colors in, real colors recorded) ----------------------
     def comp_of(self, eid: int, a: int, b: int):
-        to_real = self.frame.to_real
+        to_real = self.to_real
         return self.component(to_real[a], to_real[b], eid)
 
     def apply(self, a: int, b: int, rep: int, note: str):
-        to_real = self.frame.to_real
+        to_real = self.to_real
         return super().apply(to_real[a], to_real[b], rep, note)
 
     def apply_expect(self, a: int, b: int, rep: int, expect_verts: set, note: str):
@@ -140,7 +122,7 @@ class _Work(Recorder):
 
     def recolor(self, eid: int, frame_color: int, note: str):
         """Single-edge interchange (component asserted to be the edge alone)."""
-        self.recolor_edge(eid, self.frame.to_real[frame_color], note)
+        self.recolor_edge(eid, self.to_real[frame_color], note)
 
     # -- measures ------------------------------------------------------------
     def matched(self) -> int:
@@ -153,6 +135,20 @@ class _Work(Recorder):
         return self.edge_with_color(v, 1) >= 0
 
 
+def _checked_work(g: Graph, f: EdgeColoring, h: EdgeColoring | None) -> _Work:
+    """The working state on f, after checking the machine's inputs: a
+    4-regular graph, a proper 5-coloring f and, unless None, a proper
+    4-coloring target h."""
+    if any(g.degree(v) != 4 for v in range(1, g.n + 1)):
+        raise NotRegular4("graph is not 4-regular")
+    if f.t != 5:
+        raise PaletteMismatch(f"working coloring must use palette 5, got {f.t}")
+    require_proper(g, f, "working coloring")
+    if h is not None and (h.t != 4 or not is_proper(g, h)):
+        raise TargetNotProper4("target must be a proper 4-edge coloring")
+    return _Work(g, f, h)
+
+
 def _far(verts, origin):
     if verts[0] == origin:
         return verts[-1]
@@ -161,11 +157,43 @@ def _far(verts, origin):
     raise InternalInvariantError(f"vertex {origin} is not a path endpoint")
 
 
-def _check_window_path(work: _Work, pv) -> None:
-    for i in range(len(pv) - 1):
-        eid = work.g.edge_id(pv[i], pv[i + 1])
-        if eid is None or work.view(eid) not in (1, 2):
-            raise BadWindow(f"({pv[i]},{pv[i+1]}) is not a working bicolored edge")
+def _free_edge(work: _Work, path):
+    """The first edge of the path with a color of {3,4,5} missing at both
+    ends, as (edge, color), or None."""
+    for pa, pb in zip(path, path[1:]):
+        seen = work.vpal(pa) | work.vpal(pb)
+        for c in (3, 4, 5):
+            if c not in seen:
+                return work.g.edge_id(pa, pb), c
+    return None
+
+
+def _window_holds(work: _Work, w1, w2, w3) -> bool:
+    """Literal check of the window conditions on w1 w2 w3: the three
+    off-{1,2} palette pairs are pairwise distinct, and colors 3,4,5 all
+    appear at the mid-vertex's off-path neighbors."""
+    ex = {work.vpal(w) - {1, 2} for w in (w1, w2, w3)}
+    if len(ex) != 3 or any(len(x) != 2 for x in ex):
+        return False
+    return all(
+        {3, 4, 5} <= work.vpal(y) for y, _ in work.g.adj[w2] if y not in (w1, w3)
+    )
+
+
+def _sides(work: _Work, e: int):
+    """The working (1,2)-component of e read away from e: the u side starts
+    at the end of e met first along the component, the v side at the other;
+    a cycle of n edges gives min(n, 7) vertices each way.  Returns
+    (u side, v side, n), with n = 0 for a path."""
+    eids, verts, cyc = work.comp_of(e, 1, 2)
+    s = eids.index(e)
+    if not cyc:
+        return verts[s::-1], verts[s + 1:], 0
+    n = len(eids)
+    span = min(n, 7)
+    u_side = [verts[(s - i) % n] for i in range(span)]
+    v_side = [verts[(s + 1 + i) % n] for i in range(span)]
+    return u_side, v_side, n
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +216,9 @@ def _window_escape_or_certify(work: _Work, pv):
     v1, v2, v3 = pv[1], pv[2], pv[3]
     e12 = g.edge_id(v1, v2)
     e23 = g.edge_id(v2, v3)
-    for pe, (pa, pb) in ((e12, (v1, v2)), (e23, (v2, v3))):
-        miss = [c for c in (3, 4, 5) if c not in work.vpal(pa) | work.vpal(pb)]
-        if miss:
-            return ("improved", pe, miss[0])
+    free = _free_edge(work, pv[1:4])
+    if free:
+        return ("improved",) + free
     ex1 = work.vpal(v1) - {1, 2}
     ex2 = work.vpal(v2) - {1, 2}
     ex3 = work.vpal(v3) - {1, 2}
@@ -250,6 +277,17 @@ def _window_escape_or_certify(work: _Work, pv):
     return ("holds", x1, x2)
 
 
+def _cut_window(work: _Work, pv, tag: str):
+    """Window analysis on pv.  On an escape its pair edge is cut (recolored
+    with the missing color) and None is returned; otherwise the settled
+    window's (x1, x2)."""
+    res = _window_escape_or_certify(work, pv)
+    if res[0] == "improved":
+        work.recolor(res[1], res[2], tag)
+        return None
+    return res[1], res[2]
+
+
 def _window_b(work: _Work, pv):
     """Length-5 window: returns (pair_edge, color) with the color missing at
     both ends of a window edge (v1v2, v2v3 or v3v4)."""
@@ -261,25 +299,21 @@ def _window_b(work: _Work, pv):
     p4 = work.vpal(v4)
     if p4 == _A:
         return g.edge_id(v3, v4), 5
-    if p4 == _C:
-        res2 = _window_escape_or_certify(work, pv[1:6])
-        if res2[0] != "improved":
-            raise InternalInvariantError("shifted window must improve")
-        return res2[1], res2[2]
-    if p4 != _B:
+    if p4 == _B:
+        rep = work.edge_at(v2, 4)
+        _, verts, cyc = work.comp_of(rep, 3, 4)
+        if cyc:
+            raise InternalInvariantError("(3,4) path from the window closed up")
+        far = _far(verts, v2)
+        work.apply(3, 4, rep, "win5")
+        if far != v1:
+            return g.edge_id(v1, v2), 4
+    elif p4 != _C:
         raise BadWindow(f"unexpected palette {sorted(p4)} at the fourth vertex")
-    rep = work.edge_at(v2, 4)
-    _, verts, cyc = work.comp_of(rep, 3, 4)
-    if cyc:
-        raise InternalInvariantError("(3,4) path from the window closed up")
-    far = _far(verts, v2)
-    work.apply(3, 4, rep, "win5")
-    if far != v1:
-        return g.edge_id(v1, v2), 4
-    res2 = _window_escape_or_certify(work, pv[1:6])
-    if res2[0] != "improved":
+    res = _window_escape_or_certify(work, pv[1:6])
+    if res[0] != "improved":
         raise InternalInvariantError("shifted window must improve")
-    return res2[1], res2[2]
+    return res[1], res[2]
 
 
 def _lemma_2_2_inner(work: _Work, pv):
@@ -342,11 +376,36 @@ def _lemma_2_2_inner(work: _Work, pv):
     return ("I", x1, x2)
 
 
-def _lemma_2_3_inner(work: _Work, xy: int, require_precondition: bool = True):
+def _lemma_2_2_step(
+    work: _Work, e: int, pv, tag: str, flip: bool, settled_ok: bool = False
+):
+    """Lemma 2.2 on the window pv of the working edge e, its outcome finished.
+
+    A window escape (III) first cuts its pair edge (tagged `tag`).  Returns
+    None once the matched count rose: on progress, or after III with
+    `flip`, which then flips e's component.  Returns e to re-dispatch after
+    outcome II, or after III without `flip`.  Settled palettes (I) return
+    "I" when `settled_ok`, and are an internal error otherwise.
+    """
+    out = _lemma_2_2_inner(work, pv)
+    if out[0] == "III":
+        work.recolor(out[1], out[2], tag)
+        return _lemma_2_3_inner(work, e) if flip else e
+    if out[0] == "II":
+        return e
+    if out[0] == "progress":
+        return None
+    if not settled_ok:
+        raise InternalInvariantError("outcome I contradicts the branch")
+    return "I"
+
+
+def _lemma_2_3_inner(work: _Work, xy: int, require_precondition: bool = False):
     """Flip the working component so xy takes color 1, increasing matched().
 
-    Precondition: no target-correct 1-edge within distance 2 of xy on its
-    (1,2)-component.
+    Precondition, checked when `require_precondition`: no target-correct
+    1-edge within distance 2 of xy on its (1,2)-component.  Returns None:
+    the matched count has risen.
     """
     g = work.g
     work.reframe_edge2(xy)
@@ -356,7 +415,7 @@ def _lemma_2_3_inner(work: _Work, xy: int, require_precondition: bool = True):
         eids, verts, cyc = work.comp_of(xy, 1, 2)
         if not any(work.correct1(e) for e in eids):
             work.apply(1, 2, xy, "flip")
-            return
+            return None
         s = eids.index(xy)
         if cyc:
             n = len(eids)
@@ -425,14 +484,14 @@ def _a21_u1_is_x1(work: _Work, P, x2):
     work.apply(1, 2, e, "A.2.1-x1")
     rep = g.edge_id(P[1], P[2])
     work.apply_expect(2, 4, rep, {P[1], P[2], x2}, "A.2.1-x1")
-    _lemma_2_3_inner(work, g.edge_id(P[4], P[3]), require_precondition=False)
+    _lemma_2_3_inner(work, g.edge_id(P[4], P[3]))
 
 
 def _a22_with_1_at_x1(work: _Work, P, x1):
     g = work.g
     rep = g.edge_id(P[2], x1)
     work.apply_expect(2, 5, rep, {x1, P[2], P[3]}, "A.2.2")
-    _lemma_2_3_inner(work, g.edge_id(P[0], P[1]), require_precondition=False)
+    _lemma_2_3_inner(work, g.edge_id(P[0], P[1]))
 
 
 def _case_A(work: _Work, e: int):
@@ -457,25 +516,17 @@ def _case_A(work: _Work, e: int):
         return g.edge_id(P[i], P[i + 1])
 
     if k <= 3 or not work.correct1(pe(3)):
-        _lemma_2_3_inner(work, e, require_precondition=False)
-        return None
-    res = _window_escape_or_certify(work, P[:5])
-    if res[0] == "improved":
-        work.recolor(res[1], res[2], "A.1")
-        _lemma_2_3_inner(work, e, require_precondition=False)
-        return None
-    x1, x2 = res[1], res[2]
+        return _lemma_2_3_inner(work, e)
+    xs = _cut_window(work, P[:5], "A.1")
+    if xs is None:
+        return _lemma_2_3_inner(work, e)
+    x1, x2 = xs
     if k == 4:
         if u1 != x2:
             if work.vpal(x1) != {2, 3, 4, 5} or work.vpal(x2) != {1, 3, 4, 5}:
-                out = _lemma_2_2_inner(work, P[:5])
-                if out[0] == "III":
-                    work.recolor(out[1], out[2], "A.2.1")
-                    _lemma_2_3_inner(work, e, require_precondition=False)
-                elif out[0] == "II":
+                # outcome II leaves u1v1 with no 1-edge at either end
+                if _lemma_2_2_step(work, e, P[:5], "A.2.1", True) == e:
                     work.recolor(e, 1, "A.2.1-II")
-                elif out[0] != "progress":
-                    raise InternalInvariantError("outcome I contradicts the branch")
                 return None
             if u1 != x1:
                 _a21_main(work, P, x1)
@@ -488,32 +539,23 @@ def _case_A(work: _Work, e: int):
             _a21_main(work, P, x1)
         return None
     # k >= 5: the fourth path vertex is internal
-    pair, c = _window_b(work, P[:6])
-    for cut, (pa, pb) in ((pe(1), (P[1], P[2])), (pe(2), (P[2], P[3]))):
-        miss = [cc for cc in (3, 4, 5) if cc not in work.vpal(pa) | work.vpal(pb)]
-        if miss:
-            work.recolor(cut, miss[0], "A.2.3-cut")
-            _lemma_2_3_inner(work, e, require_precondition=False)
-            return None
-    res = _window_escape_or_certify(work, P[:5])
-    if res[0] == "improved":
-        work.recolor(res[1], res[2], "A.2.3")
-        _lemma_2_3_inner(work, e, require_precondition=False)
-        return None
-    x1, x2 = res[1], res[2]
+    _window_b(work, P[:6])
+    free = _free_edge(work, P[1:4])
+    if free:
+        work.recolor(*free, "A.2.3-cut")
+        return _lemma_2_3_inner(work, e)
+    xs = _cut_window(work, P[:5], "A.2.3")
+    if xs is None:
+        return _lemma_2_3_inner(work, e)
+    x1, x2 = xs
     if work.vpal(P[4]) != _A or 5 in work.vpal(P[3]) | work.vpal(P[4]):
         raise InternalInvariantError("length-5 window left no color-5 slack")
     e34 = pe(3)
     if u1 != x2:
-        out = _lemma_2_2_inner(work, P[:5])
-        if out[0] == "III":
-            work.recolor(out[1], out[2], "A.2.3")
-            _lemma_2_3_inner(work, e, require_precondition=False)
-            return None
-        if out[0] == "II":
+        out = _lemma_2_2_step(work, e, P[:5], "A.2.3", True, settled_ok=True)
+        if out == e:
             work.recolor(e, 1, "A.2.3-II")
-            return None
-        if out[0] == "progress":
+        if out != "I":
             return None
         # outcome I
         if u1 not in (x1, x2):
@@ -532,8 +574,7 @@ def _case_A(work: _Work, e: int):
     if 2 in work.vpal(x1):
         work.apply_expect(1, 5, e34, {P[4], P[3], P[2], x1}, "A.2.3-x2")
         return None
-    _lemma_2_3_inner(work, e34, require_precondition=False)
-    return None
+    return _lemma_2_3_inner(work, e34)
 
 
 # ---------------------------------------------------------------------------
@@ -541,25 +582,11 @@ def _case_A(work: _Work, e: int):
 # ---------------------------------------------------------------------------
 
 
-def _window_holds(work: _Work, w1, w2, w3) -> bool:
-    """Literal check of the window conditions (palette distinctness and
-    colors 3,4,5 at the mid-vertex's off-path neighbors)."""
-    ex = [work.vpal(w) - {1, 2} for w in (w1, w2, w3)]
-    if len({frozenset(x) for x in ex}) != 3:
-        return False
-    others = [
-        work.g.other_end(eid, w2)
-        for _, eid in work.g.adj[w2]
-        if work.g.other_end(eid, w2) not in (w1, w3)
-    ]
-    return all({3, 4, 5} <= work.vpal(y) for y in others)
-
-
 def _claim_check_45(work: _Work, e, W, Z, wwin):
     """Maximal (4,5)-path from w3.  Structural claim: its far end is w1, it
     passes w2 and avoids z2.  On failure runs the documented escape and
-    returns ("jump", edge) / ("done",); on success returns ("ok", rep) with
-    nothing applied."""
+    returns ("jump", next working edge or None); on success returns
+    ("ok", rep, path vertices) with nothing applied."""
     g = work.g
     rep = work.edge_at(W[2], 4)
     _, verts, cyc = work.comp_of(rep, 4, 5)
@@ -568,22 +595,12 @@ def _claim_check_45(work: _Work, e, W, Z, wwin):
     vset = set(verts)
     if _far(verts, W[2]) != W[0]:
         work.apply(4, 5, rep, "B.2.3-claim-esc")
-        res = _window_escape_or_certify(work, wwin)
-        if res[0] != "improved":
+        if _cut_window(work, wwin, "B.2.3-claim-esc") is not None:
             raise ClaimOneViolated("claim escape found no window improvement")
-        work.recolor(res[1], res[2], "B.2.3-claim-esc")
         return ("jump", e)
     if W[1] not in vset:
         work.apply(4, 5, rep, "B.2.3-claim-esc")
-        out = _lemma_2_2_inner(work, wwin)
-        if out[0] == "III":
-            work.recolor(out[1], out[2], "B.2.3-claim-esc")
-            return ("jump", e)
-        if out[0] == "II":
-            return ("jump", e)
-        if out[0] == "progress":
-            return ("done",)
-        raise ClaimOneViolated("outcome I contradicts the settled palettes")
+        return ("jump", _lemma_2_2_step(work, e, wwin, "B.2.3-claim-esc", False))
     if Z[1] in vset:
         work.apply(4, 5, rep, "B.2.3-claim-esc")
         rep2 = g.edge_id(Z[0], Z[1])
@@ -602,10 +619,8 @@ def _claim_check_35(work: _Work, e, W, wwin):
         raise ClaimOneViolated("(3,5) path from w3 closed into a cycle")
     if _far(verts, W[2]) != W[1]:
         work.apply(3, 5, rep, "B.2.3-claim-esc")
-        res = _window_escape_or_certify(work, wwin)
-        if res[0] != "improved":
+        if _cut_window(work, wwin, "B.2.3-claim-esc") is not None:
             raise ClaimOneViolated("claim escape found no window improvement")
-        work.recolor(res[1], res[2], "B.2.3-claim-esc")
         return ("jump", e)
     return ("ok", rep, set(verts))
 
@@ -621,13 +636,13 @@ def _b231(work: _Work, e, U, V, x1, y1):
     if pv4 == _B:
         res = _claim_check_45(work, e, V, U, vwin)
         if res[0] != "ok":
-            return None if res[0] == "done" else res[1]
+            return res[1]
         work.apply(4, 5, res[1], "B.2.3.1")
         work.recolor(e_v34, 4, "B.2.3.1")
     elif pv4 == _C:
         res = _claim_check_35(work, e, V, vwin)
         if res[0] != "ok":
-            return None if res[0] == "done" else res[1]
+            return res[1]
         work.apply(3, 5, res[1], "B.2.3.1")
         work.recolor(e_v34, 3, "B.2.3.1")
     else:
@@ -661,10 +676,10 @@ def _b232(work: _Work, e, U, V, x1, y1):
     if (pu4, pv4) == (_B, _B):
         r1 = _claim_check_45(work, e, U, V, uwin)
         if r1[0] != "ok":
-            return None if r1[0] == "done" else r1[1]
+            return r1[1]
         r2 = _claim_check_45(work, e, V, U, vwin)
         if r2[0] != "ok":
-            return None if r2[0] == "done" else r2[1]
+            return r2[1]
         if r1[2] & r2[2]:
             raise ClaimOneViolated("the two (4,5) paths are not disjoint")
         work.apply(4, 5, r1[1], "B.2.3.2-BB")
@@ -678,10 +693,10 @@ def _b232(work: _Work, e, U, V, x1, y1):
     if (pu4, pv4) == (_C, _C):
         r1 = _claim_check_35(work, e, U, uwin)
         if r1[0] != "ok":
-            return None if r1[0] == "done" else r1[1]
+            return r1[1]
         r2 = _claim_check_35(work, e, V, vwin)
         if r2[0] != "ok":
-            return None if r2[0] == "done" else r2[1]
+            return r2[1]
         if r1[2] & r2[2]:
             raise ClaimOneViolated("the two (3,5) paths are not disjoint")
         work.apply(3, 5, r1[1], "B.2.3.2-CC")
@@ -695,7 +710,7 @@ def _b232(work: _Work, e, U, V, x1, y1):
     if (pu4, pv4) == (_A, _B):
         res = _claim_check_45(work, e, V, U, vwin)
         if res[0] != "ok":
-            return None if res[0] == "done" else res[1]
+            return res[1]
         work.apply(4, 5, res[1], "B.2.3.2-AB")
         work.recolor(e_u34, 5, "B.2.3.2-AB")
         work.recolor(e_v34, 4, "B.2.3.2-AB")
@@ -705,7 +720,7 @@ def _b232(work: _Work, e, U, V, x1, y1):
     if (pu4, pv4) == (_A, _C):
         res = _claim_check_35(work, e, V, vwin)
         if res[0] != "ok":
-            return None if res[0] == "done" else res[1]
+            return res[1]
         work.apply(3, 5, res[1], "B.2.3.2-AC")
         work.recolor(e_u34, 5, "B.2.3.2-AC")
         work.recolor(e_v34, 3, "B.2.3.2-AC")
@@ -715,11 +730,11 @@ def _b232(work: _Work, e, U, V, x1, y1):
     if (pu4, pv4) == (_B, _C):
         r1 = _claim_check_45(work, e, U, V, uwin)
         if r1[0] != "ok":
-            return None if r1[0] == "done" else r1[1]
+            return r1[1]
         work.apply(4, 5, r1[1], "B.2.3.2-BC")
         r2 = _claim_check_35(work, e, V, vwin)
         if r2[0] != "ok":
-            return None if r2[0] == "done" else r2[1]
+            return r2[1]
         work.apply(3, 5, r2[1], "B.2.3.2-BC")
         work.recolor(e_v34, 3, "B.2.3.2-BC")
         work.recolor(e_u34, 4, "B.2.3.2-BC")
@@ -729,7 +744,7 @@ def _b232(work: _Work, e, U, V, x1, y1):
     raise InternalInvariantError(f"unhandled palette pair {sorted(pu4)}/{sorted(pv4)}")
 
 
-def _case_B23(work: _Work, e, U, V, is_cycle, cycle_len):
+def _case_B23(work: _Work, e, U, V, cycle_len):
     g = work.g
     uwin = [V[0], U[0], U[1], U[2], U[3]]
     vwin = [U[0], V[0], V[1], V[2], V[3]]
@@ -756,10 +771,8 @@ def _case_B23(work: _Work, e, U, V, is_cycle, cycle_len):
         far = _far(verts, U[origin_i])
         work.apply(ca, cb, rep, "B.2.3-mold")
         if far != U[expect_i]:
-            res = _window_escape_or_certify(work, uwin)
-            if res[0] != "improved":
+            if _cut_window(work, uwin, "B.2.3-mold-esc") is not None:
                 raise ClaimOneViolated("mold escape found no window improvement")
-            work.recolor(res[1], res[2], "B.2.3-mold-esc")
             return e
     else:
         raise InternalInvariantError("u-side molding did not converge")
@@ -770,26 +783,10 @@ def _case_B23(work: _Work, e, U, V, is_cycle, cycle_len):
     y2 = g.other_end(work.edge_at(U[1], 4), U[1])
     # settle the off-path palettes
     if work.vpal(x1) != {2, 3, 4, 5} or work.vpal(x2) != {1, 3, 4, 5}:
-        out = _lemma_2_2_inner(work, vwin)
-        if out[0] == "III":
-            work.recolor(out[1], out[2], "B.2.3")
-            return e
-        if out[0] == "II":
-            return e
-        if out[0] == "progress":
-            return None
-        raise InternalInvariantError("outcome I contradicts the branch")
+        return _lemma_2_2_step(work, e, vwin, "B.2.3", False)
     if work.vpal(y1) != {2, 3, 4, 5} or work.vpal(y2) != {1, 3, 4, 5}:
-        out = _lemma_2_2_inner(work, uwin)
-        if out[0] == "III":
-            work.recolor(out[1], out[2], "B.2.3")
-            return e
-        if out[0] == "II":
-            return e
-        if out[0] == "progress":
-            return None
-        raise InternalInvariantError("outcome I contradicts the branch")
-    if is_cycle and cycle_len == 6:
+        return _lemma_2_2_step(work, e, uwin, "B.2.3", False)
+    if cycle_len == 6:
         closing = g.edge_id(V[2], U[2])
         if closing is None or not work.correct1(closing):
             raise InternalInvariantError("six-cycle without a correct closing edge")
@@ -799,8 +796,8 @@ def _case_B23(work: _Work, e, U, V, is_cycle, cycle_len):
             1, 5, closing, {y1, U[1], U[2], V[2], V[1], x1}, "B.2.3-c6"
         )
         return None
-    l_end = (not is_cycle) and len(U) == 4
-    k_end = (not is_cycle) and len(V) == 4
+    l_end = not cycle_len and len(U) == 4
+    k_end = not cycle_len and len(V) == 4
     if l_end and k_end:
         # length-7 path: both fourth vertices are ends
         e_u34 = g.edge_id(U[2], U[3])
@@ -818,7 +815,7 @@ def _case_B23(work: _Work, e, U, V, is_cycle, cycle_len):
     for W, Z in ((V, U), (U, V)):
         w34 = g.edge_id(W[2], W[3])
         if not work.correct1(w34):
-            if (not is_cycle) and len(W) == 4:
+            if not cycle_len and len(W) == 4:
                 raise InternalInvariantError(
                     "dispatch sent an uncorrectable short side to B.2.3"
                 )
@@ -835,31 +832,21 @@ def _case_B23(work: _Work, e, U, V, is_cycle, cycle_len):
 
 def _case_B(work: _Work, e: int):
     g = work.g
-    eids, verts, cyc = work.comp_of(e, 1, 2)
-    s = eids.index(e)
-    if cyc:
-        n = len(eids)
-        span = min(n, 7)
-        u_ext = [verts[(s - i) % n] for i in range(span)]
-        v_ext = [verts[(s + 1 + i) % n] for i in range(span)]
-        if n == 6:
+    u_ext, v_ext, cycle_len = _sides(work, e)
+    if cycle_len:
+        if cycle_len == 6:
             d2 = [g.edge_id(v_ext[2], u_ext[2])]
         else:
             d2 = [g.edge_id(u_ext[2], u_ext[3]), g.edge_id(v_ext[2], v_ext[3])]
         if not any(work.correct1(x) for x in d2):
-            _lemma_2_3_inner(work, e, require_precondition=False)
-            return None
-        is_cycle, cycle_len = True, n
+            return _lemma_2_3_inner(work, e)
     else:
-        u_ext = verts[s::-1]
-        v_ext = verts[s + 1:]
         u_edges = [g.edge_id(u_ext[i], u_ext[i + 1]) for i in range(len(u_ext) - 1)]
         v_edges = [g.edge_id(v_ext[i], v_ext[i + 1]) for i in range(len(v_ext) - 1)]
         c_u = len(u_ext) >= 4 and work.correct1(u_edges[2])
         c_v = len(v_ext) >= 4 and work.correct1(v_edges[2])
         if not (c_u or c_v):
-            _lemma_2_3_inner(work, e, require_precondition=False)
-            return None
+            return _lemma_2_3_inner(work, e)
         has_u = any(work.correct1(x) for x in u_edges)
         has_v = any(work.correct1(x) for x in v_edges)
         if c_v and not has_u:
@@ -867,18 +854,13 @@ def _case_B(work: _Work, e: int):
         if c_u and not has_v:
             return _case_B1(work, e, v_ext, u_ext)
         # both sides reach length >= 4 here (short sides cannot hold corrects)
-        is_cycle, cycle_len = False, 0
-    rv = _window_escape_or_certify(work, [u_ext[0]] + v_ext[:4])
-    if rv[0] == "improved":
-        work.recolor(rv[1], rv[2], "B.2.1")
+    if _cut_window(work, [u_ext[0]] + v_ext[:4], "B.2.1") is None:
         return e
     if not _window_holds(work, u_ext[0], u_ext[1], u_ext[2]):
-        ru = _window_escape_or_certify(work, [v_ext[0]] + u_ext[:4])
-        if ru[0] != "improved":
+        if _cut_window(work, [v_ext[0]] + u_ext[:4], "B.2.2") is not None:
             raise InternalInvariantError("failed window conditions must improve")
-        work.recolor(ru[1], ru[2], "B.2.2")
         return e
-    return _case_B23(work, e, u_ext, v_ext, is_cycle, cycle_len)
+    return _case_B23(work, e, u_ext, v_ext, cycle_len)
 
 
 def _case_B1(work: _Work, e, u_side, v_side):
@@ -887,39 +869,23 @@ def _case_B1(work: _Work, e, u_side, v_side):
     g = work.g
     u1 = u_side[0]
     pv = [u1] + list(v_side[:4])
-    res = _window_escape_or_certify(work, pv)
-    if res[0] == "improved":
-        work.recolor(res[1], res[2], "B.1")
-        _lemma_2_3_inner(work, e, require_precondition=False)
-        return None
-    x1, x2 = res[1], res[2]
+    xs = _cut_window(work, pv, "B.1")
+    if xs is None:
+        return _lemma_2_3_inner(work, e)
+    x1, x2 = xs
     if u1 in (x1, x2):
         raise InternalInvariantError("path-interior endpoint collides with x1/x2")
     if work.vpal(x1) != {2, 3, 4, 5}:
-        out = _lemma_2_2_inner(work, pv)
-        if out[0] == "III":
-            work.recolor(out[1], out[2], "B.1")
-            _lemma_2_3_inner(work, e, require_precondition=False)
-            return None
-        if out[0] == "II":
-            return e
-        if out[0] == "progress":
-            return None
-        raise InternalInvariantError("outcome I contradicts the branch")
+        return _lemma_2_2_step(work, e, pv, "B.1", True)
     e_v34 = g.edge_id(v_side[2], v_side[3])
     if len(v_side) == 4:
         work.apply(1, 2, e, "B.1-flip")
         return e_v34
     pair, c = _window_b(work, [u1] + list(v_side[:5]))
-    for cut, (pa, pb) in (
-        (g.edge_id(v_side[0], v_side[1]), (v_side[0], v_side[1])),
-        (g.edge_id(v_side[1], v_side[2]), (v_side[1], v_side[2])),
-    ):
-        miss = [cc for cc in (3, 4, 5) if cc not in work.vpal(pa) | work.vpal(pb)]
-        if miss:
-            work.recolor(cut, miss[0], "B.1-cut")
-            _lemma_2_3_inner(work, e, require_precondition=False)
-            return None
+    free = _free_edge(work, v_side[:3])
+    if free:
+        work.recolor(*free, "B.1-cut")
+        return _lemma_2_3_inner(work, e)
     if pair != e_v34:
         raise InternalInvariantError("length-5 window resolved off the far pair")
     work.recolor(e_v34, c, "B.1-j3")
@@ -933,6 +899,9 @@ def _case_B1(work: _Work, e, u_side, v_side):
 
 
 def _improve_round(work: _Work, e0: int):
+    """One phase-1 round from the defect edge e0, following jumps to new
+    working edges.  Returns the (before, after) matched counts, after >
+    before."""
     base = work.matched()
     e = e0
     for _ in range(_JUMP_CAP):
@@ -950,23 +919,14 @@ def _improve_round(work: _Work, e0: int):
         else:
             nxt = _case_B(work, e)
         if nxt is None:
-            if work.matched() <= base:
+            after = work.matched()
+            if after <= base:
                 raise InternalInvariantError("case claimed progress without gain")
-            return
+            return base, after
         if work.matched() < base:
             raise InternalInvariantError("jump lost matched edges")
         e = nxt
     raise InternalInvariantError("case dispatch exceeded the jump budget")
-
-
-def validate_regular4_inputs(g: Graph, f: EdgeColoring, h: EdgeColoring):
-    if any(g.degree(v) != 4 for v in range(1, g.n + 1)):
-        raise NotRegular4("graph is not 4-regular")
-    if f.t != 5:
-        raise PaletteMismatch(f"working coloring must use palette 5, got {f.t}")
-    require_proper(g, f, "working coloring")
-    if h.t != 4 or not is_proper(g, h):
-        raise TargetNotProper4("target must be a proper 4-edge coloring")
 
 
 def theorem_4_1_transform(
@@ -978,23 +938,15 @@ def theorem_4_1_transform(
     `stats` (when a list) receives (before, after) matched-count pairs, one
     per phase-1 round; each round strictly increases the count.
     """
-    validate_regular4_inputs(g, f, h)
-    if f.colors == h.colors:
-        return Transcript()
-    work = _Work(g, f, h)
+    work = _checked_work(g, f, h)
     budget = 50 * g.m * g.m
     while True:
         todo = [e for e in work.h1 if work.colors[e] != 1]
         if not todo:
             break
-        e = min(todo)
-        before = work.matched()
-        _improve_round(work, e)
-        after = work.matched()
-        if after <= before:
-            raise InternalInvariantError("phase-1 round made no progress")
+        counts = _improve_round(work, min(todo))
         if stats is not None:
-            stats.append((before, after))
+            stats.append(counts)
         if len(work.tr) > budget:
             raise InternalInvariantError("move budget 50*m^2 exceeded")
     if work.colors != list(h.colors):
@@ -1024,34 +976,28 @@ def theorem_4_1_transform(
 class ConditionsCertificate:
     """Checkable certificate that both window conditions hold: the three
     off-{1,2} palette pairs are pairwise distinct and colors 3,4,5 all appear
-    at both off-path neighbors of the middle vertex."""
+    at both off-path neighbors (x1, x2) of the middle vertex."""
 
     window: tuple
     x1: int
     x2: int
 
     def verify(self, g: Graph, f: EdgeColoring) -> bool:
-        from .graph_core import palette_at
-
-        ex = [palette_at(g, f, v) - {1, 2} for v in self.window]
-        if any(len(x) != 2 for x in ex):
-            return False
-        if len({frozenset(x) for x in ex}) != 3:
-            return False
-        return {3, 4, 5} <= palette_at(g, f, self.x1) and {3, 4, 5} <= palette_at(
-            g, f, self.x2
-        )
+        return _window_holds(_Work(g, f, None), *self.window)
 
 
-def _public_work(g: Graph, f: EdgeColoring, h: EdgeColoring | None) -> _Work:
-    if any(g.degree(v) != 4 for v in range(1, g.n + 1)):
-        raise NotRegular4("window machinery requires a 4-regular graph")
-    if f.t != 5:
-        raise PaletteMismatch(f"expected palette 5, got {f.t}")
-    require_proper(g, f)
-    if h is not None and (h.t != 4 or not is_proper(g, h)):
-        raise TargetNotProper4("target must be a proper 4-edge coloring")
-    return _Work(g, f, h)
+def _window_work(g: Graph, f: EdgeColoring, h: EdgeColoring | None, path_vertices, size):
+    """Checked working state and vertex list for a window of `size` distinct
+    vertices joined by (1,2)-colored edges."""
+    pv = list(path_vertices)
+    if len(pv) != size or len(set(pv)) != size:
+        raise BadWindow(f"expected {size} distinct path vertices")
+    work = _checked_work(g, f, h)
+    for i in range(size - 1):
+        eid = g.edge_id(pv[i], pv[i + 1])
+        if eid is None or work.view(eid) not in (1, 2):
+            raise BadWindow(f"({pv[i]},{pv[i+1]}) is not a working bicolored edge")
+    return work, pv
 
 
 def _pair_index(g: Graph, pv, pair_edge: int) -> int:
@@ -1068,14 +1014,10 @@ def lemma_2_1_a(g: Graph, f: EdgeColoring, path_vertices):
     color from {3,4,5} missing at both ends of the window edge, or
     ("holds", certificate).
     """
-    pv = list(path_vertices)
-    if len(pv) != 5 or len(set(pv)) != 5:
-        raise BadWindow("expected five distinct path vertices")
-    work = _public_work(g, f, None)
-    _check_window_path(work, pv)
+    work, pv = _window_work(g, f, None, path_vertices, 5)
     res = _window_escape_or_certify(work, pv)
     if res[0] == "improved":
-        real_c = work.frame.to_real[res[2]]
+        real_c = work.to_real[res[2]]
         return ("improved", work.coloring(), work.tr, res[1], real_c)
     cert = ConditionsCertificate((pv[1], pv[2], pv[3]), res[1], res[2])
     if not cert.verify(g, f):
@@ -1086,13 +1028,9 @@ def lemma_2_1_a(g: Graph, f: EdgeColoring, path_vertices):
 def lemma_2_1_b(g: Graph, f: EdgeColoring, path_vertices):
     """Length-5 window analysis: returns (coloring, transcript, i, color)
     with the color missing at both ends of the i-th window edge, i in 1..3."""
-    pv = list(path_vertices)
-    if len(pv) != 6 or len(set(pv)) != 6:
-        raise BadWindow("expected six distinct path vertices")
-    work = _public_work(g, f, None)
-    _check_window_path(work, pv)
+    work, pv = _window_work(g, f, None, path_vertices, 6)
     pair_edge, c = _window_b(work, pv)
-    real_c = work.frame.to_real[c]
+    real_c = work.to_real[c]
     return (work.coloring(), work.tr, _pair_index(g, pv, pair_edge), real_c)
 
 
@@ -1106,11 +1044,7 @@ def lemma_2_2(g: Graph, f: EdgeColoring, h: EdgeColoring, path_vertices):
       ("III", coloring, transcript, edge, color) -- window escape,
       ("progress", coloring, transcript)         -- matched count increased.
     """
-    pv = list(path_vertices)
-    if len(pv) != 5 or len(set(pv)) != 5:
-        raise BadWindow("expected five distinct path vertices")
-    work = _public_work(g, f, h)
-    _check_window_path(work, pv)
+    work, pv = _window_work(g, f, h, path_vertices, 5)
     e = g.edge_id(pv[0], pv[1])
     if f.colors[e] != 2 or h.colors[e] != 1:
         raise BadWindow("first window edge must be colored 2 and targeted 1")
@@ -1119,7 +1053,7 @@ def lemma_2_2(g: Graph, f: EdgeColoring, h: EdgeColoring, path_vertices):
         cert = ConditionsCertificate((pv[1], pv[2], pv[3]), out[1], out[2])
         return ("I", cert)
     if out[0] == "III":
-        real_c = work.frame.to_real[out[2]]
+        real_c = work.to_real[out[2]]
         return ("III", work.coloring(), work.tr, out[1], real_c)
     return (out[0], work.coloring(), work.tr)
 
@@ -1130,7 +1064,7 @@ def lemma_2_3(g: Graph, f: EdgeColoring, h: EdgeColoring, xy: int):
     Requires f(xy) = 2, h(xy) = 1 and no target-correct 1-edge within
     distance 2 of xy on its (1,2)-component."""
     check_edge_id(g, xy)
-    work = _public_work(g, f, h)
+    work = _checked_work(g, f, h)
     if f.colors[xy] != 2 or h.colors[xy] != 1:
         raise PreconditionViolated("edge must be colored 2 and targeted 1")
     before = work.matched()
@@ -1146,7 +1080,7 @@ def case_b23_escape(g: Graph, f1: EdgeColoring, h: EdgeColoring, e: int):
     Returns (coloring, transcript, tag) with tag "done" when the matched
     count strictly increased, otherwise "case_A" / "case_B1" naming the
     configuration the returned coloring presents for the next dispatch."""
-    work = _public_work(g, f1, h)
+    work = _checked_work(g, f1, h)
     if e not in work.h1 or work.colors[e] == 1:
         raise PreconditionViolated("edge must be targeted 1 and mis-colored")
     work.reframe_edge2(e)
@@ -1168,22 +1102,17 @@ def case_b23_escape(g: Graph, f1: EdgeColoring, h: EdgeColoring, e: int):
 def describe_window(g: Graph, f: EdgeColoring, e: int) -> PathWindow:
     """Name the working component around a defect edge, for diagnostics.
 
-    Vertices are listed away from the edge on both sides; the off-path
-    neighbors are read in the working frame (the edge's color mapped to 2),
-    so x1/y1 carry the frame color 5 and x2/y2 the frame color 4."""
+    The inputs are checked as for the case machine, and e must not be
+    colored 1.  Vertices are listed away from the edge on both sides; the
+    off-path neighbors are read in the working frame (the edge's color
+    mapped to 2), so x1/y1 carry the frame color 5 and x2/y2 the frame
+    color 4."""
     check_edge_id(g, e)
-    work = _Work(g, f, None)
+    work = _checked_work(g, f, None)
+    if f.colors[e] == 1:
+        raise PreconditionViolated(f"edge {e} is colored 1; a working edge must not be")
     work.reframe_edge2(e)
-    eids, verts, cyc = work.comp_of(e, 1, 2)
-    s = eids.index(e)
-    if cyc:
-        n = len(eids)
-        span = min(n, 7)
-        u_side = tuple(verts[(s - i) % n] for i in range(span))
-        v_side = tuple(verts[(s + 1 + i) % n] for i in range(span))
-    else:
-        u_side = tuple(verts[s::-1])
-        v_side = tuple(verts[s + 1:])
+    u_side, v_side, cycle_len = _sides(work, e)
 
     def off_path(side, color):
         if len(side) < 2:
@@ -1192,11 +1121,11 @@ def describe_window(g: Graph, f: EdgeColoring, e: int) -> PathWindow:
         return g.other_end(eid, side[1]) if eid >= 0 else None
 
     return PathWindow(
-        u_side=u_side,
-        v_side=v_side,
+        u_side=tuple(u_side),
+        v_side=tuple(v_side),
         x1=off_path(v_side, 5),
         x2=off_path(v_side, 4),
         y1=off_path(u_side, 5),
         y2=off_path(u_side, 4),
-        is_cycle=cyc,
+        is_cycle=bool(cycle_len),
     )

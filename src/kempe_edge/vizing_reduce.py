@@ -64,11 +64,9 @@ def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) ->
         raise InternalInvariantError(f"fan repeat at invalid position {idx}")
     if not pivot_missing:
         raise InternalInvariantError("pivot sees every allowed color")
-    c0 = pivot_missing[0]
-    if c0 not in rec.palette(u_k):
-        rec.downshift(edges, c0, note)
-        return FanOutcome(True, fan)
+    # extend_fan found no pivot-missing color free at u_k, so c0 is there;
     # walk the (c0, c_next) path from u_k and split on where it lands
+    c0 = pivot_missing[0]
     rep = rec.edge_with_color(u_k, c0)
     edge_ids, verts, is_cycle = rec.component(c0, c_next, rep)
     if is_cycle:

@@ -137,3 +137,30 @@ def test_walk_on_interior_hub_edge():
         break
     else:
         pytest.skip("no seed placed the top color on the interior hub edge")
+
+
+def test_walk_step_reaches_every_outcome():
+    """On the three-hub path a top-colored (2,3) ends at the leaf 3 of the
+    max-degree subgraph ("terminal"), and a top-colored (1,2) is cleared by
+    one fan attempt at 2 ("eliminated") or dragged on ("extended")."""
+    g = _walk_fixture()
+    delta = 3
+    seen = {}
+    for seed in range(40):
+        f = random_proper_coloring(g, delta + 1, seed)
+        for u, v in ((1, 2), (2, 3)):
+            eid = g.edge_id(u, v)
+            if f.colors[eid] == delta + 1:
+                state = walk_init(g, f, eid)
+                seen.setdefault(walk_step(g, f, state).kind, (f, state))
+    assert set(seen) == {"terminal", "eliminated", "extended"}
+    for kind, (f, state) in seen.items():
+        res = walk_step(g, f, state)
+        assert apply_transcript(g, f, res.transcript, check=True).colors == res.coloring.colors
+        top_after = res.coloring.colors.count(delta + 1)
+        if kind == "extended":
+            assert top_after <= state.baseline
+            assert res.state.vertices[:-1] == state.vertices
+        else:
+            assert top_after < state.baseline
+            assert res.state is None

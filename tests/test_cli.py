@@ -223,3 +223,24 @@ def test_transform_auto_petersen_at_palette_four(work):
         "--mode", "auto",
     ]) == 0
     assert (work / "out.col").read_bytes() == (work / "h.col").read_bytes()
+
+
+def test_unreadable_files_report_one_error_line(work, capsys):
+    """Bytes that are not UTF-8, a missing input and an unwritable output
+    each end in one JSON error line and exit 1, with no traceback."""
+    g = Graph(3, [(1, 2), (2, 3)])
+    write_graph(work / "p.graph", g)
+    write_coloring(work / "p.col", g, EdgeColoring(2, [1, 2]))
+    (work / "bin.graph").write_bytes(b"p edge 3 2\n\xff\n")
+    runs = [
+        (["verify", "--graph", str(work / "bin.graph"),
+          "--coloring", str(work / "p.col")], "bad_format"),
+        (["verify", "--graph", str(work / "missing.graph"),
+          "--coloring", str(work / "p.col")], "io_error"),
+        (["gen", "octahedron", "--out", str(work / "no-dir" / "o.graph")], "io_error"),
+    ]
+    for argv, code in runs:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == code

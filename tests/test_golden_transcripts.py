@@ -28,8 +28,10 @@ from kempe_edge.regular4_core import theorem_4_1_transform
 from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
 from test_regular4_deep_cases import (
     _aa_instance,
+    _ab_instance,
     _ac_instance,
     _bb_instance,
+    _bc_instance,
     _cc_instance,
 )
 
@@ -65,6 +67,21 @@ def _theorem_4_1():
             f = random_proper_coloring(g, 5, 100 + s)
             yield g, f, theorem_4_1_transform(g, f, h)
     for make in (_aa_instance, _bb_instance, _cc_instance, _ac_instance):
+        g, f, h = make()
+        yield g, f, theorem_4_1_transform(g, f, h)
+
+
+def _theorem_4_1_rare_cases():
+    """Instances that reach case tags no other family reaches.  The random
+    ones reach A.2.1, A.2.1-II, A.2.3, A.2.3-I, A.2.3-II, A.2.3-cut,
+    A.2.3-x2, B.1-cut, B.1-flip, B.1-j3, B.2.2, win-target and win5; the
+    two synthesized ones B.2.3.2-AB and B.2.3.2-BC."""
+    for n, s in ((12, 1070), (16, 1486), (10, 468), (10, 803), (16, 10),
+                 (8, 1131), (8, 1221), (8, 167), (12, 905), (40, 693)):
+        g, h = random_regular4_class1(n, s)
+        f = random_proper_coloring(g, 5, 1000 + s, node_cap=20000)
+        yield g, f, theorem_4_1_transform(g, f, h)
+    for make in (_ab_instance, _bc_instance):
         g, f, h = make()
         yield g, f, theorem_4_1_transform(g, f, h)
 
@@ -110,6 +127,10 @@ GOLDEN = {
     ),
     "theorem_4_1_transform": (_theorem_4_1,
         "9e66397530291b1c7fd4076211b7b42ae530454c800770005b353657bd346c95",
+    ),
+    # taken before the phase-1 case machine was deduplicated
+    "theorem_4_1_rare_cases": (_theorem_4_1_rare_cases,
+        "dddac7a64e07184f00d4039f902c02f774fcd9645302c26992c0177e6e6dcc7f",
     ),
     "transform_delta4_irregular": (_delta4_irregular,
         "46c5c87569edb8efd8407da895b918e8d50c39470f191d1a51ba836bbff9283d",

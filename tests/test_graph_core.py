@@ -10,8 +10,15 @@ from kempe_edge.errors import (
     GraphInvariantError,
     MissingEdgeColor,
     NotProper,
+    PaletteMismatch,
+    PreconditionViolated,
 )
-from kempe_edge.fixtures_gen import figure1_pair, octahedron, random_proper_coloring
+from kempe_edge.fixtures_gen import (
+    figure1_pair,
+    octahedron,
+    random_proper_coloring,
+    random_regular4_class1,
+)
 from kempe_edge.graph_core import (
     EdgeColoring,
     Graph,
@@ -26,9 +33,22 @@ from kempe_edge.graph_core import (
     palette_at,
     parse_coloring,
     parse_graph,
+    read_coloring,
+    read_graph,
+    write_coloring,
+    write_graph,
 )
-from kempe_edge.kempe_engine import Fan, KempeMove, downshift, grow_fan, interchange
-from kempe_edge.regular4_core import describe_window, lemma_2_3
+from kempe_edge.kempe_engine import (
+    Fan,
+    KempeMove,
+    downshift,
+    grow_fan,
+    interchange,
+    parse_transcript,
+    read_transcript,
+    write_transcript,
+)
+from kempe_edge.regular4_core import describe_window, lemma_2_3, theorem_4_1_transform
 
 
 def triangle():
@@ -195,6 +215,65 @@ def test_coloring_format_round_trip():
         parse_coloring(text + "e 1 2 1\n", g)  # duplicate
     with pytest.raises(FormatError):
         parse_coloring("t 2\ne 1 2 1\ne 2 3 2\ne 1 3 3\n", g)  # out of range
+
+
+@pytest.mark.parametrize("field", ["+2", "1_0", "\u0663", "2.0", "0x2"])
+def test_integer_fields_are_ascii_digits_only(field):
+    """`int()` would read +2, 1_0 and the Arabic-Indic digit three; the
+    writers never emit them, so the readers refuse them."""
+    g = triangle()
+    for parse in (
+        lambda: parse_graph(f"p edge 3 {field}\n"),
+        lambda: parse_graph(f"p edge 3 1\ne 1 {field}\n"),
+        lambda: parse_coloring(f"t {field}\ne 1 2 1\ne 2 3 2\ne 1 3 3\n", g),
+        lambda: parse_coloring(f"t 3\ne 1 2 {field}\ne 2 3 2\ne 1 3 3\n", g),
+        lambda: parse_transcript(f"K 1 {field} 1 2\n", g),
+    ):
+        with pytest.raises(FormatError, match="expected integer fields"):
+            parse()
+
+
+def test_files_round_trip_through_the_readers(tmp_path):
+    g, h = random_regular4_class1(12, 3)
+    f = random_proper_coloring(g, 5, 7)
+    tr = theorem_4_1_transform(g, f, h)
+    write_graph(tmp_path / "g.graph", g)
+    write_coloring(tmp_path / "f.col", g, f)
+    write_transcript(tmp_path / "tr.txt", g, tr)
+    back = read_graph(tmp_path / "g.graph")
+    assert back == g
+    assert read_coloring(tmp_path / "f.col", back) == f
+    assert read_transcript(tmp_path / "tr.txt", back) == tr
+
+
+def test_readers_refuse_bytes_that_are_not_utf8(tmp_path):
+    g = triangle()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p edge 3 0\n\xff\n")
+    for read in (
+        lambda: read_graph(bad),
+        lambda: read_coloring(bad, g),
+        lambda: read_transcript(bad, g),
+    ):
+        with pytest.raises(FormatError, match="not UTF-8"):
+            read()
+
+
+def test_describe_window_refuses_bad_input():
+    g, _ = random_regular4_class1(10, 3)
+    f = random_proper_coloring(g, 5, 9)
+    one = f.colors.index(1)
+    with pytest.raises(PreconditionViolated, match="colored 1"):
+        describe_window(g, f, one)
+    w4 = random_proper_coloring(g, 4, 9)
+    with pytest.raises(PaletteMismatch):
+        describe_window(g, w4, w4.colors.index(2))
+    clash = list(f.colors)
+    u, v = g.edges[one]
+    other = next(e for w, e in g.adj[v] if w != u)
+    clash[other] = 1  # two 1-edges meet at v
+    with pytest.raises(NotProper):
+        describe_window(g, EdgeColoring(5, clash), other)
 
 
 @pytest.mark.parametrize(

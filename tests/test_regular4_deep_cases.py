@@ -208,6 +208,76 @@ def _ac_instance():
     return g, f, h
 
 
+def _ab_instance():
+    """Mixed pattern: u4 carries {1,2,3,4}, v4 carries {1,2,3,5}; the v side
+    is wired as in (B,B), the (4,5) path from v3 running
+    v3-x1-v2-x2-z1-z2-v1.  Completed by a seeded random slot pairing."""
+    extras = _COMMON + [
+        # (3,5) probe from v3 reaches v2 through z4, z3, x1
+        ((P[3], Z4), 3), ((Z4, Z3), 5), ((Z3, X1), 3),
+        # structural (4,5) path on the v side
+        ((P[3], X1), 4), ((X2, Z1), 5), ((Z1, Z2), 4), ((Z2, P[1]), 5),
+        # pattern-A slots at u3 and u4, pattern-B slots at v4
+        ((P[7], P[5]), 3), ((P[7], Z4), 4), ((P[8], P[5]), 4), ((P[8], Y2), 3),
+        ((P[4], Y2), 5), ((W2, P[4]), 3),
+        # the rest
+        ((P[6], W2), 5), ((Z1, Y1), 3), ((Z1, Z3), 2), ((Z2, P[0]), 3),
+        ((Z3, Z2), 1), ((Z4, W1), 1), ((W1, P[0]), 5), ((W1, P[6]), 4),
+        ((W2, Y1), 4), ((W2, W1), 2),
+    ]
+    g, f = _build(20, extras)
+    pinned = [
+        g.edge_id(P[0], P[1]),
+        g.edge_id(P[3], P[4]),
+        g.edge_id(P[7], P[8]),
+        g.edge_id(P[2], X1),
+        g.edge_id(P[9], Y1),
+        g.edge_id(X2, Y2),
+        g.edge_id(P[5], P[6]),
+        g.edge_id(Z1, Z2),
+        g.edge_id(Z3, Z4),
+        g.edge_id(W1, W2),
+    ]
+    h = _pinned_4coloring(g, pinned)
+    assert h is not None, "target completion infeasible"
+    return g, f, h
+
+
+def _bc_instance():
+    """Mixed pattern: u4 carries {1,2,3,5}, v4 carries {1,2,4,5}; the u side
+    is wired as in (B,B), the (4,5) path from u3 running
+    u3-y1-u2-y2-w1-w2-u1, and the (3,5) probe from v3 doubles as the
+    structural (3,5) path.  Completed by a seeded random slot pairing."""
+    extras = _COMMON + [
+        ((P[3], X1), 3),   # (3,5) path from v3 ends at v2 via x1
+        # structural (4,5) path on the u side
+        ((P[8], Y1), 4), ((Y2, W1), 5), ((W1, W2), 4), ((W2, P[0]), 5),
+        # pattern-B slots at u4, pattern-C slots at v4
+        ((P[7], W1), 3), ((Z2, P[7]), 5), ((P[4], Z4), 4), ((X2, P[4]), 5),
+        # the rest
+        ((P[0], P[8]), 3), ((P[1], Z1), 5), ((P[5], P[3]), 4), ((P[5], Z3), 3),
+        ((X1, Z3), 4), ((Y1, Z1), 3), ((Z1, Z2), 4), ((Z1, W2), 1),
+        ((Z2, Z4), 2), ((Z3, Z2), 1), ((Z4, P[6]), 5), ((Z4, Y2), 3),
+        ((W1, Z3), 2), ((W2, P[6]), 3),
+    ]
+    g, f = _build(20, extras)
+    pinned = [
+        g.edge_id(P[0], P[1]),
+        g.edge_id(P[3], P[4]),
+        g.edge_id(P[7], P[8]),
+        g.edge_id(P[2], X1),
+        g.edge_id(P[9], Y1),
+        g.edge_id(X2, Y2),
+        g.edge_id(P[5], P[6]),
+        g.edge_id(Z1, W2),
+        g.edge_id(Z2, Z4),
+        g.edge_id(Z3, W1),
+    ]
+    h = _pinned_4coloring(g, pinned)
+    assert h is not None, "target completion infeasible"
+    return g, f, h
+
+
 def _run_and_collect(g, f, h):
     stats = []
     tr = theorem_4_1_transform(g, f, h, stats)
@@ -374,8 +444,21 @@ def test_b232_pattern_ac_fires_and_completes():
     assert "B.2.3.2-AC" in notes, notes
 
 
+def test_b232_pattern_ab_fires_and_completes():
+    g, f, h = _ab_instance()
+    notes = _run_and_collect(g, f, h)
+    assert "B.2.3.2-AB" in notes, notes
+
+
+def test_b232_pattern_bc_fires_and_completes():
+    g, f, h = _bc_instance()
+    notes = _run_and_collect(g, f, h)
+    assert "B.2.3.2-BC" in notes, notes
+
+
 def test_deep_instances_complete_from_every_defect():
     """The synthesized states must resolve from any defect edge."""
-    for make in (_aa_instance, _bb_instance, _cc_instance, _ac_instance):
+    for make in (_aa_instance, _bb_instance, _cc_instance, _ac_instance,
+                 _ab_instance, _bc_instance):
         g, f, h = make()
         _run_and_collect(g, f, h)
