@@ -187,13 +187,10 @@ def _round(rec: Recorder, delta: int, is_max, dgd) -> None:
     raise InternalInvariantError("case chain failed to reduce the top class")
 
 
-def acyclic_reduce(g: Graph, f: EdgeColoring, stats: list | None = None):
-    """Transform a proper (Delta+1)-coloring into a Delta-coloring.
-
-    Requires the subgraph induced by max-degree vertices to be acyclic.
-    Returns (coloring with palette Delta, transcript); `stats` (when given)
-    collects (before, after) top-class sizes per round.
-    """
+def _checked_inputs(g: Graph, f: EdgeColoring):
+    """Check what the reduction and every walk step rely on (a proper
+    (Delta+1)-coloring, an acyclic max-degree subgraph); return (Delta,
+    is_max, dgd)."""
     require_proper(g, f)
     delta = g.max_degree()
     if f.t != delta + 1:
@@ -202,6 +199,17 @@ def acyclic_reduce(g: Graph, f: EdgeColoring, stats: list | None = None):
     if not is_acyclic(gd):
         raise MaxDegreeSubgraphCyclic("max-degree subgraph contains a cycle")
     is_max, dgd = _gd_degree(g, delta)
+    return delta, is_max, dgd
+
+
+def acyclic_reduce(g: Graph, f: EdgeColoring, stats: list | None = None):
+    """Transform a proper (Delta+1)-coloring into a Delta-coloring.
+
+    Requires the subgraph induced by max-degree vertices to be acyclic.
+    Returns (coloring with palette Delta, transcript); `stats` (when given)
+    collects (before, after) top-class sizes per round.
+    """
+    delta, is_max, dgd = _checked_inputs(g, f)
     rec = Recorder(g, f)
     big = delta + 1
     budget = 10 * g.m * max(1, g.n)
@@ -247,31 +255,45 @@ def case_a_step(g: Graph, f: EdgeColoring, eid: int):
 
 def walk_init(g: Graph, f: EdgeColoring, eid: int) -> WalkState:
     check_edge_id(g, eid)
-    delta = g.max_degree()
+    delta, is_max, _ = _checked_inputs(g, f)
     if f.colors[eid] != delta + 1:
         raise PreconditionViolated(f"edge {eid} is not colored {delta + 1}")
     u, v = g.edges[eid]
-    is_max, _ = _gd_degree(g, delta)
     if not (is_max[u] and is_max[v]):
         raise PreconditionViolated("walk must start inside the max-degree subgraph")
     return WalkState(vertices=(u, v), baseline=f.colors.count(delta + 1))
 
 
 def walk_step(g: Graph, f: EdgeColoring, state: WalkState) -> WalkStepResult:
-    """One step of the Case B.1 walk algorithm."""
-    require_proper(g, f)
-    delta = g.max_degree()
+    """One step of the Case B.1 walk algorithm.
+
+    The state's vertices must be distinct max-degree vertices, each joined
+    to the next by an edge, the last of which carries the top color, and f
+    may have at most `state.baseline` top-colored edges."""
+    delta, is_max, dgd = _checked_inputs(g, f)
     big = delta + 1
-    _, dgd = _gd_degree(g, delta)
-    a_prev, a_cur = state.vertices[-2], state.vertices[-1]
+    vs = state.vertices
+    if (
+        len(vs) < 2
+        or len(set(vs)) != len(vs)
+        or not all(1 <= v <= g.n and is_max[v] for v in vs)
+        or any(g.edge_id(u, v) is None for u, v in zip(vs, vs[1:]))
+    ):
+        raise PreconditionViolated("walk is not a path of max-degree vertices")
+    top = f.colors.count(big)
+    if top > state.baseline:
+        raise PreconditionViolated(
+            f"top class has {top} edges, above the baseline {state.baseline}"
+        )
+    a_prev, a_cur = vs[-2], vs[-1]
     e1 = g.edge_id(a_cur, a_prev)
-    if e1 is None or f.colors[e1] != big:
+    if f.colors[e1] != big:
         raise PreconditionViolated("walk edge is not carrying the top color")
     rec = Recorder(g, f)
     kind, nxt = _walk_step(rec, a_prev, a_cur, delta, dgd)
     if nxt is None:
         return WalkStepResult(kind, rec.coloring(), rec.tr, None)
-    if nxt in state.vertices:
+    if nxt in vs:
         raise InternalInvariantError("walk revisited a vertex")
     if rec.colors.count(big) > state.baseline:
         raise InternalInvariantError("walk exceeded the starting top-class size")
@@ -279,5 +301,5 @@ def walk_step(g: Graph, f: EdgeColoring, state: WalkState) -> WalkStepResult:
         "extended",
         rec.coloring(),
         rec.tr,
-        WalkState(state.vertices + (nxt,), state.baseline),
+        WalkState(vs + (nxt,), state.baseline),
     )

@@ -6,23 +6,24 @@ and coloring each joining edge with a free low color.  Every doubling keeps
 the lower level's edges, with their ids, as copy one, so each level is a
 subgraph of the top one and a lifted coloring restricts to the coloring it
 was lifted from.  A transcript found on the top level therefore projects
-straight onto any level: the (a, b)-components of a subgraph refine those of
-the whole graph, so each top move becomes a batch of moves on the level's
-components inside the top component, and the level's coloring tracks the
-restriction of the top run exactly.
+straight onto any level, reading the level's coloring off the top run's one
+color list: the (a, b)-components of a subgraph refine those of the whole
+graph, so each top move becomes a batch of moves on the level's components
+inside the top component.
 
 The degree-at-most-3 equalizer is a certified search over the Kempe
-reconfiguration graph.  It keeps an index of the working coloring's
-two-colored components, each scored by the agreement with the goal that its
-interchange gains on its own edges.  Every greedy step takes the first
-gaining component in neighbor order from the index; after the swap the
-index re-traces only the components that meet the swapped component's
-vertices.  Only when no component gains does a labeled BFS run to the
-nearest better state, and only when that BFS runs out of states does the
-oracle's exact bidirectional search carry the coloring to the goal.  Every
-move, from any of the three, goes through the index.  The transcripts are
-verified like any other; only termination relies on the reachability
-guarantee.
+reconfiguration graph.  It works on the caller's `Recorder`, swapping its
+colors in place and recording every move in its transcript.  It keeps an
+index of the coloring's two-colored components, each scored by the
+agreement with the goal that its interchange gains on its own edges.  Every
+greedy step takes the first gaining component in neighbor order from the
+index; after the swap the index re-traces only the components that meet the
+swapped component's vertices.  Only when no component gains does a labeled
+BFS run to the nearest better state, and only when that BFS runs out of
+states does the oracle's exact bidirectional search carry the coloring to
+the goal.  Every move, from any of the three, goes through the index.  The
+transcripts are verified like any other; only termination relies on the
+reachability guarantee.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .errors import (
     WrongMaxDegree,
 )
 from .graph_core import EdgeColoring, Graph, check_edge_id, is_proper, require_proper
-from .kempe_engine import KempeMove, Transcript, apply_transcript
+from .kempe_engine import KempeMove, Recorder, Transcript, apply_transcript
 from .kernels import backend
 from .oracle import _meet_in_middle, _path_to
 
@@ -107,16 +108,15 @@ def lift_coloring(tower: DoublingTower, level: int, f: EdgeColoring) -> EdgeColo
 def project_transcript(
     tower: DoublingTower, level: int, f_small: EdgeColoring, big_tr: Transcript
 ) -> Transcript:
-    """Project a transcript on the top level down to `level`, tracking the
-    restriction to the level's edge ids in lockstep (any divergence raises
-    ProjectionMismatch).
+    """Project a transcript on the top level down to `level`.
 
-    The top run starts from `f_small` lifted to the top.  G_level is the
-    subgraph of the top level on the ids below m_level, and the colors
-    agree there, so every (a, b)-component of G_level lies inside one top
-    component.  A top move on C becomes one move per G_level-component
-    inside C, by ascending representative; only C's edges change on either
-    side, so only they are compared.
+    The top run starts from `f_small` lifted to the top, and one color list,
+    the top level's, serves both levels: G_level is the subgraph of the top
+    level on the ids below m_level, and a lifted coloring restricts to the
+    one it was lifted from.  Before a top move on C, the list is read
+    through G_level: every (a, b)-component of G_level that meets C lies
+    inside C, and each becomes one move, by ascending representative.
+    Swapping C then swaps exactly those components.
     """
     g_small = tower.levels[level]
     g_big = tower.levels[-1]
@@ -124,37 +124,29 @@ def project_transcript(
     lifted = f_small
     for i in range(level, len(tower.levels) - 1):
         lifted = lift_coloring(tower, i, lifted)
-    big_colors = list(lifted.colors)
-    small_colors = list(f_small.colors)
+    colors = list(lifted.colors)
     ga_big = g_big.arrays()
     ga_small = g_small.arrays()
     out = Transcript()
     for mv in big_tr.moves:
         check_edge_id(g_big, mv.rep_edge)
-        if big_colors[mv.rep_edge] not in (mv.a, mv.b):
+        if colors[mv.rep_edge] not in (mv.a, mv.b):
             raise ProjectionMismatch("big transcript does not replay")
-        comp, _, _ = backend.trace_component(ga_big, big_colors, mv.a, mv.b, mv.rep_edge)
-        backend.swap_component(big_colors, comp, mv.a, mv.b)
+        comp, _, _ = backend.trace_component(ga_big, colors, mv.a, mv.b, mv.rep_edge)
         hits = {e for e in comp if e < m}
-        reps = []
         seen = set()
         for se in sorted(hits):
             if se in seen:
                 continue
-            comp_small, _, _ = backend.trace_component(
-                ga_small, small_colors, mv.a, mv.b, se
-            )
-            if not set(comp_small) <= hits:
+            # the scan is ascending, so se is the component's least edge
+            comp_small, _, _ = backend.trace_component(ga_small, colors, mv.a, mv.b, se)
+            if not hits.issuperset(comp_small):
                 raise ProjectionMismatch(
                     "copy component extends outside the big component"
                 )
-            seen |= set(comp_small)
-            reps.append((min(comp_small), comp_small))
-        for rep, comp_small in sorted(reps):
-            backend.swap_component(small_colors, comp_small, mv.a, mv.b)
-            out.append(KempeMove(mv.a, mv.b, rep), "projected")
-        if any(small_colors[e] != big_colors[e] for e in hits):
-            raise ProjectionMismatch("restriction diverged from the big run")
+            seen.update(comp_small)
+            out.append(KempeMove(mv.a, mv.b, se), "projected")
+        backend.swap_component(colors, comp, mv.a, mv.b)
     return out
 
 
@@ -204,6 +196,7 @@ class _ComponentIndex:
     """The (a, b)-components of a working coloring for every color pair of
     the search, kept current through interchanges.
 
+    `state` is the caller's color list (or bytearray), swapped in place.
     Per pair: `owner` maps an edge id to its component's representative
     (least edge id, -1 outside the pair), `comps` maps a representative to
     the component's edge ids, and `gaining` holds the representatives whose
@@ -214,7 +207,7 @@ class _ComponentIndex:
 
     def __init__(self, ga, state, goal, colors):
         self.ga = ga
-        self.state = bytearray(state)
+        self.state = state
         self.goal = goal
         cs = sorted(colors)
         self.pairs = [(a, b) for i, a in enumerate(cs) for b in cs[i + 1:]]
@@ -305,30 +298,35 @@ def _bfs_to_better(ga, start, goal, colors, cap):
     return None
 
 
-def _equalize_search(g: Graph, start: bytes, goal: bytes, colors):
-    """Move list carrying `start` to `goal` with interchanges over `colors`.
+def _equalize_search(rec: Recorder, goal: bytes, colors, note: str):
+    """Carry the recorder's coloring to `goal` with interchanges over
+    `colors`, recording each move with `note`; returns the moves (a, b, rep).
 
-    Each step takes the index's first gaining component.  When none gains,
-    `_bfs_to_better` looks for the nearest better state among at most
-    `_IMPROVE_BUDGET` states; when it finds none, the exact search
-    `oracle._meet_in_middle` runs to the goal, storing at most
-    `DEFAULT_SEARCH_BUDGET` states.  Every move's rep is its component's
-    least edge id, so all of them are applied through the index.
+    The index swaps `rec.colors` in place.  Each step takes the index's
+    first gaining component.  When none gains, `_bfs_to_better` looks for
+    the nearest better state among at most `_IMPROVE_BUDGET` states; when
+    it finds none, the exact search `oracle._meet_in_middle` runs to the
+    goal, storing at most `DEFAULT_SEARCH_BUDGET` states of m bytes each.
+    Every move's rep is its component's least edge id, so all of them are
+    applied through the index.
     """
-    if start == goal:
+    state = rec.colors
+    if bytes(state) == goal:
         return []
-    ga = g.arrays()
+    ga = rec.ga
     out = []
-    index = _ComponentIndex(ga, start, goal, colors)
-    for _ in range(len(start) * 4 + 8):
-        if index.state == goal:
-            return out
+    index = _ComponentIndex(ga, state, goal, colors)
+    for _ in range(len(goal) * 4 + 8):
         step = index.first_gaining()
         if step is not None:
             index.swap(*step)
+            rec.tr.append(KempeMove(*step), note)
             out.append(step)
             continue
-        cur = bytes(index.state)
+        # no component gains at the goal, so only here can it be reached
+        cur = bytes(state)
+        if cur == goal:
+            return out
         moves = _bfs_to_better(ga, cur, goal, colors, _IMPROVE_BUDGET)
         exact = moves is None
         if exact:
@@ -336,15 +334,16 @@ def _equalize_search(g: Graph, start: bytes, goal: bytes, colors):
                 moves = _meet_in_middle(ga, cur, goal, colors, DEFAULT_SEARCH_BUDGET)
             except BudgetExceeded:
                 raise SearchBudgetExceeded(
-                    f"equalizer exceeded {DEFAULT_SEARCH_BUDGET} states (graph m={g.m})"
+                    f"equalizer exceeded {DEFAULT_SEARCH_BUDGET} states (graph m={ga.m})"
                 ) from None
             if moves is None:
                 raise InternalInvariantError("goal outside the start's Kempe class")
         for step in moves:
             index.swap(*step)
+            rec.tr.append(KempeMove(*step), note)
         out.extend(moves)
         if exact:
-            if index.state != goal:
+            if bytes(state) != goal:
                 raise InternalInvariantError("bidirectional splice missed the goal")
             return out
     raise InternalInvariantError("agreement failed to converge")
@@ -366,11 +365,9 @@ def low_degree_equalize(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcrip
         raise PaletteMismatch(f"expected palette {t}")
     require_proper(g, f)
     require_proper(g, h)
-    moves = _equalize_search(g, bytes(f.colors), bytes(h.colors), range(1, t + 1))
-    tr = Transcript()
-    for a, b, rep in moves:
-        tr.append(KempeMove(a, b, rep), "search")
-    return tr
+    rec = Recorder(g, f)
+    _equalize_search(rec, bytes(h.colors), range(1, t + 1), "search")
+    return rec.tr
 
 
 def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:

@@ -293,16 +293,31 @@ def is_acyclic(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# File formats (UTF-8, LF line endings, single-space separated fields).
-# Graph:     optional `c ...` comments, one `p edge <n> <m>` header, then
-#            exactly m lines `e <u> <v>` with 1 <= u < v <= n.
+# File formats (UTF-8, LF line endings, single-space separated fields; a
+# tab or a run of spaces inside a record is a format error).
+# Graph:     optional `c ...` comments, one `p edge <n> <m>` header with
+#            n <= MAX_VERTICES, then exactly m lines `e <u> <v>` with
+#            1 <= u < v <= n.
 # Coloring:  header `t <k>`, then one `e <u> <v> <c>` line per edge of the
 #            graph, each edge exactly once, 1 <= c <= k.
 # Integer fields are ASCII `-?[0-9]+`, as the writers emit them: no sign
 # `+`, no `_` separators, no non-ASCII digits.
 # ---------------------------------------------------------------------------
 
+# The header's n is checked before a graph allocates its n + 1 adjacency
+# lists; 2^20 is far above any graph the tests and benchmarks build.
+MAX_VERTICES = 1 << 20
+
 _INT_FIELD = re.compile(r"-?[0-9]+")
+_RECORD = re.compile(r"\S+(?: \S+)*")
+
+
+def split_record(line: str, ln: int) -> list:
+    """The fields of a record, separated by single spaces, or FormatError
+    naming the line."""
+    if not _RECORD.fullmatch(line):
+        raise FormatError(f"line {ln}: fields must be separated by single spaces")
+    return line.split(" ")
 
 
 def parse_int_fields(fields, ln: int) -> list:
@@ -330,13 +345,15 @@ def parse_graph(text: str) -> Graph:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        parts = line.split()
+        parts = split_record(line, ln)
         if parts[0] == "p":
             if n is not None:
                 raise FormatError(f"line {ln}: duplicate header")
             if len(parts) != 4 or parts[1] != "edge":
                 raise FormatError(f"line {ln}: expected 'p edge <n> <m>'")
             n, m = parse_int_fields(parts[2:], ln)
+            if n > MAX_VERTICES:
+                raise FormatError(f"line {ln}: {n} vertices, above {MAX_VERTICES}")
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {ln}: edge before header")
@@ -372,7 +389,7 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        parts = line.split()
+        parts = split_record(line, ln)
         if parts[0] == "t":
             if t is not None:
                 raise FormatError(f"line {ln}: duplicate palette header")

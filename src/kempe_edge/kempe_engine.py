@@ -33,6 +33,7 @@ from .graph_core import (
     parse_int_fields,
     read_text,
     require_proper,
+    split_record,
 )
 from .kernels import backend
 
@@ -263,8 +264,8 @@ def _clash_at_endpoints(ga, colors, edge_ids):
 
 # ---------------------------------------------------------------------------
 # Transcript file format: `# ...` comments; move lines `K <a> <b> <u> <v>`
-# where (u, v) identifies rep_edge with u < v; optional annotation after a
-# tab character.
+# (single-space separated) where (u, v) identifies rep_edge with u < v;
+# optional annotation after a tab character.
 # ---------------------------------------------------------------------------
 
 
@@ -275,7 +276,7 @@ def parse_transcript(text: str, g: Graph) -> Transcript:
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         body, _, note = line.partition("\t")
-        parts = body.split()
+        parts = split_record(body.strip(), ln)
         if len(parts) != 5 or parts[0] != "K":
             raise FormatError(f"line {ln}: expected 'K <a> <b> <u> <v>'")
         a, b, u, v = parse_int_fields(parts[1:], ln)

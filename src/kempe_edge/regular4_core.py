@@ -7,8 +7,10 @@ analysis works inside a color frame (a palette permutation fixing color 1)
 so the working edge always reads as color 2.  Narrative jumps between cases
 become explicit re-dispatches on a new working edge; every claimed structural
 fact is asserted at runtime, and every claim failure escapes through a move
-sequence that re-enters the dispatch.  Phase 2 removes the matched class and
-hands the degree-3 remainder to the bounded search equalizer.
+sequence that re-enters the dispatch.  After phase 1 color 1 is a perfect
+matching shared with the target, so every (a, b)-component with a, b in
+2..5 lies in the cubic remainder; phase 2 runs the bounded search equalizer
+on the working state itself over those four colors.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from .graph_core import (
     EdgeColoring,
     Graph,
     check_edge_id,
-    delete_edges,
     is_proper,
     require_proper,
 )
@@ -950,17 +951,10 @@ def theorem_4_1_transform(
         if len(work.tr) > budget:
             raise InternalInvariantError("move budget 50*m^2 exceeded")
     if work.colors != list(h.colors):
-        # phase 2: remove the matched class, align the cubic remainder over
-        # the four remaining colors, and replay the moves on the full graph
+        # phase 2: align the cubic remainder over the four colors left
         from .degree4_lift import _equalize_search
 
-        sub, kept = delete_edges(g, sorted(work.h1))
-        start = bytes(work.colors[eid] for eid in kept)
-        goal = bytes(h.colors[eid] for eid in kept)
-        moves = _equalize_search(sub, start, goal, colors=(2, 3, 4, 5))
-        work.reset_frame()
-        for a, b, rep in moves:
-            work.apply(a, b, kept[rep], "phase2")
+        _equalize_search(work, bytes(h.colors), (2, 3, 4, 5), "phase2")
     if work.colors != list(h.colors):
         raise InternalInvariantError("transform terminated off target")
     return work.tr

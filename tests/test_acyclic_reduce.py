@@ -2,6 +2,7 @@
 import pytest
 
 from kempe_edge.acyclic_reduce import (
+    WalkState,
     acyclic_reduce,
     case_a_step,
     walk_init,
@@ -164,3 +165,48 @@ def test_walk_step_reaches_every_outcome():
         else:
             assert top_after < state.baseline
             assert res.state is None
+
+
+def _walk_on_hub_edge():
+    """The walk fixture, a 4-coloring with the top color on (1, 2), and the
+    walk state started there."""
+    g = _walk_fixture()
+    f = random_proper_coloring(g, 4, 2)
+    return g, f, walk_init(g, f, g.edge_id(1, 2))
+
+
+def test_walk_step_rejects_a_state_above_its_baseline():
+    """A baseline below the coloring's top class is bad input, not a bug."""
+    g, f, state = _walk_on_hub_edge()
+    assert state.baseline == 2
+    with pytest.raises(PreconditionViolated, match="above the baseline 0"):
+        walk_step(g, f, WalkState(state.vertices, 0))
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [(2,), (1, 2, 1), (4, 1, 2), (3, 1, 2), (0, 1, 2), (-1, 1, 2), (11, 1, 2)],
+    ids=["one", "repeat", "low-degree", "no-edge", "zero", "minus-one", "past-n"],
+)
+def test_walk_step_rejects_a_state_that_is_not_a_walk(vertices):
+    """Each state ends on the top-colored (1, 2); what comes before it is
+    not a path of distinct max-degree vertices in the graph."""
+    g, f, state = _walk_on_hub_edge()
+    assert walk_step(g, f, WalkState((2, 1), state.baseline)).kind == "terminal"
+    with pytest.raises(PreconditionViolated, match="not a path of max-degree"):
+        walk_step(g, f, WalkState(vertices, state.baseline))
+
+
+def test_walk_rejects_other_palettes_and_cyclic_max_degree_subgraphs():
+    g, f, state = _walk_on_hub_edge()
+    wide = f.with_palette(5)
+    with pytest.raises(PaletteMismatch):
+        walk_init(g, wide, g.edge_id(1, 2))
+    with pytest.raises(PaletteMismatch):
+        walk_step(g, wide, state)
+    triangle = Graph(3, [(1, 2), (2, 3), (1, 3)])
+    f3 = EdgeColoring(3, [1, 2, 3])
+    with pytest.raises(MaxDegreeSubgraphCyclic):
+        walk_init(triangle, f3, 2)
+    with pytest.raises(MaxDegreeSubgraphCyclic):
+        walk_step(triangle, f3, WalkState((1, 3), 1))

@@ -18,14 +18,19 @@ from kempe_edge.degree4_lift import (
     project_transcript,
     transform_delta4,
 )
-from kempe_edge.errors import EdgeOutOfRange, SearchBudgetExceeded, WrongMaxDegree
+from kempe_edge.errors import (
+    EdgeOutOfRange,
+    ProjectionMismatch,
+    SearchBudgetExceeded,
+    WrongMaxDegree,
+)
 from kempe_edge.fixtures_gen import (
     octahedron,
     random_proper_coloring,
     random_regular4_class1,
 )
 from kempe_edge.graph_core import EdgeColoring, Graph, is_proper
-from kempe_edge.kempe_engine import KempeMove, Transcript, apply_transcript
+from kempe_edge.kempe_engine import KempeMove, Recorder, Transcript, apply_transcript
 from kempe_edge.kernels import backend
 from kempe_edge.oracle import chromatic_index, kempe_classes
 from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
@@ -190,6 +195,21 @@ def test_project_rejects_rep_outside_the_top_level():
     for rep in (-1, tower.levels[-1].m):
         with pytest.raises(EdgeOutOfRange, match=f"edge id {rep} not in"):
             project_transcript(tower, 0, f, Transcript([KempeMove(1, 2, rep)]))
+
+
+def test_project_rejects_a_top_move_that_does_not_replay():
+    """A top move whose rep is colored neither a nor b, here after a first
+    move that does replay, raises ProjectionMismatch."""
+    base = k5_minus_edge()
+    tower = build_tower(base)
+    f = random_proper_coloring(base, 5, 1)
+    top = lift_coloring(tower, 0, f)
+    ga = tower.levels[-1].arrays()
+    a, b, rep, nxt = backend.kempe_neighbor_moves(ga, bytes(top.colors), 5)[0]
+    c, d = [c for c in range(1, 6) if c != nxt[rep]][:2]
+    tr = Transcript([KempeMove(a, b, rep), KempeMove(c, d, rep)])
+    with pytest.raises(ProjectionMismatch, match="does not replay"):
+        project_transcript(tower, 0, f, tr)
 
 
 def test_transform_delta4_regular_delegates():
@@ -501,7 +521,7 @@ def test_component_index_matches_fresh_walk_after_every_swap():
     swaps = 0
     for g, start, goal, colors, t in _search_instances((8, 10, 12), range(3)):
         ga = g.arrays()
-        index = _ComponentIndex(ga, start, goal, colors)
+        index = _ComponentIndex(ga, bytearray(start), goal, colors)
         _assert_index_matches_walk(index, ga, goal, colors)
         for _ in range(25):
             step = index.first_gaining()
@@ -544,6 +564,22 @@ def _reference_equalize_search(g, start, goal, colors, t, cap):
     raise AssertionError("agreement failed to converge")
 
 
+def _search(g, start, goal, colors, t):
+    """`_equalize_search` on a Recorder over EdgeColoring(t, start)."""
+    return _equalize_search(Recorder(g, EdgeColoring(t, start)), goal, colors, "search")
+
+
+def test_equalize_search_carries_the_recorder_to_the_goal():
+    """The recorder ends at the goal, and its transcript is the returned
+    move list, each move annotated with the given note."""
+    for g, start, goal, colors, t in _search_instances((6, 8), range(4)):
+        rec = Recorder(g, EdgeColoring(t, start))
+        moves = _equalize_search(rec, goal, colors, "note")
+        assert bytes(rec.colors) == goal
+        assert rec.tr.moves == [KempeMove(a, b, rep) for a, b, rep in moves]
+        assert rec.tr.annotations == ["note"] * len(moves)
+
+
 def _counting(monkeypatch, name, counts):
     """Wrap degree4_lift.<name>, counting its calls by whether it found moves."""
     fn = getattr(degree4_lift, name)
@@ -568,7 +604,7 @@ def test_equalize_search_matches_walk_loop_under_small_caps(monkeypatch):
         total = len(list(_kempe_components(g.arrays(), start, colors)))
         for cap in (*range(total - 2, total + 3), 16 * total):
             monkeypatch.setattr(degree4_lift, "_IMPROVE_BUDGET", cap)
-            assert _equalize_search(g, start, goal, colors) == (
+            assert _search(g, start, goal, colors, t) == (
                 _reference_equalize_search(g, start, goal, colors, t, cap)
             )
     assert counts["_bfs_to_better", True] > 0
@@ -589,15 +625,15 @@ def test_equalize_search_takes_greedy_steps_under_any_cap(monkeypatch):
         return counts["_bfs_to_better", True] + counts["_bfs_to_better", False]
 
     runs = []
-    for g, start, goal, colors, _ in _search_instances((6, 8), range(6)):
+    for g, start, goal, colors, t in _search_instances((6, 8), range(6)):
         before = bfs_calls()
-        moves = _equalize_search(g, start, goal, colors)
-        runs.append((g, start, goal, colors, moves, bfs_calls() == before))
+        moves = _search(g, start, goal, colors, t)
+        runs.append((g, start, goal, colors, t, moves, bfs_calls() == before))
     exact = counts["_meet_in_middle", True]
     for cap in (1, 3, 10):
         monkeypatch.setattr(degree4_lift, "_IMPROVE_BUDGET", cap)
-        for g, start, goal, colors, moves, greedy in runs:
-            capped = _equalize_search(g, start, goal, colors)
+        for g, start, goal, colors, t, moves, greedy in runs:
+            capped = _search(g, start, goal, colors, t)
             if greedy:
                 assert capped == moves
             else:
@@ -611,15 +647,15 @@ def test_exact_search_budget_is_search_budget_exceeded(monkeypatch):
     callers as SearchBudgetExceeded."""
     counts = Counter()
     _counting(monkeypatch, "_bfs_to_better", counts)
-    for g, start, goal, colors, _ in _search_instances((6, 8), range(6)):
-        _equalize_search(g, start, goal, colors)
+    for g, start, goal, colors, t in _search_instances((6, 8), range(6)):
+        _search(g, start, goal, colors, t)
         if counts:
             break
     assert counts
     monkeypatch.setattr(degree4_lift, "_IMPROVE_BUDGET", 1)
     monkeypatch.setattr(degree4_lift, "DEFAULT_SEARCH_BUDGET", 2)
     with pytest.raises(SearchBudgetExceeded, match="exceeded 2 states"):
-        _equalize_search(g, start, goal, colors)
+        _search(g, start, goal, colors, t)
 
 
 def test_component_index_swap_retraces_locally(monkeypatch):
@@ -641,7 +677,7 @@ def test_component_index_swap_retraces_locally(monkeypatch):
         for colors, shift in (((1, 2, 3, 4), 0), ((2, 3, 4, 5), 1)):
             start = bytes(c + shift for c in _delta_plus_one_coloring(g, seed).colors)
             goal = bytes(c + shift for c in _delta_plus_one_coloring(g, seed + 1).colors)
-            index = _ComponentIndex(ga, start, goal, colors)
+            index = _ComponentIndex(ga, bytearray(start), goal, colors)
             while (step := index.first_gaining()) is not None:
                 comp = index.comps[step[0], step[1]][step[2]]
                 verts = {v for e in comp for v in g.edges[e]}

@@ -20,6 +20,7 @@ from kempe_edge.fixtures_gen import (
     random_regular4_class1,
 )
 from kempe_edge.graph_core import (
+    MAX_VERTICES,
     EdgeColoring,
     Graph,
     bicolored_subgraph,
@@ -231,6 +232,40 @@ def test_integer_fields_are_ascii_digits_only(field):
     ):
         with pytest.raises(FormatError, match="expected integer fields"):
             parse()
+
+
+@pytest.mark.parametrize(
+    "sep", ["\t", "  ", " \t", "\u00a0"], ids=["tab", "two-spaces", "space-tab", "nbsp"]
+)
+def test_fields_are_separated_by_single_spaces(sep):
+    """Each record below parses with a single space in place of `sep`.  In
+    a transcript the first tab starts the annotation, so there a tab leaves
+    too few fields."""
+    g = triangle()
+    for text, parse in (
+        ("p edge 3 1\ne{}1 2\n", parse_graph),
+        ("p{}edge 3 0\n", parse_graph),
+        ("t 3\ne 1 2{}1\ne 2 3 2\ne 1 3 3\n", lambda text: parse_coloring(text, g)),
+        ("K 1 2{}1 2\tnote\n", lambda text: parse_transcript(text, g)),
+    ):
+        parse(text.format(" "))
+        with pytest.raises(FormatError, match="separated by single spaces|expected 'K"):
+            parse(text.format(sep))
+
+
+def test_transcript_annotation_follows_one_tab():
+    g = triangle()
+    tr = parse_transcript("K 1 2 1 2\tnote\twith  spaces\n", g)
+    assert tr.moves == [KempeMove(1, 2, 0)]
+    assert tr.annotations == ["note\twith  spaces"]
+
+
+def test_graph_header_vertex_count_is_bounded():
+    """The header is refused before n + 1 adjacency lists are allocated."""
+    assert MAX_VERTICES >= 20480
+    assert parse_graph("p edge 4096 0\n").n == 4096
+    with pytest.raises(FormatError, match=f"{MAX_VERTICES + 1} vertices, above"):
+        parse_graph(f"p edge {MAX_VERTICES + 1} 0\n")
 
 
 def test_files_round_trip_through_the_readers(tmp_path):
