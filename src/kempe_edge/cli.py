@@ -45,36 +45,31 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    # vizing and acyclic only shrink the palette; the other modes need a target
+    if args.mode in ("vizing", "acyclic"):
+        if args.to:
+            raise UnsupportedFamily(f"--to is not accepted by mode {args.mode}")
+    elif not args.to:
+        raise UnsupportedFamily(f"--to is required for mode {args.mode}")
     g = read_graph(args.graph)
     f = read_coloring(getattr(args, "from"), g)
-    target = read_coloring(args.to, g) if args.to else None
     if args.mode == "vizing":
         result, tr = reduce_to_delta_plus_one(g, f)
     elif args.mode == "acyclic":
         result, tr = acyclic_reduce(g, f)
-    elif args.mode == "regular4":
-        if target is None:
-            raise UnsupportedFamily("--to is required for mode regular4")
-        tr = theorem_4_1_transform(g, f, target)
-        result = apply_transcript(g, f, tr)
-    elif args.mode == "delta4":
-        if target is None:
-            raise UnsupportedFamily("--to is required for mode delta4")
-        tr = transform_delta4(g, f, target)
-        result = apply_transcript(g, f, tr)
-    else:  # auto
-        if target is None:
-            raise UnsupportedFamily("--to is required for mode auto")
-        if g.max_degree() == 4 and target.t == 4:
+    else:
+        target = read_coloring(args.to, g)
+        if args.mode == "regular4":
+            tr = theorem_4_1_transform(g, f, target)
+        elif args.mode == "delta4" or (g.max_degree() == 4 and target.t == 4):
             tr = transform_delta4(g, f, target)
         else:
             tr = equalize(g, f, target)
         result = apply_transcript(g, f, tr)
-    if target is not None:
         if result.colors != target.colors:
             raise InternalInvariantError("transform terminated off target")
-        # palette-shrinking modes end within the target's palette; write the
-        # result against the target header so the files compare byte-equal
+        # the result keeps the start's palette; write it against the target
+        # header so the files compare byte-equal
         result = result.with_palette(target.t)
     write_transcript(args.out, g, tr)
     if args.result:
@@ -105,10 +100,7 @@ def _cmd_oracle(args) -> int:
         return 0
     if args.oracle_cmd == "classes":
         report = oracle.kempe_classes(g, args.colors, cap=args.cap)
-        print(
-            f"colorings {report.total_colorings} classes {report.class_count}"
-            f" truncated {int(report.truncated)}"
-        )
+        print(f"colorings {report.total_colorings} classes {report.class_count}")
         for size in report.class_sizes:
             print(f"class-size {size}")
         return 0

@@ -1,11 +1,12 @@
 """Recursive peeling and the unified equalization dispatch.
 
-To connect two proper (chi'+1)-edge colorings, both are driven onto one fixed
-chi'-coloring whose top class is a maximal matching: reduce the palette by
-one (the acyclic reduction for Class 1 inputs, the classical one otherwise),
-re-open the top class as the target's matching, delete it, and recurse on the
-smaller-degree remainder.  The recursion bottoms out in the degree-3 search
-equalizer and the maximum-degree-4 machine.
+To connect two proper (chi'+1)-edge colorings, both are peeled at once along
+one chi'-coloring w whose top class M is a maximal matching: each side's
+palette is reduced by one (the acyclic reduction for Class 1 inputs, the
+classical one otherwise) and M is re-opened with the spare color; then M is
+deleted and the smaller-degree remainder is equalized once, between the two
+sides.  The recursion bottoms out in the degree-3 search equalizer and the
+maximum-degree-4 machine.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .errors import (
     ColorOutOfRange,
     InternalInvariantError,
     PaletteMismatch,
+    PreconditionViolated,
     UnsupportedFamily,
 )
 from .graph_core import (
@@ -75,51 +77,49 @@ def _certify_chi(g: Graph, witness: EdgeColoring | None):
 
 
 def peel_and_recurse(
-    g: Graph, f: EdgeColoring, h: EdgeColoring, chi: int
+    g: Graph, f: EdgeColoring, h: EdgeColoring, w: EdgeColoring, chi: int
 ) -> Transcript:
-    """Drive a proper (chi+1)-coloring f onto the chi-coloring h (read at the
-    same palette) whose top class M(h, chi) is a maximal matching.
+    """Transcript from f to h, two proper (chi+1)-colorings, peeled along
+    the chi-coloring w whose top class M = M(w, chi) is a maximal matching.
 
-    The remainder g - M(h, chi) is equalized at palette chi, with h's
-    restriction there, a (chi-1)-coloring, as the witness of chi - 1: no
-    recursive call runs the chromatic-index oracle."""
-    if f.t != chi + 1 or h.t > chi + 1:
+    Each side is reduced to chi colors and re-opens M with the spare color;
+    the remainder g - M is then equalized once, from f's side to h's, at
+    palette chi, with w's restriction there, a (chi-1)-coloring, as the
+    witness of chi - 1: no recursive call runs the chromatic-index oracle."""
+    if f.t != chi + 1 or h.t != chi + 1:
         raise PaletteMismatch("peel expects palette chi+1 input")
-    if any(c > chi for c in h.colors):
-        raise PaletteMismatch("peel target must stay within chi colors")
-    if not _matching_is_maximal(g, h.colors, chi):
-        raise InternalInvariantError("peel target's top class is not maximal")
+    if any(c > chi for c in w.colors):
+        raise PaletteMismatch("peel witness must stay within chi colors")
+    if not _matching_is_maximal(g, w.colors, chi):
+        raise InternalInvariantError("peel witness's top class is not maximal")
     delta = g.max_degree()
-    tr = Transcript()
-    # 1. palette reduction chi+1 -> chi
-    if chi == delta:
-        reduced, tr1 = acyclic_reduce(g, f)
-    else:
-        if chi != delta + 1:
-            raise InternalInvariantError("chromatic index outside Vizing bounds")
-        reduced, tr1 = reduce_to_delta_plus_one(g, f)
-    tr.extend(tr1)
-    # 2. re-open the target's top class with the spare color
-    rec = Recorder(g, EdgeColoring(chi + 1, reduced.colors))
-    top_edges = sorted(color_class(h, chi))
-    for eid in top_edges:
-        rec.recolor_edge(eid, chi + 1, "peel-open")
-    # 3. delete the matching, recurse on the remainder
+    if chi not in (delta, delta + 1):
+        raise InternalInvariantError("chromatic index outside Vizing bounds")
+    reduce = acyclic_reduce if chi == delta else reduce_to_delta_plus_one
+    top_edges = sorted(color_class(w, chi))
+    recs = []
+    for side in (f, h):
+        # 1. palette reduction chi+1 -> chi
+        reduced, tr = reduce(g, side)
+        # 2. re-open the witness's top class with the spare color
+        rec = Recorder(g, EdgeColoring(chi + 1, reduced.colors))
+        rec.tr = tr
+        for eid in top_edges:
+            rec.recolor_edge(eid, chi + 1, "peel-open")
+        recs.append(rec)
+    rec, rec_h = recs
+    # 3. delete the matching, equalize the remainder between the two sides
     sub, kept = delete_edges(g, top_edges)
     f_sub = EdgeColoring(chi, [rec.colors[eid] for eid in kept])
-    h_sub = EdgeColoring(chi, [h.colors[eid] for eid in kept])
-    sub_tr = equalize(
-        sub, f_sub, h_sub, witness=EdgeColoring(chi - 1, h_sub.colors), chi=chi - 1
-    )
+    h_sub = EdgeColoring(chi, [rec_h.colors[eid] for eid in kept])
+    w_sub = EdgeColoring(chi - 1, [w.colors[eid] for eid in kept])
+    sub_tr = equalize(sub, f_sub, h_sub, witness=w_sub, chi=chi - 1)
     for mv, note in zip(sub_tr.moves, sub_tr.annotations):
         rec.apply(mv.a, mv.b, kept[mv.rep_edge], note or "peel-sub")
-    # 4. hand the matching its target color back
-    for eid in top_edges:
-        rec.recolor_edge(eid, chi, "peel-close")
-    if rec.colors != list(h.colors):
-        raise InternalInvariantError("peel terminated off target")
-    tr.extend(rec.tr)
-    return tr
+    if rec.colors != rec_h.colors:
+        raise InternalInvariantError("peel sides did not meet")
+    rec.tr.extend(rec_h.tr.reversed())
+    return rec.tr
 
 
 def equalize(
@@ -139,13 +139,14 @@ def equalize(
     Every other graph needs palette chi'+1.  chi' is certified at most once
     per top-level call: by `witness` when it is a Delta-coloring (then no
     oracle runs), otherwise by the exact `oracle.chromatic_index`, whose
-    witness replaces the caller's.  A given `chi` is trusted when `witness`
-    has palette `chi`, which is how the peel recursion passes each level
-    its target's restriction.  Maximum degree 4 Class 1 routes both sides
-    through the common 4-coloring `witness`; Class 2 with maximum degree 4
-    or 5 peels the top class and recurses, as does any graph whose
-    degree->=5 vertices induce a forest.  Everything else is out of reach
-    and raises UnsupportedFamily.
+    witness replaces the caller's, and a given `chi` it contradicts raises
+    PreconditionViolated.  A given `chi` is trusted when `witness` has
+    palette `chi`: the peel recursion passes each level its maximal
+    witness's restriction that way.  Maximum degree 4 Class 1 routes both
+    sides through the common 4-coloring `witness`; Class 2 with maximum
+    degree 4 or 5 peels the top class off both sides and recurses once, as
+    does any graph whose degree->=5 vertices induce a forest.  Everything
+    else is out of reach and raises UnsupportedFamily.
     """
     require_proper(g, f, "start coloring")
     require_proper(g, h, "target coloring")
@@ -171,7 +172,7 @@ def equalize(
     if chi is None or witness is None or witness.t != chi:
         found, witness = _certify_chi(g, witness)
         if chi is not None and found != chi:
-            raise InternalInvariantError("oracle contradicts the given chromatic index")
+            raise PreconditionViolated(f"given chi' = {chi}, but chi' = {found}")
         chi = found
     if f.t != chi + 1:
         raise PaletteMismatch(
@@ -194,7 +195,4 @@ def equalize(
             f"acyclic high-degree subgraph={acyclic_high}"
         )
     w_max, _ = maximalize_top_class(g, witness, chi)
-    target = EdgeColoring(chi + 1, w_max.colors)
-    tr = peel_and_recurse(g, f, target, chi)
-    tr.extend(peel_and_recurse(g, h, target, chi).reversed())
-    return tr
+    return peel_and_recurse(g, f, h, w_max, chi)

@@ -80,6 +80,32 @@ def test_transform_modes_vizing_acyclic(work):
     assert read_coloring(work / "r4.col", g).t == 4
 
 
+@pytest.mark.parametrize("mode", ["vizing", "acyclic"])
+def test_palette_modes_refuse_a_target(work, capsys, monkeypatch, mode):
+    # vizing and acyclic only shrink the palette: --to is refused up front
+    import kempe_edge.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduction ran")
+
+    monkeypatch.setattr(cli, "reduce_to_delta_plus_one", refuse)
+    monkeypatch.setattr(cli, "acyclic_reduce", refuse)
+    graph = work / "oct.graph"
+    main(["gen", "figure1", "--out", str(graph), "--first", str(work / "h.col")])
+    g = read_graph(graph)
+    write_coloring(work / "f6.col", g, random_proper_coloring(g, 6, 1))
+    code = main([
+        "transform", "--graph", str(graph),
+        "--from", str(work / "f6.col"), "--to", str(work / "h.col"),
+        "--out", str(work / "tr.txt"), "--mode", mode,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == "unsupported_family"
+    assert not (work / "tr.txt").exists()
+
+
 def test_unsupported_family_error_line(work, capsys):
     k6 = Graph(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)])
     write_graph(work / "k6.graph", k6)
@@ -107,6 +133,7 @@ def test_oracle_subcommands(work, capsys):
     assert main(["oracle", "classes", "--graph", str(graph), "--colors", "4"]) == 0
     out = capsys.readouterr().out
     assert "classes 2" in out
+    assert "truncated" not in out
     assert main(["oracle", "same-class", "--graph", str(graph), "--colors", "4",
                  "--first", str(first), "--second", str(second)]) == 1
     assert "different-class" in capsys.readouterr().out

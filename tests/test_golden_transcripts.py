@@ -141,10 +141,12 @@ GOLDEN = {
     "equalize_delta4": (_equalize_delta4,
         "ac4075cebd4b59e8a1266d7420a1351f8d74ab85a84b8b316255c6f5e43a75d6",
     ),
-    # the recursion peels toward the target's own restriction, not the
-    # oracle's coloring of the remainder: 25/70/45 moves became 25/62/36
+    # both sides are peeled at once and the remainder is equalized between
+    # them, not each side toward the witness: the close moves and their
+    # inverse (2|M| moves) are gone, and deeper levels equalize side to side,
+    # so 25/62/36 moves became 21/38/28
     "equalize_peel": (_equalize_peel,
-        "2c95010ad57e0aa66c7473747d16a07b6262b260719d979a31bfbebde784b89f",
+        "fc579ef085eb744d6987d1ddbc91c7ab746728232b1b05def639358dd608ff7d",
     ),
 }
 

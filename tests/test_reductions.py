@@ -3,8 +3,13 @@ import random
 
 import pytest
 
-from kempe_edge import oracle
-from kempe_edge.errors import ColorOutOfRange, PaletteMismatch, UnsupportedFamily
+from kempe_edge import oracle, reductions
+from kempe_edge.errors import (
+    ColorOutOfRange,
+    PaletteMismatch,
+    PreconditionViolated,
+    UnsupportedFamily,
+)
 from kempe_edge.fixtures_gen import (
     acyclic_max_degree_graph,
     figure1_pair,
@@ -13,6 +18,7 @@ from kempe_edge.fixtures_gen import (
     petersen,
     random_graph,
     random_proper_coloring,
+    random_regular4_class1,
 )
 from kempe_edge.graph_core import EdgeColoring, Graph, is_proper
 from kempe_edge.kempe_engine import apply_transcript
@@ -127,9 +133,65 @@ def test_peel_branch_hits_acyclic_reduction():
     chi, w = chromatic_index(g)
     w_max, _ = maximalize_top_class(g, w, chi)
     f = random_proper_coloring(g, 6, 9)
-    tr = peel_and_recurse(g, f, EdgeColoring(6, w_max.colors), chi)
+    tr = peel_and_recurse(g, f, EdgeColoring(6, w_max.colors), w_max, chi)
     final = apply_transcript(g, f, tr, check=True)
     assert final.colors == w_max.colors
+
+
+def _maximal_witness(g):
+    chi, w = chromatic_index(g)
+    return maximalize_top_class(g, w, chi)[0], chi
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("make", [k5, overfull_delta5], ids=["k5", "overfull5"])
+def test_peel_carries_f_onto_h(make, seed):
+    g = make()
+    w_max, chi = _maximal_witness(g)
+    f, h = (random_proper_coloring(g, chi + 1, s) for s in (seed, seed + 50))
+    tr = peel_and_recurse(g, f, h, w_max, chi)
+    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+
+
+def test_peel_target_palette_must_be_chi_plus_one():
+    g = k5()
+    w_max, chi = _maximal_witness(g)
+    f = random_proper_coloring(g, chi + 1, 1)
+    h = random_proper_coloring(g, chi + 2, 2)
+    with pytest.raises(PaletteMismatch):
+        peel_and_recurse(g, f, h, w_max, chi)
+
+
+@pytest.fixture()
+def equalize_depths(monkeypatch):
+    """The recursion depth of every `reductions.equalize` call, in call order."""
+    depths = []
+    depth = 0
+    real = reductions.equalize
+
+    def counted(*args, **kwargs):
+        nonlocal depth
+        depths.append(depth)
+        depth += 1
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(reductions, "equalize", counted)
+    return depths
+
+
+@pytest.mark.parametrize("make, t", [(k5, 6), (overfull_delta5, 7)], ids=["k5", "overfull5"])
+def test_each_peel_level_equalizes_once(equalize_depths, make, t):
+    # both sides are peeled together, so every level recurses once, on the
+    # remainder between the two sides, not once per side
+    g = make()
+    f, h = (random_proper_coloring(g, t, s) for s in (1, 2))
+    tr = reductions.equalize(g, f, h)
+    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert len(equalize_depths) >= 2
+    assert equalize_depths == list(range(len(equalize_depths)))
 
 
 def test_equalize_overfull_delta5():
@@ -162,6 +224,14 @@ def test_equalize_low_degree_class2():
     h = EdgeColoring(4, [4, 1, 2])
     tr = equalize(g, f, h)
     assert apply_transcript(g, f, tr, check=True).colors == h.colors
+
+
+def test_equalize_wrong_chi_is_a_precondition():
+    # a caller's chi' the oracle contradicts is bad input, not a bug
+    g, _ = random_regular4_class1(10, 1)
+    f, h = (random_proper_coloring(g, 6, s) for s in (1, 2))
+    with pytest.raises(PreconditionViolated, match="chi' = 4"):
+        equalize(g, f, h, chi=5)
 
 
 def test_equalize_unsupported_family():
