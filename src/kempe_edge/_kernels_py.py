@@ -1,57 +1,23 @@
 """Kernels: bicolored-path tracing and swapping, properness, state enumeration.
 
-Every module reaches them through :data:`kempe_edge.kernels.backend`.
-State vectors are ``bytes`` of length m, one color per edge id.
+Every module reaches them through :data:`kempe_edge.kernels.backend`.  The
+kernels read the :class:`~kempe_edge.graph_core.Graph` itself: ``g.edges[e]``
+is the endpoint pair (u, v), u < v, of edge id e, and ``g.adj[v]`` lists the
+(neighbor, edge id) pairs at v by ascending edge id, so every scan and
+tie-break below is in edge-id order.  State vectors are ``bytes`` of length
+m, one color per edge id.
 """
 from __future__ import annotations
 
 
-class GraphArrays:
-    """Flat adjacency view of a graph, built once per graph for the kernels."""
-
-    __slots__ = ("n", "m", "edge_u", "edge_v", "adj_start", "adj_nbr", "adj_eid")
-
-    def __init__(self, n, m, edge_u, edge_v, adj_start, adj_nbr, adj_eid):
-        self.n = n
-        self.m = m
-        self.edge_u = edge_u
-        self.edge_v = edge_v
-        self.adj_start = adj_start
-        self.adj_nbr = adj_nbr
-        self.adj_eid = adj_eid
-
-
-def build_arrays(g) -> GraphArrays:
-    n, m = g.n, g.m
-    edge_u = [0] * m
-    edge_v = [0] * m
-    for eid, (u, v) in enumerate(g.edges):
-        edge_u[eid] = u
-        edge_v[eid] = v
-    adj_start = [0] * (n + 2)
-    adj_nbr = []
-    adj_eid = []
-    for v in range(1, n + 1):
-        adj_start[v] = len(adj_nbr)
-        for w, eid in g.adj[v]:
-            adj_nbr.append(w)
-            adj_eid.append(eid)
-    adj_start[n + 1] = len(adj_nbr)
-    return GraphArrays(n, m, edge_u, edge_v, adj_start, adj_nbr, adj_eid)
-
-
-def is_proper(ga, colors) -> bool:
-    for v in range(1, ga.n + 1):
-        seen = set()
-        for k in range(ga.adj_start[v], ga.adj_start[v + 1]):
-            c = colors[ga.adj_eid[k]]
-            if c in seen:
-                return False
-            seen.add(c)
+def is_proper(g, colors) -> bool:
+    for inc in g.adj:
+        if len({colors[e] for _, e in inc}) != len(inc):
+            return False
     return True
 
 
-def trace_component(ga, colors, a, b, e0):
+def trace_component(g, colors, a, b, e0):
     """Component of the (a, b)-subgraph containing edge e0.
 
     Returns (edge_ids, vertices, is_cycle) with vertices ordered along the
@@ -59,7 +25,8 @@ def trace_component(ga, colors, a, b, e0):
     first, toward its smaller-id neighbor).  edge_ids[i] joins vertices[i]
     and vertices[i+1] (wrapping for cycles).
     """
-    u0, v0 = ga.edge_u[e0], ga.edge_v[e0]
+    edges, adj = g.edges, g.adj
+    u0 = edges[e0][0]
 
     def walk(start, first_edge):
         # Extend from `start` away through `first_edge`; stop at a missing
@@ -70,14 +37,14 @@ def trace_component(ga, colors, a, b, e0):
         eid = first_edge
         while True:
             eids.append(eid)
-            v = ga.edge_v[eid] if ga.edge_u[eid] == v else ga.edge_u[eid]
+            x, y = edges[eid]
+            v = y if x == v else x
             verts.append(v)
             if v == start:
                 return verts, eids, True
             want = b if colors[eid] == a else a
             nxt = -1
-            for k in range(ga.adj_start[v], ga.adj_start[v + 1]):
-                e = ga.adj_eid[k]
+            for _, e in adj[v]:
                 if e != eid and colors[e] == want:
                     nxt = e
                     break
@@ -99,8 +66,7 @@ def trace_component(ga, colors, a, b, e0):
     # Path: continue from u0 in the other direction.
     want = b if colors[e0] == a else a
     back_first = -1
-    for k in range(ga.adj_start[u0], ga.adj_start[u0 + 1]):
-        e = ga.adj_eid[k]
+    for _, e in adj[u0]:
         if e != e0 and colors[e] == want:
             back_first = e
             break
@@ -123,15 +89,11 @@ def swap_component(colors, edge_ids, a, b):
         colors[e] = b if colors[e] == a else a
 
 
-def _enum_order(ga):
+def _enum_order(g):
     """Edge order for backtracking: BFS over edge adjacency for tight pruning."""
-    m = ga.m
+    m = g.m
     if m == 0:
         return []
-    incident = [[] for _ in range(ga.n + 1)]
-    for eid in range(m):
-        incident[ga.edge_u[eid]].append(eid)
-        incident[ga.edge_v[eid]].append(eid)
     seen = [False] * m
     order = []
     for seed in range(m):
@@ -142,15 +104,15 @@ def _enum_order(ga):
         while stack:
             e = stack.pop()
             order.append(e)
-            for v in (ga.edge_u[e], ga.edge_v[e]):
-                for e2 in incident[v]:
+            for v in g.edges[e]:
+                for _, e2 in g.adj[v]:
                     if not seen[e2]:
                         seen[e2] = True
                         stack.append(e2)
     return order
 
 
-def enumerate_proper(ga, t, cap):
+def enumerate_proper(g, t, cap):
     """Every proper t-coloring up to a renaming of its colors, as bytes, or
     (partial, True) when `cap` is hit.
 
@@ -160,10 +122,10 @@ def enumerate_proper(ga, t, cap):
     uses k colors stands for perm(t, k) labeled ones, and the canonical form
     is the lexicographic minimum (along the order) of its orbit.
     """
-    m = ga.m
-    order = _enum_order(ga)
+    m = g.m
+    order = _enum_order(g)
     colors = bytearray(m)
-    used = [0] * (ga.n + 1)  # bitmask of colors at each vertex
+    used = [0] * (g.n + 1)  # bitmask of colors at each vertex
     out = []
     truncated = False
 
@@ -178,7 +140,7 @@ def enumerate_proper(ga, t, cap):
             out.append(bytes(colors))
             return
         e = order[i]
-        u, v = ga.edge_u[e], ga.edge_v[e]
+        u, v = g.edges[e]
         avail = ~(used[u] | used[v])
         for c in range(1, min(t, k + 1) + 1):
             bit = 1 << c
@@ -197,7 +159,7 @@ def enumerate_proper(ga, t, cap):
     return out, truncated
 
 
-def kempe_neighbor_moves(ga, state, t, color_set=None):
+def kempe_neighbor_moves(g, state, t, color_set=None):
     """Every Kempe interchange of `state` (bytes) as (a, b, rep, next_state).
 
     Color pairs a < b run in ascending order over `color_set` (all of
@@ -209,8 +171,8 @@ def kempe_neighbor_moves(ga, state, t, color_set=None):
     a pair of two absent colors is skipped.
     """
     cs = sorted(color_set) if color_set is not None else range(1, t + 1)
-    eu, ev = ga.edge_u, ga.edge_v
-    nv = ga.n + 1
+    edges = g.edges
+    nv = g.n + 1
     edges_of = {}  # color -> its edge ids, ascending
     at = {}  # color -> vertex -> edge of that color there, or -1
     for e, c in enumerate(state):
@@ -220,8 +182,9 @@ def kempe_neighbor_moves(ga, state, t, color_set=None):
         else:
             edges_of[c] = [e]
             tbl = at[c] = [-1] * nv
-        tbl[eu[e]] = e
-        tbl[ev[e]] = e
+        u, v = edges[e]
+        tbl[u] = e
+        tbl[v] = e
     out = []
     for i, a in enumerate(cs):
         edges_a = edges_of.get(a)
@@ -247,7 +210,7 @@ def kempe_neighbor_moves(ga, state, t, color_set=None):
                 seen[e] = 1
                 nxt = bytearray(state)
                 nxt[e] = a if state[e] == b else b
-                for y in (eu[e], ev[e]):
+                for y in edges[e]:
                     tbl = ta if state[e] == b else tb  # the color wanted at y
                     while True:
                         nx = tbl[y]
@@ -255,12 +218,13 @@ def kempe_neighbor_moves(ga, state, t, color_set=None):
                             break
                         seen[nx] = 1
                         nxt[nx] = a if tbl is tb else b
-                        y = ev[nx] if eu[nx] == y else eu[nx]
+                        p, q = edges[nx]
+                        y = q if p == y else p
                         tbl = ta if tbl is tb else tb
                 out.append((a, b, e, bytes(nxt)))
     return out
 
 
-def kempe_neighbors(ga, state, t, color_set=None):
+def kempe_neighbors(g, state, t, color_set=None):
     """The next states of :func:`kempe_neighbor_moves`, in the same order."""
-    return [nxt for _, _, _, nxt in kempe_neighbor_moves(ga, state, t, color_set)]
+    return [nxt for _, _, _, nxt in kempe_neighbor_moves(g, state, t, color_set)]

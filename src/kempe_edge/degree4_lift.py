@@ -40,7 +40,14 @@ from .errors import (
     TargetNotProper4,
     WrongMaxDegree,
 )
-from .graph_core import EdgeColoring, Graph, check_edge_id, is_proper, require_proper
+from .graph_core import (
+    EdgeColoring,
+    Graph,
+    bicolored_components,
+    check_edge_id,
+    is_proper,
+    require_proper,
+)
 from .kempe_engine import KempeMove, Recorder, Transcript, apply_transcript
 from .kernels import backend
 from .oracle import _meet_in_middle, _path_to
@@ -125,21 +132,19 @@ def project_transcript(
     for i in range(level, len(tower.levels) - 1):
         lifted = lift_coloring(tower, i, lifted)
     colors = list(lifted.colors)
-    ga_big = g_big.arrays()
-    ga_small = g_small.arrays()
     out = Transcript()
     for mv in big_tr.moves:
         check_edge_id(g_big, mv.rep_edge)
         if colors[mv.rep_edge] not in (mv.a, mv.b):
             raise ProjectionMismatch("big transcript does not replay")
-        comp, _, _ = backend.trace_component(ga_big, colors, mv.a, mv.b, mv.rep_edge)
+        comp, _, _ = backend.trace_component(g_big, colors, mv.a, mv.b, mv.rep_edge)
         hits = {e for e in comp if e < m}
         seen = set()
         for se in sorted(hits):
             if se in seen:
                 continue
             # the scan is ascending, so se is the component's least edge
-            comp_small, _, _ = backend.trace_component(ga_small, colors, mv.a, mv.b, se)
+            comp_small, _, _ = backend.trace_component(g_small, colors, mv.a, mv.b, se)
             if not hits.issuperset(comp_small):
                 raise ProjectionMismatch(
                     "copy component extends outside the big component"
@@ -162,24 +167,18 @@ def _agreement(state: bytes, goal: bytes) -> int:
     return x.to_bytes(len(goal), "little").count(0)
 
 
-def _kempe_components(ga, state, colors):
+def _kempe_components(g, state, colors):
     """Yield (a, b, rep, edge ids) for every (a, b)-component of `state`.
 
-    The order is that of `backend.kempe_neighbor_moves(ga, state, t,
+    The order is that of `backend.kempe_neighbor_moves(g, state, t,
     colors)`: color pairs a < b ascending over `colors`, then components by
     their least edge id `rep`.  Each component is traced only when reached.
     """
     cs = sorted(colors)
     for i, a in enumerate(cs):
         for b in cs[i + 1:]:
-            seen = bytearray(len(state))
-            for eid, c in enumerate(state):
-                if (c == a or c == b) and not seen[eid]:
-                    # the scan is ascending, so eid is the component's least edge
-                    comp, _, _ = backend.trace_component(ga, state, a, b, eid)
-                    for e in comp:
-                        seen[e] = 1
-                    yield a, b, eid, comp
+            for rep, comp, _, _ in bicolored_components(g, state, a, b):
+                yield a, b, rep, comp
 
 
 def _gain(state, goal, a, b, comp):
@@ -205,16 +204,16 @@ class _ComponentIndex:
     the pairs (a, x) and (b, x) it changes only components that meet V(C).
     """
 
-    def __init__(self, ga, state, goal, colors):
-        self.ga = ga
+    def __init__(self, g, state, goal, colors):
+        self.g = g
         self.state = state
         self.goal = goal
         cs = sorted(colors)
         self.pairs = [(a, b) for i, a in enumerate(cs) for b in cs[i + 1:]]
-        self.owner = {p: [-1] * ga.m for p in self.pairs}
+        self.owner = {p: [-1] * g.m for p in self.pairs}
         self.comps = {p: {} for p in self.pairs}
         self.gaining = {p: set() for p in self.pairs}
-        for a, b, rep, comp in _kempe_components(ga, self.state, colors):
+        for a, b, rep, comp in _kempe_components(g, self.state, colors):
             self._add(a, b, rep, comp)
 
     def _add(self, a, b, rep, comp):
@@ -235,14 +234,10 @@ class _ComponentIndex:
 
     def swap(self, a, b, rep):
         """Interchange a and b on the (a, b)-component `rep` and update."""
-        ga = self.ga
+        g = self.g
         comp = self.comps[a, b][rep]
-        verts = {ga.edge_u[e] for e in comp} | {ga.edge_v[e] for e in comp}
-        touched = sorted({
-            ga.adj_eid[k]
-            for v in verts
-            for k in range(ga.adj_start[v], ga.adj_start[v + 1])
-        })
+        verts = {v for e in comp for v in g.edges[e]}
+        touched = sorted({e for v in verts for _, e in g.adj[v]})
         affected = [p for p in self.pairs if p != (a, b) and (a in p or b in p)]
         for p in affected:
             owner, comps, gaining = self.owner[p], self.comps[p], self.gaining[p]
@@ -265,11 +260,11 @@ class _ComponentIndex:
             owner = self.owner[x, y]
             for e in touched:
                 if owner[e] < 0 and state[e] in (x, y):
-                    new, _, _ = backend.trace_component(ga, state, x, y, e)
+                    new, _, _ = backend.trace_component(g, state, x, y, e)
                     self._add(x, y, min(new), new)
 
 
-def _bfs_to_better(ga, start, goal, colors, cap):
+def _bfs_to_better(g, start, goal, colors, cap):
     """Moves (a, b, rep) to a nearest state with strictly larger agreement
     with `goal`, or None once more than `cap` states are stored.
 
@@ -284,7 +279,7 @@ def _bfs_to_better(ga, start, goal, colors, cap):
     while queue:
         cur = queue.popleft()
         # the palette argument is read only when no color set is given
-        for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, None, colors):
+        for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, None, colors):
             if nxt in parent:
                 continue
             parent[nxt] = (cur, (a, b, rep))
@@ -313,9 +308,9 @@ def _equalize_search(rec: Recorder, goal: bytes, colors, note: str):
     state = rec.colors
     if bytes(state) == goal:
         return []
-    ga = rec.ga
+    g = rec.g
     out = []
-    index = _ComponentIndex(ga, state, goal, colors)
+    index = _ComponentIndex(g, state, goal, colors)
     for _ in range(len(goal) * 4 + 8):
         step = index.first_gaining()
         if step is not None:
@@ -327,14 +322,14 @@ def _equalize_search(rec: Recorder, goal: bytes, colors, note: str):
         cur = bytes(state)
         if cur == goal:
             return out
-        moves = _bfs_to_better(ga, cur, goal, colors, _IMPROVE_BUDGET)
+        moves = _bfs_to_better(g, cur, goal, colors, _IMPROVE_BUDGET)
         exact = moves is None
         if exact:
             try:
-                moves = _meet_in_middle(ga, cur, goal, colors, DEFAULT_SEARCH_BUDGET)
+                moves = _meet_in_middle(g, cur, goal, colors, DEFAULT_SEARCH_BUDGET)
             except BudgetExceeded:
                 raise SearchBudgetExceeded(
-                    f"equalizer exceeded {DEFAULT_SEARCH_BUDGET} states (graph m={ga.m})"
+                    f"equalizer exceeded {DEFAULT_SEARCH_BUDGET} states (graph m={g.m})"
                 ) from None
             if moves is None:
                 raise InternalInvariantError("goal outside the start's Kempe class")

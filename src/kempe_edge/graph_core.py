@@ -4,6 +4,10 @@ Vertices are 1-based (DIMACS convention).  Edges are stored once with
 endpoints u < v and get ids 0..m-1 in input order, so every artifact that
 refers to edges (colorings, transcripts) is reproducible across runs.
 
+A :class:`Graph` has one representation, read by every layer and by the
+kernels alike: ``edges[e]`` is the endpoint pair of edge id e, and
+``adj[v]`` lists the (neighbor, edge id) pairs at v by ascending edge id.
+
 Both :class:`Graph` and :class:`EdgeColoring` are immutable after
 construction; every transformation produces a new coloring value.
 """
@@ -22,12 +26,13 @@ from .errors import (
     MissingEdgeColor,
     NotProper,
 )
+from .kernels import backend
 
 
 class Graph:
     """Simple undirected graph (no loops, no parallel edges)."""
 
-    __slots__ = ("n", "edges", "adj", "_edge_index", "_arrays")
+    __slots__ = ("n", "edges", "adj", "_edge_index")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -53,7 +58,6 @@ class Graph:
             adj[v].append((u, eid))
         self.adj = tuple(tuple(x) for x in adj)
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
-        self._arrays = None
 
     @property
     def m(self) -> int:
@@ -81,14 +85,6 @@ class Graph:
         if v == w:
             return u
         raise GraphInvariantError(f"vertex {v} not an endpoint of edge {eid}")
-
-    def arrays(self):
-        """Flat adjacency arrays for the kernels (cached)."""
-        if self._arrays is None:
-            from .kernels import build_arrays
-
-            self._arrays = build_arrays(self)
-        return self._arrays
 
     def __eq__(self, other):
         return (
@@ -183,9 +179,7 @@ def palette_at(g: Graph, f: EdgeColoring, v: int) -> frozenset:
 def is_proper(g: Graph, f: EdgeColoring) -> bool:
     """True iff no two adjacent edges share a color."""
     _check_total(g, f)
-    from .kernels import backend
-
-    return backend.is_proper(g.arrays(), list(f.colors))
+    return backend.is_proper(g, f.colors)
 
 
 def require_proper(g: Graph, f: EdgeColoring, what: str = "coloring") -> None:
@@ -209,6 +203,22 @@ class BicoloredComponent:
     kind: str                # "path" | "cycle"
 
 
+def bicolored_components(g: Graph, colors, a: int, b: int):
+    """Yield (rep, edge_ids, vertices, is_cycle) for every component of the
+    (a, b)-subgraph of `colors`, by ascending least edge id `rep`.
+
+    One ascending scan traces each component from the first of its edges
+    it meets; `colors` must not change while the generator runs.
+    """
+    seen = bytearray(g.m)
+    for eid, c in enumerate(colors):
+        if (c == a or c == b) and not seen[eid]:
+            edge_ids, verts, is_cycle = backend.trace_component(g, colors, a, b, eid)
+            for e in edge_ids:
+                seen[e] = 1
+            yield eid, edge_ids, verts, is_cycle
+
+
 def bicolored_subgraph(g: Graph, f: EdgeColoring, a: int, b: int):
     """Components of G_f(a, b), each a path or an even cycle."""
     if a == b:
@@ -217,26 +227,14 @@ def bicolored_subgraph(g: Graph, f: EdgeColoring, a: int, b: int):
         if not (1 <= c <= f.t):
             raise ColorOutOfRange(f"color {c} not in 1..{f.t}")
     require_proper(g, f)
-    from .kernels import backend
-
-    colors = list(f.colors)
-    ga = g.arrays()
-    comps = []
-    seen = [False] * g.m
-    for eid in range(g.m):
-        if seen[eid] or colors[eid] not in (a, b):
-            continue
-        edge_ids, verts, is_cycle = backend.trace_component(ga, colors, a, b, eid)
-        for e in edge_ids:
-            seen[e] = True
-        comps.append(
-            BicoloredComponent(
-                vertices=tuple(verts),
-                edge_ids=tuple(edge_ids),
-                kind="cycle" if is_cycle else "path",
-            )
+    return [
+        BicoloredComponent(
+            vertices=tuple(verts),
+            edge_ids=tuple(edge_ids),
+            kind="cycle" if is_cycle else "path",
         )
-    return comps
+        for _, edge_ids, verts, is_cycle in bicolored_components(g, f.colors, a, b)
+    ]
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]):

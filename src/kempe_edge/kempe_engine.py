@@ -23,6 +23,7 @@ from .errors import (
     InvalidMoveAtIndex,
     NotProper,
     NotSaturated,
+    PreconditionViolated,
     RepEdgeNotBicolored,
 )
 from .graph_core import (
@@ -111,7 +112,7 @@ def interchange(g: Graph, f: EdgeColoring, mv: KempeMove) -> EdgeColoring:
             f"edge {mv.rep_edge} colored {f.colors[mv.rep_edge]}, move is ({mv.a},{mv.b})"
         )
     colors = list(f.colors)
-    edge_ids, _, _ = backend.trace_component(g.arrays(), colors, mv.a, mv.b, mv.rep_edge)
+    edge_ids, _, _ = backend.trace_component(g, colors, mv.a, mv.b, mv.rep_edge)
     backend.swap_component(colors, edge_ids, mv.a, mv.b)
     return EdgeColoring(f.t, colors)
 
@@ -165,16 +166,17 @@ def grow_fan(g: Graph, f: EdgeColoring, pivot: int, first_edge: int) -> Fan:
 
 
 def check_fan(g: Graph, f: EdgeColoring, fan: Fan) -> None:
-    """Validate the fan property against a coloring (raises on violation)."""
+    """Validate a caller's fan against a coloring: EdgeOutOfRange,
+    EdgeNotIncident or PreconditionViolated on a violation."""
     if len(set(fan.edges)) != len(fan.edges):
-        raise InternalInvariantError("fan edges not distinct")
+        raise PreconditionViolated("fan edges not distinct")
     leaf = None
     for i, eid in enumerate(fan.edges):
         check_edge_id(g, eid)
         if fan.pivot not in g.edges[eid]:
             raise EdgeNotIncident(f"fan edge {eid} not at pivot {fan.pivot}")
         if i > 0 and f.colors[eid] in palette_at(g, f, leaf):
-            raise InternalInvariantError(
+            raise PreconditionViolated(
                 f"fan edge {eid} color {f.colors[eid]} appears at previous leaf {leaf}"
             )
         leaf = g.other_end(eid, fan.pivot)
@@ -218,7 +220,6 @@ def apply_transcript(
     """
     require_proper(g, f, "starting coloring")
     colors = list(f.colors)
-    ga = g.arrays()
     for i, mv in enumerate(tr.moves):
         if not (1 <= mv.a <= f.t and 1 <= mv.b <= f.t):
             raise InvalidMoveAtIndex(i, f"colors ({mv.a},{mv.b}) outside palette")
@@ -229,10 +230,10 @@ def apply_transcript(
                 i,
                 f"edge {mv.rep_edge} colored {colors[mv.rep_edge]}, move is ({mv.a},{mv.b})",
             )
-        edge_ids, _, _ = backend.trace_component(ga, colors, mv.a, mv.b, mv.rep_edge)
+        edge_ids, _, _ = backend.trace_component(g, colors, mv.a, mv.b, mv.rep_edge)
         backend.swap_component(colors, edge_ids, mv.a, mv.b)
         if check:
-            clash = _clash_at_endpoints(ga, colors, edge_ids)
+            clash = _clash_at_endpoints(g, colors, edge_ids)
             if clash is not None:
                 v, c, e1, e2 = clash
                 raise InvalidMoveAtIndex(
@@ -243,18 +244,17 @@ def apply_transcript(
     return EdgeColoring(f.t, colors)
 
 
-def _clash_at_endpoints(ga, colors, edge_ids):
+def _clash_at_endpoints(g, colors, edge_ids):
     """First (vertex, color, edge, edge) where two edges at an endpoint of
     an edge in `edge_ids` share a color, or None."""
     done = set()
     for e in edge_ids:
-        for v in (ga.edge_u[e], ga.edge_v[e]):
+        for v in g.edges[e]:
             if v in done:
                 continue
             done.add(v)
             seen = {}
-            for k in range(ga.adj_start[v], ga.adj_start[v + 1]):
-                e2 = ga.adj_eid[k]
+            for _, e2 in g.adj[v]:
                 c = colors[e2]
                 if c in seen:
                     return v, c, seen[c], e2
@@ -316,11 +316,10 @@ class Recorder:
     is meant to be re-verified through apply_transcript.
     """
 
-    __slots__ = ("g", "ga", "colors", "t", "tr")
+    __slots__ = ("g", "colors", "t", "tr")
 
     def __init__(self, g: Graph, f: EdgeColoring):
         self.g = g
-        self.ga = g.arrays()
         self.colors = list(f.colors)
         self.t = f.t
         self.tr = Transcript()
@@ -340,7 +339,7 @@ class Recorder:
         return -1
 
     def component(self, a: int, b: int, rep_edge: int):
-        return backend.trace_component(self.ga, self.colors, a, b, rep_edge)
+        return backend.trace_component(self.g, self.colors, a, b, rep_edge)
 
     def apply(self, a: int, b: int, rep_edge: int, note: Optional[str] = None):
         """Interchange on the (a,b)-component of rep_edge; returns its
@@ -377,5 +376,5 @@ class Recorder:
             target = old
 
     def check_proper(self, where: str = "") -> None:
-        if not backend.is_proper(self.ga, self.colors):
+        if not backend.is_proper(self.g, self.colors):
             raise NotProper(f"internal coloring not proper {where}")

@@ -152,7 +152,7 @@ def _search_coloring(g: Graph, t: int, node_cap: int):
     m = g.m
     if m == 0:
         return []
-    order = _enum_order(g.arrays())
+    order = _enum_order(g)
     plan = _hall_plan(g, order)
     palette = (1 << (t + 1)) - 2  # bits 1..t
     colors = [0] * m
@@ -244,7 +244,7 @@ def _canonical(state: bytes, order) -> bytes:
     return state.translate(table)
 
 
-def _quotient_neighbors(ga, order, t, state):
+def _quotient_neighbors(g, order, t, state):
     """Canonical forms of the Kempe neighbors of a canonical `state`.
 
     Colors above k = max(state) are absent and interchangeable, so only the
@@ -253,7 +253,7 @@ def _quotient_neighbors(ga, order, t, state):
     of (a, k + 1).
     """
     top = min(t, max(state, default=0) + 1)
-    for nxt in backend.kempe_neighbors(ga, state, t, range(1, top + 1)):
+    for nxt in backend.kempe_neighbors(g, state, t, range(1, top + 1)):
         yield _canonical(nxt, order)
 
 
@@ -311,15 +311,14 @@ def kempe_classes(
     check_palette(t)
     if jobs != 1:
         raise PreconditionViolated(f"kempe_classes: jobs must be 1, got {jobs}")
-    ga = g.arrays()
-    states, truncated = backend.enumerate_proper(ga, t, cap)
+    states, truncated = backend.enumerate_proper(g, t, cap)
     if truncated:
         raise BudgetExceeded(f"more than cap = {cap} colorings up to palette renaming")
     index = {s: i for i, s in enumerate(states)}
     uf = _UnionFind(len(states))
-    order = _enum_order(ga)
+    order = _enum_order(g)
     for i, s in enumerate(states):
-        for nxt in _quotient_neighbors(ga, order, t, s):
+        for nxt in _quotient_neighbors(g, order, t, s):
             uf.union(i, _lookup(index, nxt))
     roots = {}
     sizes = []
@@ -351,7 +350,7 @@ def _path_to(parent, state):
     return moves
 
 
-def _meet_in_middle(ga, start: bytes, goal: bytes, colors, cap: int):
+def _meet_in_middle(g, start: bytes, goal: bytes, colors, cap: int):
     """A shortest list of interchanges (a, b, rep) over `colors` carrying
     `start` to `goal`, or None when `goal` lies outside its Kempe class.
 
@@ -374,7 +373,7 @@ def _meet_in_middle(ga, start: bytes, goal: bytes, colors, cap: int):
         layer = []
         for cur in front_f if forward else front_b:
             # the palette argument is read only when no color set is given
-            for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, None, colors):
+            for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, None, colors):
                 if nxt in mine:
                     continue
                 mine[nxt] = (cur, (a, b, rep))
@@ -415,7 +414,7 @@ def same_class(
     goal = bytes(h.colors)
     if start == goal:
         return True, Transcript()
-    moves = _meet_in_middle(g.arrays(), start, goal, range(1, t + 1), cap)
+    moves = _meet_in_middle(g, start, goal, range(1, t + 1), cap)
     if moves is None:
         return False, None
     return True, Transcript([KempeMove(*mv) for mv in moves])

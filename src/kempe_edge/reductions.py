@@ -52,6 +52,13 @@ def maximalize_top_class(g: Graph, h: EdgeColoring, top: int):
     if not 1 <= top <= h.t:
         raise ColorOutOfRange(f"color {top} not in 1..{h.t}")
     require_proper(g, h)
+    return _maximalize(g, h, top)
+
+
+def _maximalize(g: Graph, h: EdgeColoring, top: int):
+    """:func:`maximalize_top_class` on a proper h, unchecked: `equalize`
+    maximalizes a witness it has already checked, and `peel_and_recurse`
+    checks the result."""
     rec = Recorder(g, h)
     covered = _covered(g, h.colors, top)
     for eid, (u, v) in enumerate(g.edges):
@@ -85,16 +92,23 @@ def peel_and_recurse(
     Each side is reduced to chi colors and re-opens M with the spare color;
     the remainder g - M is then equalized once, from f's side to h's, at
     palette chi, with w's restriction there, a (chi-1)-coloring, as the
-    witness of chi - 1: no recursive call runs the chromatic-index oracle."""
+    witness of chi - 1: no recursive call runs the chromatic-index oracle.
+
+    A witness that is not a proper chi-coloring with a maximal top class,
+    or a chi outside {Delta, Delta+1}, is the caller's error and raises
+    MissingEdgeColor, NotProper, PaletteMismatch or PreconditionViolated."""
     if f.t != chi + 1 or h.t != chi + 1:
         raise PaletteMismatch("peel expects palette chi+1 input")
+    require_proper(g, w, "peel witness")
     if any(c > chi for c in w.colors):
         raise PaletteMismatch("peel witness must stay within chi colors")
     if not _matching_is_maximal(g, w.colors, chi):
-        raise InternalInvariantError("peel witness's top class is not maximal")
+        raise PreconditionViolated("peel witness's top class is not maximal")
     delta = g.max_degree()
     if chi not in (delta, delta + 1):
-        raise InternalInvariantError("chromatic index outside Vizing bounds")
+        raise PreconditionViolated(
+            f"chi' = {chi} outside Vizing bounds {delta}..{delta + 1}"
+        )
     reduce = acyclic_reduce if chi == delta else reduce_to_delta_plus_one
     top_edges = sorted(color_class(w, chi))
     recs = []
@@ -194,5 +208,5 @@ def equalize(
             f"no reduction covers Delta={delta}, chi'={chi}, "
             f"acyclic high-degree subgraph={acyclic_high}"
         )
-    w_max, _ = maximalize_top_class(g, witness, chi)
+    w_max, _ = _maximalize(g, witness, chi)
     return peel_and_recurse(g, f, h, w_max, chi)

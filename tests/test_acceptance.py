@@ -346,7 +346,7 @@ def test_acceptance_9_engine_properties():
         # component before applying it
         colors = list(f.colors)
         for mv in tr.moves:
-            comp, _, _ = backend.trace_component(g.arrays(), colors, mv.a, mv.b, mv.rep_edge)
+            comp, _, _ = backend.trace_component(g, colors, mv.a, mv.b, mv.rep_edge)
             assert len(comp) == 1
             colors[mv.rep_edge] = mv.b if colors[mv.rep_edge] == mv.a else mv.a
         assert colors == list(out.colors)

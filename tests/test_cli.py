@@ -122,6 +122,23 @@ def test_unsupported_family_error_line(work, capsys):
     assert payload["error"] == "unsupported_family"
 
 
+def test_apply_check_rejects_a_move_outside_the_palette(work, capsys):
+    graph, first = work / "g.graph", work / "f.col"
+    assert main(["gen", "figure1", "--out", str(graph), "--first", str(first),
+                 "--second", str(work / "h.col")]) == 0
+    (work / "tr.txt").write_text("K 9 1 1 2\n")
+    capsys.readouterr()
+    assert main(["apply", "--graph", str(graph), "--coloring", str(first),
+                 "--transcript", str(work / "tr.txt"), "--check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "invalid_move"
+    assert payload["detail"] == "move 0: colors (9,1) outside palette"
+
+
 def test_oracle_subcommands(work, capsys):
     graph = work / "oct.graph"
     first = work / "f.col"

@@ -108,12 +108,12 @@ def test_project_transcript_lockstep_random_moves():
         lifted = f
         for i in range(len(tower.levels) - 1):
             lifted = lift_coloring(tower, i, lifted)
-        ga = tower.levels[-1].arrays()
+        top = tower.levels[-1]
         # random walk on the top level
         state = bytes(lifted.colors)
         tr = Transcript()
         for _ in range(20):
-            moves = backend.kempe_neighbor_moves(ga, state, 5)
+            moves = backend.kempe_neighbor_moves(top, state, 5)
             a, b, rep, nxt = rng.choice(moves)
             tr.append(KempeMove(a, b, rep))
             state = nxt
@@ -147,7 +147,6 @@ def test_project_top_walk_straight_to_every_level():
     tower = build_tower(star)
     assert len(tower.levels) == 4
     top = tower.levels[-1]
-    ga = top.arrays()
     rng = random.Random(11)
     for fseed in range(4):
         f = random_proper_coloring(star, 5, fseed)
@@ -157,7 +156,7 @@ def test_project_top_walk_straight_to_every_level():
         state = bytes(lifted[-1].colors)
         tr = Transcript()
         for _ in range(30):
-            a, b, rep, state = rng.choice(backend.kempe_neighbor_moves(ga, state, 5))
+            a, b, rep, state = rng.choice(backend.kempe_neighbor_moves(top, state, 5))
             tr.append(KempeMove(a, b, rep))
         for i, g_i in enumerate(tower.levels):
             projected = project_transcript(tower, i, lifted[i], tr)
@@ -178,9 +177,7 @@ def test_project_moves_on_joining_edges_vanish():
     projected = project_transcript(tower, 0, f, tr)
     # the joining component may touch copy edges; if it stayed within the
     # joining matching the projection is empty
-    comp, _, _ = backend.trace_component(
-        big.arrays(), list(lifted.colors), a, b, join_eid
-    )
+    comp, _, _ = backend.trace_component(big, list(lifted.colors), a, b, join_eid)
     if not (set(comp) & set(range(base.m))):
         assert len(projected.moves) == 0
     else:
@@ -204,8 +201,9 @@ def test_project_rejects_a_top_move_that_does_not_replay():
     tower = build_tower(base)
     f = random_proper_coloring(base, 5, 1)
     top = lift_coloring(tower, 0, f)
-    ga = tower.levels[-1].arrays()
-    a, b, rep, nxt = backend.kempe_neighbor_moves(ga, bytes(top.colors), 5)[0]
+    a, b, rep, nxt = backend.kempe_neighbor_moves(
+        tower.levels[-1], bytes(top.colors), 5
+    )[0]
     c, d = [c for c in range(1, 6) if c != nxt[rep]][:2]
     tr = Transcript([KempeMove(a, b, rep), KempeMove(c, d, rep)])
     with pytest.raises(ProjectionMismatch, match="does not replay"):
@@ -301,7 +299,7 @@ def _old_reconstruct(parent, state):
     return moves
 
 
-def _old_bfs_to_better(ga, start, goal, colors, t, cap):
+def _old_bfs_to_better(g, start, goal, colors, t, cap):
     """Moves to a nearest state with strictly larger agreement with goal.
 
     An interchange changes agreement only on its own component, so the
@@ -313,7 +311,7 @@ def _old_bfs_to_better(ga, start, goal, colors, t, cap):
     the BFS run.
     """
     # k: states the BFS's `parent` map would hold once this neighbor is added
-    for k, (a, b, rep, comp) in enumerate(_kempe_components(ga, start, colors), 2):
+    for k, (a, b, rep, comp) in enumerate(_kempe_components(g, start, colors), 2):
         if _gain(start, goal, a, b, comp) > 0:
             nxt = bytearray(start)
             backend.swap_component(nxt, comp, a, b)
@@ -325,7 +323,7 @@ def _old_bfs_to_better(ga, start, goal, colors, t, cap):
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, t, colors):
+        for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, t, colors):
             if nxt in parent:
                 continue
             parent[nxt] = (cur, (a, b, rep))
@@ -337,7 +335,7 @@ def _old_bfs_to_better(ga, start, goal, colors, t, cap):
     return None
 
 
-def _old_bidirectional(ga, start, goal, colors, t, cap):
+def _old_bidirectional(g, start, goal, colors, t, cap):
     """Exact meet-in-the-middle search start -> goal."""
     pf = {start: None}
     pb = {goal: None}
@@ -351,7 +349,7 @@ def _old_bidirectional(ga, start, goal, colors, t, cap):
             side, parent, other = qb, pb, pf
         for _ in range(len(side)):
             cur = side.popleft()
-            for a, b, rep, nxt in backend.kempe_neighbor_moves(ga, cur, t, colors):
+            for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, t, colors):
                 if nxt in parent:
                     continue
                 parent[nxt] = (cur, (a, b, rep))
@@ -377,10 +375,10 @@ def _old_bidirectional(ga, start, goal, colors, t, cap):
     return forward + backward
 
 
-def _replay(ga, state, moves):
+def _replay(g, state, moves):
     state = bytearray(state)
     for a, b, rep in moves:
-        comp, _, _ = backend.trace_component(ga, state, a, b, rep)
+        comp, _, _ = backend.trace_component(g, state, a, b, rep)
         backend.swap_component(state, comp, a, b)
     return bytes(state)
 
@@ -403,13 +401,12 @@ def test_kempe_components_follow_neighbor_move_order():
     for n in (6, 8, 10, 12):
         for seed in range(5):
             g = _random_cubic(n, seed)
-            ga = g.arrays()
             for t, colors in (
                 (4, (1, 2, 3, 4)), (5, (1, 2, 3, 4, 5)), (5, (2, 3, 4, 5))
             ):
                 state = bytes(random_proper_coloring(g, t, seed + 10 * n).colors)
-                walk = list(_kempe_components(ga, state, colors))
-                moves = backend.kempe_neighbor_moves(ga, state, t, colors)
+                walk = list(_kempe_components(g, state, colors))
+                moves = backend.kempe_neighbor_moves(g, state, t, colors)
                 assert [(a, b, rep) for a, b, rep, _ in walk] == [
                     (a, b, rep) for a, b, rep, _ in moves
                 ]
@@ -427,20 +424,19 @@ def test_bfs_to_better_matches_labeled_bfs():
     for n in (8, 10, 12):
         for seed in range(22):
             g = _random_cubic(n, seed)
-            ga = g.arrays()
             cur = bytes(random_proper_coloring(g, 4, seed).colors)
             goal = bytes(random_proper_coloring(g, 4, seed + 100).colors)
             colors = (1, 2, 3, 4)
-            old = _old_bfs_to_better(ga, cur, goal, colors, 4, 3)
-            assert _bfs_to_better(ga, cur, goal, colors, 3) == (old and old[0])
+            old = _old_bfs_to_better(g, cur, goal, colors, 4, 3)
+            assert _bfs_to_better(g, cur, goal, colors, 3) == (old and old[0])
             while cur != goal:
-                moves = _bfs_to_better(ga, cur, goal, colors, 250_000)
-                old = _old_bfs_to_better(ga, cur, goal, colors, 4, 250_000)
+                moves = _bfs_to_better(g, cur, goal, colors, 250_000)
+                old = _old_bfs_to_better(g, cur, goal, colors, 4, 250_000)
                 if old is None:
                     assert moves is None
                     break
                 assert moves == old[0]
-                assert _replay(ga, cur, moves) == old[1]
+                assert _replay(g, cur, moves) == old[1]
                 deep += len(moves) > 1
                 cur = old[1]
     assert deep > 0
@@ -485,8 +481,8 @@ def _search_instances(sizes, seeds):
                 )
 
 
-def _assert_index_matches_walk(index, ga, goal, colors):
-    walk = list(_kempe_components(ga, index.state, colors))
+def _assert_index_matches_walk(index, g, goal, colors):
+    walk = list(_kempe_components(g, index.state, colors))
     expect = {p: {} for p in index.pairs}
     for a, b, rep, comp in walk:
         expect[a, b][rep] = comp
@@ -494,7 +490,7 @@ def _assert_index_matches_walk(index, ga, goal, colors):
         assert {r: sorted(c) for r, c in index.comps[p].items()} == {
             r: sorted(c) for r, c in expect[p].items()
         }
-        owner = [-1] * ga.m
+        owner = [-1] * g.m
         for r, comp in expect[p].items():
             for e in comp:
                 owner[e] = r
@@ -520,21 +516,20 @@ def test_component_index_matches_fresh_walk_after_every_swap():
     rng = random.Random(5)
     swaps = 0
     for g, start, goal, colors, t in _search_instances((8, 10, 12), range(3)):
-        ga = g.arrays()
-        index = _ComponentIndex(ga, bytearray(start), goal, colors)
-        _assert_index_matches_walk(index, ga, goal, colors)
+        index = _ComponentIndex(g, bytearray(start), goal, colors)
+        _assert_index_matches_walk(index, g, goal, colors)
         for _ in range(25):
             step = index.first_gaining()
             if step is None or rng.random() < 0.5:
                 p = rng.choice([p for p in index.pairs if index.comps[p]])
                 step = (*p, rng.choice(sorted(index.comps[p])))
             expect = bytearray(index.state)
-            comp, _, _ = backend.trace_component(ga, expect, *step)
+            comp, _, _ = backend.trace_component(g, expect, *step)
             backend.swap_component(expect, comp, step[0], step[1])
             index.swap(*step)
             swaps += 1
             assert index.state == expect
-            _assert_index_matches_walk(index, ga, goal, colors)
+            _assert_index_matches_walk(index, g, goal, colors)
     assert swaps > 1000
 
 
@@ -544,7 +539,6 @@ def _reference_equalize_search(g, start, goal, colors, t, cap):
     loop, `cap` binds only when no single interchange gains."""
     if start == goal:
         return []
-    ga = g.arrays()
     out = []
     cur = start
     for _ in range(len(start) * 4 + 8):
@@ -552,12 +546,12 @@ def _reference_equalize_search(g, start, goal, colors, t, cap):
             return out
         gains = any(
             _gain(cur, goal, a, b, comp) > 0
-            for a, b, _, comp in _kempe_components(ga, cur, colors)
+            for a, b, _, comp in _kempe_components(g, cur, colors)
         )
-        found = _old_bfs_to_better(ga, cur, goal, colors, t, 250_000 if gains else cap)
+        found = _old_bfs_to_better(g, cur, goal, colors, t, 250_000 if gains else cap)
         if found is None:
-            tail = _old_bidirectional(ga, cur, goal, colors, t, 2_000_000)
-            assert tail is not None and _replay(ga, cur, tail) == goal
+            tail = _old_bidirectional(g, cur, goal, colors, t, 2_000_000)
+            assert tail is not None and _replay(g, cur, tail) == goal
             return out + tail
         moves, cur = found
         out.extend(moves)
@@ -601,7 +595,7 @@ def test_equalize_search_matches_walk_loop_under_small_caps(monkeypatch):
     _counting(monkeypatch, "_bfs_to_better", counts)
     _counting(monkeypatch, "_meet_in_middle", counts)
     for g, start, goal, colors, t in _search_instances((6, 8), range(6)):
-        total = len(list(_kempe_components(g.arrays(), start, colors)))
+        total = len(list(_kempe_components(g, start, colors)))
         for cap in (*range(total - 2, total + 3), 16 * total):
             monkeypatch.setattr(degree4_lift, "_IMPROVE_BUDGET", cap)
             assert _search(g, start, goal, colors, t) == (
@@ -637,7 +631,7 @@ def test_equalize_search_takes_greedy_steps_under_any_cap(monkeypatch):
             if greedy:
                 assert capped == moves
             else:
-                assert _replay(g.arrays(), start, capped) == goal
+                assert _replay(g, start, capped) == goal
     assert any(greedy for *_, greedy in runs)
     assert counts["_meet_in_middle", True] > exact
 
@@ -673,11 +667,10 @@ def test_component_index_swap_retraces_locally(monkeypatch):
     worst = 0.0
     for n, seed in ((12, 0), (60, 1), (120, 2)):
         g = _random_cubic(n, seed)
-        ga = g.arrays()
         for colors, shift in (((1, 2, 3, 4), 0), ((2, 3, 4, 5), 1)):
             start = bytes(c + shift for c in _delta_plus_one_coloring(g, seed).colors)
             goal = bytes(c + shift for c in _delta_plus_one_coloring(g, seed + 1).colors)
-            index = _ComponentIndex(ga, bytearray(start), goal, colors)
+            index = _ComponentIndex(g, bytearray(start), goal, colors)
             while (step := index.first_gaining()) is not None:
                 comp = index.comps[step[0], step[1]][step[2]]
                 verts = {v for e in comp for v in g.edges[e]}

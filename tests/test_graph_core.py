@@ -69,6 +69,20 @@ def test_graph_canonicalizes_and_validates():
         Graph(2, [(1, 3)])
 
 
+def test_adjacency_lists_edge_ids_in_ascending_order():
+    """The kernels scan `g.adj[v]` for the first edge of a color, so every
+    tie-break in a transcript relies on ascending edge ids there."""
+    reversed_k5 = Graph(5, [(v, u) for u in range(1, 6) for v in range(5, u, -1)])
+    graphs = [octahedron(), reversed_k5, random_regular4_class1(20, 3)[0]]
+    graphs.append(delete_edges(graphs[-1], [0, 7, 11])[0])
+    graphs.append(induced_high_degree_subgraph(reversed_k5, 4)[0])
+    for g in graphs:
+        for v in range(g.n + 1):
+            ids = [eid for _, eid in g.adj[v]]
+            assert ids == sorted(ids)
+            assert all(v in g.edges[eid] and w in g.edges[eid] for w, eid in g.adj[v])
+
+
 def test_is_proper_basic():
     g = Graph(2, [(1, 2)])
     assert is_proper(g, EdgeColoring(1, [1]))

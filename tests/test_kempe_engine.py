@@ -10,6 +10,7 @@ from kempe_edge.errors import (
     EdgeNotIncident,
     InvalidMoveAtIndex,
     NotSaturated,
+    PreconditionViolated,
     RepEdgeNotBicolored,
 )
 from kempe_edge.fixtures_gen import (
@@ -167,6 +168,35 @@ def test_downshift_requires_saturation():
         downshift(g, f, fan, 2)  # color 2 appears at the pivot
 
 
+@pytest.mark.parametrize("edges", [(0, 0), (0, 1)], ids=["repeated", "color-at-leaf"])
+def test_downshift_rejects_a_callers_bad_fan(edges):
+    # octahedron, pivot 1: edge 1 = (1, 4) is colored 3, and color 3 is on
+    # edge 4 = (2, 3) at the first leaf 2, so (0, 1) is not a fan
+    g = octahedron()
+    f = random_proper_coloring(g, 5, 1)
+    fan = Fan(1, edges, tuple(f.colors[e] for e in edges[1:]))
+    with pytest.raises(PreconditionViolated):
+        downshift(g, f, fan, 5)
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (KempeMove(5, 1, 0), "colors (5,1) outside palette"),
+    (KempeMove(1, 0, 0), "colors (1,0) outside palette"),
+    (KempeMove(1, 2, -1), "edge -1 out of range"),
+    (KempeMove(1, 2, 12), "edge 12 out of range"),
+])
+@pytest.mark.parametrize("check", [True, False])
+def test_apply_transcript_rejects_moves_outside_palette_and_edges(bad, reason, check):
+    g = octahedron()
+    f, _ = figure1_pair()
+    assert f.t == 4 and g.m == 12
+    first = KempeMove(f.colors[0], 5 - f.colors[0], 0)
+    with pytest.raises(InvalidMoveAtIndex) as exc:
+        apply_transcript(g, f, Transcript([first, bad]), check=check)
+    assert exc.value.index == 1
+    assert exc.value.reason == reason
+
+
 def test_apply_transcript_empty_and_involution():
     g = octahedron()
     f, _ = figure1_pair()
@@ -208,8 +238,8 @@ def test_transcript_file_round_trip():
 def _drop_last_edge(real):
     """A faulty trace_component: swaps only part of a multi-edge component."""
 
-    def trace(ga, colors, a, b, e0):
-        edge_ids, verts, is_cycle = real(ga, colors, a, b, e0)
+    def trace(g, colors, a, b, e0):
+        edge_ids, verts, is_cycle = real(g, colors, a, b, e0)
         return (edge_ids[:-1] if len(edge_ids) >= 2 else edge_ids), verts, is_cycle
 
     return trace
@@ -217,17 +247,16 @@ def _drop_last_edge(real):
 
 def _replay_full_check(g, f, tr):
     """Reference replay: a full-graph properness scan after every move."""
-    ga = g.arrays()
     colors = list(f.colors)
     for i, mv in enumerate(tr.moves):
         if not (1 <= mv.a <= f.t and 1 <= mv.b <= f.t):
             raise InvalidMoveAtIndex(i, "palette")
         if not (0 <= mv.rep_edge < g.m) or colors[mv.rep_edge] not in (mv.a, mv.b):
             raise InvalidMoveAtIndex(i, "rep edge")
-        edge_ids, _, _ = backend.trace_component(ga, colors, mv.a, mv.b, mv.rep_edge)
+        edge_ids, _, _ = backend.trace_component(g, colors, mv.a, mv.b, mv.rep_edge)
         for e in edge_ids:
             colors[e] = mv.b if colors[e] == mv.a else mv.a
-        if not backend.is_proper(ga, colors):
+        if not backend.is_proper(g, colors):
             raise InvalidMoveAtIndex(i, "not proper")
     return EdgeColoring(f.t, colors)
 
@@ -282,7 +311,7 @@ def _graph_coloring_moves(draw):
         b = draw(st.integers(1, t).filter(lambda c: c != a))
         moves.append(KempeMove(a, b, eid))
         if shadow[eid] in (a, b):
-            edge_ids, _, _ = backend.trace_component(g.arrays(), shadow, a, b, eid)
+            edge_ids, _, _ = backend.trace_component(g, shadow, a, b, eid)
             for e in edge_ids:
                 shadow[e] = b if shadow[e] == a else a
     return g, f, Transcript(moves)

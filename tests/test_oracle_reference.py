@@ -45,26 +45,26 @@ trace_component = backend.trace_component
 # ---------------------------------------------------------------------------
 
 
-def _ref_components_of_pair(ga, colors, a, b):
+def _ref_components_of_pair(g, colors, a, b):
     comps = []
-    seen = [False] * ga.m
-    for eid in range(ga.m):
+    seen = [False] * g.m
+    for eid in range(g.m):
         if seen[eid] or colors[eid] not in (a, b):
             continue
-        es, _, _ = trace_component(ga, colors, a, b, eid)
+        es, _, _ = trace_component(g, colors, a, b, eid)
         for e in es:
             seen[e] = True
         comps.append(es)
     return comps
 
 
-def _ref_kempe_neighbors(ga, state, t):
+def _ref_kempe_neighbors(g, state, t):
     """All states one Kempe interchange away from `state` (bytes)."""
     colors = list(state)
     out = []
     for a in range(1, t + 1):
         for b in range(a + 1, t + 1):
-            for es in _ref_components_of_pair(ga, colors, a, b):
+            for es in _ref_components_of_pair(g, colors, a, b):
                 nxt = bytearray(state)
                 for e in es:
                     nxt[e] = b if nxt[e] == a else a
@@ -72,7 +72,7 @@ def _ref_kempe_neighbors(ga, state, t):
     return out
 
 
-def _ref_kempe_neighbor_moves(ga, state, t, color_set=None):
+def _ref_kempe_neighbor_moves(g, state, t, color_set=None):
     """Like kempe_neighbors but yields (a, b, rep_edge, next_state).
 
     `color_set` restricts the move colors when given (used by the bounded
@@ -83,7 +83,7 @@ def _ref_kempe_neighbor_moves(ga, state, t, color_set=None):
     out = []
     for i, a in enumerate(cs):
         for b in cs[i + 1:]:
-            for es in _ref_components_of_pair(ga, colors, a, b):
+            for es in _ref_components_of_pair(g, colors, a, b):
                 nxt = bytearray(state)
                 for e in es:
                     nxt[e] = b if nxt[e] == a else a
@@ -91,12 +91,12 @@ def _ref_kempe_neighbor_moves(ga, state, t, color_set=None):
     return out
 
 
-def _ref_enumerate_proper(ga, t, cap):
+def _ref_enumerate_proper(g, t, cap):
     """All proper t-colorings as bytes, or (partial, True) when cap is hit."""
-    m = ga.m
-    order = backend._enum_order(ga)
+    m = g.m
+    order = backend._enum_order(g)
     colors = bytearray(m)
-    used = [0] * (ga.n + 1)  # bitmask of colors at each vertex
+    used = [0] * (g.n + 1)  # bitmask of colors at each vertex
     out = []
     truncated = False
 
@@ -111,7 +111,7 @@ def _ref_enumerate_proper(ga, t, cap):
             out.append(bytes(colors))
             return
         e = order[i]
-        u, v = ga.edge_u[e], ga.edge_v[e]
+        u, v = g.edges[e]
         avail = ~(used[u] | used[v])
         for c in range(1, t + 1):
             bit = 1 << c
@@ -132,12 +132,11 @@ def _ref_enumerate_proper(ga, t, cap):
 
 def _ref_kempe_classes(g, t, cap=5_000_000):
     """The sequential (jobs=1) labeled sweep."""
-    states, truncated = _ref_enumerate_proper(g.arrays(), t, cap)
+    states, truncated = _ref_enumerate_proper(g, t, cap)
     index = {s: i for i, s in enumerate(states)}
     uf = _UnionFind(len(states))
-    ga = g.arrays()
     for i, s in enumerate(states):
-        for nxt in _ref_kempe_neighbors(ga, s, t):
+        for nxt in _ref_kempe_neighbors(g, s, t):
             j = index.get(nxt)
             if j is None:
                 raise BudgetExceeded("state space truncated mid-sweep")
@@ -168,12 +167,11 @@ def _ref_same_class(g, t, f, h, cap=5_000_000):
     goal = bytes(h.colors)
     if start == goal:
         return True, Transcript()
-    ga = g.arrays()
     parent = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for a, b, rep, nxt in _ref_kempe_neighbor_moves(ga, cur, t):
+        for a, b, rep, nxt in _ref_kempe_neighbor_moves(g, cur, t):
             if nxt in parent:
                 continue
             parent[nxt] = (cur, KempeMove(a, b, rep))
@@ -198,7 +196,7 @@ def _ref_search_coloring(g: Graph, t: int, node_cap: int):
     m = g.m
     if m == 0:
         return []
-    order = _enum_order(g.arrays())
+    order = _enum_order(g)
     colors = [0] * m
     used = [0] * (g.n + 1)
     nodes = 0
@@ -268,22 +266,22 @@ def _report_key(rep):
 # ---------------------------------------------------------------------------
 
 
-def _assert_kernels_match(ga, state, t, color_set):
-    want = _ref_kempe_neighbor_moves(ga, state, t, color_set)
-    assert backend.kempe_neighbor_moves(ga, state, t, color_set) == want
-    assert backend.kempe_neighbors(ga, state, t, color_set) == [nxt for *_, nxt in want]
+def _assert_kernels_match(g, state, t, color_set):
+    want = _ref_kempe_neighbor_moves(g, state, t, color_set)
+    assert backend.kempe_neighbor_moves(g, state, t, color_set) == want
+    assert backend.kempe_neighbors(g, state, t, color_set) == [nxt for *_, nxt in want]
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(case=_graph_coloring(extra=(1, 2, 3)), data=st.data())
 def test_neighbor_kernels_match_reference(case, data):
     g, t, f = case
-    ga, state = g.arrays(), bytes(f.colors)
-    _assert_kernels_match(ga, state, t, None)
+    state = bytes(f.colors)
+    _assert_kernels_match(g, state, t, None)
     # a sub-palette that may drop used colors and add absent ones
     subset = data.draw(st.sets(st.integers(1, t + 2), max_size=t + 2))
-    _assert_kernels_match(ga, state, t, subset)
-    _assert_kernels_match(ga, state, t, tuple(range(1, t + 1)))
+    _assert_kernels_match(g, state, t, subset)
+    _assert_kernels_match(g, state, t, tuple(range(1, t + 1)))
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -296,22 +294,20 @@ def test_neighbor_kernels_match_reference_on_high_colors(case, data):
         min_size=t, max_size=t, unique=True,
     ))
     state = bytes(names[c - 1] for c in f.colors)
-    ga = g.arrays()
-    _assert_kernels_match(ga, state, 70, None)
+    _assert_kernels_match(g, state, 70, None)
     extra = data.draw(st.sets(st.integers(1, 255), max_size=4))
-    _assert_kernels_match(ga, state, 255, set(names) | extra)
-    _assert_kernels_match(ga, state, 255, set(names[:2]) | extra)
+    _assert_kernels_match(g, state, 255, set(names) | extra)
+    _assert_kernels_match(g, state, 255, set(names[:2]) | extra)
 
 
 def test_neighbor_kernels_c_and_c_plus_32_are_different_colors():
     path = Graph(3, [(1, 2), (2, 3)])
-    ga = path.arrays()
     for state, t in ((bytes([1, 33]), 33), (bytes([32, 64]), 64), (bytes([1, 65]), 65)):
-        _assert_kernels_match(ga, state, t, None)
-        _assert_kernels_match(ga, state, t, {1, 32, 33, 64, 65})
+        _assert_kernels_match(path, state, t, None)
+        _assert_kernels_match(path, state, t, {1, 32, 33, 64, 65})
         # the pair of the two colors swaps the whole path
         a, b = sorted(state)
-        assert (a, b, 0, bytes(reversed(state))) in backend.kempe_neighbor_moves(ga, state, t)
+        assert (a, b, 0, bytes(reversed(state))) in backend.kempe_neighbor_moves(path, state, t)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +388,7 @@ def test_kempe_classes_high_palette_path_is_instant():
 
 def test_kempe_classes_cap_counts_orbits():
     g = octahedron()
-    orbits = len(backend.enumerate_proper(g.arrays(), 5, 10**6)[0])
+    orbits = len(backend.enumerate_proper(g, 5, 10**6)[0])
     assert orbits < 11760
     report = kempe_classes(g, 5, cap=orbits)
     assert (report.total_colorings, report.class_count, report.truncated) == (11760, 1, False)

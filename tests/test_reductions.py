@@ -6,6 +6,8 @@ import pytest
 from kempe_edge import oracle, reductions
 from kempe_edge.errors import (
     ColorOutOfRange,
+    MissingEdgeColor,
+    NotProper,
     PaletteMismatch,
     PreconditionViolated,
     UnsupportedFamily,
@@ -80,7 +82,7 @@ def test_maximalize_random_graphs():
             from kempe_edge.kernels import backend
 
             comp, _, _ = backend.trace_component(
-                g.arrays(), list(cur.colors), mv.a, mv.b, mv.rep_edge
+                g, list(cur.colors), mv.a, mv.b, mv.rep_edge
             )
             assert len(comp) == 1
             cur = apply_transcript(g, cur, type(tr)([mv]))
@@ -160,6 +162,45 @@ def test_peel_target_palette_must_be_chi_plus_one():
     h = random_proper_coloring(g, chi + 2, 2)
     with pytest.raises(PaletteMismatch):
         peel_and_recurse(g, f, h, w_max, chi)
+
+
+def _overfull_peel_inputs():
+    """overfull_delta5(), the oracle's 6-coloring (its class 6 is not
+    maximal) and two proper 7-colorings."""
+    g = overfull_delta5()
+    chi, w = chromatic_index(g)
+    assert chi == 6
+    f, h = (random_proper_coloring(g, 7, s) for s in (1, 2))
+    return g, w, f, h
+
+
+def test_peel_rejects_a_witness_whose_top_class_is_not_maximal():
+    g, w, f, h = _overfull_peel_inputs()
+    with pytest.raises(PreconditionViolated, match="not maximal"):
+        peel_and_recurse(g, f, h, w, 6)
+
+
+def test_peel_rejects_chi_outside_the_vizing_bounds():
+    g, w, _, _ = _overfull_peel_inputs()
+    w_max, _ = maximalize_top_class(g, w, 6)
+    # the maximal class 6 renamed 8: a proper witness at chi = 8 > Delta + 1
+    w8 = EdgeColoring(8, [8 if c == 6 else c for c in w_max.colors])
+    f, h = (random_proper_coloring(g, 9, s) for s in (1, 2))
+    with pytest.raises(PreconditionViolated, match="outside Vizing bounds"):
+        peel_and_recurse(g, f, h, w8, 8)
+
+
+def test_peel_rejects_a_witness_missing_an_edge():
+    g, w, f, h = _overfull_peel_inputs()
+    w_max, _ = maximalize_top_class(g, w, 6)
+    with pytest.raises(MissingEdgeColor):
+        peel_and_recurse(g, f, h, EdgeColoring(6, w_max.colors[:-1]), 6)
+
+
+def test_peel_rejects_an_improper_witness():
+    g, _, f, h = _overfull_peel_inputs()
+    with pytest.raises(NotProper, match="peel witness"):
+        peel_and_recurse(g, f, h, EdgeColoring(6, [6] * g.m), 6)
 
 
 @pytest.fixture()

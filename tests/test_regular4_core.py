@@ -257,7 +257,7 @@ def test_lemma_2_3_increases_matched_count():
                 continue
             # check the distance precondition independently
             comp, verts, cyc = backend.trace_component(
-                g.arrays(), list(f.colors), 1, 2, eid
+                g, list(f.colors), 1, 2, eid
             )
             s = comp.index(eid)
             near = []

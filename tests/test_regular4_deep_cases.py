@@ -372,7 +372,7 @@ def _case_a21_instance(seed):
     from kempe_edge.kernels import backend
 
     comp, verts, cyc = backend.trace_component(
-        g.arrays(), list(f.colors), 1, 2, g.edge_id(U1, V1)
+        g, list(f.colors), 1, 2, g.edge_id(U1, V1)
     )
     if cyc or len(comp) != 4 or set(verts) != {U1, V1, V2, V3, V4}:
         return None
