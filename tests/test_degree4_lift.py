@@ -20,11 +20,14 @@ from kempe_edge.degree4_lift import (
 )
 from kempe_edge.errors import (
     EdgeOutOfRange,
+    PaletteMismatch,
     ProjectionMismatch,
     SearchBudgetExceeded,
+    TargetNotProper4,
     WrongMaxDegree,
 )
 from kempe_edge.fixtures_gen import (
+    figure1_pair,
     octahedron,
     random_proper_coloring,
     random_regular4_class1,
@@ -680,3 +683,41 @@ def test_component_index_swap_retraces_locally(monkeypatch):
                 assert traces[0] <= bound
                 worst = max(worst, traces[0] / bound)
     assert worst > 0
+
+
+def _prism():
+    return Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6),
+                     (1, 4), (2, 5), (3, 6)])
+
+
+def test_low_degree_equalize_rejects_degree_and_palette():
+    g = octahedron()
+    f5, h5 = (random_proper_coloring(g, 5, s) for s in (1, 2))
+    with pytest.raises(WrongMaxDegree):
+        low_degree_equalize(g, f5, h5)
+    cubic = _prism()
+    f5, h5 = (random_proper_coloring(cubic, 5, s) for s in (1, 2))
+    with pytest.raises(PaletteMismatch):
+        low_degree_equalize(cubic, f5, h5)
+
+
+def test_transform_delta4_rejects_its_inputs():
+    cubic = _prism()
+    f5 = random_proper_coloring(cubic, 5, 1)
+    h4 = random_proper_coloring(cubic, 4, 2)
+    with pytest.raises(WrongMaxDegree):
+        transform_delta4(cubic, f5, h4)
+    g = octahedron()
+    f4, h4 = figure1_pair()
+    f5 = EdgeColoring(5, f4.colors)
+    with pytest.raises(TargetNotProper4):
+        transform_delta4(g, f5, EdgeColoring(5, h4.colors))
+    with pytest.raises(PaletteMismatch):
+        transform_delta4(g, f4, h4)
+
+
+def test_lift_coloring_rejects_another_levels_coloring():
+    tower = build_tower(Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)]))
+    top = lift_coloring(tower, 0, EdgeColoring(5, [2, 3, 4, 5]))
+    with pytest.raises(PaletteMismatch):
+        lift_coloring(tower, 0, top)

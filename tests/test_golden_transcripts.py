@@ -24,15 +24,19 @@ from kempe_edge.fixtures_gen import (
 from kempe_edge.graph_core import EdgeColoring, Graph, delete_edges
 from kempe_edge.kempe_engine import apply_transcript, format_transcript
 from kempe_edge.reductions import equalize
-from kempe_edge.regular4_core import theorem_4_1_transform
+from kempe_edge.regular4_core import lemma_2_2, lemma_2_3, theorem_4_1_transform
 from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
 from test_regular4_deep_cases import (
     _aa_instance,
     _ab_instance,
     _ac_instance,
+    _b231_instance,
+    _b232_instance,
     _bb_instance,
     _bc_instance,
     _cc_instance,
+    _l22_instance,
+    _lemma_2_3_cycle_instances,
 )
 
 
@@ -86,6 +90,36 @@ def _theorem_4_1_rare_cases():
         yield g, f, theorem_4_1_transform(g, f, h)
 
 
+def _theorem_4_1_b231():
+    """B.2.3.1 with v4's palette A, B and C, and two instances whose (4,5)
+    claim from v3 fails and escapes."""
+    for name in ("A", "B", "C", "B-esc1", "B-esc2"):
+        g, f, h = _b231_instance(name)
+        yield g, f, theorem_4_1_transform(g, f, h)
+
+
+def _theorem_4_1_b232_swaps_and_escapes():
+    """B.2.3.2 with the sides swapped (BA, CA, CB), and instances whose
+    (c,5) claims fail on either side and escape."""
+    for name in ("BA", "CA", "CB", "AB-esc", "BB-esc-u1", "BB-esc-u2",
+                 "BB-esc-v", "CC-esc", "BC-esc"):
+        g, f, h = _b232_instance(name)
+        yield g, f, theorem_4_1_transform(g, f, h)
+
+
+def _lemma_2_2_second_configuration():
+    """Outcome II through the (2,3) path from x1, on each of its branches."""
+    for name in ("free", "v3", "x2"):
+        g, f, h = _l22_instance(name)
+        yield g, f, lemma_2_2(g, f, h, [1, 2, 3, 4, 5])[2]
+
+
+def _lemma_2_3_cycle():
+    """Lemma 2.3 on a working component that is a cycle."""
+    for g, f, h, xy in _lemma_2_3_cycle_instances():
+        yield g, f, lemma_2_3(g, f, h, xy)[1]
+
+
 def _delta4_irregular():
     for n, s, drop in ((10, 1, 2), (12, 2, 3), (16, 3, 5), (20, 4, 1)):
         g, h = _irregular4(n, s, drop)
@@ -131,6 +165,20 @@ GOLDEN = {
     # taken before the phase-1 case machine was deduplicated
     "theorem_4_1_rare_cases": (_theorem_4_1_rare_cases,
         "dddac7a64e07184f00d4039f902c02f774fcd9645302c26992c0177e6e6dcc7f",
+    ),
+    # these four taken before B.2.3's endings, the path claim and the side
+    # split were folded to one copy each
+    "theorem_4_1_b232_swaps_and_escapes": (_theorem_4_1_b232_swaps_and_escapes,
+        "fdc8c05556c1bfe55705749f501f9fd312345caa4300d51099e65668250af82b",
+    ),
+    "theorem_4_1_b231": (_theorem_4_1_b231,
+        "324a6fd7750a23533c69b37b25a5378212d33ed10e1d050c05159692fdc4f960",
+    ),
+    "lemma_2_2_second_configuration": (_lemma_2_2_second_configuration,
+        "d54ef26d4ec3028ab502ed5c3eb783c87dcbaacaeeb8fa59faf60c04f51b7e6b",
+    ),
+    "lemma_2_3_cycle": (_lemma_2_3_cycle,
+        "a01c35d0a59afc60fef1a5994e6e2ed108e85c07293ffaa8b4329d2b5b536e5f",
     ),
     "transform_delta4_irregular": (_delta4_irregular,
         "46c5c87569edb8efd8407da895b918e8d50c39470f191d1a51ba836bbff9283d",

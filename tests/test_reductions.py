@@ -111,6 +111,14 @@ def test_equalize_palette_must_be_chi_plus_one():
         equalize(g, f, h)
 
 
+def test_equalize_rejects_differing_palettes():
+    g = octahedron()
+    f = random_proper_coloring(g, 5, 1)
+    h = random_proper_coloring(g, 6, 2)
+    with pytest.raises(PaletteMismatch):
+        equalize(g, f, h)
+
+
 def test_k5_class2_peel():
     # Class 2 with Delta = 4: all proper 6-colorings are Kempe equivalent
     g = k5()
@@ -162,6 +170,15 @@ def test_peel_target_palette_must_be_chi_plus_one():
     h = random_proper_coloring(g, chi + 2, 2)
     with pytest.raises(PaletteMismatch):
         peel_and_recurse(g, f, h, w_max, chi)
+
+
+def test_peel_witness_must_stay_within_chi_colors():
+    g = k5()
+    w_max, chi = _maximal_witness(g)
+    f, h = (random_proper_coloring(g, chi + 1, s) for s in (1, 2))
+    assert chi + 1 in f.colors
+    with pytest.raises(PaletteMismatch):
+        peel_and_recurse(g, f, h, f, chi)
 
 
 def _overfull_peel_inputs():

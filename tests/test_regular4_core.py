@@ -6,6 +6,7 @@ import pytest
 from kempe_edge.errors import (
     BadWindow,
     NotRegular4,
+    PreconditionViolated,
     TargetNotProper4,
 )
 from kempe_edge.fixtures_gen import (
@@ -303,6 +304,22 @@ def test_case_b23_escape_surface():
         if done >= 20:
             break
     assert done >= 10
+
+
+def test_case_b23_escape_rejects_edges_outside_case_b():
+    g, h = random_regular4_class1(12, 0)
+    f = random_proper_coloring(g, 5, 0)
+    ones = lambda w: sum(f.colors[e] == 1 for _, e in g.adj[w])
+    not_target = next(e for e in range(g.m) if h.colors[e] != 1)
+    with pytest.raises(PreconditionViolated):
+        case_b23_escape(g, f, h, not_target)
+    one_end = next(
+        e for e in range(g.m)
+        if h.colors[e] == 1 and f.colors[e] != 1
+        and ones(g.edges[e][0]) + ones(g.edges[e][1]) == 1
+    )
+    with pytest.raises(PreconditionViolated):
+        case_b23_escape(g, f, h, one_end)
 
 
 def test_describe_window_names_the_component():

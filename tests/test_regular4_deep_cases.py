@@ -11,8 +11,8 @@ where the settled configuration demands.  The target coloring is completed
 around a pinned perfect matching by backtracking.
 """
 from kempe_edge.graph_core import EdgeColoring, Graph, is_proper
-from kempe_edge.kempe_engine import apply_transcript
-from kempe_edge.regular4_core import theorem_4_1_transform
+from kempe_edge.kempe_engine import KempeMove, apply_transcript
+from kempe_edge.regular4_core import lemma_2_2, theorem_4_1_transform
 
 # vertex labels: p0..p9 -> 1..10; externals from 11 up
 P = list(range(1, 11))
@@ -30,8 +30,8 @@ def _cycle_edges():
     return out
 
 
-def _build(n, extra_edges):
-    colored = dict(_cycle_edges())
+def _build(n, extra_edges, frame=None):
+    colored = dict(_cycle_edges() if frame is None else frame)
     for (u, v), c in extra_edges:
         key = (min(u, v), max(u, v))
         assert key not in colored, f"duplicate edge {key}"
@@ -278,6 +278,226 @@ def _bc_instance():
     return g, f, h
 
 
+# B.2.3.1 frame: the working (1,2)-component is the path
+# u4 u3 u2 u1 v1 v2 v3 v4 v5, working edge u1v1, both distance-2 edges u3u4
+# and v3v4 target-correct.  The u side ends at its fourth vertex; the v side
+# window is settled as in `_COMMON`, and u1 u2 u3 carry the same palettes.
+_U1, _V1, _U4, _U2, _U3, _V2, _V3, _V4, _X1, _X2, _Y1, _Y2, _V5 = range(1, 14)
+_Z1, _Z2, _Z3, _Z4 = range(14, 18)
+_PATH_FRAME = [
+    ((_U4, _U3), 1), ((_U3, _U2), 2), ((_U2, _U1), 1), ((_U1, _V1), 2),
+    ((_V1, _V2), 1), ((_V2, _V3), 2), ((_V3, _V4), 1), ((_V4, _V5), 2),
+    ((_V2, _X1), 5), ((_V2, _X2), 4), ((_V1, _X2), 3),
+    ((_U2, _Y1), 5), ((_U2, _Y2), 4),
+]
+# v4's palette names the instance.  A and C: the (3,5) probe from v3 ends at
+# v2 via x1.  B: the (3,5) probe runs v3-z4-z3-x1-v2 and the (4,5) path
+# v3-x1-v2-x2-z1-z2-v1 as in `_bb_instance`; B-esc1 and B-esc2 keep only
+# v3x1 = 4, so the (4,5) claim from v3 fails (far end off v1, and a path
+# through u2).  The remaining edges and the target's 1-class were found by a
+# seeded random slot pairing and are listed literally.
+_B231 = {
+    "A": (16, [((_V3, _X1), 3)], [
+        ((1, 13), 5), ((1, 15), 3), ((2, 12), 5), ((3, 11), 3), ((3, 13), 4),
+        ((3, 15), 5), ((5, 7), 4), ((5, 12), 3), ((8, 9), 4), ((8, 14), 3),
+        ((9, 16), 2), ((10, 12), 1), ((10, 16), 5), ((11, 14), 2),
+        ((11, 15), 4), ((13, 16), 3), ((14, 15), 1), ((14, 16), 4),
+    ], [(1, 2), (3, 5), (4, 11), (6, 9), (7, 8), (10, 12), (13, 16), (14, 15)]),
+    "C": (16, [((_V3, _X1), 3)], [
+        ((1, 3), 3), ((1, 15), 5), ((2, 8), 5), ((3, 8), 4), ((3, 16), 5),
+        ((5, 11), 3), ((5, 15), 4), ((7, 14), 4), ((9, 11), 2), ((9, 16), 4),
+        ((10, 12), 5), ((10, 16), 1), ((11, 13), 4), ((12, 14), 1),
+        ((12, 15), 3), ((13, 14), 5), ((13, 16), 3), ((14, 15), 2),
+    ], [(1, 2), (3, 5), (4, 11), (6, 9), (7, 8), (10, 12), (13, 16), (14, 15)]),
+    "B": (18, [
+        ((_V3, _Z4), 3), ((_Z4, _Z3), 5), ((_Z3, _X1), 3),
+        ((_V3, _X1), 4), ((_X2, _Z1), 5), ((_Z1, _Z2), 4), ((_Z2, _V1), 5),
+    ], [
+        ((1, 5), 3), ((1, 12), 5), ((3, 13), 5), ((3, 14), 3), ((3, 18), 4),
+        ((5, 11), 4), ((8, 12), 3), ((8, 18), 5), ((9, 17), 2), ((10, 16), 1),
+        ((11, 15), 2), ((11, 18), 3), ((12, 14), 1), ((13, 15), 3),
+        ((13, 16), 4), ((17, 18), 1),
+    ], [(1, 2), (3, 5), (4, 12), (6, 10), (7, 8), (9, 17), (11, 18), (13, 16),
+        (14, 15)]),
+    "B-esc1": (18, [
+        ((_V3, _Z4), 3), ((_Z4, _Z3), 5), ((_Z3, _X1), 3), ((_V3, _X1), 4),
+    ], [
+        ((1, 5), 3), ((1, 18), 5), ((2, 8), 5), ((3, 8), 3), ((3, 13), 5),
+        ((3, 18), 4), ((5, 15), 4), ((9, 14), 2), ((10, 12), 1), ((10, 15), 5),
+        ((11, 12), 3), ((11, 15), 2), ((11, 17), 4), ((12, 14), 5),
+        ((13, 14), 3), ((13, 16), 4), ((14, 15), 1), ((16, 18), 2),
+        ((17, 18), 1),
+    ], [(1, 2), (3, 5), (4, 12), (6, 9), (7, 8), (10, 15), (11, 17), (13, 14),
+        (16, 18)]),
+    "B-esc2": (18, [
+        ((_V3, _Z4), 3), ((_Z4, _Z3), 5), ((_Z3, _X1), 3), ((_V3, _X1), 4),
+    ], [
+        ((1, 3), 5), ((1, 14), 3), ((2, 13), 5), ((3, 11), 3), ((3, 14), 4),
+        ((5, 12), 3), ((5, 15), 4), ((8, 14), 5), ((8, 18), 3), ((9, 18), 2),
+        ((10, 12), 5), ((10, 18), 1), ((11, 13), 4), ((11, 17), 2),
+        ((12, 15), 1), ((13, 15), 3), ((14, 16), 1), ((15, 16), 2),
+        ((17, 18), 4),
+    ], [(1, 2), (3, 5), (4, 12), (6, 9), (7, 8), (10, 18), (11, 17), (13, 15),
+        (14, 16)]),
+}
+
+
+def _b231_instance(name):
+    """B.2.3.1 instance on the path frame; `name` is a key of `_B231`."""
+    n, wiring, rest, ones = _B231[name]
+    g, f = _build(n, wiring + rest, frame=_PATH_FRAME)
+    h = _pinned_4coloring(g, [g.edge_id(a, b) for a, b in ones])
+    assert h is not None, "target completion infeasible"
+    return g, f, h
+
+
+# More B.2.3.2 instances on the ten-cycle frame (n = 20), named by the
+# palettes of u4 and v4.  BA, CA and CB are read with the sides swapped; the
+# -esc ones fail a (c,5) claim from w3 and escape.  Wiring pieces: `_U45` is
+# the u side's (4,5) path u3-y1-u2-y2-w1-w2-u1 of `_bb_instance`, `_V35` the
+# (3,5) probe v3-x1-v2, `_V35_LONG` the probe v3-z4-z3-x1-v2 with v3x1 = 4,
+# and `_V45` continues that (4,5) path x2-z1-z2-v1.  The remaining edges and
+# three more target 1-edges were found by a seeded random slot pairing.
+_U45 = [((P[8], Y1), 4), ((Y2, W1), 5), ((W1, W2), 4), ((W2, P[0]), 5)]
+_V35 = [((P[3], X1), 3)]
+_V35_LONG = [((P[3], Z4), 3), ((Z4, Z3), 5), ((Z3, X1), 3), ((P[3], X1), 4)]
+_V45 = [((X2, Z1), 5), ((Z1, Z2), 4), ((Z2, P[1]), 5)]
+_FRAME_ONES = [(P[0], P[1]), (P[3], P[4]), (P[7], P[8]), (P[2], X1),
+               (P[9], Y1), (X2, Y2), (P[5], P[6])]
+_B232 = {
+    "BA": (_U45 + _V35, [
+        ((1, 18), 3), ((2, 6), 5), ((4, 16), 4), ((5, 7), 4), ((5, 13), 3),
+        ((6, 15), 4), ((7, 15), 3), ((8, 14), 3), ((8, 17), 5), ((9, 20), 3),
+        ((11, 18), 4), ((12, 16), 5), ((15, 17), 2), ((15, 18), 1),
+        ((16, 18), 2), ((16, 19), 1), ((17, 19), 3), ((17, 20), 1),
+    ], [(15, 18), (16, 19), (17, 20)]),
+    "CA": (_V35, [
+        ((1, 14), 3), ((1, 20), 5), ((2, 16), 5), ((4, 17), 4), ((5, 11), 4),
+        ((5, 17), 3), ((6, 13), 4), ((6, 15), 3), ((7, 9), 3), ((7, 16), 4),
+        ((8, 12), 5), ((8, 18), 4), ((9, 19), 4), ((13, 20), 3),
+        ((14, 17), 5), ((15, 18), 2), ((15, 19), 1), ((15, 20), 4),
+        ((16, 18), 1), ((16, 19), 2), ((17, 20), 2), ((18, 19), 5),
+    ], [(15, 19), (16, 18), (17, 20)]),
+    "CB": (_V35_LONG + _V45, [
+        ((1, 5), 5), ((1, 19), 3), ((5, 14), 3), ((6, 9), 4), ((6, 19), 5),
+        ((7, 15), 3), ((7, 19), 4), ((8, 14), 5), ((8, 17), 4), ((9, 20), 3),
+        ((13, 16), 3), ((13, 20), 4), ((15, 17), 1), ((16, 20), 2),
+        ((18, 19), 2), ((18, 20), 1),
+    ], [(15, 17), (16, 20), (18, 19)]),
+    "AB-esc": (_V35_LONG, [
+        ((1, 12), 5), ((1, 15), 3), ((2, 15), 5), ((5, 14), 3), ((5, 20), 5),
+        ((6, 8), 3), ((6, 16), 5), ((7, 9), 3), ((7, 13), 4), ((8, 19), 4),
+        ((9, 20), 4), ((13, 19), 3), ((14, 19), 5), ((15, 17), 2),
+        ((15, 18), 4), ((16, 17), 4), ((16, 18), 1), ((16, 20), 2),
+        ((19, 20), 1),
+    ], [(15, 18), (16, 17), (19, 20)]),
+    "BB-esc-u1": (_V35_LONG + _V45, [
+        ((1, 7), 5), ((1, 16), 3), ((5, 15), 3), ((5, 19), 5), ((6, 9), 3),
+        ((6, 20), 5), ((7, 14), 3), ((8, 13), 3), ((8, 14), 5), ((9, 18), 4),
+        ((13, 20), 4), ((15, 18), 2), ((16, 19), 1), ((17, 19), 4),
+        ((17, 20), 2), ((19, 20), 3),
+    ], [(15, 18), (16, 19), (17, 20)]),
+    "BB-esc-u2": (_V35_LONG + _V45, [
+        ((1, 9), 3), ((1, 20), 5), ((5, 7), 3), ((5, 8), 5), ((6, 14), 3),
+        ((6, 17), 4), ((7, 14), 5), ((8, 13), 3), ((9, 20), 4), ((13, 19), 4),
+        ((15, 18), 2), ((15, 20), 3), ((16, 19), 3), ((16, 20), 1),
+        ((17, 19), 2), ((18, 19), 1),
+    ], [(15, 18), (16, 20), (17, 19)]),
+    "BB-esc-v": (_U45 + _V35_LONG, [
+        ((1, 19), 3), ((2, 8), 5), ((5, 7), 5), ((5, 13), 3), ((6, 15), 5),
+        ((6, 16), 4), ((7, 15), 4), ((8, 14), 3), ((9, 20), 3), ((12, 16), 5),
+        ((15, 17), 2), ((15, 18), 1), ((16, 18), 2), ((16, 20), 1),
+        ((17, 19), 1),
+    ], [(15, 17), (16, 18), (19, 20)]),
+    "CC-esc": (_V35, [
+        ((1, 8), 5), ((1, 14), 3), ((2, 16), 5), ((4, 8), 4), ((5, 14), 5),
+        ((5, 19), 4), ((6, 18), 3), ((6, 20), 5), ((7, 12), 5), ((7, 17), 3),
+        ((9, 15), 4), ((9, 19), 3), ((11, 17), 4), ((13, 16), 3),
+        ((13, 20), 4), ((15, 18), 1), ((15, 19), 5), ((15, 20), 3),
+        ((16, 17), 2), ((16, 18), 4), ((17, 20), 1), ((18, 19), 2),
+    ], [(15, 20), (16, 17), (18, 19)]),
+    "BC-esc": (_V35, [
+        ((1, 5), 5), ((1, 8), 3), ((2, 20), 5), ((4, 13), 4), ((5, 15), 4),
+        ((6, 11), 4), ((6, 17), 3), ((7, 9), 3), ((7, 18), 4), ((8, 18), 5),
+        ((9, 17), 4), ((12, 16), 5), ((13, 20), 3), ((14, 16), 3),
+        ((14, 17), 5), ((15, 16), 2), ((15, 19), 5), ((15, 20), 1),
+        ((16, 18), 1), ((17, 19), 1), ((18, 19), 3), ((19, 20), 2),
+    ], [(15, 20), (16, 18), (17, 19)]),
+}
+
+
+def _b232_instance(name):
+    """B.2.3.2 instance on the ten-cycle frame; `name` is a key of `_B232`."""
+    wiring, rest, ones = _B232[name]
+    g, f = _build(20, _COMMON + wiring + rest)
+    h = _pinned_4coloring(g, [g.edge_id(a, b) for a, b in _FRAME_ONES + ones])
+    assert h is not None, "target completion infeasible"
+    return g, f, h
+
+
+# Lemma 2.2's second configuration: on the window u1 v1 v2 v3 v4 (vertices
+# 1..5) the window conditions hold with x1 = 6, x2 = 7, color 1 is present
+# at x2 and color 2 missing at x1, so the (2,3) path from x1 decides.  Keys
+# name where that path goes: "free" avoids v3 and x2 (the (3,5) probe runs
+# v3-8-9-x1-v2), "v3" passes v3, "x2" ends at x2 through u1.  The remaining
+# edges and the target's 1-class are listed literally (seeded slot pairing).
+_L22_WINDOW = [((1, 2), 2), ((2, 3), 1), ((3, 4), 2), ((4, 5), 1),
+               ((3, 6), 5), ((3, 7), 4), ((2, 7), 3)]
+_L22 = {
+    "free": (12, [((4, 8), 3), ((8, 9), 5), ((9, 6), 3)], [
+        ((1, 5), 4), ((1, 6), 1), ((1, 10), 3), ((2, 11), 5), ((4, 9), 4),
+        ((5, 11), 3), ((5, 12), 5), ((6, 11), 4), ((7, 10), 5), ((7, 12), 1),
+        ((8, 10), 1), ((8, 12), 4), ((9, 12), 2), ((10, 11), 2),
+    ], [(1, 2), (3, 4), (5, 11), (6, 9), (7, 10), (8, 12)]),
+    "v3": (10, [((4, 6), 3)], [
+        ((1, 7), 5), ((1, 8), 3), ((1, 9), 1), ((2, 5), 5), ((4, 10), 4),
+        ((5, 8), 4), ((5, 10), 2), ((6, 7), 1), ((6, 9), 4), ((8, 9), 2),
+        ((8, 10), 5), ((9, 10), 3),
+    ], [(1, 2), (3, 4), (5, 8), (6, 7), (9, 10)]),
+    "x2": (12, [((4, 8), 3), ((8, 1), 5), ((1, 6), 3)], [
+        ((1, 12), 1), ((2, 5), 5), ((4, 12), 4), ((5, 8), 4), ((5, 11), 3),
+        ((6, 9), 1), ((6, 10), 4), ((7, 10), 1), ((7, 12), 5), ((8, 11), 1),
+        ((9, 10), 3), ((9, 11), 4), ((9, 12), 2), ((10, 11), 2),
+    ], [(1, 2), (3, 4), (5, 8), (6, 9), (7, 12), (10, 11)]),
+}
+
+
+def _l22_instance(name):
+    """(g, f, h) for `lemma_2_2(g, f, h, [1, 2, 3, 4, 5])`."""
+    n, wiring, rest, ones = _L22[name]
+    g, f = _build(n, wiring + rest, frame=_L22_WINDOW)
+    h = _pinned_4coloring(g, [g.edge_id(a, b) for a, b in ones])
+    assert h is not None, "target completion infeasible"
+    return g, f, h
+
+
+def _lemma_2_3_cycle_instances():
+    """(g, f, h, xy) with xy's working (1,2)-component a cycle of at least
+    ten edges whose correct 1-edges all lie at distance >= 3 from xy.
+
+    f is the witness h of `random_regular4_class1(n, seed)` read at palette
+    5 and moved by k seeded interchanges, then renamed so f(xy) = 2.  The
+    two instances settle their first window on either side of xy."""
+    import random
+
+    from kempe_edge.fixtures_gen import random_regular4_class1
+    from kempe_edge.kernels import backend
+
+    for n, seed, k, xy in ((12, 5, 8, 0), (16, 2, 8, 8)):
+        g, h = random_regular4_class1(n, seed)
+        rng = random.Random(seed * 10 + k)
+        colors = list(h.colors)
+        for _ in range(k):
+            a, b = rng.sample(range(1, 6), 2)
+            e = rng.randrange(g.m)
+            if colors[e] in (a, b):
+                eids, _, _ = backend.trace_component(g, colors, a, b, e)
+                backend.swap_component(colors, eids, a, b)
+        c = colors[xy]
+        f = EdgeColoring(5, [{c: 2, 2: c}.get(x, x) for x in colors])
+        yield g, f, h, xy
+
+
 def _run_and_collect(g, f, h):
     stats = []
     tr = theorem_4_1_transform(g, f, h, stats)
@@ -462,3 +682,57 @@ def test_deep_instances_complete_from_every_defect():
                  _ab_instance, _bc_instance):
         g, f, h = make()
         _run_and_collect(g, f, h)
+
+
+def test_b231_fires_and_completes():
+    """B.2.3.1 on each palette of v4; the B-esc instances stop at the
+    (4,5) claim from v3 and escape instead."""
+    for name in sorted(_B231):
+        g, f, h = _b231_instance(name)
+        notes = _run_and_collect(g, f, h)
+        tag = "B.2.3-claim-esc" if name.startswith("B-esc") else "B.2.3.1"
+        assert tag in notes, (name, notes)
+
+
+def test_lemma_2_2_second_configuration():
+    """Outcome II through the (2,3) path from x1, on each of its three
+    branches; color 1 leaves v1 and the matched count is kept."""
+    # the first move swaps the (2,3) path at x1's 3-edge, on "v3" at x2's
+    for name, first, moves in (("free", (6, 9), 5), ("v3", (2, 7), 3),
+                               ("x2", (1, 6), 3)):
+        g, f, h = _l22_instance(name)
+        out = lemma_2_2(g, f, h, [1, 2, 3, 4, 5])
+        assert out[0] == "II", (name, out[0])
+        _, f2, tr = out
+        assert len(tr) == moves, (name, len(tr))
+        assert set(tr.annotations) == {"win-target"}
+        assert tr.moves[0] == KempeMove(2, 3, g.edge_id(*first)), name
+        final = apply_transcript(g, f, tr, check=True)
+        assert final.colors == f2.colors
+        assert 1 not in {final.colors[e] for _, e in g.adj[2]}
+        matched = lambda c: sum(1 for a, b in zip(c.colors, h.colors) if a == b == 1)
+        assert matched(final) == matched(f)
+
+
+def test_lemma_2_3_on_a_cycle_component():
+    from kempe_edge.kernels import backend
+    from kempe_edge.regular4_core import lemma_2_3
+
+    for g, f, h, xy in _lemma_2_3_cycle_instances():
+        eids, _, cyc = backend.trace_component(g, list(f.colors), 1, 2, xy)
+        assert cyc and len(eids) >= 10
+        assert any(f.colors[e] == h.colors[e] == 1 for e in eids)
+        f2, tr = lemma_2_3(g, f, h, xy)
+        assert "flip-cut" in tr.annotations and tr.annotations[-1] == "flip"
+        assert apply_transcript(g, f, tr, check=True).colors == f2.colors
+        matched = lambda c: sum(1 for a, b in zip(c.colors, h.colors) if a == b == 1)
+        assert matched(f2) > matched(f)
+
+
+def test_b232_swapped_and_escaping_patterns():
+    expect = {"BA": "B.2.3.2-AB", "CB": "B.2.3.2-BC"}
+    for name in sorted(_B232):
+        g, f, h = _b232_instance(name)
+        notes = _run_and_collect(g, f, h)
+        tag = expect.get(name, "B.2.3-claim-esc")
+        assert tag in notes, (name, notes)
