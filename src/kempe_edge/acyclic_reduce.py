@@ -92,20 +92,19 @@ def _step_series(rec: Recorder, pivot: int, fan, big: int) -> int:
 def _eliminate_or_walk_target(rec: Recorder, pivot: int, e1: int, delta: int, note: str):
     """One fan attempt.  Returns None if eliminated, else the new walk vertex."""
     big = delta + 1
-    out = eliminate_via_fan(rec, pivot, e1, range(1, delta + 1), note)
-    if out.eliminated:
+    fan = eliminate_via_fan(rec, pivot, e1, range(1, delta + 1), note)
+    if fan is None:
         return None
-    u_k = out.fan.leaves(rec.g)[-1]
+    u_k = fan.leaves(rec.g)[-1]
     if rec.g.degree(u_k) != delta:
         raise InternalInvariantError("stuck fan leaf is not max-degree")
-    return _step_series(rec, pivot, out.fan, big)
+    return _step_series(rec, pivot, fan, big)
 
 
 def _case_a(rec: Recorder, leaf: int, eid: int, delta: int) -> None:
     """Case A: clear the top color from eid by the fan elimination at `leaf`,
     an endpoint of eid that is a leaf of the max-degree subgraph."""
-    out = eliminate_via_fan(rec, leaf, eid, range(1, delta + 1), "acyclic-A")
-    if not out.eliminated:
+    if eliminate_via_fan(rec, leaf, eid, range(1, delta + 1), "acyclic-A") is not None:
         raise InternalInvariantError("case A elimination stuck")
 
 

@@ -25,7 +25,6 @@ from .graph_core import (
 )
 from .kempe_engine import apply_transcript, read_transcript, write_transcript
 from .reductions import equalize
-from .regular4_core import theorem_4_1_transform
 from .vizing_reduce import reduce_to_delta_plus_one
 
 
@@ -45,7 +44,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    # vizing and acyclic only shrink the palette; the other modes need a target
+    # vizing and acyclic only shrink the palette; auto needs a target
     if args.mode in ("vizing", "acyclic"):
         if args.to:
             raise UnsupportedFamily(f"--to is not accepted by mode {args.mode}")
@@ -59,9 +58,7 @@ def _cmd_transform(args) -> int:
         result, tr = acyclic_reduce(g, f)
     else:
         target = read_coloring(args.to, g)
-        if args.mode == "regular4":
-            tr = theorem_4_1_transform(g, f, target)
-        elif args.mode == "delta4" or (g.max_degree() == 4 and target.t == 4):
+        if g.max_degree() == 4 and target.t == 4:
             tr = transform_delta4(g, f, target)
         else:
             tr = equalize(g, f, target)
@@ -159,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--result", help="write the final coloring here")
     sp.add_argument(
         "--mode",
-        choices=["auto", "vizing", "acyclic", "regular4", "delta4"],
+        choices=["auto", "vizing", "acyclic"],
         default="auto",
     )
 

@@ -139,9 +139,6 @@ class EdgeColoring:
     def m(self) -> int:
         return len(self.colors)
 
-    def color_of(self, eid: int) -> int:
-        return self.colors[eid]
-
     def with_palette(self, t: int) -> "EdgeColoring":
         """Same assignment read against a different palette header."""
         if any(c > t for c in self.colors):

@@ -7,10 +7,13 @@ analysis works inside a color frame (a palette permutation fixing color 1)
 so the working edge always reads as color 2.  Narrative jumps between cases
 become explicit re-dispatches on a new working edge; every claimed structural
 fact is asserted at runtime, and every claim failure escapes through a move
-sequence that re-enters the dispatch.  After phase 1 color 1 is a perfect
-matching shared with the target, so every (a, b)-component with a, b in
-2..5 lies in the cubic remainder; phase 2 runs the bounded search equalizer
-on the working state itself over those four colors.
+sequence that re-enters the dispatch.  B.2.3.1 and B.2.3.2 share one
+per-side step: a side whose fourth vertex has palette {1,2,3,5} or {1,2,4,5}
+claims the (4,5)- or (3,5)-path from its third vertex and swaps it.  After
+phase 1 color 1 is a perfect matching shared with the target, so every
+(a, b)-component with a, b in 2..5 lies in the cubic remainder; phase 2 runs
+the bounded search equalizer on the working state itself over those four
+colors.
 """
 from __future__ import annotations
 
@@ -185,16 +188,22 @@ def _sides(work: _Work, e: int):
     """The working (1,2)-component of e read away from e: the u side starts
     at the end of e met first along the component, the v side at the other;
     a cycle of n edges gives min(n, 7) vertices each way.  Returns
-    (u side, v side, n), with n = 0 for a path."""
+    (u side, v side, n, component edge ids, u side edges, v side edges),
+    with n = 0 for a path; a side's i-th edge joins its vertices i, i+1."""
     eids, verts, cyc = work.comp_of(e, 1, 2)
     s = eids.index(e)
     if not cyc:
-        return verts[s::-1], verts[s + 1:], 0
+        return verts[s::-1], verts[s + 1:], 0, eids, eids[:s][::-1], eids[s + 1:]
     n = len(eids)
-    span = min(n, 7)
-    u_side = [verts[(s - i) % n] for i in range(span)]
-    v_side = [verts[(s + 1 + i) % n] for i in range(span)]
-    return u_side, v_side, n
+    span = range(min(n, 7))
+    return (
+        [verts[(s - i) % n] for i in span],
+        [verts[(s + 1 + i) % n] for i in span],
+        n,
+        eids,
+        [eids[(s - 1 - i) % n] for i in span[:-1]],
+        [eids[(s + 1 + i) % n] for i in span[:-1]],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,28 +262,19 @@ def _window_escape_or_certify(work: _Work, pv):
     if 3 not in work.vpal(x2):
         work.recolor(g.edge_id(v2, x2), 3, "win4-probe")
         return ("improved", e12, 4)
-    rep = work.edge_at(v1, 3)
-    _, verts, cyc = work.comp_of(rep, 3, 4)
-    if cyc:
-        raise InternalInvariantError("(3,4) path from the window closed up")
-    if _far(verts, v1) != v2:
-        work.apply(3, 4, rep, "win4-probe")
-        return ("improved", e12, 3)
-    if 4 not in work.vpal(x1):
-        work.apply(3, 4, rep, "win4-probe")
-        work.recolor(g.edge_id(v2, x1), 4, "win4-probe")
-        return ("improved", e23, 5)
-    rep = work.edge_at(v3, 3)
-    _, verts, cyc = work.comp_of(rep, 3, 5)
-    if cyc:
-        raise InternalInvariantError("(3,5) path from the window closed up")
-    if _far(verts, v3) != v2:
-        work.apply(3, 5, rep, "win4-probe")
-        return ("improved", e23, 3)
-    if 5 not in work.vpal(x2):
-        work.apply(3, 5, rep, "win4-probe")
-        work.recolor(g.edge_id(v2, x2), 5, "win4-probe")
-        return ("improved", e12, 4)
+    # the (3,d)-path from w must end at v2, and x must see color d
+    for w, d, e_w, x, e_x, c_x in ((v1, 4, e12, x1, e23, 5), (v3, 5, e23, x2, e12, 4)):
+        rep = work.edge_at(w, 3)
+        _, verts, cyc = work.comp_of(rep, 3, d)
+        if cyc:
+            raise InternalInvariantError(f"(3,{d}) path from the window closed up")
+        if _far(verts, w) != v2:
+            work.apply(3, d, rep, "win4-probe")
+            return ("improved", e_w, 3)
+        if d not in work.vpal(x):
+            work.apply(3, d, rep, "win4-probe")
+            work.recolor(g.edge_id(v2, x), d, "win4-probe")
+            return ("improved", e_x, c_x)
     return ("holds", x1, x2)
 
 
@@ -338,15 +338,9 @@ def _lemma_2_2_inner(work: _Work, pv):
     if 1 not in work.vpal(x2):
         rep = g.edge_id(v1, v2)
         work.apply_expect(1, 4, rep, {v1, v2, x2}, "win-target")
-        after = work.matched()
-        if after > before:
+        if work.matched() > before:
             return ("progress",)
-        if after != before or 1 in work.vpal(v1):
-            raise InternalInvariantError("outcome II postcondition failed")
-        if not had1_u1 and work.has_color1(u1):
-            raise InternalInvariantError("outcome II leaked color 1 onto u1")
-        return ("II",)
-    if 2 not in work.vpal(x1):
+    elif 2 not in work.vpal(x1):
         rep = work.edge_at(x1, 3)
         _, verts, cyc = work.comp_of(rep, 2, 3)
         if cyc:
@@ -369,12 +363,13 @@ def _lemma_2_2_inner(work: _Work, pv):
             work.apply(2, 3, rep, "win-target")
             work.recolor(e_x2, 3, "win-target")
             work.recolor(e_v1, 4, "win-target")
-        if work.matched() != before or 1 in work.vpal(v1):
-            raise InternalInvariantError("outcome II postcondition failed")
-        if not had1_u1 and work.has_color1(u1):
-            raise InternalInvariantError("outcome II leaked color 1 onto u1")
-        return ("II",)
-    return ("I", x1, x2)
+    else:
+        return ("I", x1, x2)
+    if work.matched() != before or 1 in work.vpal(v1):
+        raise InternalInvariantError("outcome II postcondition failed")
+    if not had1_u1 and work.has_color1(u1):
+        raise InternalInvariantError("outcome II leaked color 1 onto u1")
+    return ("II",)
 
 
 def _lemma_2_2_step(
@@ -408,55 +403,32 @@ def _lemma_2_3_inner(work: _Work, xy: int, require_precondition: bool = False):
     1-edge within distance 2 of xy on its (1,2)-component.  Returns None:
     the matched count has risen.
     """
-    g = work.g
     work.reframe_edge2(xy)
     if xy not in work.h1:
         raise PreconditionViolated("working edge is not a target 1-edge")
     for iteration in range(6):
-        eids, verts, cyc = work.comp_of(xy, 1, 2)
+        u_side, v_side, cyc, eids, u_edges, v_edges = _sides(work, xy)
         if not any(work.correct1(e) for e in eids):
             work.apply(1, 2, xy, "flip")
             return None
-        s = eids.index(xy)
-        if cyc:
-            n = len(eids)
-            side_a = [eids[(s - 1 - i) % n] for i in range(min(3, n - 1))]
-            side_b = [eids[(s + 1 + i) % n] for i in range(min(3, n - 1))]
-        else:
-            side_a = list(reversed(eids[:s]))[:3]
-            side_b = eids[s + 1:][:3]
-        for side in (side_a, side_b):
-            for dist, e in enumerate(side):
-                if dist <= 2 and work.correct1(e):
-                    if require_precondition and iteration == 0:
-                        raise DistanceConditionViolated(
-                            f"correct 1-edge {e} within distance 2 of the working edge"
-                        )
-                    raise InternalInvariantError("distance condition broke mid-run")
-        if cyc:
-            n = len(eids)
-            xv, yv = verts[s], verts[(s + 1) % n]
-            if n < 10:
-                raise InternalInvariantError("short cycle cannot carry correct edges")
-            if yv > xv:
-                pverts = [verts[(s + 1 + i) % n] for i in range(6)]
-            else:
-                pverts = [verts[(s - i) % n] for i in range(6)]
-        else:
-            x_edges = list(reversed(eids[:s]))
-            y_edges = eids[s + 1:]
-            cx = any(work.correct1(e) for e in x_edges)
-            cyv = any(work.correct1(e) for e in y_edges)
-            if cx and cyv:
-                operate_y = verts[s + 1] > verts[s]
-            else:
-                operate_y = cyv
-            if operate_y:
-                pverts = verts[s + 1: s + 7]
-            else:
-                pverts = verts[s::-1][:6]
-            if len(pverts) < 6:
-                raise InternalInvariantError("correct edge on a short side")
+        for e in u_edges[:3] + v_edges[:3]:
+            if work.correct1(e):
+                if require_precondition and iteration == 0:
+                    raise DistanceConditionViolated(
+                        f"correct 1-edge {e} within distance 2 of the working edge"
+                    )
+                raise InternalInvariantError("distance condition broke mid-run")
+        if cyc and cyc < 10:
+            raise InternalInvariantError("short cycle cannot carry correct edges")
+        # the window goes on the side with correct edges; with both (or on a
+        # cycle) on the side whose first vertex is larger
+        on_u = cyc or any(work.correct1(e) for e in u_edges)
+        on_v = cyc or any(work.correct1(e) for e in v_edges)
+        if on_u and on_v:
+            on_v = v_side[0] > u_side[0]
+        pverts = (v_side if on_v else u_side)[:6]
+        if len(pverts) < 6:
+            raise InternalInvariantError("correct edge on a short side")
         pair_edge, c = _window_b(work, pverts)
         if work.correct1(pair_edge):
             raise InternalInvariantError("window asked to cut a correct edge")
@@ -583,71 +555,65 @@ def _case_A(work: _Work, e: int):
 # ---------------------------------------------------------------------------
 
 
-def _claim_check_45(work: _Work, e, W, Z, wwin):
-    """Maximal (4,5)-path from w3.  Structural claim: its far end is w1, it
-    passes w2 and avoids z2.  On failure runs the documented escape and
-    returns ("jump", next working edge or None); on success returns
-    ("ok", rep, path vertices) with nothing applied."""
-    g = work.g
-    rep = work.edge_at(W[2], 4)
-    _, verts, cyc = work.comp_of(rep, 4, 5)
+# B.2.3 side data by the palette of w4: the pattern letter and the color c
+# that w3w4 takes before the flip; B and C first swap the (c,5)-path from w3
+_PATTERN = {_A: ("A", 5), _B: ("B", 4), _C: ("C", 3)}
+
+
+def _claim(work: _Work, e, W, Z, win, c):
+    """Maximal (c,5)-path from w3, c = 4 or 3.  Structural claim: its far
+    end is w1 for c = 4, where it also passes w2 and avoids z2, and w2 for
+    c = 3.  On failure runs the documented escape and returns ("jump", next
+    working edge or None); on success returns ("ok", rep, path vertices)
+    with nothing applied."""
+    rep = work.edge_at(W[2], c)
+    _, verts, cyc = work.comp_of(rep, c, 5)
     if cyc:
-        raise ClaimOneViolated("(4,5) path from w3 closed into a cycle")
+        raise ClaimOneViolated(f"({c},5) path from w3 closed into a cycle")
     vset = set(verts)
-    if _far(verts, W[2]) != W[0]:
-        work.apply(4, 5, rep, "B.2.3-claim-esc")
-        if _cut_window(work, wwin, "B.2.3-claim-esc") is not None:
+    if _far(verts, W[2]) != (W[0] if c == 4 else W[1]):
+        work.apply(c, 5, rep, "B.2.3-claim-esc")
+        if _cut_window(work, win, "B.2.3-claim-esc") is not None:
             raise ClaimOneViolated("claim escape found no window improvement")
         return ("jump", e)
-    if W[1] not in vset:
+    if c == 4 and W[1] not in vset:
         work.apply(4, 5, rep, "B.2.3-claim-esc")
-        return ("jump", _lemma_2_2_step(work, e, wwin, "B.2.3-claim-esc", False))
-    if Z[1] in vset:
+        return ("jump", _lemma_2_2_step(work, e, win, "B.2.3-claim-esc", False))
+    if c == 4 and Z[1] in vset:
         work.apply(4, 5, rep, "B.2.3-claim-esc")
-        rep2 = g.edge_id(Z[0], Z[1])
-        eids2, _, _ = work.apply(1, 4, rep2, "B.2.3-claim-esc")
+        eids2, _, _ = work.apply(1, 4, work.g.edge_id(Z[0], Z[1]), "B.2.3-claim-esc")
         if len(eids2) != 2:
             raise ClaimOneViolated("escape (1,4) path has unexpected shape")
         return ("jump", e)
     return ("ok", rep, vset)
 
 
-def _claim_check_35(work: _Work, e, W, wwin):
-    """Maximal (3,5)-path from w3; claim: its far end is w2."""
-    rep = work.edge_at(W[2], 3)
-    _, verts, cyc = work.comp_of(rep, 3, 5)
-    if cyc:
-        raise ClaimOneViolated("(3,5) path from w3 closed into a cycle")
-    if _far(verts, W[2]) != W[1]:
-        work.apply(3, 5, rep, "B.2.3-claim-esc")
-        if _cut_window(work, wwin, "B.2.3-claim-esc") is not None:
-            raise ClaimOneViolated("claim escape found no window improvement")
-        return ("jump", e)
-    return ("ok", rep, set(verts))
+def _side_step(work: _Work, e, W, Z, c, tag):
+    """B.2.3's per-side step: for c = 4 or 3 claim the (c,5)-path from w3
+    and swap it (c = 5 has no path).  Returns the claim's ("jump", ...) on
+    failure, else None."""
+    if c == 5:
+        return None
+    res = _claim(work, e, W, Z, [Z[0], *W[:4]], c)
+    if res[0] != "ok":
+        return res
+    work.apply(c, 5, res[1], tag)
+    return None
 
 
-def _b231(work: _Work, e, U, V, x1, y1):
-    """One of the fourth path vertices is the path end (taken to be u4)."""
+def _b231(work: _Work, e, U, V, y1):
+    """One of the fourth path vertices is the path end (taken to be u4); the
+    v side is settled by the per-side step, a palette other than B or C
+    counting as A."""
     g = work.g
     e_u34 = g.edge_id(U[2], U[3])
     e_v34 = g.edge_id(V[2], V[3])
     e_u2y1 = g.edge_id(U[1], y1)
-    vwin = [U[0], V[0], V[1], V[2], V[3]]
-    pv4 = work.vpal(V[3])
-    if pv4 == _B:
-        res = _claim_check_45(work, e, V, U, vwin)
-        if res[0] != "ok":
-            return res[1]
-        work.apply(4, 5, res[1], "B.2.3.1")
-        work.recolor(e_v34, 4, "B.2.3.1")
-    elif pv4 == _C:
-        res = _claim_check_35(work, e, V, vwin)
-        if res[0] != "ok":
-            return res[1]
-        work.apply(3, 5, res[1], "B.2.3.1")
-        work.recolor(e_v34, 3, "B.2.3.1")
-    else:
-        work.recolor(e_v34, 5, "B.2.3.1")
+    c = _PATTERN.get(work.vpal(V[3]), _PATTERN[_A])[1]
+    jump = _side_step(work, e, V, U, c, "B.2.3.1")
+    if jump:
+        return jump[1]
+    work.recolor(e_v34, c, "B.2.3.1")
     work.apply(1, 2, e, "B.2.3.1")
     work.apply_expect(1, 5, e_u2y1, {U[2], U[1], y1}, "B.2.3.1")
     work.recolor(e_u34, 1, "B.2.3.1")
@@ -655,94 +621,48 @@ def _b231(work: _Work, e, U, V, x1, y1):
 
 
 def _b232(work: _Work, e, U, V, x1, y1):
-    """Neither fourth path vertex is an end (or the component is a cycle)."""
+    """Neither fourth path vertex is an end (or the component is a cycle).
+
+    Equal patterns claim both sides before swapping either path and finish
+    both.  Mixed ones run the per-side step in U, V order, finish the A side
+    (the C side in BC) and return the other side's w3w4 edge."""
     g = work.g
     pu4 = work.vpal(U[3])
     pv4 = work.vpal(V[3])
+    if pu4 not in _PATTERN or pv4 not in _PATTERN:
+        raise InternalInvariantError(f"unhandled palette pair {sorted(pu4)}/{sorted(pv4)}")
     if (pu4, pv4) in ((_B, _A), (_C, _A), (_C, _B)):
-        U, V = V, U
-        x1, y1 = y1, x1
-        pu4, pv4 = pv4, pu4
-    e_u34 = g.edge_id(U[2], U[3])
-    e_v34 = g.edge_id(V[2], V[3])
-    uwin = [V[0], U[0], U[1], U[2], U[3]]
-    vwin = [U[0], V[0], V[1], V[2], V[3]]
-    if (pu4, pv4) == (_A, _A):
-        work.recolor(e_u34, 5, "B.2.3.2-AA")
-        work.recolor(e_v34, 5, "B.2.3.2-AA")
-        work.apply(1, 2, e, "B.2.3.2-AA")
-        work.apply_expect(1, 5, e_u34, {U[3], U[2], U[1], y1}, "B.2.3.2-AA")
-        work.apply_expect(1, 5, e_v34, {V[3], V[2], V[1], x1}, "B.2.3.2-AA")
-        return None
-    if (pu4, pv4) == (_B, _B):
-        r1 = _claim_check_45(work, e, U, V, uwin)
-        if r1[0] != "ok":
-            return r1[1]
-        r2 = _claim_check_45(work, e, V, U, vwin)
-        if r2[0] != "ok":
-            return r2[1]
-        if r1[2] & r2[2]:
-            raise ClaimOneViolated("the two (4,5) paths are not disjoint")
-        work.apply(4, 5, r1[1], "B.2.3.2-BB")
-        work.apply(4, 5, r2[1], "B.2.3.2-BB")
-        work.recolor(e_u34, 4, "B.2.3.2-BB")
-        work.recolor(e_v34, 4, "B.2.3.2-BB")
-        work.apply(1, 2, e, "B.2.3.2-BB")
-        work.apply_expect(1, 4, e_u34, {U[3], U[2], U[1], y1}, "B.2.3.2-BB")
-        work.apply_expect(1, 4, e_v34, {V[3], V[2], V[1], x1}, "B.2.3.2-BB")
-        return None
-    if (pu4, pv4) == (_C, _C):
-        r1 = _claim_check_35(work, e, U, uwin)
-        if r1[0] != "ok":
-            return r1[1]
-        r2 = _claim_check_35(work, e, V, vwin)
-        if r2[0] != "ok":
-            return r2[1]
-        if r1[2] & r2[2]:
-            raise ClaimOneViolated("the two (3,5) paths are not disjoint")
-        work.apply(3, 5, r1[1], "B.2.3.2-CC")
-        work.apply(3, 5, r2[1], "B.2.3.2-CC")
-        work.recolor(e_u34, 3, "B.2.3.2-CC")
-        work.recolor(e_v34, 3, "B.2.3.2-CC")
-        work.apply(1, 2, e, "B.2.3.2-CC")
-        work.apply_expect(1, 3, e_u34, {U[3], U[2], U[1], y1}, "B.2.3.2-CC")
-        work.apply_expect(1, 3, e_v34, {V[3], V[2], V[1], x1}, "B.2.3.2-CC")
-        return None
-    if (pu4, pv4) == (_A, _B):
-        res = _claim_check_45(work, e, V, U, vwin)
-        if res[0] != "ok":
-            return res[1]
-        work.apply(4, 5, res[1], "B.2.3.2-AB")
-        work.recolor(e_u34, 5, "B.2.3.2-AB")
-        work.recolor(e_v34, 4, "B.2.3.2-AB")
-        work.apply(1, 2, e, "B.2.3.2-AB")
-        work.apply_expect(1, 5, e_u34, {U[3], U[2], U[1], y1}, "B.2.3.2-AB")
-        return e_v34
-    if (pu4, pv4) == (_A, _C):
-        res = _claim_check_35(work, e, V, vwin)
-        if res[0] != "ok":
-            return res[1]
-        work.apply(3, 5, res[1], "B.2.3.2-AC")
-        work.recolor(e_u34, 5, "B.2.3.2-AC")
-        work.recolor(e_v34, 3, "B.2.3.2-AC")
-        work.apply(1, 2, e, "B.2.3.2-AC")
-        work.apply_expect(1, 5, e_u34, {U[3], U[2], U[1], y1}, "B.2.3.2-AC")
-        return e_v34
-    if (pu4, pv4) == (_B, _C):
-        r1 = _claim_check_45(work, e, U, V, uwin)
-        if r1[0] != "ok":
-            return r1[1]
-        work.apply(4, 5, r1[1], "B.2.3.2-BC")
-        r2 = _claim_check_35(work, e, V, vwin)
-        if r2[0] != "ok":
-            return r2[1]
-        work.apply(3, 5, r2[1], "B.2.3.2-BC")
-        work.recolor(e_v34, 3, "B.2.3.2-BC")
-        work.recolor(e_u34, 4, "B.2.3.2-BC")
-        work.apply(1, 2, e, "B.2.3.2-BC")
-        work.apply_expect(1, 3, e_v34, {V[3], V[2], V[1], x1}, "B.2.3.2-BC")
-        return e_u34
-    raise InternalInvariantError(f"unhandled palette pair {sorted(pu4)}/{sorted(pv4)}")
+        U, V, x1, y1, pu4, pv4 = V, U, y1, x1, pv4, pu4
+    (lu, cu), (lv, cv) = _PATTERN[pu4], _PATTERN[pv4]
+    tag = f"B.2.3.2-{lu}{lv}"
+    # per side: W, the other side Z, w2's 5-neighbor, c, the w3w4 edge
+    sides = [(U, V, y1, cu, g.edge_id(U[2], U[3])),
+             (V, U, x1, cv, g.edge_id(V[2], V[3]))]
+    if cu == cv:
+        claims = []
+        for W, Z, _, c, _ in sides:
+            if c != 5:
+                res = _claim(work, e, W, Z, [Z[0], *W[:4]], c)
+                if res[0] != "ok":
+                    return res[1]
+                claims.append(res)
+        if claims and claims[0][2] & claims[1][2]:
+            raise ClaimOneViolated(f"the two ({cu},5) paths are not disjoint")
+        for res in claims:
+            work.apply(cu, 5, res[1], tag)
+        finished, rest = sides, []
+    else:
+        for W, Z, _, c, _ in sides:
+            jump = _side_step(work, e, W, Z, c, tag)
+            if jump:
+                return jump[1]
+        finished, rest = (sides[:1], sides[1:]) if pu4 == _A else (sides[1:], sides[:1])
+    for *_, c, e34 in finished + rest:
+        work.recolor(e34, c, tag)
+    work.apply(1, 2, e, tag)
+    for W, _, z, c, e34 in finished:
+        work.apply_expect(1, c, e34, {W[3], W[2], W[1], z}, tag)
+    return rest[0][4] if rest else None
 
 
 def _case_B23(work: _Work, e, U, V, cycle_len):
@@ -827,27 +747,18 @@ def _case_B23(work: _Work, e, U, V, cycle_len):
         if k_end:
             U, V = V, U
             x1, y1 = y1, x1
-        return _b231(work, e, U, V, x1, y1)
+        return _b231(work, e, U, V, y1)
     return _b232(work, e, U, V, x1, y1)
 
 
 def _case_B(work: _Work, e: int):
-    g = work.g
-    u_ext, v_ext, cycle_len = _sides(work, e)
-    if cycle_len:
-        if cycle_len == 6:
-            d2 = [g.edge_id(v_ext[2], u_ext[2])]
-        else:
-            d2 = [g.edge_id(u_ext[2], u_ext[3]), g.edge_id(v_ext[2], v_ext[3])]
-        if not any(work.correct1(x) for x in d2):
-            return _lemma_2_3_inner(work, e)
-    else:
-        u_edges = [g.edge_id(u_ext[i], u_ext[i + 1]) for i in range(len(u_ext) - 1)]
-        v_edges = [g.edge_id(v_ext[i], v_ext[i + 1]) for i in range(len(v_ext) - 1)]
-        c_u = len(u_ext) >= 4 and work.correct1(u_edges[2])
-        c_v = len(v_ext) >= 4 and work.correct1(v_edges[2])
-        if not (c_u or c_v):
-            return _lemma_2_3_inner(work, e)
+    u_ext, v_ext, cycle_len, _, u_edges, v_edges = _sides(work, e)
+    # the distance-2 edges (on a six-cycle both name the closing edge)
+    c_u = len(u_edges) >= 3 and work.correct1(u_edges[2])
+    c_v = len(v_edges) >= 3 and work.correct1(v_edges[2])
+    if not (c_u or c_v):
+        return _lemma_2_3_inner(work, e)
+    if not cycle_len:
         has_u = any(work.correct1(x) for x in u_edges)
         has_v = any(work.correct1(x) for x in v_edges)
         if c_v and not has_u:
@@ -1106,7 +1017,7 @@ def describe_window(g: Graph, f: EdgeColoring, e: int) -> PathWindow:
     if f.colors[e] == 1:
         raise PreconditionViolated(f"edge {e} is colored 1; a working edge must not be")
     work.reframe_edge2(e)
-    u_side, v_side, cycle_len = _sides(work, e)
+    u_side, v_side, cycle_len, *_ = _sides(work, e)
 
     def off_path(side, color):
         if len(side) < 2:

@@ -4,31 +4,21 @@ The core is :func:`eliminate_via_fan`: clear one edge whose color lies outside
 the working palette by growing a fan at a pivot, then downshifting, with at
 most one bicolored-path interchange to restore saturation.  The same engine
 is reused by the acyclic max-degree reduction, which additionally needs the
-"stuck" outcome (the last fan leaf misses only the color being eliminated).
+"stuck" fan (its last leaf misses only the color being eliminated).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PaletteTooSmall
 from .graph_core import EdgeColoring, Graph, require_proper
 from .kempe_engine import Fan, Recorder, extend_fan
 
 
-@dataclass
-class FanOutcome:
-    """Result of one fan-elimination attempt."""
-
-    eliminated: bool
-    fan: Fan  # the grown fan (meaningful mainly when not eliminated)
-
-
-def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) -> FanOutcome:
+def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) -> Fan | None:
     """Recolor e1 (whose color is outside `allowed`) using colors in `allowed`.
 
-    Returns eliminated=True with the offending color cleared from e1, or
-    eliminated=False (no move applied) when the final fan leaf misses no
-    allowed color; the caller then walks toward a better pivot.
+    Returns None once the offending color is cleared from e1, or the grown
+    fan (no move applied) when its last leaf misses no allowed color; the
+    caller then walks toward a better pivot.
     """
     g = rec.g
     allowed = frozenset(allowed)
@@ -44,10 +34,10 @@ def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) ->
     if sat_color is not None:
         # saturated prefix: straight downshift
         rec.downshift(edges, sat_color, note)
-        return FanOutcome(True, fan)
+        return None
     missing_allowed = sorted(allowed - rec.palette(u_k))
     if not missing_allowed:
-        return FanOutcome(False, fan)
+        return fan
     # unsaturated maximal fan: every allowed color missing at the last leaf
     # appears at the pivot, necessarily on a fan edge
     c_next = missing_allowed[0]
@@ -83,7 +73,7 @@ def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) ->
         rec.downshift(edges[:idx], c0, note)
     else:
         rec.downshift(edges, c0, note)
-    return FanOutcome(True, fan)
+    return None
 
 
 def reduce_to_delta_plus_one(g: Graph, f: EdgeColoring):
@@ -106,8 +96,7 @@ def reduce_to_delta_plus_one(g: Graph, f: EdgeColoring):
         for eid in offenders:
             pivot = g.edges[eid][0]  # canonical u < v: lower endpoint
             first = len(rec.tr)
-            out = eliminate_via_fan(rec, pivot, eid, allowed, f"vizing-fan:{c_top}")
-            if not out.eliminated:
+            if eliminate_via_fan(rec, pivot, eid, allowed, f"vizing-fan:{c_top}") is not None:
                 raise InternalInvariantError("fan elimination stuck below Delta+1")
             _check_left_top_color(rec, eid, c_top, first)
     rec.check_proper("after palette reduction")

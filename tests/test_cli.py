@@ -106,6 +106,16 @@ def test_palette_modes_refuse_a_target(work, capsys, monkeypatch, mode):
     assert not (work / "tr.txt").exists()
 
 
+@pytest.mark.parametrize("mode", ["regular4", "delta4"])
+def test_transform_modes_are_auto_vizing_acyclic(work, mode):
+    # auto already runs transform_delta4 (and so Theorem 4.1) on every input
+    # these two modes took, so they are usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--graph", str(work / "g.graph"), "--from", str(work / "f.col"),
+              "--to", str(work / "h.col"), "--out", str(work / "tr.txt"), "--mode", mode])
+    assert exc.value.code == 2
+
+
 def test_unsupported_family_error_line(work, capsys):
     k6 = Graph(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)])
     write_graph(work / "k6.graph", k6)
@@ -188,7 +198,6 @@ def test_transform_regular4_result_matches_target_bytes(work):
         "transform", "--graph", str(work / "g.graph"),
         "--from", str(work / "f5.col"), "--to", str(work / "h4.col"),
         "--out", str(work / "tr.txt"), "--result", str(work / "res.col"),
-        "--mode", "regular4",
     ]) == 0
     assert (work / "res.col").read_bytes() == (work / "h4.col").read_bytes()
 
@@ -218,9 +227,9 @@ def test_off_target_transform_is_internal_invariant(work, capsys, monkeypatch):
     from kempe_edge.fixtures_gen import random_regular4_class1
     from kempe_edge.kempe_engine import Transcript
 
-    real = cli.theorem_4_1_transform
+    real = cli.transform_delta4
     monkeypatch.setattr(
-        cli, "theorem_4_1_transform",
+        cli, "transform_delta4",
         lambda g, f, h: Transcript(real(g, f, h).moves[:-1]),
     )
     g, h = random_regular4_class1(8, 4)
@@ -230,7 +239,7 @@ def test_off_target_transform_is_internal_invariant(work, capsys, monkeypatch):
     code = main([
         "transform", "--graph", str(work / "g.graph"),
         "--from", str(work / "f5.col"), "--to", str(work / "h4.col"),
-        "--out", str(work / "tr.txt"), "--mode", "regular4",
+        "--out", str(work / "tr.txt"),
     ])
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())

@@ -8,11 +8,17 @@ v2=p2 carries off-path neighbors x1, x2 and u2=p9 carries y1, y2, and every
 certification path (the (3,4)/(3,5) probes of the window analysis, plus the
 structural (4,5) paths of the pattern branches) is wired to end exactly
 where the settled configuration demands.  The target coloring is completed
-around a pinned perfect matching by backtracking.
+around a pinned perfect matching by backtracking.  B.2.3.1 uses a path frame
+instead, and Lemma 2.2's second configuration a bare five-vertex window;
+Lemma 2.3 on a cycle component comes from seeded random interchanges.
 """
+import random
+
+from kempe_edge.fixtures_gen import random_regular4_class1
 from kempe_edge.graph_core import EdgeColoring, Graph, is_proper
 from kempe_edge.kempe_engine import KempeMove, apply_transcript
-from kempe_edge.regular4_core import lemma_2_2, theorem_4_1_transform
+from kempe_edge.kernels import backend
+from kempe_edge.regular4_core import lemma_2_2, lemma_2_3, theorem_4_1_transform
 
 # vertex labels: p0..p9 -> 1..10; externals from 11 up
 P = list(range(1, 11))
@@ -478,11 +484,6 @@ def _lemma_2_3_cycle_instances():
     f is the witness h of `random_regular4_class1(n, seed)` read at palette
     5 and moved by k seeded interchanges, then renamed so f(xy) = 2.  The
     two instances settle their first window on either side of xy."""
-    import random
-
-    from kempe_edge.fixtures_gen import random_regular4_class1
-    from kempe_edge.kernels import backend
-
     for n, seed, k, xy in ((12, 5, 8, 0), (16, 2, 8, 8)):
         g, h = random_regular4_class1(n, seed)
         rng = random.Random(seed * 10 + k)
@@ -715,9 +716,6 @@ def test_lemma_2_2_second_configuration():
 
 
 def test_lemma_2_3_on_a_cycle_component():
-    from kempe_edge.kernels import backend
-    from kempe_edge.regular4_core import lemma_2_3
-
     for g, f, h, xy in _lemma_2_3_cycle_instances():
         eids, _, cyc = backend.trace_component(g, list(f.colors), 1, 2, xy)
         assert cyc and len(eids) >= 10
