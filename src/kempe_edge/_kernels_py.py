@@ -6,6 +6,10 @@ is the endpoint pair (u, v), u < v, of edge id e, and ``g.adj[v]`` lists the
 (neighbor, edge id) pairs at v by ascending edge id, so every scan and
 tie-break below is in edge-id order.  State vectors are ``bytes`` of length
 m, one color per edge id.
+
+:func:`canonical_colorings` is the one backtracker over proper colorings,
+with its stack in lists, not Python frames; :func:`enumerate_proper` and the
+oracle's chromatic-index search both walk it.
 """
 from __future__ import annotations
 
@@ -112,51 +116,69 @@ def _enum_order(g):
     return order
 
 
-def enumerate_proper(g, t, cap):
-    """Every proper t-coloring up to a renaming of its colors, as bytes, or
-    (partial, True) when `cap` is hit.
+def canonical_colorings(g, t, accept=None):
+    """Every proper t-coloring up to a renaming of its colors, each yielded
+    once as the live list of colors by edge id (copy it to keep it).
 
-    Each coloring is emitted once, in canonical form: colors are numbered in
-    order of first appearance along :func:`_enum_order`, so an edge takes a
-    color already used or the next fresh one.  A canonical coloring that
-    uses k colors stands for perm(t, k) labeled ones, and the canonical form
-    is the lexicographic minimum (along the order) of its orbit.
+    Edges are colored along :func:`_enum_order`, colors tried in ascending
+    order, and an edge takes a color already used or the next fresh one, so
+    colors are numbered in order of first appearance.  A canonical coloring
+    that uses k colors stands for perm(t, k) labeled ones, and it is the
+    lexicographic minimum (along the order) of its orbit.
+
+    `accept(i, bit, used)`, when given, is asked after the color ``bit`` (a
+    one-bit mask) is placed on the i-th edge of the order, ``used`` holding
+    the colors at each vertex as bitmasks; a false answer takes it back.
     """
     m = g.m
     order = _enum_order(g)
-    colors = bytearray(m)
-    used = [0] * (g.n + 1)  # bitmask of colors at each vertex
-    out = []
-    truncated = False
-
-    def rec(i, k):
-        nonlocal truncated
-        if truncated:
-            return
+    ends = [g.edges[e] for e in order]
+    colors = [0] * m
+    used = [0] * (g.n + 1)
+    top = [0] * (m + 1)  # colors used before step i: 1..top[i]
+    i, c = 0, 0  # c: the last color tried at step i
+    while i >= 0:
         if i == m:
-            if len(out) >= cap:
-                truncated = True
-                return
-            out.append(bytes(colors))
-            return
-        e = order[i]
-        u, v = g.edges[e]
-        avail = ~(used[u] | used[v])
-        for c in range(1, min(t, k + 1) + 1):
-            bit = 1 << c
-            if avail & bit:
-                colors[e] = c
-                used[u] |= bit
-                used[v] |= bit
-                rec(i + 1, max(k, c))
-                used[u] &= ~bit
-                used[v] &= ~bit
-                if truncated:
-                    return
-        colors[e] = 0
+            yield colors
+        else:
+            u, v = ends[i]
+            busy = used[u] | used[v]
+            last = min(t, top[i] + 1)
+            c += 1
+            while c <= last:
+                bit = 1 << c
+                if not busy & bit:
+                    used[u] |= bit
+                    used[v] |= bit
+                    if accept is None or accept(i, bit, used):
+                        break
+                    used[u] ^= bit
+                    used[v] ^= bit
+                c += 1
+            if c <= last:
+                colors[order[i]] = c
+                top[i + 1] = max(top[i], c)
+                i, c = i + 1, 0
+                continue
+        # back to step i - 1: take its color off and try the next one
+        i -= 1
+        if i >= 0:
+            c = colors[order[i]]
+            u, v = ends[i]
+            used[u] ^= 1 << c
+            used[v] ^= 1 << c
 
-    rec(0, 0)
-    return out, truncated
+
+def enumerate_proper(g, t, cap):
+    """Every proper t-coloring up to a renaming of its colors, as bytes in
+    the order of :func:`canonical_colorings`, or (partial, True) when more
+    than `cap` exist."""
+    out = []
+    for colors in canonical_colorings(g, t):
+        if len(out) >= cap:
+            return out, True
+        out.append(bytes(colors))
+    return out, False
 
 
 def kempe_neighbor_moves(g, state, t, color_set=None):

@@ -269,22 +269,36 @@ def delete_edges(g: Graph, edge_ids: Iterable[int]):
     return Graph(g.n, [g.edges[eid] for eid in kept]), kept
 
 
-def is_acyclic(g: Graph) -> bool:
-    """Forest test via union-find."""
-    parent = list(range(g.n + 1))
+class _UnionFind:
+    """Disjoint sets over 0..n-1, by size with path halving."""
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
         return x
 
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
+    def union(self, a, b) -> bool:
+        """Join the sets of a and b; False when they were one set already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
             return False
-        parent[ru] = rv
-    return True
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+
+def is_acyclic(g: Graph) -> bool:
+    """Forest test via union-find."""
+    uf = _UnionFind(g.n + 1)
+    return all(uf.union(u, v) for u, v in g.edges)
 
 
 # ---------------------------------------------------------------------------

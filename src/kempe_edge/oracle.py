@@ -1,14 +1,19 @@
 """Independent ground truth at desk scale.
 
-Exact chromatic index by backtracking, exhaustive enumeration of proper
-colorings, and the partition of the coloring space into Kempe classes.
+Exact chromatic index, exhaustive enumeration of proper colorings, and the
+partition of the coloring space into Kempe classes.
 
-The chromatic-index search colors edges along ``_enum_order`` with at most
-one fresh color per step, as the enumeration does, and drops a color as
-soon as Hall's condition fails at a vertex it touched: the edges still
-uncolored there cannot take distinct colors free at both of their ends.
-Such a subtree holds no proper completion, so the search returns the
-coloring the plain backtracker would, on a subtree of its nodes.
+Both searches run one engine, the explicit-stack backtracker
+``_kernels_py.canonical_colorings``: edges are colored along
+``_enum_order`` with at most one fresh color per step, so each coloring
+comes once per orbit of the palette renamings.  The enumeration collects
+its colorings; the chromatic-index search takes the first, and through the
+engine's `accept` hook drops a color as soon as Hall's condition fails at
+a vertex it touched: the edges still uncolored there cannot take distinct
+colors free at both of their ends.  Such a subtree holds no proper
+completion, so the search returns the coloring the plain walk would, on a
+subtree of its nodes.  The engine keeps its stack in lists, not in Python
+frames, so the interpreter's recursion limit does not bound the edge count.
 
 :func:`kempe_classes` works modulo renamings of the palette.  Swapping two
 colors everywhere is one interchange per component of their subgraph, so
@@ -23,14 +28,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._kernels_py import _enum_order
+from ._kernels_py import _enum_order, canonical_colorings
 from .errors import (
     BudgetExceeded,
     ColorOutOfRange,
     InternalInvariantError,
     PreconditionViolated,
 )
-from .graph_core import EdgeColoring, Graph, check_palette, require_proper
+from .graph_core import (
+    EdgeColoring,
+    Graph,
+    _UnionFind,
+    check_palette,
+    require_proper,
+)
 from .kempe_engine import KempeMove, Transcript
 from .kernels import backend
 
@@ -131,70 +142,46 @@ def _hall_plan(g: Graph, order):
 
 
 def _search_coloring(g: Graph, t: int, node_cap: int):
-    """One proper t-coloring via backtracking, or None.
+    """The first proper t-coloring of :func:`canonical_colorings`, or None.
 
-    Edges are colored along ``_enum_order``, colors tried in ascending
-    order, and color-class symmetry is broken by allowing at most one fresh
-    color per step.  A color is skipped when, after it is placed on (u, v),
-    Hall's condition fails at some vertex x: the edges still uncolored at x
-    cannot take pairwise distinct colors of 1..t, each free at both of its
-    ends (:func:`_hall_holds`).  Only the systems of u, v and the far ends
-    y of uncolored edges at u or v change, and y's only when the color was
-    free at y, so only those are checked (:func:`_hall_plan`).
+    The walk is pruned through its `accept` hook: a color is taken back
+    when, after it is placed on (u, v), Hall's condition fails at some
+    vertex x: the edges still uncolored at x cannot take pairwise distinct
+    colors of 1..t, each free at both of its ends (:func:`_hall_holds`).
+    Only the systems of u, v and the far ends y of uncolored edges at u or
+    v change, and y's only when the color was free at y, so only those are
+    checked (:func:`_hall_plan`).
 
     A failed check means that no proper completion exists, under any names
     of the colors; a completion, if there were one, could be renamed into
-    the canonical form the loop enumerates.  So every cut subtree holds no
-    solution, the first witness is the one the unpruned loop finds, and
+    the canonical form the walk enumerates.  So every cut subtree holds no
+    solution, the first witness is the one the unpruned walk finds, and
     the pruned tree is a subtree of the unpruned one: `node_cap` (counted
-    in calls, one per colored prefix) binds no sooner than before.
+    in colored prefixes: the root and each accepted placement) binds no
+    sooner than before.
     """
-    m = g.m
-    if m == 0:
-        return []
-    order = _enum_order(g)
-    plan = _hall_plan(g, order)
+    plan = _hall_plan(g, _enum_order(g))
     palette = (1 << (t + 1)) - 2  # bits 1..t
-    colors = [0] * m
-    used = [0] * (g.n + 1)
-    nodes = 0
+    nodes = 1
+    if nodes > node_cap:
+        raise BudgetExceeded(f"backtracking exceeded {node_cap} nodes")
 
-    def pruned(i, bit):
+    def accept(i, bit, used):
+        nonlocal nodes
         near, far = plan[i]
         for x, ys in near:
             if not _hall_holds(palette & ~used[x], ys, used):
-                return True
+                return False
         for x, ys in far:
             ux = used[x]
             if not ux & bit and not _hall_holds(palette & ~ux, ys, used):
-                return True
-        return False
-
-    def rec(i, maxc):
-        nonlocal nodes
+                return False
         nodes += 1
         if nodes > node_cap:
             raise BudgetExceeded(f"backtracking exceeded {node_cap} nodes")
-        if i == m:
-            return True
-        eid = order[i]
-        u, v = g.edges[eid]
-        avail = ~(used[u] | used[v])
-        top = min(t, maxc + 1)
-        for c in range(1, top + 1):
-            bit = 1 << c
-            if avail & bit:
-                colors[eid] = c
-                used[u] |= bit
-                used[v] |= bit
-                if not pruned(i, bit) and rec(i + 1, max(maxc, c)):
-                    return True
-                used[u] &= ~bit
-                used[v] &= ~bit
-        colors[eid] = 0
-        return False
+        return True
 
-    return colors[:] if rec(0, 0) else None
+    return next((colors[:] for colors in canonical_colorings(g, t, accept)), None)
 
 
 def chromatic_index(g: Graph, node_cap: int = DEFAULT_NODE_CAP):
@@ -204,25 +191,20 @@ def chromatic_index(g: Graph, node_cap: int = DEFAULT_NODE_CAP):
     search; otherwise a Delta-coloring is searched exhaustively.  The answer
     always lands in {Delta, Delta+1}.
 
-    Each search is the Hall-pruned backtracker of :func:`_search_coloring`;
-    `node_cap` bounds its nodes (colored prefixes of the edge order) and
-    raises ``BudgetExceeded`` past them.  Pruning leaves the witness as
-    the plain backtracker found it and only removes nodes, but a node costs
-    more: about 11 us against about 2 us (pure Python 3.11, 2-core VM).  So
-    the default 20M nodes run out after about 3.5 minutes, not 36 s: 212 s
-    on a cubic graph with a bridge (Class 2, n = 102) at t = 3.
+    Each search is :func:`_search_coloring`; `node_cap` bounds its nodes
+    (colored prefixes of the edge order) and raises ``BudgetExceeded``
+    past them.  Hall pruning only removes nodes, but a node costs about
+    10.5 us against about 2 us unpruned (pure Python 3.11, 2-core VM): the
+    default 20M nodes run out after 212 s on a Class 2 cubic graph with a
+    bridge (n = 102) at t = 3.
     """
     delta = g.max_degree()
     if g.m == 0:
         return 0, EdgeColoring(1, [])
-    if g.m > delta * (g.n // 2):
-        witness = _search_coloring(g, delta + 1, node_cap)
-        if witness is None:
-            raise BudgetExceeded("no (Delta+1)-coloring found; graph invariant broken")
-        return delta + 1, EdgeColoring(delta + 1, witness)
-    witness = _search_coloring(g, delta, node_cap)
-    if witness is not None:
-        return delta, EdgeColoring(delta, witness)
+    if g.m <= delta * (g.n // 2):
+        witness = _search_coloring(g, delta, node_cap)
+        if witness is not None:
+            return delta, EdgeColoring(delta, witness)
     witness = _search_coloring(g, delta + 1, node_cap)
     if witness is None:
         raise BudgetExceeded("no (Delta+1)-coloring found; graph invariant broken")
@@ -255,28 +237,6 @@ def _quotient_neighbors(g, order, t, state):
     top = min(t, max(state, default=0) + 1)
     for nxt in backend.kempe_neighbors(g, state, t, range(1, top + 1)):
         yield _canonical(nxt, order)
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 def _lookup(index, state):

@@ -166,6 +166,15 @@ def test_oracle_subcommands(work, capsys):
     assert "different-class" in capsys.readouterr().out
 
 
+def test_oracle_chi_on_a_cycle_longer_than_the_recursion_limit(work, capsys):
+    n = 1200
+    write_graph(work / "c.graph", Graph(n, [(v, v + 1) for v in range(1, n)] + [(1, n)]))
+    assert main(["oracle", "chi", "--graph", str(work / "c.graph")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "chi 2"
+    assert captured.err == ""
+
+
 def test_gen_regular4_requires_seed(work, capsys):
     code = main(["gen", "regular4", "--out", str(work / "g.graph"), "--n", "8"])
     assert code == 1

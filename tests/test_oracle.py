@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kempe_edge.errors import BudgetExceeded
+from kempe_edge.errors import BudgetExceeded, ColorOutOfRange
 from kempe_edge.fixtures_gen import (
     figure1_pair,
     octahedron,
@@ -65,6 +65,23 @@ def test_chromatic_index_node_cap_binds():
     assert chi == 4 and w.t == 4 and is_proper(g, w)
 
 
+def _cycle(n):
+    return Graph(n, [(v, v + 1) for v in range(1, n)] + [(1, n)])
+
+
+@pytest.mark.parametrize("n, chi", [(1200, 2), (1201, 3)])
+def test_chromatic_index_of_a_cycle_longer_than_the_recursion_limit(n, chi):
+    g = _cycle(n)
+    got, w = chromatic_index(g)
+    assert got == chi and w.t == chi and is_proper(g, w)
+
+
+def test_chromatic_index_palette_above_byte_range_is_typed():
+    # K_{1,300}: the search finds a 300-coloring, which no EdgeColoring holds
+    with pytest.raises(ColorOutOfRange):
+        chromatic_index(Graph(301, [(1, v) for v in range(2, 302)]))
+
+
 def _kempe_walk(g, f, steps, rng):
     rec = Recorder(g, f)
     for _ in range(steps):
@@ -93,6 +110,13 @@ def test_witness_free_equalize_past_the_old_budget_cliff(n, seed, removed):
 def test_kempe_classes_single_edge():
     g = Graph(2, [(1, 2)])
     report = kempe_classes(g, 2)
+    assert report.total_colorings == 2
+    assert report.class_count == 1
+
+
+def test_kempe_classes_path_longer_than_the_recursion_limit():
+    # P_1201 has 1200 edges and one coloring at palette 2, up to renaming
+    report = kempe_classes(Graph(1201, [(v, v + 1) for v in range(1, 1201)]), 2)
     assert report.total_colorings == 2
     assert report.class_count == 1
 
