@@ -37,6 +37,8 @@ from test_regular4_deep_cases import (
     _cc_instance,
     _l22_instance,
     _lemma_2_3_cycle_instances,
+    _seeded_rare_instance,
+    SEEDED_RARE,
 )
 
 
@@ -107,6 +109,16 @@ def _theorem_4_1_b232_swaps_and_escapes():
         yield g, f, theorem_4_1_transform(g, f, h)
 
 
+def _theorem_4_1_seeded_rare():
+    """Seeded random instances reaching the mold loop, A.2.1-x1, A.2.2,
+    A.2.3's u1 == x1 and u1 == x2 endings, A.2.1 through u1 == x2, a failed
+    first window condition, and the Lemma 2.2 steps of B.1 and of B.2.3 on
+    either side."""
+    for n, s in SEEDED_RARE:
+        g, f, h = _seeded_rare_instance(n, s)
+        yield g, f, theorem_4_1_transform(g, f, h)
+
+
 def _lemma_2_2_second_configuration():
     """Outcome II through the (2,3) path from x1, on each of its branches."""
     for name in ("free", "v3", "x2"):
@@ -173,6 +185,10 @@ GOLDEN = {
     ),
     "theorem_4_1_b231": (_theorem_4_1_b231,
         "324a6fd7750a23533c69b37b25a5378212d33ed10e1d050c05159692fdc4f960",
+    ),
+    # taken before A.2.x's helpers were inlined and A.2.3 given one ending
+    "theorem_4_1_seeded_rare": (_theorem_4_1_seeded_rare,
+        "4ee9d2ea8b7f1a1b664eaea27e3ece265318dfb5d2b1adb10ba416d02176e27f",
     ),
     "lemma_2_2_second_configuration": (_lemma_2_2_second_configuration,
         "d54ef26d4ec3028ab502ed5c3eb783c87dcbaacaeeb8fa59faf60c04f51b7e6b",

@@ -5,6 +5,7 @@ import pytest
 
 from kempe_edge.errors import (
     BadWindow,
+    DistanceConditionViolated,
     NotRegular4,
     PreconditionViolated,
     TargetNotProper4,
@@ -279,6 +280,26 @@ def test_lemma_2_3_increases_matched_count():
     assert done >= 10
 
 
+def test_lemma_2_3_rejects_a_correct_edge_within_distance_2():
+    g, h = random_regular4_class1(10, 1)
+    f = random_proper_coloring(g, 5, 10_001)
+    assert f.colors[2] == 2 and h.colors[2] == 1
+    with pytest.raises(DistanceConditionViolated):
+        lemma_2_3(g, f, h, 2)
+
+
+def _check_b23_escape(g, f, h, eid):
+    coloring, tr, tag = case_b23_escape(g, f, h, eid)
+    assert is_proper(g, coloring)
+    assert apply_transcript(g, f, tr, check=True) == coloring
+    if tag == "done":
+        assert _matched(coloring, h) > _matched(f, h)
+    else:
+        assert tag in ("case_A", "case_B1")
+        assert _matched(coloring, h) >= _matched(f, h)
+    return tag
+
+
 def test_case_b23_escape_surface():
     done = 0
     for seed in range(300):
@@ -291,19 +312,17 @@ def test_case_b23_escape_surface():
             has1 = lambda w: any(f.colors[e2] == 1 for _, e2 in g.adj[w])
             if not (has1(u) and has1(v)):
                 continue
-            coloring, tr, tag = case_b23_escape(g, f, h, eid)
-            assert is_proper(g, coloring)
-            assert apply_transcript(g, f, tr, check=True) == coloring
-            if tag == "done":
-                assert _matched(coloring, h) > _matched(f, h)
-            else:
-                assert tag in ("case_A", "case_B1")
-                assert _matched(coloring, h) >= _matched(f, h)
+            _check_b23_escape(g, f, h, eid)
             done += 1
             break
         if done >= 20:
             break
     assert done >= 10
+    # the two tags naming the next dispatch, on (n, seed, edge)
+    for (n, s, eid), tag in (((8, 41, 0), "case_A"), ((8, 57, 2), "case_B1")):
+        g, h = random_regular4_class1(n, s)
+        f = random_proper_coloring(g, 5, 10_000 + s)
+        assert _check_b23_escape(g, f, h, eid) == tag
 
 
 def test_case_b23_escape_rejects_edges_outside_case_b():

@@ -14,7 +14,7 @@ Lemma 2.3 on a cycle component comes from seeded random interchanges.
 """
 import random
 
-from kempe_edge.fixtures_gen import random_regular4_class1
+from kempe_edge.fixtures_gen import random_proper_coloring, random_regular4_class1
 from kempe_edge.graph_core import EdgeColoring, Graph, is_proper
 from kempe_edge.kempe_engine import KempeMove, apply_transcript
 from kempe_edge.kernels import backend
@@ -497,6 +497,37 @@ def _lemma_2_3_cycle_instances():
         c = colors[xy]
         f = EdgeColoring(5, [{c: 2, 2: c}.get(x, x) for x in colors])
         yield g, f, h, xy
+
+
+# Seeded random instances that reach phase-1 branches no synthesized frame
+# reaches, found by a seeded search over n = 8..16.  Each (n, s) maps to the
+# statements of `regular4_core` it must run, named as in `linetrace`:
+# (function, statement text).
+SEEDED_RARE = {
+    # B.2.3's mold loop, and its escape when the mold path ends off target
+    (8, 7185): [("_case_B23", 'work.apply(ca, cb, rep, "B.2.3-mold")'),
+                ("_case_B23", 'if _cut_window(work, uwin, "B.2.3-mold-esc") is not None:')],
+    (10, 2825): [("_a21_u1_is_x1", 'work.apply(1, 2, e, "A.2.1-x1")')],
+    (10, 42616): [("_a22_with_1_at_x1", 'work.apply_expect(2, 5, rep, {x1, P[2], P[3]}, "A.2.2")')],
+    # A.2.3 outcome I with u1 == x1 re-dispatches on v3v4
+    (10, 3583): [("_case_A", "return e34")],
+    # a failed first window condition on the u side, then B.1's Lemma 2.2 step
+    (12, 18803): [("_window_holds", "return False"),
+                  ("_case_B1", 'return _lemma_2_2_step(work, e, pv, "B.1", True)')],
+    # A.2.1 reached through u1 == x2
+    (10, 39991): [("_case_A", "if 1 in work.vpal(x1):")],
+    # B.2.3's off-path Lemma 2.2 step on the u side, then on the v side
+    (10, 60444): [("_case_B23", 'return _lemma_2_2_step(work, e, uwin, "B.2.3", False)')],
+    (14, 108245): [("_case_B23", 'return _lemma_2_2_step(work, e, vwin, "B.2.3", False)')],
+    # A.2.3 with u1 == x2 and no color 2 at x1 ends in Lemma 2.3 on v3v4
+    (12, 110528): [("_case_A", "return _lemma_2_3_inner(work, e34)")],
+}
+
+
+def _seeded_rare_instance(n, s):
+    """(g, f, h) for the `SEEDED_RARE` key (n, s)."""
+    g, h = random_regular4_class1(n, s)
+    return g, random_proper_coloring(g, 5, 10_000 + s), h
 
 
 def _run_and_collect(g, f, h):
