@@ -7,9 +7,12 @@ analysis works inside a color frame (a palette permutation fixing color 1)
 so the working edge always reads as color 2.  Narrative jumps between cases
 become explicit re-dispatches on a new working edge; every claimed structural
 fact is asserted at runtime, and every claim failure escapes through a move
-sequence that re-enters the dispatch.  B.2.3.1 and B.2.3.2 share one
+sequence that re-enters the dispatch.  Case A's four length-4 endings are
+one dispatch and A.2.3 has one ending.  B.2.3.1 and B.2.3.2 share one
 per-side step: a side whose fourth vertex has palette {1,2,3,5} or {1,2,4,5}
-claims the (4,5)- or (3,5)-path from its third vertex and swaps it.  After
+claims the (4,5)- or (3,5)-path from its third vertex and swaps it.  No test
+reaches B.2.3's c6, p7 and B.2.3-45 branches, its short-side swap or
+`_window_b`'s escape on v1v2 (tests/test_phase1_coverage.py).  After
 phase 1 color 1 is a perfect matching shared with the target, so every
 (a, b)-component with a, b in 2..5 lies in the cubic remainder; phase 2 runs
 the bounded search equalizer on the working state itself over those four
@@ -255,15 +258,14 @@ def _window_escape_or_certify(work: _Work, pv):
     work.compose({m1: 4, m2: 3, m3: 5})
     x1 = g.other_end(work.edge_at(v2, 5), v2)
     x2 = g.other_end(work.edge_at(v2, 4), v2)
-    # condition (ii) checks with their escapes
-    if 3 not in work.vpal(x1):
-        work.recolor(g.edge_id(v2, x1), 3, "win4-probe")
-        return ("improved", e23, 5)
-    if 3 not in work.vpal(x2):
-        work.recolor(g.edge_id(v2, x2), 3, "win4-probe")
-        return ("improved", e12, 4)
+    probes = ((v1, 4, e12, x1, e23, 5), (v3, 5, e23, x2, e12, 4))
+    # condition (ii): x must see color 3
+    for *_, x, e_x, c_x in probes:
+        if 3 not in work.vpal(x):
+            work.recolor(g.edge_id(v2, x), 3, "win4-probe")
+            return ("improved", e_x, c_x)
     # the (3,d)-path from w must end at v2, and x must see color d
-    for w, d, e_w, x, e_x, c_x in ((v1, 4, e12, x1, e23, 5), (v3, 5, e23, x2, e12, 4)):
+    for w, d, e_w, x, e_x, c_x in probes:
         rep = work.edge_at(w, 3)
         _, verts, cyc = work.comp_of(rep, 3, d)
         if cyc:
@@ -346,21 +348,16 @@ def _lemma_2_2_inner(work: _Work, pv):
         if cyc:
             raise InternalInvariantError("(2,3) path from x1 closed up")
         vset = set(verts)
-        e_x1 = g.edge_id(v2, x1)
         e_x2 = g.edge_id(v2, x2)
-        e_v3 = g.edge_id(v2, v3)
         e_v1 = g.edge_id(v2, v1)
         if v3 not in vset and x2 not in vset:
             work.apply(2, 3, rep, "win-target")
-            for eid, target in ((e_x1, 3), (e_v3, 5), (e_x2, 2), (e_v1, 4)):
+            for eid, target in ((g.edge_id(v2, x1), 3), (g.edge_id(v2, v3), 5),
+                                (e_x2, 2), (e_v1, 4)):
                 work.recolor(eid, target, "win-target")
-        elif v3 in vset:
-            rep2 = work.edge_at(x2, 3)
-            work.apply(2, 3, rep2, "win-target")
-            work.recolor(e_x2, 3, "win-target")
-            work.recolor(e_v1, 4, "win-target")
         else:
-            work.apply(2, 3, rep, "win-target")
+            # a path through v3 is swapped from x2's end instead
+            work.apply(2, 3, work.edge_at(x2, 3) if v3 in vset else rep, "win-target")
             work.recolor(e_x2, 3, "win-target")
             work.recolor(e_v1, 4, "win-target")
     else:
@@ -441,32 +438,6 @@ def _lemma_2_3_inner(work: _Work, xy: int, require_precondition: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _a21_main(work: _Work, P, x1):
-    """v4 is the path end, palettes settled, u1 is not the 5-neighbor of v2."""
-    g = work.g
-    e = g.edge_id(P[0], P[1])
-    work.apply(1, 2, e, "A.2.1")
-    rep = g.edge_id(P[2], x1)
-    work.apply_expect(1, 5, rep, {x1, P[2], P[3]}, "A.2.1")
-    work.recolor(g.edge_id(P[3], P[4]), 1, "A.2.1")
-
-
-def _a21_u1_is_x1(work: _Work, P, x2):
-    g = work.g
-    e = g.edge_id(P[0], P[1])
-    work.apply(1, 2, e, "A.2.1-x1")
-    rep = g.edge_id(P[1], P[2])
-    work.apply_expect(2, 4, rep, {P[1], P[2], x2}, "A.2.1-x1")
-    _lemma_2_3_inner(work, g.edge_id(P[4], P[3]))
-
-
-def _a22_with_1_at_x1(work: _Work, P, x1):
-    g = work.g
-    rep = g.edge_id(P[2], x1)
-    work.apply_expect(2, 5, rep, {x1, P[2], P[3]}, "A.2.2")
-    _lemma_2_3_inner(work, g.edge_id(P[0], P[1]))
-
-
 def _case_A(work: _Work, e: int):
     """The working edge is adjacent to at most one 1-edge."""
     g = work.g
@@ -495,21 +466,23 @@ def _case_A(work: _Work, e: int):
         return _lemma_2_3_inner(work, e)
     x1, x2 = xs
     if k == 4:
-        if u1 != x2:
-            if work.vpal(x1) != {2, 3, 4, 5} or work.vpal(x2) != {1, 3, 4, 5}:
-                # outcome II leaves u1v1 with no 1-edge at either end
-                if _lemma_2_2_step(work, e, P[:5], "A.2.1", True) == e:
-                    work.recolor(e, 1, "A.2.1-II")
-                return None
-            if u1 != x1:
-                _a21_main(work, P, x1)
-            else:
-                _a21_u1_is_x1(work, P, x2)
-            return None
-        if 1 in work.vpal(x1):
-            _a22_with_1_at_x1(work, P, x1)
+        # v4 ends the path
+        settled = work.vpal(x1) == {2, 3, 4, 5} and work.vpal(x2) == {1, 3, 4, 5}
+        if u1 != x2 and not settled:
+            # outcome II leaves u1v1 with no 1-edge at either end
+            if _lemma_2_2_step(work, e, P[:5], "A.2.1", True) == e:
+                work.recolor(e, 1, "A.2.1-II")
+        elif u1 == x2 and 1 in work.vpal(x1):
+            work.apply_expect(2, 5, g.edge_id(P[2], x1), {x1, P[2], P[3]}, "A.2.2")
+            _lemma_2_3_inner(work, e)
+        elif u1 == x1:
+            work.apply(1, 2, e, "A.2.1-x1")
+            work.apply_expect(2, 4, pe(1), {P[1], P[2], x2}, "A.2.1-x1")
+            _lemma_2_3_inner(work, pe(3))
         else:
-            _a21_main(work, P, x1)
+            work.apply(1, 2, e, "A.2.1")
+            work.apply_expect(1, 5, g.edge_id(P[2], x1), {x1, P[2], P[3]}, "A.2.1")
+            work.recolor(pe(3), 1, "A.2.1")
         return None
     # k >= 5: the fourth path vertex is internal
     _window_b(work, P[:6])
@@ -530,22 +503,15 @@ def _case_A(work: _Work, e: int):
             work.recolor(e, 1, "A.2.3-II")
         if out != "I":
             return None
-        # outcome I
-        if u1 not in (x1, x2):
-            work.recolor(e34, 5, "A.2.3-I")
-            work.apply(1, 2, e, "A.2.3-I")
-            work.apply_expect(1, 5, e34, {P[4], P[3], P[2], x1}, "A.2.3-I")
-            return None
-        # u1 == x1: after the same preparation the mirrored window repeats
-        # the configuration with the frame colors 2 and 5 exchanged
-        work.recolor(e34, 5, "A.2.3-I")
-        work.apply(1, 2, e, "A.2.3-I")
+    tag = "A.2.3-x2" if u1 == x2 else "A.2.3-I"
+    work.recolor(e34, 5, tag)
+    work.apply(1, 2, e, tag)
+    if u1 == x1:
+        # the mirrored window repeats the configuration with the frame
+        # colors 2 and 5 exchanged
         return e34
-    # u1 == x2
-    work.recolor(e34, 5, "A.2.3-x2")
-    work.apply(1, 2, e, "A.2.3-x2")
-    if 2 in work.vpal(x1):
-        work.apply_expect(1, 5, e34, {P[4], P[3], P[2], x1}, "A.2.3-x2")
+    if u1 != x2 or 2 in work.vpal(x1):
+        work.apply_expect(1, 5, e34, {P[4], P[3], P[2], x1}, tag)
         return None
     return _lemma_2_3_inner(work, e34)
 
@@ -697,16 +663,13 @@ def _case_B23(work: _Work, e, U, V, cycle_len):
             return e
     else:
         raise InternalInvariantError("u-side molding did not converge")
-    # re-derive the four off-path neighbors after molding
-    x1 = g.other_end(work.edge_at(V[1], 5), V[1])
-    x2 = g.other_end(work.edge_at(V[1], 4), V[1])
-    y1 = g.other_end(work.edge_at(U[1], 5), U[1])
-    y2 = g.other_end(work.edge_at(U[1], 4), U[1])
-    # settle the off-path palettes
-    if work.vpal(x1) != {2, 3, 4, 5} or work.vpal(x2) != {1, 3, 4, 5}:
-        return _lemma_2_2_step(work, e, vwin, "B.2.3", False)
-    if work.vpal(y1) != {2, 3, 4, 5} or work.vpal(y2) != {1, 3, 4, 5}:
-        return _lemma_2_2_step(work, e, uwin, "B.2.3", False)
+    # re-derive the 5-neighbors of v2 and u2 after molding, then settle the
+    # off-path palettes on the v side before the u side
+    x1, y1 = (g.other_end(work.edge_at(w2, 5), w2) for w2 in (V[1], U[1]))
+    for w2, z1, win in ((V[1], x1, vwin), (U[1], y1, uwin)):
+        z2 = g.other_end(work.edge_at(w2, 4), w2)
+        if work.vpal(z1) != {2, 3, 4, 5} or work.vpal(z2) != {1, 3, 4, 5}:
+            return _lemma_2_2_step(work, e, win, "B.2.3", False)
     if cycle_len == 6:
         closing = g.edge_id(V[2], U[2])
         if closing is None or not work.correct1(closing):
