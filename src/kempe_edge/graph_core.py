@@ -307,8 +307,9 @@ def is_acyclic(g: Graph) -> bool:
 # Graph:     optional `c ...` comments, one `p edge <n> <m>` header with
 #            n <= MAX_VERTICES, then exactly m lines `e <u> <v>` with
 #            1 <= u < v <= n.
-# Coloring:  header `t <k>`, then one `e <u> <v> <c>` line per edge of the
-#            graph, each edge exactly once, 1 <= c <= k.
+# Coloring:  optional `c ...` comments, header `t <k>`, then one
+#            `e <u> <v> <c>` line per edge of the graph, each edge exactly
+#            once, 1 <= c <= k.
 # Integer fields are ASCII `-?[0-9]+`, as the writers emit them: no sign
 # `+`, no `_` separators, no non-ASCII digits.
 # ---------------------------------------------------------------------------

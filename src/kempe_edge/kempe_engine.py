@@ -21,7 +21,6 @@ from .errors import (
     FormatError,
     InternalInvariantError,
     InvalidMoveAtIndex,
-    NotProper,
     NotSaturated,
     PreconditionViolated,
     RepEdgeNotBicolored,
@@ -376,5 +375,7 @@ class Recorder:
             target = old
 
     def check_proper(self, where: str = "") -> None:
+        """Final check of a transform whose input was already checked, so an
+        improper coloring here is the package's fault, not the caller's."""
         if not backend.is_proper(self.g, self.colors):
-            raise NotProper(f"internal coloring not proper {where}")
+            raise InternalInvariantError(f"internal coloring not proper {where}")

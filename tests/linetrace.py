@@ -1,8 +1,8 @@
 """Statement coverage of one module by `sys.settrace`, with no dependency.
 
 A statement is named by its enclosing function's qualified name and its
-source text (the header line of a compound statement, the whole of a simple
-one, whitespace collapsed), never by line number, so a fold elsewhere in the
+source text (the header of a compound statement, the whole of a simple one,
+on one line with whitespace collapsed), never by line number, so a fold elsewhere in the
 module leaves the names of untouched statements as they were.  Only
 statements inside functions are counted, docstrings excluded: module and
 class bodies run at import, before any trace can start.
@@ -20,7 +20,6 @@ import ast
 import collections
 import importlib
 import sys
-import threading
 
 
 def _text(lines, node) -> str:
@@ -29,7 +28,13 @@ def _text(lines, node) -> str:
         end = max(node.lineno, body[0].lineno - 1)  # a compound's header
     else:
         end = node.end_lineno
-    return " ".join(" ".join(lines[node.lineno - 1:end]).split())
+    # lines joined with one space, none inside a bracket broken over lines
+    text = ""
+    for part in (" ".join(line.split()) for line in lines[node.lineno - 1:end]):
+        if text and not text.endswith(("(", "[", "{")) and not part.startswith((")", "]", "}")):
+            text += " "
+        text += part
+    return text
 
 
 def _is_docstring(i, node) -> bool:
@@ -87,12 +92,10 @@ class LineTracer:
     def __enter__(self):
         self._saved = sys.gettrace()
         sys.settrace(self._global)
-        threading.settrace(self._global)
         return self
 
     def __exit__(self, *exc):
         sys.settrace(self._saved)
-        threading.settrace(self._saved)
         return False
 
 
@@ -114,23 +117,21 @@ def main(argv) -> int:
     import pytest
 
     if not argv:
-        print(__doc__.strip().splitlines()[-3].strip(), file=sys.stderr)
+        print("usage: linetrace.py MODULE [PYTEST_ARG ...]", file=sys.stderr)
         return 2
     module = importlib.import_module(argv[0])
     with LineTracer(module) as tracer:
         code = pytest.main(argv[1:] or ["-q", "tests"])
     stmts = statements(module)
-    missed = unexecuted(module, tracer.hit)
-    by_func = collections.defaultdict(list)
-    for line, key in sorted(stmts.items()):
-        if line not in tracer.hit:
-            by_func[key[0]].append((line, key[1], key[2]))
-    print(f"{module.__name__}: {sum(missed.values())} of {len(stmts)} statements "
-          f"never ran, {sum(n for k, n in missed.items() if not k[2])} of them not a raise")
-    for func, rows in by_func.items():
-        print(f"{func}:")
-        for line, text, _ in rows:
-            print(f"  {line:5d}  {text}")
+    missed = {line: key for line, key in sorted(stmts.items()) if line not in tracer.hit}
+    print(f"{module.__name__}: {len(missed)} of {len(stmts)} statements never ran, "
+          f"{sum(not key[2] for key in missed.values())} of them not a raise")
+    func = None
+    for line, (qual, text, _) in missed.items():
+        if qual != func:
+            print(f"{qual}:")
+            func = qual
+        print(f"  {line:5d}  {text}")
     return int(code)
 
 

@@ -306,3 +306,114 @@ def test_unreadable_files_report_one_error_line(work, capsys):
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert json.loads(err)["error"] == code
+
+
+_P3 = "p edge 3 2\ne 1 2\ne 2 3\n"
+_P3_F = "t 2\ne 1 2 1\ne 2 3 2\n"
+_P3_H = "t 2\ne 1 2 2\ne 2 3 1\n"
+
+
+def _overfull5_text():
+    from kempe_edge.fixtures_gen import overfull_delta5
+    from kempe_edge.graph_core import format_graph
+
+    return format_graph(overfull_delta5())
+
+
+# argv over the files g (the path P3), f and h (its two 2-colorings), x
+# (holding the row's text) and o (an output); then the exit code, and the
+# error code on exit 1, or the stdout and the text of o on exit 0
+_CLI_TABLE = {
+    "graph-duplicate-header": ("verify --graph {x} --coloring {f}",
+                               "p edge 3 2\np edge 3 2\ne 1 2\ne 2 3\n", 1, "bad_format"),
+    "graph-edge-arity": ("verify --graph {x} --coloring {f}",
+                         "p edge 3 2\ne 1 2 3\ne 2 3\n", 1, "bad_format"),
+    "graph-edge-before-header": ("verify --graph {x} --coloring {f}",
+                                 "e 1 2\np edge 3 2\ne 2 3\n", 1, "bad_format"),
+    "graph-unknown-record": ("verify --graph {x} --coloring {f}",
+                             "p edge 3 2\nx 1 2\ne 2 3\n", 1, "bad_format"),
+    "graph-missing-header": ("verify --graph {x} --coloring {f}",
+                             "c no header\n", 1, "bad_format"),
+    "graph-vertex-out-of-range": ("verify --graph {x} --coloring {f}",
+                                  "p edge 3 2\ne 1 2\ne 2 9\n", 1, "bad_format"),
+    "coloring-duplicate-header": ("verify --graph {g} --coloring {x}",
+                                  "t 2\nt 2\ne 1 2 1\ne 2 3 2\n", 1, "bad_format"),
+    "coloring-header-arity": ("verify --graph {g} --coloring {x}",
+                              "t 2 3\ne 1 2 1\ne 2 3 2\n", 1, "bad_format"),
+    "coloring-edge-before-header": ("verify --graph {g} --coloring {x}",
+                                    "e 1 2 1\nt 2\ne 2 3 2\n", 1, "bad_format"),
+    "coloring-edge-arity": ("verify --graph {g} --coloring {x}",
+                            "t 2\ne 1 2\ne 2 3 2\n", 1, "bad_format"),
+    "coloring-non-edge": ("verify --graph {g} --coloring {x}",
+                          "t 2\ne 1 3 1\ne 1 2 1\ne 2 3 2\n", 1, "bad_format"),
+    "coloring-unknown-record": ("verify --graph {g} --coloring {x}",
+                                "t 2\nx 1 2 1\ne 1 2 1\ne 2 3 2\n", 1, "bad_format"),
+    "coloring-missing-header": ("verify --graph {g} --coloring {x}",
+                                "\n", 1, "bad_format"),
+    "coloring-comment": ("verify --graph {g} --coloring {x}",
+                         "c a comment\n" + _P3_F, 0, ("proper\n", None)),
+    "transcript-non-edge": ("apply --graph {g} --coloring {f} --transcript {x}",
+                            "K 1 2 1 3\n", 1, "bad_format"),
+    "transcript-equal-colors": ("apply --graph {g} --coloring {f} --transcript {x}",
+                                "K 1 1 1 2\n", 1, "equal_colors"),
+    "apply-to-stdout": ("apply --graph {g} --coloring {f} --transcript {x}",
+                        "K 1 2 1 2\n", 0, (_P3_H, None)),
+    "same-class-out": ("oracle same-class --graph {g} --colors 2 --first {f} "
+                       "--second {h} --out {o}", "", 0, ("same-class\n", "K 1 2 1 2\n")),
+    "gen-overfull5": ("gen overfull5 --out {o}", "", 0, ("", _overfull5_text())),
+    "transform-auto-needs-to": ("transform --graph {g} --from {f} --out {o}",
+                                "", 1, "unsupported_family"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLI_TABLE))
+def test_cli_table(work, capsys, case):
+    argv, text, code, want = _CLI_TABLE[case]
+    files = {"g": _P3, "f": _P3_F, "h": _P3_H, "x": text}
+    for name, body in files.items():
+        (work / name).write_text(body)
+    paths = {name: str(work / name) for name in (*files, "o")}
+    assert main([arg.format(**paths) for arg in argv.split()]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert json.loads(lines[0])["error"] == want
+        assert not (work / "o").exists()
+    else:
+        out, written = want
+        assert (captured.out, captured.err) == (out, "")
+        assert (work / "o").exists() == (written is not None)
+        if written is not None:
+            assert (work / "o").read_text() == written
+
+
+@pytest.mark.parametrize("mode", ["vizing", "acyclic"])
+def test_improper_reduction_result_is_internal_invariant(work, capsys, monkeypatch, mode):
+    # the reductions check their input first, so an improper final coloring
+    # is the package's fault: internal_invariant, not the caller's not_proper
+    import importlib
+
+    # the package re-exports the functions under their modules' names
+    acyclic = importlib.import_module("kempe_edge.acyclic_reduce")
+    vizing = importlib.import_module("kempe_edge.vizing_reduce")
+
+    def clash(rec, *args):
+        # recolor every top-colored edge to 1, which an adjacent edge has
+        top = max(rec.colors)
+        rec.colors[:] = [1 if c == top else c for c in rec.colors]
+
+    monkeypatch.setattr(vizing, "eliminate_via_fan", clash)
+    monkeypatch.setattr(vizing, "_check_left_top_color", lambda *args: None)
+    monkeypatch.setattr(acyclic, "_round", clash)
+    star = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    write_graph(work / "star.graph", star)
+    t = 6 if mode == "vizing" else 5
+    write_coloring(work / "f.col", star, EdgeColoring(t, [1, 2, 3, t]))
+    code = main(["transform", "--graph", str(work / "star.graph"),
+                 "--from", str(work / "f.col"), "--out", str(work / "tr.txt"),
+                 "--mode", mode])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "internal_invariant"
+    assert not (work / "tr.txt").exists()

@@ -27,6 +27,7 @@ from kempe_edge.reductions import equalize
 from kempe_edge.regular4_core import lemma_2_2, lemma_2_3, theorem_4_1_transform
 from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
 from test_regular4_deep_cases import (
+    _SEEDED_RARE,
     _aa_instance,
     _ab_instance,
     _ac_instance,
@@ -38,7 +39,6 @@ from test_regular4_deep_cases import (
     _l22_instance,
     _lemma_2_3_cycle_instances,
     _seeded_rare_instance,
-    SEEDED_RARE,
 )
 
 
@@ -114,7 +114,7 @@ def _theorem_4_1_seeded_rare():
     A.2.3's u1 == x1 and u1 == x2 endings, A.2.1 through u1 == x2, a failed
     first window condition, and the Lemma 2.2 steps of B.1 and of B.2.3 on
     either side."""
-    for n, s in SEEDED_RARE:
+    for n, s in _SEEDED_RARE:
         g, f, h = _seeded_rare_instance(n, s)
         yield g, f, theorem_4_1_transform(g, f, h)
 

@@ -13,7 +13,11 @@ import test_golden_transcripts
 import test_regular4_core
 import test_regular4_deep_cases
 from kempe_edge import regular4_core
-from test_regular4_deep_cases import SEEDED_RARE, _run_and_collect, _seeded_rare_instance
+from test_regular4_deep_cases import (
+    _SEEDED_RARE,
+    _run_and_collect,
+    _seeded_rare_instance,
+)
 
 # (function, statement text) -> how many such statements never run.  No
 # test reaches the six-cycle ending (c6), the length-7 path ending (p7), the
@@ -25,15 +29,18 @@ PINNED = collections.Counter({
     ("_case_B23", "if closing is None or not work.correct1(closing):"): 1,
     ("_case_B23", 'work.recolor(closing, 5, "B.2.3-c6")'): 1,
     ("_case_B23", 'work.apply(1, 2, e, "B.2.3-c6")'): 1,
-    ("_case_B23", 'work.apply_expect( 1, 5, closing, {y1, U[1], U[2], V[2], V[1], x1}, "B.2.3-c6" )'): 1,
+    ("_case_B23", "work.apply_expect(1, 5, closing, "
+                  '{y1, U[1], U[2], V[2], V[1], x1}, "B.2.3-c6")'): 1,
     ("_case_B23", "return None"): 2,
     ("_case_B23", "e_u34 = g.edge_id(U[2], U[3])"): 1,
     ("_case_B23", "e_v34 = g.edge_id(V[2], V[3])"): 1,
     ("_case_B23", "for w4 in (U[3], V[3]):"): 1,
     ("_case_B23", "if w4 in (x1, y1):"): 1,
     ("_case_B23", 'work.apply(1, 2, e, "B.2.3-p7")'): 1,
-    ("_case_B23", 'work.apply_expect(1, 5, g.edge_id(U[1], y1), {U[2], U[1], y1}, "B.2.3-p7")'): 1,
-    ("_case_B23", 'work.apply_expect(1, 5, g.edge_id(V[1], x1), {V[2], V[1], x1}, "B.2.3-p7")'): 1,
+    ("_case_B23", "work.apply_expect(1, 5, g.edge_id(U[1], y1), "
+                  '{U[2], U[1], y1}, "B.2.3-p7")'): 1,
+    ("_case_B23", "work.apply_expect(1, 5, g.edge_id(V[1], x1), "
+                  '{V[2], V[1], x1}, "B.2.3-p7")'): 1,
     ("_case_B23", 'work.recolor(e_u34, 1, "B.2.3-p7")'): 1,
     ("_case_B23", 'work.recolor(e_v34, 1, "B.2.3-p7")'): 1,
     ("_case_B23", "if not cycle_len and len(W) == 4:"): 1,
@@ -52,7 +59,7 @@ def _traced(run) -> set:
 
 
 def test_seeded_rare_branches_fire():
-    for (n, s), branch in SEEDED_RARE.items():
+    for (n, s), branch in _SEEDED_RARE.items():
         hit = _traced(lambda: _run_and_collect(*_seeded_rare_instance(n, s)))
         ran = linetrace.executed(regular4_core, hit)
         assert not [key for key in branch if key not in ran], ((n, s), branch)

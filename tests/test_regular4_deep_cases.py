@@ -503,12 +503,15 @@ def _lemma_2_3_cycle_instances():
 # reaches, found by a seeded search over n = 8..16.  Each (n, s) maps to the
 # statements of `regular4_core` it must run, named as in `linetrace`:
 # (function, statement text).
-SEEDED_RARE = {
+_B23_LEMMA_2_2 = 'return _lemma_2_2_step(work, e, win, "B.2.3", False)'
+_SEEDED_RARE = {
     # B.2.3's mold loop, and its escape when the mold path ends off target
     (8, 7185): [("_case_B23", 'work.apply(ca, cb, rep, "B.2.3-mold")'),
-                ("_case_B23", 'if _cut_window(work, uwin, "B.2.3-mold-esc") is not None:')],
+                ("_case_B23",
+                 'if _cut_window(work, uwin, "B.2.3-mold-esc") is not None:')],
     (10, 2825): [("_case_A", 'work.apply(1, 2, e, "A.2.1-x1")')],
-    (10, 42616): [("_case_A", 'work.apply_expect(2, 5, g.edge_id(P[2], x1), {x1, P[2], P[3]}, "A.2.2")')],
+    (10, 42616): [("_case_A", "work.apply_expect(2, 5, g.edge_id(P[2], x1), "
+                               '{x1, P[2], P[3]}, "A.2.2")')],
     # A.2.3 outcome I with u1 == x1 re-dispatches on v3v4
     (10, 3583): [("_case_A", "return e34")],
     # a failed first window condition on the u side, then B.1's Lemma 2.2 step
@@ -518,15 +521,15 @@ SEEDED_RARE = {
     (10, 39991): [("_case_A", 'work.apply(1, 2, e, "A.2.1")')],
     # B.2.3's off-path Lemma 2.2 step on the u side, then on the v side (one
     # statement serves both; the golden digest tells them apart)
-    (10, 60444): [("_case_B23", 'return _lemma_2_2_step(work, e, win, "B.2.3", False)')],
-    (14, 108245): [("_case_B23", 'return _lemma_2_2_step(work, e, win, "B.2.3", False)')],
+    (10, 60444): [("_case_B23", _B23_LEMMA_2_2)],
+    (14, 108245): [("_case_B23", _B23_LEMMA_2_2)],
     # A.2.3 with u1 == x2 and no color 2 at x1 ends in Lemma 2.3 on v3v4
     (12, 110528): [("_case_A", "return _lemma_2_3_inner(work, e34)")],
 }
 
 
 def _seeded_rare_instance(n, s):
-    """(g, f, h) for the `SEEDED_RARE` key (n, s)."""
+    """(g, f, h) for the `_SEEDED_RARE` key (n, s)."""
     g, h = random_regular4_class1(n, s)
     return g, random_proper_coloring(g, 5, 10_000 + s), h
 
