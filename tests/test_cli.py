@@ -4,10 +4,11 @@ import json
 import pytest
 
 from kempe_edge.cli import main
-from kempe_edge.fixtures_gen import random_proper_coloring
+from kempe_edge.fixtures_gen import overfull_delta5, random_proper_coloring
 from kempe_edge.graph_core import (
     EdgeColoring,
     Graph,
+    format_graph,
     read_coloring,
     read_graph,
     write_coloring,
@@ -313,13 +314,6 @@ _P3_F = "t 2\ne 1 2 1\ne 2 3 2\n"
 _P3_H = "t 2\ne 1 2 2\ne 2 3 1\n"
 
 
-def _overfull5_text():
-    from kempe_edge.fixtures_gen import overfull_delta5
-    from kempe_edge.graph_core import format_graph
-
-    return format_graph(overfull_delta5())
-
-
 # argv over the files g (the path P3), f and h (its two 2-colorings), x
 # (holding the row's text) and o (an output); then the exit code, and the
 # error code on exit 1, or the stdout and the text of o on exit 0
@@ -360,7 +354,7 @@ _CLI_TABLE = {
                         "K 1 2 1 2\n", 0, (_P3_H, None)),
     "same-class-out": ("oracle same-class --graph {g} --colors 2 --first {f} "
                        "--second {h} --out {o}", "", 0, ("same-class\n", "K 1 2 1 2\n")),
-    "gen-overfull5": ("gen overfull5 --out {o}", "", 0, ("", _overfull5_text())),
+    "gen-overfull5": ("gen overfull5 --out {o}", "", 0, ("", format_graph(overfull_delta5()))),
     "transform-auto-needs-to": ("transform --graph {g} --from {f} --out {o}",
                                 "", 1, "unsupported_family"),
 }
