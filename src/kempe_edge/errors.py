@@ -96,12 +96,6 @@ class DistanceConditionViolated(KempeEdgeError):
     code = "distance_condition_violated"
 
 
-class ClaimOneViolated(KempeEdgeError):
-    """A standing structural assumption failed; always an internal bug."""
-
-    code = "claim_one_violated"
-
-
 class WrongMaxDegree(KempeEdgeError):
     code = "wrong_max_degree"
 

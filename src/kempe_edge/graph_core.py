@@ -304,10 +304,13 @@ def is_acyclic(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # File formats (UTF-8, LF line endings, single-space separated fields; a
 # tab or a run of spaces inside a record is a format error).
-# Graph:     optional `c ...` comments, one `p edge <n> <m>` header with
+# Comments:  a line whose first whitespace-separated field is `c` (`c`,
+#            `c text`, `c<TAB>text`); a record such as `color 2 3` is not
+#            a comment but an unknown record.
+# Graph:     optional comments, one `p edge <n> <m>` header with
 #            n <= MAX_VERTICES, then exactly m lines `e <u> <v>` with
 #            1 <= u < v <= n.
-# Coloring:  optional `c ...` comments, header `t <k>`, then one
+# Coloring:  optional comments, header `t <k>`, then one
 #            `e <u> <v> <c>` line per edge of the graph, each edge exactly
 #            once, 1 <= c <= k.
 # Integer fields are ASCII `-?[0-9]+`, as the writers emit them: no sign
@@ -339,6 +342,15 @@ def parse_int_fields(fields, ln: int) -> list:
     return [int(x) for x in fields]
 
 
+def _records(text: str):
+    """(line number, fields) of each record of a graph or coloring file,
+    skipping blank lines and comments."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line.split(None, 1)[0] != "c":
+            yield ln, split_record(line, ln)
+
+
 def read_text(path) -> str:
     """A file's text; FormatError when its bytes are not UTF-8."""
     with open(path, encoding="utf-8") as fh:
@@ -351,11 +363,7 @@ def read_text(path) -> str:
 def parse_graph(text: str) -> Graph:
     n = m = None
     edges = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = split_record(line, ln)
+    for ln, parts in _records(text):
         if parts[0] == "p":
             if n is not None:
                 raise FormatError(f"line {ln}: duplicate header")
@@ -395,11 +403,7 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
     t = None
     colors = [0] * g.m
     filled = [False] * g.m
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = split_record(line, ln)
+    for ln, parts in _records(text):
         if parts[0] == "t":
             if t is not None:
                 raise FormatError(f"line {ln}: duplicate palette header")

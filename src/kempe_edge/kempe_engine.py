@@ -5,7 +5,9 @@ A transcript certifies a transformation: it can be replayed move by move with
 trusting the producer.
 
 :class:`Recorder` is the one mutable coloring state of the transforms: it
-traces a two-colored component, swaps it and records the move.  Every swap
+traces a two-colored component, swaps it and records the move.  Its
+:meth:`Recorder.path_from` reads "the (a, b)-path that starts at v", the
+Kempe chain the lemmas reason about, from one of its ends.  Every swap
 goes through ``backend.swap_component`` and every trace through
 ``backend.trace_component``.  :func:`extend_fan` is the one fan engine,
 shared by :func:`grow_fan` and the palette reductions.
@@ -339,6 +341,23 @@ class Recorder:
 
     def component(self, a: int, b: int, rep_edge: int):
         return backend.trace_component(self.g, self.colors, a, b, rep_edge)
+
+    def path_from(self, v: int, a: int, b: int):
+        """The (a,b)-path that starts at v, traced through v's a-colored
+        edge: returns (that edge, the path's vertices from v to the far
+        end).  No a-colored edge at v, a cycle, or a component with v inside
+        it is an internal error: the caller's argument said v ends a path."""
+        rep = self.edge_with_color(v, a)
+        if rep < 0:
+            raise InternalInvariantError(f"vertex {v} has no {a}-colored edge")
+        _, verts, is_cycle = self.component(a, b, rep)
+        if is_cycle:
+            raise InternalInvariantError(f"({a},{b}) component at vertex {v} is a cycle")
+        if verts[0] != v:
+            verts = verts[::-1]
+        if verts[0] != v:
+            raise InternalInvariantError(f"vertex {v} does not end its ({a},{b}) path")
+        return rep, verts
 
     def apply(self, a: int, b: int, rep_edge: int, note: Optional[str] = None):
         """Interchange on the (a,b)-component of rep_edge; returns its

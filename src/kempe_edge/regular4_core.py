@@ -10,13 +10,13 @@ fact is asserted at runtime, and every claim failure escapes through a move
 sequence that re-enters the dispatch.  Case A's four length-4 endings are
 one dispatch and A.2.3 has one ending.  B.2.3.1 and B.2.3.2 share one
 per-side step: a side whose fourth vertex has palette {1,2,3,5} or {1,2,4,5}
-claims the (4,5)- or (3,5)-path from its third vertex and swaps it.  No test
-reaches B.2.3's c6, p7 and B.2.3-45 branches, its short-side swap or
-`_window_b`'s escape on v1v2 (tests/test_phase1_coverage.py).  After
-phase 1 color 1 is a perfect matching shared with the target, so every
-(a, b)-component with a, b in 2..5 lies in the cubic remainder; phase 2 runs
-the bounded search equalizer on the working state itself over those four
-colors.
+claims the (4,5)- or (3,5)-path from its third vertex and swaps it.  Every
+such path read from one end is traced by `Recorder.path_from`.  No test
+reaches B.2.3's c6, p7 and B.2.3-45 branches or its short-side swap
+(tests/test_phase1_coverage.py).  After phase 1 color 1 is a perfect
+matching shared with the target, so every (a, b)-component with a, b in
+2..5 lies in the cubic remainder; phase 2 runs the bounded search equalizer
+on the working state itself over those four colors.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BadWindow,
-    ClaimOneViolated,
     DistanceConditionViolated,
     InternalInvariantError,
     NotRegular4,
@@ -111,9 +110,9 @@ class _Work(Recorder):
         return self.edge_with_color(v, self.to_real[frame_color])
 
     # -- moves (frame colors in, real colors recorded) ----------------------
-    def comp_of(self, eid: int, a: int, b: int):
+    def path_from(self, v: int, a: int, b: int):
         to_real = self.to_real
-        return self.component(to_real[a], to_real[b], eid)
+        return super().path_from(v, to_real[a], to_real[b])
 
     def apply(self, a: int, b: int, rep: int, note: str):
         to_real = self.to_real
@@ -122,7 +121,7 @@ class _Work(Recorder):
     def apply_expect(self, a: int, b: int, rep: int, expect_verts: set, note: str):
         edge_ids, verts, cyc = self.apply(a, b, rep, note)
         if set(verts) != expect_verts:
-            raise ClaimOneViolated(
+            raise InternalInvariantError(
                 f"{note}: expected component on {sorted(expect_verts)}, got {sorted(set(verts))}"
             )
         return edge_ids, verts, cyc
@@ -156,14 +155,6 @@ def _checked_work(g: Graph, f: EdgeColoring, h: EdgeColoring | None) -> _Work:
     return _Work(g, f, h)
 
 
-def _far(verts, origin):
-    if verts[0] == origin:
-        return verts[-1]
-    if verts[-1] == origin:
-        return verts[0]
-    raise InternalInvariantError(f"vertex {origin} is not a path endpoint")
-
-
 def _free_edge(work: _Work, path):
     """The first edge of the path with a color of {3,4,5} missing at both
     ends, as (edge, color), or None."""
@@ -193,7 +184,8 @@ def _sides(work: _Work, e: int):
     a cycle of n edges gives min(n, 7) vertices each way.  Returns
     (u side, v side, n, component edge ids, u side edges, v side edges),
     with n = 0 for a path; a side's i-th edge joins its vertices i, i+1."""
-    eids, verts, cyc = work.comp_of(e, 1, 2)
+    # the frame fixes color 1
+    eids, verts, cyc = work.component(1, work.to_real[2], e)
     s = eids.index(e)
     if not cyc:
         return verts[s::-1], verts[s + 1:], 0, eids, eids[:s][::-1], eids[s + 1:]
@@ -242,14 +234,11 @@ def _window_escape_or_certify(work: _Work, pv):
         if len(shared) != 1:
             raise InternalInvariantError("window union check missed a color")
         c = next(iter(shared))
+        a = next(iter(ex1 - {c}))
         b = next(iter(ex2 - {c}))
-        rep = work.edge_at(v2, b)
-        _, verts, cyc = work.comp_of(rep, next(iter(ex1 - {c})), b)
-        if cyc:
-            raise InternalInvariantError("degree-1 origin produced a cycle")
-        far = _far(verts, v2)
-        work.apply(next(iter(ex1 - {c})), b, rep, "win4-outer")
-        return ("improved", e12 if far != v1 else e23, b)
+        rep, path = work.path_from(v2, b, a)
+        work.apply(a, b, rep, "win4-outer")
+        return ("improved", e12 if path[-1] != v1 else e23, b)
     # condition (i) holds: canonicalize {3,4,5} so that the pattern becomes
     # v1 -> {1,2,3,5}, v2 -> {1,2,4,5}, v3 -> {1,2,3,4}
     m1 = next(iter({3, 4, 5} - ex1))
@@ -266,11 +255,8 @@ def _window_escape_or_certify(work: _Work, pv):
             return ("improved", e_x, c_x)
     # the (3,d)-path from w must end at v2, and x must see color d
     for w, d, e_w, x, e_x, c_x in probes:
-        rep = work.edge_at(w, 3)
-        _, verts, cyc = work.comp_of(rep, 3, d)
-        if cyc:
-            raise InternalInvariantError(f"(3,{d}) path from the window closed up")
-        if _far(verts, w) != v2:
+        rep, path = work.path_from(w, 3, d)
+        if path[-1] != v2:
             work.apply(3, d, rep, "win4-probe")
             return ("improved", e_w, 3)
         if d not in work.vpal(x):
@@ -303,14 +289,12 @@ def _window_b(work: _Work, pv):
     if p4 == _A:
         return g.edge_id(v3, v4), 5
     if p4 == _B:
-        rep = work.edge_at(v2, 4)
-        _, verts, cyc = work.comp_of(rep, 3, 4)
-        if cyc:
-            raise InternalInvariantError("(3,4) path from the window closed up")
-        far = _far(verts, v2)
+        # the certify step's first probe saw the (3,4)-path from v1 end at
+        # v2, so read from v2 it ends at v1
+        rep, path = work.path_from(v2, 4, 3)
+        if path[-1] != v1:
+            raise InternalInvariantError("(3,4) path from v2 does not end at v1")
         work.apply(3, 4, rep, "win5")
-        if far != v1:
-            return g.edge_id(v1, v2), 4
     elif p4 != _C:
         raise BadWindow(f"unexpected palette {sorted(p4)} at the fourth vertex")
     res = _window_escape_or_certify(work, pv[1:6])
@@ -343,11 +327,8 @@ def _lemma_2_2_inner(work: _Work, pv):
         if work.matched() > before:
             return ("progress",)
     elif 2 not in work.vpal(x1):
-        rep = work.edge_at(x1, 3)
-        _, verts, cyc = work.comp_of(rep, 2, 3)
-        if cyc:
-            raise InternalInvariantError("(2,3) path from x1 closed up")
-        vset = set(verts)
+        rep, path = work.path_from(x1, 3, 2)
+        vset = set(path)
         e_x2 = g.edge_id(v2, x2)
         e_v1 = g.edge_id(v2, v1)
         if v3 not in vset and x2 not in vset:
@@ -442,24 +423,19 @@ def _case_A(work: _Work, e: int):
     """The working edge is adjacent to at most one 1-edge."""
     g = work.g
     a, b = g.edges[e]
-    if work.has_color1(a):
-        v1, u1 = a, b
-    else:
-        v1, u1 = b, a
+    u1 = b if work.has_color1(a) else a
     if work.has_color1(u1):
         raise InternalInvariantError("case A dispatched with two adjacent 1-edges")
-    eids, verts, cyc = work.comp_of(e, 1, 2)
+    # u1 misses color 1, so the component is a path ending at u1; P reads it
+    # from u1 and pe[i] joins P[i] and P[i + 1]
+    u_side, v_side, cyc, _, u_edges, v_edges = _sides(work, e)
     if cyc:
         raise InternalInvariantError("degree-1 endpoint on a cycle component")
-    P = list(verts) if verts[0] == u1 else list(reversed(verts))
-    if P[0] != u1:
-        raise InternalInvariantError("working edge endpoint is not a path endpoint")
+    side, edges = (v_side, v_edges) if u_side[0] == u1 else (u_side, u_edges)
+    P = [u1] + side
+    pe = [e] + edges
     k = len(P) - 1
-
-    def pe(i):
-        return g.edge_id(P[i], P[i + 1])
-
-    if k <= 3 or not work.correct1(pe(3)):
+    if k <= 3 or not work.correct1(pe[3]):
         return _lemma_2_3_inner(work, e)
     xs = _cut_window(work, P[:5], "A.1")
     if xs is None:
@@ -477,12 +453,12 @@ def _case_A(work: _Work, e: int):
             _lemma_2_3_inner(work, e)
         elif u1 == x1:
             work.apply(1, 2, e, "A.2.1-x1")
-            work.apply_expect(2, 4, pe(1), {P[1], P[2], x2}, "A.2.1-x1")
-            _lemma_2_3_inner(work, pe(3))
+            work.apply_expect(2, 4, pe[1], {P[1], P[2], x2}, "A.2.1-x1")
+            _lemma_2_3_inner(work, pe[3])
         else:
             work.apply(1, 2, e, "A.2.1")
             work.apply_expect(1, 5, g.edge_id(P[2], x1), {x1, P[2], P[3]}, "A.2.1")
-            work.recolor(pe(3), 1, "A.2.1")
+            work.recolor(pe[3], 1, "A.2.1")
         return None
     # k >= 5: the fourth path vertex is internal
     _window_b(work, P[:6])
@@ -496,7 +472,7 @@ def _case_A(work: _Work, e: int):
     x1, x2 = xs
     if work.vpal(P[4]) != _A or 5 in work.vpal(P[3]) | work.vpal(P[4]):
         raise InternalInvariantError("length-5 window left no color-5 slack")
-    e34 = pe(3)
+    e34 = pe[3]
     if u1 != x2:
         out = _lemma_2_2_step(work, e, P[:5], "A.2.3", True, settled_ok=True)
         if out == e:
@@ -532,15 +508,12 @@ def _claim(work: _Work, e, W, Z, win, c):
     c = 3.  On failure runs the documented escape and returns ("jump", next
     working edge or None); on success returns ("ok", rep, path vertices)
     with nothing applied."""
-    rep = work.edge_at(W[2], c)
-    _, verts, cyc = work.comp_of(rep, c, 5)
-    if cyc:
-        raise ClaimOneViolated(f"({c},5) path from w3 closed into a cycle")
-    vset = set(verts)
-    if _far(verts, W[2]) != (W[0] if c == 4 else W[1]):
+    rep, path = work.path_from(W[2], c, 5)
+    vset = set(path)
+    if path[-1] != (W[0] if c == 4 else W[1]):
         work.apply(c, 5, rep, "B.2.3-claim-esc")
         if _cut_window(work, win, "B.2.3-claim-esc") is not None:
-            raise ClaimOneViolated("claim escape found no window improvement")
+            raise InternalInvariantError("claim escape found no window improvement")
         return ("jump", e)
     if c == 4 and W[1] not in vset:
         work.apply(4, 5, rep, "B.2.3-claim-esc")
@@ -549,7 +522,7 @@ def _claim(work: _Work, e, W, Z, win, c):
         work.apply(4, 5, rep, "B.2.3-claim-esc")
         eids2, _, _ = work.apply(1, 4, work.g.edge_id(Z[0], Z[1]), "B.2.3-claim-esc")
         if len(eids2) != 2:
-            raise ClaimOneViolated("escape (1,4) path has unexpected shape")
+            raise InternalInvariantError("escape (1,4) path has unexpected shape")
         return ("jump", e)
     return ("ok", rep, vset)
 
@@ -613,7 +586,7 @@ def _b232(work: _Work, e, U, V, x1, y1):
                     return res[1]
                 claims.append(res)
         if claims and claims[0][2] & claims[1][2]:
-            raise ClaimOneViolated(f"the two ({cu},5) paths are not disjoint")
+            raise InternalInvariantError(f"the two ({cu},5) paths are not disjoint")
         for res in claims:
             work.apply(cu, 5, res[1], tag)
         finished, rest = sides, []
@@ -651,15 +624,12 @@ def _case_B23(work: _Work, e, U, V, cycle_len):
         if ex not in mold:
             raise InternalInvariantError(f"unexpected u-side palettes {ex}")
         origin_i, ca, cb, origin_color, expect_i = mold[ex]
-        rep = work.edge_at(U[origin_i], origin_color)
-        _, verts, cyc = work.comp_of(rep, ca, cb)
-        if cyc:
-            raise ClaimOneViolated("mold path closed into a cycle")
-        far = _far(verts, U[origin_i])
+        other = cb if origin_color == ca else ca
+        rep, path = work.path_from(U[origin_i], origin_color, other)
         work.apply(ca, cb, rep, "B.2.3-mold")
-        if far != U[expect_i]:
+        if path[-1] != U[expect_i]:
             if _cut_window(work, uwin, "B.2.3-mold-esc") is not None:
-                raise ClaimOneViolated("mold escape found no window improvement")
+                raise InternalInvariantError("mold escape found no window improvement")
             return e
     else:
         raise InternalInvariantError("u-side molding did not converge")

@@ -57,16 +57,13 @@ def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) ->
     # extend_fan found no pivot-missing color free at u_k, so c0 is there;
     # walk the (c0, c_next) path from u_k and split on where it lands
     c0 = pivot_missing[0]
-    rep = rec.edge_with_color(u_k, c0)
-    edge_ids, verts, is_cycle = rec.component(c0, c_next, rep)
-    if is_cycle:
-        raise InternalInvariantError("leaf path closed into a cycle")
-    vset = set(verts)
+    rep, path = rec.path_from(u_k, c0, c_next)
+    vset = set(path)
     u_j1 = leaves[idx]      # u_{j+1}: far end of the repeated fan edge
     u_j = leaves[idx - 1]   # u_j: the leaf missing the repeated color
     rec.apply(c0, c_next, rep, note)
     if u_j1 in vset:
-        if pivot not in (verts[0], verts[-1]):
+        if path[-1] != pivot:
             raise InternalInvariantError("pivot expected as path endpoint")
         rec.downshift(edges[:idx], c_next, note)
     elif u_j in vset:

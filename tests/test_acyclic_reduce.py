@@ -210,3 +210,37 @@ def test_walk_rejects_other_palettes_and_cyclic_max_degree_subgraphs():
         walk_init(triangle, f3, 2)
     with pytest.raises(MaxDegreeSubgraphCyclic):
         walk_step(triangle, f3, WalkState((1, 3), 1))
+
+
+# four degree-3 hubs on the path 1-2-3-4, with pendant edges; the top color
+# 4 sits on the hub edge (2, 3), neither of whose ends is a leaf of the hub
+# path, and on the pendant edge (1, 5)
+_HUB_PATH = Graph(
+    10, [(1, 2), (2, 3), (3, 4), (1, 5), (1, 6), (2, 7), (3, 8), (4, 9), (4, 10)]
+)
+_HUB_PATH_F = EdgeColoring(4, [1, 4, 1, 4, 3, 2, 2, 2, 3])
+
+_CALLER_ERRORS = {
+    "case-a-palette": (lambda g, f, e: case_a_step(g, f.with_palette(5), e(2, 3)),
+                       PaletteMismatch, "expected palette 4"),
+    "case-a-outside": (lambda g, f, e: case_a_step(g, f, e(1, 5)),
+                       PreconditionViolated, "not inside the max-degree subgraph"),
+    "case-a-no-leaf": (lambda g, f, e: case_a_step(g, f, e(2, 3)),
+                       PreconditionViolated, "no endpoint is a leaf"),
+    "walk-init-not-top": (lambda g, f, e: walk_init(g, f, e(1, 2)),
+                          PreconditionViolated, "is not colored 4"),
+    "walk-init-outside": (lambda g, f, e: walk_init(g, f, e(1, 5)),
+                          PreconditionViolated, "must start inside"),
+    "walk-step-not-top": (lambda g, f, e: walk_step(g, f, WalkState((1, 2), 2)),
+                          PreconditionViolated, "not carrying the top color"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CALLER_ERRORS))
+def test_step_functions_reject_caller_errors_with_typed_errors(case):
+    """A caller's bad edge, palette or walk is bad input, not a bug."""
+    call, error, match = _CALLER_ERRORS[case]
+    g, f = _HUB_PATH, _HUB_PATH_F
+    assert is_proper(g, f) and g.max_degree() == 3
+    with pytest.raises(error, match=match):
+        call(g, f, g.edge_id)

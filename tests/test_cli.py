@@ -326,6 +326,8 @@ _CLI_TABLE = {
                                  "e 1 2\np edge 3 2\ne 2 3\n", 1, "bad_format"),
     "graph-unknown-record": ("verify --graph {x} --coloring {f}",
                              "p edge 3 2\nx 1 2\ne 2 3\n", 1, "bad_format"),
+    "graph-c-word-record": ("verify --graph {x} --coloring {f}",
+                            "p edge 3 2\ne 1 2\ncolor 2 3\ne 2 3\n", 1, "bad_format"),
     "graph-missing-header": ("verify --graph {x} --coloring {f}",
                              "c no header\n", 1, "bad_format"),
     "graph-vertex-out-of-range": ("verify --graph {x} --coloring {f}",
@@ -342,6 +344,8 @@ _CLI_TABLE = {
                           "t 2\ne 1 3 1\ne 1 2 1\ne 2 3 2\n", 1, "bad_format"),
     "coloring-unknown-record": ("verify --graph {g} --coloring {x}",
                                 "t 2\nx 1 2 1\ne 1 2 1\ne 2 3 2\n", 1, "bad_format"),
+    "coloring-c-word-record": ("verify --graph {g} --coloring {x}",
+                               "t 2\ncheck me\ne 1 2 1\ne 2 3 2\n", 1, "bad_format"),
     "coloring-missing-header": ("verify --graph {g} --coloring {x}",
                                 "\n", 1, "bad_format"),
     "coloring-comment": ("verify --graph {g} --coloring {x}",

@@ -209,7 +209,8 @@ def test_graph_format_round_trip():
     text = format_graph(g)
     assert text.startswith("p edge 6 12\n")
     assert parse_graph(text) == g
-    assert parse_graph("c comment\n" + text) == g
+    for comment in ("c comment", "c", "c\tcomment", "c  comment"):
+        assert parse_graph(f"{comment}\n" + text) == g
     with pytest.raises(FormatError):
         parse_graph("e 1 2\n")
     with pytest.raises(FormatError):

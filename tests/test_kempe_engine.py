@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kempe_edge.errors import (
     EdgeNotIncident,
+    InternalInvariantError,
     InvalidMoveAtIndex,
     NotSaturated,
     PreconditionViolated,
@@ -24,6 +25,7 @@ from kempe_edge.kernels import backend
 from kempe_edge.kempe_engine import (
     Fan,
     KempeMove,
+    Recorder,
     Transcript,
     apply_transcript,
     downshift,
@@ -64,6 +66,25 @@ def test_interchange_rejects_off_component_edge():
     f = EdgeColoring(3, [1, 2])
     with pytest.raises(RepEdgeNotBicolored):
         interchange(g, f, KempeMove(2, 3, 0))
+
+
+def test_path_from_reads_a_path_from_either_end():
+    """On the 1/2-colored path 1-2-3-4-5 the path is read from the end it
+    starts at; a start inside it, a start without the first color, or a
+    1/2 cycle is a package fault."""
+    path = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    rec = Recorder(path, EdgeColoring(2, [1, 2, 1, 2]))
+    assert rec.path_from(1, 1, 2) == (path.edge_id(1, 2), [1, 2, 3, 4, 5])
+    assert rec.path_from(5, 2, 1) == (path.edge_id(4, 5), [5, 4, 3, 2, 1])
+    with pytest.raises(InternalInvariantError, match="does not end"):
+        rec.path_from(3, 1, 2)
+    with pytest.raises(InternalInvariantError, match="no 2-colored edge"):
+        rec.path_from(1, 2, 1)
+    cycle = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    ring = Recorder(cycle, EdgeColoring(2, [1, 2, 1, 2]))
+    with pytest.raises(InternalInvariantError, match="is a cycle"):
+        ring.path_from(1, 1, 2)
+    assert len(rec.tr) == len(ring.tr) == 0
 
 
 def test_involution_sweep_random():

@@ -21,10 +21,8 @@ from test_regular4_deep_cases import (
 
 # (function, statement text) -> how many such statements never run.  No
 # test reaches the six-cycle ending (c6), the length-7 path ending (p7), the
-# B.2.3-45 correction of a distance-2 edge or the side swap before B.2.3.1,
-# nor the length-5 window's escape on v1v2 after its (3,4) swap.
+# B.2.3-45 correction of a distance-2 edge or the side swap before B.2.3.1.
 PINNED = collections.Counter({
-    ("_window_b", "return g.edge_id(v1, v2), 4"): 1,
     ("_case_B23", "closing = g.edge_id(V[2], U[2])"): 1,
     ("_case_B23", "if closing is None or not work.correct1(closing):"): 1,
     ("_case_B23", 'work.recolor(closing, 5, "B.2.3-c6")'): 1,
