@@ -28,11 +28,13 @@ from kempe_edge.regular4_core import lemma_2_2, lemma_2_3, theorem_4_1_transform
 from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
 from test_regular4_deep_cases import (
     _SEEDED_RARE,
+    _B23_ENDINGS,
     _aa_instance,
     _ab_instance,
     _ac_instance,
     _b231_instance,
     _b232_instance,
+    _b23_ending_instance,
     _bb_instance,
     _bc_instance,
     _cc_instance,
@@ -106,6 +108,14 @@ def _theorem_4_1_b232_swaps_and_escapes():
     for name in ("BA", "CA", "CB", "AB-esc", "BB-esc-u1", "BB-esc-u2",
                  "BB-esc-v", "CC-esc", "BC-esc"):
         g, f, h = _b232_instance(name)
+        yield g, f, theorem_4_1_transform(g, f, h)
+
+
+def _theorem_4_1_b23_endings():
+    """B.2.3's six-cycle and seven-edge path endings, its correction of a
+    distance-2 edge, and B.2.3.1 with the short side read second."""
+    for tag in _B23_ENDINGS:
+        g, f, h = _b23_ending_instance(tag)
         yield g, f, theorem_4_1_transform(g, f, h)
 
 
@@ -185,6 +195,10 @@ GOLDEN = {
     ),
     "theorem_4_1_b231": (_theorem_4_1_b231,
         "324a6fd7750a23533c69b37b25a5378212d33ed10e1d050c05159692fdc4f960",
+    ),
+    # taken before B.2.3's four endings were folded into one
+    "theorem_4_1_b23_endings": (_theorem_4_1_b23_endings,
+        "482d08e620d2ab110c92458d1451e945ee48a32fae87cc0a1852a51ba37e8aad",
     ),
     # taken before A.2.x's helpers were inlined and A.2.3 given one ending
     "theorem_4_1_seeded_rare": (_theorem_4_1_seeded_rare,

@@ -8,8 +8,9 @@ v2=p2 carries off-path neighbors x1, x2 and u2=p9 carries y1, y2, and every
 certification path (the (3,4)/(3,5) probes of the window analysis, plus the
 structural (4,5) paths of the pattern branches) is wired to end exactly
 where the settled configuration demands.  The target coloring is completed
-around a pinned perfect matching by backtracking.  B.2.3.1 uses a path frame
-instead, and Lemma 2.2's second configuration a bare five-vertex window;
+around a pinned perfect matching by backtracking.  B.2.3.1 and B.2.3's
+length-7 path use a path frame instead, its six-cycle ending a six-cycle,
+and Lemma 2.2's second configuration a bare five-vertex window;
 Lemma 2.3 on a cycle component comes from seeded random interchanges.
 """
 import random
@@ -355,6 +356,55 @@ def _b231_instance(name):
     h = _pinned_4coloring(g, [g.edge_id(a, b) for a, b in ones])
     assert h is not None, "target completion infeasible"
     return g, f, h
+
+
+# B.2.3's other endings, keyed by the tag each must reach.
+# - "B.2.3-c6": the working component is the six-cycle c0..c5 (1..6), with
+#   x1, x2, y1, y2 = 7..10 and its closing edge c3c4 correct.
+# - "B.2.3-p7": B-esc1 with v5z3 recolored from 4 to 1, then v4v5 from 2 to
+#   4, so v4 ends the path as u4 does.
+# - "B.2.3-45": `_aa_instance` with v3v4 = (4,5) off the target's 1-class.
+# - "B.2.3.1": B.2.3.1's "A" with u4 (3) and v5 (13) relabeled, so the
+#   path's smaller end lies on the long side.
+_C6_FRAME = [((1, 2), 2), ((2, 3), 1), ((3, 4), 2), ((4, 5), 1), ((5, 6), 2),
+             ((1, 6), 1)]
+_C6_REST = [
+    ((2, 8), 3), ((3, 8), 4), ((3, 7), 5), ((4, 7), 3), ((6, 9), 5),
+    ((6, 10), 4), ((7, 9), 2), ((8, 10), 1), ((1, 5), 3), ((1, 8), 5),
+    ((2, 10), 5), ((4, 9), 4), ((5, 7), 4), ((9, 10), 3),
+]
+
+
+def _b23_ending_instance(tag):
+    """(g, f, h) reaching B.2.3's ending `tag`; see the note above."""
+    if tag == "B.2.3-c6":
+        g, f = _build(10, _C6_REST, frame=_C6_FRAME)
+        ones = [(1, 2), (4, 5), (3, 7), (6, 9), (8, 10)]
+        return g, f, _pinned_4coloring(g, [g.edge_id(a, b) for a, b in ones])
+    if tag == "B.2.3-p7":
+        g, f, h = _b231_instance("B-esc1")
+        colors = list(f.colors)
+        for (a, b), old, new in (((_V5, _Z3), 4, 1), ((_V4, _V5), 2, 4)):
+            assert colors[g.edge_id(a, b)] == old
+            colors[g.edge_id(a, b)] = new
+        f = EdgeColoring(5, colors)
+        assert is_proper(g, f)
+        return g, f, h
+    if tag == "B.2.3-45":
+        g, f, _ = _aa_instance()
+        ones = [(1, 2), (8, 9), (3, 4), (5, 6), (7, 12), (10, 14), (11, 13)]
+        return g, f, _pinned_4coloring(g, [g.edge_id(a, b) for a, b in ones])
+    g, f, h = _b231_instance("A")
+    swap = {_U4: _V5, _V5: _U4}
+    rows = sorted(
+        (tuple(sorted(swap.get(v, v) for v in g.edges[e])), f.colors[e], h.colors[e])
+        for e in range(g.m)
+    )
+    return (Graph(g.n, [r[0] for r in rows]), EdgeColoring(5, [r[1] for r in rows]),
+            EdgeColoring(4, [r[2] for r in rows]))
+
+
+_B23_ENDINGS = ("B.2.3-c6", "B.2.3-p7", "B.2.3-45", "B.2.3.1")
 
 
 # More B.2.3.2 instances on the ten-cycle frame (n = 20), named by the
@@ -728,6 +778,28 @@ def test_b231_fires_and_completes():
         notes = _run_and_collect(g, f, h)
         tag = "B.2.3-claim-esc" if name.startswith("B-esc") else "B.2.3.1"
         assert tag in notes, (name, notes)
+
+
+def _b23_ending_fires(tag):
+    g, f, h = _b23_ending_instance(tag)
+    notes = _run_and_collect(g, f, h)
+    assert tag in notes, (tag, notes)
+
+
+def test_b23_six_cycle_fires_and_completes():
+    _b23_ending_fires("B.2.3-c6")
+
+
+def test_b23_seven_edge_path_fires_and_completes():
+    _b23_ending_fires("B.2.3-p7")
+
+
+def test_b23_distance_2_correction_fires_and_completes():
+    _b23_ending_fires("B.2.3-45")
+
+
+def test_b231_with_the_short_side_second_fires_and_completes():
+    _b23_ending_fires("B.2.3.1")
 
 
 def test_lemma_2_2_second_configuration():
