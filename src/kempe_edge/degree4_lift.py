@@ -35,6 +35,7 @@ from .errors import (
     InternalInvariantError,
     NoFreeLowColor,
     PaletteMismatch,
+    PreconditionViolated,
     ProjectionMismatch,
     SearchBudgetExceeded,
     TargetNotProper4,
@@ -96,6 +97,9 @@ def build_tower(g: Graph) -> DoublingTower:
 def lift_coloring(tower: DoublingTower, level: int, f: EdgeColoring) -> EdgeColoring:
     """Color level+1: both copies as f, each joining edge with the smallest
     color of {1,2,3,4} not used at its base vertex."""
+    top = len(tower.levels) - 1
+    if not 0 <= level < top:
+        raise PreconditionViolated(f"level {level} not in 0..{top - 1} (below the top)")
     g = tower.levels[level]
     big = tower.levels[level + 1]
     if f.m != g.m:
@@ -125,6 +129,9 @@ def project_transcript(
     inside C, and each becomes one move, by ascending representative.
     Swapping C then swaps exactly those components.
     """
+    top = len(tower.levels) - 1
+    if not 0 <= level <= top:
+        raise PreconditionViolated(f"level {level} not in 0..{top}")
     g_small = tower.levels[level]
     g_big = tower.levels[-1]
     m = g_small.m

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 
 from .errors import InfeasibleN, InternalInvariantError
-from .graph_core import EdgeColoring, Graph, is_proper
+from .graph_core import MAX_VERTICES, EdgeColoring, Graph, is_proper
 
 # The octahedron K_{2,2,2}: 6 vertices, 12 edges, 4-regular.
 _OCTAHEDRON_EDGES = [
@@ -38,10 +38,11 @@ def random_regular4_class1(n: int, seed: int):
     cycle into two alternating perfect matchings.
 
     n must be even and >= 6 (odd cycles cannot alternate; below 6 the two
-    cycles cannot be edge-disjoint and simple).
+    cycles cannot be edge-disjoint and simple), and at most MAX_VERTICES, the
+    most a graph file may declare.
     """
-    if n % 2 != 0 or n < 6:
-        raise InfeasibleN(f"need even n >= 6, got {n}")
+    if n % 2 != 0 or not 6 <= n <= MAX_VERTICES:
+        raise InfeasibleN(f"need even n in 6..{MAX_VERTICES}, got {n}")
     rng = random.Random(seed)
     verts = list(range(1, n + 1))
 

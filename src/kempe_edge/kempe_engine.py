@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
+    ColorOutOfRange,
     EdgeNotIncident,
     EqualColors,
     FormatError,
@@ -169,6 +170,8 @@ def grow_fan(g: Graph, f: EdgeColoring, pivot: int, first_edge: int) -> Fan:
 def check_fan(g: Graph, f: EdgeColoring, fan: Fan) -> None:
     """Validate a caller's fan against a coloring: EdgeOutOfRange,
     EdgeNotIncident or PreconditionViolated on a violation."""
+    if not fan.edges:
+        raise PreconditionViolated("fan has no edges")
     if len(set(fan.edges)) != len(fan.edges):
         raise PreconditionViolated("fan edges not distinct")
     leaf = None
@@ -193,6 +196,8 @@ def downshift(g: Graph, f: EdgeColoring, fan: Fan, free_color: int):
     is asserted.
     """
     require_proper(g, f)
+    if not 1 <= free_color <= f.t:
+        raise ColorOutOfRange(f"free color {free_color} not in 1..{f.t}")
     check_fan(g, f, fan)
     last_leaf = g.other_end(fan.edges[-1], fan.pivot)
     if free_color in palette_at(g, f, fan.pivot) or free_color in palette_at(

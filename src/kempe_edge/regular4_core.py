@@ -8,15 +8,20 @@ so the working edge always reads as color 2.  Narrative jumps between cases
 become explicit re-dispatches on a new working edge; every claimed structural
 fact is asserted at runtime, and every claim failure escapes through a move
 sequence that re-enters the dispatch.  Case A's four length-4 endings are
-one dispatch and A.2.3 has one ending.  B.2.3.1 and B.2.3.2 share one
-per-side step: a side whose fourth vertex has palette {1,2,3,5} or {1,2,4,5}
-claims the (4,5)- or (3,5)-path from its third vertex and swaps it.  Every
-such path read from one end is traced by `Recorder.path_from`.  No test
-reaches B.2.3's c6, p7 and B.2.3-45 branches or its short-side swap
-(tests/test_phase1_coverage.py).  After phase 1 color 1 is a perfect
-matching shared with the target, so every (a, b)-component with a, b in
-2..5 lies in the cubic remainder; phase 2 runs the bounded search equalizer
-on the working state itself over those four colors.
+one dispatch and A.2.3 has one ending.  B.2.3 has one ending over its two
+sides.  An end side, whose fourth vertex ends the path, gets a (1,5) swap at
+its second vertex after the flip and then color 1 on w3w4.  A pattern side
+is named by its fourth vertex's palette, A = {1,2,3,4}, B = {1,2,3,5} or
+C = {1,2,4,5}: B and C claim the (4,5)- or (3,5)-path from the third vertex
+and swap it, w3w4 takes the side's color c, and after the flip the side
+either finishes with the (1,c) swap on w3w4 or is handed back for
+re-dispatch.  B.2.3.1 pairs an end side with a pattern side, B.2.3.2 two
+pattern sides, the seven-edge path two end sides, and the six-cycle two A
+sides sharing w3w4.  Every such path read from one end is traced by
+`Recorder.path_from`.  After phase 1 color 1 is a perfect matching shared
+with the target, so every (a, b)-component with a, b in 2..5 lies in the
+cubic remainder; phase 2 runs the bounded search equalizer on the working
+state itself over those four colors.
 """
 from __future__ import annotations
 
@@ -502,12 +507,13 @@ def _case_A(work: _Work, e: int):
 _PATTERN = {_A: ("A", 5), _B: ("B", 4), _C: ("C", 3)}
 
 
-def _claim(work: _Work, e, W, Z, win, c):
+def _claim(work: _Work, e, W, Z, c):
     """Maximal (c,5)-path from w3, c = 4 or 3.  Structural claim: its far
     end is w1 for c = 4, where it also passes w2 and avoids z2, and w2 for
-    c = 3.  On failure runs the documented escape and returns ("jump", next
-    working edge or None); on success returns ("ok", rep, path vertices)
-    with nothing applied."""
+    c = 3.  On failure runs the documented escape on the window z1 w1..w4
+    and returns ("jump", next working edge or None); on success returns
+    ("ok", rep, path vertices) with nothing applied."""
+    win = [Z[0], *W[:4]]
     rep, path = work.path_from(W[2], c, 5)
     vset = set(path)
     if path[-1] != (W[0] if c == 4 else W[1]):
@@ -525,83 +531,6 @@ def _claim(work: _Work, e, W, Z, win, c):
             raise InternalInvariantError("escape (1,4) path has unexpected shape")
         return ("jump", e)
     return ("ok", rep, vset)
-
-
-def _side_step(work: _Work, e, W, Z, c, tag):
-    """B.2.3's per-side step: for c = 4 or 3 claim the (c,5)-path from w3
-    and swap it (c = 5 has no path).  Returns the claim's ("jump", ...) on
-    failure, else None."""
-    if c == 5:
-        return None
-    res = _claim(work, e, W, Z, [Z[0], *W[:4]], c)
-    if res[0] != "ok":
-        return res
-    work.apply(c, 5, res[1], tag)
-    return None
-
-
-def _b231(work: _Work, e, U, V, y1):
-    """One of the fourth path vertices is the path end (taken to be u4); the
-    v side is settled by the per-side step, a palette other than B or C
-    counting as A."""
-    g = work.g
-    e_u34 = g.edge_id(U[2], U[3])
-    e_v34 = g.edge_id(V[2], V[3])
-    e_u2y1 = g.edge_id(U[1], y1)
-    c = _PATTERN.get(work.vpal(V[3]), _PATTERN[_A])[1]
-    jump = _side_step(work, e, V, U, c, "B.2.3.1")
-    if jump:
-        return jump[1]
-    work.recolor(e_v34, c, "B.2.3.1")
-    work.apply(1, 2, e, "B.2.3.1")
-    work.apply_expect(1, 5, e_u2y1, {U[2], U[1], y1}, "B.2.3.1")
-    work.recolor(e_u34, 1, "B.2.3.1")
-    return e_v34
-
-
-def _b232(work: _Work, e, U, V, x1, y1):
-    """Neither fourth path vertex is an end (or the component is a cycle).
-
-    Equal patterns claim both sides before swapping either path and finish
-    both.  Mixed ones run the per-side step in U, V order, finish the A side
-    (the C side in BC) and return the other side's w3w4 edge."""
-    g = work.g
-    pu4 = work.vpal(U[3])
-    pv4 = work.vpal(V[3])
-    if pu4 not in _PATTERN or pv4 not in _PATTERN:
-        raise InternalInvariantError(f"unhandled palette pair {sorted(pu4)}/{sorted(pv4)}")
-    if (pu4, pv4) in ((_B, _A), (_C, _A), (_C, _B)):
-        U, V, x1, y1, pu4, pv4 = V, U, y1, x1, pv4, pu4
-    (lu, cu), (lv, cv) = _PATTERN[pu4], _PATTERN[pv4]
-    tag = f"B.2.3.2-{lu}{lv}"
-    # per side: W, the other side Z, w2's 5-neighbor, c, the w3w4 edge
-    sides = [(U, V, y1, cu, g.edge_id(U[2], U[3])),
-             (V, U, x1, cv, g.edge_id(V[2], V[3]))]
-    if cu == cv:
-        claims = []
-        for W, Z, _, c, _ in sides:
-            if c != 5:
-                res = _claim(work, e, W, Z, [Z[0], *W[:4]], c)
-                if res[0] != "ok":
-                    return res[1]
-                claims.append(res)
-        if claims and claims[0][2] & claims[1][2]:
-            raise InternalInvariantError(f"the two ({cu},5) paths are not disjoint")
-        for res in claims:
-            work.apply(cu, 5, res[1], tag)
-        finished, rest = sides, []
-    else:
-        for W, Z, _, c, _ in sides:
-            jump = _side_step(work, e, W, Z, c, tag)
-            if jump:
-                return jump[1]
-        finished, rest = (sides[:1], sides[1:]) if pu4 == _A else (sides[1:], sides[:1])
-    for *_, c, e34 in finished + rest:
-        work.recolor(e34, c, tag)
-    work.apply(1, 2, e, tag)
-    for W, _, z, c, e34 in finished:
-        work.apply_expect(1, c, e34, {W[3], W[2], W[1], z}, tag)
-    return rest[0][4] if rest else None
 
 
 def _case_B23(work: _Work, e, U, V, cycle_len):
@@ -640,48 +569,85 @@ def _case_B23(work: _Work, e, U, V, cycle_len):
         z2 = g.other_end(work.edge_at(w2, 4), w2)
         if work.vpal(z1) != {2, 3, 4, 5} or work.vpal(z2) != {1, 3, 4, 5}:
             return _lemma_2_2_step(work, e, win, "B.2.3", False)
+    # B.2.3's ending.  Per side: W, the other side Z, w2's 5-neighbor z, the
+    # w3w4 edge (one closing edge on a six-cycle) and whether w4 ends the path
+    sides = [
+        (W, Z, z, g.edge_id(W[2], W[3]), not cycle_len and len(W) == 4)
+        for W, Z, z in ((U, V, y1), (V, U, x1))
+    ]
+    ends = [s for s in sides if s[4]]
+    if len(ends) < 2:
+        # both distance-2 edges must be correct, the v side's checked first;
+        # one on a long side is corrected through its length-5 window
+        for W, Z, _, e34, end in sides[::-1]:
+            if not work.correct1(e34):
+                if end or cycle_len == 6:
+                    raise InternalInvariantError(
+                        "dispatch sent an uncorrectable distance-2 edge to B.2.3"
+                    )
+                pair, c = _window_b(work, [Z[0]] + list(W[:5]))
+                work.recolor(pair, c, "B.2.3-45")
+                return e
+    # a pattern side is named by w4's palette; an interior path vertex
+    # carries 1, 2 and two of 3, 4, 5, so it is A, B or C
+    pats = []
+    for W, Z, z, e34, end in sides:
+        if not end:
+            pal = work.vpal(W[3])
+            if pal not in _PATTERN:
+                raise InternalInvariantError(f"unhandled palette {sorted(pal)} at w4")
+            pats.append((*_PATTERN[pal], e34, W, Z, z))
+    pats.sort(key=lambda p: p[0])
     if cycle_len == 6:
-        closing = g.edge_id(V[2], U[2])
-        if closing is None or not work.correct1(closing):
-            raise InternalInvariantError("six-cycle without a correct closing edge")
-        work.recolor(closing, 5, "B.2.3-c6")
-        work.apply(1, 2, e, "B.2.3-c6")
-        work.apply_expect(
-            1, 5, closing, {y1, U[1], U[2], V[2], V[1], x1}, "B.2.3-c6"
-        )
-        return None
-    l_end = not cycle_len and len(U) == 4
-    k_end = not cycle_len and len(V) == 4
-    if l_end and k_end:
-        # length-7 path: both fourth vertices are ends
-        e_u34 = g.edge_id(U[2], U[3])
-        e_v34 = g.edge_id(V[2], V[3])
-        for w4 in (U[3], V[3]):
-            if w4 in (x1, y1):
-                raise InternalInvariantError("path end collides with an off-path neighbor")
-        work.apply(1, 2, e, "B.2.3-p7")
-        work.apply_expect(1, 5, g.edge_id(U[1], y1), {U[2], U[1], y1}, "B.2.3-p7")
-        work.apply_expect(1, 5, g.edge_id(V[1], x1), {V[2], V[1], x1}, "B.2.3-p7")
-        work.recolor(e_u34, 1, "B.2.3-p7")
-        work.recolor(e_v34, 1, "B.2.3-p7")
-        return None
-    # establish correctness of both distance-2 edges
-    for W, Z in ((V, U), (U, V)):
-        w34 = g.edge_id(W[2], W[3])
-        if not work.correct1(w34):
-            if not cycle_len and len(W) == 4:
-                raise InternalInvariantError(
-                    "dispatch sent an uncorrectable short side to B.2.3"
-                )
-            pair, c = _window_b(work, [Z[0]] + list(W[:5]))
-            work.recolor(pair, c, "B.2.3-45")
-            return e
-    if l_end != k_end:
-        if k_end:
-            U, V = V, U
-            x1, y1 = y1, x1
-        return _b231(work, e, U, V, y1)
-    return _b232(work, e, U, V, x1, y1)
+        tag = "B.2.3-c6"
+    elif ends:
+        tag = "B.2.3-p7" if len(ends) == 2 else "B.2.3.1"
+    else:
+        tag = f"B.2.3.2-{pats[0][0]}{pats[1][0]}"
+    # each pattern side with c != 5 claims its (c,5)-path from w3 and swaps
+    # it; equal patterns claim both paths before swapping either
+    equal = len(pats) == 2 and pats[0][1] == pats[1][1]
+    claims = []
+    for _, c, _, W, Z, _ in pats:
+        if c == 5:
+            continue
+        res = _claim(work, e, W, Z, c)
+        if res[0] != "ok":
+            return res[1]
+        if equal:
+            claims.append(res)
+        else:
+            work.apply(c, 5, res[1], tag)
+    if len(claims) == 2 and claims[0][2] & claims[1][2]:
+        raise InternalInvariantError(f"the two ({pats[0][1]},5) paths are not disjoint")
+    for res in claims:
+        work.apply(pats[0][1], 5, res[1], tag)
+    # the pattern side beside an end side is handed back for re-dispatch, as
+    # is the B side of mixed patterns (the C side in AC); the others finish
+    if ends:
+        done, rest = [], pats
+    elif equal:
+        done, rest = pats, []
+    else:
+        i = int(pats[0][0] == "A")
+        done, rest = [pats[1 - i]], [pats[i]]
+    # w3w4 edge -> (c, its (1,c)-component after the flip); on a six-cycle
+    # both sides finish with one swap
+    finish = {}
+    for _, c, e34, W, _, z in done:
+        finish.setdefault(e34, (c, set()))[1].update((W[3], W[2], W[1], z))
+    for e34, (c, _) in finish.items():
+        work.recolor(e34, c, tag)
+    for _, c, e34, *_ in rest:
+        work.recolor(e34, c, tag)
+    work.apply(1, 2, e, tag)
+    for W, _, z, _, _ in ends:
+        work.apply_expect(1, 5, g.edge_id(W[1], z), {W[2], W[1], z}, tag)
+    for *_, e34, _ in ends:
+        work.recolor(e34, 1, tag)
+    for e34, (c, verts) in finish.items():
+        work.apply_expect(1, c, e34, verts, tag)
+    return rest[0][2] if rest else None
 
 
 def _case_B(work: _Work, e: int):

@@ -359,6 +359,9 @@ _CLI_TABLE = {
     "same-class-out": ("oracle same-class --graph {g} --colors 2 --first {f} "
                        "--second {h} --out {o}", "", 0, ("same-class\n", "K 1 2 1 2\n")),
     "gen-overfull5": ("gen overfull5 --out {o}", "", 0, ("", format_graph(overfull_delta5()))),
+    # one vertex past the most a graph file may declare (MAX_VERTICES = 2^20)
+    "gen-regular4-above-max-vertices": ("gen regular4 --n 2097152 --seed 1 --out {o}",
+                                        "", 1, "infeasible_n"),
     "transform-auto-needs-to": ("transform --graph {g} --from {f} --out {o}",
                                 "", 1, "unsupported_family"),
 }

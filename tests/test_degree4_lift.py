@@ -21,6 +21,7 @@ from kempe_edge.degree4_lift import (
 from kempe_edge.errors import (
     EdgeOutOfRange,
     PaletteMismatch,
+    PreconditionViolated,
     ProjectionMismatch,
     SearchBudgetExceeded,
     TargetNotProper4,
@@ -721,3 +722,17 @@ def test_lift_coloring_rejects_another_levels_coloring():
     top = lift_coloring(tower, 0, EdgeColoring(5, [2, 3, 4, 5]))
     with pytest.raises(PaletteMismatch):
         lift_coloring(tower, 0, top)
+
+
+@pytest.mark.parametrize("level", [-1, 2, 5])
+def test_tower_level_out_of_range_is_precondition_violated(level):
+    # a bowtie has minimum degree 2, so its tower has the levels 0, 1, 2:
+    # lifting starts below the top, projecting at any level
+    tower = build_tower(Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]))
+    assert len(tower.levels) == 3
+    f = EdgeColoring(5, [1, 2, 3, 3, 2, 1])
+    with pytest.raises(PreconditionViolated, match=f"level {level} not in 0..1"):
+        lift_coloring(tower, level, f)
+    if level != 2:
+        with pytest.raises(PreconditionViolated, match=f"level {level} not in 0..2"):
+            project_transcript(tower, level, f, Transcript())

@@ -11,6 +11,7 @@ from kempe_edge.fixtures_gen import (
     random_regular4_class1,
 )
 from kempe_edge.graph_core import (
+    MAX_VERTICES,
     color_class,
     induced_high_degree_subgraph,
     is_acyclic,
@@ -57,6 +58,8 @@ def test_random_regular4_class1_properties():
         random_regular4_class1(7, 0)
     with pytest.raises(InfeasibleN):
         random_regular4_class1(4, 0)
+    with pytest.raises(InfeasibleN, match="need even n in 6..1048576"):
+        random_regular4_class1(2 * MAX_VERTICES, 0)
 
 
 def test_overfull_delta5_properties():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kempe_edge.errors import (
+    ColorOutOfRange,
     EdgeNotIncident,
     InternalInvariantError,
     InvalidMoveAtIndex,
@@ -189,15 +190,26 @@ def test_downshift_requires_saturation():
         downshift(g, f, fan, 2)  # color 2 appears at the pivot
 
 
-@pytest.mark.parametrize("edges", [(0, 0), (0, 1)], ids=["repeated", "color-at-leaf"])
-def test_downshift_rejects_a_callers_bad_fan(edges):
+@pytest.mark.parametrize("edges, free, error", [
+    ((0, 0), 5, PreconditionViolated),
+    ((0, 1), 5, PreconditionViolated),
+    ((), 5, PreconditionViolated),
+    ((11,), 9, ColorOutOfRange),
+    ((11,), 0, ColorOutOfRange),
+    ((11,), -1, ColorOutOfRange),
+], ids=["repeated", "color-at-leaf", "empty", "free-9", "free-0", "free-minus-1"])
+def test_downshift_rejects_a_callers_bad_fan(edges, free, error):
     # octahedron, pivot 1: edge 1 = (1, 4) is colored 3, and color 3 is on
-    # edge 4 = (2, 3) at the first leaf 2, so (0, 1) is not a fan
+    # edge 4 = (2, 3) at the first leaf 2, so (0, 1) is not a fan.  At
+    # palette 6, edge 11 = (5, 6) is a fan at pivot 5 whose two ends miss
+    # every color outside 1..6, so only the range check stops those
     g = octahedron()
-    f = random_proper_coloring(g, 5, 1)
-    fan = Fan(1, edges, tuple(f.colors[e] for e in edges[1:]))
-    with pytest.raises(PreconditionViolated):
-        downshift(g, f, fan, 5)
+    t = 6 if error is ColorOutOfRange else 5
+    f = random_proper_coloring(g, t, 1)
+    pivot = 5 if edges == (11,) else 1
+    fan = Fan(pivot, edges, tuple(f.colors[e] for e in edges[1:]))
+    with pytest.raises(error):
+        downshift(g, f, fan, free)
 
 
 @pytest.mark.parametrize("bad, reason", [
