@@ -7,6 +7,15 @@ is the endpoint pair (u, v), u < v, of edge id e, and ``g.adj[v]`` lists the
 tie-break below is in edge-id order.  State vectors are ``bytes`` of length
 m, one color per edge id.
 
+Two kernels trace a bicolored component.  :func:`trace_component` is the
+ordered one: it returns the vertices along the path or around the cycle
+with the edges between them, for callers that read the path (the case
+machine's recorded moves, its side split and its path probes, and
+`graph_core.bicolored_subgraph`).  :func:`component_edges` returns only the
+edge set, for callers that swap or count a component without reading it:
+the search index, replay, transcript projection, `interchange` and
+single-edge recolors.
+
 :func:`canonical_colorings` is the one backtracker over proper colorings,
 with its stack in lists, not Python frames; :func:`enumerate_proper` and the
 oracle's chromatic-index search both walk it.
@@ -85,6 +94,34 @@ def trace_component(g, colors, a, b, e0):
         vs = vs[::-1]
         es = es[::-1]
     return es, vs, False
+
+
+def component_edges(g, colors, a, b, e0):
+    """Edge ids of the component of the (a, b)-subgraph containing edge e0,
+    in no promised order.
+
+    The callers that only swap or count a component use this walk: each
+    direction from e0 is walked once, and no vertex list is built or
+    reordered.  On a cycle the first direction comes back to e0.
+    """
+    adj = g.adj
+    c0 = colors[e0]
+    other = b if c0 == a else a
+    out = [e0]
+    for v in reversed(g.edges[e0]):
+        want = other
+        while True:
+            for w, e in adj[v]:
+                if colors[e] == want:
+                    break
+            else:
+                break  # a path end on this side
+            if e == e0:
+                return out  # around a cycle
+            out.append(e)
+            v = w
+            want = c0 if want == other else other
+    return out
 
 
 def swap_component(colors, edge_ids, a, b):

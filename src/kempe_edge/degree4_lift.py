@@ -18,12 +18,13 @@ index of the coloring's two-colored components, each scored by the
 agreement with the goal that its interchange gains on its own edges.  Every
 greedy step takes the first gaining component in neighbor order from the
 index; after the swap the index re-traces only the components that meet the
-swapped component's vertices.  Only when no component gains does a labeled
-BFS run to the nearest better state, and only when that BFS runs out of
-states does the oracle's exact bidirectional search carry the coloring to
-the goal.  Every move, from any of the three, goes through the index.  The
-transcripts are verified like any other; only termination relies on the
-reachability guarantee.
+swapped component's vertices.  The index and the projection read
+components as bare edge sets, through ``backend.component_edges``.  Only
+when no component gains does a labeled BFS run to the nearest better
+state, and only when that BFS runs out of states does the oracle's exact
+bidirectional search carry the coloring to the goal.  Every move, from any
+of the three, goes through the index.  The transcripts are verified like
+any other; only termination relies on the reachability guarantee.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ from .errors import (
 from .graph_core import (
     EdgeColoring,
     Graph,
-    bicolored_components,
     check_edge_id,
     is_proper,
     require_proper,
@@ -144,14 +144,14 @@ def project_transcript(
         check_edge_id(g_big, mv.rep_edge)
         if colors[mv.rep_edge] not in (mv.a, mv.b):
             raise ProjectionMismatch("big transcript does not replay")
-        comp, _, _ = backend.trace_component(g_big, colors, mv.a, mv.b, mv.rep_edge)
+        comp = backend.component_edges(g_big, colors, mv.a, mv.b, mv.rep_edge)
         hits = {e for e in comp if e < m}
         seen = set()
         for se in sorted(hits):
             if se in seen:
                 continue
             # the scan is ascending, so se is the component's least edge
-            comp_small, _, _ = backend.trace_component(g_small, colors, mv.a, mv.b, se)
+            comp_small = backend.component_edges(g_small, colors, mv.a, mv.b, se)
             if not hits.issuperset(comp_small):
                 raise ProjectionMismatch(
                     "copy component extends outside the big component"
@@ -179,13 +179,19 @@ def _kempe_components(g, state, colors):
 
     The order is that of `backend.kempe_neighbor_moves(g, state, t,
     colors)`: color pairs a < b ascending over `colors`, then components by
-    their least edge id `rep`.  Each component is traced only when reached.
+    their least edge id `rep`: an ascending scan walks each component from
+    the first of its edges it meets, and only when it is reached.
     """
     cs = sorted(colors)
     for i, a in enumerate(cs):
         for b in cs[i + 1:]:
-            for rep, comp, _, _ in bicolored_components(g, state, a, b):
-                yield a, b, rep, comp
+            seen = bytearray(g.m)
+            for rep, c in enumerate(state):
+                if (c == a or c == b) and not seen[rep]:
+                    comp = backend.component_edges(g, state, a, b, rep)
+                    for e in comp:
+                        seen[e] = 1
+                    yield a, b, rep, comp
 
 
 def _gain(state, goal, a, b, comp):
@@ -224,11 +230,17 @@ class _ComponentIndex:
             self._add(a, b, rep, comp)
 
     def _add(self, a, b, rep, comp):
+        # owner and gain (as in `_gain`) in one pass over the component
         owner = self.owner[a, b]
+        state, goal = self.state, self.goal
+        gain = 0
         for e in comp:
             owner[e] = rep
+            c = state[e]
+            want = goal[e]
+            gain += (a + b - c == want) - (c == want)
         self.comps[a, b][rep] = comp
-        if _gain(self.state, self.goal, a, b, comp) > 0:
+        if gain > 0:
             self.gaining[a, b].add(rep)
 
     def first_gaining(self):
@@ -267,7 +279,7 @@ class _ComponentIndex:
             owner = self.owner[x, y]
             for e in touched:
                 if owner[e] < 0 and state[e] in (x, y):
-                    new, _, _ = backend.trace_component(g, state, x, y, e)
+                    new = backend.component_edges(g, state, x, y, e)
                     self._add(x, y, min(new), new)
 
 

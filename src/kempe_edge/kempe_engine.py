@@ -8,9 +8,13 @@ trusting the producer.
 traces a two-colored component, swaps it and records the move.  Its
 :meth:`Recorder.path_from` reads "the (a, b)-path that starts at v", the
 Kempe chain the lemmas reason about, from one of its ends.  Every swap
-goes through ``backend.swap_component`` and every trace through
-``backend.trace_component``.  :func:`extend_fan` is the one fan engine,
-shared by :func:`grow_fan` and the palette reductions.
+goes through ``backend.swap_component``.  A trace whose vertices are read
+(:meth:`Recorder.apply` and :meth:`Recorder.path_from`) goes through the
+ordered ``backend.trace_component``; one that only swaps an edge set
+(:func:`interchange`, :func:`apply_transcript` and
+:meth:`Recorder.recolor_edge`) goes through ``backend.component_edges``.
+:func:`extend_fan` is the one fan engine, shared by :func:`grow_fan` and
+the palette reductions.
 """
 from __future__ import annotations
 
@@ -114,7 +118,7 @@ def interchange(g: Graph, f: EdgeColoring, mv: KempeMove) -> EdgeColoring:
             f"edge {mv.rep_edge} colored {f.colors[mv.rep_edge]}, move is ({mv.a},{mv.b})"
         )
     colors = list(f.colors)
-    edge_ids, _, _ = backend.trace_component(g, colors, mv.a, mv.b, mv.rep_edge)
+    edge_ids = backend.component_edges(g, colors, mv.a, mv.b, mv.rep_edge)
     backend.swap_component(colors, edge_ids, mv.a, mv.b)
     return EdgeColoring(f.t, colors)
 
@@ -236,7 +240,7 @@ def apply_transcript(
                 i,
                 f"edge {mv.rep_edge} colored {colors[mv.rep_edge]}, move is ({mv.a},{mv.b})",
             )
-        edge_ids, _, _ = backend.trace_component(g, colors, mv.a, mv.b, mv.rep_edge)
+        edge_ids = backend.component_edges(g, colors, mv.a, mv.b, mv.rep_edge)
         backend.swap_component(colors, edge_ids, mv.a, mv.b)
         if check:
             clash = _clash_at_endpoints(g, colors, edge_ids)
@@ -381,7 +385,7 @@ class Recorder:
         old = self.colors[eid]
         if old == new_color:
             raise InternalInvariantError(f"edge {eid} already colored {new_color}")
-        edge_ids, _, _ = self.component(old, new_color, eid)
+        edge_ids = backend.component_edges(self.g, self.colors, old, new_color, eid)
         if edge_ids != [eid]:
             raise InternalInvariantError(
                 f"{note}: single-edge recolor of {eid} hit component {edge_ids}"

@@ -25,6 +25,7 @@ state itself over those four colors.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import (
@@ -72,17 +73,26 @@ class _Work(Recorder):
     The frame is a palette permutation fixing color 1, held as two lists:
     `to_real[c]` is the real color of frame color c and `to_frame` the
     inverse.  Fixing color 1, it reads 1-correctness the same in both views.
+
+    The measures are kept current by every move that involves color 1:
+    `h1_mask[e]` is 1 when the target colors e with 1, `n_matched` counts
+    those edges colored 1 now, and the heap `defects` holds every target
+    1-edge not colored 1, plus stale entries dropped when they surface.
     """
 
-    __slots__ = ("h1", "to_real", "to_frame")
+    __slots__ = ("h1_mask", "n_matched", "defects", "to_real", "to_frame")
 
     def __init__(self, g: Graph, f: EdgeColoring, h: EdgeColoring | None):
         super().__init__(g, f)
-        self.h1 = (
-            frozenset(e for e, c in enumerate(h.colors) if c == 1)
-            if h is not None
-            else frozenset()
-        )
+        self.h1_mask = bytearray(g.m)
+        self.defects = []
+        if h is not None:
+            for e, c in enumerate(h.colors):
+                if c == 1:
+                    self.h1_mask[e] = 1
+                    if self.colors[e] != 1:
+                        self.defects.append(e)  # ascending, so a heap
+        self.n_matched = sum(self.h1_mask) - len(self.defects)
         self.reset_frame()
 
     # -- frame plumbing -----------------------------------------------------
@@ -121,7 +131,14 @@ class _Work(Recorder):
 
     def apply(self, a: int, b: int, rep: int, note: str):
         to_real = self.to_real
-        return super().apply(to_real[a], to_real[b], rep, note)
+        out = super().apply(to_real[a], to_real[b], rep, note)
+        if a == 1 or b == 1:
+            # every edge of the component gained or lost color 1
+            mask = self.h1_mask
+            for e in out[0]:
+                if mask[e]:
+                    self._flipped1(e)
+        return out
 
     def apply_expect(self, a: int, b: int, rep: int, expect_verts: set, note: str):
         edge_ids, verts, cyc = self.apply(a, b, rep, note)
@@ -135,12 +152,33 @@ class _Work(Recorder):
         """Single-edge interchange (component asserted to be the edge alone)."""
         self.recolor_edge(eid, self.to_real[frame_color], note)
 
+    def recolor_edge(self, eid: int, new_color: int, note: str | None = None):
+        old = self.colors[eid]
+        super().recolor_edge(eid, new_color, note)
+        if self.h1_mask[eid] and (old == 1 or new_color == 1):
+            self._flipped1(eid)
+
+    def _flipped1(self, e: int):
+        """Update the measures after target 1-edge e gained or lost color 1."""
+        if self.colors[e] == 1:
+            self.n_matched += 1
+        else:
+            self.n_matched -= 1
+            heapq.heappush(self.defects, e)
+
     # -- measures ------------------------------------------------------------
     def matched(self) -> int:
-        return sum(1 for e in self.h1 if self.colors[e] == 1)
+        return self.n_matched
+
+    def least_defect(self) -> int:
+        """The least target 1-edge not colored 1, or -1 when none is left."""
+        heap, colors = self.defects, self.colors
+        while heap and colors[heap[0]] == 1:
+            heapq.heappop(heap)
+        return heap[0] if heap else -1
 
     def correct1(self, eid: int) -> bool:
-        return self.colors[eid] == 1 and eid in self.h1
+        return self.colors[eid] == 1 and self.h1_mask[eid] == 1
 
     def has_color1(self, v: int) -> bool:
         return self.edge_with_color(v, 1) >= 0
@@ -387,7 +425,7 @@ def _lemma_2_3_inner(work: _Work, xy: int, require_precondition: bool = False):
     the matched count has risen.
     """
     work.reframe_edge2(xy)
-    if xy not in work.h1:
+    if not work.h1_mask[xy]:
         raise PreconditionViolated("working edge is not a target 1-edge")
     for iteration in range(6):
         u_side, v_side, cyc, eids, u_edges, v_edges = _sides(work, xy)
@@ -717,7 +755,7 @@ def _improve_round(work: _Work, e0: int):
     e = e0
     for _ in range(_JUMP_CAP):
         work.reset_frame()
-        if work.colors[e] == 1 or e not in work.h1:
+        if work.colors[e] == 1 or not work.h1_mask[e]:
             raise InternalInvariantError("working edge lost its defect status")
         work.reframe_edge2(e)
         a, b = work.g.edges[e]
@@ -751,11 +789,8 @@ def theorem_4_1_transform(
     """
     work = _checked_work(g, f, h)
     budget = 50 * g.m * g.m
-    while True:
-        todo = [e for e in work.h1 if work.colors[e] != 1]
-        if not todo:
-            break
-        counts = _improve_round(work, min(todo))
+    while (e := work.least_defect()) >= 0:
+        counts = _improve_round(work, e)
         if stats is not None:
             stats.append(counts)
         if len(work.tr) > budget:
@@ -885,7 +920,7 @@ def case_b23_escape(g: Graph, f1: EdgeColoring, h: EdgeColoring, e: int):
     count strictly increased, otherwise "case_A" / "case_B1" naming the
     configuration the returned coloring presents for the next dispatch."""
     work = _checked_work(g, f1, h)
-    if e not in work.h1 or work.colors[e] == 1:
+    if not work.h1_mask[e] or work.colors[e] == 1:
         raise PreconditionViolated("edge must be targeted 1 and mis-colored")
     work.reframe_edge2(e)
     a, b = g.edges[e]

@@ -661,13 +661,13 @@ def test_component_index_swap_retraces_locally(monkeypatch):
     pairs (a, x) and (b, x), each at most the edges at V(C).  A rescan of
     the whole coloring exceeds this on the larger graphs."""
     traces = [0]
-    trace = backend.trace_component
+    trace = backend.component_edges
 
     def counting(*args):
         traces[0] += 1
         return trace(*args)
 
-    monkeypatch.setattr(backend, "trace_component", counting)
+    monkeypatch.setattr(backend, "component_edges", counting)
     worst = 0.0
     for n, seed in ((12, 0), (60, 1), (120, 2)):
         g = _random_cubic(n, seed)

@@ -269,11 +269,11 @@ def test_transcript_file_round_trip():
 
 
 def _drop_last_edge(real):
-    """A faulty trace_component: swaps only part of a multi-edge component."""
+    """A faulty component_edges: swaps only part of a multi-edge component."""
 
     def trace(g, colors, a, b, e0):
-        edge_ids, verts, is_cycle = real(g, colors, a, b, e0)
-        return (edge_ids[:-1] if len(edge_ids) >= 2 else edge_ids), verts, is_cycle
+        edge_ids = real(g, colors, a, b, e0)
+        return edge_ids[:-1] if len(edge_ids) >= 2 else edge_ids
 
     return trace
 
@@ -286,7 +286,7 @@ def _replay_full_check(g, f, tr):
             raise InvalidMoveAtIndex(i, "palette")
         if not (0 <= mv.rep_edge < g.m) or colors[mv.rep_edge] not in (mv.a, mv.b):
             raise InvalidMoveAtIndex(i, "rep edge")
-        edge_ids, _, _ = backend.trace_component(g, colors, mv.a, mv.b, mv.rep_edge)
+        edge_ids = backend.component_edges(g, colors, mv.a, mv.b, mv.rep_edge)
         for e in edge_ids:
             colors[e] = mv.b if colors[e] == mv.a else mv.a
         if not backend.is_proper(g, colors):
@@ -313,7 +313,7 @@ def test_apply_transcript_catches_partial_swap_at_same_index():
     expected = EdgeColoring(3, [2, 1, 3, 2, 1, 2, 1])
     assert apply_transcript(g, f, tr) == expected
     assert _replay_full_check(g, f, tr) == expected
-    with mock.patch.object(backend, "trace_component", _drop_last_edge(backend.trace_component)):
+    with mock.patch.object(backend, "component_edges", _drop_last_edge(backend.component_edges)):
         assert _outcome(_replay_full_check, g, f, tr) == ("rejected", 1)
         with pytest.raises(InvalidMoveAtIndex) as exc:
             apply_transcript(g, f, tr)
@@ -321,6 +321,50 @@ def test_apply_transcript_catches_partial_swap_at_same_index():
     assert exc.value.reason == (
         "intermediate coloring not proper at vertex 2: color 2 on edges 0 and 1"
     )
+
+
+@st.composite
+def _colored_graph(draw):
+    """A small graph and a proper coloring drawn edge by edge.  Half the
+    graphs start with an even cycle colored 1, 2 alternately; every graph
+    ends with an isolated edge, a single-edge component of each pair
+    holding its color."""
+    t = 6
+    k = draw(st.sampled_from([0, 2, 3, 4, 5]))
+    cycle = 2 * k
+    edges = [(v, v + 1) for v in range(1, cycle)] + ([(1, cycle)] if k else [])
+    colors = [1 + i % 2 for i in range(len(edges))]
+    n = cycle + draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if (u, v) not in edges]
+    used = {v: {colors[i] for i, e in enumerate(edges) if v in e} for v in range(1, n + 1)}
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)):
+        free = [c for c in range(1, t + 1) if c not in used[u] | used[v]]
+        if free:
+            c = draw(st.sampled_from(free))
+            edges.append((u, v))
+            colors.append(c)
+            used[u].add(c)
+            used[v].add(c)
+    edges.append((n + 1, n + 2))
+    colors.append(draw(st.integers(1, t)))
+    return Graph(n + 2, edges), colors, t
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=_colored_graph())
+def test_component_edges_is_the_traced_edge_set(case):
+    """The unordered walk finds each component's edges once, and the same
+    edges as the ordered trace, from every edge and for every color pair."""
+    g, colors, t = case
+    for e in range(g.m):
+        for a in range(1, t + 1):
+            for b in range(a + 1, t + 1):
+                if colors[e] not in (a, b):
+                    continue
+                comp = backend.component_edges(g, colors, a, b, e)
+                assert len(set(comp)) == len(comp)
+                assert set(comp) == set(backend.trace_component(g, colors, a, b, e)[0])
 
 
 @st.composite
@@ -355,8 +399,8 @@ def _graph_coloring_moves(draw):
 @given(case=_graph_coloring_moves())
 def test_local_check_agrees_with_full_check(faulty, case):
     g, f, tr = case
-    trace = backend.trace_component
+    trace = backend.component_edges
     if faulty:
         trace = _drop_last_edge(trace)
-    with mock.patch.object(backend, "trace_component", trace):
+    with mock.patch.object(backend, "component_edges", trace):
         assert _outcome(apply_transcript, g, f, tr) == _outcome(_replay_full_check, g, f, tr)

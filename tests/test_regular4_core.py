@@ -1,5 +1,6 @@
 """The 4-regular case machine and its lemma surfaces."""
 import random
+from unittest import mock
 
 import pytest
 
@@ -21,6 +22,7 @@ from kempe_edge.kempe_engine import apply_transcript
 from kempe_edge.kernels import backend
 from kempe_edge.oracle import same_class
 from kempe_edge.regular4_core import (
+    _Work,
     case_b23_escape,
     lemma_2_1_a,
     lemma_2_1_b,
@@ -100,6 +102,38 @@ def test_theorem_4_1_sweep_with_monovariant():
             tr = theorem_4_1_transform(g, f, h, stats)
             assert apply_transcript(g, f, tr, check=True).colors == h.colors
             assert all(after > before for before, after in stats)
+
+
+def test_matched_count_is_kept_current():
+    """After every phase-1 move of the theorem_4_1 golden families, the
+    kept matched count equals a full recount and every defect edge is on
+    the heap."""
+    from test_golden_transcripts import GOLDEN
+
+    checked = [0]
+
+    def recount(work):
+        target = [e for e, on in enumerate(work.h1_mask) if on]
+        assert work.matched() == sum(1 for e in target if work.colors[e] == 1)
+        assert {e for e in target if work.colors[e] != 1} <= set(work.defects)
+        checked[0] += 1
+
+    def checking(move):
+        def wrapped(self, *args):
+            out = move(self, *args)
+            recount(self)
+            return out
+
+        return wrapped
+
+    phase1 = 0
+    with mock.patch.object(_Work, "apply", checking(_Work.apply)), \
+            mock.patch.object(_Work, "recolor_edge", checking(_Work.recolor_edge)):
+        for family in sorted(GOLDEN):
+            if family.startswith("theorem_4_1"):
+                for _, _, tr in GOLDEN[family][0]():
+                    phase1 += sum(1 for note in tr.annotations if note != "phase2")
+    assert checked[0] == phase1 > 0
 
 
 def test_theorem_4_1_oracle_cross_check():
