@@ -12,7 +12,8 @@ Each measurement runs in a fresh process that imports the package from
 parent first on odd seeds.  Times are scaled to the benchmark's reference
 speed (`perfbench/calibrate.py`); raw seconds are kept.  The transcript
 sha256 of both checkouts is recorded, so a change that should keep
-transcripts can be checked on the curve too.
+transcripts can be checked on the curve too: the script exits 1, after
+writing its output, when any pair differs.
 """
 from __future__ import annotations
 
@@ -105,6 +106,9 @@ def main() -> None:
         sys.stdout.write(text)
     else:
         args.out.write_text(text)
+    if not out["same_transcripts"]:
+        print("transcripts differ between the checkouts", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

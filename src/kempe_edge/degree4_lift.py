@@ -13,21 +13,26 @@ inside the top component.
 
 The degree-at-most-3 equalizer is a certified search over the Kempe
 reconfiguration graph.  It works on the caller's `Recorder`, swapping its
-colors in place and recording every move in its transcript.  It keeps an
-index of the coloring's two-colored components, each scored by the
-agreement with the goal that its interchange gains on its own edges.  Every
-greedy step takes the first gaining component in neighbor order from the
-index; after the swap the index re-traces only the components that meet the
-swapped component's vertices.  The index and the projection read
-components as bare edge sets, through ``backend.component_edges``.  Only
-when no component gains does a labeled BFS run to the nearest better
-state, and only when that BFS runs out of states does the oracle's exact
-bidirectional search carry the coloring to the goal.  Every move, from any
-of the three, goes through the index.  The transcripts are verified like
-any other; only termination relies on the reachability guarantee.
+colors in place and recording every move in its transcript.  It keeps a
+sparse index of the coloring's two-colored components: only those holding
+a fixable edge (colored a with goal b, or the reverse) can gain agreement
+with the goal, so only those are traced, each scored by the agreement its
+interchange gains on its own edges.  Every greedy step takes the first
+gaining component in neighbor order from the index's per-pair heaps; after
+the swap the index re-traces, from fixable edges only, the pairs' indexed
+components that met the swapped component's vertices.  The index and the
+projection read components as bare edge sets, through
+``backend.component_edges``.  Only when no component gains does a labeled
+BFS run to the nearest better state, and only when that BFS runs out of
+states does the oracle's exact bidirectional search carry the coloring to
+the goal.  Every move, from any of the three, goes through the index, which
+traces on demand a component it does not hold.  The transcripts are
+verified like any other; only termination relies on the reachability
+guarantee.
 """
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -174,47 +179,29 @@ def _agreement(state: bytes, goal: bytes) -> int:
     return x.to_bytes(len(goal), "little").count(0)
 
 
-def _kempe_components(g, state, colors):
-    """Yield (a, b, rep, edge ids) for every (a, b)-component of `state`.
-
-    The order is that of `backend.kempe_neighbor_moves(g, state, t,
-    colors)`: color pairs a < b ascending over `colors`, then components by
-    their least edge id `rep`: an ascending scan walks each component from
-    the first of its edges it meets, and only when it is reached.
-    """
-    cs = sorted(colors)
-    for i, a in enumerate(cs):
-        for b in cs[i + 1:]:
-            seen = bytearray(g.m)
-            for rep, c in enumerate(state):
-                if (c == a or c == b) and not seen[rep]:
-                    comp = backend.component_edges(g, state, a, b, rep)
-                    for e in comp:
-                        seen[e] = 1
-                    yield a, b, rep, comp
-
-
-def _gain(state, goal, a, b, comp):
-    """Change in agreement with `goal` when a and b swap on `comp`."""
-    gain = 0
-    for e in comp:
-        c = state[e]
-        want = goal[e]
-        gain += ((b if c == a else a) == want) - (c == want)
-    return gain
-
-
 class _ComponentIndex:
-    """The (a, b)-components of a working coloring for every color pair of
-    the search, kept current through interchanges.
+    """The (a, b)-components that hold a fixable edge, for every color
+    pair of the search, kept current through interchanges.
 
     `state` is the caller's color list (or bytearray), swapped in place.
-    Per pair: `owner` maps an edge id to its component's representative
-    (least edge id, -1 outside the pair), `comps` maps a representative to
-    the component's edge ids, and `gaining` holds the representatives whose
-    interchange raises the agreement with `goal`.  An (a, b) interchange on
-    C keeps every (a, b)-component and every pair that avoids a and b; on
+    An edge is *fixable* for (a, b) when it is colored a with goal b, or
+    the reverse; only a component holding a fixable edge can raise the
+    agreement with `goal`, so only those are indexed (a pair's long cycles
+    that already agree with the goal are never traced).  Per pair: `owner`
+    maps an edge id to its indexed component's representative (least edge
+    id) and is -1 on every other edge, `comps` maps a representative to
+    the component's edge ids, `gaining` holds the representatives whose
+    interchange raises the agreement, and `heaps` holds them too, as a
+    min-heap with lazy deletion: a top not in `gaining` is stale.
+
+    An (a, b) interchange on C changes the fixability of C's edges only.
+    It keeps every (a, b)-component and every pair that avoids a and b; on
     the pairs (a, x) and (b, x) it changes only components that meet V(C).
+    Those indexed are dropped, and the pair is traced again from C's edges
+    and the dropped components' edges, each only if it is fixable.  That
+    reaches every new component with a fixable edge: one off C lies in an
+    old component, which held it, was indexed and met V(C).  An unindexed
+    old component meeting V(C) has no fixable edge off C.
     """
 
     def __init__(self, g, state, goal, colors):
@@ -226,13 +213,29 @@ class _ComponentIndex:
         self.owner = {p: [-1] * g.m for p in self.pairs}
         self.comps = {p: {} for p in self.pairs}
         self.gaining = {p: set() for p in self.pairs}
-        for a, b, rep, comp in _kempe_components(g, self.state, colors):
-            self._add(a, b, rep, comp)
+        self.heaps = {p: [] for p in self.pairs}
+        fixable = {p: [] for p in self.pairs}
+        for e, (c, want) in enumerate(zip(state, goal)):
+            p = (c, want) if c < want else (want, c)
+            if p in fixable:
+                fixable[p].append(e)
+        for (a, b), seeds in fixable.items():
+            self._trace(a, b, seeds)
 
-    def _add(self, a, b, rep, comp):
-        # owner and gain (as in `_gain`) in one pass over the component
+    def _trace(self, a, b, seeds):
+        """Index the (a, b)-component of every seed fixable for (a, b)
+        that no indexed component holds."""
+        owner, state, goal = self.owner[a, b], self.state, self.goal
+        for e in seeds:
+            c = state[e]
+            if (c == a or c == b) and goal[e] == a + b - c and owner[e] < 0:
+                self._add(a, b, backend.component_edges(self.g, state, a, b, e))
+
+    def _add(self, a, b, comp):
+        # owner and gain (as in swapping a and b on comp) in one pass
         owner = self.owner[a, b]
         state, goal = self.state, self.goal
+        rep = min(comp)
         gain = 0
         for e in comp:
             owner[e] = rep
@@ -242,45 +245,54 @@ class _ComponentIndex:
         self.comps[a, b][rep] = comp
         if gain > 0:
             self.gaining[a, b].add(rep)
+            heapq.heappush(self.heaps[a, b], rep)
+
+    def _pop(self, p, rep):
+        """Drop the indexed component `rep` of pair p; its edge ids."""
+        owner = self.owner[p]
+        comp = self.comps[p].pop(rep)
+        for e in comp:
+            owner[e] = -1
+        self.gaining[p].discard(rep)
+        return comp
 
     def first_gaining(self):
         """(a, b, rep) of the first gaining component in walk order, or None."""
-        for a, b in self.pairs:
-            gaining = self.gaining[a, b]
-            if gaining:
-                return a, b, min(gaining)
+        for p in self.pairs:
+            gaining, heap = self.gaining[p], self.heaps[p]
+            while heap and heap[0] not in gaining:
+                heapq.heappop(heap)
+            if heap:
+                return (*p, heap[0])
         return None
 
     def swap(self, a, b, rep):
-        """Interchange a and b on the (a, b)-component `rep` and update."""
-        g = self.g
-        comp = self.comps[a, b][rep]
+        """Interchange a and b on the (a, b)-component of edge `rep` and
+        update.  A component the index does not hold (a BFS or exact move
+        may name one) is traced here."""
+        g, state = self.g, self.state
+        r = self.owner[a, b][rep]
+        if r >= 0:
+            comp = self._pop((a, b), r)
+        else:
+            comp = backend.component_edges(g, state, a, b, rep)
         verts = {v for e in comp for v in g.edges[e]}
-        touched = sorted({e for v in verts for _, e in g.adj[v]})
+        touched = {e for v in verts for _, e in g.adj[v]}
         affected = [p for p in self.pairs if p != (a, b) and (a in p or b in p)]
+        seeds = {}
         for p in affected:
-            owner, comps, gaining = self.owner[p], self.comps[p], self.gaining[p]
+            owner = self.owner[p]
+            seeds[p] = popped = list(comp)
             for e in touched:
                 r = owner[e]
                 if r >= 0:
-                    for e2 in comps.pop(r):
-                        owner[e2] = -1
-                    gaining.discard(r)
-        backend.swap_component(self.state, comp, a, b)
-        gaining = self.gaining[a, b]
-        gaining.discard(rep)
-        if _gain(self.state, self.goal, a, b, comp) > 0:
-            gaining.add(rep)
-        # A new component avoiding every edge at V(C) would be an old one
-        # that met no vertex of C, and those were kept; so the edges at
-        # V(C) reach every new component.
-        state = self.state
-        for x, y in affected:
-            owner = self.owner[x, y]
-            for e in touched:
-                if owner[e] < 0 and state[e] in (x, y):
-                    new = backend.component_edges(g, state, x, y, e)
-                    self._add(x, y, min(new), new)
+                    popped.extend(self._pop(p, r))
+        backend.swap_component(state, comp, a, b)
+        goal = self.goal
+        if any(goal[e] == a + b - state[e] for e in comp):
+            self._add(a, b, comp)
+        for p, popped in seeds.items():
+            self._trace(*p, popped)
 
 
 def _bfs_to_better(g, start, goal, colors, cap):

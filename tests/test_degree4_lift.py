@@ -10,8 +10,6 @@ from kempe_edge.degree4_lift import (
     _bfs_to_better,
     _ComponentIndex,
     _equalize_search,
-    _gain,
-    _kempe_components,
     build_tower,
     lift_coloring,
     low_degree_equalize,
@@ -289,6 +287,36 @@ def test_low_degree_equalize_cubic_sweep():
 # with its own parent-link walk.
 
 
+def _kempe_components(g, state, colors):
+    """Yield (a, b, rep, edge ids) for every (a, b)-component of `state`.
+
+    The order is that of `backend.kempe_neighbor_moves(g, state, t,
+    colors)`: color pairs a < b ascending over `colors`, then components by
+    their least edge id `rep`: an ascending scan walks each component from
+    the first of its edges it meets, and only when it is reached.
+    """
+    cs = sorted(colors)
+    for i, a in enumerate(cs):
+        for b in cs[i + 1:]:
+            seen = bytearray(g.m)
+            for rep, c in enumerate(state):
+                if (c == a or c == b) and not seen[rep]:
+                    comp = backend.component_edges(g, state, a, b, rep)
+                    for e in comp:
+                        seen[e] = 1
+                    yield a, b, rep, comp
+
+
+def _gain(state, goal, a, b, comp):
+    """Change in agreement with `goal` when a and b swap on `comp`."""
+    gain = 0
+    for e in comp:
+        c = state[e]
+        want = goal[e]
+        gain += ((b if c == a else a) == want) - (c == want)
+    return gain
+
+
 def _old_agreement(state: bytes, goal: bytes) -> int:
     return sum(1 for a, b in zip(state, goal) if a == b)
 
@@ -485,11 +513,21 @@ def _search_instances(sizes, seeds):
                 )
 
 
-def _assert_index_matches_walk(index, g, goal, colors):
-    walk = list(_kempe_components(g, index.state, colors))
+def _fixable(state, goal, a, b, e):
+    """Edge e is colored a with goal b, or the reverse."""
+    c = state[e]
+    return (c == a or c == b) and goal[e] == a + b - c
+
+
+def _assert_index_is_sparse_walk(index, walk, g, goal):
+    """The index holds exactly the walk's components with a fixable edge,
+    each under its least edge id, with the walk's gaining set and first
+    gaining component."""
     expect = {p: {} for p in index.pairs}
     for a, b, rep, comp in walk:
-        expect[a, b][rep] = comp
+        if any(_fixable(index.state, goal, a, b, e) for e in comp):
+            assert rep == min(comp)
+            expect[a, b][rep] = comp
     for p in index.pairs:
         assert {r: sorted(c) for r, c in index.comps[p].items()} == {
             r: sorted(c) for r, c in expect[p].items()
@@ -500,8 +538,8 @@ def _assert_index_matches_walk(index, g, goal, colors):
                 owner[e] = r
         assert index.owner[p] == owner
         assert index.gaining[p] == {
-            r for r, comp in expect[p].items()
-            if _gain(index.state, goal, *p, comp) > 0
+            rep for a, b, rep, comp in walk
+            if (a, b) == p and _gain(index.state, goal, a, b, comp) > 0
         }
     first = next(
         (
@@ -515,26 +553,31 @@ def _assert_index_matches_walk(index, g, goal, colors):
 
 
 def test_component_index_matches_fresh_walk_after_every_swap():
-    """Swaps on the first gaining component and on random (also losing)
-    components keep the index equal to a fresh walk of the coloring."""
+    """Swaps on the first gaining component and on random components of a
+    fresh walk (also losing ones, and ones the index does not hold, which
+    the swap traces on demand) keep the index equal to the components of
+    a fresh walk that hold a fixable edge."""
     rng = random.Random(5)
-    swaps = 0
+    swaps = unindexed = 0
     for g, start, goal, colors, t in _search_instances((8, 10, 12), range(3)):
         index = _ComponentIndex(g, bytearray(start), goal, colors)
-        _assert_index_matches_walk(index, g, goal, colors)
-        for _ in range(25):
+        walk = list(_kempe_components(g, index.state, colors))
+        _assert_index_is_sparse_walk(index, walk, g, goal)
+        for _ in range(60):
             step = index.first_gaining()
-            if step is None or rng.random() < 0.5:
-                p = rng.choice([p for p in index.pairs if index.comps[p]])
-                step = (*p, rng.choice(sorted(index.comps[p])))
+            if step is None or rng.random() < 0.75:
+                step = rng.choice(walk)[:3]
+            unindexed += step[2] not in index.comps[step[0], step[1]]
             expect = bytearray(index.state)
             comp, _, _ = backend.trace_component(g, expect, *step)
             backend.swap_component(expect, comp, step[0], step[1])
             index.swap(*step)
             swaps += 1
             assert index.state == expect
-            _assert_index_matches_walk(index, g, goal, colors)
+            walk = list(_kempe_components(g, index.state, colors))
+            _assert_index_is_sparse_walk(index, walk, g, goal)
     assert swaps > 1000
+    assert unindexed > 1000
 
 
 def _reference_equalize_search(g, start, goal, colors, t, cap):
@@ -684,6 +727,54 @@ def test_component_index_swap_retraces_locally(monkeypatch):
                 assert traces[0] <= bound
                 worst = max(worst, traces[0] / bound)
     assert worst > 0
+
+
+def _phase2_instance(n, seed):
+    """A phase-2-shaped input: the cubic H = G - M(h, 1) of a 4-regular
+    graph, goal h restricted to H (colors 2..4 only; its 3- and 4-edges
+    form one Hamiltonian cycle) and a start over 2..5."""
+    g, h = random_regular4_class1(n, seed)
+    keep = [e for e in range(g.m) if h.colors[e] != 1]
+    sub = Graph(n, [g.edges[e] for e in keep])
+    start = bytes(c + 1 for c in _delta_plus_one_coloring(sub, seed).colors)
+    return sub, start, bytes(h.colors[e] for e in keep), (2, 3, 4, 5), 5
+
+
+def test_component_index_traces_only_components_with_a_fixable_edge(monkeypatch):
+    """Every trace the index makes at init or when it re-seeds after a
+    swap returns a component holding an edge fixable for its pair (colored
+    a with goal b, or the reverse).  Only a swap on a component the index
+    does not hold traces it on demand; that trace is on the swapped pair."""
+    trace = backend.component_edges
+    swapping = [None]
+    on_demand = [0]
+    seeded = [0]
+    goal = [None]
+
+    def checked(g, colors, a, b, e0):
+        comp = trace(g, colors, a, b, e0)
+        if swapping[0] == (a, b):
+            on_demand[0] += 1
+        else:
+            seeded[0] += 1
+            assert any(_fixable(colors, goal[0], a, b, e) for e in comp)
+        return comp
+
+    swap = _ComponentIndex.swap
+
+    def marked(index, a, b, rep):
+        swapping[0] = (a, b)
+        try:
+            swap(index, a, b, rep)
+        finally:
+            swapping[0] = None
+
+    instances = [*_search_instances((6, 8), range(6)), _phase2_instance(200, 1)]
+    monkeypatch.setattr(backend, "component_edges", checked)
+    monkeypatch.setattr(_ComponentIndex, "swap", marked)
+    for g, start, goal[0], colors, t in instances:
+        assert _replay(g, start, _search(g, start, goal[0], colors, t)) == goal[0]
+    assert seeded[0] > 0 and on_demand[0] > 0
 
 
 def _prism():

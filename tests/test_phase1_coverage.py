@@ -8,8 +8,13 @@ the list, so the list can only shrink.  It is empty: every such statement
 runs.
 """
 import collections
+import contextlib
+import inspect
+import tempfile
+from pathlib import Path
 
 import linetrace
+import pytest
 import test_golden_transcripts
 import test_regular4_core
 import test_regular4_deep_cases
@@ -37,6 +42,39 @@ def test_seeded_rare_branches_fire():
         assert not [key for key in branch if key not in ran], ((n, s), branch)
 
 
+def _call(test):
+    """Call a test function, passing the fixtures it takes: `monkeypatch`
+    from a fresh `pytest.MonkeyPatch` context and `tmp_path` as a fresh
+    temporary directory, both undone when the test returns."""
+    with contextlib.ExitStack() as stack:
+        kwargs = {}
+        for name in inspect.signature(test).parameters:
+            if name == "monkeypatch":
+                kwargs[name] = stack.enter_context(pytest.MonkeyPatch.context())
+            elif name == "tmp_path":
+                kwargs[name] = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+            else:
+                raise AssertionError(f"{test.__name__} takes {name!r}, which has no stand-in")
+        test(**kwargs)
+
+
+def test_call_passes_fixtures():
+    seen = []
+
+    def takes_both(monkeypatch, tmp_path):
+        monkeypatch.setattr(regular4_core, "CALL_PROBE", 1, raising=False)
+        seen.append((regular4_core.CALL_PROBE, tmp_path.is_dir()))
+
+    def takes_other(capsys):
+        pass
+
+    _call(takes_both)
+    assert seen == [(1, True)]
+    assert not hasattr(regular4_core, "CALL_PROBE")
+    with pytest.raises(AssertionError, match="takes_other takes 'capsys'"):
+        _call(takes_other)
+
+
 def _workload():
     for make, _ in test_golden_transcripts.GOLDEN.values():
         for _ in make():
@@ -44,7 +82,7 @@ def _workload():
     for module in (test_regular4_core, test_regular4_deep_cases):
         for name, test in sorted(vars(module).items()):
             if name.startswith("test_"):
-                test()
+                _call(test)
 
 
 def test_unexecuted_statements_are_pinned():
