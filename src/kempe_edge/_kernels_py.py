@@ -13,8 +13,7 @@ with the edges between them, for callers that read the path (the case
 machine's recorded moves, its side split and its path probes, and
 `graph_core.bicolored_subgraph`).  :func:`component_edges` returns only the
 edge set, for callers that swap or count a component without reading it:
-the search index, replay, transcript projection, `interchange` and
-single-edge recolors.
+the search index, replay, transcript projection and `interchange`.
 
 :func:`canonical_colorings` is the one backtracker over proper colorings,
 with its stack in lists, not Python frames; :func:`enumerate_proper` and the

@@ -30,7 +30,7 @@ from .graph_core import (
     is_acyclic,
     require_proper,
 )
-from .kempe_engine import Recorder, Transcript
+from .kempe_engine import Recorder, Transcript, palette_bits
 from .vizing_reduce import eliminate_via_fan
 
 
@@ -92,7 +92,7 @@ def _step_series(rec: Recorder, pivot: int, fan, big: int) -> int:
 def _eliminate_or_walk_target(rec: Recorder, pivot: int, e1: int, delta: int, note: str):
     """One fan attempt.  Returns None if eliminated, else the new walk vertex."""
     big = delta + 1
-    fan = eliminate_via_fan(rec, pivot, e1, range(1, delta + 1), note)
+    fan = eliminate_via_fan(rec, pivot, e1, palette_bits(delta), note)
     if fan is None:
         return None
     u_k = fan.leaves(rec.g)[-1]
@@ -104,7 +104,7 @@ def _eliminate_or_walk_target(rec: Recorder, pivot: int, e1: int, delta: int, no
 def _case_a(rec: Recorder, leaf: int, eid: int, delta: int) -> None:
     """Case A: clear the top color from eid by the fan elimination at `leaf`,
     an endpoint of eid that is a leaf of the max-degree subgraph."""
-    if eliminate_via_fan(rec, leaf, eid, range(1, delta + 1), "acyclic-A") is not None:
+    if eliminate_via_fan(rec, leaf, eid, palette_bits(delta), "acyclic-A") is not None:
         raise InternalInvariantError("case A elimination stuck")
 
 
@@ -143,14 +143,12 @@ def _walk(rec: Recorder, eid: int, delta: int, dgd) -> None:
     raise InternalInvariantError("walk exceeded the vertex count")
 
 
-def _round(rec: Recorder, delta: int, is_max, dgd) -> None:
-    """Clear at least one top-colored edge."""
+def _round(rec: Recorder, delta: int, is_max, dgd, target: int) -> None:
+    """Clear top-colored edges until at most `target` are left (the caller
+    passes one less than it has)."""
     g = rec.g
     big = delta + 1
-    target = rec.colors.count(big) - 1
     for _ in range(g.n + 4):
-        if rec.colors.count(big) <= target:
-            return
         big_edges = [eid for eid in range(g.m) if rec.colors[eid] == big]
         a_edges = []
         b1_edges = []
@@ -183,6 +181,8 @@ def _round(rec: Recorder, delta: int, is_max, dgd) -> None:
         if _eliminate_or_walk_target(rec, pivot, eid, delta, note) is None:
             return
         # top edge dragged onto a max-degree vertex; redispatch
+        if rec.colors.count(big) <= target:
+            return
     raise InternalInvariantError("case chain failed to reduce the top class")
 
 
@@ -212,9 +212,9 @@ def acyclic_reduce(g: Graph, f: EdgeColoring, stats: list | None = None):
     rec = Recorder(g, f)
     big = delta + 1
     budget = 10 * g.m * max(1, g.n)
-    while rec.colors.count(big) > 0:
-        before = rec.colors.count(big)
-        _round(rec, delta, is_max, dgd)
+    before = rec.colors.count(big)
+    while before > 0:
+        _round(rec, delta, is_max, dgd, before - 1)
         after = rec.colors.count(big)
         if after >= before:
             raise InternalInvariantError("round did not shrink the top class")
@@ -222,6 +222,7 @@ def acyclic_reduce(g: Graph, f: EdgeColoring, stats: list | None = None):
             stats.append((before, after))
         if len(rec.tr) > budget:
             raise InternalInvariantError("move budget exceeded (10*m*n)")
+        before = after
     rec.check_proper("after acyclic reduction")
     return EdgeColoring(delta, rec.colors), rec.tr
 

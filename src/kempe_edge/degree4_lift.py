@@ -13,7 +13,8 @@ inside the top component.
 
 The degree-at-most-3 equalizer is a certified search over the Kempe
 reconfiguration graph.  It works on the caller's `Recorder`, swapping its
-colors in place and recording every move in its transcript.  It keeps a
+colors in place through `Recorder.swap` (which keeps the recorder's color
+masks current) and recording every move in its transcript.  It keeps a
 sparse index of the coloring's two-colored components: only those holding
 a fixable edge (colored a with goal b, or the reverse) can gain agreement
 with the goal, so only those are traced, each scored by the agreement its
@@ -54,7 +55,7 @@ from .graph_core import (
     is_proper,
     require_proper,
 )
-from .kempe_engine import KempeMove, Recorder, Transcript, apply_transcript
+from .kempe_engine import KempeMove, Recorder, Transcript, _replay
 from .kernels import backend
 from .oracle import _meet_in_middle, _path_to
 
@@ -183,16 +184,18 @@ class _ComponentIndex:
     """The (a, b)-components that hold a fixable edge, for every color
     pair of the search, kept current through interchanges.
 
-    `state` is the caller's color list (or bytearray), swapped in place.
-    An edge is *fixable* for (a, b) when it is colored a with goal b, or
-    the reverse; only a component holding a fixable edge can raise the
-    agreement with `goal`, so only those are indexed (a pair's long cycles
-    that already agree with the goal are never traced).  Per pair: `owner`
-    maps an edge id to its indexed component's representative (least edge
-    id) and is -1 on every other edge, `comps` maps a representative to
-    the component's edge ids, `gaining` holds the representatives whose
-    interchange raises the agreement, and `heaps` holds them too, as a
-    min-heap with lazy deletion: a top not in `gaining` is stale.
+    It works on a :class:`Recorder`: `state` is the recorder's color list,
+    and every interchange goes through :meth:`Recorder.swap`, which keeps
+    the recorder's color masks current.  An edge is *fixable* for (a, b)
+    when it is colored a with goal b, or the reverse; only a component
+    holding a fixable edge can raise the agreement with `goal`, so only
+    those are indexed (a pair's long cycles that already agree with the
+    goal are never traced).  Per pair: `owner` maps an edge id to its
+    indexed component's representative (least edge id) and is -1 on every
+    other edge, `comps` maps a representative to the component's edge ids,
+    `gaining` holds the representatives whose interchange raises the
+    agreement, and `heaps` holds them too, as a min-heap with lazy
+    deletion: a top not in `gaining` is stale.
 
     An (a, b) interchange on C changes the fixability of C's edges only.
     It keeps every (a, b)-component and every pair that avoids a and b; on
@@ -204,9 +207,10 @@ class _ComponentIndex:
     old component meeting V(C) has no fixable edge off C.
     """
 
-    def __init__(self, g, state, goal, colors):
-        self.g = g
-        self.state = state
+    def __init__(self, rec, goal, colors):
+        self.rec = rec
+        self.g = g = rec.g
+        self.state = state = rec.colors
         self.goal = goal
         cs = sorted(colors)
         self.pairs = [(a, b) for i, a in enumerate(cs) for b in cs[i + 1:]]
@@ -287,7 +291,7 @@ class _ComponentIndex:
                 r = owner[e]
                 if r >= 0:
                     popped.extend(self._pop(p, r))
-        backend.swap_component(state, comp, a, b)
+        self.rec.swap(comp, a, b)
         goal = self.goal
         if any(goal[e] == a + b - state[e] for e in comp):
             self._add(a, b, comp)
@@ -328,20 +332,21 @@ def _equalize_search(rec: Recorder, goal: bytes, colors, note: str):
     """Carry the recorder's coloring to `goal` with interchanges over
     `colors`, recording each move with `note`; returns the moves (a, b, rep).
 
-    The index swaps `rec.colors` in place.  Each step takes the index's
-    first gaining component.  When none gains, `_bfs_to_better` looks for
-    the nearest better state among at most `_IMPROVE_BUDGET` states; when
-    it finds none, the exact search `oracle._meet_in_middle` runs to the
-    goal, storing at most `DEFAULT_SEARCH_BUDGET` states of m bytes each.
-    Every move's rep is its component's least edge id, so all of them are
-    applied through the index.
+    The index swaps `rec.colors` in place, through the recorder.  Each
+    step takes the index's first gaining component.  When none gains,
+    `_bfs_to_better` looks for the nearest better state among at most
+    `_IMPROVE_BUDGET` states; when it finds none, the exact search
+    `oracle._meet_in_middle` runs to the goal, storing at most
+    `DEFAULT_SEARCH_BUDGET` states of m bytes each.  Every move's rep is
+    its component's least edge id, so all of them are applied through the
+    index.
     """
     state = rec.colors
     if bytes(state) == goal:
         return []
     g = rec.g
     out = []
-    index = _ComponentIndex(g, state, goal, colors)
+    index = _ComponentIndex(rec, goal, colors)
     for _ in range(len(goal) * 4 + 8):
         step = index.first_gaining()
         if step is not None:
@@ -403,12 +408,16 @@ def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
     Above palette 5 the coloring is first reduced; irregular graphs are
     lifted through the doubling tower, solved 4-regularly on top, and the
     transcript projected straight back onto the input graph.  The 4-coloring h certifies
-    chi' = 4, so no chromatic index is computed."""
+    chi' = 4, so no chromatic index is computed.
+
+    f is checked once: here, or first thing in the reduction.  The final
+    replay of the transcript onto h starts from that checked f."""
     if g.max_degree() != 4:
         raise WrongMaxDegree(f"expected maximum degree 4, got {g.max_degree()}")
     if h.t != 4 or not is_proper(g, h):
         raise TargetNotProper4("target must be a proper 4-edge coloring")
-    require_proper(g, f)
+    if f.t <= 5:
+        require_proper(g, f)
     if f.t < 5:
         raise PaletteMismatch(f"working coloring must have palette >= 5, got {f.t}")
     from .regular4_core import theorem_4_1_transform
@@ -430,6 +439,6 @@ def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
             top_h = lift_coloring(tower, i, top_h)
         top_tr = theorem_4_1_transform(tower.levels[-1], top_f, top_h)
         tr.extend(project_transcript(tower, 0, cur, top_tr))
-    if apply_transcript(g, f, tr, check=False).colors != h.colors:
+    if _replay(g, list(f.colors), f.t, tr, check=False) != list(h.colors):
         raise InternalInvariantError("delta-4 transform terminated off target")
     return tr

@@ -7,14 +7,20 @@ trusting the producer.
 :class:`Recorder` is the one mutable coloring state of the transforms: it
 traces a two-colored component, swaps it and records the move.  Its
 :meth:`Recorder.path_from` reads "the (a, b)-path that starts at v", the
-Kempe chain the lemmas reason about, from one of its ends.  Every swap
-goes through ``backend.swap_component``.  A trace whose vertices are read
+Kempe chain the lemmas reason about, from one of its ends.  It keeps each
+vertex's colors as a bitmask, current through :meth:`Recorder.swap`, the
+one swap of the working coloring (moves, single-edge recolors and the
+search index all use it); :func:`interchange`, :func:`apply_transcript`
+and transcript projection swap their own color lists through
+``backend.swap_component``.  A trace whose vertices are read
 (:meth:`Recorder.apply` and :meth:`Recorder.path_from`) goes through the
 ordered ``backend.trace_component``; one that only swaps an edge set
-(:func:`interchange`, :func:`apply_transcript` and
-:meth:`Recorder.recolor_edge`) goes through ``backend.component_edges``.
-:func:`extend_fan` is the one fan engine, shared by :func:`grow_fan` and
-the palette reductions.
+(:func:`interchange` and :func:`apply_transcript`) goes through
+``backend.component_edges``.  A single-edge recolor traces nothing: on a
+proper coloring its component is the edge alone iff the new color is
+missing at both ends, which the masks answer.  :func:`extend_fan` is the
+one fan engine, shared by :func:`grow_fan` and the palette reductions; it
+reads every palette from the masks.
 """
 from __future__ import annotations
 
@@ -128,34 +134,52 @@ def involution_check(g: Graph, f: EdgeColoring, mv: KempeMove) -> bool:
     return interchange(g, interchange(g, f, mv), mv) == f
 
 
-def extend_fan(g: Graph, colors, pivot: int, first_edge: int, allowed, stop_colors):
+def color_masks(g: Graph, colors) -> list:
+    """Per vertex (index 1..n), the int with bit c set iff color c is on an
+    edge there."""
+    mask = [0] * (g.n + 1)
+    for (u, v), c in zip(g.edges, colors):
+        bit = 1 << c
+        mask[u] |= bit
+        mask[v] |= bit
+    return mask
+
+
+def palette_bits(k: int) -> int:
+    """The colors 1..k as a bitmask."""
+    return (1 << (k + 1)) - 2
+
+
+def least_color(bits: int) -> int:
+    """The least color of a nonempty bitmask color set."""
+    return (bits & -bits).bit_length() - 1
+
+
+def extend_fan(g: Graph, colors, mask, pivot: int, first_edge: int, allowed: int, stop: int):
     """The fan engine: grow a fan at `pivot` starting with `first_edge`.
 
-    Extension rule: among unused edges at the pivot whose color lies in
-    `allowed` and is missing at the current last leaf, take the lowest edge
-    id (determinism of emitted transcripts depends on this tie-break).
-    Growth stops at a maximal fan, or as soon as a color of `stop_colors` is
-    missing at the current leaf.  Returns (fan, the least such color or None).
+    `mask` holds each vertex's colors as bits (:func:`color_masks`);
+    `allowed` and `stop` are color sets as bitmasks.  Extension rule: among
+    unused edges at the pivot whose color lies in `allowed` and is missing
+    at the current last leaf, take the lowest edge id (determinism of
+    emitted transcripts depends on this tie-break).  Growth stops at a
+    maximal fan, or as soon as a color of `stop` is missing at the current
+    leaf.  Returns (fan, the least such color or None).
     """
     edges = [first_edge]
     used = {first_edge}
     leaf = g.other_end(first_edge, pivot)
     associated = []
     while True:
-        leaf_pal = frozenset(colors[eid] for _, eid in g.adj[leaf])
-        free = [c for c in stop_colors if c not in leaf_pal]
+        free = stop & ~mask[leaf]
         if free:
-            return Fan(pivot, tuple(edges), tuple(associated)), min(free)
-        cand = [
-            eid
-            for _, eid in g.adj[pivot]
-            if eid not in used
-            and colors[eid] in allowed
-            and colors[eid] not in leaf_pal
-        ]
-        if not cand:
+            return Fan(pivot, tuple(edges), tuple(associated)), least_color(free)
+        extend = allowed & ~mask[leaf]
+        for _, nxt in g.adj[pivot]:  # ascending edge ids
+            if extend >> colors[nxt] & 1 and nxt not in used:
+                break
+        else:
             return Fan(pivot, tuple(edges), tuple(associated)), None
-        nxt = min(cand)
         edges.append(nxt)
         used.add(nxt)
         associated.append(colors[nxt])
@@ -168,7 +192,8 @@ def grow_fan(g: Graph, f: EdgeColoring, pivot: int, first_edge: int) -> Fan:
     require_proper(g, f)
     if pivot not in g.edges[first_edge]:
         raise EdgeNotIncident(f"edge {first_edge} not incident to vertex {pivot}")
-    return extend_fan(g, f.colors, pivot, first_edge, range(1, f.t + 1), ())[0]
+    mask = color_masks(g, f.colors)
+    return extend_fan(g, f.colors, mask, pivot, first_edge, palette_bits(f.t), 0)[0]
 
 
 def check_fan(g: Graph, f: EdgeColoring, fan: Fan) -> None:
@@ -229,9 +254,15 @@ def apply_transcript(
     kernel's vertex list, so a faulty kernel cannot hide a clash.
     """
     require_proper(g, f, "starting coloring")
-    colors = list(f.colors)
+    return EdgeColoring(f.t, _replay(g, list(f.colors), f.t, tr, check))
+
+
+def _replay(g: Graph, colors: list, t: int, tr: Transcript, check: bool) -> list:
+    """The replay loop of :func:`apply_transcript`, on `colors` (palette
+    1..t) in place, which the caller has already checked; returns
+    `colors`."""
     for i, mv in enumerate(tr.moves):
-        if not (1 <= mv.a <= f.t and 1 <= mv.b <= f.t):
+        if not (1 <= mv.a <= t and 1 <= mv.b <= t):
             raise InvalidMoveAtIndex(i, f"colors ({mv.a},{mv.b}) outside palette")
         if not (0 <= mv.rep_edge < g.m):
             raise InvalidMoveAtIndex(i, f"edge {mv.rep_edge} out of range")
@@ -251,7 +282,7 @@ def apply_transcript(
                     f"intermediate coloring not proper at vertex {v}: "
                     f"color {c} on edges {e1} and {e2}",
                 )
-    return EdgeColoring(f.t, colors)
+    return colors
 
 
 def _clash_at_endpoints(g, colors, edge_ids):
@@ -324,23 +355,25 @@ class Recorder:
     move.  Moves applied here skip the full properness re-validation (the
     structural argument keeps intermediates proper); the emitted transcript
     is meant to be re-verified through apply_transcript.
+
+    `mask[v]` holds the colors at vertex v as bits (bit c set iff color c
+    is on an edge at v), so a palette question is one int operation.
+    Every change of `colors` goes through :meth:`swap`, which keeps the
+    masks current: :meth:`apply`, :meth:`recolor_edge` and the search
+    equalizer's component index all swap through it.
     """
 
-    __slots__ = ("g", "colors", "t", "tr")
+    __slots__ = ("g", "colors", "t", "tr", "mask")
 
     def __init__(self, g: Graph, f: EdgeColoring):
         self.g = g
         self.colors = list(f.colors)
         self.t = f.t
         self.tr = Transcript()
+        self.mask = color_masks(g, self.colors)
 
     def coloring(self) -> EdgeColoring:
         return EdgeColoring(self.t, self.colors)
-
-    def palette(self, v: int) -> frozenset:
-        return frozenset(
-            self.colors[eid] for _, eid in self.g.adj[v]
-        )
 
     def edge_with_color(self, v: int, c: int) -> int:
         for _, eid in self.g.adj[v]:
@@ -376,21 +409,40 @@ class Recorder:
                 f"rep edge {rep_edge} colored {self.colors[rep_edge]}, move ({a},{b})"
             )
         edge_ids, verts, is_cycle = self.component(a, b, rep_edge)
-        backend.swap_component(self.colors, edge_ids, a, b)
+        self.swap(edge_ids, a, b)
         self.tr.append(KempeMove(a, b, rep_edge), note)
         return edge_ids, verts, is_cycle
 
+    def swap(self, edge_ids, a: int, b: int) -> None:
+        """Interchange a and b on the edges of one (a, b)-component, in
+        place, keeping `mask` current.
+
+        Each edge flips bits a and b at both ends.  A vertex inside the
+        component has one a- and one b-edge of it, so its bits flip twice
+        and stand; at a path end the bit moves from one color to the other,
+        which the proper coloring leaves free there.
+        """
+        colors, mask, edges = self.colors, self.mask, self.g.edges
+        flip = (1 << a) | (1 << b)
+        for e in edge_ids:
+            colors[e] = b if colors[e] == a else a
+            u, v = edges[e]
+            mask[u] ^= flip
+            mask[v] ^= flip
+
     def recolor_edge(self, eid: int, new_color: int, note: Optional[str] = None):
-        """Interchange whose component must be exactly {eid} (asserted)."""
+        """Interchange whose component must be exactly {eid} (asserted): on
+        a proper coloring, `new_color` must be missing at both ends."""
         old = self.colors[eid]
         if old == new_color:
             raise InternalInvariantError(f"edge {eid} already colored {new_color}")
-        edge_ids = backend.component_edges(self.g, self.colors, old, new_color, eid)
-        if edge_ids != [eid]:
+        u, v = self.g.edges[eid]
+        if (self.mask[u] | self.mask[v]) >> new_color & 1:
             raise InternalInvariantError(
-                f"{note}: single-edge recolor of {eid} hit component {edge_ids}"
+                f"{note}: single-edge recolor of {eid} to {new_color}: "
+                "the color is at an endpoint"
             )
-        self.colors[eid] = new_color
+        self.swap((eid,), old, new_color)
         self.tr.append(KempeMove(old, new_color, eid), note)
 
     def downshift(self, fan_edges, free_color: int, note: Optional[str] = None):

@@ -181,7 +181,7 @@ class _Work(Recorder):
         return self.colors[eid] == 1 and self.h1_mask[eid] == 1
 
     def has_color1(self, v: int) -> bool:
-        return self.edge_with_color(v, 1) >= 0
+        return bool(self.mask[v] >> 1 & 1)
 
 
 def _checked_work(g: Graph, f: EdgeColoring, h: EdgeColoring | None) -> _Work:

@@ -10,37 +10,37 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError, PaletteTooSmall
 from .graph_core import EdgeColoring, Graph, require_proper
-from .kempe_engine import Fan, Recorder, extend_fan
+from .kempe_engine import Fan, Recorder, extend_fan, least_color, palette_bits
 
 
-def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) -> Fan | None:
-    """Recolor e1 (whose color is outside `allowed`) using colors in `allowed`.
+def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed: int, note: str) -> Fan | None:
+    """Recolor e1 (whose color is outside `allowed`, a bitmask color set)
+    using colors in `allowed`.
 
     Returns None once the offending color is cleared from e1, or the grown
     fan (no move applied) when its last leaf misses no allowed color; the
     caller then walks toward a better pivot.
     """
-    g = rec.g
-    allowed = frozenset(allowed)
-    if rec.colors[e1] in allowed:
+    g, mask = rec.g, rec.mask
+    if allowed >> rec.colors[e1] & 1:
         raise InternalInvariantError("edge to eliminate already inside palette")
     # grow until an allowed color is missing at the pivot and the last leaf
-    pivot_missing = sorted(allowed - rec.palette(pivot))
-    fan, sat_color = extend_fan(g, rec.colors, pivot, e1, allowed, pivot_missing)
+    pivot_missing = allowed & ~mask[pivot]
+    fan, sat_color = extend_fan(g, rec.colors, mask, pivot, e1, allowed, pivot_missing)
+    if sat_color is not None:
+        # saturated prefix: straight downshift
+        rec.downshift(fan.edges, sat_color, note)
+        return None
     edges = list(fan.edges)
     leaves = list(fan.leaves(g))
     k = len(edges)
     u_k = leaves[-1]
-    if sat_color is not None:
-        # saturated prefix: straight downshift
-        rec.downshift(edges, sat_color, note)
-        return None
-    missing_allowed = sorted(allowed - rec.palette(u_k))
+    missing_allowed = allowed & ~mask[u_k]
     if not missing_allowed:
         return fan
     # unsaturated maximal fan: every allowed color missing at the last leaf
     # appears at the pivot, necessarily on a fan edge
-    c_next = missing_allowed[0]
+    c_next = least_color(missing_allowed)
     pivot_edge = rec.edge_with_color(pivot, c_next)
     if pivot_edge < 0:
         raise InternalInvariantError("unsaturated fan with a free pivot color")
@@ -56,7 +56,7 @@ def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed, note: str) ->
         raise InternalInvariantError("pivot sees every allowed color")
     # extend_fan found no pivot-missing color free at u_k, so c0 is there;
     # walk the (c0, c_next) path from u_k and split on where it lands
-    c0 = pivot_missing[0]
+    c0 = least_color(pivot_missing)
     rep, path = rec.path_from(u_k, c0, c_next)
     vset = set(path)
     u_j1 = leaves[idx]      # u_{j+1}: far end of the repeated fan edge
@@ -85,17 +85,23 @@ def reduce_to_delta_plus_one(g: Graph, f: EdgeColoring):
     if f.t <= delta + 1:
         raise PaletteTooSmall(f"palette {f.t} <= Delta+1 = {delta + 1}")
     rec = Recorder(g, f)
-    allowed = range(1, delta + 2)
+    allowed = palette_bits(delta + 1)
+    # an elimination moves only allowed colors besides e1's c_top, and the
+    # c_top class loses exactly e1 (checked below), so the buckets, filled
+    # once, stay each top color's offenders in ascending id order
+    offenders = {c: [] for c in range(delta + 2, f.t + 1)}
+    for eid, c in enumerate(rec.colors):
+        if c > delta + 1:
+            offenders[c].append(eid)
     for c_top in range(f.t, delta + 1, -1):
-        # each elimination removes exactly its own edge from the c_top class
-        # (checked below), so the rest stay offenders in ascending id order
-        offenders = [eid for eid in range(g.m) if rec.colors[eid] == c_top]
-        for eid in offenders:
+        for eid in offenders[c_top]:
             pivot = g.edges[eid][0]  # canonical u < v: lower endpoint
             first = len(rec.tr)
             if eliminate_via_fan(rec, pivot, eid, allowed, f"vizing-fan:{c_top}") is not None:
                 raise InternalInvariantError("fan elimination stuck below Delta+1")
             _check_left_top_color(rec, eid, c_top, first)
+    if max(rec.colors, default=0) > delta + 1:
+        raise InternalInvariantError("a color above Delta+1 survived the reduction")
     rec.check_proper("after palette reduction")
     return EdgeColoring(delta + 1, rec.colors), rec.tr
 
@@ -115,7 +121,7 @@ def _check_left_top_color(rec: Recorder, e1: int, c_top: int, first: int) -> Non
             f"elimination of edge {e1} moved color {c_top} on other edges"
         )
     for v in rec.g.edges[e1]:
-        if c_top in rec.palette(v):
+        if rec.mask[v] >> c_top & 1:
             raise InternalInvariantError(
                 f"color {c_top} still at vertex {v} after eliminating edge {e1}"
             )

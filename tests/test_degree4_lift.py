@@ -18,6 +18,7 @@ from kempe_edge.degree4_lift import (
 )
 from kempe_edge.errors import (
     EdgeOutOfRange,
+    NotProper,
     PaletteMismatch,
     PreconditionViolated,
     ProjectionMismatch,
@@ -560,7 +561,7 @@ def test_component_index_matches_fresh_walk_after_every_swap():
     rng = random.Random(5)
     swaps = unindexed = 0
     for g, start, goal, colors, t in _search_instances((8, 10, 12), range(3)):
-        index = _ComponentIndex(g, bytearray(start), goal, colors)
+        index = _ComponentIndex(Recorder(g, EdgeColoring(t, start)), goal, colors)
         walk = list(_kempe_components(g, index.state, colors))
         _assert_index_is_sparse_walk(index, walk, g, goal)
         for _ in range(60):
@@ -568,7 +569,7 @@ def test_component_index_matches_fresh_walk_after_every_swap():
             if step is None or rng.random() < 0.75:
                 step = rng.choice(walk)[:3]
             unindexed += step[2] not in index.comps[step[0], step[1]]
-            expect = bytearray(index.state)
+            expect = list(index.state)
             comp, _, _ = backend.trace_component(g, expect, *step)
             backend.swap_component(expect, comp, step[0], step[1])
             index.swap(*step)
@@ -717,7 +718,8 @@ def test_component_index_swap_retraces_locally(monkeypatch):
         for colors, shift in (((1, 2, 3, 4), 0), ((2, 3, 4, 5), 1)):
             start = bytes(c + shift for c in _delta_plus_one_coloring(g, seed).colors)
             goal = bytes(c + shift for c in _delta_plus_one_coloring(g, seed + 1).colors)
-            index = _ComponentIndex(g, bytearray(start), goal, colors)
+            rec = Recorder(g, EdgeColoring(colors[-1], start))
+            index = _ComponentIndex(rec, goal, colors)
             while (step := index.first_gaining()) is not None:
                 comp = index.comps[step[0], step[1]][step[2]]
                 verts = {v for e in comp for v in g.edges[e]}
@@ -806,6 +808,34 @@ def test_transform_delta4_rejects_its_inputs():
         transform_delta4(g, f5, EdgeColoring(5, h4.colors))
     with pytest.raises(PaletteMismatch):
         transform_delta4(g, f4, h4)
+
+
+def test_transform_delta4_checks_each_coloring_once(monkeypatch):
+    """On a 4-regular graph the properness kernel runs 5 times from
+    palette 7 (h; f and the reduced coloring in the reduction; the reduced
+    coloring and h again in the case machine) and 4 times from palette 5
+    (h and f, then both in the case machine); the final replay onto h
+    starts from the checked f.  An improper f is NotProper either way."""
+    calls = [0]
+    is_proper_kernel = backend.is_proper
+
+    def counting(g, colors):
+        calls[0] += 1
+        return is_proper_kernel(g, colors)
+
+    monkeypatch.setattr(backend, "is_proper", counting)
+    g, h = random_regular4_class1(24, 1)
+    for t, expect in ((7, 5), (5, 4)):
+        f = random_proper_coloring(g, t, 3)
+        calls[0] = 0
+        tr = transform_delta4(g, f, h)
+        assert calls[0] == expect
+        assert apply_transcript(g, f, tr, check=True).colors == h.colors
+        bad = list(f.colors)
+        u, v = g.edges[0]
+        bad[0] = next(f.colors[e] for _, e in g.adj[u] if e != 0)
+        with pytest.raises(NotProper):
+            transform_delta4(g, EdgeColoring(t, bad), h)
 
 
 def test_lift_coloring_rejects_another_levels_coloring():

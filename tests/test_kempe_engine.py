@@ -30,6 +30,7 @@ from kempe_edge.kempe_engine import (
     Transcript,
     apply_transcript,
     downshift,
+    extend_fan,
     format_transcript,
     grow_fan,
     interchange,
@@ -86,6 +87,103 @@ def test_path_from_reads_a_path_from_either_end():
     with pytest.raises(InternalInvariantError, match="is a cycle"):
         ring.path_from(1, 1, 2)
     assert len(rec.tr) == len(ring.tr) == 0
+
+
+def test_recolor_edge_refuses_a_color_at_an_endpoint():
+    """A single-edge recolor to a color already at an endpoint would swap
+    a longer component: it raises and leaves the colors, the masks and the
+    transcript as they were."""
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    rec = Recorder(g, EdgeColoring(3, [1, 2, 1]))
+    rec.recolor_edge(0, 3)  # 3 is free at 1 and 2
+    before = (list(rec.colors), list(rec.mask), list(rec.tr.moves))
+    # 2 at vertex 2 (edge 1), 3 at vertex 2 (edge 0), 1 and 2 at vertex 3
+    for eid, c in ((0, 2), (1, 3), (1, 1), (2, 2)):
+        with pytest.raises(InternalInvariantError, match="at an endpoint"):
+            rec.recolor_edge(eid, c)
+        assert (rec.colors, rec.mask, rec.tr.moves) == before
+    assert rec.colors == [3, 2, 1]
+
+
+def _recounted_masks(rec):
+    """Per vertex, the bits of the colors at it, read off `rec.colors`."""
+    mask = [0] * (rec.g.n + 1)
+    for (u, v), c in zip(rec.g.edges, rec.colors):
+        mask[u] |= 1 << c
+        mask[v] |= 1 << c
+    return mask
+
+
+def _random_move(rng, rec, colors):
+    """One random interchange, recolor or fan downshift within `colors`,
+    chosen from a recount, not from the masks under test.  Returns the
+    kind of move made, or None when the drawn recolor or fan had no free
+    color."""
+    g = rec.g
+    mask = _recounted_masks(rec)
+    kind = rng.choice(("apply", "recolor", "downshift"))
+    eid = rng.randrange(g.m)
+    old = rec.colors[eid]
+    if kind == "apply":
+        other = rng.choice([c for c in colors if c != old])
+        rec.apply(old, other, eid, "random")
+        return kind
+    u, v = g.edges[eid]
+    if kind == "recolor":
+        free = [c for c in colors if not (mask[u] | mask[v]) >> c & 1]
+        if not free:
+            return None
+        rec.recolor_edge(eid, rng.choice(free), "random")
+        return kind
+    pivot = rng.choice((u, v))
+    bits = sum(1 << c for c in colors)
+    fan, _ = extend_fan(g, rec.colors, mask, pivot, eid, bits, 0)
+    leaves = fan.leaves(g)
+    for k in range(len(fan.edges), 0, -1):
+        free = [c for c in colors if not (mask[pivot] | mask[leaves[k - 1]]) >> c & 1]
+        if free:
+            rec.downshift(fan.edges[:k], free[0], "random")
+            return kind
+    return None
+
+
+def test_masks_match_a_recount_after_every_move():
+    """On a plain Recorder and on the case machine's _Work, random
+    interchanges, recolors and fan downshifts, then a full search
+    equalizer run through its component index, keep every vertex's mask
+    equal to a recount from the colors, after every swap and every move."""
+    from test_degree4_lift import _search_instances
+
+    from kempe_edge.degree4_lift import _equalize_search
+    from kempe_edge.regular4_core import _Work
+
+    swaps = [0]
+    swap = Recorder.swap
+
+    def checked(rec, edge_ids, a, b):
+        swap(rec, edge_ids, a, b)
+        assert rec.mask == _recounted_masks(rec)
+        swaps[0] += 1
+
+    rng = random.Random(11)
+    made = {"apply": 0, "recolor": 0, "downshift": 0}
+    searched = 0
+    with mock.patch.object(Recorder, "swap", checked):
+        for g, start, goal, colors, t in _search_instances((8, 10), range(2)):
+            f = EdgeColoring(t, start)
+            for rec in (Recorder(g, f), _Work(g, f, EdgeColoring(t, goal))):
+                assert rec.mask == _recounted_masks(rec)
+                for _ in range(20):
+                    kind = _random_move(rng, rec, colors)
+                    if kind is not None:
+                        made[kind] += 1
+                    assert rec.mask == _recounted_masks(rec)
+                before = swaps[0]
+                _equalize_search(rec, goal, colors, "search")
+                assert bytes(rec.colors) == goal
+                assert rec.mask == _recounted_masks(rec)
+                searched += swaps[0] > before
+    assert min(made.values()) > 50 and searched > 20
 
 
 def test_involution_sweep_random():

@@ -87,3 +87,21 @@ def test_top_color_check_rejects_a_move_that_spreads_it():
     rec.recolor_edge(2, 2)
     with pytest.raises(InternalInvariantError):
         _check_left_top_color(rec, 0, 5, 0)
+
+
+def test_reduction_refuses_a_color_left_above_delta_plus_one(monkeypatch):
+    """Each top color's offenders are collected once, before any move, so
+    an elimination that moved an edge into a lower top class after its
+    turn would leave it there; the final check names that fault."""
+    from kempe_edge import vizing_reduce
+
+    def misplace(rec, pivot, e1, allowed, note):
+        # the 7-edge drops into class 6, which was collected already; the
+        # 6-edge leaves for color 3
+        rec.swap((e1,), rec.colors[e1], 6 if rec.colors[e1] == 7 else 3)
+
+    monkeypatch.setattr(vizing_reduce, "eliminate_via_fan", misplace)
+    monkeypatch.setattr(vizing_reduce, "_check_left_top_color", lambda *args: None)
+    star = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    with pytest.raises(InternalInvariantError, match="above Delta"):
+        reduce_to_delta_plus_one(star, EdgeColoring(7, [1, 2, 6, 7]))
