@@ -10,17 +10,19 @@ traces a two-colored component, swaps it and records the move.  Its
 Kempe chain the lemmas reason about, from one of its ends.  It keeps each
 vertex's colors as a bitmask, current through :meth:`Recorder.swap`, the
 one swap of the working coloring (moves, single-edge recolors and the
-search index all use it); :func:`interchange`, :func:`apply_transcript`
-and transcript projection swap their own color lists through
-``backend.swap_component``.  A trace whose vertices are read
+search index all use it).  :func:`apply_transcript` keeps the same masks
+over its own color list and checks each recolored edge end in O(1);
+:func:`interchange` and transcript projection swap their color lists
+through ``backend.swap_component``.  A trace whose vertices are read
 (:meth:`Recorder.apply` and :meth:`Recorder.path_from`) goes through the
 ordered ``backend.trace_component``; one that only swaps an edge set
 (:func:`interchange` and :func:`apply_transcript`) goes through
-``backend.component_edges``.  A single-edge recolor traces nothing: on a
-proper coloring its component is the edge alone iff the new color is
-missing at both ends, which the masks answer.  :func:`extend_fan` is the
-one fan engine, shared by :func:`grow_fan` and the palette reductions; it
-reads every palette from the masks.
+``backend.component_edges``.  A single-edge move traces nothing, in the
+Recorder and in replay alike: on a proper coloring its component is the
+edge alone iff the other color is missing at both ends, which the masks
+answer.  :func:`extend_fan` is the one fan engine, shared by
+:func:`grow_fan` and the palette reductions; it reads every palette from
+the masks.
 """
 from __future__ import annotations
 
@@ -245,13 +247,18 @@ def apply_transcript(
 ) -> EdgeColoring:
     """Replay a transcript.  Fails atomically on the first invalid move.
 
-    The starting coloring is always checked in full.  With check=True
-    (verification mode) each move is then checked at the endpoints of the
-    edges it recolored: no two edges at such a vertex may share a color.
-    That is as strong as a full properness check after every move, because
-    the coloring before the move was proper and any new clash involves a
+    The starting coloring is always checked in full.  The replay then keeps
+    each vertex's colors as a bitmask (:func:`color_masks`).  A move whose
+    other color is at neither end of its rep edge recolors that edge alone
+    and traces nothing; any other move swaps the edge set of
+    ``backend.component_edges``.  With check=True (verification mode) each
+    move is checked at both ends of every edge it recolored, in O(1) per
+    end: no two edges at such a vertex may share a color.  That is as
+    strong as a full properness check after every move, because the
+    coloring before the move was proper and any new clash involves a
     recolored edge.  The endpoints come from the graph, not from the
-    kernel's vertex list, so a faulty kernel cannot hide a clash.
+    kernel's vertex list, so a faulty kernel cannot hide a clash; an edge
+    set that lists an edge twice is rejected too.
     """
     require_proper(g, f, "starting coloring")
     return EdgeColoring(f.t, _replay(g, list(f.colors), f.t, tr, check))
@@ -260,29 +267,70 @@ def apply_transcript(
 def _replay(g: Graph, colors: list, t: int, tr: Transcript, check: bool) -> list:
     """The replay loop of :func:`apply_transcript`, on `colors` (palette
     1..t) in place, which the caller has already checked; returns
-    `colors`."""
+    `colors`.
+
+    `mask` is exact while `exact` holds: each vertex's bits are the colors
+    at it, one edge each.  A recolored edge first clears its old bit at
+    both ends, then sets its new one; a bit already set means two edges
+    there now share that color.  With check=False such a move is let
+    through, and since the masks no longer answer "which component is
+    this", every later move goes through the kernel.
+    """
+    edges, m = g.edges, g.m
+    mask = color_masks(g, colors)
+    exact = True
     for i, mv in enumerate(tr.moves):
-        if not (1 <= mv.a <= t and 1 <= mv.b <= t):
-            raise InvalidMoveAtIndex(i, f"colors ({mv.a},{mv.b}) outside palette")
-        if not (0 <= mv.rep_edge < g.m):
-            raise InvalidMoveAtIndex(i, f"edge {mv.rep_edge} out of range")
-        if colors[mv.rep_edge] not in (mv.a, mv.b):
-            raise InvalidMoveAtIndex(
-                i,
-                f"edge {mv.rep_edge} colored {colors[mv.rep_edge]}, move is ({mv.a},{mv.b})",
-            )
-        edge_ids = backend.component_edges(g, colors, mv.a, mv.b, mv.rep_edge)
-        backend.swap_component(colors, edge_ids, mv.a, mv.b)
-        if check:
-            clash = _clash_at_endpoints(g, colors, edge_ids)
-            if clash is not None:
-                v, c, e1, e2 = clash
-                raise InvalidMoveAtIndex(
-                    i,
-                    f"intermediate coloring not proper at vertex {v}: "
-                    f"color {c} on edges {e1} and {e2}",
-                )
+        a, b, rep = mv.a, mv.b, mv.rep_edge
+        if not (1 <= a <= t and 1 <= b <= t):
+            raise InvalidMoveAtIndex(i, f"colors ({a},{b}) outside palette")
+        if not (0 <= rep < m):
+            raise InvalidMoveAtIndex(i, f"edge {rep} out of range")
+        c = colors[rep]
+        if c != a and c != b:
+            raise InvalidMoveAtIndex(i, f"edge {rep} colored {c}, move is ({a},{b})")
+        other = b if c == a else a
+        u, v = edges[rep]
+        if exact and not (mask[u] | mask[v]) >> other & 1:
+            # the component is rep alone, and `other` is free at both ends
+            flip = 1 << c | 1 << other
+            mask[u] ^= flip
+            mask[v] ^= flip
+            colors[rep] = other
+            continue
+        edge_ids = backend.component_edges(g, colors, a, b, rep)
+        for e in edge_ids:
+            c = colors[e]
+            u, v = edges[e]
+            off = ~(1 << c)
+            mask[u] &= off
+            mask[v] &= off
+            colors[e] = b if c == a else a
+        if not exact:
+            continue
+        for e in edge_ids:
+            bit = 1 << colors[e]
+            u, v = edges[e]
+            if (mask[u] | mask[v]) & bit:
+                if check:
+                    raise _clash_error(g, colors, edge_ids, i, e)
+                exact = False
+                break
+            mask[u] |= bit
+            mask[v] |= bit
     return colors
+
+
+def _clash_error(g, colors, edge_ids, i: int, e: int) -> InvalidMoveAtIndex:
+    """The error for move `i`, whose recolored edge `e` found its new color
+    already set at an end.  With exact masks beforehand that is a real clash
+    at an end of `edge_ids`, unless the edge set lists `e` twice."""
+    clash = _clash_at_endpoints(g, colors, edge_ids)
+    if clash is None:
+        return InvalidMoveAtIndex(i, f"component edge set lists edge {e} twice")
+    v, c, e1, e2 = clash
+    return InvalidMoveAtIndex(
+        i, f"intermediate coloring not proper at vertex {v}: color {c} on edges {e1} and {e2}"
+    )
 
 
 def _clash_at_endpoints(g, colors, edge_ids):

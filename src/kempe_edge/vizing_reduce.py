@@ -115,8 +115,16 @@ def _check_left_top_color(rec: Recorder, e1: int, c_top: int, first: int) -> Non
     more than e1, an edge adjacent to e1 would have taken c_top, and the
     moves that avoid c_top leave the class as it was.
     """
-    top_moves = [mv for mv in rec.tr.moves[first:] if c_top in (mv.a, mv.b)]
-    if len(top_moves) != 1 or top_moves[0].rep_edge != e1:
+    moves = rec.tr.moves
+    top_moves, on_e1 = 0, False
+    for k in range(first, len(moves)):
+        mv = moves[k]
+        if mv.a == c_top or mv.b == c_top:
+            top_moves += 1
+            if top_moves == 2:
+                break
+            on_e1 = mv.rep_edge == e1
+    if top_moves != 1 or not on_e1:
         raise InternalInvariantError(
             f"elimination of edge {e1} moved color {c_top} on other edges"
         )

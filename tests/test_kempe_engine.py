@@ -376,6 +376,35 @@ def _drop_last_edge(real):
     return trace
 
 
+def _list_twice(real):
+    """A faulty component_edges: lists every edge of a multi-edge component
+    twice, so a swap that trusts the list flips each edge back."""
+
+    def trace(g, colors, a, b, e0):
+        edge_ids = real(g, colors, a, b, e0)
+        return list(edge_ids) * 2 if len(edge_ids) >= 2 else edge_ids
+
+    return trace
+
+
+def _add_foreign_edge(real):
+    """A faulty component_edges: adds the least edge that touches a
+    multi-edge component without being in it."""
+
+    def trace(g, colors, a, b, e0):
+        edge_ids = real(g, colors, a, b, e0)
+        if len(edge_ids) < 2:
+            return edge_ids
+        touching = {e for x in edge_ids for v in g.edges[x] for _, e in g.adj[v]}
+        return list(edge_ids) + sorted(touching - set(edge_ids))[:1]
+
+    return trace
+
+
+# the faulty kernels by name; True is the partial swap
+_FAULTY = {True: _drop_last_edge, "repeat-edge": _list_twice, "foreign-edge": _add_foreign_edge}
+
+
 def _replay_full_check(g, f, tr):
     """Reference replay: a full-graph properness scan after every move."""
     colors = list(f.colors)
@@ -492,13 +521,204 @@ def _graph_coloring_moves(draw):
     return g, f, Transcript(moves)
 
 
-@pytest.mark.parametrize("faulty", [False, True])
+@pytest.mark.parametrize("faulty", [False, True, "repeat-edge", "foreign-edge"])
 @settings(max_examples=150, deadline=None, database=None)
 @given(case=_graph_coloring_moves())
 def test_local_check_agrees_with_full_check(faulty, case):
+    """With the real kernel, a partial swap or a foreign edge, the replay
+    rejects at the same index as a full scan after every move, or accepts
+    the same coloring.  An edge set that lists each edge twice is a no-op
+    to the full scan; the replay may reject it, but never accepts a
+    coloring the full scan rejects."""
     g, f, tr = case
     trace = backend.component_edges
     if faulty:
-        trace = _drop_last_edge(trace)
+        trace = _FAULTY[faulty](trace)
     with mock.patch.object(backend, "component_edges", trace):
-        assert _outcome(apply_transcript, g, f, tr) == _outcome(_replay_full_check, g, f, tr)
+        ours = _outcome(apply_transcript, g, f, tr)
+        full = _outcome(_replay_full_check, g, f, tr)
+    if faulty != "repeat-edge":
+        assert ours == full
+    elif ours[0] == "ok":
+        assert ours == full
+    elif full[0] == "rejected":
+        assert ours[1] <= full[1]
+
+
+def test_apply_transcript_rejects_an_edge_listed_twice():
+    """A kernel that lists a component's edges twice makes the swap a
+    no-op, which a full properness scan accepts; the replay rejects it."""
+    g = Graph(3, [(1, 2), (2, 3)])
+    f = EdgeColoring(3, [1, 2])
+    tr = Transcript([KempeMove(1, 2, 0)])
+    assert apply_transcript(g, f, tr) == EdgeColoring(3, [2, 1])
+    with mock.patch.object(backend, "component_edges", _list_twice(backend.component_edges)):
+        assert _replay_full_check(g, f, tr) == f
+        assert apply_transcript(g, f, tr, check=False) == f
+        with pytest.raises(InvalidMoveAtIndex) as exc:
+            apply_transcript(g, f, tr)
+    assert exc.value.index == 0
+    assert exc.value.reason == "component edge set lists edge 0 twice"
+
+
+def _counting(real, calls):
+    def trace(g, colors, a, b, e0):
+        calls.append(e0)
+        return real(g, colors, a, b, e0)
+
+    return trace
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_single_edge_moves_trace_nothing(check):
+    """Single-edge recolors replay without one kernel call; each move of a
+    longer component calls it once."""
+    rng = random.Random(3)
+    replayed = 0
+    for seed in range(30):
+        g = random_graph(rng.randint(5, 10), 0.5, seed + 500)
+        if g.m < 2:
+            continue
+        t = g.max_degree() + 2
+        f = random_proper_coloring(g, t, seed)
+        rec = Recorder(g, f)
+        colors = range(1, t + 1)
+        for _ in range(15):
+            mask = _recounted_masks(rec)
+            eid = rng.randrange(g.m)
+            u, v = g.edges[eid]
+            free = [c for c in colors if not (mask[u] | mask[v]) >> c & 1]
+            if free:
+                rec.recolor_edge(eid, rng.choice(free), "recolor")
+        calls = []
+        with mock.patch.object(backend, "component_edges", _counting(backend.component_edges, calls)):
+            assert apply_transcript(g, f, rec.tr, check=check) == rec.coloring()
+        assert calls == []
+        replayed += len(rec.tr) > 5
+    assert replayed >= 20
+    # a (1, 2)-path of three edges and a single 1-edge, at palette 3
+    g = Graph(6, [(1, 2), (2, 3), (3, 4), (5, 6)])
+    f = EdgeColoring(3, [1, 2, 1, 1])
+    tr = Transcript([KempeMove(1, 2, 1), KempeMove(1, 3, 3), KempeMove(2, 1, 0)])
+    calls = []
+    with mock.patch.object(backend, "component_edges", _counting(backend.component_edges, calls)):
+        assert apply_transcript(g, f, tr, check=check) == EdgeColoring(3, [1, 2, 1, 3])
+    assert calls == [1, 0]
+
+
+def test_replay_masks_match_a_recount_after_every_move():
+    """The replay's masks equal a recount from its colors after every move
+    of seeded random transcripts (interchanges, recolors, downshifts)."""
+    from kempe_edge import kempe_engine
+
+    made = []
+    real = kempe_engine.color_masks
+
+    def kept(g, colors):
+        made.append(real(g, colors))
+        return made[-1]
+
+    rng = random.Random(17)
+    checked = 0
+    for seed in range(12):
+        g = random_graph(rng.randint(6, 10), 0.5, seed + 900)
+        if g.m < 3:
+            continue
+        t = g.max_degree() + 1 + seed % 2
+        f = random_proper_coloring(g, t, seed)
+        rec = Recorder(g, f)
+        for _ in range(25):
+            _random_move(rng, rec, range(1, t + 1))
+        for k in range(len(rec.tr) + 1):
+            prefix = Transcript(rec.tr.moves[:k])
+            with mock.patch.object(kempe_engine, "color_masks", kept):
+                out = apply_transcript(g, f, prefix, check=bool(k % 2))
+            assert made[-1] == real(g, out.colors)
+            checked += 1
+    assert checked > 200
+
+
+def _replay_unchecked_reference(g, f, tr):
+    """Reference replay with check=False and no masks: every move through
+    the kernel, no check after it."""
+    colors = list(f.colors)
+    for i, mv in enumerate(tr.moves):
+        if not (1 <= mv.a <= f.t and 1 <= mv.b <= f.t):
+            raise InvalidMoveAtIndex(i, f"colors ({mv.a},{mv.b}) outside palette")
+        if not (0 <= mv.rep_edge < g.m):
+            raise InvalidMoveAtIndex(i, f"edge {mv.rep_edge} out of range")
+        if colors[mv.rep_edge] not in (mv.a, mv.b):
+            raise InvalidMoveAtIndex(
+                i,
+                f"edge {mv.rep_edge} colored {colors[mv.rep_edge]}, move is ({mv.a},{mv.b})",
+            )
+        edge_ids = backend.component_edges(g, colors, mv.a, mv.b, mv.rep_edge)
+        backend.swap_component(colors, edge_ids, mv.a, mv.b)
+    return EdgeColoring(f.t, colors)
+
+
+def test_unchecked_replay_traces_every_move_after_a_clash():
+    """Once check=False lets a clash through, the masks no longer tell a
+    single edge from a longer component, so later moves use the kernel."""
+    # path 1-2-3-4 colored 1, 2, 1; the first swap of (1, 2) misses edge 2
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    f = EdgeColoring(3, [1, 2, 1])
+    tr = Transcript([KempeMove(1, 2, 0), KempeMove(2, 1, 0)])
+    real = backend.component_edges
+
+    def first_call_drops_an_edge():
+        calls = []
+        drop = _drop_last_edge(real)
+
+        def trace(g, colors, a, b, e0):
+            calls.append(e0)
+            return (drop if len(calls) == 1 else real)(g, colors, a, b, e0)
+
+        return trace
+
+    # after the first move, colors 2, 1, 1: the second move's (1, 2)-component
+    # is edges 0 and 1, though color 1 looks free at both ends of edge 0 to
+    # masks that stopped at the clash
+    for replay in (
+        lambda: apply_transcript(g, f, tr, check=False),
+        lambda: _replay_unchecked_reference(g, f, tr),
+    ):
+        with mock.patch.object(backend, "component_edges", first_call_drops_an_edge()):
+            assert replay() == EdgeColoring(3, [1, 2, 1])
+
+
+@st.composite
+def _moves_with_invalid_ones(draw):
+    """`_graph_coloring_moves`, with one move outside the palette or the
+    edge range inserted half the time."""
+    g, f, tr = draw(_graph_coloring_moves())
+    moves = list(tr.moves)
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([
+            KempeMove(f.t + 1, 1, 0), KempeMove(1, 0, 0), KempeMove(1, 2, g.m), KempeMove(1, 2, -1),
+        ]))
+        moves.insert(draw(st.integers(0, len(moves))), bad)
+    return g, f, Transcript(moves)
+
+
+@pytest.mark.parametrize("faulty", [False, True, "repeat-edge", "foreign-edge"])
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_moves_with_invalid_ones())
+def test_unchecked_replay_matches_the_kernel_replay(faulty, case):
+    """check=False returns what tracing every move through the kernel
+    returns, or raises the same error at the same index, also when a
+    faulty kernel lets a clash through and the masks stop being exact."""
+    g, f, tr = case
+    trace = backend.component_edges
+    if faulty:
+        trace = _FAULTY[faulty](trace)
+
+    def outcome(replay):
+        try:
+            return "ok", replay()
+        except InvalidMoveAtIndex as exc:
+            return "rejected", exc.index, exc.reason
+
+    with mock.patch.object(backend, "component_edges", trace):
+        ours = outcome(lambda: apply_transcript(g, f, tr, check=False))
+        assert ours == outcome(lambda: _replay_unchecked_reference(g, f, tr))
