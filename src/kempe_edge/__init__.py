@@ -3,8 +3,8 @@
 The library turns constructive Kempe-interchange reachability arguments into
 executable transforms: palette reduction by fan recoloring, the reduction to
 maximum degree when the max-degree subgraph is acyclic, the 4-regular
-five-to-four case machine, the doubling lift for maximum degree 4, and the
-recursive peeling reductions.  Every transform emits a transcript of single
+five-to-four case machine, the padding to 4-regular for maximum degree 4,
+and the recursive peeling reductions.  Every transform emits a transcript of single
 interchanges that can be replayed and re-verified move by move, and an
 exhaustive oracle independently decides equivalence on small instances.
 """

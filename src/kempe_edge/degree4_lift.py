@@ -1,15 +1,18 @@
-"""Doubling lift for maximum degree 4, plus the low-degree search equalizer.
+"""Padding to 4-regular for maximum degree 4, plus the low-degree search
+equalizer.
 
-A graph with maximum degree 4 is repeatedly doubled (two disjoint copies,
-deficient twins joined by an edge) until 4-regular; colorings lift by copying
-and coloring each joining edge with a free low color.  Every doubling keeps
-the lower level's edges, with their ids, as copy one, so each level is a
-subgraph of the top one and a lifted coloring restricts to the coloring it
-was lifted from.  A transcript found on the top level therefore projects
-straight onto any level, reading the level's coloring off the top run's one
-color list: the (a, b)-components of a subgraph refine those of the whole
-graph, so each top move becomes a batch of moves on the level's components
-inside the top component.
+A graph G with maximum degree 4 is padded to one 4-regular graph: small
+gadgets are joined to its deficient vertices, and the 4-coloring h and the
+working coloring f both extend to them (`_pad_to_regular4`).  The padded
+graph keeps G's vertices and, first, G's edge ids, so G is its subgraph on
+the ids 0..m-1 and each padded coloring restricts to the one it extends.  A
+transcript found on the padded graph therefore projects straight onto G,
+reading G's coloring off the padded run's one color list: the
+(a, b)-components of a subgraph refine those of the whole graph, so each
+padded move becomes a batch of moves on G's components inside the padded
+component.  The doubling tower (two disjoint copies per missing degree,
+deficient twins joined by an edge) is the older way to reach 4-regular,
+kept with its lift; its levels are prefix supergraphs of each other too.
 
 The degree-at-most-3 equalizer is a certified search over the Kempe
 reconfiguration graph.  It works on the caller's `Recorder`, swapping its
@@ -36,6 +39,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BudgetExceeded,
@@ -55,7 +59,15 @@ from .graph_core import (
     is_proper,
     require_proper,
 )
-from .kempe_engine import KempeMove, Recorder, Transcript, _replay
+from .kempe_engine import (
+    KempeMove,
+    Recorder,
+    Transcript,
+    _replay,
+    color_masks,
+    least_color,
+    palette_bits,
+)
 from .kernels import backend
 from .oracle import _meet_in_middle, _path_to
 
@@ -70,7 +82,8 @@ class DoublingTower:
     In level i+1, copy one of vertex v is v and copy two is v + n_i; copy-one
     edges keep their ids 0..m_i-1, copy-two edge e + m_i is the image of e,
     joining edges come last.  So G_i is the subgraph of every higher level
-    on the edge ids 0..m_i-1.
+    on the edge ids 0..m_i-1.  No transform builds it any more:
+    `transform_delta4` pads with gadgets instead (`_pad_to_regular4`).
     """
 
     levels: list
@@ -122,42 +135,160 @@ def lift_coloring(tower: DoublingTower, level: int, f: EdgeColoring) -> EdgeColo
     return lifted
 
 
-def project_transcript(
-    tower: DoublingTower, level: int, f_small: EdgeColoring, big_tr: Transcript
-) -> Transcript:
-    """Project a transcript on the top level down to `level`.
+# K_{4,4} - xy on gadget vertices 0..7, x = 0 and y = 4: edge (i, 4 + j)
+# is in Latin-square class (i + j) % 4, so class 0 is the one that lost xy
+# and both x and y miss it.
+_K44 = tuple((i, 4 + j, (i + j) % 4) for i in range(4) for j in range(4) if i or j)
+# K_5 minus the disjoint edges 01 and 23; in this 4-coloring vertex k
+# (k < 4) misses class k, and vertex 4 sees all four classes.
+_K5 = ((1, 2, 0), (3, 4, 0), (0, 3, 1), (2, 4, 1),
+       (0, 4, 2), (1, 3, 2), (0, 2, 3), (1, 4, 3))
 
-    The top run starts from `f_small` lifted to the top, and one color list,
-    the top level's, serves both levels: G_level is the subgraph of the top
-    level on the ids below m_level, and a lifted coloring restricts to the
-    one it was lifted from.  Before a top move on C, the list is read
-    through G_level: every (a, b)-component of G_level that meets C lies
-    inside C, and each becomes one move, by ascending representative.
-    Swapping C then swaps exactly those components.
+
+@lru_cache(maxsize=None)  # a port's color is at most 4, so at most 4^4 keys
+def _k5_coloring(port_colors):
+    """Colors from 1..5 for `_K5`'s edges, proper, with no edge at vertex k
+    (k < 4) colored port_colors[k]: a backtracking search over 8 edges and
+    5 colors, so bounded by a constant, that tries h's color (class + 1)
+    first.  Every one of the 5^4 tuples has one."""
+    colors = []
+
+    def fits(c, u, v):
+        return all(
+            c != colors[i] or not {u, v} & {a, b}
+            for i, (a, b, _) in enumerate(_K5[:len(colors)])
+        ) and all(w == 4 or port_colors[w] != c for w in (u, v))
+
+    def place(i):
+        if i == len(_K5):
+            return True
+        u, v, k = _K5[i]
+        for c in sorted(range(1, 6), key=lambda c: c != k + 1):
+            if fits(c, u, v):
+                colors.append(c)
+                if place(i + 1):
+                    return True
+                colors.pop()
+        return False
+
+    if not place(0):
+        raise InternalInvariantError(f"K5 gadget has no coloring for ports {port_colors}")
+    return tuple(colors)
+
+
+def _pad_to_regular4(g: Graph, f: EdgeColoring, h: EdgeColoring):
+    """(big, f_big, h_big): a 4-regular graph whose first g.m edge ids and
+    vertices 1..n are g's, with proper extensions of f (palette f.t >= 5)
+    and of the 4-coloring h.
+
+    The h-colors missing at each vertex are its deficient slots.  Each
+    h-color class is a matching, so a color is missing at a number of
+    vertices of n's parity.  The slots of color c are paired in ascending
+    vertex order, and each pair (v, w) is joined through a K_{4,4} - xy
+    gadget by the port edges vx and wy.  h colors the gadget by a Latin
+    square with the xy class mapped to c, so both ports take c.  For odd n
+    each color has one slot left, the last one; one K_5 minus two disjoint
+    edges covers all four, since each of its degree-3 vertices misses a
+    distinct h-color.
+
+    f gives each port h's color when it is free at the port's vertex so
+    far, else the least free color.  It colors a K_{4,4} - xy gadget's
+    classes 1..3 without f(vx) and f(wy), keeping h's color where it can,
+    and the xy class with c if still unused, else f(wy), else f(vx); the
+    K_5 gadget's coloring comes from `_k5_coloring`.  So wherever the
+    ports allow it, the gadgets already agree with h, and Theorem 4.1 has
+    less to move there.
     """
-    top = len(tower.levels) - 1
-    if not 0 <= level <= top:
-        raise PreconditionViolated(f"level {level} not in 0..{top}")
-    g_small = tower.levels[level]
-    g_big = tower.levels[-1]
-    m = g_small.m
-    lifted = f_small
-    for i in range(level, len(tower.levels) - 1):
-        lifted = lift_coloring(tower, i, lifted)
-    colors = list(lifted.colors)
+    n, t = g.n, f.t
+    nv = n
+    edges = list(g.edges)
+    fc = list(f.colors)
+    hc = list(h.colors)
+    fmask = color_masks(g, fc)
+    hmask = color_masks(g, hc)
+
+    def port(v, x, hcolor):
+        free = palette_bits(t) & ~fmask[v]
+        if not free:
+            raise InternalInvariantError(f"no free color for a port at vertex {v}")
+        c = hcolor if free >> hcolor & 1 else least_color(free)
+        fmask[v] |= 1 << c
+        edges.append((v, x))
+        fc.append(c)
+        hc.append(hcolor)
+        return c
+
+    spare = []
+    for c in range(1, 5):
+        slots = [v for v in range(1, n + 1) if not hmask[v] >> c & 1]
+        if len(slots) % 2 != n % 2:
+            raise InternalInvariantError(
+                f"h-color {c} is missing at {len(slots)} vertices, n = {n}"
+                + (f"; vertex {slots[-1]} is left unpaired" if slots else "")
+            )
+        if n % 2:
+            spare.append(slots.pop())
+        hpal = (c, *(k for k in range(1, 5) if k != c))
+        for v, w in zip(slots[::2], slots[1::2]):
+            fx = port(v, nv + 1, c)
+            fy = port(w, nv + 5, c)
+            # classes 1..3 avoid both port colors and keep h's color
+            # where they can; class 0 takes c, else f(wy), else f(vx)
+            fill = iter([k for k in range(5, t + 1) if k not in (fx, fy)] + [c])
+            fpal = [k if k not in (fx, fy) else next(fill) for k in hpal[1:]]
+            fpal.insert(0, next(k for k in (c, fy, fx) if k not in fpal))
+            for a, b, k in _K44:
+                edges.append((nv + 1 + a, nv + 1 + b))
+                fc.append(fpal[k])
+                hc.append(hpal[k])
+            nv += 8
+    if spare:
+        ports = tuple(port(v, nv + 1 + k, k + 1) for k, v in enumerate(spare))
+        for (a, b, k), fcol in zip(_K5, _k5_coloring(ports)):
+            edges.append((nv + 1 + a, nv + 1 + b))
+            fc.append(fcol)
+            hc.append(k + 1)
+        nv += 5
+    return Graph(nv, edges), EdgeColoring(t, fc), EdgeColoring(4, hc)
+
+
+def project_transcript(
+    g: Graph, big: Graph, f_big: EdgeColoring, big_tr: Transcript
+) -> Transcript:
+    """Project a transcript on `big`, starting from `f_big`, onto g, the
+    subgraph of `big` on the edge ids 0..g.m-1 (a padded graph, or any
+    level of a doubling tower below its top).
+
+    One color list, the big run's, serves both graphs: g's coloring is its
+    first g.m entries.  Before a big move on C, the list is read through
+    g: every (a, b)-component of g that meets C lies inside C, and each
+    becomes one move, by ascending representative.  Swapping C then swaps
+    exactly those components.
+    """
+    m = g.m
+    if big.edges[:m] != g.edges:
+        raise PreconditionViolated("graph is not the big graph on its first edge ids")
+    if f_big.m != big.m:
+        raise PaletteMismatch("coloring does not fit the big graph")
+    colors = list(f_big.colors)
     out = Transcript()
     for mv in big_tr.moves:
-        check_edge_id(g_big, mv.rep_edge)
+        check_edge_id(big, mv.rep_edge)
         if colors[mv.rep_edge] not in (mv.a, mv.b):
             raise ProjectionMismatch("big transcript does not replay")
-        comp = backend.component_edges(g_big, colors, mv.a, mv.b, mv.rep_edge)
+        comp = backend.component_edges(big, colors, mv.a, mv.b, mv.rep_edge)
+        if max(comp) < m:
+            # C is connected through g's edges, so it is one component of g
+            out.append(KempeMove(mv.a, mv.b, min(comp)), "projected")
+            backend.swap_component(colors, comp, mv.a, mv.b)
+            continue
         hits = {e for e in comp if e < m}
         seen = set()
         for se in sorted(hits):
             if se in seen:
                 continue
             # the scan is ascending, so se is the component's least edge
-            comp_small = backend.component_edges(g_small, colors, mv.a, mv.b, se)
+            comp_small = backend.component_edges(g, colors, mv.a, mv.b, se)
             if not hits.issuperset(comp_small):
                 raise ProjectionMismatch(
                     "copy component extends outside the big component"
@@ -405,10 +536,11 @@ def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
     """Transcript from a proper t-coloring (t >= 5) to a given proper
     4-coloring of a graph with maximum degree 4.
 
-    Above palette 5 the coloring is first reduced; irregular graphs are
-    lifted through the doubling tower, solved 4-regularly on top, and the
-    transcript projected straight back onto the input graph.  The 4-coloring h certifies
-    chi' = 4, so no chromatic index is computed.
+    Above palette 5 the coloring is first reduced.  An irregular graph is
+    padded with gadgets to one 4-regular graph, f and h are extended to it,
+    Theorem 4.1 runs there, and its transcript is projected straight back
+    onto the input graph.  The 4-coloring h certifies chi' = 4, so no
+    chromatic index is computed.
 
     f is checked once: here, or first thing in the reduction.  The final
     replay of the transcript onto h starts from that checked f."""
@@ -432,13 +564,9 @@ def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
     if g.min_degree() == 4:
         tr.extend(theorem_4_1_transform(g, cur, h))
     else:
-        tower = build_tower(g)
-        top_f, top_h = cur, h
-        for i in range(len(tower.levels) - 1):
-            top_f = lift_coloring(tower, i, top_f)
-            top_h = lift_coloring(tower, i, top_h)
-        top_tr = theorem_4_1_transform(tower.levels[-1], top_f, top_h)
-        tr.extend(project_transcript(tower, 0, cur, top_tr))
+        big, big_f, big_h = _pad_to_regular4(g, cur, h)
+        top_tr = theorem_4_1_transform(big, big_f, big_h)
+        tr.extend(project_transcript(g, big, big_f, top_tr))
     if _replay(g, list(f.colors), f.t, tr, check=False) != list(h.colors):
         raise InternalInvariantError("delta-4 transform terminated off target")
     return tr

@@ -145,7 +145,8 @@ def test_acceptance_4_theorem_1_3(tower_runs):
     # and no witness 4-coloring exists to transform onto.  The suite proves
     # the defect and runs the criterion's substance on three graphs that do
     # satisfy its stated requirements (Delta = 4, non-regular, Class 1),
-    # covering one, one, and three doubling levels.
+    # whose doubling towers double them one, one and three times.  The
+    # transform itself pads each graph with gadgets instead of doubling it.
     ke = _k5_minus_edge()
     assert ke.m > ke.max_degree() * (ke.n // 2)
     chi_ke, _ = chromatic_index(ke)
@@ -161,8 +162,9 @@ def test_acceptance_4_theorem_1_3(tower_runs):
         if final.colors != h.colors:
             failures += 1
     # tower restriction invariant, checked explicitly at every level of one
-    # full pipeline: the top transcript projects straight onto each level
-    # (project_transcript also lockstep-asserts internally)
+    # full pipeline: the top transcript projects straight onto each level,
+    # each level being the top on its first edge ids (project_transcript
+    # also lockstep-asserts internally)
     g = _tower_graphs()[0]
     chi, h = chromatic_index(g)
     tower = build_tower(g)
@@ -175,7 +177,7 @@ def test_acceptance_4_theorem_1_3(tower_runs):
     top_tr = theorem_4_1_transform(tower.levels[-1], f_levels[-1], h_levels[-1])
     top_final = apply_transcript(tower.levels[-1], f_levels[-1], top_tr, check=True)
     for i, g_i in enumerate(tower.levels):
-        level_tr = project_transcript(tower, i, f_levels[i], top_tr)
+        level_tr = project_transcript(g_i, tower.levels[-1], f_levels[-1], top_tr)
         small_final = apply_transcript(g_i, f_levels[i], level_tr, check=True)
         assert small_final.colors == top_final.colors[:g_i.m]
     assert failures == 0

@@ -1,4 +1,6 @@
-"""Doubling tower, transcript projection, and the search equalizer."""
+"""Padding to 4-regular, the doubling tower, transcript projection, and the
+search equalizer."""
+import itertools
 import random
 from collections import Counter, deque
 
@@ -18,6 +20,7 @@ from kempe_edge.degree4_lift import (
 )
 from kempe_edge.errors import (
     EdgeOutOfRange,
+    InternalInvariantError,
     NotProper,
     PaletteMismatch,
     PreconditionViolated,
@@ -120,7 +123,7 @@ def test_project_transcript_lockstep_random_moves():
             a, b, rep, nxt = rng.choice(moves)
             tr.append(KempeMove(a, b, rep))
             state = nxt
-        projected = project_transcript(tower, 0, f, tr)
+        projected = project_transcript(base, top, lifted, tr)
         # the projection replays and tracks the restriction exactly
         small_final = apply_transcript(base, f, projected, check=True)
         assert bytes(small_final.colors) == state[:base.m]
@@ -162,7 +165,7 @@ def test_project_top_walk_straight_to_every_level():
             a, b, rep, state = rng.choice(backend.kempe_neighbor_moves(top, state, 5))
             tr.append(KempeMove(a, b, rep))
         for i, g_i in enumerate(tower.levels):
-            projected = project_transcript(tower, i, lifted[i], tr)
+            projected = project_transcript(g_i, top, lifted[-1], tr)
             final = apply_transcript(g_i, lifted[i], projected, check=True)
             assert bytes(final.colors) == state[:g_i.m]
 
@@ -177,7 +180,7 @@ def test_project_moves_on_joining_edges_vanish():
     a = lifted.colors[join_eid]
     b = next(c for c in range(1, 6) if c != a)
     tr = Transcript([KempeMove(a, b, join_eid)])
-    projected = project_transcript(tower, 0, f, tr)
+    projected = project_transcript(base, big, lifted, tr)
     # the joining component may touch copy edges; if it stayed within the
     # joining matching the projection is empty
     comp, _, _ = backend.trace_component(big, list(lifted.colors), a, b, join_eid)
@@ -192,9 +195,12 @@ def test_project_rejects_rep_outside_the_top_level():
     base = k5_minus_edge()
     tower = build_tower(base)
     f = random_proper_coloring(base, 5, 1)
+    top = lift_coloring(tower, 0, f)
     for rep in (-1, tower.levels[-1].m):
         with pytest.raises(EdgeOutOfRange, match=f"edge id {rep} not in"):
-            project_transcript(tower, 0, f, Transcript([KempeMove(1, 2, rep)]))
+            project_transcript(
+                base, tower.levels[-1], top, Transcript([KempeMove(1, 2, rep)])
+            )
 
 
 def test_project_rejects_a_top_move_that_does_not_replay():
@@ -210,7 +216,7 @@ def test_project_rejects_a_top_move_that_does_not_replay():
     c, d = [c for c in range(1, 6) if c != nxt[rep]][:2]
     tr = Transcript([KempeMove(a, b, rep), KempeMove(c, d, rep)])
     with pytest.raises(ProjectionMismatch, match="does not replay"):
-        project_transcript(tower, 0, f, tr)
+        project_transcript(base, tower.levels[-1], top, tr)
 
 
 def test_transform_delta4_regular_delegates():
@@ -230,6 +236,93 @@ def test_transform_delta4_tower_pipeline():
             tr = transform_delta4(g, f, h)
             final = apply_transcript(g, f, tr, check=True)
             assert final.colors == h.colors
+
+
+def _irregular_instance(n, seed, low, odd, isolated):
+    """A Class 1 graph with maximum degree 4, from `random_regular4_class1`:
+    vertex 1 keeps `low` of its edges and 3 - low seeded edges go; with `odd`
+    vertex n is removed, with `isolated` an isolated vertex is added.
+    Returns (g, h), h the witness's restriction."""
+    g4, w = random_regular4_class1(n, seed)
+    gone = {e for _, e in g4.adj[1][low:]}
+    gone |= set(random.Random(seed).sample(range(g4.m), 3 - low))
+    if odd:
+        gone |= {e for _, e in g4.adj[n]}
+    kept = [e for e in range(g4.m) if e not in gone]
+    g = Graph(n - odd + isolated, [g4.edges[e] for e in kept])
+    return g, EdgeColoring(4, [w.colors[e] for e in kept])
+
+
+_PADDED = [
+    (n, seed, low, odd, isolated)
+    for n, seed in ((8, 1), (10, 2), (14, 3))
+    for low in (1, 2, 3)
+    for odd in (0, 1)
+    for isolated in (0, 1)
+]
+
+
+def test_padded_graph_is_4_regular_and_keeps_g_and_both_colorings():
+    min_degrees = set()
+    parities = set()
+    both_kinds = 0
+    for n, seed, low, odd, isolated in _PADDED:
+        g, h = _irregular_instance(n, seed, low, odd, isolated)
+        assert g.max_degree() == 4
+        min_degrees.add(g.min_degree())
+        parities.add(g.n % 2)
+        for t in (5, 6):
+            f = random_proper_coloring(g, t, seed + t)
+            big, f_big, h_big = degree4_lift._pad_to_regular4(g, f, h)
+            # simple (Graph rejects loops and parallel edges) and 4-regular
+            assert all(big.degree(v) == 4 for v in range(1, big.n + 1))
+            assert big.n >= g.n and big.edges[:g.m] == g.edges
+            assert (f_big.t, h_big.t) == (t, 4)
+            assert is_proper(big, f_big) and is_proper(big, h_big)
+            assert f_big.colors[:g.m] == f.colors
+            assert h_big.colors[:g.m] == h.colors
+        # K_{4,4} - xy gadgets have 8 vertices, the K_5 gadget 5
+        extra = big.n - g.n
+        assert extra % 8 == (5 if g.n % 2 else 0)
+        both_kinds += g.n % 2 == 1 and extra > 5
+    assert min_degrees == {0, 1, 2, 3}
+    assert parities == {0, 1}
+    assert both_kinds > 0
+
+
+@pytest.mark.parametrize("case", _PADDED[::3])
+def test_transform_delta4_on_padded_instances_replays_onto_h(case):
+    g, h = _irregular_instance(*case)
+    f = random_proper_coloring(g, 5 + case[1] % 3, case[0])
+    tr = transform_delta4(g, f, h)
+    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+
+
+def test_k5_gadget_colors_every_port_tuple():
+    """Every one of the 5^4 port-color tuples has a proper 5-coloring of
+    K_5 minus two disjoint edges that avoids each port's color at its
+    vertex."""
+    for ports in itertools.product(range(1, 6), repeat=4):
+        colors = degree4_lift._k5_coloring(ports)
+        seen = set()
+        for (u, v, _), c in zip(degree4_lift._K5, colors):
+            assert 1 <= c <= 5
+            assert (u, c) not in seen and (v, c) not in seen
+            seen |= {(u, c), (v, c)}
+        assert all((k, ports[k]) not in seen for k in range(4))
+
+
+def test_padding_raises_internal_error_naming_the_vertex():
+    # an improper h: color 1 is missing at vertex 4 alone while n is even
+    g = Graph(4, [(1, 2), (2, 3)])
+    with pytest.raises(InternalInvariantError, match="vertex 4 is left unpaired"):
+        degree4_lift._pad_to_regular4(g, EdgeColoring(5, [1, 2]), EdgeColoring(4, [1, 1]))
+    # an h that is all 1s gives each octahedron vertex three ports, and a
+    # 5-coloring leaves only one color free at a degree-4 vertex
+    g = octahedron()
+    f = random_proper_coloring(g, 5, 1)
+    with pytest.raises(InternalInvariantError, match="port at vertex 1$"):
+        degree4_lift._pad_to_regular4(g, f, EdgeColoring(4, [1] * g.m))
 
 
 def test_low_degree_equalize_k4():
@@ -848,12 +941,25 @@ def test_lift_coloring_rejects_another_levels_coloring():
 @pytest.mark.parametrize("level", [-1, 2, 5])
 def test_tower_level_out_of_range_is_precondition_violated(level):
     # a bowtie has minimum degree 2, so its tower has the levels 0, 1, 2:
-    # lifting starts below the top, projecting at any level
+    # lifting starts below the top
     tower = build_tower(Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]))
     assert len(tower.levels) == 3
     f = EdgeColoring(5, [1, 2, 3, 3, 2, 1])
     with pytest.raises(PreconditionViolated, match=f"level {level} not in 0..1"):
         lift_coloring(tower, level, f)
-    if level != 2:
-        with pytest.raises(PreconditionViolated, match=f"level {level} not in 0..2"):
-            project_transcript(tower, level, f, Transcript())
+
+
+def test_project_rejects_a_graph_off_the_big_graphs_first_ids():
+    """The projection needs g to be the big graph on its first g.m edge
+    ids, and a coloring of the big graph to start from."""
+    tower = build_tower(Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]))
+    g, mid, top = tower.levels
+    f = random_proper_coloring(g, 5, 1)
+    f_top = lift_coloring(tower, 1, lift_coloring(tower, 0, f))
+    with pytest.raises(PreconditionViolated, match="first edge ids"):
+        project_transcript(top, mid, f_top, Transcript())
+    with pytest.raises(PreconditionViolated, match="first edge ids"):
+        project_transcript(Graph(5, g.edges[1:]), top, f_top, Transcript())
+    with pytest.raises(PaletteMismatch, match="does not fit"):
+        project_transcript(g, top, f, Transcript())
+    assert len(project_transcript(mid, top, f_top, Transcript())) == 0
