@@ -149,8 +149,8 @@ _K5 = ((1, 2, 0), (3, 4, 0), (0, 3, 1), (2, 4, 1),
 def _k5_coloring(port_colors):
     """Colors from 1..5 for `_K5`'s edges, proper, with no edge at vertex k
     (k < 4) colored port_colors[k]: a backtracking search over 8 edges and
-    5 colors, so bounded by a constant, that tries h's color (class + 1)
-    first.  Every one of the 5^4 tuples has one."""
+    5 colors, so bounded by a constant.  Every one of the 5^4 tuples has
+    one."""
     colors = []
 
     def fits(c, u, v):
@@ -162,8 +162,8 @@ def _k5_coloring(port_colors):
     def place(i):
         if i == len(_K5):
             return True
-        u, v, k = _K5[i]
-        for c in sorted(range(1, 6), key=lambda c: c != k + 1):
+        u, v, _ = _K5[i]
+        for c in range(1, 6):
             if fits(c, u, v):
                 colors.append(c)
                 if place(i + 1):
@@ -192,12 +192,10 @@ def _pad_to_regular4(g: Graph, f: EdgeColoring, h: EdgeColoring):
     distinct h-color.
 
     f gives each port h's color when it is free at the port's vertex so
-    far, else the least free color.  It colors a K_{4,4} - xy gadget's
-    classes 1..3 without f(vx) and f(wy), keeping h's color where it can,
-    and the xy class with c if still unused, else f(wy), else f(vx); the
-    K_5 gadget's coloring comes from `_k5_coloring`.  So wherever the
-    ports allow it, the gadgets already agree with h, and Theorem 4.1 has
-    less to move there.
+    far, else the least free color.  It colors a K_{4,4} - xy gadget from
+    the palette without f(vx), with the xy class set to f(wy) when that
+    differs (the class meets neither port); the K_5 gadget's coloring
+    comes from `_k5_coloring`.
     """
     n, t = g.n, f.t
     nv = n
@@ -232,11 +230,10 @@ def _pad_to_regular4(g: Graph, f: EdgeColoring, h: EdgeColoring):
         for v, w in zip(slots[::2], slots[1::2]):
             fx = port(v, nv + 1, c)
             fy = port(w, nv + 5, c)
-            # classes 1..3 avoid both port colors and keep h's color
-            # where they can; class 0 takes c, else f(wy), else f(vx)
-            fill = iter([k for k in range(5, t + 1) if k not in (fx, fy)] + [c])
-            fpal = [k if k not in (fx, fy) else next(fill) for k in hpal[1:]]
-            fpal.insert(0, next(k for k in (c, fy, fx) if k not in fpal))
+            # classes 1..3 meet both ports and avoid both port colors
+            fpal = ([fy] if fy != fx else []) + [
+                k for k in range(1, t + 1) if k not in (fx, fy)
+            ]
             for a, b, k in _K44:
                 edges.append((nv + 1 + a, nv + 1 + b))
                 fc.append(fpal[k])
@@ -277,11 +274,6 @@ def project_transcript(
         if colors[mv.rep_edge] not in (mv.a, mv.b):
             raise ProjectionMismatch("big transcript does not replay")
         comp = backend.component_edges(big, colors, mv.a, mv.b, mv.rep_edge)
-        if max(comp) < m:
-            # C is connected through g's edges, so it is one component of g
-            out.append(KempeMove(mv.a, mv.b, min(comp)), "projected")
-            backend.swap_component(colors, comp, mv.a, mv.b)
-            continue
         hits = {e for e in comp if e < m}
         seen = set()
         for se in sorted(hits):
