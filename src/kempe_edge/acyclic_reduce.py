@@ -28,7 +28,6 @@ from .graph_core import (
     check_edge_id,
     induced_high_degree_subgraph,
     is_acyclic,
-    require_proper,
 )
 from .kempe_engine import Recorder, Transcript, palette_bits
 from .vizing_reduce import eliminate_via_fan
@@ -188,9 +187,9 @@ def _round(rec: Recorder, delta: int, is_max, dgd, target: int) -> None:
 
 def _checked_inputs(g: Graph, f: EdgeColoring):
     """Check what the reduction and every walk step rely on (a proper
-    (Delta+1)-coloring, an acyclic max-degree subgraph); return (Delta,
-    is_max, dgd)."""
-    require_proper(g, f)
+    (Delta+1)-coloring, an acyclic max-degree subgraph); return (the
+    working state on f, Delta, is_max, dgd)."""
+    rec = Recorder(g, f)
     delta = g.max_degree()
     if f.t != delta + 1:
         raise PaletteMismatch(f"expected palette {delta + 1}, got {f.t}")
@@ -198,7 +197,7 @@ def _checked_inputs(g: Graph, f: EdgeColoring):
     if not is_acyclic(gd):
         raise MaxDegreeSubgraphCyclic("max-degree subgraph contains a cycle")
     is_max, dgd = _gd_degree(g, delta)
-    return delta, is_max, dgd
+    return rec, delta, is_max, dgd
 
 
 def acyclic_reduce(g: Graph, f: EdgeColoring, stats: list | None = None):
@@ -208,8 +207,7 @@ def acyclic_reduce(g: Graph, f: EdgeColoring, stats: list | None = None):
     Returns (coloring with palette Delta, transcript); `stats` (when given)
     collects (before, after) top-class sizes per round.
     """
-    delta, is_max, dgd = _checked_inputs(g, f)
-    rec = Recorder(g, f)
+    rec, delta, is_max, dgd = _checked_inputs(g, f)
     big = delta + 1
     budget = 10 * g.m * max(1, g.n)
     before = rec.colors.count(big)
@@ -231,7 +229,7 @@ def case_a_step(g: Graph, f: EdgeColoring, eid: int):
     """One Case A elimination.  The edge must carry the top color, lie inside
     the max-degree subgraph, and have an endpoint that is a leaf there."""
     check_edge_id(g, eid)
-    require_proper(g, f)
+    rec = Recorder(g, f)
     delta = g.max_degree()
     big = delta + 1
     if f.t != big:
@@ -245,7 +243,6 @@ def case_a_step(g: Graph, f: EdgeColoring, eid: int):
     cand = [x for x in (u, v) if dgd[x] == 1]
     if not cand:
         raise PreconditionViolated("no endpoint is a leaf of the max-degree subgraph")
-    rec = Recorder(g, f)
     before = rec.colors.count(big)
     _case_a(rec, min(cand), eid, delta)
     if rec.colors.count(big) >= before:
@@ -255,7 +252,7 @@ def case_a_step(g: Graph, f: EdgeColoring, eid: int):
 
 def walk_init(g: Graph, f: EdgeColoring, eid: int) -> WalkState:
     check_edge_id(g, eid)
-    delta, is_max, _ = _checked_inputs(g, f)
+    _, delta, is_max, _ = _checked_inputs(g, f)
     if f.colors[eid] != delta + 1:
         raise PreconditionViolated(f"edge {eid} is not colored {delta + 1}")
     u, v = g.edges[eid]
@@ -270,7 +267,7 @@ def walk_step(g: Graph, f: EdgeColoring, state: WalkState) -> WalkStepResult:
     The state's vertices must be distinct max-degree vertices, each joined
     to the next by an edge, the last of which carries the top color, and f
     may have at most `state.baseline` top-colored edges."""
-    delta, is_max, dgd = _checked_inputs(g, f)
+    rec, delta, is_max, dgd = _checked_inputs(g, f)
     big = delta + 1
     vs = state.vertices
     if (
@@ -289,7 +286,6 @@ def walk_step(g: Graph, f: EdgeColoring, state: WalkState) -> WalkStepResult:
     e1 = g.edge_id(a_cur, a_prev)
     if f.colors[e1] != big:
         raise PreconditionViolated("walk edge is not carrying the top color")
-    rec = Recorder(g, f)
     kind, nxt = _walk_step(rec, a_prev, a_cur, delta, dgd)
     if nxt is None:
         return WalkStepResult(kind, rec.coloring(), rec.tr, None)

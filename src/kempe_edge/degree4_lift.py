@@ -517,9 +517,8 @@ def low_degree_equalize(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcrip
     t = delta + 1
     if f.t != t or h.t != t:
         raise PaletteMismatch(f"expected palette {t}")
-    require_proper(g, f)
-    require_proper(g, h)
     rec = Recorder(g, f)
+    require_proper(g, h)
     _equalize_search(rec, bytes(h.colors), range(1, t + 1), "search")
     return rec.tr
 
@@ -534,8 +533,9 @@ def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
     onto the input graph.  The 4-coloring h certifies chi' = 4, so no
     chromatic index is computed.
 
-    f is checked once: here, or first thing in the reduction.  The final
-    replay of the transcript onto h starts from that checked f."""
+    f is checked here at palette 5, or by the reduction's working state
+    above it.  The case machine's working state and the final replay onto
+    h check their colorings again, in the passes that build their masks."""
     if g.max_degree() != 4:
         raise WrongMaxDegree(f"expected maximum degree 4, got {g.max_degree()}")
     if h.t != 4 or not is_proper(g, h):

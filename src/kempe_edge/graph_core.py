@@ -200,38 +200,26 @@ class BicoloredComponent:
     kind: str                # "path" | "cycle"
 
 
-def bicolored_components(g: Graph, colors, a: int, b: int):
-    """Yield (rep, edge_ids, vertices, is_cycle) for every component of the
-    (a, b)-subgraph of `colors`, by ascending least edge id `rep`.
-
-    One ascending scan traces each component from the first of its edges
-    it meets; `colors` must not change while the generator runs.
-    """
-    seen = bytearray(g.m)
-    for eid, c in enumerate(colors):
-        if (c == a or c == b) and not seen[eid]:
-            edge_ids, verts, is_cycle = backend.trace_component(g, colors, a, b, eid)
-            for e in edge_ids:
-                seen[e] = 1
-            yield eid, edge_ids, verts, is_cycle
-
-
 def bicolored_subgraph(g: Graph, f: EdgeColoring, a: int, b: int):
-    """Components of G_f(a, b), each a path or an even cycle."""
+    """Components of G_f(a, b), each a path or an even cycle, by ascending
+    least edge id: one ascending scan traces each component from the first
+    of its edges it meets."""
     if a == b:
         raise EqualColors(f"colors must differ, got {a} and {b}")
     for c in (a, b):
         if not (1 <= c <= f.t):
             raise ColorOutOfRange(f"color {c} not in 1..{f.t}")
     require_proper(g, f)
-    return [
-        BicoloredComponent(
-            vertices=tuple(verts),
-            edge_ids=tuple(edge_ids),
-            kind="cycle" if is_cycle else "path",
-        )
-        for _, edge_ids, verts, is_cycle in bicolored_components(g, f.colors, a, b)
-    ]
+    seen = bytearray(g.m)
+    out = []
+    for eid, c in enumerate(f.colors):
+        if (c == a or c == b) and not seen[eid]:
+            edge_ids, verts, is_cycle = backend.trace_component(g, f.colors, a, b, eid)
+            for e in edge_ids:
+                seen[e] = 1
+            kind = "cycle" if is_cycle else "path"
+            out.append(BicoloredComponent(tuple(verts), tuple(edge_ids), kind))
+    return out
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]):

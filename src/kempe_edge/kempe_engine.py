@@ -8,10 +8,15 @@ trusting the producer.
 traces a two-colored component, swaps it and records the move.  Its
 :meth:`Recorder.path_from` reads "the (a, b)-path that starts at v", the
 Kempe chain the lemmas reason about, from one of its ends.  It keeps each
-vertex's colors as a bitmask, current through :meth:`Recorder.swap`, the
-one swap of the working coloring (moves, single-edge recolors and the
-search index all use it).  :func:`apply_transcript` keeps the same masks
-over its own color list and checks each recolored edge end in O(1);
+vertex's colors as a bitmask, built from a checked coloring: the one pass
+that builds the masks (:func:`proper_masks`) checks the coloring's length,
+palette and properness with :func:`~kempe_edge.graph_core.require_proper`'s
+errors, so a transform that starts from a Recorder needs no entry check of
+its own.  :meth:`Recorder.swap` is its one change hook, the one swap of the
+working coloring (moves, single-edge recolors and the search index all use
+it), which keeps the masks current and is all a subclass observes.
+:func:`apply_transcript` builds the same masks, checked the same way, over
+its own color list and checks each recolored edge end in O(1);
 :func:`interchange` and transcript projection swap their color lists
 through ``backend.swap_component``.  A trace whose vertices are read
 (:meth:`Recorder.apply` and :meth:`Recorder.path_from`) goes through the
@@ -36,6 +41,8 @@ from .errors import (
     FormatError,
     InternalInvariantError,
     InvalidMoveAtIndex,
+    MissingEdgeColor,
+    NotProper,
     NotSaturated,
     PreconditionViolated,
     RepEdgeNotBicolored,
@@ -147,6 +154,29 @@ def color_masks(g: Graph, colors) -> list:
     return mask
 
 
+def proper_masks(g: Graph, colors, t: int, what: str = "coloring") -> list:
+    """:func:`color_masks`, built in the pass that checks `colors` as
+    :func:`require_proper` does, with its errors and messages:
+    MissingEdgeColor unless every edge has a color, ColorOutOfRange at the
+    first color outside 1..t, then NotProper if two edges at a vertex
+    share a color."""
+    if len(colors) != g.m:
+        raise MissingEdgeColor(f"coloring covers {len(colors)} edges, graph has {g.m}")
+    mask = [0] * (g.n + 1)
+    for (u, v), c in zip(g.edges, colors):
+        if not 0 < c <= t:
+            # every earlier color is in range, so this is c's first edge
+            raise ColorOutOfRange(f"edge {colors.index(c)} colored {c}, palette 1..{t}")
+        bit = 1 << c
+        mask[u] |= bit
+        mask[v] |= bit
+    # each edge set its bit at both ends, so the masks hold 2m bits unless
+    # a bit was already set: two edges at that end share its color
+    if sum(x.bit_count() for x in mask) != 2 * g.m:
+        raise NotProper(f"{what} is not proper")
+    return mask
+
+
 def palette_bits(k: int) -> int:
     """The colors 1..k as a bitmask."""
     return (1 << (k + 1)) - 2
@@ -191,10 +221,9 @@ def extend_fan(g: Graph, colors, mask, pivot: int, first_edge: int, allowed: int
 def grow_fan(g: Graph, f: EdgeColoring, pivot: int, first_edge: int) -> Fan:
     """Maximal fan at `pivot` starting with `first_edge` (see :func:`extend_fan`)."""
     check_edge_id(g, first_edge)
-    require_proper(g, f)
+    mask = proper_masks(g, f.colors, f.t)
     if pivot not in g.edges[first_edge]:
         raise EdgeNotIncident(f"edge {first_edge} not incident to vertex {pivot}")
-    mask = color_masks(g, f.colors)
     return extend_fan(g, f.colors, mask, pivot, first_edge, palette_bits(f.t), 0)[0]
 
 
@@ -226,18 +255,15 @@ def downshift(g: Graph, f: EdgeColoring, fan: Fan, free_color: int):
     each expanded move's bicolored component is exactly the edge itself, which
     is asserted.
     """
-    require_proper(g, f)
+    rec = Recorder(g, f)
     if not 1 <= free_color <= f.t:
         raise ColorOutOfRange(f"free color {free_color} not in 1..{f.t}")
     check_fan(g, f, fan)
     last_leaf = g.other_end(fan.edges[-1], fan.pivot)
-    if free_color in palette_at(g, f, fan.pivot) or free_color in palette_at(
-        g, f, last_leaf
-    ):
+    if (rec.mask[fan.pivot] | rec.mask[last_leaf]) >> free_color & 1:
         raise NotSaturated(
             f"color {free_color} appears at pivot {fan.pivot} or leaf {last_leaf}"
         )
-    rec = Recorder(g, f)
     rec.downshift(fan.edges, free_color, "downshift")
     return rec.coloring(), rec.tr
 
@@ -247,8 +273,9 @@ def apply_transcript(
 ) -> EdgeColoring:
     """Replay a transcript.  Fails atomically on the first invalid move.
 
-    The starting coloring is always checked in full.  The replay then keeps
-    each vertex's colors as a bitmask (:func:`color_masks`).  A move whose
+    The starting coloring is always checked in full, by the pass that
+    builds each vertex's colors as a bitmask (:func:`proper_masks`), which
+    the replay then keeps.  A move whose
     other color is at neither end of its rep edge recolors that edge alone
     and traces nothing; any other move swaps the edge set of
     ``backend.component_edges``.  With check=True (verification mode) each
@@ -260,14 +287,13 @@ def apply_transcript(
     kernel's vertex list, so a faulty kernel cannot hide a clash; an edge
     set that lists an edge twice is rejected too.
     """
-    require_proper(g, f, "starting coloring")
     return EdgeColoring(f.t, _replay(g, list(f.colors), f.t, tr, check))
 
 
 def _replay(g: Graph, colors: list, t: int, tr: Transcript, check: bool) -> list:
     """The replay loop of :func:`apply_transcript`, on `colors` (palette
-    1..t) in place, which the caller has already checked; returns
-    `colors`.
+    1..t) in place, which it first checks as the starting coloring;
+    returns `colors`.
 
     `mask` is exact while `exact` holds: each vertex's bits are the colors
     at it, one edge each.  A recolored edge first clears its old bit at
@@ -277,7 +303,7 @@ def _replay(g: Graph, colors: list, t: int, tr: Transcript, check: bool) -> list
     this", every later move goes through the kernel.
     """
     edges, m = g.edges, g.m
-    mask = color_masks(g, colors)
+    mask = proper_masks(g, colors, t, "starting coloring")
     exact = True
     for i, mv in enumerate(tr.moves):
         a, b, rep = mv.a, mv.b, mv.rep_edge
@@ -400,25 +426,29 @@ class Recorder:
     """The mutable working coloring of a transform and its transcript.
 
     Its three jobs: trace a two-colored component, swap it, and record the
-    move.  Moves applied here skip the full properness re-validation (the
-    structural argument keeps intermediates proper); the emitted transcript
-    is meant to be re-verified through apply_transcript.
+    move.  It is built from a checked coloring: the pass that builds its
+    masks (:func:`proper_masks`) is the transform's entry check, and raises
+    require_proper's errors with `what` as the label.  Moves
+    applied here skip the full properness re-validation (the structural
+    argument keeps intermediates proper); the emitted transcript is meant
+    to be re-verified through apply_transcript.
 
     `mask[v]` holds the colors at vertex v as bits (bit c set iff color c
     is on an edge at v), so a palette question is one int operation.
-    Every change of `colors` goes through :meth:`swap`, which keeps the
-    masks current: :meth:`apply`, :meth:`recolor_edge` and the search
-    equalizer's component index all swap through it.
+    :meth:`swap` is the one change hook: every change of `colors` goes
+    through it (:meth:`apply`, :meth:`recolor_edge` and the search
+    equalizer's component index), so it keeps the masks current, and a
+    subclass that keeps more state observes moves there alone.
     """
 
     __slots__ = ("g", "colors", "t", "tr", "mask")
 
-    def __init__(self, g: Graph, f: EdgeColoring):
+    def __init__(self, g: Graph, f: EdgeColoring, what: str = "coloring"):
         self.g = g
         self.colors = list(f.colors)
         self.t = f.t
         self.tr = Transcript()
-        self.mask = color_masks(g, self.colors)
+        self.mask = proper_masks(g, self.colors, f.t, what)
 
     def coloring(self) -> EdgeColoring:
         return EdgeColoring(self.t, self.colors)

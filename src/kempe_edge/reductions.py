@@ -28,17 +28,8 @@ from .graph_core import (
     is_acyclic,
     require_proper,
 )
-from .kempe_engine import Recorder, Transcript
+from .kempe_engine import Recorder, Transcript, proper_masks
 from .vizing_reduce import reduce_to_delta_plus_one
-
-
-def _covered(g: Graph, colors, top: int) -> list:
-    """Per vertex: whether an edge colored `top` ends there."""
-    covered = [False] * (g.n + 1)
-    for (u, v), c in zip(g.edges, colors):
-        if c == top:
-            covered[u] = covered[v] = True
-    return covered
 
 
 def maximalize_top_class(g: Graph, h: EdgeColoring, top: int):
@@ -47,30 +38,17 @@ def maximalize_top_class(g: Graph, h: EdgeColoring, top: int):
     color is missing at both ends).
 
     One ascending pass recolors each edge whose ends are both still
-    uncovered: coverage only grows, so this is the order in which always
-    taking the least such edge would pick them."""
+    uncovered, read off the working state's masks: coverage only grows, so
+    this is the order in which always taking the least such edge would
+    pick them."""
     if not 1 <= top <= h.t:
         raise ColorOutOfRange(f"color {top} not in 1..{h.t}")
-    require_proper(g, h)
-    return _maximalize(g, h, top)
-
-
-def _maximalize(g: Graph, h: EdgeColoring, top: int):
-    """:func:`maximalize_top_class` on a proper h, unchecked: `equalize`
-    maximalizes a witness it has already checked, and `peel_and_recurse`
-    checks the result."""
     rec = Recorder(g, h)
-    covered = _covered(g, h.colors, top)
+    mask = rec.mask
     for eid, (u, v) in enumerate(g.edges):
-        if not covered[u] and not covered[v]:
+        if not (mask[u] | mask[v]) >> top & 1:
             rec.recolor_edge(eid, top, "maximalize")
-            covered[u] = covered[v] = True
     return rec.coloring(), rec.tr
-
-
-def _matching_is_maximal(g: Graph, colors, top: int) -> bool:
-    covered = _covered(g, colors, top)
-    return all(covered[u] or covered[v] for u, v in g.edges)
 
 
 def _certify_chi(g: Graph, witness: EdgeColoring | None):
@@ -99,10 +77,10 @@ def peel_and_recurse(
     MissingEdgeColor, NotProper, PaletteMismatch or PreconditionViolated."""
     if f.t != chi + 1 or h.t != chi + 1:
         raise PaletteMismatch("peel expects palette chi+1 input")
-    require_proper(g, w, "peel witness")
+    mask = proper_masks(g, w.colors, w.t, "peel witness")
     if any(c > chi for c in w.colors):
         raise PaletteMismatch("peel witness must stay within chi colors")
-    if not _matching_is_maximal(g, w.colors, chi):
+    if not all((mask[u] | mask[v]) >> chi & 1 for u, v in g.edges):
         raise PreconditionViolated("peel witness's top class is not maximal")
     delta = g.max_degree()
     if chi not in (delta, delta + 1):
@@ -208,5 +186,5 @@ def equalize(
             f"no reduction covers Delta={delta}, chi'={chi}, "
             f"acyclic high-degree subgraph={acyclic_high}"
         )
-    w_max, _ = _maximalize(g, witness, chi)
+    w_max, _ = maximalize_top_class(g, witness, chi)
     return peel_and_recurse(g, f, h, w_max, chi)

@@ -42,7 +42,7 @@ from .graph_core import (
     Graph,
     check_edge_id,
     is_proper,
-    require_proper,
+    palette_at,
 )
 from .kempe_engine import Recorder, Transcript
 
@@ -74,23 +74,25 @@ class _Work(Recorder):
     `to_real[c]` is the real color of frame color c and `to_frame` the
     inverse.  Fixing color 1, it reads 1-correctness the same in both views.
 
-    The measures are kept current by every move that involves color 1:
-    `h1_mask[e]` is 1 when the target colors e with 1, `n_matched` counts
-    those edges colored 1 now, and the heap `defects` holds every target
-    1-edge not colored 1, plus stale entries dropped when they surface.
+    The measures are kept current by :meth:`swap`, on every interchange
+    that involves color 1: `h1_mask[e]` is 1 when the target colors e with
+    1, `n_matched` counts those edges colored 1 now, and the heap `defects`
+    holds every target 1-edge not colored 1, plus stale entries dropped
+    when they surface.  h is read as given (zip stops at the shorter
+    list): :func:`_checked_work` checks it after f.
     """
 
     __slots__ = ("h1_mask", "n_matched", "defects", "to_real", "to_frame")
 
     def __init__(self, g: Graph, f: EdgeColoring, h: EdgeColoring | None):
-        super().__init__(g, f)
+        super().__init__(g, f, "working coloring")
         self.h1_mask = bytearray(g.m)
         self.defects = []
         if h is not None:
-            for e, c in enumerate(h.colors):
+            for e, (c, now) in enumerate(zip(h.colors, self.colors)):
                 if c == 1:
                     self.h1_mask[e] = 1
-                    if self.colors[e] != 1:
+                    if now != 1:
                         self.defects.append(e)  # ascending, so a heap
         self.n_matched = sum(self.h1_mask) - len(self.defects)
         self.reset_frame()
@@ -131,14 +133,7 @@ class _Work(Recorder):
 
     def apply(self, a: int, b: int, rep: int, note: str):
         to_real = self.to_real
-        out = super().apply(to_real[a], to_real[b], rep, note)
-        if a == 1 or b == 1:
-            # every edge of the component gained or lost color 1
-            mask = self.h1_mask
-            for e in out[0]:
-                if mask[e]:
-                    self._flipped1(e)
-        return out
+        return super().apply(to_real[a], to_real[b], rep, note)
 
     def apply_expect(self, a: int, b: int, rep: int, expect_verts: set, note: str):
         edge_ids, verts, cyc = self.apply(a, b, rep, note)
@@ -152,19 +147,19 @@ class _Work(Recorder):
         """Single-edge interchange (component asserted to be the edge alone)."""
         self.recolor_edge(eid, self.to_real[frame_color], note)
 
-    def recolor_edge(self, eid: int, new_color: int, note: str | None = None):
-        old = self.colors[eid]
-        super().recolor_edge(eid, new_color, note)
-        if self.h1_mask[eid] and (old == 1 or new_color == 1):
-            self._flipped1(eid)
-
-    def _flipped1(self, e: int):
-        """Update the measures after target 1-edge e gained or lost color 1."""
-        if self.colors[e] == 1:
-            self.n_matched += 1
-        else:
-            self.n_matched -= 1
-            heapq.heappush(self.defects, e)
+    def swap(self, edge_ids, a: int, b: int) -> None:
+        """:meth:`Recorder.swap` (real colors), keeping the measures: with
+        color 1 in the pair, every edge of the component gained or lost it."""
+        super().swap(edge_ids, a, b)
+        if a == 1 or b == 1:
+            h1, colors = self.h1_mask, self.colors
+            for e in edge_ids:
+                if h1[e]:
+                    if colors[e] == 1:
+                        self.n_matched += 1
+                    else:
+                        self.n_matched -= 1
+                        heapq.heappush(self.defects, e)
 
     # -- measures ------------------------------------------------------------
     def matched(self) -> int:
@@ -192,10 +187,10 @@ def _checked_work(g: Graph, f: EdgeColoring, h: EdgeColoring | None) -> _Work:
         raise NotRegular4("graph is not 4-regular")
     if f.t != 5:
         raise PaletteMismatch(f"working coloring must use palette 5, got {f.t}")
-    require_proper(g, f, "working coloring")
+    work = _Work(g, f, h)
     if h is not None and (h.t != 4 or not is_proper(g, h)):
         raise TargetNotProper4("target must be a proper 4-edge coloring")
-    return _Work(g, f, h)
+    return work
 
 
 def _free_edge(work: _Work, path):
@@ -209,16 +204,15 @@ def _free_edge(work: _Work, path):
     return None
 
 
-def _window_holds(work: _Work, w1, w2, w3) -> bool:
-    """Literal check of the window conditions on w1 w2 w3: the three
-    off-{1,2} palette pairs are pairwise distinct, and colors 3,4,5 all
-    appear at the mid-vertex's off-path neighbors."""
-    ex = {work.vpal(w) - {1, 2} for w in (w1, w2, w3)}
+def _window_holds(g: Graph, vpal, w1, w2, w3) -> bool:
+    """Literal check of the window conditions on w1 w2 w3, with `vpal(v)`
+    the palette at v: the three off-{1,2} palette pairs are pairwise
+    distinct, and colors 3,4,5 all appear at the mid-vertex's off-path
+    neighbors."""
+    ex = {vpal(w) - {1, 2} for w in (w1, w2, w3)}
     if len(ex) != 3 or any(len(x) != 2 for x in ex):
         return False
-    return all(
-        {3, 4, 5} <= work.vpal(y) for y, _ in work.g.adj[w2] if y not in (w1, w3)
-    )
+    return all({3, 4, 5} <= vpal(y) for y, _ in g.adj[w2] if y not in (w1, w3))
 
 
 def _sides(work: _Work, e: int):
@@ -705,7 +699,7 @@ def _case_B(work: _Work, e: int):
         # both sides reach length >= 4 here (short sides cannot hold corrects)
     if _cut_window(work, [u_ext[0]] + v_ext[:4], "B.2.1") is None:
         return e
-    if not _window_holds(work, u_ext[0], u_ext[1], u_ext[2]):
+    if not _window_holds(work.g, work.vpal, *u_ext[:3]):
         if _cut_window(work, [v_ext[0]] + u_ext[:4], "B.2.2") is not None:
             raise InternalInvariantError("failed window conditions must improve")
         return e
@@ -822,7 +816,7 @@ class ConditionsCertificate:
     x2: int
 
     def verify(self, g: Graph, f: EdgeColoring) -> bool:
-        return _window_holds(_Work(g, f, None), *self.window)
+        return _window_holds(g, lambda v: palette_at(g, f, v), *self.window)
 
 
 def _window_work(g: Graph, f: EdgeColoring, h: EdgeColoring | None, path_vertices, size):

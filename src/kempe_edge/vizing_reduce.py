@@ -9,7 +9,7 @@ is reused by the acyclic max-degree reduction, which additionally needs the
 from __future__ import annotations
 
 from .errors import InternalInvariantError, PaletteTooSmall
-from .graph_core import EdgeColoring, Graph, require_proper
+from .graph_core import EdgeColoring, Graph
 from .kempe_engine import Fan, Recorder, extend_fan, least_color, palette_bits
 
 
@@ -80,11 +80,10 @@ def reduce_to_delta_plus_one(g: Graph, f: EdgeColoring):
     replayed from f ends with the same assignment; shrinking the palette
     header is a no-move bookkeeping step.
     """
-    require_proper(g, f)
+    rec = Recorder(g, f)
     delta = g.max_degree()
     if f.t <= delta + 1:
         raise PaletteTooSmall(f"palette {f.t} <= Delta+1 = {delta + 1}")
-    rec = Recorder(g, f)
     allowed = palette_bits(delta + 1)
     # an elimination moves only allowed colors besides e1's c_top, and the
     # c_top class loses exactly e1 (checked below), so the buckets, filled

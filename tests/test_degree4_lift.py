@@ -6,7 +6,7 @@ from collections import Counter, deque
 
 import pytest
 
-from kempe_edge import degree4_lift
+from kempe_edge import degree4_lift, kempe_engine
 from kempe_edge.degree4_lift import (
     _agreement,
     _bfs_to_better,
@@ -904,25 +904,34 @@ def test_transform_delta4_rejects_its_inputs():
 
 
 def test_transform_delta4_checks_each_coloring_once(monkeypatch):
-    """On a 4-regular graph the properness kernel runs 5 times from
-    palette 7 (h; f and the reduced coloring in the reduction; the reduced
-    coloring and h again in the case machine) and 4 times from palette 5
-    (h and f, then both in the case machine); the final replay onto h
-    starts from the checked f.  An improper f is NotProper either way."""
-    calls = [0]
+    """On a 4-regular graph the properness kernel runs 3 times from
+    palette 7 (h; the reduction's final self-check; h again in the case
+    machine) and 3 times from palette 5 (h and f, then h in the case
+    machine).  Every other check is the pass that builds a working state's
+    masks: 3 from palette 7 (f in the reduction, the reduced coloring in
+    the case machine, f in the final replay onto h), 2 from palette 5 (f
+    in the case machine and in the final replay).  An improper f is
+    NotProper either way."""
+    calls = Counter()
     is_proper_kernel = backend.is_proper
+    proper_masks = kempe_engine.proper_masks
 
     def counting(g, colors):
-        calls[0] += 1
+        calls["kernel"] += 1
         return is_proper_kernel(g, colors)
 
+    def counting_masks(*args):
+        calls["masks"] += 1
+        return proper_masks(*args)
+
     monkeypatch.setattr(backend, "is_proper", counting)
+    monkeypatch.setattr(kempe_engine, "proper_masks", counting_masks)
     g, h = random_regular4_class1(24, 1)
-    for t, expect in ((7, 5), (5, 4)):
+    for t, kernel, masks in ((7, 3, 3), (5, 3, 2)):
         f = random_proper_coloring(g, t, 3)
-        calls[0] = 0
+        calls.clear()
         tr = transform_delta4(g, f, h)
-        assert calls[0] == expect
+        assert calls == {"kernel": kernel, "masks": masks}
         assert apply_transcript(g, f, tr, check=True).colors == h.colors
         bad = list(f.colors)
         u, v = g.edges[0]

@@ -11,6 +11,8 @@ from kempe_edge.errors import (
     EdgeNotIncident,
     InternalInvariantError,
     InvalidMoveAtIndex,
+    MissingEdgeColor,
+    NotProper,
     NotSaturated,
     PreconditionViolated,
     RepEdgeNotBicolored,
@@ -612,10 +614,10 @@ def test_replay_masks_match_a_recount_after_every_move():
     from kempe_edge import kempe_engine
 
     made = []
-    real = kempe_engine.color_masks
+    real = kempe_engine.proper_masks
 
-    def kept(g, colors):
-        made.append(real(g, colors))
+    def kept(*args):
+        made.append(real(*args))
         return made[-1]
 
     rng = random.Random(17)
@@ -631,9 +633,9 @@ def test_replay_masks_match_a_recount_after_every_move():
             _random_move(rng, rec, range(1, t + 1))
         for k in range(len(rec.tr) + 1):
             prefix = Transcript(rec.tr.moves[:k])
-            with mock.patch.object(kempe_engine, "color_masks", kept):
+            with mock.patch.object(kempe_engine, "proper_masks", kept):
                 out = apply_transcript(g, f, prefix, check=bool(k % 2))
-            assert made[-1] == real(g, out.colors)
+            assert made[-1] == kempe_engine.color_masks(g, out.colors)
             checked += 1
     assert checked > 200
 
@@ -722,3 +724,91 @@ def test_unchecked_replay_matches_the_kernel_replay(faulty, case):
     with mock.patch.object(backend, "component_edges", trace):
         ours = outcome(lambda: apply_transcript(g, f, tr, check=False))
         assert ours == outcome(lambda: _replay_unchecked_reference(g, f, tr))
+
+
+# ---------------------------------------------------------------------------
+# Every entry that builds a checked working state checks its coloring in the
+# pass that builds the masks, with require_proper's error and message.
+# ---------------------------------------------------------------------------
+
+
+def _k4():
+    return Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+
+
+def _p4():
+    return Graph(4, [(1, 2), (2, 3), (3, 4)])
+
+
+def _entries():
+    """name -> (graph, a proper coloring, call(coloring)) with every other
+    argument valid, so the coloring is the first thing found wrong."""
+    from kempe_edge.acyclic_reduce import WalkState, acyclic_reduce, case_a_step, walk_step
+    from kempe_edge.degree4_lift import low_degree_equalize
+    from kempe_edge.reductions import maximalize_top_class
+    from kempe_edge.regular4_core import _checked_work, theorem_4_1_transform
+    from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
+
+    k4, p4, octa = _k4(), _p4(), octahedron()
+    k4_4 = EdgeColoring(4, [1, 2, 3, 3, 2, 1])
+    k4_5 = EdgeColoring(5, [1, 2, 3, 3, 2, 5])
+    p4_3 = EdgeColoring(3, [1, 3, 2])
+    octa_5 = EdgeColoring(5, figure1_pair()[0].colors)
+    h = figure1_pair()[1]
+    return {
+        "reduce_to_delta_plus_one": (k4, k4_5, lambda f: reduce_to_delta_plus_one(k4, f)),
+        "acyclic_reduce": (p4, p4_3, lambda f: acyclic_reduce(p4, f)),
+        "case_a_step": (p4, p4_3, lambda f: case_a_step(p4, f, 1)),
+        "walk_step": (p4, p4_3, lambda f: walk_step(p4, f, WalkState((2, 3), 1))),
+        "low_degree_equalize": (k4, k4_4, lambda f: low_degree_equalize(k4, f, k4_4)),
+        "downshift": (k4, k4_5, lambda f: downshift(k4, f, Fan(1, (0,), ()), 4)),
+        "maximalize_top_class": (p4, p4_3, lambda f: maximalize_top_class(p4, f, 3)),
+        "_checked_work": (octa, octa_5, lambda f: _checked_work(octa, f, h)),
+        "theorem_4_1_transform": (octa, octa_5, lambda f: theorem_4_1_transform(octa, f, h)),
+        "apply_transcript": (k4, k4_4, lambda f: apply_transcript(k4, f, Transcript())),
+        "grow_fan": (k4, k4_4, lambda f: grow_fan(k4, f, 1, 0)),
+    }
+
+
+def _malformed(g, f, kind):
+    colors = list(f.colors)
+    clash = next(e for w in g.edges[0] for _, e in g.adj[w] if e != 0)
+    if kind in ("improper", "improper and above palette"):
+        colors[0] = colors[clash]
+    if kind == "one edge short":
+        colors.pop()
+    if kind in ("above palette", "improper and above palette"):
+        colors[-1] = f.t + 1
+    return EdgeColoring(f.t, colors)
+
+
+_WORKING = ("_checked_work", "theorem_4_1_transform")
+_KINDS = ("improper", "one edge short", "above palette", "improper and above palette")
+
+
+def _expected(name, g, f, kind):
+    """The error the entry raised before its check moved into the mask
+    build: require_proper's, with the entry's label."""
+    if kind == "improper":
+        label = "working coloring" if name in _WORKING else (
+            "starting coloring" if name == "apply_transcript" else "coloring"
+        )
+        return NotProper, f"{label} is not proper"
+    if kind == "one edge short":
+        return MissingEdgeColor, f"coloring covers {g.m - 1} edges, graph has {g.m}"
+    return ColorOutOfRange, f"edge {g.m - 1} colored {f.t + 1}, palette 1..{f.t}"
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("name", sorted(_entries()))
+def test_checked_working_states_reject_malformed_colorings(name, kind):
+    """Each entry accepts its proper coloring, and on a malformed one raises
+    the error class and message of require_proper: a clash counts only once
+    every color is in range."""
+    g, f, call = _entries()[name]
+    call(f)
+    error, message = _expected(name, g, f, kind)
+    with pytest.raises(error) as info:
+        call(_malformed(g, f, kind))
+    assert type(info.value) is error
+    assert str(info.value) == message
