@@ -111,7 +111,23 @@ def _cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
+# the options each gen family reads; any other one given is refused
+_GEN_OPTIONS = {
+    "octahedron": (),
+    "figure1": ("first", "second"),
+    "regular4": ("n", "seed", "witness"),
+    "overfull5": (),
+}
+
+
 def _cmd_gen(args) -> int:
+    unread = [
+        f"--{name}"
+        for name in ("n", "seed", "witness", "first", "second")
+        if getattr(args, name) is not None and name not in _GEN_OPTIONS[args.family]
+    ]
+    if unread:
+        raise UnsupportedFamily(f"gen {args.family} does not read {' '.join(unread)}")
     if args.family == "octahedron":
         write_graph(args.out, fixtures_gen.octahedron())
         return 0
@@ -190,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("gen", help="write fixture instances")
-    sp.add_argument("family", choices=["octahedron", "figure1", "regular4", "overfull5"])
+    sp.add_argument("family", choices=list(_GEN_OPTIONS))
     sp.add_argument("--out", required=True)
     sp.add_argument("--n", type=int)
     sp.add_argument("--seed", type=int)

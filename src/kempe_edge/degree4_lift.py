@@ -305,7 +305,8 @@ def _agreement(state: bytes, goal: bytes) -> int:
 
 class _ComponentIndex:
     """The (a, b)-components that hold a fixable edge, for every color
-    pair of the search, kept current through interchanges.
+    pair of the search, kept current through interchanges and traced only
+    when the walk reads their pair.
 
     It works on a :class:`Recorder`: `state` is the recorder's color list,
     and every interchange goes through :meth:`Recorder.swap`, which keeps
@@ -317,17 +318,24 @@ class _ComponentIndex:
     indexed component's representative (least edge id) and is -1 on every
     other edge, `comps` maps a representative to the component's edge ids,
     `gaining` holds the representatives whose interchange raises the
-    agreement, and `heaps` holds them too, as a min-heap with lazy
-    deletion: a top not in `gaining` is stale.
+    agreement, `heaps` holds them too, as a min-heap with lazy deletion (a
+    top not in `gaining` is stale), and `pending` is a set of seed edges
+    not yet traced.
+
+    Invariant: every indexed component is a current (a, b)-component, and
+    every edge fixable for (a, b) is owned by an indexed component or is
+    pending for (a, b).  :meth:`_flush` traces a pair's pending seeds, so
+    after it the pair holds exactly its components with a fixable edge;
+    :meth:`first_gaining` flushes each pair just before it reads that
+    pair's heap, and the pairs after the one it returns stay pending.
 
     An (a, b) interchange on C changes the fixability of C's edges only.
     It keeps every (a, b)-component and every pair that avoids a and b; on
     the pairs (a, x) and (b, x) it changes only components that meet V(C).
-    Those indexed are dropped, and the pair is traced again from C's edges
-    and the dropped components' edges, each only if it is fixable.  That
-    reaches every new component with a fixable edge: one off C lies in an
-    old component, which held it, was indexed and met V(C).  An unindexed
-    old component meeting V(C) has no fixable edge off C.
+    Those indexed are dropped at once, so no owner entry goes stale, and
+    their edges and C's join the pair's pending seeds.  That keeps the
+    invariant: a fixable edge off C either lies in an old component that
+    was indexed and met V(C), or was pending already.
     """
 
     def __init__(self, rec, goal, colors):
@@ -337,26 +345,33 @@ class _ComponentIndex:
         self.goal = goal
         cs = sorted(colors)
         self.pairs = [(a, b) for i, a in enumerate(cs) for b in cs[i + 1:]]
+        self.affected = {
+            p: [q for q in self.pairs if q != p and (p[0] in q or p[1] in q)]
+            for p in self.pairs
+        }
         self.owner = {p: [-1] * g.m for p in self.pairs}
         self.comps = {p: {} for p in self.pairs}
         self.gaining = {p: set() for p in self.pairs}
         self.heaps = {p: [] for p in self.pairs}
-        fixable = {p: [] for p in self.pairs}
+        self.pending = {p: set() for p in self.pairs}
         for e, (c, want) in enumerate(zip(state, goal)):
             p = (c, want) if c < want else (want, c)
-            if p in fixable:
-                fixable[p].append(e)
-        for (a, b), seeds in fixable.items():
-            self._trace(a, b, seeds)
+            if p in self.pending:
+                self.pending[p].add(e)
 
-    def _trace(self, a, b, seeds):
-        """Index the (a, b)-component of every seed fixable for (a, b)
-        that no indexed component holds."""
-        owner, state, goal = self.owner[a, b], self.state, self.goal
+    def _flush(self, p):
+        """Index the component of every pending seed of pair p that is
+        fixable for p and held by no indexed component."""
+        seeds = self.pending[p]
+        if not seeds:
+            return
+        a, b = p
+        owner, state, goal = self.owner[p], self.state, self.goal
         for e in seeds:
             c = state[e]
             if (c == a or c == b) and goal[e] == a + b - c and owner[e] < 0:
                 self._add(a, b, backend.component_edges(self.g, state, a, b, e))
+        seeds.clear()
 
     def _add(self, a, b, comp):
         # owner and gain (as in swapping a and b on comp) in one pass
@@ -386,6 +401,7 @@ class _ComponentIndex:
     def first_gaining(self):
         """(a, b, rep) of the first gaining component in walk order, or None."""
         for p in self.pairs:
+            self._flush(p)
             gaining, heap = self.gaining[p], self.heaps[p]
             while heap and heap[0] not in gaining:
                 heapq.heappop(heap)
@@ -405,21 +421,17 @@ class _ComponentIndex:
             comp = backend.component_edges(g, state, a, b, rep)
         verts = {v for e in comp for v in g.edges[e]}
         touched = {e for v in verts for _, e in g.adj[v]}
-        affected = [p for p in self.pairs if p != (a, b) and (a in p or b in p)]
-        seeds = {}
-        for p in affected:
-            owner = self.owner[p]
-            seeds[p] = popped = list(comp)
+        for p in self.affected[a, b]:
+            owner, pending = self.owner[p], self.pending[p]
+            pending.update(comp)
             for e in touched:
                 r = owner[e]
                 if r >= 0:
-                    popped.extend(self._pop(p, r))
+                    pending.update(self._pop(p, r))
         self.rec.swap(comp, a, b)
         goal = self.goal
         if any(goal[e] == a + b - state[e] for e in comp):
             self._add(a, b, comp)
-        for p, popped in seeds.items():
-            self._trace(*p, popped)
 
 
 def _bfs_to_better(g, start, goal, colors, cap):

@@ -362,6 +362,20 @@ _CLI_TABLE = {
     # one vertex past the most a graph file may declare (MAX_VERTICES = 2^20)
     "gen-regular4-above-max-vertices": ("gen regular4 --n 2097152 --seed 1 --out {o}",
                                         "", 1, "infeasible_n"),
+    # gen refuses an option its family does not read, before writing
+    "gen-regular4-first": ("gen regular4 --n 10 --seed 1 --out {o} --first {x}",
+                           "", 1, "unsupported_family"),
+    "gen-regular4-second": ("gen regular4 --n 10 --seed 1 --out {o} --second {x}",
+                            "", 1, "unsupported_family"),
+    "gen-figure1-witness": ("gen figure1 --out {o} --witness {x}", "", 1, "unsupported_family"),
+    "gen-figure1-n": ("gen figure1 --out {o} --n 10", "", 1, "unsupported_family"),
+    "gen-octahedron-seed": ("gen octahedron --out {o} --seed 1", "", 1, "unsupported_family"),
+    "gen-octahedron-first": ("gen octahedron --out {o} --first {x}",
+                             "", 1, "unsupported_family"),
+    "gen-overfull5-witness": ("gen overfull5 --out {o} --witness {x}",
+                              "", 1, "unsupported_family"),
+    "gen-overfull5-n-seed": ("gen overfull5 --out {o} --n 10 --seed 1",
+                             "", 1, "unsupported_family"),
     "transform-auto-needs-to": ("transform --graph {g} --from {f} --out {o}",
                                 "", 1, "unsupported_family"),
 }

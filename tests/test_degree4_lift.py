@@ -614,15 +614,30 @@ def _fixable(state, goal, a, b, e):
 
 
 def _assert_index_is_sparse_walk(index, walk, g, goal):
-    """The index holds exactly the walk's components with a fixable edge,
-    each under its least edge id, with the walk's gaining set and first
-    gaining component."""
+    """The index's first gaining component is the walk's, read with only
+    the pairs the walk order reaches traced.  Flushed in full, the index
+    holds exactly the walk's components with a fixable edge, each under its
+    least edge id, with the walk's gaining set; no pair ever holds more
+    than m pending seeds."""
+    assert all(len(seeds) <= g.m for seeds in index.pending.values())
+    first = next(
+        (
+            (a, b, rep)
+            for a, b, rep, comp in walk
+            if _gain(index.state, goal, a, b, comp) > 0
+        ),
+        None,
+    )
+    assert index.first_gaining() == first
+    for p in index.pairs:
+        index._flush(p)
     expect = {p: {} for p in index.pairs}
     for a, b, rep, comp in walk:
         if any(_fixable(index.state, goal, a, b, e) for e in comp):
             assert rep == min(comp)
             expect[a, b][rep] = comp
     for p in index.pairs:
+        assert not index.pending[p]
         assert {r: sorted(c) for r, c in index.comps[p].items()} == {
             r: sorted(c) for r, c in expect[p].items()
         }
@@ -635,22 +650,14 @@ def _assert_index_is_sparse_walk(index, walk, g, goal):
             rep for a, b, rep, comp in walk
             if (a, b) == p and _gain(index.state, goal, a, b, comp) > 0
         }
-    first = next(
-        (
-            (a, b, rep)
-            for a, b, rep, comp in walk
-            if _gain(index.state, goal, a, b, comp) > 0
-        ),
-        None,
-    )
-    assert index.first_gaining() == first
 
 
 def test_component_index_matches_fresh_walk_after_every_swap():
     """Swaps on the first gaining component and on random components of a
     fresh walk (also losing ones, and ones the index does not hold, which
-    the swap traces on demand) keep the index equal to the components of
-    a fresh walk that hold a fixable edge."""
+    the swap traces on demand) keep the index's first gaining component
+    the fresh walk's, and, once every pair is flushed, the index equal to
+    the components of a fresh walk that hold a fixable edge."""
     rng = random.Random(5)
     swaps = unindexed = 0
     for g, start, goal, colors, t in _search_instances((8, 10, 12), range(3)):
@@ -794,9 +801,13 @@ def test_exact_search_budget_is_search_budget_exceeded(monkeypatch):
 
 
 def test_component_index_swap_retraces_locally(monkeypatch):
-    """A swap on C re-traces at most 2 (k - 2) Delta |V(C)| components: the
-    pairs (a, x) and (b, x), each at most the edges at V(C).  A rescan of
-    the whole coloring exceeds this on the larger graphs."""
+    """Over a greedy run, the index traces at most the fixable edges at
+    init plus 2 (k - 2) Delta |V(C)| per swap on C.  A swap re-seeds only
+    the pairs (a, x) and (b, x), and a component traced later for a
+    re-seeded pair holds an edge at V(C) of some swap since its pair was
+    last read, so each swap pays for at most the edges at V(C) per pair.
+    A rescan of the whole coloring per step exceeds this on the larger
+    graphs."""
     traces = [0]
     trace = backend.component_edges
 
@@ -812,15 +823,17 @@ def test_component_index_swap_retraces_locally(monkeypatch):
             start = bytes(c + shift for c in _delta_plus_one_coloring(g, seed).colors)
             goal = bytes(c + shift for c in _delta_plus_one_coloring(g, seed + 1).colors)
             rec = Recorder(g, EdgeColoring(colors[-1], start))
+            traces[0] = 0
             index = _ComponentIndex(rec, goal, colors)
+            # every edge off its goal color is fixable for one pair
+            bound = sum(c != want for c, want in zip(start, goal))
             while (step := index.first_gaining()) is not None:
                 comp = index.comps[step[0], step[1]][step[2]]
                 verts = {v for e in comp for v in g.edges[e]}
-                bound = 2 * (len(colors) - 2) * g.max_degree() * len(verts)
-                traces[0] = 0
+                bound += 2 * (len(colors) - 2) * g.max_degree() * len(verts)
                 index.swap(*step)
                 assert traces[0] <= bound
-                worst = max(worst, traces[0] / bound)
+            worst = max(worst, traces[0] / bound)
     assert worst > 0
 
 
@@ -870,6 +883,28 @@ def test_component_index_traces_only_components_with_a_fixable_edge(monkeypatch)
     for g, start, goal[0], colors, t in instances:
         assert _replay(g, start, _search(g, start, goal[0], colors, t)) == goal[0]
     assert seeded[0] > 0 and on_demand[0] > 0
+
+
+@pytest.mark.parametrize(
+    "n, seed, traces, moves",
+    # before the pairs were traced lazily: 426 and 1,434 traces
+    [(200, 1, 199, 108), (640, 2, 551, 353)],
+)
+def test_equalize_search_trace_count_is_pinned(monkeypatch, n, seed, traces, moves):
+    """The exact number of components the phase-2 search traces.  Its
+    transcript is fixed, so the count is too; a change that keeps every
+    move but traces more fails here, not only on a clock."""
+    calls = [0]
+    trace = backend.component_edges
+
+    def counting(*args):
+        calls[0] += 1
+        return trace(*args)
+
+    g, start, goal, colors, t = _phase2_instance(n, seed)
+    monkeypatch.setattr(backend, "component_edges", counting)
+    assert len(_search(g, start, goal, colors, t)) == moves
+    assert calls[0] == traces
 
 
 def _prism():
