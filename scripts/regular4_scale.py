@@ -10,7 +10,12 @@ its witness 4-coloring as the target, started from the benchmark's greedy
 Each measurement runs in a fresh process that imports the package from
 `src/` of its checkout, the parent's (`--parent`) or this one's, the
 parent first on odd seeds.  Times are scaled to the benchmark's reference
-speed (`perfbench/calibrate.py`); raw seconds are kept.  The transcript
+speed (`perfbench/calibrate.py`), and the curve (medians per n and their
+ratios per doubling of n) is written in raw seconds beside the scaled ones.
+Scaling corrects each run by its own calibration, so it can turn a raw
+speed-up into a scaled slow-down or the reverse: each row records its
+change/parent ratio in both units and is marked `scaled_raw_disagree` when
+they fall on opposite sides of 1.  The transcript
 sha256 of both checkouts is recorded, so a change that should keep
 transcripts can be checked on the curve too: the script exits 1, after
 writing its output, when any pair differs.
@@ -59,6 +64,32 @@ def run_one(src: Path, n: int, seed: int) -> dict:
     return json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
 
 
+def compare(row: dict) -> None:
+    """Add the row's change/parent time ratios, scaled and raw, and whether
+    they point opposite ways."""
+    ratio = {
+        unit: round(row["change"][f"{unit}_s"] / row["parent"][f"{unit}_s"], 3)
+        for unit in ("scaled", "raw")
+    }
+    row["change_over_parent"] = ratio
+    row["scaled_raw_disagree"] = (ratio["scaled"] - 1) * (ratio["raw"] - 1) < 0
+
+
+def curve(rows, ns) -> dict:
+    """Per side: the median seconds per n and their ratios per doubling of
+    n, scaled and raw."""
+    out = {}
+    for side in ("parent", "change"):
+        out[side] = {}
+        for unit in ("scaled", "raw"):
+            med = {n: statistics.median(r[side][f"{unit}_s"] for r in rows if r["n"] == n)
+                   for n in ns}
+            out[side][f"median_{unit}_s"] = {str(n): round(s, 4) for n, s in med.items()}
+            key = "per_doubling" if unit == "scaled" else "per_doubling_raw"
+            out[side][key] = [round(med[b] / med[a], 2) for a, b in zip(ns, ns[1:])]
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path)
@@ -80,25 +111,19 @@ def main() -> None:
             order = list(sides) if seed % 2 else list(sides)[::-1]
             for side in order:
                 row[side] = run_one(sides[side], n, seed)
+            compare(row)
             rows.append(row)
             print(json.dumps(row), file=sys.stderr)
-    curve = {}
-    for side in sides:
-        med = {n: statistics.median(r[side]["scaled_s"] for r in rows if r["n"] == n)
-               for n in args.n}
-        curve[side] = {
-            "median_scaled_s": {str(n): round(s, 4) for n, s in med.items()},
-            "per_doubling": [round(med[b] / med[a], 2) for a, b in zip(args.n, args.n[1:])],
-        }
     out = {
         "what": "transform_delta4 on random_regular4_class1(n, seed) from a greedy 7-coloring",
-        "unit": "seconds scaled to the perfbench reference speed",
+        "unit": "seconds scaled to the perfbench reference speed (*_raw_s, *_raw: unscaled)",
         "python": sys.version.split()[0],
         "date": time.strftime("%Y-%m-%d"),
         "same_transcripts": all(
             r["parent"]["transcript_sha256"] == r["change"]["transcript_sha256"] for r in rows
         ),
-        "curve": curve,
+        "curve": curve(rows, args.n),
+        "scaled_raw_disagree": [[r["n"], r["seed"]] for r in rows if r["scaled_raw_disagree"]],
         "rows": rows,
     }
     text = json.dumps(out, indent=2) + "\n"

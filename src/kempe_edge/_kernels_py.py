@@ -18,8 +18,23 @@ the search index, replay, transcript projection and `interchange`.
 :func:`canonical_colorings` is the one backtracker over proper colorings,
 with its stack in lists, not Python frames; :func:`enumerate_proper` and the
 oracle's chromatic-index search both walk it.
+
+:func:`kempe_neighbor_moves` lists every interchange of a state.  The two
+oracle searches that enumerate a whole Kempe class (``same_class`` and
+``kempe_classes``) pass it a memo, ``chains``, that they keep for one search
+over one graph.  In a proper coloring the (a, b)-components depend only on
+the edge set E_a | E_b, and many states of a class share one: the memo
+holds each set's components once, each as an int with one byte per edge id
+(1 on its edges), and a next state is one integer xor.  The Delta <= 4
+equalizer's fallbacks (``degree4_lift._bfs_to_better`` and its exact
+``_meet_in_middle`` call) pass no memo: an (a, b) move changes the edge set
+of every pair holding exactly one of a and b (four of the six at palette
+4), so on their large graphs a set almost never comes back, and the memo
+would only cost time and memory there.
 """
 from __future__ import annotations
+
+import functools
 
 
 def is_proper(g, colors) -> bool:
@@ -217,18 +232,78 @@ def enumerate_proper(g, t, cap):
     return out, False
 
 
-def kempe_neighbor_moves(g, state, t, color_set=None):
+@functools.cache
+def _one_hot(c):
+    """The translate table that maps color c to 1 and every other byte to 0."""
+    return bytes(c) + b"\x01" + bytes(255 - c)
+
+
+def _chains(g, state, a, b):
+    """The components of the (a, b)-subgraph of `state`, in order of their
+    least edge id, each as (that id, an int with one byte per edge id that
+    is 1 on its edges)."""
+    m = len(state)
+    seen = bytearray(m)
+    out = []
+    for e, c in enumerate(state):
+        if (c == a or c == b) and not seen[e]:
+            comp = bytearray(m)
+            for f in component_edges(g, state, a, b, e):
+                seen[f] = comp[f] = 1
+            out.append((e, int.from_bytes(comp, "little")))
+    return out
+
+
+def _memo_moves(g, state, cs, chains):
+    """:func:`kempe_neighbor_moves` through the memo `chains`: edge set ->
+    :func:`_chains` of any proper state whose (a, b)-subgraph has it.
+
+    Each color class and the state are ints with one byte per edge id, so
+    the edge set of a pair is one ``|``, and swapping a component C is
+    ``state ^ C * (a ^ b)``: a ^ b fits a byte, so nothing carries.
+    """
+    m = len(state)
+    s = int.from_bytes(state, "little")
+    sets = [int.from_bytes(state.translate(_one_hot(c)), "little") for c in cs]
+    out = []
+    for i, a in enumerate(cs):
+        set_a = sets[i]
+        for j in range(i + 1, len(cs)):
+            key = set_a | sets[j]
+            if not key:
+                continue  # two absent colors
+            b = cs[j]
+            comps = chains.get(key)
+            if comps is None:
+                comps = chains[key] = _chains(g, state, a, b)
+            x = a ^ b
+            for rep, comp in comps:
+                out.append((a, b, rep, (s ^ comp * x).to_bytes(m, "little")))
+    return out
+
+
+def kempe_neighbor_moves(g, state, t, color_set=None, chains=None):
     """Every Kempe interchange of `state` (bytes) as (a, b, rep, next_state).
 
     Color pairs a < b run in ascending order over `color_set` (all of
     1..t when None; a given set restricts the move colors, as the bounded
     searches that must not leave a sub-palette need).  Within a pair the
-    components come in order of their least edge id `rep`.  One pass over
-    the edges builds, per color present, its edge list and a vertex -> edge
-    table; a pair then walks each component from its least unseen edge, and
-    a pair of two absent colors is skipped.
+    components come in order of their least edge id `rep`, and a pair of
+    two absent colors is skipped.
+
+    `chains`, when given, is a dict the caller keeps for one search over
+    one graph, and `state` must be proper: the components of each pair are
+    looked up by the pair's edge set, traced on a miss, and every next
+    state is built by one integer xor (:func:`_memo_moves`).  The memo
+    holds at most one entry per distinct edge set, so at most
+    min(2^m, pairs x states) of them.  Without it, one pass over the edges
+    builds, per color present, its edge list and a vertex -> edge table; a
+    pair then walks each component from its least unseen edge and writes
+    its next state edge by edge.  The list is the same either way.
     """
     cs = sorted(color_set) if color_set is not None else range(1, t + 1)
+    if chains is not None:
+        return _memo_moves(g, state, cs, chains)
     edges = g.edges
     nv = g.n + 1
     edges_of = {}  # color -> its edge ids, ascending
@@ -283,6 +358,6 @@ def kempe_neighbor_moves(g, state, t, color_set=None):
     return out
 
 
-def kempe_neighbors(g, state, t, color_set=None):
+def kempe_neighbors(g, state, t, color_set=None, chains=None):
     """The next states of :func:`kempe_neighbor_moves`, in the same order."""
-    return [nxt for _, _, _, nxt in kempe_neighbor_moves(g, state, t, color_set)]
+    return [nxt for _, _, _, nxt in kempe_neighbor_moves(g, state, t, color_set, chains)]

@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 domain error or unreadable/unwritable file (one
-JSON line on stderr), 2 usage error.  All randomized commands require an
-explicit --seed.
+Exit codes: 0 success (``--help`` included), 1 domain error, usage error
+or unreadable/unwritable file (one JSON line on stderr).  All randomized
+commands require an explicit --seed.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import sys
 from . import fixtures_gen, oracle
 from .acyclic_reduce import acyclic_reduce
 from .degree4_lift import transform_delta4
-from .errors import InternalInvariantError, KempeEdgeError, UnsupportedFamily
+from .errors import InternalInvariantError, KempeEdgeError, UnsupportedFamily, UsageError
 from .graph_core import (
     EdgeColoring,
     format_coloring,
@@ -153,8 +153,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a parse error as ``usage_error``, where argparse would print
+    its usage text and exit 2; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="kempe-edge",
         description="Certified Kempe-interchange transformations of edge colorings",
     )
@@ -217,16 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "verify": _cmd_verify,
-        "transform": _cmd_transform,
-        "apply": _cmd_apply,
-        "oracle": _cmd_oracle,
-        "gen": _cmd_gen,
-    }[args.cmd]
     try:
+        args = build_parser().parse_args(argv)
+        handler = {
+            "verify": _cmd_verify,
+            "transform": _cmd_transform,
+            "apply": _cmd_apply,
+            "oracle": _cmd_oracle,
+            "gen": _cmd_gen,
+        }[args.cmd]
         return handler(args)
     except KempeEdgeError as exc:
         return _fail(exc.code, exc.detail)

@@ -124,6 +124,13 @@ class InfeasibleN(KempeEdgeError):
     code = "infeasible_n"
 
 
+class UsageError(KempeEdgeError):
+    """The command line does not parse: an unknown or missing option, a bad
+    choice or an ill-typed value."""
+
+    code = "usage_error"
+
+
 class InternalInvariantError(KempeEdgeError):
     """A runtime certificate check failed.  Indicates a bug, not bad input."""
 

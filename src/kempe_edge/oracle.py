@@ -226,16 +226,17 @@ def _canonical(state: bytes, order) -> bytes:
     return state.translate(table)
 
 
-def _quotient_neighbors(g, order, t, state):
+def _quotient_neighbors(g, order, t, state, chains):
     """Canonical forms of the Kempe neighbors of a canonical `state`.
 
     Colors above k = max(state) are absent and interchangeable, so only the
     pairs inside 1..min(t, k + 1) are swapped: a pair of two absent colors
     moves nothing, and every (a, x) with x absent gives the canonical state
-    of (a, k + 1).
+    of (a, k + 1).  `chains` is the sweep's memo of components by edge set
+    (``_kernels_py.kempe_neighbor_moves``).
     """
     top = min(t, max(state, default=0) + 1)
-    for nxt in backend.kempe_neighbors(g, state, t, range(1, top + 1)):
+    for nxt in backend.kempe_neighbors(g, state, t, range(1, top + 1), chains):
         yield _canonical(nxt, order)
 
 
@@ -264,6 +265,9 @@ def kempe_classes(
 
     When more than `cap` orbits exist, ``BudgetExceeded`` is raised before
     any neighbor is generated, so the report's `truncated` is always False.
+    The sweep keeps one memo of Kempe chains by edge set (see
+    ``_kernels_py.kempe_neighbor_moves``), at most one entry per distinct
+    (a, b)-edge set of the enumerated colorings; `cap` does not count it.
 
     The sweep is sequential: `jobs` must be 1, any other value raises
     ``PreconditionViolated``.
@@ -277,8 +281,9 @@ def kempe_classes(
     index = {s: i for i, s in enumerate(states)}
     uf = _UnionFind(len(states))
     order = _enum_order(g)
+    chains = {}
     for i, s in enumerate(states):
-        for nxt in _quotient_neighbors(g, order, t, s):
+        for nxt in _quotient_neighbors(g, order, t, s, chains):
             uf.union(i, _lookup(index, nxt))
     roots = {}
     sizes = []
@@ -310,7 +315,7 @@ def _path_to(parent, state):
     return moves
 
 
-def _meet_in_middle(g, start: bytes, goal: bytes, colors, cap: int):
+def _meet_in_middle(g, start: bytes, goal: bytes, colors, cap: int, chains=None):
     """A shortest list of interchanges (a, b, rep) over `colors` carrying
     `start` to `goal`, or None when `goal` lies outside its Kempe class.
 
@@ -322,6 +327,11 @@ def _meet_in_middle(g, start: bytes, goal: bytes, colors, cap: int):
     set, so the same move leads back, and its rep is still the component's
     least edge id.  Raises ``BudgetExceeded`` once both sides together
     store more than `cap` states.
+
+    `chains`, when given, is a memo of Kempe chains by edge set that the
+    neighbor kernel fills (``_kernels_py.kempe_neighbor_moves``); `start`
+    and `goal` must then be proper.  It holds at most min(2^m, pairs x
+    expanded states) entries, and `cap` does not count them.
     """
     # state -> (neighbor one step nearer the root, (a, b, rep)) or None
     fwd = {start: None}
@@ -333,7 +343,7 @@ def _meet_in_middle(g, start: bytes, goal: bytes, colors, cap: int):
         layer = []
         for cur in front_f if forward else front_b:
             # the palette argument is read only when no color set is given
-            for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, None, colors):
+            for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, None, colors, chains):
                 if nxt in mine:
                     continue
                 mine[nxt] = (cur, (a, b, rep))
@@ -362,7 +372,9 @@ def same_class(
 
     Returns (reachable, shortest transcript or None), found by
     :func:`_meet_in_middle` over all of 1..t; `cap` bounds the states
-    stored by both sides together.
+    stored by both sides together.  The search keeps a memo of Kempe
+    chains by edge set, at most min(2^m, pairs x expanded states) entries
+    that `cap` does not count.
     """
     check_palette(t)
     require_proper(g, f)
@@ -374,7 +386,7 @@ def same_class(
     goal = bytes(h.colors)
     if start == goal:
         return True, Transcript()
-    moves = _meet_in_middle(g, start, goal, range(1, t + 1), cap)
+    moves = _meet_in_middle(g, start, goal, range(1, t + 1), cap, {})
     if moves is None:
         return False, None
     return True, Transcript([KempeMove(*mv) for mv in moves])

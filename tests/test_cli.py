@@ -108,13 +108,24 @@ def test_palette_modes_refuse_a_target(work, capsys, monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["regular4", "delta4"])
-def test_transform_modes_are_auto_vizing_acyclic(work, mode):
+def test_transform_modes_are_auto_vizing_acyclic(work, capsys, mode):
     # auto already runs transform_delta4 (and so Theorem 4.1) on every input
     # these two modes took, so they are usage errors
+    assert main(["transform", "--graph", str(work / "g.graph"), "--from", str(work / "f.col"),
+                 "--to", str(work / "h.col"), "--out", str(work / "tr.txt"),
+                 "--mode", mode]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage_error"
+    assert not (work / "tr.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["apply", "--help"], ["oracle", "chi", "-h"]])
+def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["transform", "--graph", str(work / "g.graph"), "--from", str(work / "f.col"),
-              "--to", str(work / "h.col"), "--out", str(work / "tr.txt"), "--mode", mode])
-    assert exc.value.code == 2
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: kempe-edge") and captured.err == ""
 
 
 def test_unsupported_family_error_line(work, capsys):
@@ -378,6 +389,16 @@ _CLI_TABLE = {
                              "", 1, "unsupported_family"),
     "transform-auto-needs-to": ("transform --graph {g} --from {f} --out {o}",
                                 "", 1, "unsupported_family"),
+    # a command line that does not parse: one JSON line, exit 1, no usage text
+    "usage-no-command": ("", "", 1, "usage_error"),
+    "usage-unknown-command": ("draw --graph {g}", "", 1, "usage_error"),
+    "usage-missing-required": ("apply --graph {x}", "", 1, "usage_error"),
+    "usage-unknown-option": ("verify --graph {g} --coloring {f} --out {o}",
+                             "", 1, "usage_error"),
+    "usage-bad-int": ("oracle classes --graph {g} --colors five", "", 1, "usage_error"),
+    "usage-bad-choice": ("transform --graph {g} --from {f} --to {h} --out {o} --mode tower",
+                         "", 1, "usage_error"),
+    "usage-oracle-no-subcommand": ("oracle --graph {g}", "", 1, "usage_error"),
 }
 
 

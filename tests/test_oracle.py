@@ -179,3 +179,47 @@ def test_same_class_transcript_is_shortest_is_consistent():
     assert ok
     assert apply_transcript(g, f, tr, check=True) == h
     assert len(tr.moves) <= 2
+
+
+# the four far pairs of the benchmark's oracle workload, at their fixed
+# labels: name -> (n, edges, f, h, Kempe distance at palette 5)
+FAR_PAIRS = {
+    "far-A m=7": (5, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)),
+                  (1, 4, 3, 3, 2, 2, 1), (5, 1, 2, 4, 3, 5, 4), 6),
+    "far-D m=7": (6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4)),
+                  (1, 2, 1, 2, 1, 2, 3), (4, 3, 5, 4, 2, 5, 2), 7),
+    "far-C m=8": (6, ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5)),
+                  (1, 3, 2, 3, 1, 2, 4, 2), (3, 4, 5, 1, 4, 5, 4, 5), 7),
+    "far-B m=8": (6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4), (2, 5)),
+                  (1, 3, 1, 3, 1, 3, 2, 2), (2, 4, 5, 2, 4, 5, 4, 5), 8),
+}
+
+# (states same_class expands, distinct (a, b)-edge sets its memo traces).
+# Without the memo each expansion walked every pair with a color present:
+# 1,530 / 3,740 / 3,929 / 15,297 pair walks.
+FAR_PAIR_WORK = {
+    "far-A m=7": (153, 68),
+    "far-D m=7": (378, 99),
+    "far-C m=8": (394, 139),
+    "far-B m=8": (1533, 160),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_PAIRS))
+def test_same_class_work_on_far_pairs(monkeypatch, name):
+    n, edges, f0, h0, dist = FAR_PAIRS[name]
+    g = Graph(n, list(edges))
+    kernel = backend.kempe_neighbor_moves
+    memos = []
+
+    def counting(g, state, t, color_set=None, chains=None):
+        memos.append(chains)
+        return kernel(g, state, t, color_set, chains)
+
+    monkeypatch.setattr(backend, "kempe_neighbor_moves", counting)
+    ok, tr = same_class(g, 5, EdgeColoring(5, list(f0)), EdgeColoring(5, list(h0)))
+    assert ok and len(tr.moves) == dist
+    chains = memos[0]
+    # one memo for the whole search, never the fallbacks' None
+    assert isinstance(chains, dict) and all(c is chains for c in memos)
+    assert (len(memos), len(chains)) == FAR_PAIR_WORK[name]

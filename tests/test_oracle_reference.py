@@ -8,6 +8,7 @@ search as they were before the table-driven kernel, the palette quotient of
 functions they call, are changed.
 """
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -308,6 +309,34 @@ def test_neighbor_kernels_c_and_c_plus_32_are_different_colors():
         # the pair of the two colors swaps the whole path
         a, b = sorted(state)
         assert (a, b, 0, bytes(reversed(state))) in backend.kempe_neighbor_moves(path, state, t)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=_graph_coloring(extra=(1, 2)), data=st.data())
+def test_neighbor_kernel_memo_matches_reference_along_a_walk(case, data):
+    # one memo kept over a random Kempe walk on one graph, as a search keeps
+    # it; the colors are renamed to high names, and the walk's palette holds
+    # at least two absent colors, so pairs (a, x) and (a, y) with x, y
+    # absent share the edge set E_a but swap it to different colors
+    g, t, f = case
+    pool = (1, 2, 32, 33, 34, 64, 65, 66, 96, 255)
+    names = data.draw(st.lists(st.sampled_from(pool), min_size=t, max_size=t, unique=True))
+    absent = data.draw(st.sets(st.sampled_from(sorted(set(pool) - set(names))), min_size=2))
+    palette = sorted(set(names) | absent)
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    state = bytes(names[c - 1] for c in f.colors)
+    chains = {}
+    for _ in range(24):
+        sub = rng.sample(palette, rng.randint(2, len(palette)))
+        for colors in (sub, palette):
+            want = _ref_kempe_neighbor_moves(g, state, 255, colors)
+            assert backend.kempe_neighbor_moves(g, state, 255, colors, chains) == want
+            assert backend.kempe_neighbors(g, state, 255, colors, chains) == [
+                nxt for *_, nxt in want
+            ]
+            assert backend.kempe_neighbor_moves(g, state, 255, colors, None) == want
+        # the whole palette holds a present color and an absent one
+        state = rng.choice(want)[3]
 
 
 # ---------------------------------------------------------------------------
