@@ -1,11 +1,14 @@
 """Padding to 4-regular for maximum degree 4, plus the low-degree search
 equalizer.
 
-A graph G with maximum degree 4 is padded to one 4-regular graph: small
-gadgets are joined to its deficient vertices, and the 4-coloring h and the
-working coloring f both extend to them (`_pad_to_regular4`).  The padded
-graph keeps G's vertices and, first, G's edge ids, so G is its subgraph on
-the ids 0..m-1 and each padded coloring restricts to the one it extends.  A
+A graph G with maximum degree 4 is padded to one 4-regular graph: its
+deficient vertices are joined in pairs, by one direct edge where the
+missing h-color is free in f at both ends, else through a 6-vertex
+octahedron - xy gadget (for odd n, one K_5 gadget takes a slot of each
+color), and the 4-coloring h and the working coloring f both extend to
+the new edges (`_pad_to_regular4`).  The padded graph keeps G's vertices
+and, first, G's edge ids, so G is its subgraph on the ids 0..m-1 and each
+padded coloring restricts to the one it extends.  A
 transcript found on the padded graph therefore projects straight onto G,
 reading G's coloring off the padded run's one color list: the
 (a, b)-components of a subgraph refine those of the whole graph, so each
@@ -135,14 +138,25 @@ def lift_coloring(tower: DoublingTower, level: int, f: EdgeColoring) -> EdgeColo
     return lifted
 
 
-# K_{4,4} - xy on gadget vertices 0..7, x = 0 and y = 4: edge (i, 4 + j)
-# is in Latin-square class (i + j) % 4, so class 0 is the one that lost xy
-# and both x and y miss it.
-_K44 = tuple((i, 4 + j, (i + j) % 4) for i in range(4) for j in range(4) if i or j)
+# The octahedron minus xy on gadget vertices 0..5, x = 0 and y = 2, as
+# (u, v, class) over the 1-factorization M1 = {03, 15, 24}, M2 = {04, 13,
+# 25}, M3 = {05, 12, 34} and M0 = {14, 35}: M0 is the class that lost xy,
+# so both x and y miss it, and classes 1..3 are perfect matchings.
+_OCT = ((0, 3, 1), (1, 5, 1), (2, 4, 1), (0, 4, 2), (1, 3, 2), (2, 5, 2),
+        (0, 5, 3), (1, 2, 3), (3, 4, 3), (1, 4, 0), (3, 5, 0))
 # K_5 minus the disjoint edges 01 and 23; in this 4-coloring vertex k
 # (k < 4) misses class k, and vertex 4 sees all four classes.
 _K5 = ((1, 2, 0), (3, 4, 0), (0, 3, 1), (2, 4, 1),
        (0, 4, 2), (1, 3, 2), (0, 2, 3), (1, 4, 3))
+
+
+def _oct_coloring(fx, fy, t):
+    """Colors from 1..t (t >= 5) for `_OCT`'s edges, proper with ports
+    colored fx at x and fy at y: classes 1..3 meet both ports, so they take
+    three colors other than fx and fy, and the xy class meets neither, so
+    it takes fy when that differs from fx."""
+    pal = ([fy] if fy != fx else []) + [k for k in range(1, t + 1) if k not in (fx, fy)]
+    return tuple(pal[k] for _, _, k in _OCT)
 
 
 @lru_cache(maxsize=None)  # a port's color is at most 4, so at most 4^4 keys
@@ -183,23 +197,25 @@ def _pad_to_regular4(g: Graph, f: EdgeColoring, h: EdgeColoring):
 
     The h-colors missing at each vertex are its deficient slots.  Each
     h-color class is a matching, so a color is missing at a number of
-    vertices of n's parity.  The slots of color c are paired in ascending
-    vertex order, and each pair (v, w) is joined through a K_{4,4} - xy
-    gadget by the port edges vx and wy.  h colors the gadget by a Latin
-    square with the xy class mapped to c, so both ports take c.  For odd n
-    each color has one slot left, the last one; one K_5 minus two disjoint
-    edges covers all four, since each of its degree-3 vertices misses a
-    distinct h-color.
+    vertices of n's parity.  For odd n each color's last slot is set
+    aside; one K_5 minus two disjoint edges covers all four, since each of
+    its degree-3 vertices misses a distinct h-color.  Of the other slots
+    of color c, those where c is still free in f are paired in ascending
+    vertex order (an odd one out joins the rest), and each pair is joined
+    by one edge colored c in both f and h, unless the two are adjacent.
+    The remaining slots are paired in ascending vertex order, and each
+    pair (v, w) is joined through an octahedron - xy gadget by the port
+    edges vx and wy.  h colors the gadget by its 1-factorization with the
+    xy class mapped to c, so both ports take c.
 
     f gives each port h's color when it is free at the port's vertex so
-    far, else the least free color.  It colors a K_{4,4} - xy gadget from
-    the palette without f(vx), with the xy class set to f(wy) when that
-    differs (the class meets neither port); the K_5 gadget's coloring
-    comes from `_k5_coloring`.
+    far, else the least free color, and colors the gadgets through
+    `_oct_coloring` and `_k5_coloring`.
     """
     n, t = g.n, f.t
     nv = n
     edges = list(g.edges)
+    joined = set(g.edges)
     fc = list(f.colors)
     hc = list(h.colors)
     fmask = color_masks(g, fc)
@@ -226,19 +242,31 @@ def _pad_to_regular4(g: Graph, f: EdgeColoring, h: EdgeColoring):
             )
         if n % 2:
             spare.append(slots.pop())
+        good = [v for v in slots if not fmask[v] >> c & 1]
+        rest = [v for v in slots if fmask[v] >> c & 1]
+        if len(good) % 2:
+            rest.append(good.pop())
+        for v, w in zip(good[::2], good[1::2]):
+            if (v, w) in joined:
+                rest += (v, w)
+                continue
+            # c is missing at v and w in both colorings
+            joined.add((v, w))
+            fmask[v] |= 1 << c
+            fmask[w] |= 1 << c
+            edges.append((v, w))
+            fc.append(c)
+            hc.append(c)
+        rest.sort()
         hpal = (c, *(k for k in range(1, 5) if k != c))
-        for v, w in zip(slots[::2], slots[1::2]):
+        for v, w in zip(rest[::2], rest[1::2]):
             fx = port(v, nv + 1, c)
-            fy = port(w, nv + 5, c)
-            # classes 1..3 meet both ports and avoid both port colors
-            fpal = ([fy] if fy != fx else []) + [
-                k for k in range(1, t + 1) if k not in (fx, fy)
-            ]
-            for a, b, k in _K44:
+            fy = port(w, nv + 3, c)
+            for (a, b, k), fcol in zip(_OCT, _oct_coloring(fx, fy, t)):
                 edges.append((nv + 1 + a, nv + 1 + b))
-                fc.append(fpal[k])
+                fc.append(fcol)
                 hc.append(hpal[k])
-            nv += 8
+            nv += 6
     if spare:
         ports = tuple(port(v, nv + 1 + k, k + 1) for k, v in enumerate(spare))
         for (a, b, k), fcol in zip(_K5, _k5_coloring(ports)):

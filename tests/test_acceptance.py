@@ -146,7 +146,8 @@ def test_acceptance_4_theorem_1_3(tower_runs):
     # the defect and runs the criterion's substance on three graphs that do
     # satisfy its stated requirements (Delta = 4, non-regular, Class 1),
     # whose doubling towers double them one, one and three times.  The
-    # transform itself pads each graph with gadgets instead of doubling it.
+    # transform itself pads each graph with direct edges and gadgets
+    # instead of doubling it.
     ke = _k5_minus_edge()
     assert ke.m > ke.max_degree() * (ke.n // 2)
     chi_ke, _ = chromatic_index(ke)

@@ -39,6 +39,7 @@ from kempe_edge.graph_core import EdgeColoring, Graph, is_proper
 from kempe_edge.kempe_engine import KempeMove, Recorder, Transcript, apply_transcript
 from kempe_edge.kernels import backend
 from kempe_edge.oracle import chromatic_index, kempe_classes
+from kempe_edge.regular4_core import theorem_4_1_transform
 from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
 
 
@@ -262,9 +263,41 @@ _PADDED = [
 ]
 
 
+def _padding_parts(g, big, f_big, h_big):
+    """(direct, gadgets): the added edges between two vertices of g, and
+    the sizes of the components the added vertices form.  Asserts that
+    each direct edge is one color in both colorings and is not an edge of
+    g, and that each component is an octahedron - xy gadget (6 vertices,
+    11 edges, 2 ports) or a K_5 gadget (5 vertices, 8 edges, 4 ports)."""
+    direct = [e for e in range(g.m, big.m) if max(big.edges[e]) <= g.n]
+    g_edges = set(g.edges)
+    for e in direct:
+        assert f_big.colors[e] == h_big.colors[e]
+        assert big.edges[e] not in g_edges
+    assert len(set(big.edges)) == big.m
+    gadgets = []
+    seen = set()
+    for s in range(g.n + 1, big.n + 1):
+        if s in seen:
+            continue
+        comp, stack = {s}, [s]
+        while stack:
+            for u, _ in big.adj[stack.pop()]:
+                if u > g.n and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        inner = sum(u in comp and v in comp for u, v in big.edges)
+        ports = sum((u in comp) != (v in comp) for u, v in big.edges)
+        assert (len(comp), inner, ports) in ((6, 11, 2), (5, 8, 4))
+        gadgets.append(len(comp))
+    return direct, gadgets
+
+
 def test_padded_graph_is_4_regular_and_keeps_g_and_both_colorings():
     min_degrees = set()
     parities = set()
+    kinds = Counter()
     both_kinds = 0
     for n, seed, low, odd, isolated in _PADDED:
         g, h = _irregular_instance(n, seed, low, odd, isolated)
@@ -281,12 +314,18 @@ def test_padded_graph_is_4_regular_and_keeps_g_and_both_colorings():
             assert is_proper(big, f_big) and is_proper(big, h_big)
             assert f_big.colors[:g.m] == f.colors
             assert h_big.colors[:g.m] == h.colors
-        # K_{4,4} - xy gadgets have 8 vertices, the K_5 gadget 5
-        extra = big.n - g.n
-        assert extra % 8 == (5 if g.n % 2 else 0)
-        both_kinds += g.n % 2 == 1 and extra > 5
+            # direct edges, octahedron - xy gadgets (6 vertices) and, for
+            # odd n alone, one K_5 gadget (5 vertices)
+            direct, gadgets = _padding_parts(g, big, f_big, h_big)
+            assert gadgets.count(5) == g.n % 2
+            extra = big.n - g.n
+            assert extra % 6 == (5 % 6 if g.n % 2 else 0)
+            kinds.update(direct=len(direct), octahedron=gadgets.count(6),
+                         k5=gadgets.count(5))
+            both_kinds += g.n % 2 == 1 and 6 in gadgets
     assert min_degrees == {0, 1, 2, 3}
     assert parities == {0, 1}
+    assert min(kinds[k] for k in ("direct", "octahedron", "k5")) > 0
     assert both_kinds > 0
 
 
@@ -310,6 +349,78 @@ def test_k5_gadget_colors_every_port_tuple():
             assert (u, c) not in seen and (v, c) not in seen
             seen |= {(u, c), (v, c)}
         assert all((k, ports[k]) not in seen for k in range(4))
+
+
+def test_octahedron_gadget_table_and_every_port_pair():
+    """The octahedron minus xy is simple with 11 edges; classes 1..3 are
+    perfect matchings and class 0 misses exactly x = 0 and y = 2.  For
+    every palette 5..7 and port pair, `_oct_coloring` is proper with the
+    ports attached."""
+    table = degree4_lift._OCT
+    assert len(table) == 11
+    assert len({frozenset((u, v)) for u, v, _ in table}) == 11
+    assert all(0 <= u < 6 and 0 <= v < 6 and u != v for u, v, _ in table)
+    assert all({u, v} != {0, 2} for u, v, _ in table)
+    for k in range(4):
+        ends = [w for u, v, c in table if c == k for w in (u, v)]
+        assert len(ends) == len(set(ends))
+        assert set(range(6)) - set(ends) == (set() if k else {0, 2})
+    for t in (5, 6, 7):
+        for fx, fy in itertools.product(range(1, t + 1), repeat=2):
+            colors = degree4_lift._oct_coloring(fx, fy, t)
+            seen = {(0, fx), (2, fy)}
+            for (u, v, _), c in zip(table, colors):
+                assert 1 <= c <= t
+                assert (u, c) not in seen and (v, c) not in seen
+                seen |= {(u, c), (v, c)}
+
+
+def test_padding_falls_back_to_a_gadget_for_adjacent_or_joined_pairs():
+    """Vertex 1 of degree 4 and the edge 23, plus isolated vertex 6.  The
+    h-color-4 slots 2, 3, 4, 6 are all f-free for 4, and the consecutive
+    pair 23 is an edge of g; the color-1 direct edge 56 is met again by
+    the color-2 and color-3 pairs 56.  Each of those pairs goes through a
+    gadget instead, and the transform replays onto h."""
+    g = Graph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3)])
+    h = EdgeColoring(4, [1, 2, 3, 4, 3])
+    f = EdgeColoring(5, [1, 2, 3, 4, 5])
+    big, f_big, h_big = degree4_lift._pad_to_regular4(g, f, h)
+    assert all(big.degree(v) == 4 for v in range(1, big.n + 1))
+    assert is_proper(big, f_big) and is_proper(big, h_big)
+    direct, gadgets = _padding_parts(g, big, f_big, h_big)
+    assert sorted((big.edges[e], h_big.colors[e]) for e in direct) == [
+        ((2, 4), 2), ((3, 4), 1), ((4, 6), 4), ((5, 6), 1)
+    ]
+    assert gadgets == [6, 6, 6]
+    ports = sorted(
+        (min(big.edges[e]), h_big.colors[e])
+        for e in range(g.m, big.m)
+        if min(big.edges[e]) <= g.n < max(big.edges[e])
+    )
+    assert ports == [(2, 4), (3, 4), (5, 2), (5, 3), (6, 2), (6, 3)]
+    tr = transform_delta4(g, f, h)
+    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+
+
+def test_padding_work_counts_are_pinned():
+    """Padded sizes are exact work counts, free of timing noise.  With the
+    K_{4,4} - xy gadget and no direct edges, the edges over `_PADDED` were
+    3,028 at t = 5 and at t = 6, and instance (10, 2, 1, 1, 1) padded to
+    148 edges with 102 moves on the padded graph."""
+    totals = []
+    for t in (5, 6):
+        total = 0
+        for n, seed, low, odd, isolated in _PADDED:
+            g, h = _irregular_instance(n, seed, low, odd, isolated)
+            f = random_proper_coloring(g, t, seed + t)
+            total += degree4_lift._pad_to_regular4(g, f, h)[0].m
+        totals.append(total)
+    assert totals == [2076, 1920]
+    g, h = _irregular_instance(10, 2, 1, 1, 1)
+    big, f_big, h_big = degree4_lift._pad_to_regular4(
+        g, random_proper_coloring(g, 5, 10), h
+    )
+    assert (big.m, len(theorem_4_1_transform(big, f_big, h_big).moves)) == (80, 53)
 
 
 def test_padding_raises_internal_error_naming_the_vertex():
