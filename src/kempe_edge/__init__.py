@@ -7,9 +7,14 @@ five-to-four case machine, the padding to 4-regular for maximum degree 4,
 and the recursive peeling reductions.  Every transform emits a transcript of single
 interchanges that can be replayed and re-verified move by move, and an
 exhaustive oracle independently decides equivalence on small instances.
+
+The public names are the transforms, transcript replay, file I/O and the
+oracle, with the value types and engine steps they are built from.  The
+lemma steps of the case machine and the acyclic reduction's walk are
+internal to their modules.
 """
 
-from .acyclic_reduce import acyclic_reduce, case_a_step, walk_init, walk_step
+from .acyclic_reduce import acyclic_reduce
 from .degree4_lift import (
     build_tower,
     lift_coloring,
@@ -45,15 +50,7 @@ from .kempe_engine import (
 )
 from .oracle import chromatic_index, kempe_classes, same_class
 from .reductions import equalize, maximalize_top_class, peel_and_recurse
-from .regular4_core import (
-    case_b23_escape,
-    describe_window,
-    lemma_2_1_a,
-    lemma_2_1_b,
-    lemma_2_2,
-    lemma_2_3,
-    theorem_4_1_transform,
-)
+from .regular4_core import theorem_4_1_transform
 from .vizing_reduce import reduce_to_delta_plus_one
 
 __version__ = "0.1.0"
@@ -69,11 +66,8 @@ __all__ = [
     "apply_transcript",
     "bicolored_subgraph",
     "build_tower",
-    "case_a_step",
-    "case_b23_escape",
     "chromatic_index",
     "color_class",
-    "describe_window",
     "downshift",
     "equalize",
     "grow_fan",
@@ -83,10 +77,6 @@ __all__ = [
     "is_acyclic",
     "is_proper",
     "kempe_classes",
-    "lemma_2_1_a",
-    "lemma_2_1_b",
-    "lemma_2_2",
-    "lemma_2_3",
     "lift_coloring",
     "low_degree_equalize",
     "maximalize_top_class",
@@ -99,8 +89,6 @@ __all__ = [
     "same_class",
     "theorem_4_1_transform",
     "transform_delta4",
-    "walk_init",
-    "walk_step",
     "write_coloring",
     "write_graph",
     "write_transcript",

@@ -14,40 +14,19 @@ Strategy per round (each round clears at least one top-colored edge):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     InternalInvariantError,
     MaxDegreeSubgraphCyclic,
     PaletteMismatch,
-    PreconditionViolated,
 )
 from .graph_core import (
     EdgeColoring,
     Graph,
-    check_edge_id,
     induced_high_degree_subgraph,
     is_acyclic,
 )
-from .kempe_engine import Recorder, Transcript, palette_bits
+from .kempe_engine import Recorder, palette_bits
 from .vizing_reduce import eliminate_via_fan
-
-
-@dataclass(frozen=True)
-class WalkState:
-    """Vertex walk of Case B.1: a_0..a_i in the max-degree subgraph, with the
-    top color currently on the edge a_{i-1} a_i."""
-
-    vertices: tuple
-    baseline: int  # |M(f, Delta+1)| at walk start; never exceeded
-
-
-@dataclass(frozen=True)
-class WalkStepResult:
-    kind: str  # "eliminated" | "terminal" | "extended"
-    coloring: EdgeColoring
-    transcript: Transcript
-    state: WalkState | None
 
 
 def _gd_degree(g: Graph, delta: int):
@@ -186,9 +165,9 @@ def _round(rec: Recorder, delta: int, is_max, dgd, target: int) -> None:
 
 
 def _checked_inputs(g: Graph, f: EdgeColoring):
-    """Check what the reduction and every walk step rely on (a proper
-    (Delta+1)-coloring, an acyclic max-degree subgraph); return (the
-    working state on f, Delta, is_max, dgd)."""
+    """Check what the reduction relies on (a proper (Delta+1)-coloring, an
+    acyclic max-degree subgraph); return (the working state on f, Delta,
+    is_max, dgd)."""
     rec = Recorder(g, f)
     delta = g.max_degree()
     if f.t != delta + 1:
@@ -223,79 +202,3 @@ def acyclic_reduce(g: Graph, f: EdgeColoring, stats: list | None = None):
         before = after
     rec.check_proper("after acyclic reduction")
     return EdgeColoring(delta, rec.colors), rec.tr
-
-
-def case_a_step(g: Graph, f: EdgeColoring, eid: int):
-    """One Case A elimination.  The edge must carry the top color, lie inside
-    the max-degree subgraph, and have an endpoint that is a leaf there."""
-    check_edge_id(g, eid)
-    rec = Recorder(g, f)
-    delta = g.max_degree()
-    big = delta + 1
-    if f.t != big:
-        raise PaletteMismatch(f"expected palette {big}, got {f.t}")
-    if f.colors[eid] != big:
-        raise PreconditionViolated(f"edge {eid} is not colored {big}")
-    is_max, dgd = _gd_degree(g, delta)
-    u, v = g.edges[eid]
-    if not (is_max[u] and is_max[v]):
-        raise PreconditionViolated("edge not inside the max-degree subgraph")
-    cand = [x for x in (u, v) if dgd[x] == 1]
-    if not cand:
-        raise PreconditionViolated("no endpoint is a leaf of the max-degree subgraph")
-    before = rec.colors.count(big)
-    _case_a(rec, min(cand), eid, delta)
-    if rec.colors.count(big) >= before:
-        raise InternalInvariantError("case A failed to reduce the top class")
-    return rec.coloring(), rec.tr
-
-
-def walk_init(g: Graph, f: EdgeColoring, eid: int) -> WalkState:
-    check_edge_id(g, eid)
-    _, delta, is_max, _ = _checked_inputs(g, f)
-    if f.colors[eid] != delta + 1:
-        raise PreconditionViolated(f"edge {eid} is not colored {delta + 1}")
-    u, v = g.edges[eid]
-    if not (is_max[u] and is_max[v]):
-        raise PreconditionViolated("walk must start inside the max-degree subgraph")
-    return WalkState(vertices=(u, v), baseline=f.colors.count(delta + 1))
-
-
-def walk_step(g: Graph, f: EdgeColoring, state: WalkState) -> WalkStepResult:
-    """One step of the Case B.1 walk algorithm.
-
-    The state's vertices must be distinct max-degree vertices, each joined
-    to the next by an edge, the last of which carries the top color, and f
-    may have at most `state.baseline` top-colored edges."""
-    rec, delta, is_max, dgd = _checked_inputs(g, f)
-    big = delta + 1
-    vs = state.vertices
-    if (
-        len(vs) < 2
-        or len(set(vs)) != len(vs)
-        or not all(1 <= v <= g.n and is_max[v] for v in vs)
-        or any(g.edge_id(u, v) is None for u, v in zip(vs, vs[1:]))
-    ):
-        raise PreconditionViolated("walk is not a path of max-degree vertices")
-    top = f.colors.count(big)
-    if top > state.baseline:
-        raise PreconditionViolated(
-            f"top class has {top} edges, above the baseline {state.baseline}"
-        )
-    a_prev, a_cur = vs[-2], vs[-1]
-    e1 = g.edge_id(a_cur, a_prev)
-    if f.colors[e1] != big:
-        raise PreconditionViolated("walk edge is not carrying the top color")
-    kind, nxt = _walk_step(rec, a_prev, a_cur, delta, dgd)
-    if nxt is None:
-        return WalkStepResult(kind, rec.coloring(), rec.tr, None)
-    if nxt in vs:
-        raise InternalInvariantError("walk revisited a vertex")
-    if rec.colors.count(big) > state.baseline:
-        raise InternalInvariantError("walk exceeded the starting top-class size")
-    return WalkStepResult(
-        "extended",
-        rec.coloring(),
-        rec.tr,
-        WalkState(vs + (nxt,), state.baseline),
-    )

@@ -92,10 +92,6 @@ class PreconditionViolated(KempeEdgeError):
     code = "precondition_violated"
 
 
-class DistanceConditionViolated(KempeEdgeError):
-    code = "distance_condition_violated"
-
-
 class WrongMaxDegree(KempeEdgeError):
     code = "wrong_max_degree"
 

@@ -22,47 +22,31 @@ sides sharing w3w4.  Every such path read from one end is traced by
 with the target, so every (a, b)-component with a, b in 2..5 lies in the
 cubic remainder; phase 2 runs the bounded search equalizer on the working
 state itself over those four colors.
+
+The one public entry is `theorem_4_1_transform`, which checks its inputs
+once in `_checked_work`.  The lemma steps (the window analysis of Lemma 2.1,
+Lemma 2.2's outcomes, Lemma 2.3's flip) are internal: they trust the checked
+working state they are given.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .errors import (
     BadWindow,
-    DistanceConditionViolated,
     InternalInvariantError,
     NotRegular4,
     PaletteMismatch,
     PreconditionViolated,
     TargetNotProper4,
 )
-from .graph_core import (
-    EdgeColoring,
-    Graph,
-    check_edge_id,
-    is_proper,
-    palette_at,
-)
+from .graph_core import EdgeColoring, Graph, is_proper
 from .kempe_engine import Recorder, Transcript
 
 _A = frozenset({1, 2, 3, 4})
 _B = frozenset({1, 2, 3, 5})
 _C = frozenset({1, 2, 4, 5})
 _JUMP_CAP = 64
-
-
-@dataclass(frozen=True)
-class PathWindow:
-    """Named vertices of the working (1,2)-component around the working edge."""
-
-    u_side: tuple  # u1, u2, ... away from the working edge
-    v_side: tuple  # v1, v2, ...
-    x1: int | None = None  # 5-colored neighbor of v2 (canonical frame)
-    x2: int | None = None  # 4-colored neighbor of v2
-    y1: int | None = None  # 5-colored neighbor of u2
-    y2: int | None = None  # 4-colored neighbor of u2
-    is_cycle: bool = False
 
 
 class _Work(Recorder):
@@ -84,16 +68,15 @@ class _Work(Recorder):
 
     __slots__ = ("h1_mask", "n_matched", "defects", "to_real", "to_frame")
 
-    def __init__(self, g: Graph, f: EdgeColoring, h: EdgeColoring | None):
+    def __init__(self, g: Graph, f: EdgeColoring, h: EdgeColoring):
         super().__init__(g, f, "working coloring")
         self.h1_mask = bytearray(g.m)
         self.defects = []
-        if h is not None:
-            for e, (c, now) in enumerate(zip(h.colors, self.colors)):
-                if c == 1:
-                    self.h1_mask[e] = 1
-                    if now != 1:
-                        self.defects.append(e)  # ascending, so a heap
+        for e, (c, now) in enumerate(zip(h.colors, self.colors)):
+            if c == 1:
+                self.h1_mask[e] = 1
+                if now != 1:
+                    self.defects.append(e)  # ascending, so a heap
         self.n_matched = sum(self.h1_mask) - len(self.defects)
         self.reset_frame()
 
@@ -179,16 +162,16 @@ class _Work(Recorder):
         return bool(self.mask[v] >> 1 & 1)
 
 
-def _checked_work(g: Graph, f: EdgeColoring, h: EdgeColoring | None) -> _Work:
+def _checked_work(g: Graph, f: EdgeColoring, h: EdgeColoring) -> _Work:
     """The working state on f, after checking the machine's inputs: a
-    4-regular graph, a proper 5-coloring f and, unless None, a proper
-    4-coloring target h."""
+    4-regular graph, a proper 5-coloring f and a proper 4-coloring target
+    h."""
     if any(g.degree(v) != 4 for v in range(1, g.n + 1)):
         raise NotRegular4("graph is not 4-regular")
     if f.t != 5:
         raise PaletteMismatch(f"working coloring must use palette 5, got {f.t}")
     work = _Work(g, f, h)
-    if h is not None and (h.t != 4 or not is_proper(g, h)):
+    if h.t != 4 or not is_proper(g, h):
         raise TargetNotProper4("target must be a proper 4-edge coloring")
     return work
 
@@ -411,28 +394,26 @@ def _lemma_2_2_step(
     return "I"
 
 
-def _lemma_2_3_inner(work: _Work, xy: int, require_precondition: bool = False):
+def _lemma_2_3_inner(work: _Work, xy: int):
     """Flip the working component so xy takes color 1, increasing matched().
 
-    Precondition, checked when `require_precondition`: no target-correct
-    1-edge within distance 2 of xy on its (1,2)-component.  Returns None:
-    the matched count has risen.
+    Precondition, met by every caller: no target-correct 1-edge within
+    distance 2 of xy on its (1,2)-component.  Returns None: the matched
+    count has risen.
     """
     work.reframe_edge2(xy)
     if not work.h1_mask[xy]:
         raise PreconditionViolated("working edge is not a target 1-edge")
-    for iteration in range(6):
+    for _ in range(6):
         u_side, v_side, cyc, eids, u_edges, v_edges = _sides(work, xy)
         if not any(work.correct1(e) for e in eids):
             work.apply(1, 2, xy, "flip")
             return None
         for e in u_edges[:3] + v_edges[:3]:
             if work.correct1(e):
-                if require_precondition and iteration == 0:
-                    raise DistanceConditionViolated(
-                        f"correct 1-edge {e} within distance 2 of the working edge"
-                    )
-                raise InternalInvariantError("distance condition broke mid-run")
+                raise InternalInvariantError(
+                    f"correct 1-edge {e} within distance 2 of the working edge"
+                )
         if cyc and cyc < 10:
             raise InternalInvariantError("short cycle cannot carry correct edges")
         # the window goes on the side with correct edges; with both (or on a
@@ -797,168 +778,3 @@ def theorem_4_1_transform(
     if work.colors != list(h.colors):
         raise InternalInvariantError("transform terminated off target")
     return work.tr
-
-
-# ---------------------------------------------------------------------------
-# Public lemma surfaces.  These check the stated preconditions literally and
-# report their results in real palette colors.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConditionsCertificate:
-    """Checkable certificate that both window conditions hold: the three
-    off-{1,2} palette pairs are pairwise distinct and colors 3,4,5 all appear
-    at both off-path neighbors (x1, x2) of the middle vertex."""
-
-    window: tuple
-    x1: int
-    x2: int
-
-    def verify(self, g: Graph, f: EdgeColoring) -> bool:
-        return _window_holds(g, lambda v: palette_at(g, f, v), *self.window)
-
-
-def _window_work(g: Graph, f: EdgeColoring, h: EdgeColoring | None, path_vertices, size):
-    """Checked working state and vertex list for a window of `size` distinct
-    vertices joined by (1,2)-colored edges."""
-    pv = list(path_vertices)
-    if len(pv) != size or len(set(pv)) != size:
-        raise BadWindow(f"expected {size} distinct path vertices")
-    work = _checked_work(g, f, h)
-    for i in range(size - 1):
-        eid = g.edge_id(pv[i], pv[i + 1])
-        if eid is None or work.view(eid) not in (1, 2):
-            raise BadWindow(f"({pv[i]},{pv[i+1]}) is not a working bicolored edge")
-    return work, pv
-
-
-def _pair_index(g: Graph, pv, pair_edge: int) -> int:
-    for i in range(1, len(pv) - 2):
-        if g.edge_id(pv[i], pv[i + 1]) == pair_edge:
-            return i
-    raise InternalInvariantError("window pair edge not on the window path")
-
-
-def lemma_2_1_a(g: Graph, f: EdgeColoring, path_vertices):
-    """Length-4 window analysis on a (1,2)-colored path.
-
-    Returns ("improved", coloring, transcript, pair_edge, color) with the
-    color from {3,4,5} missing at both ends of the window edge, or
-    ("holds", certificate).
-    """
-    work, pv = _window_work(g, f, None, path_vertices, 5)
-    res = _window_escape_or_certify(work, pv)
-    if res[0] == "improved":
-        real_c = work.to_real[res[2]]
-        return ("improved", work.coloring(), work.tr, res[1], real_c)
-    cert = ConditionsCertificate((pv[1], pv[2], pv[3]), res[1], res[2])
-    if not cert.verify(g, f):
-        raise InternalInvariantError("certificate failed literal verification")
-    return ("holds", cert)
-
-
-def lemma_2_1_b(g: Graph, f: EdgeColoring, path_vertices):
-    """Length-5 window analysis: returns (coloring, transcript, i, color)
-    with the color missing at both ends of the i-th window edge, i in 1..3."""
-    work, pv = _window_work(g, f, None, path_vertices, 6)
-    pair_edge, c = _window_b(work, pv)
-    real_c = work.to_real[c]
-    return (work.coloring(), work.tr, _pair_index(g, pv, pair_edge), real_c)
-
-
-def lemma_2_2(g: Graph, f: EdgeColoring, h: EdgeColoring, path_vertices):
-    """Window analysis with a target: the first path edge must read color 2
-    under f and color 1 under h.
-
-    Returns one of
-      ("I", certificate)                         -- settled palettes,
-      ("II", coloring, transcript)               -- color 1 driven off v1,
-      ("III", coloring, transcript, edge, color) -- window escape,
-      ("progress", coloring, transcript)         -- matched count increased.
-    """
-    work, pv = _window_work(g, f, h, path_vertices, 5)
-    e = g.edge_id(pv[0], pv[1])
-    if f.colors[e] != 2 or h.colors[e] != 1:
-        raise BadWindow("first window edge must be colored 2 and targeted 1")
-    out = _lemma_2_2_inner(work, pv)
-    if out[0] == "I":
-        cert = ConditionsCertificate((pv[1], pv[2], pv[3]), out[1], out[2])
-        return ("I", cert)
-    if out[0] == "III":
-        real_c = work.to_real[out[2]]
-        return ("III", work.coloring(), work.tr, out[1], real_c)
-    return (out[0], work.coloring(), work.tr)
-
-
-def lemma_2_3(g: Graph, f: EdgeColoring, h: EdgeColoring, xy: int):
-    """Strictly increase the matched 1-class via the working component of xy.
-
-    Requires f(xy) = 2, h(xy) = 1 and no target-correct 1-edge within
-    distance 2 of xy on its (1,2)-component."""
-    check_edge_id(g, xy)
-    work = _checked_work(g, f, h)
-    if f.colors[xy] != 2 or h.colors[xy] != 1:
-        raise PreconditionViolated("edge must be colored 2 and targeted 1")
-    before = work.matched()
-    _lemma_2_3_inner(work, xy, require_precondition=True)
-    if work.matched() <= before:
-        raise InternalInvariantError("matched count did not increase")
-    return work.coloring(), work.tr
-
-
-def case_b23_escape(g: Graph, f1: EdgeColoring, h: EdgeColoring, e: int):
-    """Run the settled-window machine on the working edge e.
-
-    Returns (coloring, transcript, tag) with tag "done" when the matched
-    count strictly increased, otherwise "case_A" / "case_B1" naming the
-    configuration the returned coloring presents for the next dispatch."""
-    work = _checked_work(g, f1, h)
-    if not work.h1_mask[e] or work.colors[e] == 1:
-        raise PreconditionViolated("edge must be targeted 1 and mis-colored")
-    work.reframe_edge2(e)
-    a, b = g.edges[e]
-    if not (work.has_color1(a) and work.has_color1(b)):
-        raise PreconditionViolated("both endpoints must carry 1-edges (case B)")
-    before = work.matched()
-    nxt = _case_B(work, e)
-    if nxt is None:
-        if work.matched() <= before:
-            raise InternalInvariantError("case machine claimed progress without gain")
-        return work.coloring(), work.tr, "done"
-    ea, eb = g.edges[nxt]
-    ones = int(work.has_color1(ea)) + int(work.has_color1(eb))
-    tag = "case_A" if ones <= 1 else "case_B1"
-    return work.coloring(), work.tr, tag
-
-
-def describe_window(g: Graph, f: EdgeColoring, e: int) -> PathWindow:
-    """Name the working component around a defect edge, for diagnostics.
-
-    The inputs are checked as for the case machine, and e must not be
-    colored 1.  Vertices are listed away from the edge on both sides; the
-    off-path neighbors are read in the working frame (the edge's color
-    mapped to 2), so x1/y1 carry the frame color 5 and x2/y2 the frame
-    color 4."""
-    check_edge_id(g, e)
-    work = _checked_work(g, f, None)
-    if f.colors[e] == 1:
-        raise PreconditionViolated(f"edge {e} is colored 1; a working edge must not be")
-    work.reframe_edge2(e)
-    u_side, v_side, cycle_len, *_ = _sides(work, e)
-
-    def off_path(side, color):
-        if len(side) < 2:
-            return None
-        eid = work.edge_at(side[1], color)
-        return g.other_end(eid, side[1]) if eid >= 0 else None
-
-    return PathWindow(
-        u_side=tuple(u_side),
-        v_side=tuple(v_side),
-        x1=off_path(v_side, 5),
-        x2=off_path(v_side, 4),
-        y1=off_path(u_side, 5),
-        y2=off_path(u_side, 4),
-        is_cycle=bool(cycle_len),
-    )

@@ -1,17 +1,16 @@
-"""The (Delta+1) -> Delta reduction for acyclic max-degree subgraphs."""
+"""The (Delta+1) -> Delta reduction for acyclic max-degree subgraphs, and
+its Case A and walk steps driven on a checked working state."""
 import pytest
 
 from kempe_edge.acyclic_reduce import (
-    WalkState,
+    _case_a,
+    _checked_inputs,
+    _walk_step,
     acyclic_reduce,
-    case_a_step,
-    walk_init,
-    walk_step,
 )
 from kempe_edge.errors import (
     MaxDegreeSubgraphCyclic,
     PaletteMismatch,
-    PreconditionViolated,
 )
 from kempe_edge.fixtures_gen import (
     acyclic_max_degree_graph,
@@ -19,6 +18,15 @@ from kempe_edge.fixtures_gen import (
 )
 from kempe_edge.graph_core import EdgeColoring, Graph, color_class, is_proper
 from kempe_edge.kempe_engine import apply_transcript
+
+
+def _walked(g, f, a_prev, a_cur):
+    """One walk step on the checked working state of f, with the top color
+    on a_prev a_cur.  Returns its kind, the next walk vertex or None, and
+    the coloring and transcript it left."""
+    rec, delta, _, dgd = _checked_inputs(g, f)
+    kind, nxt = _walk_step(rec, a_prev, a_cur, delta, dgd)
+    return kind, nxt, rec.coloring(), rec.tr
 
 
 def test_no_top_edges_gives_empty_transcript():
@@ -69,7 +77,7 @@ def test_random_sweep_with_monovariant():
     assert done == 60
 
 
-def test_case_a_step_preconditions_and_effect():
+def test_case_a_clears_the_top_edge():
     # two adjacent degree-3 hubs: the edge between them lies in G_Delta and
     # both are leaves there
     g = Graph(
@@ -83,7 +91,6 @@ def test_case_a_step_preconditions_and_effect():
     )
     assert g.max_degree() == 3
     f = random_proper_coloring(g, 4, 11)
-    top_edges = sorted(color_class(f, 4))
     hub_edge = g.edge_id(1, 2)
     if f.colors[hub_edge] != 4:
         # force the top color onto the hub edge by rebuilding a coloring
@@ -96,11 +103,13 @@ def test_case_a_step_preconditions_and_effect():
         f = EdgeColoring(4, colors)
         if not is_proper(g, f):
             pytest.skip("could not stage the hub-edge fixture")
-    out, tr = case_a_step(g, f, hub_edge)
-    assert len(color_class(out, 4)) < len(color_class(f.with_palette(4), 4))
-    assert apply_transcript(g, f, tr, check=True).colors == out.colors
-    with pytest.raises(PreconditionViolated):
-        case_a_step(g, out.with_palette(4), hub_edge)
+    rec, delta, _, dgd = _checked_inputs(g, f)
+    assert dgd[1] == dgd[2] == 1
+    _case_a(rec, 1, hub_edge, delta)
+    out = rec.coloring()
+    assert len(color_class(out, 4)) < len(color_class(f, 4))
+    assert apply_transcript(g, f, rec.tr, check=True).colors == out.colors
+    assert out.colors[hub_edge] != 4
 
 
 def _walk_fixture():
@@ -124,17 +133,16 @@ def test_walk_on_interior_hub_edge():
         interior = g.edge_id(1, 2)
         if f.colors[interior] != delta + 1:
             continue
-        state = walk_init(g, f, interior)
         baseline = len(color_class(f, delta + 1))
-        res = walk_step(g, f, state)
-        assert res.kind in ("terminal", "eliminated", "extended")
-        top_after = len(color_class(res.coloring.with_palette(delta + 1), delta + 1))
-        if res.kind == "extended":
+        kind, nxt, out, tr = _walked(g, f, 1, 2)
+        assert kind in ("terminal", "eliminated", "extended")
+        top_after = len(color_class(out, delta + 1))
+        if kind == "extended":
             assert top_after <= baseline
-            assert res.state.vertices[-1] not in state.vertices
+            assert nxt not in (1, 2)
         else:
             assert top_after < baseline
-        assert apply_transcript(g, f, res.transcript, check=True).colors == res.coloring.colors
+        assert apply_transcript(g, f, tr, check=True).colors == out.colors
         break
     else:
         pytest.skip("no seed placed the top color on the interior hub edge")
@@ -150,97 +158,19 @@ def test_walk_step_reaches_every_outcome():
     for seed in range(40):
         f = random_proper_coloring(g, delta + 1, seed)
         for u, v in ((1, 2), (2, 3)):
-            eid = g.edge_id(u, v)
-            if f.colors[eid] == delta + 1:
-                state = walk_init(g, f, eid)
-                seen.setdefault(walk_step(g, f, state).kind, (f, state))
+            if f.colors[g.edge_id(u, v)] == delta + 1:
+                seen.setdefault(_walked(g, f, u, v)[0], (f, u, v))
     assert set(seen) == {"terminal", "eliminated", "extended"}
-    for kind, (f, state) in seen.items():
-        res = walk_step(g, f, state)
-        assert apply_transcript(g, f, res.transcript, check=True).colors == res.coloring.colors
-        top_after = res.coloring.colors.count(delta + 1)
+    for kind, (f, u, v) in seen.items():
+        baseline = f.colors.count(delta + 1)
+        _, nxt, out, tr = _walked(g, f, u, v)
+        assert apply_transcript(g, f, tr, check=True).colors == out.colors
+        top_after = out.colors.count(delta + 1)
         if kind == "extended":
-            assert top_after <= state.baseline
-            assert res.state.vertices[:-1] == state.vertices
+            assert top_after <= baseline
+            # the top color now sits on the next walk edge v nxt
+            assert nxt not in (u, v)
+            assert out.colors[g.edge_id(v, nxt)] == delta + 1
         else:
-            assert top_after < state.baseline
-            assert res.state is None
-
-
-def _walk_on_hub_edge():
-    """The walk fixture, a 4-coloring with the top color on (1, 2), and the
-    walk state started there."""
-    g = _walk_fixture()
-    f = random_proper_coloring(g, 4, 2)
-    return g, f, walk_init(g, f, g.edge_id(1, 2))
-
-
-def test_walk_step_rejects_a_state_above_its_baseline():
-    """A baseline below the coloring's top class is bad input, not a bug."""
-    g, f, state = _walk_on_hub_edge()
-    assert state.baseline == 2
-    with pytest.raises(PreconditionViolated, match="above the baseline 0"):
-        walk_step(g, f, WalkState(state.vertices, 0))
-
-
-@pytest.mark.parametrize(
-    "vertices",
-    [(2,), (1, 2, 1), (4, 1, 2), (3, 1, 2), (0, 1, 2), (-1, 1, 2), (11, 1, 2)],
-    ids=["one", "repeat", "low-degree", "no-edge", "zero", "minus-one", "past-n"],
-)
-def test_walk_step_rejects_a_state_that_is_not_a_walk(vertices):
-    """Each state ends on the top-colored (1, 2); what comes before it is
-    not a path of distinct max-degree vertices in the graph."""
-    g, f, state = _walk_on_hub_edge()
-    assert walk_step(g, f, WalkState((2, 1), state.baseline)).kind == "terminal"
-    with pytest.raises(PreconditionViolated, match="not a path of max-degree"):
-        walk_step(g, f, WalkState(vertices, state.baseline))
-
-
-def test_walk_rejects_other_palettes_and_cyclic_max_degree_subgraphs():
-    g, f, state = _walk_on_hub_edge()
-    wide = f.with_palette(5)
-    with pytest.raises(PaletteMismatch):
-        walk_init(g, wide, g.edge_id(1, 2))
-    with pytest.raises(PaletteMismatch):
-        walk_step(g, wide, state)
-    triangle = Graph(3, [(1, 2), (2, 3), (1, 3)])
-    f3 = EdgeColoring(3, [1, 2, 3])
-    with pytest.raises(MaxDegreeSubgraphCyclic):
-        walk_init(triangle, f3, 2)
-    with pytest.raises(MaxDegreeSubgraphCyclic):
-        walk_step(triangle, f3, WalkState((1, 3), 1))
-
-
-# four degree-3 hubs on the path 1-2-3-4, with pendant edges; the top color
-# 4 sits on the hub edge (2, 3), neither of whose ends is a leaf of the hub
-# path, and on the pendant edge (1, 5)
-_HUB_PATH = Graph(
-    10, [(1, 2), (2, 3), (3, 4), (1, 5), (1, 6), (2, 7), (3, 8), (4, 9), (4, 10)]
-)
-_HUB_PATH_F = EdgeColoring(4, [1, 4, 1, 4, 3, 2, 2, 2, 3])
-
-_CALLER_ERRORS = {
-    "case-a-palette": (lambda g, f, e: case_a_step(g, f.with_palette(5), e(2, 3)),
-                       PaletteMismatch, "expected palette 4"),
-    "case-a-outside": (lambda g, f, e: case_a_step(g, f, e(1, 5)),
-                       PreconditionViolated, "not inside the max-degree subgraph"),
-    "case-a-no-leaf": (lambda g, f, e: case_a_step(g, f, e(2, 3)),
-                       PreconditionViolated, "no endpoint is a leaf"),
-    "walk-init-not-top": (lambda g, f, e: walk_init(g, f, e(1, 2)),
-                          PreconditionViolated, "is not colored 4"),
-    "walk-init-outside": (lambda g, f, e: walk_init(g, f, e(1, 5)),
-                          PreconditionViolated, "must start inside"),
-    "walk-step-not-top": (lambda g, f, e: walk_step(g, f, WalkState((1, 2), 2)),
-                          PreconditionViolated, "not carrying the top color"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_CALLER_ERRORS))
-def test_step_functions_reject_caller_errors_with_typed_errors(case):
-    """A caller's bad edge, palette or walk is bad input, not a bug."""
-    call, error, match = _CALLER_ERRORS[case]
-    g, f = _HUB_PATH, _HUB_PATH_F
-    assert is_proper(g, f) and g.max_degree() == 3
-    with pytest.raises(error, match=match):
-        call(g, f, g.edge_id)
+            assert top_after < baseline
+            assert nxt is None

@@ -402,6 +402,27 @@ def test_padding_falls_back_to_a_gadget_for_adjacent_or_joined_pairs():
     assert apply_transcript(g, f, tr, check=True).colors == h.colors
 
 
+def test_padding_pairs_the_gadget_slots_in_ascending_order():
+    """Before they are sorted, the slots left for gadgets list the f-blocked
+    slots first and then the odd good slot or a refused pair: here
+    [7, 8, 1, 3] for h-color 2 and [2, 7, 1, 8] for h-color 4.  Each
+    octahedron takes two consecutive sorted slots, the smaller at its port
+    x and the larger at y, two vertices on."""
+    g, h = _irregular_instance(8, 1, 1, 1, 1)
+    f = random_proper_coloring(g, 6, 7)
+    big, _, h_big = degree4_lift._pad_to_regular4(g, f, h)
+    ports = [
+        (big.edges[e], h_big.colors[e])
+        for e in range(g.m, big.m)
+        if big.edges[e][0] <= g.n < big.edges[e][1]
+    ]
+    pairs = []
+    for ((v, x), c), ((w, y), c_y) in zip(ports[::2], ports[1::2]):
+        assert (y, c_y) == (x + 2, c)
+        pairs.append((c, v, w))
+    assert pairs == [(2, 1, 3), (2, 7, 8), (4, 1, 2), (4, 7, 8)]
+
+
 def test_padding_work_counts_are_pinned():
     """Padded sizes are exact work counts, free of timing noise.  With the
     K_{4,4} - xy gadget and no direct edges, the edges over `_PADDED` were

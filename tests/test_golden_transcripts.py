@@ -24,7 +24,12 @@ from kempe_edge.fixtures_gen import (
 from kempe_edge.graph_core import EdgeColoring, Graph, delete_edges
 from kempe_edge.kempe_engine import apply_transcript, format_transcript
 from kempe_edge.reductions import equalize
-from kempe_edge.regular4_core import lemma_2_2, lemma_2_3, theorem_4_1_transform
+from kempe_edge.regular4_core import (
+    _checked_work,
+    _lemma_2_2_inner,
+    _lemma_2_3_inner,
+    theorem_4_1_transform,
+)
 from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
 from test_regular4_deep_cases import (
     _SEEDED_RARE,
@@ -133,13 +138,17 @@ def _lemma_2_2_second_configuration():
     """Outcome II through the (2,3) path from x1, on each of its branches."""
     for name in ("free", "v3", "x2"):
         g, f, h = _l22_instance(name)
-        yield g, f, lemma_2_2(g, f, h, [1, 2, 3, 4, 5])[2]
+        work = _checked_work(g, f, h)
+        _lemma_2_2_inner(work, [1, 2, 3, 4, 5])
+        yield g, f, work.tr
 
 
 def _lemma_2_3_cycle():
     """Lemma 2.3 on a working component that is a cycle."""
     for g, f, h, xy in _lemma_2_3_cycle_instances():
-        yield g, f, lemma_2_3(g, f, h, xy)[1]
+        work = _checked_work(g, f, h)
+        _lemma_2_3_inner(work, xy)
+        yield g, f, work.tr
 
 
 def _delta4_irregular():

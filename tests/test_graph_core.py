@@ -1,7 +1,6 @@
 """Graph/coloring value types, derived subgraphs, and the file formats."""
 import pytest
 
-from kempe_edge.acyclic_reduce import case_a_step, walk_init
 from kempe_edge.errors import (
     ColorOutOfRange,
     EdgeOutOfRange,
@@ -10,11 +9,8 @@ from kempe_edge.errors import (
     GraphInvariantError,
     MissingEdgeColor,
     NotProper,
-    PaletteMismatch,
-    PreconditionViolated,
 )
 from kempe_edge.fixtures_gen import (
-    figure1_pair,
     octahedron,
     random_proper_coloring,
     random_regular4_class1,
@@ -49,7 +45,7 @@ from kempe_edge.kempe_engine import (
     read_transcript,
     write_transcript,
 )
-from kempe_edge.regular4_core import describe_window, lemma_2_3, theorem_4_1_transform
+from kempe_edge.regular4_core import theorem_4_1_transform
 
 
 def triangle():
@@ -309,43 +305,14 @@ def test_readers_refuse_bytes_that_are_not_utf8(tmp_path):
             read()
 
 
-def test_describe_window_refuses_bad_input():
-    g, _ = random_regular4_class1(10, 3)
-    f = random_proper_coloring(g, 5, 9)
-    one = f.colors.index(1)
-    with pytest.raises(PreconditionViolated, match="colored 1"):
-        describe_window(g, f, one)
-    w4 = random_proper_coloring(g, 4, 9)
-    with pytest.raises(PaletteMismatch):
-        describe_window(g, w4, w4.colors.index(2))
-    clash = list(f.colors)
-    u, v = g.edges[one]
-    other = next(e for w, e in g.adj[v] if w != u)
-    clash[other] = 1  # two 1-edges meet at v
-    with pytest.raises(NotProper):
-        describe_window(g, EdgeColoring(5, clash), other)
-
-
 @pytest.mark.parametrize(
     "call",
     [
-        lambda g, f, h, e: interchange(g, f, KempeMove(1, 2, e)),
-        lambda g, f, h, e: grow_fan(g, f, 1, e),
-        lambda g, f, h, e: downshift(g, f, Fan(5, (e,), ()), 3),
-        lambda g, f, h, e: describe_window(g, f, e),
-        lambda g, f, h, e: lemma_2_3(g, f, h, e),
-        lambda g, f, h, e: case_a_step(g, f, e),
-        lambda g, f, h, e: walk_init(g, f, e),
+        lambda g, f, e: interchange(g, f, KempeMove(1, 2, e)),
+        lambda g, f, e: grow_fan(g, f, 1, e),
+        lambda g, f, e: downshift(g, f, Fan(5, (e,), ()), 3),
     ],
-    ids=[
-        "interchange",
-        "grow_fan",
-        "downshift",
-        "describe_window",
-        "lemma_2_3",
-        "case_a_step",
-        "walk_init",
-    ],
+    ids=["interchange", "grow_fan", "downshift"],
 )
 @pytest.mark.parametrize("edge", ["minus_one", "m"])
 def test_edge_id_out_of_range_is_typed_error(call, edge):
@@ -354,10 +321,9 @@ def test_edge_id_out_of_range_is_typed_error(call, edge):
     # seed 1: color 3 is missing at both ends of edge m - 1 = (5, 6), so a
     # downshift of the fan (5, (-1,)) would otherwise go through
     f = random_proper_coloring(g, 5, 1)
-    _, h = figure1_pair()
     e = -1 if edge == "minus_one" else g.m
     with pytest.raises(EdgeOutOfRange, match=f"edge id {e} not in 0..{g.m - 1}"):
-        call(g, f, h, e)
+        call(g, f, e)
 
 
 @pytest.mark.parametrize("edge", ["minus_one", "m", "none"])

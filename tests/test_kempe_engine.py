@@ -743,7 +743,7 @@ def _p4():
 def _entries():
     """name -> (graph, a proper coloring, call(coloring)) with every other
     argument valid, so the coloring is the first thing found wrong."""
-    from kempe_edge.acyclic_reduce import WalkState, acyclic_reduce, case_a_step, walk_step
+    from kempe_edge.acyclic_reduce import acyclic_reduce
     from kempe_edge.degree4_lift import low_degree_equalize
     from kempe_edge.reductions import maximalize_top_class
     from kempe_edge.regular4_core import _checked_work, theorem_4_1_transform
@@ -758,8 +758,6 @@ def _entries():
     return {
         "reduce_to_delta_plus_one": (k4, k4_5, lambda f: reduce_to_delta_plus_one(k4, f)),
         "acyclic_reduce": (p4, p4_3, lambda f: acyclic_reduce(p4, f)),
-        "case_a_step": (p4, p4_3, lambda f: case_a_step(p4, f, 1)),
-        "walk_step": (p4, p4_3, lambda f: walk_step(p4, f, WalkState((2, 3), 1))),
         "low_degree_equalize": (k4, k4_4, lambda f: low_degree_equalize(k4, f, k4_4)),
         "downshift": (k4, k4_5, lambda f: downshift(k4, f, Fan(1, (0,), ()), 4)),
         "maximalize_top_class": (p4, p4_3, lambda f: maximalize_top_class(p4, f, 3)),

@@ -1,14 +1,12 @@
-"""The 4-regular case machine and its lemma surfaces."""
-import random
+"""The 4-regular case machine and its internal lemma steps, each driven on
+a checked working state."""
 from unittest import mock
 
 import pytest
 
 from kempe_edge.errors import (
-    BadWindow,
-    DistanceConditionViolated,
+    InternalInvariantError,
     NotRegular4,
-    PreconditionViolated,
     TargetNotProper4,
 )
 from kempe_edge.fixtures_gen import (
@@ -23,13 +21,25 @@ from kempe_edge.kernels import backend
 from kempe_edge.oracle import same_class
 from kempe_edge.regular4_core import (
     _Work,
-    case_b23_escape,
-    lemma_2_1_a,
-    lemma_2_1_b,
-    lemma_2_2,
-    lemma_2_3,
+    _case_B,
+    _checked_work,
+    _lemma_2_2_inner,
+    _lemma_2_3_inner,
+    _sides,
+    _window_b,
+    _window_escape_or_certify,
+    _window_holds,
     theorem_4_1_transform,
 )
+
+
+def _stepped(g, f, h, step, *args):
+    """Run one internal step on the checked working state of f toward h.
+    Returns its outcome, the coloring and transcript it left, and its frame
+    as a list from frame color to real color."""
+    work = _checked_work(g, f, h)
+    out = step(work, *args)
+    return out, work.coloring(), work.tr, work.to_real
 
 
 def _matched(f, h):
@@ -147,9 +157,9 @@ def test_lemma_2_1_a_outcomes_and_derived_postconditions():
         g, h = random_regular4_class1(10, seed)
         f = random_proper_coloring(g, 5, seed)
         for pv in _windows(g, f, 5)[:12]:
-            res = lemma_2_1_a(g, f, pv)
+            res, coloring, tr, to_real = _stepped(g, f, h, _window_escape_or_certify, pv)
             if res[0] == "improved":
-                _, coloring, tr, pair_edge, c = res
+                pair_edge, c = res[1], to_real[res[2]]
                 assert c in (3, 4, 5)
                 assert is_proper(g, coloring)
                 # the color is missing at both ends of the returned edge
@@ -162,29 +172,30 @@ def test_lemma_2_1_a_outcomes_and_derived_postconditions():
                 assert apply_transcript(g, f, tr, check=True) == coloring
                 improved += 1
             else:
-                assert res[1].verify(g, f)
+                assert len(tr) == 0
+                assert _window_holds(g, lambda v: palette_at(g, f, v), *pv[1:4])
     assert improved > 50
 
 
 def test_lemma_2_1_a_settled_window_certificate():
     # frozen instance where both window conditions hold (settled windows are
     # rare under random colorings; found by seeded scan)
-    g, _ = random_regular4_class1(8, 248)
+    g, h = random_regular4_class1(8, 248)
     f = random_proper_coloring(g, 5, 4224)
-    res = lemma_2_1_a(g, f, [5, 2, 8, 7, 3])
-    assert res[0] == "holds"
-    cert = res[1]
-    assert cert.verify(g, f)
-    assert cert.window == (2, 8, 7)
+    pv = [5, 2, 8, 7, 3]
+    res, _, tr, _ = _stepped(g, f, h, _window_escape_or_certify, pv)
+    assert res[0] == "holds" and len(tr) == 0
+    assert _window_holds(g, lambda v: palette_at(g, f, v), 2, 8, 7)
     # the certificate is literal: both off-path neighbors of the middle
     # vertex carry all of {3,4,5}
-    for x in (cert.x1, cert.x2):
+    for x in res[1:]:
+        assert g.edge_id(8, x) is not None
         assert {3, 4, 5} <= palette_at(g, f, x)
 
 
 def test_lemma_2_1_a_direct_missing_color_needs_no_moves():
     for seed in range(60):
-        g, _ = random_regular4_class1(10, seed)
+        g, h = random_regular4_class1(10, seed)
         f = random_proper_coloring(g, 5, seed + 77)
         for pv in _windows(g, f, 5)[:8]:
             v1, v2, v3 = pv[1], pv[2], pv[3]
@@ -195,37 +206,23 @@ def test_lemma_2_1_a_direct_missing_color_needs_no_moves():
                 or c not in palette_at(g, f, v2) | palette_at(g, f, v3)
             ]
             if direct:
-                res = lemma_2_1_a(g, f, pv)
+                res, _, tr, _ = _stepped(g, f, h, _window_escape_or_certify, pv)
                 assert res[0] == "improved"
-                assert len(res[2].moves) == 0
+                assert len(tr.moves) == 0
                 return
     pytest.skip("no direct-missing window found")
-
-
-def test_lemma_2_1_a_rejects_bad_window():
-    g, _ = random_regular4_class1(8, 0)
-    f = random_proper_coloring(g, 5, 1)
-    with pytest.raises(BadWindow):
-        lemma_2_1_a(g, f, [1, 2, 3, 4])  # wrong arity
-    with pytest.raises(BadWindow):
-        lemma_2_1_a(g, f, [1, 2, 1, 2, 1])  # repeated vertices
-    # a walk along a non-(1,2)-colored edge is rejected
-    for eid, c in enumerate(f.colors):
-        if c == 3:
-            u, v = g.edges[eid]
-            rest = [w for w in range(1, g.n + 1) if w not in (u, v)][:3]
-            with pytest.raises(BadWindow):
-                lemma_2_1_a(g, f, [u, v] + rest)
-            break
 
 
 def test_lemma_2_1_b_postcondition():
     found = 0
     for seed in range(60):
-        g, _ = random_regular4_class1(12, seed)
+        g, h = random_regular4_class1(12, seed)
         f = random_proper_coloring(g, 5, seed * 3)
         for pv in _windows(g, f, 6)[:8]:
-            coloring, tr, i, c = lemma_2_1_b(g, f, pv)
+            (pair_edge, c), coloring, tr, to_real = _stepped(g, f, h, _window_b, pv)
+            c = to_real[c]
+            window = [g.edge_id(pv[i], pv[i + 1]) for i in (1, 2, 3)]
+            i = window.index(pair_edge) + 1
             assert 1 <= i <= 3 and c in (3, 4, 5)
             u, v = pv[i], pv[i + 1]
             assert c not in palette_at(g, coloring, u)
@@ -249,28 +246,23 @@ def test_lemma_2_2_outcomes():
             e = g.edge_id(pv[0], pv[1])
             if f.colors[e] != 2 or h.colors[e] != 1:
                 continue
-            x2 = None  # precondition u1 != x2 checked inside; skip failures
-            try:
-                out = lemma_2_2(g, f, h, pv)
-            except Exception:
-                continue
+            out, coloring, tr, to_real = _stepped(g, f, h, _lemma_2_2_inner, pv)
             seen.add(out[0])
             if out[0] == "I":
-                assert out[1].verify(g, f)
+                assert len(tr) == 0
+                assert _window_holds(g, lambda v: palette_at(g, f, v), *pv[1:4])
             elif out[0] == "II":
-                coloring, tr = out[1], out[2]
                 assert _matched(coloring, h) == _matched(f, h)
                 assert 1 not in palette_at(g, coloring, pv[1])
                 assert apply_transcript(g, f, tr, check=True) == coloring
             elif out[0] == "III":
-                coloring, tr, pair_edge, c = out[1], out[2], out[3], out[4]
+                pair_edge, c = out[1], to_real[out[2]]
                 u, v = g.edges[pair_edge]
                 assert c not in palette_at(g, coloring, u)
                 assert c not in palette_at(g, coloring, v)
                 for mv in tr.moves:
                     assert {mv.a, mv.b} <= {3, 4, 5}
             else:
-                coloring, tr = out[1], out[2]
                 assert _matched(coloring, h) > _matched(f, h)
             ctx_checks += 1
         if seen >= {"II", "III"} and ctx_checks > 80:
@@ -299,7 +291,8 @@ def test_lemma_2_3_increases_matched_count():
                 near = comp[max(0, s - 3): s] + comp[s + 1: s + 4]
             if any(f.colors[x] == 1 and h.colors[x] == 1 for x in near):
                 continue
-            coloring, tr = lemma_2_3(g, f, h, eid)
+            out, coloring, tr, _ = _stepped(g, f, h, _lemma_2_3_inner, eid)
+            assert out is None
             assert _matched(coloring, h) > _matched(f, h)
             assert apply_transcript(g, f, tr, check=True) == coloring
             done += 1
@@ -310,26 +303,37 @@ def test_lemma_2_3_increases_matched_count():
 
 
 def test_lemma_2_3_rejects_a_correct_edge_within_distance_2():
+    """The flip's distance precondition is the caller's; broken, it is an
+    internal error before any move."""
     g, h = random_regular4_class1(10, 1)
     f = random_proper_coloring(g, 5, 10_001)
     assert f.colors[2] == 2 and h.colors[2] == 1
-    with pytest.raises(DistanceConditionViolated):
-        lemma_2_3(g, f, h, 2)
+    work = _checked_work(g, f, h)
+    with pytest.raises(InternalInvariantError, match="within distance 2"):
+        _lemma_2_3_inner(work, 2)
+    assert len(work.tr) == 0
 
 
-def _check_b23_escape(g, f, h, eid):
-    coloring, tr, tag = case_b23_escape(g, f, h, eid)
+def _case_b_step(work, e):
+    work.reframe_edge2(e)
+    return _case_B(work, e)
+
+
+def _check_case_b(g, f, h, eid):
+    """Case B on eid: "done" when the matched count rose, otherwise the
+    case the next working edge presents to the dispatch."""
+    nxt, coloring, tr, _ = _stepped(g, f, h, _case_b_step, eid)
     assert is_proper(g, coloring)
     assert apply_transcript(g, f, tr, check=True) == coloring
-    if tag == "done":
+    if nxt is None:
         assert _matched(coloring, h) > _matched(f, h)
-    else:
-        assert tag in ("case_A", "case_B1")
-        assert _matched(coloring, h) >= _matched(f, h)
-    return tag
+        return "done"
+    assert _matched(coloring, h) >= _matched(f, h)
+    ones = sum(1 in palette_at(g, coloring, v) for v in g.edges[nxt])
+    return "case_A" if ones <= 1 else "case_B1"
 
 
-def test_case_b23_escape_surface():
+def test_case_b_step_outcomes():
     done = 0
     for seed in range(300):
         g, h = random_regular4_class1(12, seed % 80)
@@ -341,7 +345,7 @@ def test_case_b23_escape_surface():
             has1 = lambda w: any(f.colors[e2] == 1 for _, e2 in g.adj[w])
             if not (has1(u) and has1(v)):
                 continue
-            _check_b23_escape(g, f, h, eid)
+            _check_case_b(g, f, h, eid)
             done += 1
             break
         if done >= 20:
@@ -351,36 +355,22 @@ def test_case_b23_escape_surface():
     for (n, s, eid), tag in (((8, 41, 0), "case_A"), ((8, 57, 2), "case_B1")):
         g, h = random_regular4_class1(n, s)
         f = random_proper_coloring(g, 5, 10_000 + s)
-        assert _check_b23_escape(g, f, h, eid) == tag
+        assert _check_case_b(g, f, h, eid) == tag
 
 
-def test_case_b23_escape_rejects_edges_outside_case_b():
-    g, h = random_regular4_class1(12, 0)
-    f = random_proper_coloring(g, 5, 0)
-    ones = lambda w: sum(f.colors[e] == 1 for _, e in g.adj[w])
-    not_target = next(e for e in range(g.m) if h.colors[e] != 1)
-    with pytest.raises(PreconditionViolated):
-        case_b23_escape(g, f, h, not_target)
-    one_end = next(
-        e for e in range(g.m)
-        if h.colors[e] == 1 and f.colors[e] != 1
-        and ones(g.edges[e][0]) + ones(g.edges[e][1]) == 1
-    )
-    with pytest.raises(PreconditionViolated):
-        case_b23_escape(g, f, h, one_end)
-
-
-def test_describe_window_names_the_component():
-    from kempe_edge.regular4_core import describe_window
-
+def test_sides_name_the_component():
     g, h = random_regular4_class1(10, 3)
     f = random_proper_coloring(g, 5, 9)
     for eid in range(g.m):
         if f.colors[eid] != 1:
-            win = describe_window(g, f, eid)
+            work = _checked_work(g, f, h)
+            work.reframe_edge2(eid)
+            u_side, v_side, *_ = _sides(work, eid)
             u, v = g.edges[eid]
-            assert {win.u_side[0], win.v_side[0]} == {u, v}
-            for x in (win.x1, win.x2):
-                if x is not None and len(win.v_side) > 1:
-                    assert g.edge_id(win.v_side[1], x) is not None
+            assert {u_side[0], v_side[0]} == {u, v}
+            # the off-path neighbors of v2 carry the frame colors 5 and 4
+            if len(v_side) > 1:
+                for color in (5, 4):
+                    x = g.other_end(work.edge_at(v_side[1], color), v_side[1])
+                    assert g.edge_id(v_side[1], x) is not None
             break

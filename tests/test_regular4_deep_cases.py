@@ -19,7 +19,12 @@ from kempe_edge.fixtures_gen import random_proper_coloring, random_regular4_clas
 from kempe_edge.graph_core import EdgeColoring, Graph, is_proper
 from kempe_edge.kempe_engine import KempeMove, apply_transcript
 from kempe_edge.kernels import backend
-from kempe_edge.regular4_core import lemma_2_2, lemma_2_3, theorem_4_1_transform
+from kempe_edge.regular4_core import (
+    _checked_work,
+    _lemma_2_2_inner,
+    _lemma_2_3_inner,
+    theorem_4_1_transform,
+)
 
 # vertex labels: p0..p9 -> 1..10; externals from 11 up
 P = list(range(1, 11))
@@ -519,7 +524,7 @@ _L22 = {
 
 
 def _l22_instance(name):
-    """(g, f, h) for `lemma_2_2(g, f, h, [1, 2, 3, 4, 5])`."""
+    """(g, f, h) for Lemma 2.2 on the window [1, 2, 3, 4, 5]."""
     n, wiring, rest, ones = _L22[name]
     g, f = _build(n, wiring + rest, frame=_L22_WINDOW)
     h = _pinned_4coloring(g, [g.edge_id(a, b) for a, b in ones])
@@ -809,9 +814,10 @@ def test_lemma_2_2_second_configuration():
     for name, first, moves in (("free", (6, 9), 5), ("v3", (2, 7), 3),
                                ("x2", (1, 6), 3)):
         g, f, h = _l22_instance(name)
-        out = lemma_2_2(g, f, h, [1, 2, 3, 4, 5])
-        assert out[0] == "II", (name, out[0])
-        _, f2, tr = out
+        work = _checked_work(g, f, h)
+        out = _lemma_2_2_inner(work, [1, 2, 3, 4, 5])
+        assert out == ("II",), (name, out)
+        f2, tr = work.coloring(), work.tr
         assert len(tr) == moves, (name, len(tr))
         assert set(tr.annotations) == {"win-target"}
         assert tr.moves[0] == KempeMove(2, 3, g.edge_id(*first)), name
@@ -827,7 +833,9 @@ def test_lemma_2_3_on_a_cycle_component():
         eids, _, cyc = backend.trace_component(g, list(f.colors), 1, 2, xy)
         assert cyc and len(eids) >= 10
         assert any(f.colors[e] == h.colors[e] == 1 for e in eids)
-        f2, tr = lemma_2_3(g, f, h, xy)
+        work = _checked_work(g, f, h)
+        assert _lemma_2_3_inner(work, xy) is None
+        f2, tr = work.coloring(), work.tr
         assert "flip-cut" in tr.annotations and tr.annotations[-1] == "flip"
         assert apply_transcript(g, f, tr, check=True).colors == f2.colors
         matched = lambda c: sum(1 for a, b in zip(c.colors, h.colors) if a == b == 1)
