@@ -113,6 +113,21 @@ def unexecuted(module, hit) -> collections.Counter:
     )
 
 
+def cases(test) -> list:
+    """The keyword arguments of each case pytest runs of a test function:
+    the cross product of its `parametrize` marks, or one empty case."""
+    out = [{}]
+    for mark in getattr(test, "pytestmark", []):
+        if mark.name != "parametrize":
+            continue
+        names, values = mark.args[:2]
+        if isinstance(names, str):
+            names = [name.strip() for name in names.split(",")]
+        rows = values if len(names) > 1 else [(value,) for value in values]
+        out = [{**case, **dict(zip(names, row))} for case in out for row in rows]
+    return out
+
+
 def main(argv) -> int:
     import pytest
 

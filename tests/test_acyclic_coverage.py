@@ -2,8 +2,9 @@
 ratchet.
 
 The workload is the golden families that run `acyclic_reduce` (its own and
-the peel's) plus every test of `test_acyclic_reduce`, which drives Case A
-and the walk step on checked working states, run under `linetrace` limited
+the peel's) plus every test of `test_acyclic_reduce`, each parametrized
+case included, which drives Case A, the walk step and the round dispatch
+on checked working states, run under `linetrace` limited
 to the `acyclic_reduce` module.  A statement that is not a `raise` and does
 not run must be named in `PINNED`; a pinned statement that runs, or is
 gone, must leave the list, so the list can only shrink.  It is empty:
@@ -30,7 +31,8 @@ def _workload():
             pass
     for name, test in sorted(vars(test_acyclic_reduce).items()):
         if name.startswith("test_"):
-            test()
+            for case in linetrace.cases(test):
+                test(**case)
 
 
 def test_unexecuted_statements_are_pinned():

@@ -1,14 +1,17 @@
 """The (Delta+1) -> Delta reduction for acyclic max-degree subgraphs, and
-its Case A and walk steps driven on a checked working state."""
+its Case A, walk and round steps driven on a checked working state."""
 import pytest
 
 from kempe_edge.acyclic_reduce import (
     _case_a,
     _checked_inputs,
+    _eliminate_or_walk_target,
+    _round,
     _walk_step,
     acyclic_reduce,
 )
 from kempe_edge.errors import (
+    InternalInvariantError,
     MaxDegreeSubgraphCyclic,
     PaletteMismatch,
 )
@@ -174,3 +177,133 @@ def test_walk_step_reaches_every_outcome():
         else:
             assert top_after < baseline
             assert nxt is None
+
+
+# four degree-3 hubs on the path 1-2-3-4 with pendant edges, and the edge
+# (5, 11) between two vertices below the maximum degree; colorings are
+# palette-4 lists in edge order
+_HUB_PATH = Graph(
+    11,
+    [(1, 2), (2, 3), (3, 4), (1, 5), (1, 6), (2, 7), (3, 8), (4, 9), (4, 10), (5, 11)],
+)
+
+# case -> (coloring, its top-colored edges, the note of the round's first move)
+_ROUND_CASES = {
+    # (1, 2) and (3, 4) end at the leaves 1 and 4 of the hub path
+    "A": ([4, 2, 4, 3, 1, 3, 1, 3, 1, 4], [(1, 2), (3, 4), (5, 11)], "acyclic-A"),
+    # (2, 3) joins the two interior hubs
+    "B1": ([1, 4, 3, 4, 2, 2, 2, 4, 2, 2], [(2, 3), (1, 5), (4, 9)], "acyclic-walk-escape"),
+    # (2, 7) touches one hub
+    "B2": ([2, 1, 2, 3, 1, 4, 3, 3, 1, 4], [(2, 7), (5, 11)], "acyclic-B2"),
+    # (5, 11) touches none
+    "B3": ([2, 1, 2, 3, 1, 3, 3, 3, 1, 4], [(5, 11)], "acyclic-B3"),
+}
+
+
+def _top_edges(g, colors, big):
+    return [g.edges[eid] for eid, c in enumerate(colors) if c == big]
+
+
+@pytest.mark.parametrize("case", sorted(_ROUND_CASES))
+def test_round_dispatches_each_case(case):
+    """A round takes the first of Cases A, B.1, B.2 and B.3 that a
+    top-colored edge presents, and clears a top-colored edge.  Each fixture
+    but B.3's also holds edges of a later case (A's and B.1's edges meet
+    every hub edge, so no fixture holds both)."""
+    colors, top, note = _ROUND_CASES[case]
+    g, f = _HUB_PATH, EdgeColoring(4, colors)
+    assert _top_edges(g, f.colors, 4) == top
+    rec, delta, is_max, dgd = _checked_inputs(g, f)
+    _round(rec, delta, is_max, dgd, len(top) - 1)
+    assert rec.tr.annotations[0] == note
+    out = rec.coloring()
+    assert out.colors.count(4) < len(top)
+    assert apply_transcript(g, f, rec.tr, check=True).colors == out.colors
+
+
+# kind -> (coloring, top-colored walk edge as (a_prev, a_cur), the next walk
+# vertex, the note on every move)
+_WALK_STEPS = {
+    # 1 is a leaf of the hub path: Case A there
+    "terminal": ([4, 2, 4, 3, 1, 3, 1, 3, 1, 4], (2, 1), None, "acyclic-A"),
+    "eliminated": ([1, 4, 3, 4, 2, 2, 2, 4, 2, 2], (2, 3), None, "acyclic-walk-escape"),
+    # the fan at 2 is stuck, and its chain drags the top color onto (2, 3)
+    "extended": ([4, 3, 1, 2, 1, 1, 2, 4, 3, 4], (1, 2), 3, "acyclic-walk"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WALK_STEPS))
+def test_walk_step_outcome_on_the_hub_path(kind):
+    colors, (a_prev, a_cur), nxt_want, note = _WALK_STEPS[kind]
+    g, f = _HUB_PATH, EdgeColoring(4, colors)
+    baseline = f.colors.count(4)
+    got, nxt, out, tr = _walked(g, f, a_prev, a_cur)
+    assert (got, nxt) == (kind, nxt_want)
+    assert tr.annotations and set(tr.annotations) == {note}
+    assert apply_transcript(g, f, tr, check=True).colors == out.colors
+    assert out.colors[g.edge_id(a_prev, a_cur)] != 4
+    if kind == "extended":
+        assert out.colors.count(4) == baseline
+        assert out.colors[g.edge_id(a_cur, nxt)] == 4
+    else:
+        assert out.colors.count(4) == baseline - 1
+
+
+def test_walk_step_without_the_top_color_is_an_internal_error():
+    """The walk carries the top color along; a step on an edge without it
+    is a bug in the caller, raised before any move."""
+    g = _HUB_PATH
+    f = EdgeColoring(4, _ROUND_CASES["B2"][0])
+    rec, delta, _, dgd = _checked_inputs(g, f)
+    assert rec.colors[g.edge_id(1, 2)] != 4
+    with pytest.raises(InternalInvariantError, match="lost the top-colored edge"):
+        _walk_step(rec, 1, 2, delta, dgd)
+    assert len(rec.tr) == 0
+
+
+# two adjacent degree-3 hubs with the top color on the edge between them:
+# both of its ends are leaves of the max-degree subgraph
+_TWO_HUBS = Graph(8, [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 7), (4, 8)])
+_TWO_HUBS_F = EdgeColoring(4, [4, 1, 2, 1, 2, 2, 1])
+
+
+@pytest.mark.parametrize("leaf", [1, 2])
+def test_case_a_clears_from_either_leaf(leaf):
+    g, f = _TWO_HUBS, _TWO_HUBS_F
+    rec, delta, _, dgd = _checked_inputs(g, f)
+    assert dgd[leaf] == 1
+    _case_a(rec, leaf, 0, delta)
+    out = rec.coloring()
+    assert out.colors.count(4) == 0
+    assert set(rec.tr.annotations) <= {"acyclic-A"}
+    assert apply_transcript(g, f, rec.tr, check=True).colors == out.colors
+
+
+# outcome -> (coloring with the top color on (1, 5), the next walk vertex)
+_B2_ATTEMPTS = {
+    "eliminated": ([1, 4, 3, 4, 2, 2, 2, 4, 2, 2], None),
+    "dragged": ([1, 2, 1, 4, 2, 3, 3, 3, 4, 3], 2),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(_B2_ATTEMPTS))
+def test_b2_fan_attempt_eliminates_or_drags_onto_a_hub(outcome):
+    """Case B.2's one fan attempt at the hub clears the top-colored edge,
+    or drags the top color onto a hub edge at the pivot without growing
+    the top class."""
+    colors, nxt_want = _B2_ATTEMPTS[outcome]
+    g, f = _HUB_PATH, EdgeColoring(4, colors)
+    e = g.edge_id(1, 5)
+    assert f.colors[e] == 4
+    rec, delta, is_max, _ = _checked_inputs(g, f)
+    nxt = _eliminate_or_walk_target(rec, 1, e, delta, "acyclic-B2")
+    assert nxt == nxt_want
+    out = rec.coloring()
+    assert out.colors[e] != 4
+    assert apply_transcript(g, f, rec.tr, check=True).colors == out.colors
+    if nxt is None:
+        assert out.colors.count(4) == f.colors.count(4) - 1
+    else:
+        assert is_max[nxt]
+        assert out.colors[g.edge_id(1, nxt)] == 4
+        assert out.colors.count(4) == f.colors.count(4)

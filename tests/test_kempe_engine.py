@@ -743,9 +743,9 @@ def _p4():
 def _entries():
     """name -> (graph, a proper coloring, call(coloring)) with every other
     argument valid, so the coloring is the first thing found wrong."""
-    from kempe_edge.acyclic_reduce import acyclic_reduce
-    from kempe_edge.degree4_lift import low_degree_equalize
-    from kempe_edge.reductions import maximalize_top_class
+    from kempe_edge.acyclic_reduce import _checked_inputs, acyclic_reduce
+    from kempe_edge.degree4_lift import low_degree_equalize, transform_delta4
+    from kempe_edge.reductions import maximalize_top_class, peel_and_recurse
     from kempe_edge.regular4_core import _checked_work, theorem_4_1_transform
     from kempe_edge.vizing_reduce import reduce_to_delta_plus_one
 
@@ -753,16 +753,22 @@ def _entries():
     k4_4 = EdgeColoring(4, [1, 2, 3, 3, 2, 1])
     k4_5 = EdgeColoring(5, [1, 2, 3, 3, 2, 5])
     p4_3 = EdgeColoring(3, [1, 3, 2])
+    # the peel's witness: a 2-coloring of the path whose top class, the
+    # middle edge, is maximal
+    p4_2 = EdgeColoring(2, [1, 2, 1])
     octa_5 = EdgeColoring(5, figure1_pair()[0].colors)
     h = figure1_pair()[1]
     return {
         "reduce_to_delta_plus_one": (k4, k4_5, lambda f: reduce_to_delta_plus_one(k4, f)),
         "acyclic_reduce": (p4, p4_3, lambda f: acyclic_reduce(p4, f)),
+        "_checked_inputs": (p4, p4_3, lambda f: _checked_inputs(p4, f)),
+        "peel_and_recurse": (p4, p4_2, lambda w: peel_and_recurse(p4, p4_3, p4_3, w, 2)),
         "low_degree_equalize": (k4, k4_4, lambda f: low_degree_equalize(k4, f, k4_4)),
         "downshift": (k4, k4_5, lambda f: downshift(k4, f, Fan(1, (0,), ()), 4)),
         "maximalize_top_class": (p4, p4_3, lambda f: maximalize_top_class(p4, f, 3)),
         "_checked_work": (octa, octa_5, lambda f: _checked_work(octa, f, h)),
         "theorem_4_1_transform": (octa, octa_5, lambda f: theorem_4_1_transform(octa, f, h)),
+        "transform_delta4": (octa, octa_5, lambda f: transform_delta4(octa, f, h)),
         "apply_transcript": (k4, k4_4, lambda f: apply_transcript(k4, f, Transcript())),
         "grow_fan": (k4, k4_4, lambda f: grow_fan(k4, f, 1, 0)),
     }
@@ -788,9 +794,10 @@ def _expected(name, g, f, kind):
     """The error the entry raised before its check moved into the mask
     build: require_proper's, with the entry's label."""
     if kind == "improper":
-        label = "working coloring" if name in _WORKING else (
-            "starting coloring" if name == "apply_transcript" else "coloring"
-        )
+        label = "working coloring" if name in _WORKING else {
+            "apply_transcript": "starting coloring",
+            "peel_and_recurse": "peel witness",
+        }.get(name, "coloring")
         return NotProper, f"{label} is not proper"
     if kind == "one edge short":
         return MissingEdgeColor, f"coloring covers {g.m - 1} edges, graph has {g.m}"

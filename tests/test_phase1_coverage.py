@@ -43,19 +43,23 @@ def test_seeded_rare_branches_fire():
 
 
 def _call(test):
-    """Call a test function, passing the fixtures it takes: `monkeypatch`
-    from a fresh `pytest.MonkeyPatch` context and `tmp_path` as a fresh
-    temporary directory, both undone when the test returns."""
-    with contextlib.ExitStack() as stack:
-        kwargs = {}
-        for name in inspect.signature(test).parameters:
-            if name == "monkeypatch":
-                kwargs[name] = stack.enter_context(pytest.MonkeyPatch.context())
-            elif name == "tmp_path":
-                kwargs[name] = Path(stack.enter_context(tempfile.TemporaryDirectory()))
-            else:
-                raise AssertionError(f"{test.__name__} takes {name!r}, which has no stand-in")
-        test(**kwargs)
+    """Call a test function once per parametrized case, passing the case's
+    arguments and the fixtures it takes: `monkeypatch` from a fresh
+    `pytest.MonkeyPatch` context and `tmp_path` as a fresh temporary
+    directory, both undone when the call returns."""
+    for case in linetrace.cases(test):
+        with contextlib.ExitStack() as stack:
+            kwargs = dict(case)
+            for name in inspect.signature(test).parameters:
+                if name in kwargs:
+                    continue
+                if name == "monkeypatch":
+                    kwargs[name] = stack.enter_context(pytest.MonkeyPatch.context())
+                elif name == "tmp_path":
+                    kwargs[name] = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+                else:
+                    raise AssertionError(f"{test.__name__} takes {name!r}, which has no stand-in")
+            test(**kwargs)
 
 
 def test_call_passes_fixtures():
@@ -68,8 +72,16 @@ def test_call_passes_fixtures():
     def takes_other(capsys):
         pass
 
+    @pytest.mark.parametrize("y", ["a", "b"])
+    @pytest.mark.parametrize("x", [1, 2])
+    def takes_cases(x, y, tmp_path):
+        seen.append((x, y, tmp_path.is_dir()))
+
     _call(takes_both)
     assert seen == [(1, True)]
+    seen.clear()
+    _call(takes_cases)
+    assert sorted(seen) == [(x, y, True) for x in (1, 2) for y in "ab"]
     assert not hasattr(regular4_core, "CALL_PROBE")
     with pytest.raises(AssertionError, match="takes_other takes 'capsys'"):
         _call(takes_other)

@@ -5,8 +5,11 @@ from unittest import mock
 import pytest
 
 from kempe_edge.errors import (
+    BadWindow,
     InternalInvariantError,
     NotRegular4,
+    PaletteMismatch,
+    PreconditionViolated,
     TargetNotProper4,
 )
 from kempe_edge.fixtures_gen import (
@@ -314,6 +317,73 @@ def test_lemma_2_3_rejects_a_correct_edge_within_distance_2():
     assert len(work.tr) == 0
 
 
+def test_lemma_2_3_rejects_an_edge_the_target_does_not_color_1():
+    g, h = random_regular4_class1(10, 1)
+    f = random_proper_coloring(g, 5, 10_001)
+    e = next(e for e in range(g.m) if f.colors[e] != 1 and h.colors[e] != 1)
+    work = _checked_work(g, f, h)
+    with pytest.raises(PreconditionViolated, match="not a target 1-edge"):
+        _lemma_2_3_inner(work, e)
+    assert len(work.tr) == 0
+
+
+@pytest.mark.parametrize(
+    "step",
+    [_window_escape_or_certify, _window_b, _lemma_2_2_inner],
+    ids=["window_escape_or_certify", "window_b", "lemma_2_2_inner"],
+)
+def test_window_steps_reject_a_window_off_the_12_component(step):
+    """A window whose inner vertex misses color 1 or 2 does not lie on a
+    (1,2)-path; with no free edge on it, each window step raises BadWindow
+    before any move."""
+    g, h = random_regular4_class1(8, 0)
+    f = random_proper_coloring(g, 5, 0)
+    pv = [1, 7, 5, 6, 2]
+    assert all(g.edge_id(a, b) is not None for a, b in zip(pv, pv[1:]))
+    assert any(not {1, 2} <= palette_at(g, f, v) for v in pv[1:4])
+    work = _checked_work(g, f, h)
+    with pytest.raises(BadWindow, match="must carry colors 1,2 plus two others"):
+        step(work, pv)
+    assert len(work.tr) == 0
+
+
+def _checked_work_inputs(case):
+    g = octahedron()
+    f, h = figure1_pair()
+    f5 = EdgeColoring(5, f.colors)
+    if case == "not 4-regular":
+        star = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+        return star, EdgeColoring(5, [1, 2, 3, 4]), EdgeColoring(4, [1, 2, 3, 4])
+    if case == "palette 4":
+        return g, f, h
+    if case == "palette 6":
+        return g, EdgeColoring(6, f.colors), h
+    if case == "target palette 5":
+        return g, f5, EdgeColoring(5, h.colors)
+    return g, f5, EdgeColoring(4, [1] * g.m)  # an improper target
+
+
+_CHECKED_WORK_REFUSALS = {
+    "not 4-regular": (NotRegular4, "graph is not 4-regular"),
+    "palette 4": (PaletteMismatch, "working coloring must use palette 5, got 4"),
+    "palette 6": (PaletteMismatch, "working coloring must use palette 5, got 6"),
+    "target palette 5": (TargetNotProper4, "target must be a proper 4-edge coloring"),
+    "target improper": (TargetNotProper4, "target must be a proper 4-edge coloring"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHECKED_WORK_REFUSALS))
+def test_checked_work_refuses_inputs_outside_the_machine(case):
+    """The internal steps run on `_checked_work`'s state, which holds only
+    for a 4-regular graph, a 5-coloring and a proper 4-coloring target."""
+    error, message = _CHECKED_WORK_REFUSALS[case]
+    g, f, h = _checked_work_inputs(case)
+    with pytest.raises(error) as info:
+        _checked_work(g, f, h)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def _case_b_step(work, e):
     work.reframe_edge2(e)
     return _case_B(work, e)
@@ -374,3 +444,33 @@ def test_sides_name_the_component():
                     x = g.other_end(work.edge_at(v_side[1], color), v_side[1])
                     assert g.edge_id(v_side[1], x) is not None
             break
+
+
+# kind -> (random_regular4_class1(10, seed) and its 5-coloring's seed, edge)
+_SIDES = {"path": (0, 1), "cycle": (24, 0)}
+
+
+@pytest.mark.parametrize("kind", sorted(_SIDES))
+def test_sides_read_the_component_away_from_the_edge(kind):
+    """Each side starts at an end of e; a side's i-th edge joins its
+    vertices i and i + 1.  A path's sides cover it; a cycle of n edges
+    gives min(n, 7) vertices each way."""
+    seed, e = _SIDES[kind]
+    g, h = random_regular4_class1(10, seed)
+    f = random_proper_coloring(g, 5, seed)
+    work = _checked_work(g, f, h)
+    work.reframe_edge2(e)
+    u_side, v_side, n, eids, u_edges, v_edges = _sides(work, e)
+    assert {u_side[0], v_side[0]} == set(g.edges[e])
+    for side, edges in ((u_side, u_edges), (v_side, v_edges)):
+        assert len(edges) == len(side) - 1
+        for i, edge in enumerate(edges):
+            assert set(g.edges[edge]) == {side[i], side[i + 1]}
+    assert {f.colors[x] for x in eids} == {1, f.colors[e]}
+    if kind == "path":
+        assert n == 0
+        assert sorted(u_edges + [e] + v_edges) == sorted(eids)
+        assert len(set(u_side + v_side)) == len(eids) + 1
+    else:
+        assert n == len(eids) == 10
+        assert len(u_side) == len(v_side) == 7
