@@ -297,25 +297,25 @@ def project_transcript(
         raise PaletteMismatch("coloring does not fit the big graph")
     colors = list(f_big.colors)
     out = Transcript()
-    for mv in big_tr.moves:
-        check_edge_id(big, mv.rep_edge)
-        if colors[mv.rep_edge] not in (mv.a, mv.b):
+    for a, b, rep in big_tr.moves:
+        check_edge_id(big, rep)
+        if colors[rep] not in (a, b):
             raise ProjectionMismatch("big transcript does not replay")
-        comp = backend.component_edges(big, colors, mv.a, mv.b, mv.rep_edge)
+        comp = backend.component_edges(big, colors, a, b, rep)
         hits = {e for e in comp if e < m}
         seen = set()
         for se in sorted(hits):
             if se in seen:
                 continue
             # the scan is ascending, so se is the component's least edge
-            comp_small = backend.component_edges(g, colors, mv.a, mv.b, se)
+            comp_small = backend.component_edges(g, colors, a, b, se)
             if not hits.issuperset(comp_small):
                 raise ProjectionMismatch(
                     "copy component extends outside the big component"
                 )
             seen.update(comp_small)
-            out.append(KempeMove(mv.a, mv.b, se), "projected")
-        backend.swap_component(colors, comp, mv.a, mv.b)
+            out.append(KempeMove(a, b, se), "projected")
+        backend.swap_component(colors, comp, a, b)
     return out
 
 

@@ -27,18 +27,23 @@ Recorder and in replay alike: on a proper coloring its component is the
 edge alone iff the other color is missing at both ends, which the masks
 answer.  :func:`extend_fan` is the one fan engine, shared by
 :func:`grow_fan` and the palette reductions; it reads every palette from
-the masks.
+the masks and allocates only as the fan grows.  Moves (:class:`KempeMove`)
+and fans (:class:`Fan`) are immutable tuples, so building one is one tuple
+allocation, and replay unpacks each move instead of reading its fields.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     ColorOutOfRange,
     EdgeNotIncident,
+    EdgeOutOfRange,
     EqualColors,
     FormatError,
+    GraphInvariantError,
     InternalInvariantError,
     InvalidMoveAtIndex,
     MissingEdgeColor,
@@ -59,18 +64,26 @@ from .graph_core import (
 )
 from .kernels import backend
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True)
-class KempeMove:
-    """One interchange: swap colors a, b on the component containing rep_edge."""
 
-    a: int
-    b: int
-    rep_edge: int
+class KempeMove(namedtuple("KempeMove", "a b rep_edge")):
+    """One interchange: swap colors a, b on the component containing rep_edge.
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise EqualColors(f"move colors must differ, got {self.a}")
+    An immutable tuple (a, b, rep_edge): it compares and hashes as that
+    plain tuple and unpacks in field order."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, rep_edge: int):
+        if a == b:
+            raise EqualColors(f"move colors must differ, got {a}")
+        return _tuple_new(cls, (a, b, rep_edge))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: keep the colors-differ check there
+        return cls(*iterable)
 
 
 @dataclass
@@ -108,8 +121,7 @@ class Transcript:
         return isinstance(other, Transcript) and self.moves == other.moves
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """Ordered edge sequence at a pivot; each later edge's color is missing
     at the previous leaf."""
 
@@ -197,25 +209,32 @@ def extend_fan(g: Graph, colors, mask, pivot: int, first_edge: int, allowed: int
     emitted transcripts depends on this tie-break).  Growth stops at a
     maximal fan, or as soon as a color of `stop` is missing at the current
     leaf.  Returns (fan, the least such color or None).
+
+    It allocates only as the fan grows: a fan has at most Delta edges, so
+    "unused" is a scan of its own edge list, and each later leaf is the
+    neighbor of the pivot's adjacency pair.
     """
     edges = [first_edge]
-    used = {first_edge}
-    leaf = g.other_end(first_edge, pivot)
     associated = []
+    u, leaf = g.edges[first_edge]
+    if leaf == pivot:
+        leaf = u
+    elif u != pivot:
+        raise GraphInvariantError(f"vertex {pivot} not an endpoint of edge {first_edge}")
+    adj = g.adj[pivot]
     while True:
-        free = stop & ~mask[leaf]
+        missing = ~mask[leaf]
+        free = stop & missing
         if free:
             return Fan(pivot, tuple(edges), tuple(associated)), least_color(free)
-        extend = allowed & ~mask[leaf]
-        for _, nxt in g.adj[pivot]:  # ascending edge ids
-            if extend >> colors[nxt] & 1 and nxt not in used:
+        extend = allowed & missing
+        for leaf, nxt in adj:  # ascending edge ids
+            if extend >> colors[nxt] & 1 and nxt not in edges:
                 break
         else:
             return Fan(pivot, tuple(edges), tuple(associated)), None
         edges.append(nxt)
-        used.add(nxt)
         associated.append(colors[nxt])
-        leaf = g.other_end(nxt, pivot)
 
 
 def grow_fan(g: Graph, f: EdgeColoring, pivot: int, first_edge: int) -> Fan:
@@ -305,8 +324,7 @@ def _replay(g: Graph, colors: list, t: int, tr: Transcript, check: bool) -> list
     edges, m = g.edges, g.m
     mask = proper_masks(g, colors, t, "starting coloring")
     exact = True
-    for i, mv in enumerate(tr.moves):
-        a, b, rep = mv.a, mv.b, mv.rep_edge
+    for i, (a, b, rep) in enumerate(tr.moves):
         if not (1 <= a <= t and 1 <= b <= t):
             raise InvalidMoveAtIndex(i, f"colors ({a},{b}) outside palette")
         if not (0 <= rep < m):
@@ -403,13 +421,15 @@ def parse_transcript(text: str, g: Graph) -> Transcript:
 
 
 def format_transcript(g: Graph, tr: Transcript) -> str:
+    """The transcript as text; EdgeOutOfRange (as :func:`check_edge_id`)
+    at the first move whose rep edge is not an edge id of g."""
+    edges, m = g.edges, g.m
     lines = []
-    for mv, note in zip(tr.moves, tr.annotations):
-        u, v = g.edges[mv.rep_edge]
-        line = f"K {mv.a} {mv.b} {u} {v}"
-        if note:
-            line += f"\t{note}"
-        lines.append(line)
+    for (a, b, rep), note in zip(tr.moves, tr.annotations):
+        if not 0 <= rep < m:
+            raise EdgeOutOfRange(f"edge id {rep} not in 0..{m - 1}")
+        u, v = edges[rep]
+        lines.append(f"K {a} {b} {u} {v}\t{note}" if note else f"K {a} {b} {u} {v}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -418,8 +438,9 @@ def read_transcript(path, g: Graph) -> Transcript:
 
 
 def write_transcript(path, g: Graph, tr: Transcript) -> None:
+    text = format_transcript(g, tr)  # a bad move writes no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_transcript(g, tr))
+        fh.write(text)
 
 
 class Recorder:
@@ -488,7 +509,9 @@ class Recorder:
             )
         edge_ids, verts, is_cycle = self.component(a, b, rep_edge)
         self.swap(edge_ids, a, b)
-        self.tr.append(KempeMove(a, b, rep_edge), note)
+        tr = self.tr
+        tr.moves.append(KempeMove(a, b, rep_edge))
+        tr.annotations.append(note)
         return edge_ids, verts, is_cycle
 
     def swap(self, edge_ids, a: int, b: int) -> None:
@@ -521,7 +544,9 @@ class Recorder:
                 "the color is at an endpoint"
             )
         self.swap((eid,), old, new_color)
-        self.tr.append(KempeMove(old, new_color, eid), note)
+        tr = self.tr
+        tr.moves.append(KempeMove(old, new_color, eid))
+        tr.annotations.append(note)
 
     def downshift(self, fan_edges, free_color: int, note: Optional[str] = None):
         """Fan rotation as single-edge interchanges: the last edge takes

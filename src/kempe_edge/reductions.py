@@ -106,8 +106,8 @@ def peel_and_recurse(
     h_sub = EdgeColoring(chi, [rec_h.colors[eid] for eid in kept])
     w_sub = EdgeColoring(chi - 1, [w.colors[eid] for eid in kept])
     sub_tr = equalize(sub, f_sub, h_sub, witness=w_sub, chi=chi - 1)
-    for mv, note in zip(sub_tr.moves, sub_tr.annotations):
-        rec.apply(mv.a, mv.b, kept[mv.rep_edge], note or "peel-sub")
+    for (a, b, rep), note in zip(sub_tr.moves, sub_tr.annotations):
+        rec.apply(a, b, kept[rep], note or "peel-sub")
     if rec.colors != rec_h.colors:
         raise InternalInvariantError("peel sides did not meet")
     rec.tr.extend(rec_h.tr.reversed())

@@ -92,11 +92,13 @@ def reduce_to_delta_plus_one(g: Graph, f: EdgeColoring):
     for eid, c in enumerate(rec.colors):
         if c > delta + 1:
             offenders[c].append(eid)
+    moves = rec.tr.moves
     for c_top in range(f.t, delta + 1, -1):
+        note = f"vizing-fan:{c_top}"
         for eid in offenders[c_top]:
             pivot = g.edges[eid][0]  # canonical u < v: lower endpoint
-            first = len(rec.tr)
-            if eliminate_via_fan(rec, pivot, eid, allowed, f"vizing-fan:{c_top}") is not None:
+            first = len(moves)
+            if eliminate_via_fan(rec, pivot, eid, allowed, note) is not None:
                 raise InternalInvariantError("fan elimination stuck below Delta+1")
             _check_left_top_color(rec, eid, c_top, first)
     if max(rec.colors, default=0) > delta + 1:
@@ -117,12 +119,12 @@ def _check_left_top_color(rec: Recorder, e1: int, c_top: int, first: int) -> Non
     moves = rec.tr.moves
     top_moves, on_e1 = 0, False
     for k in range(first, len(moves)):
-        mv = moves[k]
-        if mv.a == c_top or mv.b == c_top:
+        a, b, rep = moves[k]
+        if a == c_top or b == c_top:
             top_moves += 1
             if top_moves == 2:
                 break
-            on_e1 = mv.rep_edge == e1
+            on_e1 = rep == e1
     if top_moves != 1 or not on_e1:
         raise InternalInvariantError(
             f"elimination of edge {e1} moved color {c_top} on other edges"

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from kempe_edge.errors import (
     ColorOutOfRange,
     EdgeNotIncident,
+    EdgeOutOfRange,
+    EqualColors,
+    GraphInvariantError,
     InternalInvariantError,
     InvalidMoveAtIndex,
     MissingEdgeColor,
@@ -38,7 +41,55 @@ from kempe_edge.kempe_engine import (
     interchange,
     involution_check,
     parse_transcript,
+    write_transcript,
 )
+
+
+def test_kempe_move_rejects_equal_colors():
+    with pytest.raises(EqualColors, match="move colors must differ, got 2"):
+        KempeMove(2, 2, 0)
+    with pytest.raises(EqualColors):
+        KempeMove(1, 2, 0)._replace(b=1)
+
+
+def test_kempe_move_is_immutable():
+    mv = KempeMove(1, 2, 3)
+    for name in ("a", "b", "rep_edge"):
+        with pytest.raises(AttributeError):
+            setattr(mv, name, 4)
+    with pytest.raises(AttributeError):
+        mv.extra = 1  # no instance dict
+
+
+def test_kempe_move_value_semantics():
+    mv = KempeMove(1, 2, 3)
+    assert mv == KempeMove(1, 2, 3)
+    assert hash(mv) == hash(KempeMove(1, 2, 3))
+    assert len({mv, KempeMove(1, 2, 3)}) == 1
+    for other in (KempeMove(4, 2, 3), KempeMove(1, 4, 3), KempeMove(1, 2, 4)):
+        assert mv != other
+    assert mv == (1, 2, 3)
+    assert repr(mv) == "KempeMove(a=1, b=2, rep_edge=3)"
+    a, b, rep = mv
+    assert (a, b, rep) == (mv.a, mv.b, mv.rep_edge) == (1, 2, 3)
+
+
+def test_fan_fields_and_leaves():
+    g = Graph(4, [(1, 2), (1, 3), (1, 4)])
+    fan = Fan(1, (0, 2), (3,))
+    assert (fan.pivot, fan.edges, fan.associated) == (1, (0, 2), (3,))
+    assert fan.leaves(g) == (2, 4)
+    assert fan == Fan(1, (0, 2), (3,))
+    with pytest.raises(AttributeError):
+        fan.pivot = 2
+
+
+def test_extend_fan_rejects_a_pivot_off_the_first_edge():
+    g = Graph(3, [(1, 2), (2, 3)])
+    f = EdgeColoring(3, [1, 2])
+    mask = Recorder(g, f).mask
+    with pytest.raises(GraphInvariantError):
+        extend_fan(g, f.colors, mask, 3, 0, 0b1110, 0)
 
 
 def test_interchange_single_edge():
@@ -366,6 +417,19 @@ def test_transcript_file_round_trip():
     back = parse_transcript("# header comment\n" + text, g)
     assert back == tr
     assert back.annotations == ["Lemma2.1a", None]
+
+
+@pytest.mark.parametrize("rep", [-1, 12], ids=["minus-1", "m"])
+def test_format_transcript_rejects_an_out_of_range_rep_edge(rep, tmp_path):
+    # -1 would index the last edge (5, 6) and 12 past the end
+    g = octahedron()
+    tr = Transcript([KempeMove(1, 2, 0), KempeMove(1, 2, rep)])
+    with pytest.raises(EdgeOutOfRange, match=f"edge id {rep} not in 0..11"):
+        format_transcript(g, tr)
+    out = tmp_path / "tr.txt"
+    with pytest.raises(EdgeOutOfRange):
+        write_transcript(out, g, tr)
+    assert not out.exists()
 
 
 def _drop_last_edge(real):
