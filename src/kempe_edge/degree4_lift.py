@@ -25,17 +25,20 @@ sparse index of the coloring's two-colored components: only those holding
 a fixable edge (colored a with goal b, or the reverse) can gain agreement
 with the goal, so only those are traced, each scored by the agreement its
 interchange gains on its own edges.  Every greedy step takes the first
-gaining component in neighbor order from the index's per-pair heaps; after
-the swap the index re-traces, from fixable edges only, the pairs' indexed
-components that met the swapped component's vertices.  The index and the
-projection read components as bare edge sets, through
-``backend.component_edges``.  Only when no component gains does a labeled
-BFS run to the nearest better state, and only when that BFS runs out of
-states does the oracle's exact bidirectional search carry the coloring to
-the goal.  Every move, from any of the three, goes through the index, which
-traces on demand a component it does not hold.  The transcripts are
-verified like any other; only termination relies on the reachability
-guarantee.
+gaining component in neighbor order from the index's per-pair heaps.  An
+edge is fixable for one pair only, so a swap queues each edge of the
+swapped component, and of the indexed components it changed (those that
+met its vertices, which it drops), as a seed of that one pair, traced
+when the walk next reads the pair.  A seed whose other color is missing
+at both its ends is its own component, read from the recorder's masks
+with no trace.  The index and the projection read components as bare
+edge sets, through ``backend.component_edges``.  Only when no component
+gains does a labeled BFS run to the nearest better state, and only when
+that BFS runs out of states does the oracle's exact bidirectional search
+carry the coloring to the goal.  Every move, from any of the three, goes
+through the index, which traces on demand a component it does not hold.
+The transcripts are verified like any other; only termination relies on
+the reachability guarantee.
 """
 from __future__ import annotations
 
@@ -352,18 +355,30 @@ class _ComponentIndex:
 
     Invariant: every indexed component is a current (a, b)-component, and
     every edge fixable for (a, b) is owned by an indexed component or is
-    pending for (a, b).  :meth:`_flush` traces a pair's pending seeds, so
-    after it the pair holds exactly its components with a fixable edge;
-    :meth:`first_gaining` flushes each pair just before it reads that
-    pair's heap, and the pairs after the one it returns stay pending.
+    pending for (a, b).  An edge is fixable for one pair at most, {its
+    color, its goal color}, and only that pair is ever given it as a seed
+    (`fix` maps the two colors to the pair).  :meth:`_flush` traces a
+    pair's pending seeds, so after it the pair holds exactly its
+    components with a fixable edge; a seed whose other color is missing at
+    both its ends (`rec.mask`) is a component by itself and is indexed as
+    ``(e,)`` with no trace.  :meth:`first_gaining` flushes each pair with
+    seeds just before it reads that pair's heap, and the pairs after the
+    one it returns stay pending.
 
     An (a, b) interchange on C changes the fixability of C's edges only.
     It keeps every (a, b)-component and every pair that avoids a and b; on
     the pairs (a, x) and (b, x) it changes only components that meet V(C).
-    Those indexed are dropped at once, so no owner entry goes stale, and
-    their edges and C's join the pair's pending seeds.  That keeps the
-    invariant: a fixable edge off C either lies in an old component that
-    was indexed and met V(C), or was pending already.
+    Those indexed are dropped at once, so no owner entry goes stale.  An
+    edge is owned only in pairs that hold its color, and a (c, x)-component
+    (c in {a, b}) that meets V(C) at v holds v's c-edge, which lies in C,
+    or, when v has none, v ends C and the component holds v's x-edge.  So
+    the drop looks up each edge of C in the pairs that hold its color, and
+    at each end of C each edge colored x in the pair of x and the color
+    the end misses (`look`).  Each edge of C, and each edge of a dropped
+    component that is still fixable for its pair, joins the pending seeds
+    of the one pair it is fixable for.  That keeps the invariant: a
+    fixable edge off C either lies in an old component that was indexed
+    and met V(C), or was pending already.
     """
 
     def __init__(self, rec, goal, colors):
@@ -372,33 +387,53 @@ class _ComponentIndex:
         self.state = state = rec.colors
         self.goal = goal
         cs = sorted(colors)
-        self.pairs = [(a, b) for i, a in enumerate(cs) for b in cs[i + 1:]]
-        self.affected = {
-            p: [q for q in self.pairs if q != p and (p[0] in q or p[1] in q)]
-            for p in self.pairs
-        }
-        self.owner = {p: [-1] * g.m for p in self.pairs}
-        self.comps = {p: {} for p in self.pairs}
-        self.gaining = {p: set() for p in self.pairs}
-        self.heaps = {p: [] for p in self.pairs}
-        self.pending = {p: set() for p in self.pairs}
+        self.pairs = pairs = [(a, b) for i, a in enumerate(cs) for b in cs[i + 1:]]
+        top = max(rec.t, max(goal, default=0), cs[-1]) + 1
+        # fix[c][want]: the one pair an edge colored c with goal want is
+        # fixable for, or None
+        self.fix = fix = [[None] * top for _ in range(top)]
+        for p in pairs:
+            fix[p[0]][p[1]] = fix[p[1]][p[0]] = p
+        self.owner = owner = {p: [-1] * g.m for p in pairs}
+        # look[p][m][c], for m in p: the (q, owner[q]) in which a swap on p
+        # looks up an edge colored c.  For c = m (an edge of the swapped
+        # component) q runs over the other pairs holding m; for a search
+        # color c off p (an edge at an end that misses m) q is {m, c}.
+        self.look = {}
+        for p in pairs:
+            self.look[p] = rows = {}
+            for m in p:
+                rows[m] = [[] for _ in range(top)]
+                for q in pairs:
+                    if m in q and q != p:
+                        x = q[0] + q[1] - m
+                        rows[m][m].append((q, owner[q]))
+                        rows[m][x].append((q, owner[q]))
+        self.comps = {p: {} for p in pairs}
+        self.gaining = {p: set() for p in pairs}
+        self.heaps = {p: [] for p in pairs}
+        self.pending = pending = {p: set() for p in pairs}
         for e, (c, want) in enumerate(zip(state, goal)):
-            p = (c, want) if c < want else (want, c)
-            if p in self.pending:
-                self.pending[p].add(e)
+            p = fix[c][want]
+            if p:
+                pending[p].add(e)
 
     def _flush(self, p):
         """Index the component of every pending seed of pair p that is
-        fixable for p and held by no indexed component."""
+        fixable for p and held by no indexed component.  A seed whose other
+        color is missing at both its ends is its own component: the masks
+        answer that, so it is indexed without a trace."""
         seeds = self.pending[p]
-        if not seeds:
-            return
         a, b = p
-        owner, state, goal = self.owner[p], self.state, self.goal
+        owner, state, goal, fix = self.owner[p], self.state, self.goal, self.fix
+        mask, edges = self.rec.mask, self.g.edges
         for e in seeds:
-            c = state[e]
-            if (c == a or c == b) and goal[e] == a + b - c and owner[e] < 0:
-                self._add(a, b, backend.component_edges(self.g, state, a, b, e))
+            if fix[state[e]][goal[e]] == p and owner[e] < 0:
+                u, v = edges[e]
+                if (mask[u] | mask[v]) >> goal[e] & 1:
+                    self._add(a, b, backend.component_edges(self.g, state, a, b, e))
+                else:
+                    self._add(a, b, (e,))
         seeds.clear()
 
     def _add(self, a, b, comp):
@@ -429,7 +464,8 @@ class _ComponentIndex:
     def first_gaining(self):
         """(a, b, rep) of the first gaining component in walk order, or None."""
         for p in self.pairs:
-            self._flush(p)
+            if self.pending[p]:
+                self._flush(p)
             gaining, heap = self.gaining[p], self.heaps[p]
             while heap and heap[0] not in gaining:
                 heapq.heappop(heap)
@@ -441,25 +477,48 @@ class _ComponentIndex:
         """Interchange a and b on the (a, b)-component of edge `rep` and
         update.  A component the index does not hold (a BFS or exact move
         may name one) is traced here."""
-        g, state = self.g, self.state
+        g, state, goal = self.g, self.state, self.goal
         r = self.owner[a, b][rep]
         if r >= 0:
             comp = self._pop((a, b), r)
         else:
             comp = backend.component_edges(g, state, a, b, rep)
-        verts = {v for e in comp for v in g.edges[e]}
-        touched = {e for v in verts for _, e in g.adj[v]}
-        for p in self.affected[a, b]:
-            owner, pending = self.owner[p], self.pending[p]
-            pending.update(comp)
-            for e in touched:
+        # drop the other pairs' components that meet V(C): through C's
+        # edges, and at an end of C, where a or b is missing, through the
+        # edges of the other colors
+        adj, edges, look = g.adj, g.edges, self.look[a, b]
+        mask, both = self.rec.mask, 1 << a | 1 << b
+        dropped = []
+        for e in comp:
+            c = state[e]
+            for p, owner in look[c][c]:
                 r = owner[e]
                 if r >= 0:
-                    pending.update(self._pop(p, r))
+                    dropped.append((p, self._pop(p, r)))
+            for v in edges[e]:
+                if mask[v] & both != both:
+                    row = look[b if mask[v] >> a & 1 else a]
+                    for _, f in adj[v]:
+                        for p, owner in row[state[f]]:
+                            r = owner[f]
+                            if r >= 0:
+                                dropped.append((p, self._pop(p, r)))
         self.rec.swap(comp, a, b)
-        goal = self.goal
-        if any(goal[e] == a + b - state[e] for e in comp):
+        # each edge of C or of a dropped component is queued only for the
+        # one pair it is now fixable for
+        fix, pending = self.fix, self.pending
+        ab = (a, b)
+        own = False
+        for e in comp:
+            p = fix[state[e]][goal[e]]
+            if p == ab:
+                own = True
+            elif p:
+                pending[p].add(e)
+        if own:
             self._add(a, b, comp)
+        for p, dropped_comp in dropped:
+            pending[p].update(e for e in dropped_comp if fix[state[e]][goal[e]] == p)
 
 
 def _bfs_to_better(g, start, goal, colors, cap):

@@ -84,10 +84,6 @@ class TargetNotProper4(KempeEdgeError):
     code = "target_not_proper4"
 
 
-class BadWindow(KempeEdgeError):
-    code = "bad_window"
-
-
 class PreconditionViolated(KempeEdgeError):
     code = "precondition_violated"
 

@@ -33,11 +33,9 @@ from __future__ import annotations
 import heapq
 
 from .errors import (
-    BadWindow,
     InternalInvariantError,
     NotRegular4,
     PaletteMismatch,
-    PreconditionViolated,
     TargetNotProper4,
 )
 from .graph_core import EdgeColoring, Graph, is_proper
@@ -248,7 +246,9 @@ def _window_escape_or_certify(work: _Work, pv):
     ex2 = work.vpal(v2) - {1, 2}
     ex3 = work.vpal(v3) - {1, 2}
     if not (len(ex1) == len(ex2) == len(ex3) == 2):
-        raise BadWindow("window vertices must carry colors 1,2 plus two others")
+        raise InternalInvariantError(
+            "window vertices must carry colors 1,2 plus two others"
+        )
     if ex1 == ex3:
         shared = ex1 & ex2
         if len(shared) != 1:
@@ -316,7 +316,9 @@ def _window_b(work: _Work, pv):
             raise InternalInvariantError("(3,4) path from v2 does not end at v1")
         work.apply(3, 4, rep, "win5")
     elif p4 != _C:
-        raise BadWindow(f"unexpected palette {sorted(p4)} at the fourth vertex")
+        raise InternalInvariantError(
+            f"unexpected palette {sorted(p4)} at the fourth vertex"
+        )
     res = _window_escape_or_certify(work, pv[1:6])
     if res[0] != "improved":
         raise InternalInvariantError("shifted window must improve")
@@ -338,7 +340,7 @@ def _lemma_2_2_inner(work: _Work, pv):
         return ("III", res[1], res[2])
     x1, x2 = res[1], res[2]
     if u1 == x2:
-        raise PreconditionViolated("window analysis requires u1 != x2")
+        raise InternalInvariantError("window analysis requires u1 != x2")
     before = work.matched()
     had1_u1 = work.has_color1(u1)
     if 1 not in work.vpal(x2):
@@ -403,7 +405,7 @@ def _lemma_2_3_inner(work: _Work, xy: int):
     """
     work.reframe_edge2(xy)
     if not work.h1_mask[xy]:
-        raise PreconditionViolated("working edge is not a target 1-edge")
+        raise InternalInvariantError("working edge is not a target 1-edge")
     for _ in range(6):
         u_side, v_side, cyc, eids, u_edges, v_edges = _sides(work, xy)
         if not any(work.correct1(e) for e in eids):

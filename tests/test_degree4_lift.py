@@ -959,12 +959,18 @@ def test_component_index_swap_retraces_locally(monkeypatch):
             index = _ComponentIndex(rec, goal, colors)
             # every edge off its goal color is fixable for one pair
             bound = sum(c != want for c, want in zip(start, goal))
-            while (step := index.first_gaining()) is not None:
+            # each greedy step raises the agreement, so at most m steps
+            for _ in range(g.m + 1):
+                step = index.first_gaining()
+                if step is None:
+                    break
                 comp = index.comps[step[0], step[1]][step[2]]
                 verts = {v for e in comp for v in g.edges[e]}
                 bound += 2 * (len(colors) - 2) * g.max_degree() * len(verts)
                 index.swap(*step)
                 assert traces[0] <= bound
+            else:
+                raise AssertionError("the greedy run took more than m steps")
             worst = max(worst, traces[0] / bound)
     assert worst > 0
 
@@ -1017,10 +1023,62 @@ def test_component_index_traces_only_components_with_a_fixable_edge(monkeypatch)
     assert seeded[0] > 0 and on_demand[0] > 0
 
 
+def test_component_index_swap_queues_each_edge_for_its_one_fixable_pair(monkeypatch):
+    """Over greedy runs, every seed a swap adds to a pair's pending set is
+    fixable for that pair once the swap is done, and no edge, of the
+    swapped component or of a dropped one, is added to two pairs."""
+    swap = _ComponentIndex.swap
+    added = Counter()
+
+    def checked(index, a, b, rep):
+        before = {p: set(seeds) for p, seeds in index.pending.items()}
+        swap(index, a, b, rep)
+        seen = set()
+        for p, seeds in index.pending.items():
+            new = seeds - before[p]
+            assert all(_fixable(index.state, index.goal, *p, e) for e in new)
+            assert not new & seen
+            seen |= new
+            added[p] += len(new)
+
+    monkeypatch.setattr(_ComponentIndex, "swap", checked)
+    for g, start, goal, colors, t in [
+        *_search_instances((6, 8), range(6)),
+        _phase2_instance(200, 1),
+    ]:
+        assert _replay(g, start, _search(g, start, goal, colors, t)) == goal
+    assert sum(added.values()) > 0
+
+
+def test_component_index_reads_a_single_edge_component_from_the_masks(monkeypatch):
+    """On the path 1-2-3-4-5-6 colored 1 2 1 2 3 with goal 1 3 1 3 2, edge
+    1 is fixable for (2, 3) and 3 is missing at both its ends: it is its
+    own gaining component, indexed with no trace.  Edge 3 is fixable too,
+    but 3 is at its end 5, so its component {3, 4} is traced once."""
+    traced = []
+    trace = backend.component_edges
+
+    def counting(*args):
+        comp = trace(*args)
+        traced.append(sorted(comp))
+        return comp
+
+    monkeypatch.setattr(backend, "component_edges", counting)
+    g = Graph(6, [(v, v + 1) for v in range(1, 6)])
+    rec = Recorder(g, EdgeColoring(4, [1, 2, 1, 2, 3]))
+    index = _ComponentIndex(rec, bytes([1, 3, 1, 3, 2]), (1, 2, 3, 4))
+    assert index.first_gaining() == (2, 3, 1)
+    assert traced == [[3, 4]]
+    assert index.comps[2, 3][1] == (1,)
+    assert index.gaining[2, 3] == {1, 3}
+    assert index.owner[2, 3] == [-1, 1, -1, 3, 3]
+
+
 @pytest.mark.parametrize(
     "n, seed, traces, moves",
-    # before the pairs were traced lazily: 426 and 1,434 traces
-    [(200, 1, 199, 108), (640, 2, 551, 353)],
+    # before the pairs were traced lazily: 426 and 1,434 traces; before
+    # single-edge components were read from the masks: 199 and 551
+    [(200, 1, 157, 108), (640, 2, 373, 353)],
 )
 def test_equalize_search_trace_count_is_pinned(monkeypatch, n, seed, traces, moves):
     """The exact number of components the phase-2 search traces.  Its

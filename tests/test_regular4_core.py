@@ -5,11 +5,9 @@ from unittest import mock
 import pytest
 
 from kempe_edge.errors import (
-    BadWindow,
     InternalInvariantError,
     NotRegular4,
     PaletteMismatch,
-    PreconditionViolated,
     TargetNotProper4,
 )
 from kempe_edge.fixtures_gen import (
@@ -322,7 +320,7 @@ def test_lemma_2_3_rejects_an_edge_the_target_does_not_color_1():
     f = random_proper_coloring(g, 5, 10_001)
     e = next(e for e in range(g.m) if f.colors[e] != 1 and h.colors[e] != 1)
     work = _checked_work(g, f, h)
-    with pytest.raises(PreconditionViolated, match="not a target 1-edge"):
+    with pytest.raises(InternalInvariantError, match="not a target 1-edge"):
         _lemma_2_3_inner(work, e)
     assert len(work.tr) == 0
 
@@ -334,15 +332,18 @@ def test_lemma_2_3_rejects_an_edge_the_target_does_not_color_1():
 )
 def test_window_steps_reject_a_window_off_the_12_component(step):
     """A window whose inner vertex misses color 1 or 2 does not lie on a
-    (1,2)-path; with no free edge on it, each window step raises BadWindow
-    before any move."""
+    (1,2)-path; with no free edge on it, each window step raises
+    InternalInvariantError before any move: only the case machine builds
+    windows, so a bad one is its own fault."""
     g, h = random_regular4_class1(8, 0)
     f = random_proper_coloring(g, 5, 0)
     pv = [1, 7, 5, 6, 2]
     assert all(g.edge_id(a, b) is not None for a, b in zip(pv, pv[1:]))
     assert any(not {1, 2} <= palette_at(g, f, v) for v in pv[1:4])
     work = _checked_work(g, f, h)
-    with pytest.raises(BadWindow, match="must carry colors 1,2 plus two others"):
+    with pytest.raises(
+        InternalInvariantError, match="must carry colors 1,2 plus two others"
+    ):
         step(work, pv)
     assert len(work.tr) == 0
 
