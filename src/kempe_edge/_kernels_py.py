@@ -1,4 +1,4 @@
-"""Kernels: bicolored-path tracing and swapping, properness, state enumeration.
+"""Kernels: bicolored-path tracing, properness, state enumeration.
 
 Every module reaches them through :data:`kempe_edge.kernels.backend`.  The
 kernels read the :class:`~kempe_edge.graph_core.Graph` itself: ``g.edges[e]``
@@ -9,11 +9,10 @@ m, one color per edge id.
 
 Two kernels trace a bicolored component.  :func:`trace_component` is the
 ordered one: it returns the vertices along the path or around the cycle
-with the edges between them, for callers that read the path (the case
-machine's recorded moves, its side split and its path probes, and
+with the edges between them, for the probes, the callers that read a path
+(``Recorder.path_from``, the case machine's side split, and
 `graph_core.bicolored_subgraph`).  :func:`component_edges` returns only the
-edge set, for callers that swap or count a component without reading it:
-the search index, replay, transcript projection and `interchange`.
+edge set, which every move swaps (``Recorder.component_edges``) and replay.
 
 :func:`canonical_colorings` is the one backtracker over proper colorings,
 with its stack in lists, not Python frames; :func:`enumerate_proper` and the
@@ -50,7 +49,8 @@ def trace_component(g, colors, a, b, e0):
     Returns (edge_ids, vertices, is_cycle) with vertices ordered along the
     path (smaller-id endpoint first) or around the cycle (smallest vertex
     first, toward its smaller-id neighbor).  edge_ids[i] joins vertices[i]
-    and vertices[i+1] (wrapping for cycles).
+    and vertices[i+1] (wrapping for cycles).  It terminates only on a
+    proper coloring.
     """
     edges, adj = g.edges, g.adj
     u0 = edges[e0][0]
@@ -116,7 +116,8 @@ def component_edges(g, colors, a, b, e0):
 
     The callers that only swap or count a component use this walk: each
     direction from e0 is walked once, and no vertex list is built or
-    reordered.  On a cycle the first direction comes back to e0.
+    reordered.  On a cycle the first direction comes back to e0.  It
+    terminates only on a proper coloring.
     """
     adj = g.adj
     c0 = colors[e0]
@@ -136,12 +137,6 @@ def component_edges(g, colors, a, b, e0):
             v = w
             want = c0 if want == other else other
     return out
-
-
-def swap_component(colors, edge_ids, a, b):
-    """Interchange colors a and b on the given edges, in place."""
-    for e in edge_ids:
-        colors[e] = b if colors[e] == a else a
 
 
 def _enum_order(g):

@@ -42,29 +42,31 @@ def _gd_degree(g: Graph, delta: int):
     return is_max, dgd
 
 
+def _top_change(colors, swapped, big: int) -> int:
+    """The change in the top class made by a (big, x) interchange that
+    swapped `swapped`: each of its edges gained the top color or lost it."""
+    return 2 * sum(colors[e] == big for e in swapped) - len(swapped)
+
+
 def _step_series(rec: Recorder, pivot: int, fan, big: int) -> int:
     """The Step-i interchange chain: drag the top color from the first fan
     edge onto the last one.  Returns the far end of the last fan edge."""
-    g = rec.g
-    edges = list(fan.edges)
-    leaves = list(fan.leaves(g))
+    edges = fan.edges
     k = len(edges)
     if k < 2:
         raise InternalInvariantError("walk handoff with a single-edge fan")
-    cs = [rec.colors[e] for e in edges]
-    count = rec.colors.count(big)
+    colors = rec.colors
+    cs = [colors[e] for e in edges]
     for idx in range(k - 1):
         rep = edges[idx]
-        if rec.colors[rep] != big:
+        if colors[rep] != big:
             raise InternalInvariantError("top color lost during walk chain")
-        rec.apply(big, cs[idx + 1], rep, "acyclic-walk")
-        if rec.colors[edges[idx + 1]] != big:
+        swapped = rec.apply(big, cs[idx + 1], rep, "acyclic-walk")
+        if colors[edges[idx + 1]] != big:
             raise InternalInvariantError("walk chain failed to advance top color")
-        now = rec.colors.count(big)
-        if now > count:
+        if _top_change(colors, swapped, big) > 0:
             raise InternalInvariantError("walk chain increased the top class")
-        count = now
-    return leaves[-1]
+    return rec.g.other_end(edges[-1], pivot)
 
 
 def _eliminate_or_walk_target(rec: Recorder, pivot: int, e1: int, delta: int, note: str):

@@ -10,7 +10,7 @@ the new edges (`_pad_to_regular4`).  The padded graph keeps G's vertices
 and, first, G's edge ids, so G is its subgraph on the ids 0..m-1 and each
 padded coloring restricts to the one it extends.  A
 transcript found on the padded graph therefore projects straight onto G,
-reading G's coloring off the padded run's one color list: the
+replaying the padded run and G's coloring on one Recorder each: the
 (a, b)-components of a subgraph refine those of the whole graph, so each
 padded move becomes a batch of moves on G's components inside the padded
 component.  The doubling tower (two disjoint copies per missing degree,
@@ -32,10 +32,11 @@ met its vertices, which it drops), as a seed of that one pair, traced
 when the walk next reads the pair.  A seed whose other color is missing
 at both its ends is its own component, read from the recorder's masks
 with no trace.  The index and the projection read components as bare
-edge sets, through ``backend.component_edges``.  Only when no component
-gains does a labeled BFS run to the nearest better state, and only when
-that BFS runs out of states does the oracle's exact bidirectional search
-carry the coloring to the goal.  Every move, from any of the three, goes
+edge sets through ``Recorder.component_edges`` and swap them through
+``Recorder.swap``; neither reads an ordered path.  Only when no
+component gains does a labeled BFS run to the nearest better state, and
+only when that BFS runs out of states does the oracle's exact
+bidirectional search carry the coloring to the goal.  Every move, from any of the three, goes
 through the index, which traces on demand a component it does not hold.
 The transcripts are verified like any other; only termination relies on
 the reachability guarantee.
@@ -287,38 +288,38 @@ def project_transcript(
     subgraph of `big` on the edge ids 0..g.m-1 (a padded graph, or any
     level of a doubling tower below its top).
 
-    One color list, the big run's, serves both graphs: g's coloring is its
-    first g.m entries.  Before a big move on C, the list is read through
-    g: every (a, b)-component of g that meets C lies inside C, and each
-    becomes one move, by ascending representative.  Swapping C then swaps
-    exactly those components.
+    The big run replays on a Recorder, whose mask pass checks `f_big`, and
+    g's coloring, its first g.m entries, on a second one.  Before a big
+    move on C: every (a, b)-component of g that meets C lies inside C, and
+    each becomes one move, by ascending representative, swapped on g's
+    recorder.  Swapping C then leaves the two colorings agreeing on g.
     """
     m = g.m
     if big.edges[:m] != g.edges:
         raise PreconditionViolated("graph is not the big graph on its first edge ids")
     if f_big.m != big.m:
         raise PaletteMismatch("coloring does not fit the big graph")
-    colors = list(f_big.colors)
+    rec = Recorder(big, f_big, "big coloring")
+    sub = Recorder(g, EdgeColoring(f_big.t, f_big.colors[:m]))
     out = Transcript()
     for a, b, rep in big_tr.moves:
         check_edge_id(big, rep)
-        if colors[rep] not in (a, b):
+        if rec.colors[rep] not in (a, b):
             raise ProjectionMismatch("big transcript does not replay")
-        comp = backend.component_edges(big, colors, a, b, rep)
+        comp = rec.component_edges(a, b, rep)
         hits = {e for e in comp if e < m}
-        seen = set()
         for se in sorted(hits):
-            if se in seen:
-                continue
+            if sub.colors[se] != rec.colors[se]:
+                continue  # swapped with an earlier component
             # the scan is ascending, so se is the component's least edge
-            comp_small = backend.component_edges(g, colors, a, b, se)
+            comp_small = sub.component_edges(a, b, se)
             if not hits.issuperset(comp_small):
                 raise ProjectionMismatch(
                     "copy component extends outside the big component"
                 )
-            seen.update(comp_small)
+            sub.swap(comp_small, a, b)
             out.append(KempeMove(a, b, se), "projected")
-        backend.swap_component(colors, comp, a, b)
+        rec.swap(comp, a, b)
     return out
 
 
@@ -420,20 +421,14 @@ class _ComponentIndex:
 
     def _flush(self, p):
         """Index the component of every pending seed of pair p that is
-        fixable for p and held by no indexed component.  A seed whose other
-        color is missing at both its ends is its own component: the masks
-        answer that, so it is indexed without a trace."""
+        fixable for p and held by no indexed component, read through
+        :meth:`Recorder.component_edges` (a single edge with no trace)."""
         seeds = self.pending[p]
         a, b = p
         owner, state, goal, fix = self.owner[p], self.state, self.goal, self.fix
-        mask, edges = self.rec.mask, self.g.edges
         for e in seeds:
             if fix[state[e]][goal[e]] == p and owner[e] < 0:
-                u, v = edges[e]
-                if (mask[u] | mask[v]) >> goal[e] & 1:
-                    self._add(a, b, backend.component_edges(self.g, state, a, b, e))
-                else:
-                    self._add(a, b, (e,))
+                self._add(a, b, self.rec.component_edges(a, b, e))
         seeds.clear()
 
     def _add(self, a, b, comp):
@@ -482,7 +477,7 @@ class _ComponentIndex:
         if r >= 0:
             comp = self._pop((a, b), r)
         else:
-            comp = backend.component_edges(g, state, a, b, rep)
+            comp = self.rec.component_edges(a, b, rep)
         # drop the other pairs' components that meet V(C): through C's
         # edges, and at an end of C, where a or b is missing, through the
         # edges of the other colors

@@ -5,31 +5,28 @@ A transcript certifies a transformation: it can be replayed move by move with
 trusting the producer.
 
 :class:`Recorder` is the one mutable coloring state of the transforms: it
-traces a two-colored component, swaps it and records the move.  Its
+reads a two-colored component, swaps it and records the move.  It keeps
+each vertex's colors as a bitmask, built from a checked coloring: the one
+pass that builds the masks (:func:`proper_masks`) checks the coloring's
+length, palette and properness with
+:func:`~kempe_edge.graph_core.require_proper`'s errors, so a transform that
+starts from a Recorder needs no entry check of its own.  Every producer
+moves through it: :meth:`Recorder.component_edges` reads a component as a
+bare edge set, a single edge straight from the masks when the other color
+is missing at both its ends, and :meth:`Recorder.swap`, the one change
+hook, swaps it and keeps the masks current; a subclass observes moves
+there alone.  Moves, :func:`interchange`, the search index and transcript
+projection all read and swap this way.  Only probes, the callers that
+read a path, go through the ordered ``backend.trace_component``:
 :meth:`Recorder.path_from` reads "the (a, b)-path that starts at v", the
-Kempe chain the lemmas reason about, from one of its ends.  It keeps each
-vertex's colors as a bitmask, built from a checked coloring: the one pass
-that builds the masks (:func:`proper_masks`) checks the coloring's length,
-palette and properness with :func:`~kempe_edge.graph_core.require_proper`'s
-errors, so a transform that starts from a Recorder needs no entry check of
-its own.  :meth:`Recorder.swap` is its one change hook, the one swap of the
-working coloring (moves, single-edge recolors and the search index all use
-it), which keeps the masks current and is all a subclass observes.
-:func:`apply_transcript` builds the same masks, checked the same way, over
-its own color list and checks each recolored edge end in O(1);
-:func:`interchange` and transcript projection swap their color lists
-through ``backend.swap_component``.  A trace whose vertices are read
-(:meth:`Recorder.apply` and :meth:`Recorder.path_from`) goes through the
-ordered ``backend.trace_component``; one that only swaps an edge set
-(:func:`interchange` and :func:`apply_transcript`) goes through
-``backend.component_edges``.  A single-edge move traces nothing, in the
-Recorder and in replay alike: on a proper coloring its component is the
-edge alone iff the other color is missing at both ends, which the masks
-answer.  :func:`extend_fan` is the one fan engine, shared by
-:func:`grow_fan` and the palette reductions; it reads every palette from
-the masks and allocates only as the fan grows.  Moves (:class:`KempeMove`)
-and fans (:class:`Fan`) are immutable tuples, so building one is one tuple
-allocation, and replay unpacks each move instead of reading its fields.
+Kempe chain the lemmas reason about, from one of its ends.
+:func:`apply_transcript`, the certifier, keeps its own replay loop over its
+own color list, with the same single-edge rule.  :func:`extend_fan` is the
+one fan engine, shared by :func:`grow_fan` and the palette reductions; it
+reads every palette from the masks and allocates only as the fan grows.
+Moves (:class:`KempeMove`) and fans (:class:`Fan`) are immutable tuples,
+so building one is one tuple allocation, and replay unpacks each move
+instead of reading its fields.
 """
 from __future__ import annotations
 
@@ -59,7 +56,6 @@ from .graph_core import (
     palette_at,
     parse_int_fields,
     read_text,
-    require_proper,
     split_record,
 )
 from .kernels import backend
@@ -136,7 +132,7 @@ class Fan(NamedTuple):
 def interchange(g: Graph, f: EdgeColoring, mv: KempeMove) -> EdgeColoring:
     """Swap colors a, b on the component of G_f(a,b) containing rep_edge."""
     check_edge_id(g, mv.rep_edge)
-    require_proper(g, f)
+    rec = Recorder(g, f)
     for c in (mv.a, mv.b):
         if not (1 <= c <= f.t):
             raise RepEdgeNotBicolored(f"color {c} outside palette 1..{f.t}")
@@ -144,10 +140,8 @@ def interchange(g: Graph, f: EdgeColoring, mv: KempeMove) -> EdgeColoring:
         raise RepEdgeNotBicolored(
             f"edge {mv.rep_edge} colored {f.colors[mv.rep_edge]}, move is ({mv.a},{mv.b})"
         )
-    colors = list(f.colors)
-    edge_ids = backend.component_edges(g, colors, mv.a, mv.b, mv.rep_edge)
-    backend.swap_component(colors, edge_ids, mv.a, mv.b)
-    return EdgeColoring(f.t, colors)
+    rec.apply(*mv)
+    return rec.coloring()
 
 
 def involution_check(g: Graph, f: EdgeColoring, mv: KempeMove) -> bool:
@@ -446,7 +440,7 @@ def write_transcript(path, g: Graph, tr: Transcript) -> None:
 class Recorder:
     """The mutable working coloring of a transform and its transcript.
 
-    Its three jobs: trace a two-colored component, swap it, and record the
+    Its three jobs: read a two-colored component, swap it, and record the
     move.  It is built from a checked coloring: the pass that builds its
     masks (:func:`proper_masks`) is the transform's entry check, and raises
     require_proper's errors with `what` as the label.  Moves
@@ -456,10 +450,12 @@ class Recorder:
 
     `mask[v]` holds the colors at vertex v as bits (bit c set iff color c
     is on an edge at v), so a palette question is one int operation.
+    Moves swap bare edge sets, read by :meth:`component_edges`.
     :meth:`swap` is the one change hook: every change of `colors` goes
-    through it (:meth:`apply`, :meth:`recolor_edge` and the search
-    equalizer's component index), so it keeps the masks current, and a
-    subclass that keeps more state observes moves there alone.
+    through it (:meth:`apply`, :meth:`recolor_edge`, the search index and
+    the projection), so it keeps the masks current, and a subclass that
+    keeps more state observes moves there alone.  Only probes read an
+    ordered path (:meth:`component`).
     """
 
     __slots__ = ("g", "colors", "t", "tr", "mask")
@@ -481,7 +477,18 @@ class Recorder:
         return -1
 
     def component(self, a: int, b: int, rep_edge: int):
+        """The ordered trace of a probe: (edge ids, vertices, is_cycle)."""
         return backend.trace_component(self.g, self.colors, a, b, rep_edge)
+
+    def component_edges(self, a: int, b: int, rep: int):
+        """The edge ids of the (a,b)-component of `rep`, in no promised
+        order: ``(rep,)`` when the other color is missing at both ends of
+        `rep`, which the masks answer, else ``backend.component_edges``."""
+        u, v = self.g.edges[rep]
+        other = b if self.colors[rep] == a else a
+        if (self.mask[u] | self.mask[v]) >> other & 1:
+            return backend.component_edges(self.g, self.colors, a, b, rep)
+        return (rep,)
 
     def path_from(self, v: int, a: int, b: int):
         """The (a,b)-path that starts at v, traced through v's a-colored
@@ -501,18 +508,18 @@ class Recorder:
         return rep, verts
 
     def apply(self, a: int, b: int, rep_edge: int, note: Optional[str] = None):
-        """Interchange on the (a,b)-component of rep_edge; returns its
-        (edge ids, vertices, is_cycle)."""
+        """Interchange on the (a,b)-component of rep_edge; returns the
+        swapped edge ids."""
         if self.colors[rep_edge] not in (a, b):
             raise InternalInvariantError(
                 f"rep edge {rep_edge} colored {self.colors[rep_edge]}, move ({a},{b})"
             )
-        edge_ids, verts, is_cycle = self.component(a, b, rep_edge)
+        edge_ids = self.component_edges(a, b, rep_edge)
         self.swap(edge_ids, a, b)
         tr = self.tr
         tr.moves.append(KempeMove(a, b, rep_edge))
         tr.annotations.append(note)
-        return edge_ids, verts, is_cycle
+        return edge_ids
 
     def swap(self, edge_ids, a: int, b: int) -> None:
         """Interchange a and b on the edges of one (a, b)-component, in

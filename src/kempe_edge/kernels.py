@@ -2,7 +2,7 @@
 
 ``backend`` is the pure-Python kernel module :mod:`kempe_edge._kernels_py`
 (bicolored-component tracing, ordered by ``trace_component`` or as a bare
-edge set by ``component_edges``; swapping, properness, state enumeration).
+edge set by ``component_edges``; properness, state enumeration).
 The kernels take the :class:`~kempe_edge.graph_core.Graph` itself and read
 its ``edges`` and ``adj``; the graph has no second representation.
 Modules call the kernels as ``backend.<name>``, so a test can patch one

@@ -117,12 +117,13 @@ class _Work(Recorder):
         return super().apply(to_real[a], to_real[b], rep, note)
 
     def apply_expect(self, a: int, b: int, rep: int, expect_verts: set, note: str):
-        edge_ids, verts, cyc = self.apply(a, b, rep, note)
-        if set(verts) != expect_verts:
+        """:meth:`apply`, asserting the endpoint set of the swapped edges."""
+        edges = self.g.edges
+        verts = {v for e in self.apply(a, b, rep, note) for v in edges[e]}
+        if verts != expect_verts:
             raise InternalInvariantError(
-                f"{note}: expected component on {sorted(expect_verts)}, got {sorted(set(verts))}"
+                f"{note}: expected component on {sorted(expect_verts)}, got {sorted(verts)}"
             )
-        return edge_ids, verts, cyc
 
     def recolor(self, eid: int, frame_color: int, note: str):
         """Single-edge interchange (component asserted to be the edge alone)."""
@@ -541,8 +542,7 @@ def _claim(work: _Work, e, W, Z, c):
         return ("jump", _lemma_2_2_step(work, e, win, "B.2.3-claim-esc", False))
     if c == 4 and Z[1] in vset:
         work.apply(4, 5, rep, "B.2.3-claim-esc")
-        eids2, _, _ = work.apply(1, 4, work.g.edge_id(Z[0], Z[1]), "B.2.3-claim-esc")
-        if len(eids2) != 2:
+        if len(work.apply(1, 4, work.g.edge_id(Z[0], Z[1]), "B.2.3-claim-esc")) != 2:
             raise InternalInvariantError("escape (1,4) path has unexpected shape")
         return ("jump", e)
     return ("ok", rep, vset)

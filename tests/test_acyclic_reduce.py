@@ -1,5 +1,7 @@
 """The (Delta+1) -> Delta reduction for acyclic max-degree subgraphs, and
 its Case A, walk and round steps driven on a checked working state."""
+from unittest import mock
+
 import pytest
 
 from kempe_edge.acyclic_reduce import (
@@ -7,6 +9,7 @@ from kempe_edge.acyclic_reduce import (
     _checked_inputs,
     _eliminate_or_walk_target,
     _round,
+    _top_change,
     _walk_step,
     acyclic_reduce,
 )
@@ -20,7 +23,7 @@ from kempe_edge.fixtures_gen import (
     random_proper_coloring,
 )
 from kempe_edge.graph_core import EdgeColoring, Graph, color_class, is_proper
-from kempe_edge.kempe_engine import apply_transcript
+from kempe_edge.kempe_engine import Recorder, apply_transcript
 
 
 def _walked(g, f, a_prev, a_cur):
@@ -307,3 +310,27 @@ def test_b2_fan_attempt_eliminates_or_drags_onto_a_hub(outcome):
         assert is_max[nxt]
         assert out.colors[g.edge_id(1, nxt)] == 4
         assert out.colors.count(4) == f.colors.count(4)
+
+
+def test_top_class_change_is_read_from_the_swapped_edges():
+    """After every walk move of the acyclic_reduce and equalize_peel
+    golden families, the top-class change read from the swapped edges
+    equals a full recount."""
+    from test_golden_transcripts import GOLDEN
+
+    checked = [0]
+    apply = Recorder.apply
+
+    def checking(rec, a, b, rep, note=None):
+        before = rec.colors.count(a)
+        swapped = apply(rec, a, b, rep, note)
+        if note == "acyclic-walk":  # a is the top color
+            assert _top_change(rec.colors, swapped, a) == rec.colors.count(a) - before
+            checked[0] += 1
+        return swapped
+
+    with mock.patch.object(Recorder, "apply", checking):
+        for family in ("acyclic_reduce", "equalize_peel"):
+            for _ in GOLDEN[family][0]():
+                pass
+    assert checked[0] > 0

@@ -2,6 +2,7 @@
 search equalizer."""
 import itertools
 import random
+import signal
 from collections import Counter, deque
 
 import pytest
@@ -218,6 +219,26 @@ def test_project_rejects_a_top_move_that_does_not_replay():
     tr = Transcript([KempeMove(a, b, rep), KempeMove(c, d, rep)])
     with pytest.raises(ProjectionMismatch, match="does not replay"):
         project_transcript(base, tower.levels[-1], top, tr)
+
+
+def test_project_rejects_an_improper_big_coloring_in_time():
+    """An improper f_big is a typed error, not a hang: on this coloring
+    the kernel's (1, 2) walk from edge 4 never ends.  The alarm turns a
+    regression into a failure instead of a stalled suite."""
+    g = Graph(5, [(1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)])
+    f = EdgeColoring(5, [1, 2, 2, 2, 2, 1, 1, 1])
+
+    def hung(signum, frame):
+        raise AssertionError("project_transcript did not return within 1 s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(1)
+    try:
+        with pytest.raises(NotProper, match="big coloring is not proper"):
+            project_transcript(g, g, f, Transcript([KempeMove(1, 2, 4)]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_transform_delta4_regular_delegates():
@@ -513,6 +534,11 @@ def test_low_degree_equalize_cubic_sweep():
 # with its own parent-link walk.
 
 
+def _swap(colors, edge_ids, a, b):
+    for e in edge_ids:
+        colors[e] = b if colors[e] == a else a
+
+
 def _kempe_components(g, state, colors):
     """Yield (a, b, rep, edge ids) for every (a, b)-component of `state`.
 
@@ -572,7 +598,7 @@ def _old_bfs_to_better(g, start, goal, colors, t, cap):
     for k, (a, b, rep, comp) in enumerate(_kempe_components(g, start, colors), 2):
         if _gain(start, goal, a, b, comp) > 0:
             nxt = bytearray(start)
-            backend.swap_component(nxt, comp, a, b)
+            _swap(nxt, comp, a, b)
             return [(a, b, rep)], bytes(nxt)
         if k > cap:
             return None
@@ -637,7 +663,7 @@ def _replay(g, state, moves):
     state = bytearray(state)
     for a, b, rep in moves:
         comp, _, _ = backend.trace_component(g, state, a, b, rep)
-        backend.swap_component(state, comp, a, b)
+        _swap(state, comp, a, b)
     return bytes(state)
 
 
@@ -670,7 +696,7 @@ def test_kempe_components_follow_neighbor_move_order():
                 ]
                 for (a, b, rep, comp), (_, _, _, nxt) in zip(walk, moves):
                     swapped = bytearray(state)
-                    backend.swap_component(swapped, comp, a, b)
+                    _swap(swapped, comp, a, b)
                     assert bytes(swapped) == nxt
 
 
@@ -803,7 +829,7 @@ def test_component_index_matches_fresh_walk_after_every_swap():
             unindexed += step[2] not in index.comps[step[0], step[1]]
             expect = list(index.state)
             comp, _, _ = backend.trace_component(g, expect, *step)
-            backend.swap_component(expect, comp, step[0], step[1])
+            _swap(expect, comp, step[0], step[1])
             index.swap(*step)
             swaps += 1
             assert index.state == expect

@@ -548,8 +548,10 @@ def _colored_graph(draw):
 @given(case=_colored_graph())
 def test_component_edges_is_the_traced_edge_set(case):
     """The unordered walk finds each component's edges once, and the same
-    edges as the ordered trace, from every edge and for every color pair."""
+    edges as the ordered trace and the recorder's read (a single edge from
+    the masks), from every edge and for every color pair."""
     g, colors, t = case
+    rec = Recorder(g, EdgeColoring(t, colors))
     for e in range(g.m):
         for a in range(1, t + 1):
             for b in range(a + 1, t + 1):
@@ -558,6 +560,7 @@ def test_component_edges_is_the_traced_edge_set(case):
                 comp = backend.component_edges(g, colors, a, b, e)
                 assert len(set(comp)) == len(comp)
                 assert set(comp) == set(backend.trace_component(g, colors, a, b, e)[0])
+                assert set(rec.component_edges(a, b, e)) == set(comp)
 
 
 @st.composite
@@ -704,6 +707,11 @@ def test_replay_masks_match_a_recount_after_every_move():
     assert checked > 200
 
 
+def _swap(colors, edge_ids, a, b):
+    for e in edge_ids:
+        colors[e] = b if colors[e] == a else a
+
+
 def _replay_unchecked_reference(g, f, tr):
     """Reference replay with check=False and no masks: every move through
     the kernel, no check after it."""
@@ -719,7 +727,7 @@ def _replay_unchecked_reference(g, f, tr):
                 f"edge {mv.rep_edge} colored {colors[mv.rep_edge]}, move is ({mv.a},{mv.b})",
             )
         edge_ids = backend.component_edges(g, colors, mv.a, mv.b, mv.rep_edge)
-        backend.swap_component(colors, edge_ids, mv.a, mv.b)
+        _swap(colors, edge_ids, mv.a, mv.b)
     return EdgeColoring(f.t, colors)
 
 
