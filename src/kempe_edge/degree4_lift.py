@@ -36,8 +36,9 @@ edge sets through ``Recorder.component_edges`` and swap them through
 ``Recorder.swap``; neither reads an ordered path.  Only when no
 component gains does a labeled BFS run to the nearest better state, and
 only when that BFS runs out of states does the oracle's exact
-bidirectional search carry the coloring to the goal.  Every move, from any of the three, goes
-through the index, which traces on demand a component it does not hold.
+bidirectional search carry the coloring to the goal.  Every move, from
+any of the three, goes through the index, which traces on demand a
+component it does not hold.
 The transcripts are verified like any other; only termination relies on
 the reachability guarantee.
 """

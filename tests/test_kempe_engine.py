@@ -707,11 +707,6 @@ def test_replay_masks_match_a_recount_after_every_move():
     assert checked > 200
 
 
-def _swap(colors, edge_ids, a, b):
-    for e in edge_ids:
-        colors[e] = b if colors[e] == a else a
-
-
 def _replay_unchecked_reference(g, f, tr):
     """Reference replay with check=False and no masks: every move through
     the kernel, no check after it."""
@@ -726,8 +721,8 @@ def _replay_unchecked_reference(g, f, tr):
                 i,
                 f"edge {mv.rep_edge} colored {colors[mv.rep_edge]}, move is ({mv.a},{mv.b})",
             )
-        edge_ids = backend.component_edges(g, colors, mv.a, mv.b, mv.rep_edge)
-        _swap(colors, edge_ids, mv.a, mv.b)
+        for e in backend.component_edges(g, colors, mv.a, mv.b, mv.rep_edge):
+            colors[e] = mv.b if colors[e] == mv.a else mv.a
     return EdgeColoring(f.t, colors)
 
 

@@ -532,11 +532,6 @@ def _l22_instance(name):
     return g, f, h
 
 
-def _swap(colors, edge_ids, a, b):
-    for e in edge_ids:
-        colors[e] = b if colors[e] == a else a
-
-
 def _lemma_2_3_cycle_instances():
     """(g, f, h, xy) with xy's working (1,2)-component a cycle of at least
     ten edges whose correct 1-edges all lie at distance >= 3 from xy.
@@ -552,8 +547,8 @@ def _lemma_2_3_cycle_instances():
             a, b = rng.sample(range(1, 6), 2)
             e = rng.randrange(g.m)
             if colors[e] in (a, b):
-                eids, _, _ = backend.trace_component(g, colors, a, b, e)
-                _swap(colors, eids, a, b)
+                for x in backend.trace_component(g, colors, a, b, e)[0]:
+                    colors[x] = b if colors[x] == a else a
         c = colors[xy]
         f = EdgeColoring(5, [{c: 2, 2: c}.get(x, x) for x in colors])
         yield g, f, h, xy
