@@ -11,8 +11,17 @@ Strategy per round (each round clears at least one top-colored edge):
 * Cases B.2 / B.3: a top-colored edge touching at most one max-degree vertex;
   one fan attempt either eliminates directly or drags the edge onto a
   max-degree vertex, reducing to B.1 / B.2.
+
+A round takes the least top-colored edge of the first case that has one.
+An edge's case depends only on which vertices have maximum degree and on
+their degrees in the max-degree subgraph, both fixed, so the working state
+(:class:`_TopWork`) keeps the top class in one lazy min-heap of edge ids per
+case, with its size, current through :meth:`Recorder.swap`: a change costs
+O(log m) per edge that gains the top color, and no round rescans the edges.
 """
 from __future__ import annotations
+
+import heapq
 
 from .errors import (
     InternalInvariantError,
@@ -42,13 +51,59 @@ def _gd_degree(g: Graph, delta: int):
     return is_max, dgd
 
 
-def _top_change(colors, swapped, big: int) -> int:
-    """The change in the top class made by a (big, x) interchange that
-    swapped `swapped`: each of its edges gained the top color or lost it."""
-    return 2 * sum(colors[e] == big for e in swapped) - len(swapped)
+class _TopWork(Recorder):
+    """The reduction's recorder, keeping its top class (color `big`) current.
+
+    `case[e]` is edge e's case as a round takes them: 0 (A), 1 (B.1), 2
+    (B.2) or 3 (B.3).  `n_top` counts the edges colored big, and
+    `heaps[k]` holds every top-colored edge of case k, plus stale entries
+    dropped when they surface.  :meth:`swap` keeps both, on every
+    interchange that involves the top color.
+    """
+
+    __slots__ = ("big", "case", "n_top", "heaps")
+
+    def __init__(self, g: Graph, f: EdgeColoring, big: int, is_max, dgd):
+        super().__init__(g, f)
+        self.big = big
+        self.case = bytearray(
+            (0 if min(dgd[u], dgd[v]) == 1 else 1) if is_max[u] and is_max[v]
+            else 2 if is_max[u] or is_max[v] else 3
+            for u, v in g.edges
+        )
+        self.heaps = ([], [], [], [])
+        for e, c in enumerate(self.colors):
+            if c == big:
+                self.heaps[self.case[e]].append(e)  # ascending, so a heap
+        self.n_top = sum(map(len, self.heaps))
+
+    def swap(self, edge_ids, a: int, b: int) -> None:
+        """:meth:`Recorder.swap`, keeping the top class: with the top color
+        in the pair, every edge of the component gained or lost it."""
+        super().swap(edge_ids, a, b)
+        big = self.big
+        if a == big or b == big:
+            colors, case, heaps = self.colors, self.case, self.heaps
+            for e in edge_ids:
+                if colors[e] == big:
+                    self.n_top += 1
+                    heapq.heappush(heaps[case[e]], e)
+                else:
+                    self.n_top -= 1
+
+    def least_top(self):
+        """(case, edge): the least top-colored edge of the first case that
+        has one."""
+        colors, big = self.colors, self.big
+        for k, heap in enumerate(self.heaps):
+            while heap and colors[heap[0]] != big:
+                heapq.heappop(heap)
+            if heap:
+                return k, heap[0]
+        raise InternalInvariantError("no top-colored edge left")
 
 
-def _step_series(rec: Recorder, pivot: int, fan, big: int) -> int:
+def _step_series(rec: _TopWork, pivot: int, fan, big: int) -> int:
     """The Step-i interchange chain: drag the top color from the first fan
     edge onto the last one.  Returns the far end of the last fan edge."""
     edges = fan.edges
@@ -61,15 +116,16 @@ def _step_series(rec: Recorder, pivot: int, fan, big: int) -> int:
         rep = edges[idx]
         if colors[rep] != big:
             raise InternalInvariantError("top color lost during walk chain")
-        swapped = rec.apply(big, cs[idx + 1], rep, "acyclic-walk")
+        before = rec.n_top
+        rec.apply(big, cs[idx + 1], rep, "acyclic-walk")
         if colors[edges[idx + 1]] != big:
             raise InternalInvariantError("walk chain failed to advance top color")
-        if _top_change(colors, swapped, big) > 0:
+        if rec.n_top > before:
             raise InternalInvariantError("walk chain increased the top class")
     return rec.g.other_end(edges[-1], pivot)
 
 
-def _eliminate_or_walk_target(rec: Recorder, pivot: int, e1: int, delta: int, note: str):
+def _eliminate_or_walk_target(rec: _TopWork, pivot: int, e1: int, delta: int, note: str):
     """One fan attempt.  Returns None if eliminated, else the new walk vertex."""
     big = delta + 1
     fan = eliminate_via_fan(rec, pivot, e1, palette_bits(delta), note)
@@ -88,7 +144,7 @@ def _case_a(rec: Recorder, leaf: int, eid: int, delta: int) -> None:
         raise InternalInvariantError("case A elimination stuck")
 
 
-def _walk_step(rec: Recorder, a_prev: int, a_cur: int, delta: int, dgd):
+def _walk_step(rec: _TopWork, a_prev: int, a_cur: int, delta: int, dgd):
     """One step of the Case B.1 walk, with the top color on a_prev a_cur.
 
     At a leaf of the max-degree subgraph Case A clears it ("terminal");
@@ -105,7 +161,7 @@ def _walk_step(rec: Recorder, a_prev: int, a_cur: int, delta: int, dgd):
     return ("eliminated", None) if nxt is None else ("extended", nxt)
 
 
-def _walk(rec: Recorder, eid: int, delta: int, dgd) -> None:
+def _walk(rec: _TopWork, eid: int, delta: int, dgd) -> None:
     """Case B.1: walk until a leaf of the max-degree subgraph, then eliminate."""
     g = rec.g
     a_prev, a_cur = g.edges[eid]  # stored with u < v
@@ -123,45 +179,29 @@ def _walk(rec: Recorder, eid: int, delta: int, dgd) -> None:
     raise InternalInvariantError("walk exceeded the vertex count")
 
 
-def _round(rec: Recorder, delta: int, is_max, dgd, target: int) -> None:
+def _round(rec: _TopWork, delta: int, is_max, dgd, target: int) -> None:
     """Clear top-colored edges until at most `target` are left (the caller
     passes one less than it has)."""
     g = rec.g
-    big = delta + 1
     for _ in range(g.n + 4):
-        big_edges = [eid for eid in range(g.m) if rec.colors[eid] == big]
-        a_edges = []
-        b1_edges = []
-        b2_edges = []
-        for eid in big_edges:
-            u, v = g.edges[eid]
-            if is_max[u] and is_max[v]:
-                if min(dgd[u], dgd[v]) == 1:
-                    a_edges.append(eid)
-                else:
-                    b1_edges.append(eid)
-            elif is_max[u] or is_max[v]:
-                b2_edges.append(eid)
-        if a_edges:
-            eid = a_edges[0]
-            _case_a(rec, min(x for x in g.edges[eid] if dgd[x] == 1), eid, delta)
+        case, eid = rec.least_top()
+        u, v = g.edges[eid]
+        if case == 0:
+            _case_a(rec, u if dgd[u] == 1 else v, eid, delta)
             return
-        if b1_edges:
-            _walk(rec, b1_edges[0], delta, dgd)
+        if case == 1:
+            _walk(rec, eid, delta, dgd)
             return
-        if b2_edges:
-            eid = b2_edges[0]
-            u, v = g.edges[eid]
+        if case == 2:
             pivot = u if is_max[u] else v
             note = "acyclic-B2"
         else:
-            eid = big_edges[0]
-            pivot = min(g.edges[eid])
+            pivot = u
             note = "acyclic-B3"
         if _eliminate_or_walk_target(rec, pivot, eid, delta, note) is None:
             return
         # top edge dragged onto a max-degree vertex; redispatch
-        if rec.colors.count(big) <= target:
+        if rec.n_top <= target:
             return
     raise InternalInvariantError("case chain failed to reduce the top class")
 
@@ -169,15 +209,16 @@ def _round(rec: Recorder, delta: int, is_max, dgd, target: int) -> None:
 def _checked_inputs(g: Graph, f: EdgeColoring):
     """Check what the reduction relies on (a proper (Delta+1)-coloring, an
     acyclic max-degree subgraph); return (the working state on f, Delta,
-    is_max, dgd)."""
-    rec = Recorder(g, f)
+    is_max, dgd).  f is checked first, by the mask pass of the working
+    state, which needs is_max and dgd (read off g alone) to be built."""
     delta = g.max_degree()
+    is_max, dgd = _gd_degree(g, delta)
+    rec = _TopWork(g, f, delta + 1, is_max, dgd)
     if f.t != delta + 1:
         raise PaletteMismatch(f"expected palette {delta + 1}, got {f.t}")
     gd, _ = induced_high_degree_subgraph(g, delta)
     if not is_acyclic(gd):
         raise MaxDegreeSubgraphCyclic("max-degree subgraph contains a cycle")
-    is_max, dgd = _gd_degree(g, delta)
     return rec, delta, is_max, dgd
 
 
@@ -189,12 +230,11 @@ def acyclic_reduce(g: Graph, f: EdgeColoring, stats: list | None = None):
     collects (before, after) top-class sizes per round.
     """
     rec, delta, is_max, dgd = _checked_inputs(g, f)
-    big = delta + 1
     budget = 10 * g.m * max(1, g.n)
-    before = rec.colors.count(big)
+    before = rec.n_top
     while before > 0:
         _round(rec, delta, is_max, dgd, before - 1)
-        after = rec.colors.count(big)
+        after = rec.n_top
         if after >= before:
             raise InternalInvariantError("round did not shrink the top class")
         if stats is not None:

@@ -454,8 +454,9 @@ class Recorder:
     :meth:`swap` is the one change hook: every change of `colors` goes
     through it (:meth:`apply`, :meth:`recolor_edge`, the search index and
     the projection), so it keeps the masks current, and a subclass that
-    keeps more state observes moves there alone.  Only probes read an
-    ordered path (:meth:`component`).
+    keeps more state observes moves there alone: the case machine's
+    recorder its phase-1 measures, the acyclic reduction's its top class.
+    Only probes read an ordered path (:meth:`component`).
     """
 
     __slots__ = ("g", "colors", "t", "tr", "mask")
@@ -552,7 +553,8 @@ class Recorder:
             )
         self.swap((eid,), old, new_color)
         tr = self.tr
-        tr.moves.append(KempeMove(old, new_color, eid))
+        # the colors differ (checked above): build the move unchecked
+        tr.moves.append(_tuple_new(KempeMove, (old, new_color, eid)))
         tr.annotations.append(note)
 
     def downshift(self, fan_edges, free_color: int, note: Optional[str] = None):

@@ -2,7 +2,10 @@
 
 The core is :func:`eliminate_via_fan`: clear one edge whose color lies outside
 the working palette by growing a fan at a pivot, then downshifting, with at
-most one bicolored-path interchange to restore saturation.  The same engine
+most one bicolored-path interchange to restore saturation.  When an allowed
+color is missing at both ends of the edge, that fan is the edge alone and
+its downshift one recolor, so the edge is recolored with the least such
+color and no fan is built.  The same engine
 is reused by the acyclic max-degree reduction, which additionally needs the
 "stuck" fan (its last leaf misses only the color being eliminated).
 """
@@ -24,6 +27,12 @@ def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed: int, note: st
     g, mask = rec.g, rec.mask
     if allowed >> rec.colors[e1] & 1:
         raise InternalInvariantError("edge to eliminate already inside palette")
+    u, v = g.edges[e1]
+    free = allowed & ~(mask[u] | mask[v])
+    if free:
+        # the one-edge fan: recolor e1 with the least color free at both ends
+        rec.recolor_edge(e1, least_color(free), note)
+        return None
     # grow until an allowed color is missing at the pivot and the last leaf
     pivot_missing = allowed & ~mask[pivot]
     fan, sat_color = extend_fan(g, rec.colors, mask, pivot, e1, allowed, pivot_missing)

@@ -9,13 +9,14 @@ from kempe_edge.acyclic_reduce import (
     _checked_inputs,
     _eliminate_or_walk_target,
     _round,
-    _top_change,
+    _TopWork,
     _walk_step,
     acyclic_reduce,
 )
 from kempe_edge.errors import (
     InternalInvariantError,
     MaxDegreeSubgraphCyclic,
+    NotProper,
     PaletteMismatch,
 )
 from kempe_edge.fixtures_gen import (
@@ -23,7 +24,7 @@ from kempe_edge.fixtures_gen import (
     random_proper_coloring,
 )
 from kempe_edge.graph_core import EdgeColoring, Graph, color_class, is_proper
-from kempe_edge.kempe_engine import Recorder, apply_transcript
+from kempe_edge.kempe_engine import apply_transcript
 
 
 def _walked(g, f, a_prev, a_cur):
@@ -312,25 +313,117 @@ def test_b2_fan_attempt_eliminates_or_drags_onto_a_hub(outcome):
         assert out.colors.count(4) == f.colors.count(4)
 
 
-def test_top_class_change_is_read_from_the_swapped_edges():
-    """After every walk move of the acyclic_reduce and equalize_peel
-    golden families, the top-class change read from the swapped edges
-    equals a full recount."""
+def _reference_case(g, is_max, dgd, eid):
+    """The case of a top-colored edge as a round takes them: 0 (A), 1
+    (B.1), 2 (B.2) or 3 (B.3)."""
+    u, v = g.edges[eid]
+    if is_max[u] and is_max[v]:
+        return 0 if min(dgd[u], dgd[v]) == 1 else 1
+    return 2 if is_max[u] or is_max[v] else 3
+
+
+def _reference_pick(g, colors, big, is_max, dgd):
+    """A round's pick by a full scan of the edges: (case, the least
+    top-colored edge of the first case that has one)."""
+    top = [eid for eid in range(g.m) if colors[eid] == big]
+    return min((_reference_case(g, is_max, dgd, eid), eid) for eid in top)
+
+
+def _degrees(g):
+    """is_max and dgd of g, read off g's degrees."""
+    delta = g.max_degree()
+    is_max = [v > 0 and g.degree(v) == delta for v in range(g.n + 1)]
+    dgd = [sum(is_max[w] for w, _ in g.adj[v]) if is_max[v] else 0 for v in range(g.n + 1)]
+    return is_max, dgd
+
+
+def _acyclic_sweep(deltas, seeds, n_extra):
+    for delta in deltas:
+        for seed in seeds:
+            g = acyclic_max_degree_graph(delta, seed, n_extra)
+            yield g, random_proper_coloring(g, delta + 1, seed)
+
+
+def test_round_picks_the_full_scan_edge():
+    """Every pick of a round, the first and each redispatch, is the edge a
+    full scan of the top class picks, on random acyclic-high graphs; the
+    sweep reaches all four cases."""
+    least_top = _TopWork.least_top
+    seen = set()
+
+    def checked(rec):
+        is_max, dgd = _degrees(rec.g)
+        want = _reference_pick(rec.g, rec.colors, rec.big, is_max, dgd)
+        got = least_top(rec)
+        assert got == want
+        seen.add(got[0])
+        return got
+
+    with mock.patch.object(_TopWork, "least_top", checked):
+        for g, f in _acyclic_sweep(range(3, 8), range(12), 30):
+            out, tr = acyclic_reduce(g, f)
+            assert apply_transcript(g, f, tr, check=True).colors == out.colors
+    assert seen == {0, 1, 2, 3}
+
+
+def _counting_heapq(counts):
+    """A stand-in for the module's heapq that counts pushes and pops."""
+    import heapq
+
+    def heappush(heap, item):
+        counts["pushes"] += 1
+        heapq.heappush(heap, item)
+
+    def heappop(heap):
+        counts["pops"] += 1
+        return heapq.heappop(heap)
+
+    return mock.Mock(heappush=heappush, heappop=heappop)
+
+
+def test_kept_top_class_stays_current():
+    """After every swap of the acyclic_reduce and equalize_peel golden
+    families and of an acyclic-high sweep with Delta = 5..7, the kept count
+    is a recount of the top class, every top-colored edge is on its case's
+    heap, and the heaps have popped no more than the initial top edges plus
+    the pushes: no edge is scanned twice."""
     from test_golden_transcripts import GOLDEN
 
-    checked = [0]
-    apply = Recorder.apply
+    counts = {"initial": 0, "pushes": 0, "pops": 0, "swaps": 0}
+    init, swap = _TopWork.__init__, _TopWork.swap
 
-    def checking(rec, a, b, rep, note=None):
-        before = rec.colors.count(a)
-        swapped = apply(rec, a, b, rep, note)
-        if note == "acyclic-walk":  # a is the top color
-            assert _top_change(rec.colors, swapped, a) == rec.colors.count(a) - before
-            checked[0] += 1
-        return swapped
+    def counted_init(rec, g, f, big, is_max, dgd):
+        init(rec, g, f, big, is_max, dgd)
+        counts["initial"] += rec.n_top
 
-    with mock.patch.object(Recorder, "apply", checking):
+    def checked_swap(rec, edge_ids, a, b):
+        swap(rec, edge_ids, a, b)
+        g, colors, big = rec.g, rec.colors, rec.big
+        assert rec.n_top == colors.count(big)
+        is_max, dgd = _degrees(g)
+        for eid, c in enumerate(colors):
+            if c == big:
+                assert eid in rec.heaps[_reference_case(g, is_max, dgd, eid)]
+        assert counts["pops"] <= counts["initial"] + counts["pushes"]
+        counts["swaps"] += 1
+
+    with mock.patch.object(_TopWork, "__init__", counted_init), \
+            mock.patch.object(_TopWork, "swap", checked_swap), \
+            mock.patch("kempe_edge.acyclic_reduce.heapq", _counting_heapq(counts)):
         for family in ("acyclic_reduce", "equalize_peel"):
             for _ in GOLDEN[family][0]():
                 pass
-    assert checked[0] > 0
+        for g, f in _acyclic_sweep(range(5, 8), range(6), 20):
+            acyclic_reduce(g, f)
+    assert counts["swaps"] > 0 and counts["pushes"] > 0 and counts["pops"] > 0
+    assert counts["pops"] <= counts["initial"] + counts["pushes"]
+
+
+@pytest.mark.parametrize("entry", [acyclic_reduce, _checked_inputs])
+def test_coloring_errors_come_before_palette_and_cycle_errors(entry):
+    """An improper coloring at the wrong palette of a graph whose
+    max-degree subgraph is a cycle is reported as not proper: the mask pass
+    checks f before the palette and the cycle are looked at."""
+    g = Graph(3, [(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(NotProper, match="coloring is not proper"):
+        entry(g, EdgeColoring(4, [1, 1, 2]))

@@ -1,13 +1,25 @@
 """Palette reduction to Delta+1 (classical fan recoloring)."""
 import random
+from unittest import mock
 
 import pytest
 
 from kempe_edge.errors import InternalInvariantError, PaletteTooSmall
 from kempe_edge.fixtures_gen import random_graph, random_proper_coloring
 from kempe_edge.graph_core import EdgeColoring, Graph, color_class, is_proper
-from kempe_edge.kempe_engine import Recorder, apply_transcript
-from kempe_edge.vizing_reduce import _check_left_top_color, reduce_to_delta_plus_one
+from kempe_edge.kempe_engine import (
+    Recorder,
+    apply_transcript,
+    downshift,
+    grow_fan,
+    least_color,
+    palette_bits,
+)
+from kempe_edge.vizing_reduce import (
+    _check_left_top_color,
+    eliminate_via_fan,
+    reduce_to_delta_plus_one,
+)
 
 
 def test_already_within_palette_gives_empty_transcript():
@@ -105,3 +117,40 @@ def test_reduction_refuses_a_color_left_above_delta_plus_one(monkeypatch):
     star = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
     with pytest.raises(InternalInvariantError, match="above Delta"):
         reduce_to_delta_plus_one(star, EdgeColoring(7, [1, 2, 6, 7]))
+
+
+def test_one_edge_fan_is_the_public_fan_and_downshift():
+    """On an edge with an allowed color free at both ends, eliminate_via_fan
+    records the single move that the public grow_fan and downshift record,
+    and grows no fan."""
+    from kempe_edge import vizing_reduce
+
+    done = 0
+    for seed in range(40):
+        g = random_graph(10, 0.4, seed + 700)
+        if g.m == 0:
+            continue
+        d = g.max_degree()
+        f = random_proper_coloring(g, d + 3, seed)
+        allowed = palette_bits(d + 1)
+        for e1, c in enumerate(f.colors):
+            pivot, leaf = g.edges[e1]
+            rec = Recorder(g, f)
+            free = allowed & ~(rec.mask[pivot] | rec.mask[leaf])
+            if c <= d + 1 or not free:
+                continue
+            with mock.patch.object(vizing_reduce, "extend_fan") as fan_engine:
+                assert eliminate_via_fan(rec, pivot, e1, allowed, "note") is None
+            assert fan_engine.call_count == 0
+            # the public fan at the pivot, cut after its first edge, e1,
+            # where the reduction's fan stops: the least free color is
+            # missing at its leaf
+            fan = grow_fan(g, f, pivot, e1)
+            assert fan.edges[0] == e1
+            fan = fan._replace(edges=fan.edges[:1], associated=())
+            out, tr = downshift(g, f, fan, least_color(free))
+            assert rec.tr.moves == tr.moves and len(tr) == 1
+            assert rec.tr.annotations == ["note"]
+            assert rec.coloring() == out
+            done += 1
+    assert done >= 20

@@ -11,6 +11,7 @@ from unittest import mock
 
 import pytest
 
+from kempe_edge import vizing_reduce
 from kempe_edge.graph_core import bicolored_subgraph
 from kempe_edge.kempe_engine import Recorder
 from kempe_edge.kernels import backend
@@ -57,3 +58,30 @@ def test_produce_pass_kernel_calls_are_pinned(workload, traces, edge_sets):
         for op in ops:
             workloads._produce(op)
     assert calls == {"trace_component": traces, "component_edges": edge_sets}
+
+
+@pytest.mark.parametrize("workload, fans", [
+    # before a one-edge fan was one recolor with no fan grown: 9,569
+    ("dense_reduce", 1),
+    # before: 1,442
+    ("regular4", 352),
+    # before: 129
+    ("equalize_mix", 59),
+])
+def test_produce_pass_fan_growths_are_pinned(workload, fans):
+    """The fans the palette reductions grow in one produce pass over the
+    seed-0 ops: an offending edge with an allowed color free at both ends
+    is recolored without one."""
+    workloads = _workloads()
+    calls = [0]
+    real = vizing_reduce.extend_fan
+
+    def extend_fan(*args):
+        calls[0] += 1
+        return real(*args)
+
+    ops = workloads.build(workload, 0)
+    with mock.patch.object(vizing_reduce, "extend_fan", extend_fan):
+        for op in ops:
+            workloads._produce(op)
+    assert calls[0] == fans
