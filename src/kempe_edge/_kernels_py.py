@@ -5,7 +5,8 @@ kernels read the :class:`~kempe_edge.graph_core.Graph` itself: ``g.edges[e]``
 is the endpoint pair (u, v), u < v, of edge id e, and ``g.adj[v]`` lists the
 (neighbor, edge id) pairs at v by ascending edge id, so every scan and
 tie-break below is in edge-id order.  State vectors are ``bytes`` of length
-m, one color per edge id.
+m, one color per edge id, except in the memo path of
+:func:`kempe_neighbor_moves` (below), which holds them as ints.
 
 Two kernels trace a bicolored component.  :func:`trace_component` is the
 ordered one: it returns the vertices along the path or around the cycle
@@ -24,12 +25,15 @@ oracle searches that enumerate a whole Kempe class (``same_class`` and
 over one graph.  In a proper coloring the (a, b)-components depend only on
 the edge set E_a | E_b, and many states of a class share one: the memo
 holds each set's components once, each as an int with one byte per edge id
-(1 on its edges), and a next state is one integer xor.  The Delta <= 4
+(1 on its edges).  On that path a state is an int of the same form (one
+byte per edge id, little-endian), so a next state is one integer xor and
+is never written out as bytes only to be hashed.  The Delta <= 4
 equalizer's fallbacks (``degree4_lift._bfs_to_better`` and its exact
 ``_meet_in_middle`` call) pass no memo: an (a, b) move changes the edge set
 of every pair holding exactly one of a and b (four of the six at palette
 4), so on their large graphs a set almost never comes back, and the memo
-would only cost time and memory there.
+would only cost time and memory there.  They keep ``bytes`` states, whose
+hash Python caches: a large int's hash is recomputed at every lookup.
 """
 from __future__ import annotations
 
@@ -227,16 +231,25 @@ def enumerate_proper(g, t, cap):
     return out, False
 
 
-@functools.cache
-def _one_hot(c):
-    """The translate table that maps color c to 1 and every other byte to 0."""
-    return bytes(c) + b"\x01" + bytes(255 - c)
+@functools.lru_cache(maxsize=256)
+def _memo_tables(cs):
+    """The per-color-set tables of :func:`_memo_moves`, built once per color
+    set `cs` (a tuple, ascending): the one-hot translate table of each
+    color (color c -> 1, every other byte -> 0), and the pairs a < b as
+    (index of a, index of b, a, b, a ^ b)."""
+    one_hot = tuple(bytes(c) + b"\x01" + bytes(255 - c) for c in cs)
+    pairs = tuple(
+        (i, j, cs[i], cs[j], cs[i] ^ cs[j])
+        for i in range(len(cs))
+        for j in range(i + 1, len(cs))
+    )
+    return one_hot, pairs
 
 
 def _chains(g, state, a, b):
-    """The components of the (a, b)-subgraph of `state`, in order of their
-    least edge id, each as (that id, an int with one byte per edge id that
-    is 1 on its edges)."""
+    """The components of the (a, b)-subgraph of `state` (bytes), in order of
+    their least edge id, each as (that id, an int with one byte per edge id
+    that is 1 on its edges)."""
     m = len(state)
     seen = bytearray(m)
     out = []
@@ -249,36 +262,37 @@ def _chains(g, state, a, b):
     return out
 
 
-def _memo_moves(g, state, cs, chains):
+def _memo_moves(g, s, cs, chains):
     """:func:`kempe_neighbor_moves` through the memo `chains`: edge set ->
     :func:`_chains` of any proper state whose (a, b)-subgraph has it.
 
-    Each color class and the state are ints with one byte per edge id, so
-    the edge set of a pair is one ``|``, and swapping a component C is
-    ``state ^ C * (a ^ b)``: a ^ b fits a byte, so nothing carries.
+    The state `s` and each color class are ints with one byte per edge id,
+    little-endian, so the edge set of a pair is one ``|``, and swapping a
+    component C is ``s ^ C * (a ^ b)``: a ^ b fits a byte, so nothing
+    carries.  The state is written out as bytes once, to translate its
+    color classes and to trace a missed pair.
     """
-    m = len(state)
-    s = int.from_bytes(state, "little")
-    sets = [int.from_bytes(state.translate(_one_hot(c)), "little") for c in cs]
+    one_hot, pairs = _memo_tables(cs)
+    state = s.to_bytes(g.m, "little")
+    sets = [int.from_bytes(state.translate(tbl), "little") for tbl in one_hot]
     out = []
-    for i, a in enumerate(cs):
-        set_a = sets[i]
-        for j in range(i + 1, len(cs)):
-            key = set_a | sets[j]
-            if not key:
-                continue  # two absent colors
-            b = cs[j]
-            comps = chains.get(key)
-            if comps is None:
-                comps = chains[key] = _chains(g, state, a, b)
-            x = a ^ b
-            for rep, comp in comps:
-                out.append((a, b, rep, (s ^ comp * x).to_bytes(m, "little")))
+    append = out.append
+    for i, j, a, b, x in pairs:
+        key = sets[i] | sets[j]
+        if not key:
+            continue  # two absent colors
+        comps = chains.get(key)
+        if comps is None:
+            comps = chains[key] = _chains(g, state, a, b)
+        # a loop, not a comprehension: Python 3.11 calls a comprehension
+        # as a function, once per pair
+        for rep, comp in comps:
+            append((a, b, rep, s ^ comp * x))
     return out
 
 
 def kempe_neighbor_moves(g, state, t, color_set=None, chains=None):
-    """Every Kempe interchange of `state` (bytes) as (a, b, rep, next_state).
+    """Every Kempe interchange of `state` as (a, b, rep, next_state).
 
     Color pairs a < b run in ascending order over `color_set` (all of
     1..t when None; a given set restricts the move colors, as the bounded
@@ -287,16 +301,23 @@ def kempe_neighbor_moves(g, state, t, color_set=None, chains=None):
     two absent colors is skipped.
 
     `chains`, when given, is a dict the caller keeps for one search over
-    one graph, and `state` must be proper: the components of each pair are
-    looked up by the pair's edge set, traced on a miss, and every next
-    state is built by one integer xor (:func:`_memo_moves`).  The memo
-    holds at most one entry per distinct edge set, so at most
-    min(2^m, pairs x states) of them.  Without it, one pass over the edges
-    builds, per color present, its edge list and a vertex -> edge table; a
-    pair then walks each component from its least unseen edge and writes
-    its next state edge by edge.  The list is the same either way.
+    one graph, and `state` must be proper and an int: one byte per edge
+    id, little-endian (``int.from_bytes(colors, "little")``), as is every
+    next state.  The components of each pair are looked up by the pair's
+    edge set, traced on a miss, and every next state is one integer xor
+    (:func:`_memo_moves`), with the translate tables and the pair list
+    built once per color set.  The memo holds at most one entry per
+    distinct edge set, so at most min(2^m, pairs x states) of them.
+
+    Without it, `state` and every next state are ``bytes`` of length m:
+    one pass over the edges builds, per color present, its edge list and a
+    vertex -> edge table; a pair then walks each component from its least
+    unseen edge and writes its next state edge by edge.  That path keeps
+    ``bytes`` because its searches run on large graphs, where a state is
+    hashed many times and Python caches the hash of a ``bytes`` but not of
+    an int.  The moves are the same either way.
     """
-    cs = sorted(color_set) if color_set is not None else range(1, t + 1)
+    cs = tuple(sorted(color_set)) if color_set is not None else tuple(range(1, t + 1))
     if chains is not None:
         return _memo_moves(g, state, cs, chains)
     edges = g.edges

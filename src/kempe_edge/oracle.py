@@ -233,11 +233,14 @@ def _quotient_neighbors(g, order, t, state, chains):
     pairs inside 1..min(t, k + 1) are swapped: a pair of two absent colors
     moves nothing, and every (a, x) with x absent gives the canonical state
     of (a, k + 1).  `chains` is the sweep's memo of components by edge set
-    (``_kernels_py.kempe_neighbor_moves``).
+    (``_kernels_py.kempe_neighbor_moves``), whose states are ints; each
+    neighbor is written out as bytes to be canonicalized.
     """
     top = min(t, max(state, default=0) + 1)
-    for nxt in backend.kempe_neighbors(g, state, t, range(1, top + 1), chains):
-        yield _canonical(nxt, order)
+    m = g.m
+    s = int.from_bytes(state, "little")
+    for nxt in backend.kempe_neighbors(g, s, t, range(1, top + 1), chains):
+        yield _canonical(nxt.to_bytes(m, "little"), order)
 
 
 def _lookup(index, state):
@@ -270,9 +273,10 @@ def kempe_classes(
     (a, b)-edge set of the enumerated colorings; `cap` does not count it.
 
     The sweep is sequential: `jobs` must be 1, any other value raises
-    ``PreconditionViolated``.
+    ``PreconditionViolated``, as does a `cap` below 1.
     """
     check_palette(t)
+    _check_cap("kempe_classes", cap)
     if jobs != 1:
         raise PreconditionViolated(f"kempe_classes: jobs must be 1, got {jobs}")
     states, truncated = backend.enumerate_proper(g, t, cap)
@@ -305,6 +309,12 @@ def kempe_classes(
     )
 
 
+def _check_cap(name, cap):
+    """Refuse a state budget below 1, before any search."""
+    if cap < 1:
+        raise PreconditionViolated(f"{name}: cap must be at least 1, got {cap}")
+
+
 def _path_to(parent, state):
     """Moves (a, b, rep) along `parent` links from `state` to the root, in
     link order."""
@@ -331,8 +341,15 @@ def _meet_in_middle(g, start: bytes, goal: bytes, colors, cap: int, chains=None)
     `chains`, when given, is a memo of Kempe chains by edge set that the
     neighbor kernel fills (``_kernels_py.kempe_neighbor_moves``); `start`
     and `goal` must then be proper.  It holds at most min(2^m, pairs x
-    expanded states) entries, and `cap` does not count them.
+    expanded states) entries, and `cap` does not count them.  With a memo
+    the kernel takes and returns states as ints (one byte per edge id), so
+    `start` and `goal` are converted once, at entry; the loop treats states
+    as opaque keys.  Without one, as the Delta <= 4 equalizer calls it on
+    large graphs, states stay ``bytes``, whose hash Python caches.
     """
+    if chains is not None:
+        start = int.from_bytes(start, "little")
+        goal = int.from_bytes(goal, "little")
     # state -> (neighbor one step nearer the root, (a, b, rep)) or None
     fwd = {start: None}
     bwd = {goal: None}
@@ -372,11 +389,15 @@ def same_class(
 
     Returns (reachable, shortest transcript or None), found by
     :func:`_meet_in_middle` over all of 1..t; `cap` bounds the states
-    stored by both sides together.  The search keeps a memo of Kempe
-    chains by edge set, at most min(2^m, pairs x expanded states) entries
-    that `cap` does not count.
+    stored by both sides together, and one below 1 raises
+    ``PreconditionViolated``, also when f = h.  The search keeps a memo of
+    Kempe chains by edge set, at most min(2^m, pairs x expanded states)
+    entries that `cap` does not count, and holds its states as ints, one
+    byte per edge id: the graphs are small, and a next state is then one
+    integer xor, never written out as bytes only to be hashed.
     """
     check_palette(t)
+    _check_cap("same_class", cap)
     require_proper(g, f)
     require_proper(g, h)
     for col in (f, h):

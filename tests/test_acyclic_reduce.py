@@ -313,6 +313,26 @@ def test_b2_fan_attempt_eliminates_or_drags_onto_a_hub(outcome):
         assert out.colors.count(4) == f.colors.count(4)
 
 
+def test_walk_chain_that_grows_the_top_class_is_an_internal_error():
+    """The Step-i chain only moves the top color along the fan; a swap that
+    left the kept top class larger than before is a bug, raised at once.
+    The B.2 drag runs on a working state whose swap miscounts every
+    interchange of the top color as one more top edge."""
+    swap = _TopWork.swap
+
+    def growing_swap(rec, edge_ids, a, b):
+        swap(rec, edge_ids, a, b)
+        if rec.big in (a, b):
+            rec.n_top += 1
+
+    g, f = _HUB_PATH, EdgeColoring(4, _B2_ATTEMPTS["dragged"][0])
+    rec, delta, _, _ = _checked_inputs(g, f)
+    with mock.patch.object(_TopWork, "swap", growing_swap), \
+            pytest.raises(InternalInvariantError, match="walk chain increased the top class"):
+        _eliminate_or_walk_target(rec, 1, g.edge_id(1, 5), delta, "acyclic-B2")
+    assert "acyclic-walk" in rec.tr.annotations
+
+
 def _reference_case(g, is_max, dgd, eid):
     """The case of a top-colored edge as a round takes them: 0 (A), 1
     (B.1), 2 (B.2) or 3 (B.3)."""

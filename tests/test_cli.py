@@ -369,6 +369,13 @@ _CLI_TABLE = {
                         "K 1 2 1 2\n", 0, (_P3_H, None)),
     "same-class-out": ("oracle same-class --graph {g} --colors 2 --first {f} "
                        "--second {h} --out {o}", "", 0, ("same-class\n", "K 1 2 1 2\n")),
+    # a state budget below 1 is refused before any search
+    "same-class-cap-below-one": ("oracle same-class --graph {g} --colors 2 --first {f} "
+                                 "--second {h} --cap -1", "", 1, "precondition_violated"),
+    "same-class-cap-below-one-f-is-h": ("oracle same-class --graph {g} --colors 2 --first {f} "
+                                        "--second {f} --cap 0", "", 1, "precondition_violated"),
+    "classes-cap-below-one": ("oracle classes --graph {g} --colors 2 --cap -1",
+                              "", 1, "precondition_violated"),
     "gen-overfull5": ("gen overfull5 --out {o}", "", 0, ("", format_graph(overfull_delta5()))),
     # one vertex past the most a graph file may declare (MAX_VERTICES = 2^20)
     "gen-regular4-above-max-vertices": ("gen regular4 --n 2097152 --seed 1 --out {o}",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kempe_edge.errors import BudgetExceeded, ColorOutOfRange
+from kempe_edge.errors import BudgetExceeded, ColorOutOfRange, PreconditionViolated
 from kempe_edge.fixtures_gen import (
     figure1_pair,
     octahedron,
@@ -223,3 +223,38 @@ def test_same_class_work_on_far_pairs(monkeypatch, name):
     # one memo for the whole search, never the fallbacks' None
     assert isinstance(chains, dict) and all(c is chains for c in memos)
     assert (len(memos), len(chains)) == FAR_PAIR_WORK[name]
+
+
+# far-A's search stores FAR_A_STATES distinct states when it finds the splice
+# (the meeting state, held by both sides, counted once), and this shortest
+# transcript; neither depends on how the search keys its states
+FAR_A_STATES = 862
+FAR_A_MOVES = [(2, 3, 2), (2, 4, 1), (3, 5, 5), (1, 5, 0), (1, 4, 2), (1, 2, 1)]
+
+
+def test_same_class_budget_boundary_on_a_far_pair():
+    n, edges, f0, h0, _ = FAR_PAIRS["far-A m=7"]
+    g = Graph(n, list(edges))
+    f, h = EdgeColoring(5, list(f0)), EdgeColoring(5, list(h0))
+    ok, tr = same_class(g, 5, f, h, cap=FAR_A_STATES)
+    assert ok and [tuple(mv) for mv in tr.moves] == FAR_A_MOVES
+    with pytest.raises(BudgetExceeded, match=f"BFS exceeded {FAR_A_STATES - 1} states"):
+        same_class(g, 5, f, h, cap=FAR_A_STATES - 1)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_class_searches_refuse_a_cap_below_one(monkeypatch, cap):
+    def refuse(*args):
+        raise AssertionError("searched despite a cap below 1")
+
+    monkeypatch.setattr(backend, "kempe_neighbor_moves", refuse)
+    monkeypatch.setattr(backend, "enumerate_proper", refuse)
+    g = octahedron()
+    f, h = figure1_pair()
+    f5, h5 = EdgeColoring(5, f.colors), EdgeColoring(5, h.colors)
+    why = f"cap must be at least 1, got {cap}"
+    for other in (h5, f5):  # also when f = h, which needs no search
+        with pytest.raises(PreconditionViolated, match=f"same_class: {why}"):
+            same_class(g, 5, f5, other, cap=cap)
+    with pytest.raises(PreconditionViolated, match=f"kempe_classes: {why}"):
+        kempe_classes(g, 5, cap=cap)
