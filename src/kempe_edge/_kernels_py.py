@@ -15,6 +15,10 @@ with the edges between them, for the probes, the callers that read a path
 `graph_core.bicolored_subgraph`).  :func:`component_edges` returns only the
 edge set, which every move swaps (``Recorder.component_edges``) and replay.
 
+:func:`is_proper` is only ``Recorder.check_proper``'s self-check: it
+compares each vertex's color set with its degree, so it shares no code
+with `graph_core`'s one mask pass, which every other check runs.
+
 :func:`canonical_colorings` is the one backtracker over proper colorings,
 with its stack in lists, not Python frames; :func:`enumerate_proper` and the
 oracle's chromatic-index search both walk it.

@@ -57,22 +57,21 @@ from .errors import (
     PreconditionViolated,
     ProjectionMismatch,
     SearchBudgetExceeded,
-    TargetNotProper4,
     WrongMaxDegree,
 )
 from .graph_core import (
     EdgeColoring,
     Graph,
+    _scan_masks,
     check_edge_id,
-    is_proper,
     require_proper,
+    require_target4,
 )
 from .kempe_engine import (
     KempeMove,
     Recorder,
     Transcript,
     _replay,
-    color_masks,
     least_color,
     palette_bits,
 )
@@ -223,8 +222,8 @@ def _pad_to_regular4(g: Graph, f: EdgeColoring, h: EdgeColoring):
     joined = set(g.edges)
     fc = list(f.colors)
     hc = list(h.colors)
-    fmask = color_masks(g, fc)
-    hmask = color_masks(g, hc)
+    fmask = _scan_masks(g, fc, t)[0]
+    hmask = _scan_masks(g, hc, 4)[0]
 
     def port(v, x, hcolor):
         free = palette_bits(t) & ~fmask[v]
@@ -294,19 +293,21 @@ def project_transcript(
     move on C: every (a, b)-component of g that meets C lies inside C, and
     each becomes one move, by ascending representative, swapped on g's
     recorder.  Swapping C then leaves the two colorings agreeing on g.
+    A big move that replay rejects raises ProjectionMismatch naming it.
     """
     m = g.m
     if big.edges[:m] != g.edges:
         raise PreconditionViolated("graph is not the big graph on its first edge ids")
     if f_big.m != big.m:
         raise PaletteMismatch("coloring does not fit the big graph")
+    t = f_big.t
     rec = Recorder(big, f_big, "big coloring")
-    sub = Recorder(g, EdgeColoring(f_big.t, f_big.colors[:m]))
+    sub = Recorder(g, EdgeColoring(t, f_big.colors[:m]))
     out = Transcript()
-    for a, b, rep in big_tr.moves:
+    for i, (a, b, rep) in enumerate(big_tr.moves):
         check_edge_id(big, rep)
-        if rec.colors[rep] not in (a, b):
-            raise ProjectionMismatch("big transcript does not replay")
+        if not (0 < a <= t and 0 < b <= t) or rec.colors[rep] not in (a, b):
+            raise ProjectionMismatch(f"big transcript does not replay at move {i} {a, b, rep}")
         comp = rec.component_edges(a, b, rep)
         hits = {e for e in comp if e < m}
         for se in sorted(hits):
@@ -633,8 +634,7 @@ def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
     h check their colorings again, in the passes that build their masks."""
     if g.max_degree() != 4:
         raise WrongMaxDegree(f"expected maximum degree 4, got {g.max_degree()}")
-    if h.t != 4 or not is_proper(g, h):
-        raise TargetNotProper4("target must be a proper 4-edge coloring")
+    require_target4(g, h)
     if f.t <= 5:
         require_proper(g, f)
     if f.t < 5:

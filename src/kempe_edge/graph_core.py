@@ -10,6 +10,11 @@ kernels alike: ``edges[e]`` is the endpoint pair of edge id e, and
 
 Both :class:`Graph` and :class:`EdgeColoring` are immutable after
 construction; every transformation produces a new coloring value.
+
+:func:`_scan_masks` is the one coloring check: a pass over the edges that
+checks length and palette and builds each vertex's colors as a bitmask,
+whose bit count answers properness.  Every check runs it (working states
+keep the masks of :func:`proper_masks`), so all raise the same errors.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from .errors import (
     GraphInvariantError,
     MissingEdgeColor,
     NotProper,
+    TargetNotProper4,
 )
 from .kernels import backend
 
@@ -159,29 +165,54 @@ class EdgeColoring:
         return f"EdgeColoring(t={self.t}, colors={list(self.colors)})"
 
 
-def _check_total(g: Graph, f: EdgeColoring) -> None:
-    if f.m != g.m:
-        raise MissingEdgeColor(
-            f"coloring covers {f.m} edges, graph has {g.m}"
-        )
-    for eid, c in enumerate(f.colors):
-        if not (1 <= c <= f.t):
-            raise ColorOutOfRange(f"edge {eid} colored {c}, palette 1..{f.t}")
-
-
 def palette_at(g: Graph, f: EdgeColoring, v: int) -> frozenset:
     return frozenset(f.colors[eid] for _, eid in g.adj[v])
 
 
+def _scan_masks(g: Graph, colors, t: int):
+    """The one pass over a coloring's edges: MissingEdgeColor unless every
+    edge has a color, ColorOutOfRange at the first color outside 1..t, else
+    (masks, proper).  `masks[v]` (v in 1..n) is the int with bit c set iff
+    color c is on an edge at v; proper is False iff two edges at a vertex
+    share a color."""
+    if len(colors) != g.m:
+        raise MissingEdgeColor(f"coloring covers {len(colors)} edges, graph has {g.m}")
+    mask = [0] * (g.n + 1)
+    for (u, v), c in zip(g.edges, colors):
+        if not 0 < c <= t:
+            # every earlier color is in range, so this is c's first edge
+            raise ColorOutOfRange(f"edge {colors.index(c)} colored {c}, palette 1..{t}")
+        bit = 1 << c
+        mask[u] |= bit
+        mask[v] |= bit
+    # each edge set its bit at both ends, so the masks hold 2m bits unless
+    # a bit was already set: two edges at that end share its color
+    return mask, sum(x.bit_count() for x in mask) == 2 * g.m
+
+
+def proper_masks(g: Graph, colors, t: int, what: str = "coloring") -> list:
+    """The masks of :func:`_scan_masks` for a proper coloring, else its
+    errors, or NotProper labeled `what`."""
+    mask, proper = _scan_masks(g, colors, t)
+    if not proper:
+        raise NotProper(f"{what} is not proper")
+    return mask
+
+
 def is_proper(g: Graph, f: EdgeColoring) -> bool:
-    """True iff no two adjacent edges share a color."""
-    _check_total(g, f)
-    return backend.is_proper(g, f.colors)
+    """True iff no two adjacent edges share a color; MissingEdgeColor or
+    ColorOutOfRange when f does not color g from its palette."""
+    return _scan_masks(g, f.colors, f.t)[1]
 
 
 def require_proper(g: Graph, f: EdgeColoring, what: str = "coloring") -> None:
-    if not is_proper(g, f):
-        raise NotProper(f"{what} is not proper")
+    proper_masks(g, f.colors, f.t, what)
+
+
+def require_target4(g: Graph, h: EdgeColoring) -> None:
+    """The Delta = 4 transforms' target rule: h is a proper 4-edge coloring."""
+    if h.t != 4 or not is_proper(g, h):
+        raise TargetNotProper4("target must be a proper 4-edge coloring")
 
 
 def color_class(f: EdgeColoring, k: int) -> frozenset:
@@ -425,8 +456,9 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
 
 
 def format_coloring(g: Graph, f: EdgeColoring) -> str:
-    """Canonical form: edges in graph id order."""
-    _check_total(g, f)
+    """Canonical form: edges in graph id order.  f must color every edge
+    from its palette; an improper f is written all the same."""
+    _scan_masks(g, f.colors, f.t)
     lines = [f"t {f.t}"]
     lines.extend(
         f"e {u} {v} {f.colors[eid]}" for eid, (u, v) in enumerate(g.edges)

@@ -6,18 +6,18 @@ trusting the producer.
 
 :class:`Recorder` is the one mutable coloring state of the transforms: it
 reads a two-colored component, swaps it and records the move.  It keeps
-each vertex's colors as a bitmask, built from a checked coloring: the one
-pass that builds the masks (:func:`proper_masks`) checks the coloring's
-length, palette and properness with
-:func:`~kempe_edge.graph_core.require_proper`'s errors, so a transform that
-starts from a Recorder needs no entry check of its own.  Every producer
-moves through it: :meth:`Recorder.component_edges` reads a component as a
-bare edge set, a single edge straight from the masks when the other color
-is missing at both its ends, and :meth:`Recorder.swap`, the one change
-hook, swaps it and keeps the masks current; a subclass observes moves
-there alone.  Moves, :func:`interchange`, the search index and transcript
-projection all read and swap this way.  Only probes, the callers that
-read a path, go through the ordered ``backend.trace_component``:
+each vertex's colors as a bitmask, built and checked by
+:func:`~kempe_edge.graph_core.proper_masks`, so a transform that starts
+from a Recorder needs no entry check of its own; its final self-check,
+:meth:`Recorder.check_proper`, runs the set-based properness kernel, which
+shares no code with the masks.  Every producer moves through it:
+:meth:`Recorder.component_edges` reads a component as a bare edge set, a
+single edge straight from the masks when the other color is missing at
+both its ends, and :meth:`Recorder.swap`, the one change hook, swaps it
+and keeps the masks current; a subclass observes moves there alone.
+Moves, :func:`interchange`, the search index and transcript projection
+all read and swap this way.  Only probes, the callers that read a path,
+go through the ordered ``backend.trace_component``:
 :meth:`Recorder.path_from` reads "the (a, b)-path that starts at v", the
 Kempe chain the lemmas reason about, from one of its ends.
 :func:`apply_transcript`, the certifier, keeps its own replay loop over its
@@ -43,8 +43,6 @@ from .errors import (
     GraphInvariantError,
     InternalInvariantError,
     InvalidMoveAtIndex,
-    MissingEdgeColor,
-    NotProper,
     NotSaturated,
     PreconditionViolated,
     RepEdgeNotBicolored,
@@ -53,8 +51,8 @@ from .graph_core import (
     EdgeColoring,
     Graph,
     check_edge_id,
-    palette_at,
     parse_int_fields,
+    proper_masks,
     read_text,
     split_record,
 )
@@ -149,40 +147,6 @@ def involution_check(g: Graph, f: EdgeColoring, mv: KempeMove) -> bool:
     return interchange(g, interchange(g, f, mv), mv) == f
 
 
-def color_masks(g: Graph, colors) -> list:
-    """Per vertex (index 1..n), the int with bit c set iff color c is on an
-    edge there."""
-    mask = [0] * (g.n + 1)
-    for (u, v), c in zip(g.edges, colors):
-        bit = 1 << c
-        mask[u] |= bit
-        mask[v] |= bit
-    return mask
-
-
-def proper_masks(g: Graph, colors, t: int, what: str = "coloring") -> list:
-    """:func:`color_masks`, built in the pass that checks `colors` as
-    :func:`require_proper` does, with its errors and messages:
-    MissingEdgeColor unless every edge has a color, ColorOutOfRange at the
-    first color outside 1..t, then NotProper if two edges at a vertex
-    share a color."""
-    if len(colors) != g.m:
-        raise MissingEdgeColor(f"coloring covers {len(colors)} edges, graph has {g.m}")
-    mask = [0] * (g.n + 1)
-    for (u, v), c in zip(g.edges, colors):
-        if not 0 < c <= t:
-            # every earlier color is in range, so this is c's first edge
-            raise ColorOutOfRange(f"edge {colors.index(c)} colored {c}, palette 1..{t}")
-        bit = 1 << c
-        mask[u] |= bit
-        mask[v] |= bit
-    # each edge set its bit at both ends, so the masks hold 2m bits unless
-    # a bit was already set: two edges at that end share its color
-    if sum(x.bit_count() for x in mask) != 2 * g.m:
-        raise NotProper(f"{what} is not proper")
-    return mask
-
-
 def palette_bits(k: int) -> int:
     """The colors 1..k as a bitmask."""
     return (1 << (k + 1)) - 2
@@ -196,7 +160,7 @@ def least_color(bits: int) -> int:
 def extend_fan(g: Graph, colors, mask, pivot: int, first_edge: int, allowed: int, stop: int):
     """The fan engine: grow a fan at `pivot` starting with `first_edge`.
 
-    `mask` holds each vertex's colors as bits (:func:`color_masks`);
+    `mask` holds each vertex's colors as bits (:func:`proper_masks`);
     `allowed` and `stop` are color sets as bitmasks.  Extension rule: among
     unused edges at the pivot whose color lies in `allowed` and is missing
     at the current last leaf, take the lowest edge id (determinism of
@@ -240,9 +204,9 @@ def grow_fan(g: Graph, f: EdgeColoring, pivot: int, first_edge: int) -> Fan:
     return extend_fan(g, f.colors, mask, pivot, first_edge, palette_bits(f.t), 0)[0]
 
 
-def check_fan(g: Graph, f: EdgeColoring, fan: Fan) -> None:
-    """Validate a caller's fan against a coloring: EdgeOutOfRange,
-    EdgeNotIncident or PreconditionViolated on a violation."""
+def check_fan(g: Graph, f: EdgeColoring, mask, fan: Fan) -> None:
+    """Validate a caller's fan against a coloring and its masks:
+    EdgeOutOfRange, EdgeNotIncident or PreconditionViolated on a violation."""
     if not fan.edges:
         raise PreconditionViolated("fan has no edges")
     if len(set(fan.edges)) != len(fan.edges):
@@ -252,7 +216,7 @@ def check_fan(g: Graph, f: EdgeColoring, fan: Fan) -> None:
         check_edge_id(g, eid)
         if fan.pivot not in g.edges[eid]:
             raise EdgeNotIncident(f"fan edge {eid} not at pivot {fan.pivot}")
-        if i > 0 and f.colors[eid] in palette_at(g, f, leaf):
+        if i > 0 and mask[leaf] >> f.colors[eid] & 1:
             raise PreconditionViolated(
                 f"fan edge {eid} color {f.colors[eid]} appears at previous leaf {leaf}"
             )
@@ -271,7 +235,7 @@ def downshift(g: Graph, f: EdgeColoring, fan: Fan, free_color: int):
     rec = Recorder(g, f)
     if not 1 <= free_color <= f.t:
         raise ColorOutOfRange(f"free color {free_color} not in 1..{f.t}")
-    check_fan(g, f, fan)
+    check_fan(g, f, rec.mask, fan)
     last_leaf = g.other_end(fan.edges[-1], fan.pivot)
     if (rec.mask[fan.pivot] | rec.mask[last_leaf]) >> free_color & 1:
         raise NotSaturated(
@@ -288,9 +252,8 @@ def apply_transcript(
 
     The starting coloring is always checked in full, by the pass that
     builds each vertex's colors as a bitmask (:func:`proper_masks`), which
-    the replay then keeps.  A move whose
-    other color is at neither end of its rep edge recolors that edge alone
-    and traces nothing; any other move swaps the edge set of
+    the replay then keeps.  A move whose other color is at neither end of
+    its rep edge recolors that edge alone and traces nothing; any other move swaps the edge set of
     ``backend.component_edges``.  With check=True (verification mode) each
     move is checked at both ends of every edge it recolored, in O(1) per
     end: no two edges at such a vertex may share a color.  That is as
@@ -442,8 +405,8 @@ class Recorder:
 
     Its three jobs: read a two-colored component, swap it, and record the
     move.  It is built from a checked coloring: the pass that builds its
-    masks (:func:`proper_masks`) is the transform's entry check, and raises
-    require_proper's errors with `what` as the label.  Moves
+    masks (:func:`~kempe_edge.graph_core.proper_masks`) is the transform's
+    entry check, with `what` as the label.  Moves
     applied here skip the full properness re-validation (the structural
     argument keeps intermediates proper); the emitted transcript is meant
     to be re-verified through apply_transcript.

@@ -26,9 +26,10 @@ from .graph_core import (
     delete_edges,
     induced_high_degree_subgraph,
     is_acyclic,
+    proper_masks,
     require_proper,
 )
-from .kempe_engine import Recorder, Transcript, proper_masks
+from .kempe_engine import Recorder, Transcript
 from .vizing_reduce import reduce_to_delta_plus_one
 
 

@@ -36,9 +36,8 @@ from .errors import (
     InternalInvariantError,
     NotRegular4,
     PaletteMismatch,
-    TargetNotProper4,
 )
-from .graph_core import EdgeColoring, Graph, is_proper
+from .graph_core import EdgeColoring, Graph, require_target4
 from .kempe_engine import Recorder, Transcript
 
 _A = frozenset({1, 2, 3, 4})
@@ -170,8 +169,7 @@ def _checked_work(g: Graph, f: EdgeColoring, h: EdgeColoring) -> _Work:
     if f.t != 5:
         raise PaletteMismatch(f"working coloring must use palette 5, got {f.t}")
     work = _Work(g, f, h)
-    if h.t != 4 or not is_proper(g, h):
-        raise TargetNotProper4("target must be a proper 4-edge coloring")
+    require_target4(g, h)
     return work
 
 

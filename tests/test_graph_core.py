@@ -1,6 +1,9 @@
 """Graph/coloring value types, derived subgraphs, and the file formats."""
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kempe_edge import _kernels_py
 from kempe_edge.errors import (
     ColorOutOfRange,
     EdgeOutOfRange,
@@ -92,6 +95,29 @@ def test_is_proper_basic():
         is_proper(path, EdgeColoring(2, [1]))
     with pytest.raises(ColorOutOfRange):
         is_proper(path, EdgeColoring(2, [1, 3]))
+
+
+@st.composite
+def _graph_and_colors(draw):
+    """A graph on at most 8 vertices and colors from 1..t (t <= 6), one per
+    edge, drawn independently: proper or not."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    t = draw(st.integers(1, 6))
+    colors = draw(st.lists(st.integers(1, t), min_size=len(edges), max_size=len(edges)))
+    return Graph(n, edges), EdgeColoring(t, colors)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_graph_and_colors())
+@example(case=(Graph(3, [(1, 2), (2, 3)]), EdgeColoring(2, [1, 2])))
+@example(case=(Graph(3, [(1, 2), (2, 3)]), EdgeColoring(2, [2, 2])))
+def test_is_proper_agrees_with_the_set_kernel(case):
+    """The mask pass answers properness as the set-based kernel does: two
+    algorithms that share no code."""
+    g, f = case
+    assert is_proper(g, f) == _kernels_py.is_proper(g, f.colors)
 
 
 def test_octahedron_coloring_proper_and_classes_are_perfect_matchings():
