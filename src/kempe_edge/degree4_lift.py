@@ -10,12 +10,12 @@ the new edges (`_pad_to_regular4`).  The padded graph keeps G's vertices
 and, first, G's edge ids, so G is its subgraph on the ids 0..m-1 and each
 padded coloring restricts to the one it extends.  A
 transcript found on the padded graph therefore projects straight onto G,
-replaying the padded run and G's coloring on one Recorder each: the
-(a, b)-components of a subgraph refine those of the whole graph, so each
-padded move becomes a batch of moves on G's components inside the padded
-component.  The doubling tower (two disjoint copies per missing degree,
-deficient twins joined by an edge) is the older way to reach 4-regular,
-kept with its lift; its levels are prefix supergraphs of each other too.
+replaying the padded run on one Recorder, whose first m colors are G's:
+the (a, b)-components of a subgraph refine those of the whole graph, so
+each padded move becomes a batch of moves on G's components inside it.
+The doubling tower (two disjoint copies per missing degree, deficient
+twins joined by an edge) is the older way to reach 4-regular, kept with
+its lift; its levels are prefix supergraphs of each other too.
 
 The degree-at-most-3 equalizer is a certified search over the Kempe
 reconfiguration graph.  It works on the caller's `Recorder`, swapping its
@@ -32,13 +32,13 @@ met its vertices, which it drops), as a seed of that one pair, traced
 when the walk next reads the pair.  A seed whose other color is missing
 at both its ends is its own component, read from the recorder's masks
 with no trace.  The index and the projection read components as bare
-edge sets through ``Recorder.component_edges`` and swap them through
-``Recorder.swap``; neither reads an ordered path.  Only when no
-component gains does a labeled BFS run to the nearest better state, and
-only when that BFS runs out of states does the oracle's exact
-bidirectional search carry the coloring to the goal.  Every move, from
-any of the three, goes through the index, which traces on demand a
-component it does not hold.
+edge sets, through ``Recorder.component_edges`` and, for G, the kernel,
+and swap them through ``Recorder.swap``; neither reads an ordered path.
+Only when no component gains does a labeled BFS run to the nearest
+better state, and only when that BFS runs out of states does the
+oracle's exact bidirectional search carry the coloring to the goal.
+Every move, from any of the three, goes through the index, which traces
+on demand a component it does not hold.
 The transcripts are verified like any other; only termination relies on
 the reachability guarantee.
 """
@@ -288,11 +288,11 @@ def project_transcript(
     subgraph of `big` on the edge ids 0..g.m-1 (a padded graph, or any
     level of a doubling tower below its top).
 
-    The big run replays on a Recorder, whose mask pass checks `f_big`, and
-    g's coloring, its first g.m entries, on a second one.  Before a big
-    move on C: every (a, b)-component of g that meets C lies inside C, and
-    each becomes one move, by ascending representative, swapped on g's
-    recorder.  Swapping C then leaves the two colorings agreeing on g.
+    The big run replays on one Recorder, whose mask pass checks `f_big`
+    and whose first g.m colors are g's.  Before a big move on C: every
+    (a, b)-component of g that meets C lies inside C, and each becomes one
+    move, by ascending representative, read before C is swapped; a C with
+    every edge in g is one component of g, read no second time.
     A big move that replay rejects raises ProjectionMismatch naming it.
     """
     m = g.m
@@ -302,24 +302,23 @@ def project_transcript(
         raise PaletteMismatch("coloring does not fit the big graph")
     t = f_big.t
     rec = Recorder(big, f_big, "big coloring")
-    sub = Recorder(g, EdgeColoring(t, f_big.colors[:m]))
     out = Transcript()
     for i, (a, b, rep) in enumerate(big_tr.moves):
         check_edge_id(big, rep)
         if not (0 < a <= t and 0 < b <= t) or rec.colors[rep] not in (a, b):
             raise ProjectionMismatch(f"big transcript does not replay at move {i} {a, b, rep}")
         comp = rec.component_edges(a, b, rep)
-        hits = {e for e in comp if e < m}
-        for se in sorted(hits):
-            if sub.colors[se] != rec.colors[se]:
-                continue  # swapped with an earlier component
-            # the scan is ascending, so se is the component's least edge
-            comp_small = sub.component_edges(a, b, se)
-            if not hits.issuperset(comp_small):
-                raise ProjectionMismatch(
-                    "copy component extends outside the big component"
-                )
-            sub.swap(comp_small, a, b)
+        left = {e for e in comp if e < m}
+        whole = len(left) == len(comp)
+        for se in sorted(left):
+            if se not in left:
+                continue  # in an earlier component of g
+            # ascending, so se is its component's least edge (C if whole)
+            part = comp if whole else backend.component_edges(g, rec.colors, a, b, se)
+            if not left.issuperset(part):
+                raise ProjectionMismatch(f"copy component of edge {se} extends outside"
+                                         f" the big component at move {i} {a, b, rep}")
+            left.difference_update(part)
             out.append(KempeMove(a, b, se), "projected")
         rec.swap(comp, a, b)
     return out

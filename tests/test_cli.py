@@ -374,6 +374,11 @@ _CLI_TABLE = {
                                  "--second {h} --cap -1", "", 1, "precondition_violated"),
     "same-class-cap-below-one-f-is-h": ("oracle same-class --graph {g} --colors 2 --first {f} "
                                         "--second {f} --cap 0", "", 1, "precondition_violated"),
+    # t 4 colorings that use color 4, read at palette 3: refused before any
+    # search, also when f = h
+    "same-class-colors-above-palette": ("oracle same-class --graph {g} --colors 3 --first {x} "
+                                        "--second {x}", "t 4\ne 1 2 3\ne 2 3 4\n", 1,
+                                        "color_out_of_range"),
     "classes-cap-below-one": ("oracle classes --graph {g} --colors 2 --cap -1",
                               "", 1, "precondition_violated"),
     "gen-overfull5": ("gen overfull5 --out {o}", "", 0, ("", format_graph(overfull_delta5()))),
@@ -422,6 +427,7 @@ def test_cli_table(work, capsys, case):
         lines = captured.err.splitlines()
         assert len(lines) == 1, captured.err
         assert json.loads(lines[0])["error"] == want
+        assert captured.out == ""
         assert not (work / "o").exists()
     else:
         out, written = want

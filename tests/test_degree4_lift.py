@@ -252,6 +252,122 @@ def test_project_rejects_an_improper_big_coloring_in_time():
         signal.signal(signal.SIGALRM, old)
 
 
+def test_project_names_the_move_and_edge_of_a_component_leaving_the_big_one(monkeypatch):
+    """A g-component read outside the big component it should lie in is a
+    ProjectionMismatch naming the big move and the edge of g it was read
+    from.  g is 1-2-3 plus 4-5, big adds 3-6; move 1 swaps the (1, 2)-path
+    6-3-2-1, whose g-part is read from edge 0, here with edge 2 added."""
+    g = Graph(5, [(1, 2), (2, 3), (4, 5)])
+    big = Graph(6, [(1, 2), (2, 3), (4, 5), (3, 6)])
+    f_big = EdgeColoring(3, [1, 2, 1, 1])
+    real = backend.component_edges
+
+    def foreign(graph, colors, a, b, e0):
+        out = real(graph, colors, a, b, e0)
+        return [*out, 2] if graph is g else out
+
+    monkeypatch.setattr(backend, "component_edges", foreign)
+    tr = Transcript([KempeMove(1, 3, 2), KempeMove(1, 2, 0)])
+    with pytest.raises(ProjectionMismatch, match=r"component of edge 0 extends outside"
+                       r" the big component at move 1 \(1, 2, 0\)"):
+        project_transcript(g, big, f_big, tr)
+
+
+def _two_recorder_projection(g, big, f_big, big_tr):
+    """The projection as it was with a second Recorder for g: g's coloring
+    copied from f_big's first g.m entries and swapped in step with the big
+    run, an edge of g skipped once the two colorings differ on it."""
+    m = g.m
+    rec = Recorder(big, f_big)
+    sub = Recorder(g, EdgeColoring(f_big.t, f_big.colors[:m]))
+    out = Transcript()
+    for a, b, rep in big_tr.moves:
+        comp = rec.component_edges(a, b, rep)
+        hits = {e for e in comp if e < m}
+        for se in sorted(hits):
+            if sub.colors[se] != rec.colors[se]:
+                continue
+            comp_small = sub.component_edges(a, b, se)
+            assert hits.issuperset(comp_small)
+            sub.swap(comp_small, a, b)
+            out.append(KempeMove(a, b, se), "projected")
+        rec.swap(comp, a, b)
+    return out
+
+
+def _random_walk(big, f_big, steps, rng):
+    """A random walk of `steps` interchanges on big from f_big, and the
+    edge ids of each swapped component."""
+    state = bytes(f_big.colors)
+    tr, comps = Transcript(), []
+    for _ in range(steps):
+        a, b, rep, nxt = rng.choice(backend.kempe_neighbor_moves(big, state, f_big.t))
+        comps.append(backend.component_edges(big, state, a, b, rep))
+        tr.append(KempeMove(a, b, rep))
+        state = nxt
+    return tr, comps
+
+
+def _assert_projects_as_two_recorders(g, big, f_big, tr, comps, kinds):
+    """project_transcript's moves and notes equal the reference's; counts
+    in `kinds` the big components lying wholly in g and those meeting g
+    and leaving it."""
+    got = project_transcript(g, big, f_big, tr)
+    want = _two_recorder_projection(g, big, f_big, tr)
+    assert (got.moves, got.annotations) == (want.moves, want.annotations)
+    for comp in comps:
+        low = sum(e < g.m for e in comp)
+        if low:
+            kinds["inside" if low == len(comp) else "leaves"] += 1
+
+
+def test_projection_matches_two_recorders_on_every_tower_level():
+    """Random top walks on doubling towers, projected onto every level."""
+    star = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    rng = random.Random(5)
+    kinds = Counter()
+    for base in (star, k5_minus_edge(), k5_minus_two_edges()):
+        tower = build_tower(base)
+        for fseed in range(3):
+            lifted = random_proper_coloring(base, 5 + fseed % 2, fseed)
+            for i in range(len(tower.levels) - 1):
+                lifted = lift_coloring(tower, i, lifted)
+            top = tower.levels[-1]
+            tr, comps = _random_walk(top, lifted, 30, rng)
+            for g_i in tower.levels[:-1]:
+                _assert_projects_as_two_recorders(g_i, top, lifted, tr, comps, kinds)
+    assert kinds["inside"] > 0 and kinds["leaves"] > 0
+
+
+def test_projection_matches_two_recorders_on_padded_graphs():
+    """Random walks and Theorem 4.1's own transcript on padded graphs of
+    odd and even n, with direct edges, octahedron and K_5 gadgets."""
+    rng = random.Random(9)
+    kinds, parts, parities = Counter(), Counter(), set()
+    for n, seed, low, odd, isolated in _PADDED[::2]:
+        g, h = _irregular_instance(n, seed, low, odd, isolated)
+        parities.add(g.n % 2)
+        for t in (5, 6):
+            f = random_proper_coloring(g, t, seed + t)
+            big, f_big, h_big = degree4_lift._pad_to_regular4(g, f, h)
+            direct, gadgets = _padding_parts(g, big, f_big, h_big)
+            parts.update(direct=len(direct), octahedron=gadgets.count(6), k5=gadgets.count(5))
+            tr, comps = _random_walk(big, f_big, 25, rng)
+            _assert_projects_as_two_recorders(g, big, f_big, tr, comps, kinds)
+            if t == 5:
+                tr = theorem_4_1_transform(big, f_big, h_big)
+                state = list(f_big.colors)
+                comps = []
+                for a, b, rep in tr.moves:
+                    comps.append(backend.component_edges(big, state, a, b, rep))
+                    for e in comps[-1]:
+                        state[e] = a + b - state[e]
+                _assert_projects_as_two_recorders(g, big, f_big, tr, comps, kinds)
+    assert parities == {0, 1}
+    assert min(parts[k] for k in ("direct", "octahedron", "k5")) > 0
+    assert kinds["inside"] > 0 and kinds["leaves"] > 0
+
+
 def test_transform_delta4_regular_delegates():
     g, h = random_regular4_class1(8, 2)
     f = random_proper_coloring(g, 5, 11)
