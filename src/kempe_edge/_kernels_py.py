@@ -127,7 +127,8 @@ def component_edges(g, colors, a, b, e0):
     The callers that only swap or count a component use this walk: each
     direction from e0 is walked once, and no vertex list is built or
     reordered.  On a cycle the first direction comes back to e0.  It
-    terminates only on a proper coloring.
+    terminates only on a proper coloring, and replay, which stops at a
+    move's first clash, passes it only proper ones, as every caller does.
     """
     adj = g.adj
     c0 = colors[e0]

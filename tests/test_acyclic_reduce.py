@@ -76,7 +76,7 @@ def test_random_sweep_with_monovariant():
         assert out.t == delta
         assert is_proper(g, out)
         assert len(color_class(out, delta)) <= g.m
-        replay = apply_transcript(g, f, tr, check=True)
+        replay = apply_transcript(g, f, tr)
         assert replay.colors == out.colors
         assert all(before > after for before, after in stats)
         assert [b for b, _ in stats] == sorted({b for b, _ in stats}, reverse=True)
@@ -115,7 +115,7 @@ def test_case_a_clears_the_top_edge():
     _case_a(rec, 1, hub_edge, delta)
     out = rec.coloring()
     assert len(color_class(out, 4)) < len(color_class(f, 4))
-    assert apply_transcript(g, f, rec.tr, check=True).colors == out.colors
+    assert apply_transcript(g, f, rec.tr).colors == out.colors
     assert out.colors[hub_edge] != 4
 
 
@@ -149,7 +149,7 @@ def test_walk_on_interior_hub_edge():
             assert nxt not in (1, 2)
         else:
             assert top_after < baseline
-        assert apply_transcript(g, f, tr, check=True).colors == out.colors
+        assert apply_transcript(g, f, tr).colors == out.colors
         break
     else:
         pytest.skip("no seed placed the top color on the interior hub edge")
@@ -171,7 +171,7 @@ def test_walk_step_reaches_every_outcome():
     for kind, (f, u, v) in seen.items():
         baseline = f.colors.count(delta + 1)
         _, nxt, out, tr = _walked(g, f, u, v)
-        assert apply_transcript(g, f, tr, check=True).colors == out.colors
+        assert apply_transcript(g, f, tr).colors == out.colors
         top_after = out.colors.count(delta + 1)
         if kind == "extended":
             assert top_after <= baseline
@@ -222,7 +222,7 @@ def test_round_dispatches_each_case(case):
     assert rec.tr.annotations[0] == note
     out = rec.coloring()
     assert out.colors.count(4) < len(top)
-    assert apply_transcript(g, f, rec.tr, check=True).colors == out.colors
+    assert apply_transcript(g, f, rec.tr).colors == out.colors
 
 
 # kind -> (coloring, top-colored walk edge as (a_prev, a_cur), the next walk
@@ -244,7 +244,7 @@ def test_walk_step_outcome_on_the_hub_path(kind):
     got, nxt, out, tr = _walked(g, f, a_prev, a_cur)
     assert (got, nxt) == (kind, nxt_want)
     assert tr.annotations and set(tr.annotations) == {note}
-    assert apply_transcript(g, f, tr, check=True).colors == out.colors
+    assert apply_transcript(g, f, tr).colors == out.colors
     assert out.colors[g.edge_id(a_prev, a_cur)] != 4
     if kind == "extended":
         assert out.colors.count(4) == baseline
@@ -280,7 +280,7 @@ def test_case_a_clears_from_either_leaf(leaf):
     out = rec.coloring()
     assert out.colors.count(4) == 0
     assert set(rec.tr.annotations) <= {"acyclic-A"}
-    assert apply_transcript(g, f, rec.tr, check=True).colors == out.colors
+    assert apply_transcript(g, f, rec.tr).colors == out.colors
 
 
 # outcome -> (coloring with the top color on (1, 5), the next walk vertex)
@@ -304,7 +304,7 @@ def test_b2_fan_attempt_eliminates_or_drags_onto_a_hub(outcome):
     assert nxt == nxt_want
     out = rec.coloring()
     assert out.colors[e] != 4
-    assert apply_transcript(g, f, rec.tr, check=True).colors == out.colors
+    assert apply_transcript(g, f, rec.tr).colors == out.colors
     if nxt is None:
         assert out.colors.count(4) == f.colors.count(4) - 1
     else:
@@ -382,7 +382,7 @@ def test_round_picks_the_full_scan_edge():
     with mock.patch.object(_TopWork, "least_top", checked):
         for g, f in _acyclic_sweep(range(3, 8), range(12), 30):
             out, tr = acyclic_reduce(g, f)
-            assert apply_transcript(g, f, tr, check=True).colors == out.colors
+            assert apply_transcript(g, f, tr).colors == out.colors
     assert seen == {0, 1, 2, 3}
 
 

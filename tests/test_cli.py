@@ -55,7 +55,7 @@ def test_transform_apply_round_trip_bytes(work):
     ]) == 0
     assert main([
         "apply", "--graph", str(graph), "--coloring", str(work / "from.col"),
-        "--transcript", str(work / "tr.txt"), "--check",
+        "--transcript", str(work / "tr.txt"),
         "--out", str(work / "result.col"),
     ]) == 0
     assert (work / "result.col").read_bytes() == (work / "to.col").read_bytes()
@@ -144,14 +144,14 @@ def test_unsupported_family_error_line(work, capsys):
     assert payload["error"] == "unsupported_family"
 
 
-def test_apply_check_rejects_a_move_outside_the_palette(work, capsys):
+def test_apply_rejects_a_move_outside_the_palette(work, capsys):
     graph, first = work / "g.graph", work / "f.col"
     assert main(["gen", "figure1", "--out", str(graph), "--first", str(first),
                  "--second", str(work / "h.col")]) == 0
     (work / "tr.txt").write_text("K 9 1 1 2\n")
     capsys.readouterr()
     assert main(["apply", "--graph", str(graph), "--coloring", str(first),
-                 "--transcript", str(work / "tr.txt"), "--check"]) == 1
+                 "--transcript", str(work / "tr.txt")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -159,6 +159,70 @@ def test_apply_check_rejects_a_move_outside_the_palette(work, capsys):
     payload = json.loads(lines[0])
     assert payload["error"] == "invalid_move"
     assert payload["detail"] == "move 0: colors (9,1) outside palette"
+
+
+def _bounded_component_edges(g, colors, a, b, e0, limit=10_000):
+    """The kernel's component walk, raising RuntimeError past `limit`
+    edges: on an improper coloring the walk need not end."""
+    c0 = colors[e0]
+    other = b if c0 == a else a
+    out = [e0]
+    for v in reversed(g.edges[e0]):
+        want = other
+        while True:
+            for w, e in g.adj[v]:
+                if colors[e] == want:
+                    break
+            else:
+                break
+            if e == e0:
+                return out
+            out.append(e)
+            if len(out) > limit:
+                raise RuntimeError(f"component walk passed {limit} edges")
+            v = w
+            want = c0 if want == other else other
+    return out
+
+
+def test_apply_rejects_the_first_clash_of_a_faulty_kernel(work, capsys, monkeypatch):
+    """A kernel that drops an edge of move 0's component leaves two
+    1-colored edges at vertex 2.  apply rejects that move; walking on, move
+    1's (1, 2)-walk would never end on the improper coloring."""
+    from kempe_edge.errors import PreconditionViolated
+    from kempe_edge.kempe_engine import apply_transcript, read_transcript
+    from kempe_edge.kernels import backend
+
+    g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 5)])
+    f = EdgeColoring(3, [1, 2, 1, 2, 3])
+    write_graph(work / "g.graph", g)
+    write_coloring(work / "f.col", g, f)
+    (work / "tr.txt").write_text("K 1 3 2 5\nK 1 2 1 2\n")
+    real = backend.component_edges
+    calls = []
+
+    def faulty(g, colors, a, b, e0):
+        calls.append(e0)
+        if len(calls) == 1:
+            return real(g, colors, a, b, e0)[:-1]
+        return _bounded_component_edges(g, colors, a, b, e0)
+
+    monkeypatch.setattr(backend, "component_edges", faulty)
+    assert main(["apply", "--graph", str(work / "g.graph"), "--coloring", str(work / "f.col"),
+                 "--transcript", str(work / "tr.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "invalid_move",
+        "detail": "move 0: intermediate coloring not proper at vertex 2: "
+                  "color 1 on edges 0 and 4",
+    }
+    assert calls == [4]
+    tr = read_transcript(work / "tr.txt", g)
+    with pytest.raises(PreconditionViolated, match="check must be True"):
+        apply_transcript(g, f, tr, check=False)
 
 
 def test_oracle_subcommands(work, capsys):
@@ -343,6 +407,8 @@ _CLI_TABLE = {
                              "c no header\n", 1, "bad_format"),
     "graph-vertex-out-of-range": ("verify --graph {x} --coloring {f}",
                                   "p edge 3 2\ne 1 2\ne 2 9\n", 1, "bad_format"),
+    "graph-negative-vertex-count": ("verify --graph {x} --coloring {f}",
+                                    "p edge -1 0\n", 1, "bad_format"),
     "coloring-duplicate-header": ("verify --graph {g} --coloring {x}",
                                   "t 2\nt 2\ne 1 2 1\ne 2 3 2\n", 1, "bad_format"),
     "coloring-header-arity": ("verify --graph {g} --coloring {x}",
@@ -367,6 +433,9 @@ _CLI_TABLE = {
                                 "K 1 1 1 2\n", 1, "equal_colors"),
     "apply-to-stdout": ("apply --graph {g} --coloring {f} --transcript {x}",
                         "K 1 2 1 2\n", 0, (_P3_H, None)),
+    # every replay is checked: apply has no --check option
+    "apply-check-option": ("apply --graph {g} --coloring {f} --transcript {x} --check",
+                           "K 1 2 1 2\n", 1, "usage_error"),
     "same-class-out": ("oracle same-class --graph {g} --colors 2 --first {f} "
                        "--second {h} --out {o}", "", 0, ("same-class\n", "K 1 2 1 2\n")),
     # a state budget below 1 is refused before any search
@@ -381,6 +450,9 @@ _CLI_TABLE = {
                                         "color_out_of_range"),
     "classes-cap-below-one": ("oracle classes --graph {g} --colors 2 --cap -1",
                               "", 1, "precondition_violated"),
+    "classes-colors-zero": ("oracle classes --graph {g} --colors 0", "", 1, "color_out_of_range"),
+    # an edgeless graph has chromatic index 0 and the empty coloring at palette 1
+    "chi-edgeless": ("oracle chi --graph {x}", "p edge 3 0\n", 0, ("chi 0\nt 1\n", None)),
     "gen-overfull5": ("gen overfull5 --out {o}", "", 0, ("", format_graph(overfull_delta5()))),
     # one vertex past the most a graph file may declare (MAX_VERTICES = 2^20)
     "gen-regular4-above-max-vertices": ("gen regular4 --n 2097152 --seed 1 --out {o}",

@@ -127,7 +127,7 @@ def test_project_transcript_lockstep_random_moves():
             state = nxt
         projected = project_transcript(base, top, lifted, tr)
         # the projection replays and tracks the restriction exactly
-        small_final = apply_transcript(base, f, projected, check=True)
+        small_final = apply_transcript(base, f, projected)
         assert bytes(small_final.colors) == state[:base.m]
 
 
@@ -168,7 +168,7 @@ def test_project_top_walk_straight_to_every_level():
             tr.append(KempeMove(a, b, rep))
         for i, g_i in enumerate(tower.levels):
             projected = project_transcript(g_i, top, lifted[-1], tr)
-            final = apply_transcript(g_i, lifted[i], projected, check=True)
+            final = apply_transcript(g_i, lifted[i], projected)
             assert bytes(final.colors) == state[:g_i.m]
 
 
@@ -372,7 +372,7 @@ def test_transform_delta4_regular_delegates():
     g, h = random_regular4_class1(8, 2)
     f = random_proper_coloring(g, 5, 11)
     tr = transform_delta4(g, f, h)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
 
 
 def test_transform_delta4_tower_pipeline():
@@ -383,7 +383,7 @@ def test_transform_delta4_tower_pipeline():
         for t in (5, 6, 7):
             f = random_proper_coloring(g, t, t * 7)
             tr = transform_delta4(g, f, h)
-            final = apply_transcript(g, f, tr, check=True)
+            final = apply_transcript(g, f, tr)
             assert final.colors == h.colors
 
 
@@ -482,7 +482,39 @@ def test_transform_delta4_on_padded_instances_replays_onto_h(case):
     g, h = _irregular_instance(*case)
     f = random_proper_coloring(g, 5 + case[1] % 3, case[0])
     tr = transform_delta4(g, f, h)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
+
+
+@pytest.mark.parametrize("fault", ["misplaced-rep", "last-move-dropped"])
+def test_transform_delta4_endpoint_replay_faults_are_internal(monkeypatch, fault):
+    """A projected move whose rep edge is colored neither a nor b, or a
+    transcript that stops short of h, is the package's fault: the endpoint
+    replay raises InternalInvariantError, naming the move's index and
+    reason for the first, not the caller's invalid_move."""
+    g, h = _irregular_instance(10, 2, 1, 1, 1)
+    f = random_proper_coloring(g, 5, 10)
+    real = degree4_lift.project_transcript
+    want = {"detail": "delta-4 transform terminated off target"}
+
+    def faulty(g, big, f_big, big_tr):
+        tr = real(g, big, f_big, big_tr)
+        if fault == "last-move-dropped":
+            return Transcript(tr.moves[:-1])
+        k = len(tr) // 2
+        colors = apply_transcript(g, f, Transcript(tr.moves[:k])).colors
+        a, b, _ = tr.moves[k]
+        rep = next(e for e, c in enumerate(colors) if c not in (a, b))
+        tr.moves[k] = KempeMove(a, b, rep)
+        want["detail"] = (
+            f"delta-4 transform emitted an invalid move {k}: "
+            f"edge {rep} colored {colors[rep]}, move is ({a},{b})"
+        )
+        return tr
+
+    monkeypatch.setattr(degree4_lift, "project_transcript", faulty)
+    with pytest.raises(InternalInvariantError) as exc:
+        transform_delta4(g, f, h)
+    assert g.min_degree() < 4 and exc.value.detail == want["detail"]
 
 
 def test_k5_gadget_colors_every_port_tuple():
@@ -547,7 +579,7 @@ def test_padding_falls_back_to_a_gadget_for_adjacent_or_joined_pairs():
     )
     assert ports == [(2, 4), (3, 4), (5, 2), (5, 3), (6, 2), (6, 3)]
     tr = transform_delta4(g, f, h)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
 
 
 def test_padding_pairs_the_gadget_slots_in_ascending_order():
@@ -612,7 +644,7 @@ def test_low_degree_equalize_k4():
     f = random_proper_coloring(k4, 4, 1)
     h = random_proper_coloring(k4, 4, 2)
     tr = low_degree_equalize(k4, f, h)
-    assert apply_transcript(k4, f, tr, check=True).colors == h.colors
+    assert apply_transcript(k4, f, tr).colors == h.colors
 
 
 def test_low_degree_equalize_identity():
@@ -652,7 +684,7 @@ def test_low_degree_equalize_cubic_sweep():
             f = random_proper_coloring(g, 4, seed)
             h = random_proper_coloring(g, 4, seed + 100)
             tr = low_degree_equalize(g, f, h)
-            assert apply_transcript(g, f, tr, check=True).colors == h.colors
+            assert apply_transcript(g, f, tr).colors == h.colors
 
 
 # The search before the component index took every greedy step, kept
@@ -1289,7 +1321,7 @@ def test_transform_delta4_from_palettes_7_and_5():
     for t in (7, 5):
         f = random_proper_coloring(g, t, 3)
         tr = transform_delta4(g, f, h)
-        assert apply_transcript(g, f, tr, check=True).colors == h.colors
+        assert apply_transcript(g, f, tr).colors == h.colors
         bad = list(f.colors)
         u, v = g.edges[0]
         bad[0] = next(f.colors[e] for _, e in g.adj[u] if e != 0)

@@ -146,6 +146,9 @@ def test_color_class_trivial():
     assert color_class(f3, 2) == frozenset({1})
     with pytest.raises(ColorOutOfRange):
         color_class(f3, 4)
+    assert f3.with_palette(5) == EdgeColoring(5, [1, 2, 3])
+    with pytest.raises(ColorOutOfRange, match="coloring uses colors above 2"):
+        f3.with_palette(2)
 
 
 def test_palette_above_byte_range_is_typed_error():
@@ -183,6 +186,8 @@ def test_bicolored_subgraph_path_and_cycle():
     assert len(comps) == 1 and comps[0].kind == "cycle"
     with pytest.raises(EqualColors):
         bicolored_subgraph(tri, EdgeColoring(3, [1, 2, 3]), 2, 2)
+    with pytest.raises(ColorOutOfRange, match="color 4 not in 1..3"):
+        bicolored_subgraph(tri, EdgeColoring(3, [1, 2, 3]), 1, 4)
     with pytest.raises(NotProper):
         bicolored_subgraph(
             Graph(3, [(1, 2), (2, 3)]), EdgeColoring(2, [1, 1]), 1, 2
@@ -218,6 +223,8 @@ def test_high_degree_subgraph():
     assert sub.n == 1 and vmap == [1]
     sub_delta, _ = induced_high_degree_subgraph(k5p, k5p.max_degree())
     assert sub_delta.n == 1
+    with pytest.raises(GraphInvariantError, match="threshold must be >= 1"):
+        induced_high_degree_subgraph(k5p, 0)
 
 
 def test_is_acyclic():

@@ -11,6 +11,7 @@ from kempe_edge.errors import (
     EdgeNotIncident,
     EdgeOutOfRange,
     EqualColors,
+    FormatError,
     GraphInvariantError,
     InternalInvariantError,
     InvalidMoveAtIndex,
@@ -121,6 +122,8 @@ def test_interchange_rejects_off_component_edge():
     f = EdgeColoring(3, [1, 2])
     with pytest.raises(RepEdgeNotBicolored):
         interchange(g, f, KempeMove(2, 3, 0))
+    with pytest.raises(RepEdgeNotBicolored, match="color 4 outside palette 1..3"):
+        interchange(g, f, KempeMove(1, 4, 0))
 
 
 def test_path_from_reads_a_path_from_either_end():
@@ -348,12 +351,15 @@ def test_downshift_requires_saturation():
     ((11,), 9, ColorOutOfRange),
     ((11,), 0, ColorOutOfRange),
     ((11,), -1, ColorOutOfRange),
-], ids=["repeated", "color-at-leaf", "empty", "free-9", "free-0", "free-minus-1"])
+    ((4,), 5, EdgeNotIncident),
+], ids=["repeated", "color-at-leaf", "empty", "free-9", "free-0", "free-minus-1",
+        "not-at-pivot"])
 def test_downshift_rejects_a_callers_bad_fan(edges, free, error):
     # octahedron, pivot 1: edge 1 = (1, 4) is colored 3, and color 3 is on
     # edge 4 = (2, 3) at the first leaf 2, so (0, 1) is not a fan.  At
     # palette 6, edge 11 = (5, 6) is a fan at pivot 5 whose two ends miss
-    # every color outside 1..6, so only the range check stops those
+    # every color outside 1..6, so only the range check stops those.  Edge
+    # 4 = (2, 3) is not at pivot 1
     g = octahedron()
     t = 6 if error is ColorOutOfRange else 5
     f = random_proper_coloring(g, t, 1)
@@ -369,14 +375,13 @@ def test_downshift_rejects_a_callers_bad_fan(edges, free, error):
     (KempeMove(1, 2, -1), "edge -1 out of range"),
     (KempeMove(1, 2, 12), "edge 12 out of range"),
 ])
-@pytest.mark.parametrize("check", [True, False])
-def test_apply_transcript_rejects_moves_outside_palette_and_edges(bad, reason, check):
+def test_apply_transcript_rejects_moves_outside_palette_and_edges(bad, reason):
     g = octahedron()
     f, _ = figure1_pair()
     assert f.t == 4 and g.m == 12
     first = KempeMove(f.colors[0], 5 - f.colors[0], 0)
     with pytest.raises(InvalidMoveAtIndex) as exc:
-        apply_transcript(g, f, Transcript([first, bad]), check=check)
+        apply_transcript(g, f, Transcript([first, bad]))
     assert exc.value.index == 1
     assert exc.value.reason == reason
 
@@ -391,7 +396,7 @@ def test_apply_transcript_empty_and_involution():
     # intermediate coloring is proper
     path = Graph(3, [(1, 2), (2, 3)])
     tr = Transcript([KempeMove(33, 65, 1), KempeMove(1, 33, 0)])
-    out = apply_transcript(path, EdgeColoring(65, [1, 33]), tr, check=True)
+    out = apply_transcript(path, EdgeColoring(65, [1, 33]), tr)
     assert out == EdgeColoring(65, [33, 65])
 
 
@@ -417,6 +422,9 @@ def test_transcript_file_round_trip():
     back = parse_transcript("# header comment\n" + text, g)
     assert back == tr
     assert back.annotations == ["Lemma2.1a", None]
+    assert list(back) == [KempeMove(1, 2, 0), KempeMove(3, 5, 7)]
+    with pytest.raises(FormatError, match="annotation list length differs"):
+        Transcript([KempeMove(1, 2, 0)], [None, None])
 
 
 @pytest.mark.parametrize("rep", [-1, 12], ids=["minus-1", "m"])
@@ -623,7 +631,6 @@ def test_apply_transcript_rejects_an_edge_listed_twice():
     assert apply_transcript(g, f, tr) == EdgeColoring(3, [2, 1])
     with mock.patch.object(backend, "component_edges", _list_twice(backend.component_edges)):
         assert _replay_full_check(g, f, tr) == f
-        assert apply_transcript(g, f, tr, check=False) == f
         with pytest.raises(InvalidMoveAtIndex) as exc:
             apply_transcript(g, f, tr)
     assert exc.value.index == 0
@@ -638,8 +645,7 @@ def _counting(real, calls):
     return trace
 
 
-@pytest.mark.parametrize("check", [True, False])
-def test_single_edge_moves_trace_nothing(check):
+def test_single_edge_moves_trace_nothing():
     """Single-edge recolors replay without one kernel call; each move of a
     longer component calls it once."""
     rng = random.Random(3)
@@ -661,7 +667,7 @@ def test_single_edge_moves_trace_nothing(check):
                 rec.recolor_edge(eid, rng.choice(free), "recolor")
         calls = []
         with mock.patch.object(backend, "component_edges", _counting(backend.component_edges, calls)):
-            assert apply_transcript(g, f, rec.tr, check=check) == rec.coloring()
+            assert apply_transcript(g, f, rec.tr) == rec.coloring()
         assert calls == []
         replayed += len(rec.tr) > 5
     assert replayed >= 20
@@ -671,7 +677,7 @@ def test_single_edge_moves_trace_nothing(check):
     tr = Transcript([KempeMove(1, 2, 1), KempeMove(1, 3, 3), KempeMove(2, 1, 0)])
     calls = []
     with mock.patch.object(backend, "component_edges", _counting(backend.component_edges, calls)):
-        assert apply_transcript(g, f, tr, check=check) == EdgeColoring(3, [1, 2, 1, 3])
+        assert apply_transcript(g, f, tr) == EdgeColoring(3, [1, 2, 1, 3])
     assert calls == [1, 0]
 
 
@@ -701,7 +707,7 @@ def test_replay_masks_match_a_recount_after_every_move():
         for k in range(len(rec.tr) + 1):
             prefix = Transcript(rec.tr.moves[:k])
             with mock.patch.object(kempe_engine, "proper_masks", kept):
-                out = apply_transcript(g, f, prefix, check=bool(k % 2))
+                out = apply_transcript(g, f, prefix)
             recount = [0] * (g.n + 1)
             for (u, v), c in zip(g.edges, out.colors):
                 recount[u] |= 1 << c
@@ -709,92 +715,6 @@ def test_replay_masks_match_a_recount_after_every_move():
             assert made[-1] == recount
             checked += 1
     assert checked > 200
-
-
-def _replay_unchecked_reference(g, f, tr):
-    """Reference replay with check=False and no masks: every move through
-    the kernel, no check after it."""
-    colors = list(f.colors)
-    for i, mv in enumerate(tr.moves):
-        if not (1 <= mv.a <= f.t and 1 <= mv.b <= f.t):
-            raise InvalidMoveAtIndex(i, f"colors ({mv.a},{mv.b}) outside palette")
-        if not (0 <= mv.rep_edge < g.m):
-            raise InvalidMoveAtIndex(i, f"edge {mv.rep_edge} out of range")
-        if colors[mv.rep_edge] not in (mv.a, mv.b):
-            raise InvalidMoveAtIndex(
-                i,
-                f"edge {mv.rep_edge} colored {colors[mv.rep_edge]}, move is ({mv.a},{mv.b})",
-            )
-        for e in backend.component_edges(g, colors, mv.a, mv.b, mv.rep_edge):
-            colors[e] = mv.b if colors[e] == mv.a else mv.a
-    return EdgeColoring(f.t, colors)
-
-
-def test_unchecked_replay_traces_every_move_after_a_clash():
-    """Once check=False lets a clash through, the masks no longer tell a
-    single edge from a longer component, so later moves use the kernel."""
-    # path 1-2-3-4 colored 1, 2, 1; the first swap of (1, 2) misses edge 2
-    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
-    f = EdgeColoring(3, [1, 2, 1])
-    tr = Transcript([KempeMove(1, 2, 0), KempeMove(2, 1, 0)])
-    real = backend.component_edges
-
-    def first_call_drops_an_edge():
-        calls = []
-        drop = _drop_last_edge(real)
-
-        def trace(g, colors, a, b, e0):
-            calls.append(e0)
-            return (drop if len(calls) == 1 else real)(g, colors, a, b, e0)
-
-        return trace
-
-    # after the first move, colors 2, 1, 1: the second move's (1, 2)-component
-    # is edges 0 and 1, though color 1 looks free at both ends of edge 0 to
-    # masks that stopped at the clash
-    for replay in (
-        lambda: apply_transcript(g, f, tr, check=False),
-        lambda: _replay_unchecked_reference(g, f, tr),
-    ):
-        with mock.patch.object(backend, "component_edges", first_call_drops_an_edge()):
-            assert replay() == EdgeColoring(3, [1, 2, 1])
-
-
-@st.composite
-def _moves_with_invalid_ones(draw):
-    """`_graph_coloring_moves`, with one move outside the palette or the
-    edge range inserted half the time."""
-    g, f, tr = draw(_graph_coloring_moves())
-    moves = list(tr.moves)
-    if draw(st.booleans()):
-        bad = draw(st.sampled_from([
-            KempeMove(f.t + 1, 1, 0), KempeMove(1, 0, 0), KempeMove(1, 2, g.m), KempeMove(1, 2, -1),
-        ]))
-        moves.insert(draw(st.integers(0, len(moves))), bad)
-    return g, f, Transcript(moves)
-
-
-@pytest.mark.parametrize("faulty", [False, True, "repeat-edge", "foreign-edge"])
-@settings(max_examples=150, deadline=None, database=None)
-@given(case=_moves_with_invalid_ones())
-def test_unchecked_replay_matches_the_kernel_replay(faulty, case):
-    """check=False returns what tracing every move through the kernel
-    returns, or raises the same error at the same index, also when a
-    faulty kernel lets a clash through and the masks stop being exact."""
-    g, f, tr = case
-    trace = backend.component_edges
-    if faulty:
-        trace = _FAULTY[faulty](trace)
-
-    def outcome(replay):
-        try:
-            return "ok", replay()
-        except InvalidMoveAtIndex as exc:
-            return "rejected", exc.index, exc.reason
-
-    with mock.patch.object(backend, "component_edges", trace):
-        ours = outcome(lambda: apply_transcript(g, f, tr, check=False))
-        assert ours == outcome(lambda: _replay_unchecked_reference(g, f, tr))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,9 @@ def test_chromatic_index_node_cap_binds():
     g = petersen()
     with pytest.raises(BudgetExceeded):
         chromatic_index(g, node_cap=5)
+    # the root node alone is past a cap of 0
+    with pytest.raises(BudgetExceeded, match="exceeded 0 nodes"):
+        chromatic_index(g, node_cap=0)
     chi, w = chromatic_index(g)
     assert chi == 4 and w.t == 4 and is_proper(g, w)
 
@@ -104,7 +107,7 @@ def test_witness_free_equalize_past_the_old_budget_cliff(n, seed, removed):
     f = _kempe_walk(g, base, 20, rng)
     h = _kempe_walk(g, base, 20, rng)
     tr = equalize(g, f, h)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
 
 
 def test_kempe_classes_single_edge():
@@ -159,7 +162,7 @@ def test_same_class_trivial_and_figure1():
     assert not ok4
     ok5, tr5 = same_class(g, 5, EdgeColoring(5, f.colors), EdgeColoring(5, h.colors))
     assert ok5
-    assert apply_transcript(g, EdgeColoring(5, f.colors), tr5, check=True).colors == h.colors
+    assert apply_transcript(g, EdgeColoring(5, f.colors), tr5).colors == h.colors
 
 
 def test_same_class_budget():
@@ -177,7 +180,7 @@ def test_same_class_transcript_is_shortest_is_consistent():
     h = EdgeColoring(3, [2, 3])
     ok, tr = same_class(g, 3, f, h)
     assert ok
-    assert apply_transcript(g, f, tr, check=True) == h
+    assert apply_transcript(g, f, tr) == h
     assert len(tr.moves) <= 2
 
 

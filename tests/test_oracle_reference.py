@@ -353,7 +353,7 @@ def _assert_same_class_matches(g, t, f, h):
     assert ok == ref_ok
     if ok:
         assert len(tr.moves) == len(ref_tr.moves)
-        assert apply_transcript(g, f, tr, check=True).colors == h.colors
+        assert apply_transcript(g, f, tr).colors == h.colors
     else:
         assert tr is None
 
@@ -381,7 +381,7 @@ def test_same_class_figure1_and_budget():
     with pytest.raises(BudgetExceeded):
         same_class(g, 5, f5, h5, cap=10)
     ok, tr = same_class(g, 5, f5, h5)
-    assert ok and apply_transcript(g, f5, tr, check=True).colors == h.colors
+    assert ok and apply_transcript(g, f5, tr).colors == h.colors
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +509,6 @@ def test_equalize_agrees_with_same_class(g, seeds):
         tr = equalize(g, f, h)
     except UnsupportedFamily:
         assume(False)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
     ok, _ = same_class(g, t, f, h)
     assert ok

