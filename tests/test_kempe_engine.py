@@ -637,6 +637,54 @@ def test_apply_transcript_rejects_an_edge_listed_twice():
     assert exc.value.reason == "component edge set lists edge 0 twice"
 
 
+@pytest.mark.parametrize("faulty", [False, True, "repeat-edge", "foreign-edge"])
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_graph_coloring_moves())
+def test_replay_traces_only_proper_colorings(faulty, case):
+    """The kernel walk ends only on a proper coloring, so the replay hands
+    it nothing else: with the real kernel or a faulty one, every call of
+    component_edges sees a proper coloring, and a rejected move is the
+    last one traced."""
+    g, f, tr = case
+    trace = backend.component_edges
+    if faulty:
+        trace = _FAULTY[faulty](trace)
+    seen = []
+
+    def recorded(g, colors, a, b, e0):
+        seen.append(backend.is_proper(g, colors))
+        return trace(g, colors, a, b, e0)
+
+    with mock.patch.object(backend, "component_edges", recorded):
+        outcome = _outcome(apply_transcript, g, f, tr)
+    assert all(seen)
+    if outcome[0] == "rejected":
+        assert len(seen) <= outcome[1] + 1
+
+
+def test_replay_stops_at_the_first_clash_of_a_faulty_kernel():
+    """A partial swap is rejected at its own move; the next move is never
+    traced on the improper coloring it left, and the replay accepts no
+    way to skip the check."""
+    # path 1-2-3-4 colored 1, 2, 1; the first swap of (1, 2) misses edge 2
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    f = EdgeColoring(3, [1, 2, 1])
+    tr = Transcript([KempeMove(1, 2, 0), KempeMove(2, 1, 0)])
+    assert apply_transcript(g, f, tr) == f
+    calls = []
+    faulty = _counting(_drop_last_edge(backend.component_edges), calls)
+    with mock.patch.object(backend, "component_edges", faulty):
+        with pytest.raises(InvalidMoveAtIndex) as exc:
+            apply_transcript(g, f, tr)
+    assert calls == [0]
+    assert exc.value.index == 0
+    assert exc.value.reason == (
+        "intermediate coloring not proper at vertex 3: color 1 on edges 1 and 2"
+    )
+    with pytest.raises(PreconditionViolated, match="check must be True"):
+        apply_transcript(g, f, tr, check=False)
+
+
 def _counting(real, calls):
     def trace(g, colors, a, b, e0):
         calls.append(e0)
