@@ -8,12 +8,13 @@ tie-break below is in edge-id order.  State vectors are ``bytes`` of length
 m, one color per edge id, except in the memo path of
 :func:`kempe_neighbor_moves` (below), which holds them as ints.
 
-Two kernels trace a bicolored component.  :func:`trace_component` is the
-ordered one: it returns the vertices along the path or around the cycle
-with the edges between them, for the probes, the callers that read a path
-(``Recorder.path_from``, the case machine's side split, and
-`graph_core.bicolored_subgraph`).  :func:`component_edges` returns only the
-edge set, which every move swaps (``Recorder.component_edges``) and replay.
+Two kernels trace a bicolored component.  :func:`component_edges` returns
+only the edge set: every move swaps it (``Recorder.component_edges``), replay
+too, and ``Recorder.path_from`` reads a path's far end and vertex set from
+it.  :func:`trace_component` is the ordered one: it returns the vertices
+along the path or around the cycle with the edges between them, for the
+two callers that need that order, the case machine's side split and
+`graph_core.bicolored_subgraph`.
 
 :func:`is_proper` is only ``Recorder.check_proper``'s self-check: it
 compares each vertex's color set with its degree, so it shares no code
@@ -23,13 +24,14 @@ with `graph_core`'s one mask pass, which every other check runs.
 with its stack in lists, not Python frames; :func:`enumerate_proper` and the
 oracle's chromatic-index search both walk it.
 
-:func:`kempe_neighbor_moves` lists every interchange of a state.  The two
-oracle searches that enumerate a whole Kempe class (``same_class`` and
-``kempe_classes``) pass it a memo, ``chains``, that they keep for one search
-over one graph.  In a proper coloring the (a, b)-components depend only on
-the edge set E_a | E_b, and many states of a class share one: the memo
-holds each set's components once, each as an int with one byte per edge id
-(1 on its edges).  On that path a state is an int of the same form (one
+:func:`kempe_neighbor_moves` lists every interchange of a state whose two
+colors lie in the set its caller passes.  The two oracle searches that
+enumerate a whole Kempe class (``same_class`` and ``kempe_classes``) pass
+it a memo, ``chains``, that they keep for one search over one graph.  In a
+proper coloring the (a, b)-components depend only on the edge set
+E_a | E_b, and many states of a class share one: the memo holds each
+set's components once, each as an int with one byte per edge id (1 on its
+edges).  On that path a state is an int of the same form (one
 byte per edge id, little-endian), so a next state is one integer xor and
 is never written out as bytes only to be hashed.  The Delta <= 4
 equalizer's fallbacks (``degree4_lift._bfs_to_better`` and its exact
@@ -298,14 +300,14 @@ def _memo_moves(g, s, cs, chains):
     return out
 
 
-def kempe_neighbor_moves(g, state, t, color_set=None, chains=None):
-    """Every Kempe interchange of `state` as (a, b, rep, next_state).
+def kempe_neighbor_moves(g, state, colors, chains=None):
+    """Every Kempe interchange of `state` with both colors in `colors` as
+    (a, b, rep, next_state).
 
-    Color pairs a < b run in ascending order over `color_set` (all of
-    1..t when None; a given set restricts the move colors, as the bounded
-    searches that must not leave a sub-palette need).  Within a pair the
-    components come in order of their least edge id `rep`, and a pair of
-    two absent colors is skipped.
+    Color pairs a < b run in ascending order over `colors`, an iterable:
+    the searches pass their palette, or the sub-palette a bounded search
+    must not leave.  Within a pair the components come in order of their
+    least edge id `rep`, and a pair of two absent colors is skipped.
 
     `chains`, when given, is a dict the caller keeps for one search over
     one graph, and `state` must be proper and an int: one byte per edge
@@ -323,7 +325,7 @@ def kempe_neighbor_moves(g, state, t, color_set=None, chains=None):
     and writes its next state edge by edge.  The moves are the same either
     way.
     """
-    cs = tuple(sorted(color_set)) if color_set is not None else tuple(range(1, t + 1))
+    cs = tuple(sorted(colors))
     if chains is not None:
         return _memo_moves(g, state, cs, chains)
     edges = g.edges
@@ -380,6 +382,6 @@ def kempe_neighbor_moves(g, state, t, color_set=None, chains=None):
     return out
 
 
-def kempe_neighbors(g, state, t, color_set=None, chains=None):
+def kempe_neighbors(g, state, colors, chains=None):
     """The next states of :func:`kempe_neighbor_moves`, in the same order."""
-    return [nxt for _, _, _, nxt in kempe_neighbor_moves(g, state, t, color_set, chains)]
+    return [nxt for _, _, _, nxt in kempe_neighbor_moves(g, state, colors, chains)]

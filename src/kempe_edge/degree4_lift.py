@@ -164,7 +164,7 @@ def _oct_coloring(fx, fy, t):
     return tuple(pal[k] for _, _, k in _OCT)
 
 
-@lru_cache(maxsize=None)  # a port's color is at most 4, so at most 4^4 keys
+@lru_cache(maxsize=None)  # a port's color is at most 5, so at most 5^4 keys
 def _k5_coloring(port_colors):
     """Colors from 1..5 for `_K5`'s edges, proper, with no edge at vertex k
     (k < 4) colored port_colors[k]: a backtracking search over 8 edges and
@@ -532,8 +532,7 @@ def _bfs_to_better(g, start, goal, colors, cap):
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        # the palette argument is read only when no color set is given
-        for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, None, colors):
+        for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, colors):
             if nxt in parent:
                 continue
             parent[nxt] = (cur, (a, b, rep))

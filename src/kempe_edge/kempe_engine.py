@@ -15,11 +15,10 @@ shares no code with the masks.  Every producer moves through it:
 single edge straight from the masks when the other color is missing at
 both its ends, and :meth:`Recorder.swap`, the one change hook, swaps it
 and keeps the masks current; a subclass observes moves there alone.
-Moves, :func:`interchange`, the search index and transcript projection
-all read and swap this way.  Only probes, the callers that read a path,
-go through the ordered ``backend.trace_component``:
-:meth:`Recorder.path_from` reads "the (a, b)-path that starts at v", the
-Kempe chain the lemmas reason about, from one of its ends.
+Moves, :func:`interchange`, the search index, transcript projection and
+the probes all read this way: :meth:`Recorder.path_from` reads "the
+(a, b)-path that starts at v", the Kempe chain the lemmas reason about,
+as its far end and vertex set, the only things a lemma asks of it.
 :func:`apply_transcript`, the certifier, keeps its own replay loop over its
 own color list, with the same single-edge rule.  :func:`extend_fan` is the
 one fan engine, shared by :func:`grow_fan` and the palette reductions; it
@@ -403,7 +402,8 @@ class Recorder:
     the projection), so it keeps the masks current, and a subclass that
     keeps more state observes moves there alone: the case machine's
     recorder its phase-1 measures, the acyclic reduction's its top class.
-    Only probes read an ordered path (:meth:`component`).
+    Probes read the same edge sets (:meth:`path_from`); no read here needs
+    the order of a path.
     """
 
     __slots__ = ("g", "colors", "t", "tr", "mask")
@@ -424,10 +424,6 @@ class Recorder:
                 return eid
         return -1
 
-    def component(self, a: int, b: int, rep_edge: int):
-        """The ordered trace of a probe: (edge ids, vertices, is_cycle)."""
-        return backend.trace_component(self.g, self.colors, a, b, rep_edge)
-
     def component_edges(self, a: int, b: int, rep: int):
         """The edge ids of the (a,b)-component of `rep`, in no promised
         order: ``(rep,)`` when the other color is missing at both ends of
@@ -439,21 +435,27 @@ class Recorder:
         return (rep,)
 
     def path_from(self, v: int, a: int, b: int):
-        """The (a,b)-path that starts at v, traced through v's a-colored
-        edge: returns (that edge, the path's vertices from v to the far
-        end).  No a-colored edge at v, a cycle, or a component with v inside
-        it is an internal error: the caller's argument said v ends a path."""
+        """The (a,b)-path that starts at v, read through v's a-colored edge
+        by :meth:`component_edges`: returns (that edge, the path's far end,
+        its vertex set).  No a-colored edge at v, or color b at v, is an
+        internal error: the caller's argument said v ends a path, and a
+        vertex inside a path or on a cycle carries both colors.
+
+        Each vertex of the path is an end of one or two of its edges, so
+        xor-ing v with both ends of every edge leaves the far end."""
         rep = self.edge_with_color(v, a)
         if rep < 0:
             raise InternalInvariantError(f"vertex {v} has no {a}-colored edge")
-        _, verts, is_cycle = self.component(a, b, rep)
-        if is_cycle:
-            raise InternalInvariantError(f"({a},{b}) component at vertex {v} is a cycle")
-        if verts[0] != v:
-            verts = verts[::-1]
-        if verts[0] != v:
+        if self.mask[v] >> b & 1:
             raise InternalInvariantError(f"vertex {v} does not end its ({a},{b}) path")
-        return rep, verts
+        edges = self.g.edges
+        end, verts = v, {v}
+        for e in self.component_edges(a, b, rep):
+            x, y = edges[e]
+            end ^= x ^ y
+            verts.add(x)
+            verts.add(y)
+        return rep, end, verts
 
     def apply(self, a: int, b: int, rep_edge: int, note: Optional[str] = None):
         """Interchange on the (a,b)-component of rep_edge; returns the

@@ -239,7 +239,7 @@ def _quotient_neighbors(g, order, t, state, chains):
     top = min(t, max(state, default=0) + 1)
     m = g.m
     s = int.from_bytes(state, "little")
-    for nxt in backend.kempe_neighbors(g, s, t, range(1, top + 1), chains):
+    for nxt in backend.kempe_neighbors(g, s, range(1, top + 1), chains):
         yield _canonical(nxt.to_bytes(m, "little"), order)
 
 
@@ -359,8 +359,7 @@ def _meet_in_middle(g, start: bytes, goal: bytes, colors, cap: int, chains=None)
         mine, other = (fwd, bwd) if forward else (bwd, fwd)
         layer = []
         for cur in front_f if forward else front_b:
-            # the palette argument is read only when no color set is given
-            for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, None, colors, chains):
+            for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, colors, chains):
                 if nxt in mine:
                     continue
                 mine[nxt] = (cur, (a, b, rep))

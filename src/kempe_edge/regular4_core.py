@@ -17,11 +17,11 @@ and swap it, w3w4 takes the side's color c, and after the flip the side
 either finishes with the (1,c) swap on w3w4 or is handed back for
 re-dispatch.  B.2.3.1 pairs an end side with a pattern side, B.2.3.2 two
 pattern sides, the seven-edge path two end sides, and the six-cycle two A
-sides sharing w3w4.  Every such path read from one end is traced by
-`Recorder.path_from`.  After phase 1 color 1 is a perfect matching shared
-with the target, so every (a, b)-component with a, b in 2..5 lies in the
-cubic remainder; phase 2 runs the bounded search equalizer on the working
-state itself over those four colors.
+sides sharing w3w4.  Every such path read from one end is read by
+`Recorder.path_from`, as its far end and vertex set.  After phase 1 color
+1 is a perfect matching shared with the target, so every (a, b)-component
+with a, b in 2..5 lies in the cubic remainder; phase 2 runs the bounded
+search equalizer on the working state itself over those four colors.
 
 The one public entry is `theorem_4_1_transform`, which checks its inputs
 once in `_checked_work`.  The lemma steps (the window analysis of Lemma 2.1,
@@ -39,6 +39,7 @@ from .errors import (
 )
 from .graph_core import EdgeColoring, Graph, require_target4
 from .kempe_engine import Recorder, Transcript
+from .kernels import backend
 
 _A = frozenset({1, 2, 3, 4})
 _B = frozenset({1, 2, 3, 5})
@@ -202,7 +203,7 @@ def _sides(work: _Work, e: int):
     (u side, v side, n, component edge ids, u side edges, v side edges),
     with n = 0 for a path; a side's i-th edge joins its vertices i, i+1."""
     # the frame fixes color 1
-    eids, verts, cyc = work.component(1, work.to_real[2], e)
+    eids, verts, cyc = backend.trace_component(work.g, work.colors, 1, work.to_real[2], e)
     s = eids.index(e)
     if not cyc:
         return verts[s::-1], verts[s + 1:], 0, eids, eids[:s][::-1], eids[s + 1:]
@@ -255,9 +256,9 @@ def _window_escape_or_certify(work: _Work, pv):
         c = next(iter(shared))
         a = next(iter(ex1 - {c}))
         b = next(iter(ex2 - {c}))
-        rep, path = work.path_from(v2, b, a)
+        rep, end, _ = work.path_from(v2, b, a)
         work.apply(a, b, rep, "win4-outer")
-        return ("improved", e12 if path[-1] != v1 else e23, b)
+        return ("improved", e12 if end != v1 else e23, b)
     # condition (i) holds: canonicalize {3,4,5} so that the pattern becomes
     # v1 -> {1,2,3,5}, v2 -> {1,2,4,5}, v3 -> {1,2,3,4}
     m1 = next(iter({3, 4, 5} - ex1))
@@ -274,8 +275,8 @@ def _window_escape_or_certify(work: _Work, pv):
             return ("improved", e_x, c_x)
     # the (3,d)-path from w must end at v2, and x must see color d
     for w, d, e_w, x, e_x, c_x in probes:
-        rep, path = work.path_from(w, 3, d)
-        if path[-1] != v2:
+        rep, end, _ = work.path_from(w, 3, d)
+        if end != v2:
             work.apply(3, d, rep, "win4-probe")
             return ("improved", e_w, 3)
         if d not in work.vpal(x):
@@ -310,8 +311,8 @@ def _window_b(work: _Work, pv):
     if p4 == _B:
         # the certify step's first probe saw the (3,4)-path from v1 end at
         # v2, so read from v2 it ends at v1
-        rep, path = work.path_from(v2, 4, 3)
-        if path[-1] != v1:
+        rep, end, _ = work.path_from(v2, 4, 3)
+        if end != v1:
             raise InternalInvariantError("(3,4) path from v2 does not end at v1")
         work.apply(3, 4, rep, "win5")
     elif p4 != _C:
@@ -348,8 +349,7 @@ def _lemma_2_2_inner(work: _Work, pv):
         if work.matched() > before:
             return ("progress",)
     elif 2 not in work.vpal(x1):
-        rep, path = work.path_from(x1, 3, 2)
-        vset = set(path)
+        rep, _, vset = work.path_from(x1, 3, 2)
         e_x2 = g.edge_id(v2, x2)
         e_v1 = g.edge_id(v2, v1)
         if v3 not in vset and x2 not in vset:
@@ -526,11 +526,10 @@ def _claim(work: _Work, e, W, Z, c):
     end is w1 for c = 4, where it also passes w2 and avoids z2, and w2 for
     c = 3.  On failure runs the documented escape on the window z1 w1..w4
     and returns ("jump", next working edge or None); on success returns
-    ("ok", rep, path vertices) with nothing applied."""
+    ("ok", rep, the path's vertex set) with nothing applied."""
     win = [Z[0], *W[:4]]
-    rep, path = work.path_from(W[2], c, 5)
-    vset = set(path)
-    if path[-1] != (W[0] if c == 4 else W[1]):
+    rep, end, vset = work.path_from(W[2], c, 5)
+    if end != (W[0] if c == 4 else W[1]):
         work.apply(c, 5, rep, "B.2.3-claim-esc")
         if _cut_window(work, win, "B.2.3-claim-esc") is not None:
             raise InternalInvariantError("claim escape found no window improvement")
@@ -567,9 +566,9 @@ def _case_B23(work: _Work, e, U, V, cycle_len):
             raise InternalInvariantError(f"unexpected u-side palettes {ex}")
         origin_i, ca, cb, origin_color, expect_i = mold[ex]
         other = cb if origin_color == ca else ca
-        rep, path = work.path_from(U[origin_i], origin_color, other)
+        rep, end, _ = work.path_from(U[origin_i], origin_color, other)
         work.apply(ca, cb, rep, "B.2.3-mold")
-        if path[-1] != U[expect_i]:
+        if end != U[expect_i]:
             if _cut_window(work, uwin, "B.2.3-mold-esc") is not None:
                 raise InternalInvariantError("mold escape found no window improvement")
             return e

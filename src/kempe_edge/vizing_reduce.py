@@ -66,13 +66,12 @@ def eliminate_via_fan(rec: Recorder, pivot: int, e1: int, allowed: int, note: st
     # extend_fan found no pivot-missing color free at u_k, so c0 is there;
     # walk the (c0, c_next) path from u_k and split on where it lands
     c0 = least_color(pivot_missing)
-    rep, path = rec.path_from(u_k, c0, c_next)
-    vset = set(path)
+    rep, end, vset = rec.path_from(u_k, c0, c_next)
     u_j1 = leaves[idx]      # u_{j+1}: far end of the repeated fan edge
     u_j = leaves[idx - 1]   # u_j: the leaf missing the repeated color
     rec.apply(c0, c_next, rep, note)
     if u_j1 in vset:
-        if path[-1] != pivot:
+        if end != pivot:
             raise InternalInvariantError("pivot expected as path endpoint")
         rec.downshift(edges[:idx], c_next, note)
     elif u_j in vset:

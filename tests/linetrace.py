@@ -4,8 +4,9 @@ A statement is named by its enclosing function's qualified name and its
 source text (the header of a compound statement, the whole of a simple one,
 on one line with whitespace collapsed), never by line number, so a fold elsewhere in the
 module leaves the names of untouched statements as they were.  Only
-statements inside functions are counted, docstrings excluded: module and
-class bodies run at import, before any trace can start.
+statements inside functions are counted, docstrings and `global` and
+`nonlocal` declarations excluded: module and class bodies run at import,
+before any trace can start, and a declaration never runs.
 
 As a script it runs pytest under the tracer and prints, per function, the
 statements of the module that never ran:
@@ -46,6 +47,9 @@ def _is_docstring(i, node) -> bool:
     )
 
 
+_DECLARATIONS = (ast.Global, ast.Nonlocal)
+
+
 def statements(module) -> dict:
     """Map each line that starts a statement inside a function of the
     module to (function qualname, statement text, is a raise)."""
@@ -56,7 +60,8 @@ def statements(module) -> dict:
 
     def visit(body, qual, in_func):
         for i, node in enumerate(body):
-            if in_func and not _is_docstring(i, node):
+            # a declaration is read at compile time and never runs
+            if in_func and not (_is_docstring(i, node) or isinstance(node, _DECLARATIONS)):
                 out[node.lineno] = (qual, _text(lines, node), isinstance(node, ast.Raise))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = f"{qual}.{node.name}" if qual else node.name

@@ -10,12 +10,7 @@ import time
 import pytest
 
 from kempe_edge.acyclic_reduce import acyclic_reduce
-from kempe_edge.degree4_lift import (
-    build_tower,
-    lift_coloring,
-    project_transcript,
-    transform_delta4,
-)
+from kempe_edge.degree4_lift import _pad_to_regular4, project_transcript, transform_delta4
 from kempe_edge.errors import UnsupportedFamily
 from kempe_edge.fixtures_gen import (
     acyclic_max_degree_graph,
@@ -113,21 +108,21 @@ def _k5_minus_edge():
     )
 
 
-def _tower_graphs():
+def _criterion4_graphs():
     """Criterion 4's graphs: Delta = 4, non-regular, Class 1."""
     return [
         Graph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)
-                  if (u, v) not in {(3, 5), (4, 5)}]),       # two levels
-        Graph(6, [e for e in octahedron().edges if e != (5, 6)]),  # one level
-        Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)]),          # three levels
+                  if (u, v) not in {(3, 5), (4, 5)}]),
+        Graph(6, [e for e in octahedron().edges if e != (5, 6)]),
+        Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)]),
     ]
 
 
 @pytest.fixture(scope="module")
-def tower_runs():
-    """Criterion 4 workload: (g, t, f, h, final) per tower transform."""
+def padded_runs():
+    """Criterion 4 workload: (g, t, f, h, final) per padded transform."""
     runs = []
-    for gi, g in enumerate(_tower_graphs()):
+    for gi, g in enumerate(_criterion4_graphs()):
         assert g.max_degree() == 4 and g.min_degree() < 4
         chi, h = chromatic_index(g)
         assert chi == 4
@@ -139,52 +134,44 @@ def tower_runs():
     return runs
 
 
-def test_acceptance_4_theorem_1_3(tower_runs):
+def test_acceptance_4_theorem_1_3(padded_runs):
     # The criterion names K5-minus-an-edge as a Class 1 fixture.  It is not:
     # 9 edges exceed Delta * floor(n/2) = 8, so it is overfull, hence Class 2,
     # and no witness 4-coloring exists to transform onto.  The suite proves
     # the defect and runs the criterion's substance on three graphs that do
-    # satisfy its stated requirements (Delta = 4, non-regular, Class 1),
-    # whose doubling towers double them one, one and three times.  The
-    # transform itself pads each graph with direct edges and gadgets
-    # instead of doubling it.
+    # satisfy its stated requirements (Delta = 4, non-regular, Class 1).
+    # The transform pads each one with direct edges and gadgets to a
+    # 4-regular graph, runs Theorem 4.1 there and projects the transcript
+    # back.
     ke = _k5_minus_edge()
     assert ke.m > ke.max_degree() * (ke.n // 2)
     chi_ke, _ = chromatic_index(ke)
     assert chi_ke == 5  # Class 2: the spec's premise cannot be instantiated
-    tower = build_tower(ke)  # the doubling itself works fine on it
-    assert tower.levels[-1].n == 10
-    assert all(tower.levels[-1].degree(v) == 4 for v in range(1, 11))
 
     failures = 0
     runs = 0
-    for g, t, f, h, final in tower_runs:
+    for g, t, f, h, final in padded_runs:
         runs += 1
         if final.colors != h.colors:
             failures += 1
-    # tower restriction invariant, checked explicitly at every level of one
-    # full pipeline: the top transcript projects straight onto each level,
-    # each level being the top on its first edge ids (project_transcript
-    # also lockstep-asserts internally)
-    g = _tower_graphs()[0]
-    chi, h = chromatic_index(g)
-    tower = build_tower(g)
-    f = random_proper_coloring(g, 5, 5)
-    f_levels = [f]
-    h_levels = [h]
-    for i in range(len(tower.levels) - 1):
-        f_levels.append(lift_coloring(tower, i, f_levels[-1]))
-        h_levels.append(lift_coloring(tower, i, h_levels[-1]))
-    top_tr = theorem_4_1_transform(tower.levels[-1], f_levels[-1], h_levels[-1])
-    top_final = apply_transcript(tower.levels[-1], f_levels[-1], top_tr)
-    for i, g_i in enumerate(tower.levels):
-        level_tr = project_transcript(g_i, tower.levels[-1], f_levels[-1], top_tr)
-        small_final = apply_transcript(g_i, f_levels[i], level_tr)
-        assert small_final.colors == top_final.colors[:g_i.m]
+    # restriction invariant, checked explicitly on the padded graph of each
+    # graph: it is 4-regular and g on its first edge ids, and the top
+    # transcript projects straight onto g (project_transcript also
+    # lockstep-asserts internally)
+    for gi, g in enumerate(_criterion4_graphs()):
+        _, h = chromatic_index(g)
+        f = random_proper_coloring(g, 5, 5 + gi)
+        big, f_big, h_big = _pad_to_regular4(g, f, h)
+        assert all(big.degree(v) == 4 for v in range(1, big.n + 1))
+        assert big.edges[:g.m] == g.edges and f_big.colors[:g.m] == f.colors
+        top_tr = theorem_4_1_transform(big, f_big, h_big)
+        top_final = apply_transcript(big, f_big, top_tr)
+        small_final = apply_transcript(g, f, project_transcript(g, big, f_big, top_tr))
+        assert small_final.colors == top_final.colors[:g.m] == h.colors
     assert failures == 0
     _report(
         4,
-        f"{runs}/9 tower runs exact; restriction invariant verified; spec's "
+        f"{runs}/9 padded runs exact; restriction invariant verified; spec's "
         "K5-minus-edge fixture proven Class 2 (defect)",
     )
 
@@ -277,11 +264,11 @@ def test_acceptance_7_corollary_1_5():
 
 
 @pytest.fixture(scope="module")
-def small_runs(regular4_runs, tower_runs, acyclic_runs, vizing_runs):
+def small_runs(regular4_runs, padded_runs, acyclic_runs, vizing_runs):
     """(graph, palette, start colors, end colors) of every run of criteria 1
     and 4-6 on a graph with m <= 14, for criterion 8."""
     runs = [(g, 5, f.colors, h.colors) for g, f, h, _, _, _ in regular4_runs[0]]
-    runs += [(g, t, f.colors, h.colors) for g, t, f, h, _ in tower_runs]
+    runs += [(g, t, f.colors, h.colors) for g, t, f, h, _ in padded_runs]
     runs += [
         (g, delta + 1, f.colors, out.colors)
         for g, delta, f, out, _, _ in acyclic_runs[0]

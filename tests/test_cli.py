@@ -272,19 +272,48 @@ def test_bad_format_reports_error(work, capsys):
     assert payload["error"] == "bad_format"
 
 
-def test_transform_regular4_result_matches_target_bytes(work):
+def _regular4_transform_args(work):
+    """The files of a 4-regular graph, a 5-coloring and a 4-coloring target,
+    and the transform command line between them."""
     from kempe_edge.fixtures_gen import random_regular4_class1
 
     g, h = random_regular4_class1(8, 4)
     write_graph(work / "g.graph", g)
     write_coloring(work / "h4.col", g, h)
     write_coloring(work / "f5.col", g, random_proper_coloring(g, 5, 6))
-    assert main([
+    return [
         "transform", "--graph", str(work / "g.graph"),
         "--from", str(work / "f5.col"), "--to", str(work / "h4.col"),
-        "--out", str(work / "tr.txt"), "--result", str(work / "res.col"),
-    ]) == 0
+        "--out", str(work / "tr.txt"),
+    ]
+
+
+def test_transform_regular4_result_matches_target_bytes(work):
+    argv = _regular4_transform_args(work)
+    assert main([*argv, "--result", str(work / "res.col")]) == 0
     assert (work / "res.col").read_bytes() == (work / "h4.col").read_bytes()
+
+
+def test_delta4_transform_replays_its_transcript_once(work, monkeypatch):
+    """transform_delta4 replays its transcript onto the target itself, so
+    the CLI writes the target without a second replay."""
+    from kempe_edge import degree4_lift, kempe_engine
+    from kempe_edge.kempe_engine import read_transcript
+
+    real = kempe_engine._replay
+    calls = []
+
+    def replay(*args):
+        calls.append(len(args[3]))
+        return real(*args)
+
+    monkeypatch.setattr(kempe_engine, "_replay", replay)
+    monkeypatch.setattr(degree4_lift, "_replay", replay)
+    argv = _regular4_transform_args(work)
+    assert main([*argv, "--result", str(work / "res.col")]) == 0
+    assert (work / "res.col").read_bytes() == (work / "h4.col").read_bytes()
+    g = read_graph(work / "g.graph")
+    assert calls == [len(read_transcript(work / "tr.txt", g))]
 
 
 def test_non_integer_fields_report_bad_format(work, capsys):
@@ -308,27 +337,21 @@ def test_non_integer_fields_report_bad_format(work, capsys):
 
 
 def test_off_target_transform_is_internal_invariant(work, capsys, monkeypatch):
-    import kempe_edge.cli as cli
-    from kempe_edge.fixtures_gen import random_regular4_class1
+    # transform_delta4 imports the case machine at call time
+    import kempe_edge.regular4_core as regular4_core
     from kempe_edge.kempe_engine import Transcript
 
-    real = cli.transform_delta4
+    real = regular4_core.theorem_4_1_transform
     monkeypatch.setattr(
-        cli, "transform_delta4",
+        regular4_core, "theorem_4_1_transform",
         lambda g, f, h: Transcript(real(g, f, h).moves[:-1]),
     )
-    g, h = random_regular4_class1(8, 4)
-    write_graph(work / "g.graph", g)
-    write_coloring(work / "h4.col", g, h)
-    write_coloring(work / "f5.col", g, random_proper_coloring(g, 5, 6))
-    code = main([
-        "transform", "--graph", str(work / "g.graph"),
-        "--from", str(work / "f5.col"), "--to", str(work / "h4.col"),
-        "--out", str(work / "tr.txt"),
-    ])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().err.strip())
+    assert main(_regular4_transform_args(work)) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    payload = json.loads(err)
     assert payload["error"] == "internal_invariant"
+    assert "terminated off target" in payload["detail"]
     assert not (work / "tr.txt").exists()  # no off-target transcript emitted
 
 

@@ -121,7 +121,7 @@ def test_project_transcript_lockstep_random_moves():
         state = bytes(lifted.colors)
         tr = Transcript()
         for _ in range(20):
-            moves = backend.kempe_neighbor_moves(top, state, 5)
+            moves = backend.kempe_neighbor_moves(top, state, range(1, 6))
             a, b, rep, nxt = rng.choice(moves)
             tr.append(KempeMove(a, b, rep))
             state = nxt
@@ -164,7 +164,8 @@ def test_project_top_walk_straight_to_every_level():
         state = bytes(lifted[-1].colors)
         tr = Transcript()
         for _ in range(30):
-            a, b, rep, state = rng.choice(backend.kempe_neighbor_moves(top, state, 5))
+            moves = backend.kempe_neighbor_moves(top, state, range(1, 6))
+            a, b, rep, state = rng.choice(moves)
             tr.append(KempeMove(a, b, rep))
         for i, g_i in enumerate(tower.levels):
             projected = project_transcript(g_i, top, lifted[-1], tr)
@@ -213,7 +214,7 @@ def test_project_rejects_a_top_move_that_does_not_replay():
     f = random_proper_coloring(base, 5, 1)
     top = lift_coloring(tower, 0, f)
     a, b, rep, nxt = backend.kempe_neighbor_moves(
-        tower.levels[-1], bytes(top.colors), 5
+        tower.levels[-1], bytes(top.colors), range(1, 6)
     )[0]
     c, d = [c for c in range(1, 6) if c != nxt[rep]][:2]
     tr = Transcript([KempeMove(a, b, rep), KempeMove(c, d, rep)])
@@ -301,7 +302,8 @@ def _random_walk(big, f_big, steps, rng):
     state = bytes(f_big.colors)
     tr, comps = Transcript(), []
     for _ in range(steps):
-        a, b, rep, nxt = rng.choice(backend.kempe_neighbor_moves(big, state, f_big.t))
+        moves = backend.kempe_neighbor_moves(big, state, range(1, f_big.t + 1))
+        a, b, rep, nxt = rng.choice(moves)
         comps.append(backend.component_edges(big, state, a, b, rep))
         tr.append(KempeMove(a, b, rep))
         state = nxt
@@ -701,8 +703,8 @@ def _swap(colors, edge_ids, a, b):
 def _kempe_components(g, state, colors):
     """Yield (a, b, rep, edge ids) for every (a, b)-component of `state`.
 
-    The order is that of `backend.kempe_neighbor_moves(g, state, t,
-    colors)`: color pairs a < b ascending over `colors`, then components by
+    The order is that of `backend.kempe_neighbor_moves(g, state, colors)`:
+    color pairs a < b ascending over `colors`, then components by
     their least edge id `rep`: an ascending scan walks each component from
     the first of its edges it meets, and only when it is reached.
     """
@@ -742,7 +744,7 @@ def _old_reconstruct(parent, state):
     return moves
 
 
-def _old_bfs_to_better(g, start, goal, colors, t, cap):
+def _old_bfs_to_better(g, start, goal, colors, cap):
     """Moves to a nearest state with strictly larger agreement with goal.
 
     An interchange changes agreement only on its own component, so the
@@ -766,7 +768,7 @@ def _old_bfs_to_better(g, start, goal, colors, t, cap):
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, t, colors):
+        for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, colors):
             if nxt in parent:
                 continue
             parent[nxt] = (cur, (a, b, rep))
@@ -778,7 +780,7 @@ def _old_bfs_to_better(g, start, goal, colors, t, cap):
     return None
 
 
-def _old_bidirectional(g, start, goal, colors, t, cap):
+def _old_bidirectional(g, start, goal, colors, cap):
     """Exact meet-in-the-middle search start -> goal."""
     pf = {start: None}
     pb = {goal: None}
@@ -792,7 +794,7 @@ def _old_bidirectional(g, start, goal, colors, t, cap):
             side, parent, other = qb, pb, pf
         for _ in range(len(side)):
             cur = side.popleft()
-            for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, t, colors):
+            for a, b, rep, nxt in backend.kempe_neighbor_moves(g, cur, colors):
                 if nxt in parent:
                     continue
                 parent[nxt] = (cur, (a, b, rep))
@@ -849,7 +851,7 @@ def test_kempe_components_follow_neighbor_move_order():
             ):
                 state = bytes(random_proper_coloring(g, t, seed + 10 * n).colors)
                 walk = list(_kempe_components(g, state, colors))
-                moves = backend.kempe_neighbor_moves(g, state, t, colors)
+                moves = backend.kempe_neighbor_moves(g, state, colors)
                 assert [(a, b, rep) for a, b, rep, _ in walk] == [
                     (a, b, rep) for a, b, rep, _ in moves
                 ]
@@ -870,11 +872,11 @@ def test_bfs_to_better_matches_labeled_bfs():
             cur = bytes(random_proper_coloring(g, 4, seed).colors)
             goal = bytes(random_proper_coloring(g, 4, seed + 100).colors)
             colors = (1, 2, 3, 4)
-            old = _old_bfs_to_better(g, cur, goal, colors, 4, 3)
+            old = _old_bfs_to_better(g, cur, goal, colors, 3)
             assert _bfs_to_better(g, cur, goal, colors, 3) == (old and old[0])
             while cur != goal:
                 moves = _bfs_to_better(g, cur, goal, colors, 250_000)
-                old = _old_bfs_to_better(g, cur, goal, colors, 4, 250_000)
+                old = _old_bfs_to_better(g, cur, goal, colors, 250_000)
                 if old is None:
                     assert moves is None
                     break
@@ -998,7 +1000,7 @@ def test_component_index_matches_fresh_walk_after_every_swap():
     assert unindexed > 1000
 
 
-def _reference_equalize_search(g, start, goal, colors, t, cap):
+def _reference_equalize_search(g, start, goal, colors, cap):
     """The search loop before the component index, a fresh walk per step,
     on the old `_bfs_to_better` and `_bidirectional`.  As in the indexed
     loop, `cap` binds only when no single interchange gains."""
@@ -1013,9 +1015,9 @@ def _reference_equalize_search(g, start, goal, colors, t, cap):
             _gain(cur, goal, a, b, comp) > 0
             for a, b, _, comp in _kempe_components(g, cur, colors)
         )
-        found = _old_bfs_to_better(g, cur, goal, colors, t, 250_000 if gains else cap)
+        found = _old_bfs_to_better(g, cur, goal, colors, 250_000 if gains else cap)
         if found is None:
-            tail = _old_bidirectional(g, cur, goal, colors, t, 2_000_000)
+            tail = _old_bidirectional(g, cur, goal, colors, 2_000_000)
             assert tail is not None and _replay(g, cur, tail) == goal
             return out + tail
         moves, cur = found
@@ -1064,7 +1066,7 @@ def test_equalize_search_matches_walk_loop_under_small_caps(monkeypatch):
         for cap in (*range(total - 2, total + 3), 16 * total):
             monkeypatch.setattr(degree4_lift, "_IMPROVE_BUDGET", cap)
             assert _search(g, start, goal, colors, t) == (
-                _reference_equalize_search(g, start, goal, colors, t, cap)
+                _reference_equalize_search(g, start, goal, colors, cap)
             )
     assert counts["_bfs_to_better", True] > 0
     assert counts["_bfs_to_better", False] > 0

@@ -128,19 +128,20 @@ def test_interchange_rejects_off_component_edge():
 
 def test_path_from_reads_a_path_from_either_end():
     """On the 1/2-colored path 1-2-3-4-5 the path is read from the end it
-    starts at; a start inside it, a start without the first color, or a
-    1/2 cycle is a package fault."""
+    starts at, as its first edge, far end and vertex set; a start inside
+    it, a start without the first color, or a start on a 1/2 cycle is a
+    package fault."""
     path = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
     rec = Recorder(path, EdgeColoring(2, [1, 2, 1, 2]))
-    assert rec.path_from(1, 1, 2) == (path.edge_id(1, 2), [1, 2, 3, 4, 5])
-    assert rec.path_from(5, 2, 1) == (path.edge_id(4, 5), [5, 4, 3, 2, 1])
+    assert rec.path_from(1, 1, 2) == (path.edge_id(1, 2), 5, {1, 2, 3, 4, 5})
+    assert rec.path_from(5, 2, 1) == (path.edge_id(4, 5), 1, {1, 2, 3, 4, 5})
     with pytest.raises(InternalInvariantError, match="does not end"):
         rec.path_from(3, 1, 2)
     with pytest.raises(InternalInvariantError, match="no 2-colored edge"):
         rec.path_from(1, 2, 1)
     cycle = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     ring = Recorder(cycle, EdgeColoring(2, [1, 2, 1, 2]))
-    with pytest.raises(InternalInvariantError, match="is a cycle"):
+    with pytest.raises(InternalInvariantError, match="does not end"):
         ring.path_from(1, 1, 2)
     assert len(rec.tr) == len(ring.tr) == 0
 
@@ -569,6 +570,34 @@ def test_component_edges_is_the_traced_edge_set(case):
                 assert len(set(comp)) == len(comp)
                 assert set(comp) == set(backend.trace_component(g, colors, a, b, e)[0])
                 assert set(rec.component_edges(a, b, e)) == set(comp)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=_colored_graph())
+def test_path_from_matches_the_ordered_trace(case):
+    """From every vertex v and pair (a, b) with a at v: when b is missing
+    at v, path_from's far end and vertex set are those of the ordered
+    trace of v's path; when b is at v too, v lies inside a path or on a
+    cycle, and the read is a package fault."""
+    g, colors, t = case
+    rec = Recorder(g, EdgeColoring(t, colors))
+    for v in range(1, g.n + 1):
+        at_v = {colors[e] for _, e in g.adj[v]}
+        for a in at_v:
+            for b in range(1, t + 1):
+                if b == a:
+                    continue
+                if b in at_v:
+                    with pytest.raises(InternalInvariantError, match="does not end"):
+                        rec.path_from(v, a, b)
+                    continue
+                rep, end, verts = rec.path_from(v, a, b)
+                assert colors[rep] == a and v in g.edges[rep]
+                _, path, cyc = backend.trace_component(g, colors, a, b, rep)
+                assert not cyc and v in (path[0], path[-1])
+                assert end == (path[-1] if path[0] == v else path[0])
+                assert verts == set(path)
+    assert len(rec.tr) == 0
 
 
 @st.composite

@@ -2,8 +2,9 @@
 import itertools
 import random
 
+import linetrace
 import pytest
-
+from kempe_edge import oracle
 from kempe_edge.errors import BudgetExceeded, ColorOutOfRange, PreconditionViolated
 from kempe_edge.fixtures_gen import (
     figure1_pair,
@@ -66,6 +67,22 @@ def test_chromatic_index_node_cap_binds():
         chromatic_index(g, node_cap=0)
     chi, w = chromatic_index(g)
     assert chi == 4 and w.t == 4 and is_proper(g, w)
+
+
+def test_chromatic_index_runs_every_statement_of_its_pruning_hook():
+    """The Hall-pruning hook runs whole: it finds the octahedron's
+    4-coloring, prunes in the Petersen graph's failed 3-coloring search
+    and raises at a small node cap.  Its `nonlocal` declaration never runs,
+    so the tracer does not count it as a statement."""
+    hook = "_search_coloring.accept"
+    with linetrace.LineTracer(oracle) as tracer:
+        assert chromatic_index(octahedron())[0] == 4
+        assert chromatic_index(petersen())[0] == 4
+        with pytest.raises(BudgetExceeded):
+            chromatic_index(octahedron(), node_cap=3)
+    stmts = [text for qual, text, _ in linetrace.statements(oracle).values() if qual == hook]
+    assert stmts[0] == "near, far = plan[i]" and "nonlocal nodes" not in stmts
+    assert not [key for key in linetrace.unexecuted(oracle, tracer.hit) if key[0] == hook]
 
 
 def _cycle(n):
@@ -215,9 +232,9 @@ def test_same_class_work_on_far_pairs(monkeypatch, name):
     kernel = backend.kempe_neighbor_moves
     memos = []
 
-    def counting(g, state, t, color_set=None, chains=None):
+    def counting(g, state, colors, chains=None):
         memos.append(chains)
-        return kernel(g, state, t, color_set, chains)
+        return kernel(g, state, colors, chains)
 
     monkeypatch.setattr(backend, "kempe_neighbor_moves", counting)
     ok, tr = same_class(g, 5, EdgeColoring(5, list(f0)), EdgeColoring(5, list(h0)))

@@ -267,10 +267,10 @@ def _report_key(rep):
 # ---------------------------------------------------------------------------
 
 
-def _assert_kernels_match(g, state, t, color_set):
-    want = _ref_kempe_neighbor_moves(g, state, t, color_set)
-    assert backend.kempe_neighbor_moves(g, state, t, color_set) == want
-    assert backend.kempe_neighbors(g, state, t, color_set) == [nxt for *_, nxt in want]
+def _assert_kernels_match(g, state, t, colors):
+    want = _ref_kempe_neighbor_moves(g, state, t, colors)
+    assert backend.kempe_neighbor_moves(g, state, colors) == want
+    assert backend.kempe_neighbors(g, state, colors) == [nxt for *_, nxt in want]
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -278,7 +278,6 @@ def _assert_kernels_match(g, state, t, color_set):
 def test_neighbor_kernels_match_reference(case, data):
     g, t, f = case
     state = bytes(f.colors)
-    _assert_kernels_match(g, state, t, None)
     # a sub-palette that may drop used colors and add absent ones
     subset = data.draw(st.sets(st.integers(1, t + 2), max_size=t + 2))
     _assert_kernels_match(g, state, t, subset)
@@ -295,7 +294,7 @@ def test_neighbor_kernels_match_reference_on_high_colors(case, data):
         min_size=t, max_size=t, unique=True,
     ))
     state = bytes(names[c - 1] for c in f.colors)
-    _assert_kernels_match(g, state, 70, None)
+    _assert_kernels_match(g, state, 70, range(1, 71))
     extra = data.draw(st.sets(st.integers(1, 255), max_size=4))
     _assert_kernels_match(g, state, 255, set(names) | extra)
     _assert_kernels_match(g, state, 255, set(names[:2]) | extra)
@@ -304,11 +303,12 @@ def test_neighbor_kernels_match_reference_on_high_colors(case, data):
 def test_neighbor_kernels_c_and_c_plus_32_are_different_colors():
     path = Graph(3, [(1, 2), (2, 3)])
     for state, t in ((bytes([1, 33]), 33), (bytes([32, 64]), 64), (bytes([1, 65]), 65)):
-        _assert_kernels_match(path, state, t, None)
+        _assert_kernels_match(path, state, t, range(1, t + 1))
         _assert_kernels_match(path, state, t, {1, 32, 33, 64, 65})
         # the pair of the two colors swaps the whole path
         a, b = sorted(state)
-        assert (a, b, 0, bytes(reversed(state))) in backend.kempe_neighbor_moves(path, state, t)
+        moves = backend.kempe_neighbor_moves(path, state, range(1, t + 1))
+        assert (a, b, 0, bytes(reversed(state))) in moves
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -333,11 +333,11 @@ def test_neighbor_kernel_memo_matches_reference_along_a_walk(case, data):
             # with a memo the kernel's states are ints, one byte per edge id
             s = int.from_bytes(state, "little")
             want_int = [(a, b, rep, int.from_bytes(nxt, "little")) for a, b, rep, nxt in want]
-            assert backend.kempe_neighbor_moves(g, s, 255, colors, chains) == want_int
-            assert backend.kempe_neighbors(g, s, 255, colors, chains) == [
+            assert backend.kempe_neighbor_moves(g, s, colors, chains) == want_int
+            assert backend.kempe_neighbors(g, s, colors, chains) == [
                 nxt for *_, nxt in want_int
             ]
-            assert backend.kempe_neighbor_moves(g, state, 255, colors, None) == want
+            assert backend.kempe_neighbor_moves(g, state, colors) == want
         # the whole palette holds a present color and an absent one
         state = rng.choice(want)[3]
 

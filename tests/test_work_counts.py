@@ -2,9 +2,10 @@
 
 Transcripts are byte-identical from run to run, so the component reads a
 produce pass makes are exact per op and seed: a change that keeps every
-move but traces more fails here, not only on a clock.  Moves read bare
-edge sets; an ordered trace must come from a probe, a caller that reads
-the path.  Every coloring check is the one mask pass of graph_core, so
+move but traces more fails here, not only on a clock.  Moves and path
+probes read bare edge sets; an ordered trace must come from one of the
+two callers that need the order, the case machine's side split and
+bicolored_subgraph.  Every coloring check is the one mask pass of graph_core, so
 the scans of each input coloring are pinned too; the set-based
 properness kernel runs only as a transform's final self-check.
 """
@@ -24,34 +25,32 @@ from kempe_edge.reductions import equalize
 from kempe_edge.regular4_core import _sides
 from test_perfbench_digests import _workloads
 
-# the function that calls trace_component -> the probes that may call it
-# (None: it is the probe)
-_PROBES = {
-    Recorder.component.__code__: {Recorder.path_from.__code__, _sides.__code__},
-    bicolored_subgraph.__code__: None,
-}
+# the functions that call trace_component, the two readers of an ordered
+# component
+_PROBES = {_sides.__code__, bicolored_subgraph.__code__}
 
 
 @pytest.mark.parametrize("workload, traces, edge_sets", [
     # before moves read bare edge sets through the Recorder: 2,223
-    # trace_component and 2,428 component_edges calls
-    ("regular4", 1462, 3047),
+    # trace_component and 2,428 component_edges calls; before path_from
+    # read the bare edge set: 1,462 and 3,047
+    ("regular4", 1295, 3173),
     # before: 1,545 and 4,929; before the projection read a top component
-    # lying wholly in g no second time: 744 and 2,412
-    ("equalize_mix", 744, 2370),
+    # lying wholly in g no second time: 744 and 2,412; before path_from
+    # read the bare edge set: 744 and 2,370
+    ("equalize_mix", 703, 2400),
 ])
 def test_produce_pass_kernel_calls_are_pinned(workload, traces, edge_sets):
     """The trace_component and component_edges calls of one produce pass
-    over the seed-0 ops, and every trace_component call from a probe."""
+    over the seed-0 ops, and every trace_component call from one of the
+    two readers of an ordered component."""
     workloads = _workloads()
     calls = {"trace_component": 0, "component_edges": 0}
     real_trace, real_edges = backend.trace_component, backend.component_edges
 
     def trace(*args):
-        caller = sys._getframe(1)
-        assert caller.f_code in _PROBES, caller.f_code.co_name
-        probes = _PROBES[caller.f_code]
-        assert probes is None or caller.f_back.f_code in probes, caller.f_back.f_code.co_name
+        caller = sys._getframe(1).f_code
+        assert caller in _PROBES, caller.co_name
         calls["trace_component"] += 1
         return real_trace(*args)
 
